@@ -25,25 +25,6 @@ import (
 // switch, integers stored in float fields — plus omitempty boundaries
 // and strings that trip HTML escaping.
 
-func fptr(v float64) *float64 { return &v }
-
-// edgeFloats are the values most likely to expose a formatting
-// divergence between strconv-based rendering and encoding/json.
-var edgeFloats = []float64{
-	0, math.Copysign(0, -1), 1, -1, 42, 1e6,
-	1e-6, 9.999999e-7, 1e-7, 1e21, 9.99999e20,
-	1e-300, 5e-324, math.MaxFloat64, math.SmallestNonzeroFloat64,
-	0.1, 2.718281828459045, 1.2345678901234567e-15, 123456.789,
-}
-
-// edgeStrings exercise escaping: HTML-significant bytes, controls,
-// quotes, backslashes and multibyte runes.
-var edgeStrings = []string{
-	"", "plain", "a<b&c>d", `quo"te`, `back\slash`,
-	"tab\there", "new\nline", "ctrl\x01", "\b\f",
-	"uniécode", "sep arate",
-}
-
 func stdlibIndented(t *testing.T, doc any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -53,78 +34,6 @@ func stdlibIndented(t *testing.T, doc any) []byte {
 		t.Fatalf("stdlib encode: %v", err)
 	}
 	return buf.Bytes()
-}
-
-func diffBytes(t *testing.T, label string, got, want []byte) {
-	t.Helper()
-	if bytes.Equal(got, want) {
-		return
-	}
-	n := len(got)
-	if len(want) < n {
-		n = len(want)
-	}
-	at := n
-	for i := 0; i < n; i++ {
-		if got[i] != want[i] {
-			at = i
-			break
-		}
-	}
-	lo := at - 40
-	if lo < 0 {
-		lo = 0
-	}
-	g, w := got, want
-	if at+40 < len(g) {
-		g = g[:at+40]
-	}
-	if at+40 < len(w) {
-		w = w[:at+40]
-	}
-	t.Fatalf("%s: first divergence at byte %d\n got: %q\nwant: %q", label, at, g[lo:], w[lo:])
-}
-
-// edgeArtifact builds a cellArtifact stressing every omitempty branch
-// and the edge floats.
-func edgeArtifact(variant int) cellArtifact {
-	a := cellArtifact{
-		HasResult:         true,
-		Evaluations:       4800,
-		ValidEvaluations:  3213,
-		DistinctEvaluated: 2101,
-		DistinctValid:     1444,
-		SimChecked:        10,
-		SimViolations:     1,
-		SimBracketMisses:  2,
-		BestTimeKCC:       fptr(edgeFloats[variant%len(edgeFloats)]),
-		MinEnergyFJ:       fptr(edgeFloats[(variant+7)%len(edgeFloats)]),
-		FrontTimeEnergy: []solutionRec{
-			{TimeKCC: 42, BitEnergyFJ: 1e-6, MeanBER: 1e-300, Counts: []int{1, 2, 3, 4}, Genome: "1000/0100"},
-			{TimeKCC: math.Copysign(0, -1), BitEnergyFJ: 9.999999e-7, MeanBER: 5e-324, Counts: []int{}, Genome: ""},
-		},
-		FrontTimeBER: []solutionRec{
-			{TimeKCC: 1e21, BitEnergyFJ: 9.99999e20, MeanBER: 2.5e-13, Counts: nil, Genome: edgeStrings[variant%len(edgeStrings)]},
-		},
-		Stats: &CellStats{Evaluations: 4800, CacheHits: 1200, WarmHits: 17, FullEvals: 900,
-			GeneDeltaEvals: 1800, NearDeltaEvals: 600, CrossDeltaEvals: 283, RelationsCompared: 1 << 40},
-	}
-	switch variant % 4 {
-	case 1:
-		a.Error = "engine exploded: " + edgeStrings[variant%len(edgeStrings)]
-		a.HasResult = false
-		a.BestTimeKCC = nil
-		a.MinEnergyFJ = nil
-		a.FrontTimeEnergy = nil
-		a.FrontTimeBER = nil
-		a.Stats = nil
-	case 2:
-		a.FrontTimeBER = []solutionRec{}
-		a.Stats = nil
-	case 3:
-		a.BestTimeKCC = nil
-	}
-	return a
 }
 
 func edgeCampaignDoc(multi bool) campaignJSON {
@@ -175,7 +84,7 @@ func edgeCampaignDoc(multi bool) campaignJSON {
 	return doc
 }
 
-func TestCampaignDocGolden(t *testing.T) {
+func TestCampaignDocComposerMatchesStdlib(t *testing.T) {
 	for _, multi := range []bool{false, true} {
 		doc := edgeCampaignDoc(multi)
 		e := getEnc()
@@ -204,7 +113,7 @@ func TestCampaignDocGolden(t *testing.T) {
 	diffBytes(t, "empty campaign doc", got, stdlibIndented(t, empty))
 }
 
-func TestCampaignDocGoldenRandom(t *testing.T) {
+func TestCampaignDocComposerRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1007))
 	rf := func() float64 {
 		switch rng.Intn(4) {
@@ -267,7 +176,7 @@ func TestCampaignDocGoldenRandom(t *testing.T) {
 	}
 }
 
-func TestCellDoneDocGolden(t *testing.T) {
+func TestCellDoneComposerMatchesStdlib(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		done := cellDoneJSON{
 			Schema: cellDoneSchema,
@@ -305,7 +214,7 @@ func TestEncodeCellDoneNonFinite(t *testing.T) {
 	}
 }
 
-func TestStatsLineGolden(t *testing.T) {
+func TestStatsLineComposerMatchesStdlib(t *testing.T) {
 	lines := []campaignStatsLine{
 		{Cell: 0, Workload: "paper", Objectives: "teb", NW: 8, Replicate: 0,
 			Stats: &CellStats{Evaluations: 4800, CacheHits: 1, RelationsCompared: math.MaxInt64}},
@@ -326,7 +235,7 @@ func TestStatsLineGolden(t *testing.T) {
 	}
 }
 
-func TestCellEventGolden(t *testing.T) {
+func TestCellEventComposerMatchesStdlib(t *testing.T) {
 	cell := Cell{Index: 5, Backend: "crossbar", NW: 8, Objectives: core.TimeEnergyBER,
 		Workload: "hot<spot>", Replicate: 1, Seed: 123456789}
 	events := []CellEvent{
@@ -408,7 +317,7 @@ func referenceCampaignCSV(w *bytes.Buffer, backend bool, rows []struct {
 	cw.Flush()
 }
 
-func TestCampaignCSVGolden(t *testing.T) {
+func TestCampaignCSVComposerMatchesStdlib(t *testing.T) {
 	cells := []Cell{
 		{Index: 0, Backend: "ring", NW: 4, Objectives: core.TimeEnergyBER, Workload: "paper", Replicate: 0, Seed: 42},
 		{Index: 1, Backend: "crossbar", NW: 8, Objectives: core.TimeEnergy, Workload: "work,load", Replicate: 1, Seed: -7},

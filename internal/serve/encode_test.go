@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
 	"testing"
 )
 
@@ -54,10 +55,44 @@ func serveFixtures() []any {
 		ErrorResponse{Error: "instance (paper, ring, nw=8) is not served; serving: []"},
 		ErrorResponse{Error: "queue full", RetryAfterMS: 250},
 		&ErrorResponse{Error: "invalid chromosome", Reason: `conflict: "λ3" <shared>`},
+		ErrorResponse{Error: "line\u2028and\u2029paragraph separators", Reason: "invalid \xff\xfe utf-8 \xe2\x28\xa1"},
 	}
 }
 
+// TestEncodeJSONGolden diffs every fixture's canonical rendering
+// against testdata/encode_golden.ndjson, rendered by an earlier build
+// and committed, so the served format is pinned across changes. A
+// change that alters a served byte on purpose regenerates the file in
+// the same commit and says why.
 func TestEncodeJSONGolden(t *testing.T) {
+	var got []byte
+	for i, v := range serveFixtures() {
+		b, err := encodeJSON(v)
+		if err != nil {
+			t.Fatalf("fixture %d: %v", i, err)
+		}
+		got = append(got, b...)
+	}
+	want, err := os.ReadFile("testdata/encode_golden.ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := bytes.SplitAfter(got, []byte("\n")), bytes.SplitAfter(want, []byte("\n"))
+	for i := range max(len(gotLines), len(wantLines)) {
+		var g, w []byte
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("line %d:\n got: %q\nwant: %q", i+1, g, w)
+		}
+	}
+}
+
+func TestEncodeJSONMatchesStdlib(t *testing.T) {
 	for i, v := range serveFixtures() {
 		got, err := encodeJSON(v)
 		if err != nil {
