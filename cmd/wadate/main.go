@@ -134,19 +134,12 @@
 //	-cpuprofile file  write a CPU profile of the run to file
 //	-memprofile file  write an allocation (heap) profile taken at the
 //	                  end of the run to file
-//
-// Campaign runs additionally accept -profile-assembly file: after the
-// campaign completes, the artifact assembly path alone (JSON, CSV and
-// stats rendering into a discarding writer) is re-run repeatedly
-// under the CPU profiler, isolating the encoders from the GA for
-// hot-path diagnosis.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -200,9 +193,8 @@ func main() {
 		migrateEvery = flag.Int("migrate-every", 0, "island migration period in generations (default 25; needs -islands > 1)")
 		migrateK     = flag.Int("migrate-k", 0, "emigrant genomes per island per migration (default 3; needs -islands > 1)")
 
-		cpuprofile      = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile      = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
-		profileAssembly = flag.String("profile-assembly", "", "after a -campaign run, write a CPU profile of repeated artifact assembly (JSON, CSV and stats rendering) to this file")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	)
 	flag.Parse()
 	explicitly := map[string]bool{}
@@ -275,7 +267,7 @@ func main() {
 	if !*campaign {
 		conflicting = []string{"json", "backends", "cellworkers", "reps", "objsets", "workloads", "warmstart",
 			"checkpoint-dir", "checkpoint-every", "resume", "halt-after-checkpoints", "warmcache", "stats",
-			"islands", "migrate-every", "migrate-k", "profile-assembly"}
+			"islands", "migrate-every", "migrate-k"}
 	}
 	for _, name := range conflicting {
 		if err != nil {
@@ -320,7 +312,6 @@ func main() {
 				resume: *resume, haltAfter: *haltAfter, warmCache: *warmcache,
 				stats: *stats, distribute: *distribute,
 				islands: *islands, migrateEvery: *migrateEvery, migrateK: *migrateK,
-				profileAssembly: *profileAssembly,
 			})
 		} else {
 			err = run(*exp, *nws, *pop, *gens, *seed, *csv, *seeds, *workers)
@@ -451,7 +442,6 @@ type campaignOpts struct {
 	islands                  int
 	migrateEvery             int
 	migrateK                 int
-	profileAssembly          string
 }
 
 // runWorker joins the coordinator at addr and executes assigned
@@ -581,43 +571,7 @@ func runCampaign(o campaignOpts) error {
 		}
 		fmt.Printf("CSV table written to %s\n", o.csvPath)
 	}
-	if o.profileAssembly != "" {
-		if perr := profileCampaignAssembly(o.profileAssembly, camp); perr != nil {
-			return perr
-		}
-		fmt.Printf("assembly CPU profile written to %s\n", o.profileAssembly)
-	}
 	return err
-}
-
-// profileCampaignAssembly captures a CPU profile of the artifact
-// assembly path in isolation: the completed campaign is rendered
-// repeatedly (JSON, CSV and stats lines, all into a discarding
-// writer) under the profiler, so the encoder hot spots show up
-// without the GA drowning them out. The iteration count is fixed —
-// large enough for a stable profile of even a small campaign, with no
-// wall-clock dependence.
-func profileCampaignAssembly(path string, camp *expt.Campaign) error {
-	stop, err := startCPUProfile(path)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < 500; i++ {
-		if err := expt.WriteCampaignJSON(io.Discard, camp); err != nil {
-			stop()
-			return fmt.Errorf("assembly profile: %w", err)
-		}
-		if err := expt.WriteCampaignCSV(io.Discard, camp); err != nil {
-			stop()
-			return fmt.Errorf("assembly profile: %w", err)
-		}
-		if err := expt.WriteCampaignStats(io.Discard, camp); err != nil {
-			stop()
-			return fmt.Errorf("assembly profile: %w", err)
-		}
-	}
-	stop()
-	return nil
 }
 
 // printCampaignStats prints one JSON line per cell (carrying the

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -1055,44 +1056,80 @@ func WriteCampaignJSON(w io.Writer, c *Campaign) error {
 		cj.Stats = a.Stats
 		doc.Cells = append(doc.Cells, cj)
 	}
-	e := getEnc()
-	e.campaignDoc(&doc)
-	if e.bad {
-		// Non-finite floats cannot be rendered; delegate to the
-		// stdlib encoder for the identical UnsupportedValueError.
-		putEnc(e)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	}
-	out, err := indentDoc(e.b)
-	putEnc(e)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(out)
-	return err
+	return writeIndentedJSON(w, doc)
+}
+
+// writeIndentedJSON renders v as the campaign documents are stored:
+// encoding/json with two-space indentation and a trailing newline.
+func writeIndentedJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 // WriteCampaignCSV emits one row per front point per cell, a flat
 // table external plotting tools slice by (workload, objectives, nw).
-// Like the JSON artifact, the bytes are deterministic.
+// Like the JSON artifact, the bytes are deterministic. The header is
+// written first, so an all-failed campaign still yields a well-formed
+// (header-only) table; the backend column appears exactly when the
+// campaign sweeps a non-default backend, keeping ring-only tables in
+// their historical format.
 func WriteCampaignCSV(w io.Writer, c *Campaign) error {
-	cw := newCampaignCSV(w, sweepsBackends(c.Cfg.withDefaults()))
+	backend := sweepsBackends(c.Cfg.withDefaults())
+	cw := csv.NewWriter(w)
+	header := []string{"cell"}
+	if backend {
+		header = append(header, "backend")
+	}
+	header = append(header, "workload", "objectives", "nw", "replicate", "seed", "kind",
+		"time_kcc", "bit_energy_fj", "mean_ber", "log10_ber", "counts", "genome")
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	writeFront := func(cell Cell, kind string, recs []solutionRec) error {
+		for _, r := range recs {
+			counts := make([]string, len(r.Counts))
+			for i, n := range r.Counts {
+				counts[i] = strconv.Itoa(n)
+			}
+			row := []string{strconv.Itoa(cell.Index)}
+			if backend {
+				row = append(row, cell.Backend)
+			}
+			if err := cw.Write(append(row,
+				cell.Workload,
+				cell.Objectives.String(),
+				strconv.Itoa(cell.NW),
+				strconv.Itoa(cell.Replicate),
+				strconv.FormatInt(cell.Seed, 10),
+				kind,
+				fmt.Sprintf("%.6f", r.TimeKCC),
+				fmt.Sprintf("%.6f", r.BitEnergyFJ),
+				fmt.Sprintf("%.6e", r.MeanBER),
+				fmt.Sprintf("%.4f", core.Metrics{MeanBER: r.MeanBER}.Log10BER()),
+				strings.Join(counts, ";"),
+				r.Genome,
+			)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for i := range c.Cells {
 		cr := &c.Cells[i]
 		a := cr.artifact()
 		if !a.HasResult {
 			continue
 		}
-		if err := cw.writeFront(cr.Cell, "front_time_energy", a.FrontTimeEnergy); err != nil {
+		if err := writeFront(cr.Cell, "front_time_energy", a.FrontTimeEnergy); err != nil {
 			return err
 		}
-		if err := cw.writeFront(cr.Cell, "front_time_ber", a.FrontTimeBER); err != nil {
+		if err := writeFront(cr.Cell, "front_time_ber", a.FrontTimeBER); err != nil {
 			return err
 		}
 	}
-	return cw.flush()
+	cw.Flush()
+	return cw.Error()
 }
 
 // campaignStatsLine is one cell's engine instrumentation as a JSON
@@ -1116,8 +1153,6 @@ type campaignStatsLine struct {
 // in-process or was distributed across workers.
 func WriteCampaignStats(w io.Writer, c *Campaign) error {
 	multi := sweepsBackends(c.Cfg.withDefaults())
-	e := getEnc()
-	defer putEnc(e)
 	for i := range c.Cells {
 		cr := &c.Cells[i]
 		s := cr.Stats()
@@ -1135,10 +1170,11 @@ func WriteCampaignStats(w io.Writer, c *Campaign) error {
 		if multi {
 			line.Backend = cr.Cell.Backend
 		}
-		e.b, e.bad = e.b[:0], false
-		e.statsLine(&line)
-		e.b = append(e.b, '\n')
-		if _, err := w.Write(e.b); err != nil {
+		raw, err := json.Marshal(line)
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(append(raw, '\n')); err != nil {
 			return err
 		}
 	}

@@ -240,11 +240,7 @@ func newCheckpointManager(cfg CampaignConfig, cells []Cell) (*checkpointManager,
 	case !errors.Is(err, os.ErrNotExist):
 		return nil, fmt.Errorf("expt: checkpoint dir: %w", err)
 	default:
-		if err := atomicWriteFile(path, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(want)
-		}); err != nil {
+		if err := atomicWriteFile(path, func(w io.Writer) error { return writeIndentedJSON(w, want) }); err != nil {
 			return nil, fmt.Errorf("expt: write campaign manifest: %w", err)
 		}
 	}

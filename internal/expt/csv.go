@@ -40,122 +40,6 @@ func WriteSolutionsCSV(w io.Writer, nw int, kind string, sols []core.Solution) e
 	return cw.Error()
 }
 
-// campaignCSVWriter streams the flat campaign table: cell identity
-// columns ahead of the per-solution metric columns. The header is
-// written up front, so even an all-failed campaign yields a
-// well-formed (header-only) table. The backend column appears exactly
-// when the campaign sweeps a non-default backend, keeping ring-only
-// tables byte-identical to their historical format.
-//
-// Rows are composed with strconv appenders into one reused buffer —
-// no fmt, no per-field string boxing — while reproducing
-// encoding/csv's quoting and "%.6f"/"%.6e"/"%.4f" formatting byte for
-// byte (the golden diff in encode_test.go holds the old row renderer
-// against this one).
-type campaignCSVWriter struct {
-	w       io.Writer
-	buf     []byte
-	sep     bool
-	backend bool
-	err     error
-}
-
-// field appends one string field with encoding/csv quoting.
-func (c *campaignCSVWriter) field(s string) {
-	if c.sep {
-		c.buf = append(c.buf, ',')
-	}
-	c.sep = true
-	c.buf = appendCSVField(c.buf, s)
-}
-
-// intField and floatField append numeric fields directly: their
-// renderings never contain a character that triggers quoting.
-func (c *campaignCSVWriter) intField(v int64) {
-	if c.sep {
-		c.buf = append(c.buf, ',')
-	}
-	c.sep = true
-	c.buf = strconv.AppendInt(c.buf, v, 10)
-}
-
-func (c *campaignCSVWriter) floatField(v float64, format byte, prec int) {
-	if c.sep {
-		c.buf = append(c.buf, ',')
-	}
-	c.sep = true
-	c.buf = strconv.AppendFloat(c.buf, v, format, prec, 64)
-}
-
-// countsField renders the per-communication wavelength counts joined
-// by ';', the historical strings.Join form.
-func (c *campaignCSVWriter) countsField(counts []int) {
-	if c.sep {
-		c.buf = append(c.buf, ',')
-	}
-	c.sep = true
-	for i, n := range counts {
-		if i > 0 {
-			c.buf = append(c.buf, ';')
-		}
-		c.buf = strconv.AppendInt(c.buf, int64(n), 10)
-	}
-}
-
-func (c *campaignCSVWriter) endRecord() {
-	c.buf = append(c.buf, '\n')
-	c.sep = false
-}
-
-func newCampaignCSV(w io.Writer, backend bool) *campaignCSVWriter {
-	c := &campaignCSVWriter{w: w, backend: backend, buf: make([]byte, 0, 4096)}
-	c.field("cell")
-	if backend {
-		c.field("backend")
-	}
-	for _, h := range []string{"workload", "objectives", "nw", "replicate", "seed", "kind",
-		"time_kcc", "bit_energy_fj", "mean_ber", "log10_ber", "counts", "genome"} {
-		c.field(h)
-	}
-	c.endRecord()
-	return c
-}
-
-func (c *campaignCSVWriter) writeFront(cell Cell, kind string, recs []solutionRec) error {
-	if c.err != nil {
-		return c.err
-	}
-	for i := range recs {
-		r := &recs[i]
-		c.intField(int64(cell.Index))
-		if c.backend {
-			c.field(cell.Backend)
-		}
-		c.field(cell.Workload)
-		c.field(cell.Objectives.String())
-		c.intField(int64(cell.NW))
-		c.intField(int64(cell.Replicate))
-		c.intField(cell.Seed)
-		c.field(kind)
-		c.floatField(r.TimeKCC, 'f', 6)
-		c.floatField(r.BitEnergyFJ, 'f', 6)
-		c.floatField(r.MeanBER, 'e', 6)
-		c.floatField(core.Metrics{MeanBER: r.MeanBER}.Log10BER(), 'f', 4)
-		c.countsField(r.Counts)
-		c.field(r.Genome)
-		c.endRecord()
-	}
-	return nil
-}
-
-func (c *campaignCSVWriter) flush() error {
-	if c.err != nil {
-		return c.err
-	}
-	_, c.err = c.w.Write(c.buf)
-	return c.err
-}
-
 // WriteSuiteCSV dumps every projected front (and the valid cloud for
 // NW = 8, Fig. 7's data) of a suite to the writer.
 func WriteSuiteCSV(w io.Writer, s *Suite) error {

@@ -60,10 +60,5 @@ func CellEventJSON(ev CellEvent) ([]byte, error) {
 			ej.Error = ev.Err.Error()
 		}
 	}
-	e := enc{b: make([]byte, 0, 224)}
-	e.cellEvent(&ej)
-	if e.bad {
-		return json.Marshal(ej)
-	}
-	return e.b, nil
+	return json.Marshal(ej)
 }

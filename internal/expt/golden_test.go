@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -237,7 +239,7 @@ func edgeCampaign(multi bool) *Campaign {
 }
 
 // renderAll concatenates one writer's output over several campaigns.
-func renderAll(t *testing.T, write func(*bytes.Buffer, *Campaign) error, cs ...*Campaign) []byte {
+func renderAll(t *testing.T, write func(io.Writer, *Campaign) error, cs ...*Campaign) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, c := range cs {
@@ -248,29 +250,25 @@ func renderAll(t *testing.T, write func(*bytes.Buffer, *Campaign) error, cs ...*
 	return buf.Bytes()
 }
 
-func writeJSONTo(b *bytes.Buffer, c *Campaign) error  { return WriteCampaignJSON(b, c) }
-func writeCSVTo(b *bytes.Buffer, c *Campaign) error   { return WriteCampaignCSV(b, c) }
-func writeStatsTo(b *bytes.Buffer, c *Campaign) error { return WriteCampaignStats(b, c) }
-
 // TestCampaignDocGolden pins the JSON artifact over the edge
 // campaigns: ring-only (no backend column), multi-backend, and an
 // empty campaign (a nil cell list renders as null).
 func TestCampaignDocGolden(t *testing.T) {
-	got := renderAll(t, writeJSONTo, edgeCampaign(false), edgeCampaign(true), &Campaign{})
+	got := renderAll(t, WriteCampaignJSON, edgeCampaign(false), edgeCampaign(true), &Campaign{})
 	checkGolden(t, "edge_campaign.json", got)
 }
 
 // TestCampaignCSVGolden pins the CSV table over the same campaigns:
 // header, quoting and the %.6f/%.6e/%.4f number formats.
 func TestCampaignCSVGolden(t *testing.T) {
-	got := renderAll(t, writeCSVTo, edgeCampaign(false), edgeCampaign(true), &Campaign{})
+	got := renderAll(t, WriteCampaignCSV, edgeCampaign(false), edgeCampaign(true), &Campaign{})
 	checkGolden(t, "edge_campaign.csv", got)
 }
 
 // TestStatsLineGolden pins the -stats lines; cells without stats are
 // skipped.
 func TestStatsLineGolden(t *testing.T) {
-	got := renderAll(t, writeStatsTo, edgeCampaign(false), edgeCampaign(true))
+	got := renderAll(t, WriteCampaignStats, edgeCampaign(false), edgeCampaign(true))
 	checkGolden(t, "edge_stats.ndjson", got)
 }
 
@@ -288,6 +286,22 @@ func TestCellDoneDocGolden(t *testing.T) {
 		got = append(got, b...)
 	}
 	checkGolden(t, "edge_cell_done.json", got)
+}
+
+// TestEncodeCellDoneNonFinite pins the failure mode: a completion
+// record carrying a non-finite float produces encoding/json's error,
+// not corrupt bytes.
+func TestEncodeCellDoneNonFinite(t *testing.T) {
+	art := edgeArtifact(0)
+	art.BestTimeKCC = fptr(math.NaN())
+	_, err := encodeCellDone(Cell{Index: 0, Backend: "ring", NW: 8, Workload: "paper"}, art)
+	if err == nil {
+		t.Fatal("expected an encoding error for NaN best_time_kcc")
+	}
+	var ue *json.UnsupportedValueError
+	if !errors.As(err, &ue) {
+		t.Fatalf("want *json.UnsupportedValueError, got %T: %v", err, err)
+	}
 }
 
 // TestCellEventGolden pins the ndjson progress events /v1/campaign

@@ -69,22 +69,11 @@ func decodeCellCkpt(c Cell, raw []byte) ([]byte, error) {
 // bytes writeDone persists as cell-<N>.json.
 func encodeCellDone(c Cell, art cellArtifact) ([]byte, error) {
 	done := cellDoneJSON{Schema: cellDoneSchema, Cell: manifestCellOf(c), cellArtifact: art}
-	e := getEnc()
-	if e.cellDoneDoc(&done); e.bad {
-		// Non-finite floats: delegate to the stdlib encoder for the
-		// identical UnsupportedValueError.
-		putEnc(e)
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(done); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+	var buf bytes.Buffer
+	if err := writeIndentedJSON(&buf, done); err != nil {
+		return nil, err
 	}
-	out, err := indentDoc(e.b)
-	putEnc(e)
-	return out, err
+	return buf.Bytes(), nil
 }
 
 // decodeCellDone validates a completion record's schema and identity
@@ -112,9 +101,7 @@ func decodeCellDone(c Cell, raw []byte) (*cellArtifact, error) {
 func ManifestBytes(cfg CampaignConfig) ([]byte, error) {
 	cfg = cfg.withDefaults()
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(buildManifest(cfg, cfg.Cells())); err != nil {
+	if err := writeIndentedJSON(&buf, buildManifest(cfg, cfg.Cells())); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -177,13 +177,7 @@ type ErrorResponse struct {
 // encoding/json output plus one trailing newline. Every response —
 // served or printed by the CLI's -eval mode — goes through this one
 // function, which is what makes the byte-identity check meaningful.
-// Known wire types take the hand-rolled fast path (see encode.go);
-// everything else, and any document carrying a non-finite float,
-// renders through encoding/json exactly as before.
 func encodeJSON(v any) ([]byte, error) {
-	if b, ok := appendJSON(nil, v); ok {
-		return append(b, '\n'), nil
-	}
 	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
@@ -192,28 +186,15 @@ func encodeJSON(v any) ([]byte, error) {
 }
 
 // writeJSON sends one canonical JSON document with the given status.
-// The response buffer is pooled: the fast path composes straight into
-// a recycled slice, so steady-state request marshalling does not
-// allocate.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	bp := respPool.Get().(*[]byte)
-	b, ok := appendJSON((*bp)[:0], v)
-	if ok {
-		b = append(b, '\n')
-	} else {
-		m, err := json.Marshal(v)
-		if err != nil {
-			respPool.Put(bp)
-			http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
-			return
-		}
-		b = append(append(b[:0], m...), '\n')
+	b, err := encodeJSON(v)
+	if err != nil {
+		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
+		return
 	}
-	*bp = b
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(b)
-	respPool.Put(bp)
 }
 
 // buildEvaluateResponse assembles the canonical response for one

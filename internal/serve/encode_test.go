@@ -2,17 +2,18 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"testing"
 )
 
-// Golden diffs for the serving fast path: every wire shape the
-// appendJSON type switch knows is rendered both ways and compared
-// byte for byte. The serve-smoke CI job diffs daemon output against
-// the CLI literally, so any drift here would surface as a user-facing
-// incompatibility — these tests catch it at unit scope first.
+// Golden diff for the serving wire format: every response shape,
+// rendered through encodeJSON, against a committed file. The
+// serve-smoke CI job diffs daemon output against the CLI literally,
+// so any drift here would surface as a user-facing incompatibility —
+// these tests catch it at unit scope first.
 
 func negZero() float64 { return math.Copysign(0, -1) }
 
@@ -92,79 +93,21 @@ func TestEncodeJSONGolden(t *testing.T) {
 	}
 }
 
-func TestEncodeJSONMatchesStdlib(t *testing.T) {
-	for i, v := range serveFixtures() {
-		got, err := encodeJSON(v)
-		if err != nil {
-			t.Fatalf("fixture %d: %v", i, err)
-		}
-		m, err := json.Marshal(v)
-		if err != nil {
-			t.Fatalf("fixture %d: stdlib: %v", i, err)
-		}
-		want := append(m, '\n')
-		if !bytes.Equal(got, want) {
-			t.Errorf("fixture %d (%T):\n got: %s\nwant: %s", i, v, got, want)
-		}
-		// The fast path must actually engage for every known shape.
-		if _, ok := appendJSON(nil, v); !ok {
-			t.Errorf("fixture %d (%T): appendJSON declined a known wire type", i, v)
-		}
-	}
-}
-
-// TestEncodeJSONFallback pins the two escape hatches: unknown types
-// render through the stdlib unchanged, and non-finite floats reject
-// with the stdlib's error instead of emitting corrupt bytes.
+// TestEncodeJSONFallback pins the error path: a non-finite float
+// makes encodeJSON fail instead of emitting corrupt bytes, and
+// writeJSON answers 500 with a fixed error body.
 func TestEncodeJSONFallback(t *testing.T) {
-	v := map[string]any{"status": "ok", "instances": 3}
-	if _, ok := appendJSON(nil, v); ok {
-		t.Fatal("appendJSON claimed a map it cannot canonically order")
-	}
-	got, err := encodeJSON(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := json.Marshal(v)
-	if want := append(m, '\n'); !bytes.Equal(got, want) {
-		t.Errorf("map fallback:\n got: %s\nwant: %s", got, want)
-	}
-
 	bad := EvaluateResponse{Workload: "paper", Violation: math.NaN()}
-	if _, ok := appendJSON(nil, bad); ok {
-		t.Fatal("appendJSON accepted a NaN violation")
-	}
 	if _, err := encodeJSON(bad); err == nil {
 		t.Fatal("encodeJSON swallowed a NaN violation")
 	}
 	inf := OptimizeResponse{Result: &OptimizeResult{Front: []SolutionJSON{{TimeKCC: math.Inf(1)}}}}
-	if _, ok := appendJSON(nil, inf); ok {
-		t.Fatal("appendJSON accepted an infinite objective")
+	if _, err := encodeJSON(inf); err == nil {
+		t.Fatal("encodeJSON swallowed an infinite objective")
 	}
-}
-
-// BenchmarkServeEncode measures the per-request response rendering:
-// the fast composer into a reused buffer (gated 0 allocs/op in CI)
-// against the reflection-based stdlib rendering of the same response.
-func BenchmarkServeEncode(b *testing.B) {
-	resp := serveFixtures()[0]
-	b.Run("fast", func(b *testing.B) {
-		buf := make([]byte, 0, 1024)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, ok := appendJSON(buf[:0], resp)
-			if !ok {
-				b.Fatal("fast path declined")
-			}
-			buf = out[:0]
-		}
-	})
-	b.Run("stdlib", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(resp); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, bad)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("writeJSON on a NaN document: status %d, want 500", rec.Code)
+	}
 }

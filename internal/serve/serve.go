@@ -13,7 +13,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime"
@@ -236,12 +238,19 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// decodeRequest parses one JSON request body strictly; unknown fields
-// are 400s so client typos fail loudly instead of silently defaulting.
+// decodeRequest parses one JSON request body strictly: unknown fields
+// and anything after the first JSON value are 400s, so client typos
+// and concatenated bodies fail loudly instead of silently defaulting.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("unexpected data after the JSON body")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request: " + err.Error()})
 		return false
 	}

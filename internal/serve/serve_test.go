@@ -32,12 +32,16 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// post sends one JSON request and returns status and body.
+// post sends one JSON request and returns status and body. A []byte
+// request is sent verbatim.
 func post(t *testing.T, url string, req any) (int, []byte) {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatalf("marshal request: %v", err)
+	body, ok := req.([]byte)
+	if !ok {
+		var err error
+		if body, err = json.Marshal(req); err != nil {
+			t.Fatalf("marshal request: %v", err)
+		}
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -395,6 +399,8 @@ func TestEvaluateErrors(t *testing.T) {
 		{"unserved nw", EvaluateRequest{NW: 5, Genome: g}, http.StatusNotFound},
 		{"unserved backend", EvaluateRequest{Backend: "crossbar", NW: 8, Genome: g}, http.StatusNotFound},
 		{"unknown field", map[string]any{"nw": 8, "genom": g}, http.StatusBadRequest},
+		{"trailing garbage", []byte(`{"nw":8,"genome":"` + g + `"}garbage`), http.StatusBadRequest},
+		{"two objects", []byte(`{"nw":8,"genome":"` + g + `"}{"nw":8,"genome":"` + g + `"}`), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		code, body := post(t, ts.URL+"/v1/evaluate", tc.req)
@@ -405,6 +411,11 @@ func TestEvaluateErrors(t *testing.T) {
 		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 			t.Errorf("%s: body %s is not a structured error", tc.name, body)
 		}
+	}
+	// Trailing whitespace is not data: a newline-terminated body is
+	// still one request.
+	if code, body := post(t, ts.URL+"/v1/evaluate", []byte(`{"nw":8,"genome":"`+g+`"}`+"\n")); code != http.StatusOK {
+		t.Errorf("newline-terminated body: status %d, want 200: %s", code, body)
 	}
 }
 
