@@ -1072,13 +1072,13 @@ func BenchmarkAblationCrosstalkSources(b *testing.B) {
 //
 // These measure the waserve daemon's evaluate path end to end over
 // real HTTP (httptest listener, keep-alive connections): concurrent
-// clients POST distinct chromosomes and the batching front coalesces
-// them into worker-pool passes. The request pool cycles through many
+// clients POST distinct chromosomes, each evaluated on its own
+// request goroutine. The request pool cycles through many
 // distinct genomes so the numbers measure evaluation throughput, not
 // the delta cache replaying one hot entry.
 
 // serveBenchServer boots a serving daemon for one (workload, nw)
-// combination on the ring backend, batched or not.
+// combination on the ring backend, pooled or serial.
 func serveBenchServer(b *testing.B, workload string, nw int, noBatch bool) *httptest.Server {
 	b.Helper()
 	s, err := serve.NewServer(serve.Config{
@@ -1224,21 +1224,21 @@ func BenchmarkServeEvaluateP50P99(b *testing.B) {
 	}
 }
 
-// BenchmarkServeBatchThroughput compares the batching front against
+// BenchmarkServeThroughput compares the pooled evaluate path against
 // the lock-guarded single-evaluator baseline at 64 concurrent
 // clients on a chunkier workload (gauss8), where evaluation — not
 // HTTP handling — dominates the per-request cost. On a multi-core
-// box the batched server parallelizes exactly that component; CI
-// gates batched >= 1.5x unbatched within the same run (a single-core
+// box the pooled server parallelizes exactly that component; CI
+// gates pooled >= 1.5x serial within the same run (a single-core
 // box is honestly flat, so the committed baseline carries no ratio).
-func BenchmarkServeBatchThroughput(b *testing.B) {
+func BenchmarkServeThroughput(b *testing.B) {
 	const clients = 64
 	for _, mode := range []struct {
 		name    string
 		noBatch bool
 	}{
-		{"batched", false},
-		{"unbatched", true},
+		{"pooled", false},
+		{"serial", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			ts := serveBenchServer(b, "gauss8", 8, mode.noBatch)

@@ -53,6 +53,11 @@
 // custom b.ReportMetric units such as "hypervolume"). The goos/goarch/
 // pkg/cpu header lines land in the environment map, alongside the git
 // SHA, so a BENCH_*.json is attributable to the commit it measured.
+// The map also records the core count: num_cpu is runtime.NumCPU() of
+// the host running benchjson (in CI, the one that ran the
+// benchmarks), and gomaxprocs lists the distinct -N suffixes of the
+// benchmark names read, comma-separated (go test omits the suffix at
+// GOMAXPROCS 1).
 package main
 
 import (
@@ -63,6 +68,8 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -392,19 +399,30 @@ func checkZeroAllocs(doc *document, pattern, exempt string) error {
 // baseName strips the -GOMAXPROCS suffix go test appends to
 // benchmark names ("BenchmarkGeneration-8" -> "BenchmarkGeneration").
 func baseName(name string) string {
+	base, _ := splitProcs(name)
+	return base
+}
+
+// splitProcs splits a benchmark name into its base name and the
+// GOMAXPROCS it ran at: the -N suffix, or 1 when there is none.
+func splitProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }
 
 func parse(sc *bufio.Scanner) (*document, error) {
 	sc.Buffer(make([]byte, 0, 1024*1024), 1024*1024)
-	doc := &document{Schema: "benchjson/v1", Environment: map[string]string{}}
+	doc := &document{Schema: "benchjson/v1", Environment: map[string]string{
+		"num_cpu": strconv.Itoa(runtime.NumCPU()),
+	}}
+	var procs []int
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -417,6 +435,10 @@ func parse(sc *bufio.Scanner) (*document, error) {
 			rec, ok := parseBench(line)
 			if ok {
 				doc.Benchmarks = append(doc.Benchmarks, rec)
+				_, p := splitProcs(rec.Name)
+				if !slices.Contains(procs, p) {
+					procs = append(procs, p)
+				}
 			}
 		}
 	}
@@ -426,6 +448,12 @@ func parse(sc *bufio.Scanner) (*document, error) {
 	if len(doc.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines on stdin")
 	}
+	slices.Sort(procs)
+	list := make([]string, len(procs))
+	for i, p := range procs {
+		list[i] = strconv.Itoa(p)
+	}
+	doc.Environment["gomaxprocs"] = strings.Join(list, ",")
 	return doc, nil
 }
 

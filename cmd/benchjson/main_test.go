@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -34,6 +36,25 @@ func TestParseBenchLines(t *testing.T) {
 	k := d.Benchmarks[0]
 	if k.Name != "BenchmarkEvaluateKernel-8" || k.Metrics["ns/op"] != 22000 || k.Metrics["allocs/op"] != 0 {
 		t.Fatalf("first record = %+v", k)
+	}
+}
+
+func TestEnvironmentCores(t *testing.T) {
+	for _, tc := range []struct {
+		name, text, want string
+	}{
+		{"suffix", sampleBench, "8"},
+		{"no suffix", "BenchmarkGeneration   100   1900000 ns/op\n", "1"},
+		{"cpu list", "BenchmarkGeneration-4   100   1 ns/op\nBenchmarkGeneration   100   2 ns/op\n" +
+			"BenchmarkSub/workers=2-4   100   3 ns/op\nBenchmarkSub/workers=2-2   100   4 ns/op\n", "1,2,4"},
+	} {
+		d := doc(t, tc.text)
+		if got := d.Environment["gomaxprocs"]; got != tc.want {
+			t.Errorf("%s: gomaxprocs = %q, want %q", tc.name, got, tc.want)
+		}
+		if got, want := d.Environment["num_cpu"], strconv.Itoa(runtime.NumCPU()); got != want {
+			t.Errorf("%s: num_cpu = %q, want %q", tc.name, got, want)
+		}
 	}
 }
 

@@ -5,8 +5,7 @@
 //
 // Endpoints (all under one port):
 //
-//	POST /v1/evaluate   score one chromosome; concurrent requests are
-//	                    coalesced into batched worker-pool passes
+//	POST /v1/evaluate   score one chromosome on a pooled evaluator
 //	POST /v1/explain    full link-budget report for a valid chromosome
 //	POST /v1/optimize   run (or resume, via the opaque session token)
 //	                    an NSGA-II exploration
@@ -23,14 +22,12 @@
 //	-backends string   comma-separated served backends (default all)
 //	-workloads string  comma-separated served workloads (default "paper")
 //	-nw string         comma-separated served comb sizes (default "4,8")
-//	-batch-window duration  batching flush deadline (default 200µs)
-//	-batch-max int     max coalesced requests per pass (default 64)
-//	-queue-depth int   evaluate queue bound; beyond it requests get
+//	-queue-depth int   evaluations in flight; beyond it requests get
 //	                   429 + Retry-After (default 1024)
-//	-workers int       worker-pool size (default GOMAXPROCS)
+//	-workers int       GA evaluation pool size (default GOMAXPROCS)
 //	-no-batch          serve evaluations through one lock-guarded
-//	                   evaluator instead of the batching front (the
-//	                   benchmark baseline)
+//	                   evaluator instead of the evaluator pool (the
+//	                   serial benchmark baseline)
 //	-campaign-slots int  concurrent campaign sweeps (default 1)
 //	-debug-addr string  if set, serve net/http/pprof on this second
 //	                    address (e.g. "localhost:6060"); off by default
@@ -40,7 +37,11 @@
 // SIGINT/SIGTERM trigger a graceful shutdown: the daemon stops
 // accepting connections, in-flight optimizations stop at the next
 // generation boundary and flush their state into session tokens,
-// queued evaluations finish, and the process exits 0.
+// in-flight evaluations finish, and the process exits 0.
+//
+// Request bodies are capped at 32 MiB (413 beyond it), and the server
+// times out slow request headers, slow bodies and idle keep-alive
+// connections (see the constants below).
 package main
 
 import (
@@ -60,36 +61,42 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection timeouts. There is no write timeout: an optimize or
+// campaign response is written only after its run, which may take
+// minutes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout covers the whole request, body included: room to
+	// upload a 32 MiB session token, the request-body cap, at 0.6 MB/s.
+	readTimeout = 60 * time.Second
+	idleTimeout = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr          = flag.String("addr", "localhost:8337", "listen address")
 		backends      = flag.String("backends", "", "comma-separated served optical fabric backends (default all)")
 		workloads     = flag.String("workloads", "paper", "comma-separated served workloads: paper, chain<N>, forkjoin<W>, fft<N>, gauss<N>, diamond<N>")
 		nws           = flag.String("nw", "4,8", "comma-separated served comb sizes")
-		batchWindow   = flag.Duration("batch-window", serve.DefaultBatchWindow, "batching front flush deadline")
-		batchMax      = flag.Int("batch-max", serve.DefaultMaxBatch, "max coalesced evaluate requests per worker-pool pass")
-		queueDepth    = flag.Int("queue-depth", serve.DefaultQueueDepth, "evaluate queue bound (full queue sheds load with 429)")
-		workers       = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-		noBatch       = flag.Bool("no-batch", false, "serve evaluations through one lock-guarded evaluator (benchmark baseline)")
+		queueDepth    = flag.Int("queue-depth", serve.DefaultQueueDepth, "evaluations in flight (beyond it requests are shed with 429)")
+		workers       = flag.Int("workers", 0, "GA evaluation pool size (0 = GOMAXPROCS)")
+		noBatch       = flag.Bool("no-batch", false, "serve evaluations through one lock-guarded evaluator (serial benchmark baseline)")
 		campaignSlots = flag.Int("campaign-slots", 1, "concurrent campaign sweeps")
 		debugAddr     = flag.String("debug-addr", "", "serve net/http/pprof on this second address (empty = off)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "waserve: ", log.LstdFlags)
-	if err := run(*addr, *backends, *workloads, *nws, *batchWindow, *batchMax, *queueDepth,
+	if err := run(*addr, *backends, *workloads, *nws, *queueDepth,
 		*workers, *noBatch, *campaignSlots, *debugAddr, logger); err != nil {
 		fmt.Fprintf(os.Stderr, "waserve: %v\n", err)
 		os.Exit(cliutil.ExitStatus(err))
 	}
 }
 
-func run(addr, backends, workloads, nws string, batchWindow time.Duration,
-	batchMax, queueDepth, workers int, noBatch bool, campaignSlots int,
-	debugAddr string, logger *log.Logger) error {
+func run(addr, backends, workloads, nws string, queueDepth, workers int,
+	noBatch bool, campaignSlots int, debugAddr string, logger *log.Logger) error {
 	cfg := serve.Config{
 		Workloads:     cliutil.SplitList(workloads),
-		BatchWindow:   batchWindow,
-		MaxBatch:      batchMax,
 		QueueDepth:    queueDepth,
 		Workers:       workers,
 		NoBatch:       noBatch,
@@ -113,7 +120,13 @@ func run(addr, backends, workloads, nws string, batchWindow time.Duration,
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	// The pprof surface, when requested, gets its own listener and an
 	// explicit mux: the public port never exposes the profiler, and
@@ -158,8 +171,8 @@ func run(addr, backends, workloads, nws string, batchWindow time.Duration,
 
 	// Graceful shutdown: flip draining first so in-flight optimize
 	// loops checkpoint at their next generation boundary, then stop
-	// the listener and wait for handlers (Shutdown), then drain the
-	// batching front.
+	// the listener and wait for handlers, in-flight evaluations
+	// included (Shutdown), then close the server.
 	s.BeginDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

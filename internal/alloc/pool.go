@@ -6,7 +6,7 @@ import "sync"
 // instance. It is the reusable form of the pooling idiom that was
 // private to Instance.Evaluate and core.Problem: callers that serve
 // many short-lived evaluation requests (the GA's compatibility path,
-// the waserve batching front) draw a warm evaluator, run it, and put
+// the waserve evaluate handler) draw a warm evaluator, run it, and put
 // it back, instead of paying NewEvaluator's scratch construction per
 // request.
 //

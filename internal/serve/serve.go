@@ -1,8 +1,8 @@
 // Package serve is the allocation-as-a-service layer: an HTTP daemon
 // exposing the wavelength-allocation engine over JSON. It serves
-// evaluations (batched), link-budget explanations, resumable GA
-// optimizations and streamed campaign sweeps against a fixed set of
-// shared read-only instances built at startup.
+// evaluations, link-budget explanations, resumable GA optimizations
+// and streamed campaign sweeps against a fixed set of shared
+// read-only instances built at startup.
 //
 // The serving discipline mirrors the repo's artifact discipline:
 // every served number is produced by the same code path the CLI uses,
@@ -22,7 +22,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
@@ -40,21 +39,21 @@ const (
 	defaultGens       = 60
 	defaultSeed       = 42
 
-	// DefaultBatchWindow is the flush deadline of the batching front:
-	// how long the collector waits for company after the first queued
-	// request. Roughly 10 kernel evaluations — long enough to coalesce
-	// a concurrent burst, short enough to be invisible next to network
-	// latency.
-	DefaultBatchWindow = 200 * time.Microsecond
-	// DefaultMaxBatch caps one coalesced worker-pool pass.
-	DefaultMaxBatch = 64
-	// DefaultQueueDepth bounds the evaluate queue; beyond it the
-	// daemon sheds load with 429 + Retry-After.
+	// DefaultQueueDepth bounds the evaluations in flight; beyond it
+	// the daemon sheds load with 429 + Retry-After.
 	DefaultQueueDepth = 1024
+
+	// maxBodyBytes caps every request body; a larger one is a 413.
+	// The largest body is an optimize session token, which grows with
+	// the generations run: on the paper workload at NW 8 the tests'
+	// largest session (pop 40 × 12 generations) carries a 70 KB token,
+	// the serving defaults (pop 80 × 60) 0.66 MB, and a paper-scale
+	// run (pop 400 × 300) 14.6 MB at its last step.
+	maxBodyBytes = 32 << 20
 )
 
-// Config describes the daemon: which instances to build and how to
-// batch.
+// Config describes the daemon: which instances to build and how
+// many requests to admit.
 type Config struct {
 	// Backends, Workloads and NWs define the served instance set — the
 	// cross product is built eagerly at startup so a bad combination
@@ -64,18 +63,16 @@ type Config struct {
 	Workloads []string
 	NWs       []int
 
-	// BatchWindow, MaxBatch and QueueDepth tune the batching front
-	// (zero = the defaults above). Workers sizes the per-flush worker
-	// pool and the GA evaluation pool (default GOMAXPROCS).
-	BatchWindow time.Duration
-	MaxBatch    int
-	QueueDepth  int
-	Workers     int
+	// QueueDepth bounds the evaluations in flight (zero =
+	// DefaultQueueDepth). Workers sizes the GA evaluation pool
+	// (default GOMAXPROCS).
+	QueueDepth int
+	Workers    int
 
-	// NoBatch disables the batching front: one evaluator per instance
-	// behind a mutex — the naive thread-safe server. It exists as the
-	// honest baseline the serving benchmarks and the CI speedup gate
-	// compare against.
+	// NoBatch serves evaluations through one evaluator per instance
+	// behind a mutex instead of the evaluator pool — the serial
+	// baseline the serving benchmarks and the CI speedup gate compare
+	// against.
 	NoBatch bool
 
 	// CampaignSlots bounds concurrent campaign sweeps (default 1);
@@ -94,8 +91,8 @@ type instKey struct {
 }
 
 // instance is one shared read-only evaluation context plus its
-// serving gear: a delta-enabled evaluator pool for the batched path
-// and a single lock-guarded evaluator for the NoBatch baseline.
+// serving gear: a delta-enabled evaluator pool and a single
+// lock-guarded evaluator for the NoBatch baseline.
 type instance struct {
 	key  instKey
 	in   *alloc.Instance
@@ -103,6 +100,20 @@ type instance struct {
 
 	mu sync.Mutex
 	ev *alloc.Evaluator
+}
+
+// evaluatePooled evaluates on an evaluator drawn from the pool. The
+// result is detached before the evaluator goes back, so the caller
+// owns it outright.
+func (inst *instance) evaluatePooled(g alloc.Genome, out *alloc.Eval) error {
+	ev, err := inst.pool.Get()
+	if err != nil {
+		return err
+	}
+	ev.EvaluateInto(out, g)
+	out.Detach()
+	inst.pool.Put(ev)
+	return nil
 }
 
 // evaluateSerial is the NoBatch path: the whole evaluation serializes
@@ -128,14 +139,14 @@ type Server struct {
 	cfg       Config
 	instances map[instKey]*instance
 	order     []instKey
-	batch     *batcher
+	evalSlots chan struct{}
 	campaigns chan struct{}
 	draining  atomic.Bool
+	closed    atomic.Bool
 	log       *log.Logger
 }
 
-// NewServer builds every served instance eagerly and starts the
-// batching front.
+// NewServer builds every served instance eagerly.
 func NewServer(cfg Config) (*Server, error) {
 	if len(cfg.Backends) == 0 {
 		cfg.Backends = core.Backends()
@@ -145,12 +156,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if len(cfg.NWs) == 0 {
 		cfg.NWs = []int{4, 8}
-	}
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = DefaultBatchWindow
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
@@ -168,6 +173,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		instances: make(map[instKey]*instance),
+		evalSlots: make(chan struct{}, cfg.QueueDepth),
 		campaigns: make(chan struct{}, cfg.CampaignSlots),
 		log:       logger,
 	}
@@ -198,9 +204,6 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		return a.nw < b.nw
 	})
-	if !cfg.NoBatch {
-		s.batch = newBatcher(cfg.BatchWindow, cfg.MaxBatch, cfg.Workers, cfg.QueueDepth)
-	}
 	return s, nil
 }
 
@@ -218,13 +221,11 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // Draining reports whether BeginDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close stops the batching front after finishing every queued job.
-// Call after the HTTP server has stopped accepting requests.
-func (s *Server) Close() {
-	if s.batch != nil {
-		s.batch.close()
-	}
-}
+// Close stops evaluation: evaluate requests that arrive afterwards
+// answer 503. Call after http.Server.Shutdown has returned; Shutdown
+// already waited for the in-flight handlers, and so for every
+// in-flight evaluation.
+func (s *Server) Close() { s.closed.Store(true) }
 
 // Handler builds the route table.
 func (s *Server) Handler() http.Handler {
@@ -241,8 +242,9 @@ func (s *Server) Handler() http.Handler {
 // decodeRequest parses one JSON request body strictly: unknown fields
 // and anything after the first JSON value are 400s, so client typos
 // and concatenated bodies fail loudly instead of silently defaulting.
+// A body over maxBodyBytes is a 413.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
@@ -250,7 +252,14 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 			err = errors.New("unexpected data after the JSON body")
 		}
 	}
-	if err != nil {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{
+			Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
+		})
+		return false
+	case err != nil:
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request: " + err.Error()})
 		return false
 	}
@@ -333,38 +342,33 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
+	if s.closed.Load() {
+		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "serve: server is shutting down"})
+		return
+	}
+	// Admission: a slot per evaluation in flight. A full semaphore
+	// sheds the request at once; a slot frees within microseconds, so
+	// the hint is the smallest the body can say, and the header's
+	// resolution is whole seconds.
+	select {
+	case s.evalSlots <- struct{}{}:
+	default:
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
+			Error: "serve: too many evaluations in flight", RetryAfterMS: 1,
+		})
+		return
+	}
+	evaluate := inst.evaluatePooled
+	if s.cfg.NoBatch {
+		evaluate = inst.evaluateSerial
+	}
 	var out alloc.Eval
-	if s.batch == nil {
-		if err := inst.evaluateSerial(g, &out); err != nil {
-			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
-			return
-		}
-	} else {
-		job := &evalJob{inst: inst, g: g, out: &out, done: make(chan struct{})}
-		switch err := s.batch.submit(job); err {
-		case nil:
-		case errQueueFull:
-			// The queue drains in batches of MaxBatch every
-			// BatchWindow-ish, so "try again in about a window" is the
-			// honest hint; the header's resolution is whole seconds.
-			retryMS := int(s.cfg.BatchWindow / time.Millisecond)
-			if retryMS < 1 {
-				retryMS = 1
-			}
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-				Error: err.Error(), RetryAfterMS: retryMS,
-			})
-			return
-		default:
-			writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
-			return
-		}
-		<-job.done
-		if job.err != nil {
-			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: job.err.Error()})
-			return
-		}
+	err = evaluate(g, &out)
+	<-s.evalSlots
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		return
 	}
 	writeJSON(w, http.StatusOK, buildEvaluateResponse(req.Workload, req.Backend, req.NW, g, &out))
 }
@@ -388,17 +392,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	// Explanations are rare and heavyweight next to evaluations, so
-	// they bypass the batcher: grab a pooled evaluator directly.
 	var out alloc.Eval
-	ev, err := inst.pool.Get()
-	if err != nil {
+	if err := inst.evaluatePooled(g, &out); err != nil {
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
-	ev.EvaluateInto(&out, g)
-	out.Detach()
-	inst.pool.Put(ev)
 	if !out.Valid {
 		// Unlike evaluate, explain has nothing to say about an invalid
 		// chromosome: 422 with the evaluator's failure reason.

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
@@ -33,17 +32,23 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // post sends one JSON request and returns status and body. A []byte
-// request is sent verbatim.
+// or io.Reader request is sent verbatim.
 func post(t *testing.T, url string, req any) (int, []byte) {
 	t.Helper()
-	body, ok := req.([]byte)
-	if !ok {
-		var err error
-		if body, err = json.Marshal(req); err != nil {
+	var body io.Reader
+	switch r := req.(type) {
+	case io.Reader:
+		body = r
+	case []byte:
+		body = bytes.NewReader(r)
+	default:
+		b, err := json.Marshal(req)
+		if err != nil {
 			t.Fatalf("marshal request: %v", err)
 		}
+		body = bytes.NewReader(b)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url, "application/json", body)
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
 	}
@@ -53,6 +58,24 @@ func post(t *testing.T, url string, req any) (int, []byte) {
 		t.Fatalf("read response: %v", err)
 	}
 	return resp.StatusCode, b
+}
+
+// repeatByte is an endless reader of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// oversizeBody streams a JSON body one string value past
+// maxBodyBytes: prefix, maxBodyBytes filler bytes, then `"}`. It is
+// generated on the fly, so the client never holds it in memory.
+func oversizeBody(prefix string) io.Reader {
+	return io.MultiReader(strings.NewReader(prefix),
+		io.LimitReader(repeatByte('A'), maxBodyBytes), strings.NewReader(`"}`))
 }
 
 // testGenomes builds a deterministic mix of valid heuristic
@@ -106,10 +129,10 @@ func TestEvaluateMatchesEvaluateLocal(t *testing.T) {
 	}
 }
 
-// TestConcurrentEvaluateBitIdentical hammers the batching front from
-// many goroutines and checks every response against the serial
-// reference bytes — batching must be invisible in the results. Run
-// with -race in CI.
+// TestConcurrentEvaluateBitIdentical drives the pooled evaluate path
+// from one lone request and from many goroutines, and checks every
+// response against the serial reference bytes — concurrency must be
+// invisible in the results. Run with -race in CI.
 func TestConcurrentEvaluateBitIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}, Workers: 4})
 	genomes := testGenomes(t)
@@ -121,160 +144,126 @@ func TestConcurrentEvaluateBitIdentical(t *testing.T) {
 		}
 		want[g] = b
 	}
-	const clients, perClient = 8, 25
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				g := genomes[(c+i)%len(genomes)]
-				body, _ := json.Marshal(EvaluateRequest{NW: 8, Genome: g})
-				resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", bytes.NewReader(body))
-				if err != nil {
-					errs <- err
-					return
-				}
-				b, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("status %d: %s", resp.StatusCode, b)
-					return
-				}
-				if !bytes.Equal(b, want[g]) {
-					errs <- fmt.Errorf("batched response differs for %s:\ngot:  %s\nwant: %s", g, b, want[g])
-					return
-				}
+	for _, tc := range []struct {
+		name               string
+		clients, perClient int
+	}{
+		{"lone", 1, 1},
+		{"burst", 8, 25},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			errs := make(chan error, tc.clients)
+			for c := 0; c < tc.clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < tc.perClient; i++ {
+						g := genomes[(c+i)%len(genomes)]
+						body, _ := json.Marshal(EvaluateRequest{NW: 8, Genome: g})
+						resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", bytes.NewReader(body))
+						if err != nil {
+							errs <- err
+							return
+						}
+						b, err := io.ReadAll(resp.Body)
+						resp.Body.Close()
+						if err != nil {
+							errs <- err
+							return
+						}
+						if resp.StatusCode != http.StatusOK {
+							errs <- fmt.Errorf("status %d: %s", resp.StatusCode, b)
+							return
+						}
+						if !bytes.Equal(b, want[g]) {
+							errs <- fmt.Errorf("served response differs for %s:\ngot:  %s\nwant: %s", g, b, want[g])
+							return
+						}
+					}
+				}(c)
 			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 // TestNoBatchMatchesBatched pins the two serving modes to each other:
-// the lock-serialized baseline and the batching front must produce the
+// the lock-serialized baseline and the evaluator pool must produce the
 // same bytes.
 func TestNoBatchMatchesBatched(t *testing.T) {
-	_, batched := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}})
+	_, pooled := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}})
 	_, serial := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}, NoBatch: true})
 	for _, g := range testGenomes(t) {
 		req := EvaluateRequest{NW: 8, Genome: g}
-		_, a := post(t, batched.URL+"/v1/evaluate", req)
+		_, a := post(t, pooled.URL+"/v1/evaluate", req)
 		_, b := post(t, serial.URL+"/v1/evaluate", req)
 		if !bytes.Equal(a, b) {
-			t.Fatalf("batched and no-batch responses differ for %s:\nbatched:  %s\nno-batch: %s", g, a, b)
+			t.Fatalf("pooled and no-batch responses differ for %s:\npooled:   %s\nno-batch: %s", g, a, b)
 		}
 	}
 }
 
-// TestBatchFlushDeadline: a lone request must not wait for the batch
-// to fill — the window deadline flushes it.
-func TestBatchFlushDeadline(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		Backends: []string{"ring"}, NWs: []int{8},
-		BatchWindow: 5 * time.Millisecond, MaxBatch: 64,
-	})
-	g := testGenomes(t)[0]
-	start := time.Now()
-	code, body := post(t, ts.URL+"/v1/evaluate", EvaluateRequest{NW: 8, Genome: g})
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, body)
-	}
-	// Generous bound: the point is "milliseconds, not forever".
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("lone request took %v; flush deadline is not working", elapsed)
-	}
-}
-
-// TestQueueFullBackpressure fills a tiny queue behind a deliberately
-// blocked batch runner and checks the daemon sheds load with 429 +
-// Retry-After instead of queueing unboundedly.
+// TestQueueFullBackpressure holds every admission slot itself and
+// checks the daemon sheds an evaluation with 429 + Retry-After
+// instead of queueing it, then serves the same request once the slots
+// are free.
 func TestQueueFullBackpressure(t *testing.T) {
-	s, ts := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}})
-	// Swap in a hand-built batcher whose run blocks until released;
-	// constructing it here (before any submission) keeps the stub
-	// publication race-free.
-	s.batch.close()
-	unblock := make(chan struct{})
-	b := &batcher{
-		queue:    make(chan *evalJob, 2),
-		window:   time.Hour,
-		maxBatch: 1,
-		workers:  1,
-		drained:  make(chan struct{}),
+	s, ts := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}, QueueDepth: 2})
+	req := EvaluateRequest{NW: 8, Genome: testGenomes(t)[0]}
+	want, err := EvaluateLocal(req)
+	if err != nil {
+		t.Fatalf("EvaluateLocal: %v", err)
 	}
-	b.run = func(jobs []*evalJob) {
-		<-unblock
-		for _, j := range jobs {
-			evalOne(j)
-		}
-	}
-	go b.loop()
-	s.batch = b
-	t.Cleanup(func() { b.close() })
+	body, _ := json.Marshal(req)
 
-	g := testGenomes(t)[0]
-	body, _ := json.Marshal(EvaluateRequest{NW: 8, Genome: g})
-
-	// One request occupies the (blocked) runner, two fill the queue.
-	results := make(chan *http.Response, 3)
-	for i := 0; i < 3; i++ {
-		go func() {
-			resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", bytes.NewReader(body))
-			if err == nil {
-				resp.Body.Close()
-				results <- resp
-			}
-		}()
+	for i := 0; i < cap(s.evalSlots); i++ {
+		s.evalSlots <- struct{}{}
 	}
-	// Wait until the queue really is full (collector took one job,
-	// two sit queued) before probing.
-	deadline := time.After(5 * time.Second)
-	for len(b.queue) < 2 {
-		select {
-		case <-deadline:
-			t.Fatalf("queue never filled: %d/2", len(b.queue))
-		case <-time.After(time.Millisecond):
-		}
-	}
-
 	resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("probe POST: %v", err)
+		t.Fatalf("POST: %v", err)
 	}
-	probeBody, _ := io.ReadAll(resp.Body)
+	shed, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("full queue returned %d, want 429: %s", resp.StatusCode, probeBody)
+		t.Fatalf("full semaphore returned %d, want 429: %s", resp.StatusCode, shed)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("429 without Retry-After header")
 	}
 	var er ErrorResponse
-	if err := json.Unmarshal(probeBody, &er); err != nil || er.RetryAfterMS <= 0 {
-		t.Fatalf("429 body %s should carry retry_after_ms", probeBody)
+	if err := json.Unmarshal(shed, &er); err != nil || er.RetryAfterMS <= 0 {
+		t.Fatalf("429 body %s should carry retry_after_ms", shed)
 	}
 
-	// Release the runner; the three held requests must all complete.
-	close(unblock)
-	for i := 0; i < 3; i++ {
-		select {
-		case resp := <-results:
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("held request finished with %d", resp.StatusCode)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("held request %d never completed after release", i)
-		}
+	for i := 0; i < cap(s.evalSlots); i++ {
+		<-s.evalSlots
+	}
+	code, got := post(t, ts.URL+"/v1/evaluate", body)
+	if code != http.StatusOK {
+		t.Fatalf("after the slots freed: status %d: %s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("after the slots freed: response differs from CLI bytes:\nserved: %s\ncli:    %s", got, want)
+	}
+}
+
+// TestEvaluateAfterClose: once Close has run, evaluate answers 503.
+func TestEvaluateAfterClose(t *testing.T) {
+	s, ts := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}})
+	s.Close()
+	code, body := post(t, ts.URL+"/v1/evaluate", EvaluateRequest{NW: 8, Genome: testGenomes(t)[0]})
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("evaluate after Close: status %d, want 503: %s", code, body)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
+		t.Fatalf("503 body %s is not a structured error", body)
 	}
 }
 
@@ -343,6 +332,12 @@ func TestOptimizeTamperedToken(t *testing.T) {
 			t.Fatalf("%s token: status %d, want 400: %s", name, code, body)
 		}
 	}
+	// A token past the body cap is refused before it is decoded.
+	code, body = post(t, ts.URL+"/v1/optimize", oversizeBody(`{"session":"`))
+	var er ErrorResponse
+	if code != http.StatusRequestEntityTooLarge || json.Unmarshal(body, &er) != nil || er.Error == "" {
+		t.Fatalf("oversize token: status %d, want 413 with a structured error: %.200s", code, body)
+	}
 }
 
 // flip returns a different base64url character.
@@ -401,6 +396,7 @@ func TestEvaluateErrors(t *testing.T) {
 		{"unknown field", map[string]any{"nw": 8, "genom": g}, http.StatusBadRequest},
 		{"trailing garbage", []byte(`{"nw":8,"genome":"` + g + `"}garbage`), http.StatusBadRequest},
 		{"two objects", []byte(`{"nw":8,"genome":"` + g + `"}{"nw":8,"genome":"` + g + `"}`), http.StatusBadRequest},
+		{"oversize body", oversizeBody(`{"nw":8,"genome":"`), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		code, body := post(t, ts.URL+"/v1/evaluate", tc.req)
