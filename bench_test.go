@@ -487,13 +487,14 @@ func BenchmarkEvaluateInvalidKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateDeltaKernel measures the delta kernel: re-
-// evaluating a valid single-gene mutant of a retained parent
-// (handle lookup + mask edit + schedule + affected-edge optics +
-// replay of the rest), the path the GA routes recorded single-gene
-// offspring through. Compare ns/op against BenchmarkEvaluateKernel —
-// the full kernel on the same family of genomes — and note the gate:
-// 0 allocs/op in steady state (CI-enforced).
+// BenchmarkEvaluateDeltaKernel measures the delta kernel on a valid
+// single-gene mutant of a retained parent: EvaluateNearInto with the
+// parent as the hint (genome decode + parent lookup + row diff +
+// schedule + affected-edge optics + replay of the rest), the path the
+// GA's single-gene offspring take. Compare ns/op against
+// BenchmarkEvaluateKernel — the full kernel on the same family of
+// genomes — and note the gate: 0 allocs/op in steady state
+// (CI-enforced).
 func BenchmarkEvaluateDeltaKernel(b *testing.B) {
 	in, err := alloc.DefaultInstance(8)
 	if err != nil {
@@ -517,20 +518,19 @@ func BenchmarkEvaluateDeltaKernel(b *testing.B) {
 	// schedule shifts, and the delta path exercises the affected-edge
 	// recomputation plus the replay of the untouched edges.
 	edge := 1
-	ch := parent.ChannelSet(edge)[0]
-	h, ok := ev.DeltaHandle(parent)
-	if !ok {
+	child := parent.Clone()
+	child.Set(edge, parent.ChannelSet(edge)[0], false)
+	// Warm: child capture.
+	if !ev.EvaluateNearInto(&out, child, parent.Bits()) || ev.LastEvalPath() != alloc.EvalPathGeneDelta {
 		b.Fatal("parent not retained in the delta cache")
 	}
-	ev.EvaluateDeltaInto(&out, h, edge, ch, -1) // warm: child capture
 	if !out.Valid {
 		b.Fatal("single-channel drop must stay valid: ", out.Reason())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h, _ := ev.DeltaHandle(parent)
-		ev.EvaluateDeltaInto(&out, h, edge, ch, -1)
+		ev.EvaluateNearInto(&out, child, parent.Bits())
 		if !out.Valid {
 			b.Fatal(out.Reason())
 		}
@@ -589,13 +589,15 @@ func BenchmarkEvaluateCrossDeltaKernel(b *testing.B) {
 	// Child: a row-boundary crossover — every row comes intact from
 	// one parent, so the two-parent replay covers all of it. Not
 	// every split of two valid parents is itself valid (mixed rows
-	// can conflict); scan the cut points for one that is.
+	// can conflict); scan the cut points for one that is. Both
+	// parents are retained and distinct, so every delta evaluation
+	// here replays the other parent's rows; the path label alone
+	// calls a child one row from its base EvalPathGeneDelta.
 	var child alloc.Genome
 	for k := 1; k < nl && child.Len() == 0; k++ {
 		cand := parentA.Clone()
 		copy(cand.Bits()[:k*nw], parentB.Bits()[:k*nw])
-		if ev.EvaluateNearInto(&out, cand, parentA.Bits(), parentB.Bits()) &&
-			out.Valid && ev.LastEvalPath() == alloc.EvalPathCrossDelta {
+		if ev.EvaluateNearInto(&out, cand, parentA.Bits(), parentB.Bits()) && out.Valid {
 			child = cand
 		}
 	}
@@ -1074,8 +1076,8 @@ func BenchmarkAblationCrosstalkSources(b *testing.B) {
 // real HTTP (httptest listener, keep-alive connections): concurrent
 // clients POST distinct chromosomes, each evaluated on its own
 // request goroutine. The request pool cycles through many
-// distinct genomes so the numbers measure evaluation throughput, not
-// the delta cache replaying one hot entry.
+// distinct genomes so the numbers measure evaluation throughput over
+// varied chromosomes, not one hot genome.
 
 // serveBenchServer boots a serving daemon for one (workload, nw)
 // combination on the ring backend, pooled or serial.

@@ -9,21 +9,22 @@ import (
 )
 
 // plainProblem forwards only the base nsga2.Problem surface of a
-// core.Problem, hiding EvaluateDelta (and NewWorker), so an engine
-// run over it never touches the delta kernel.
+// core.Problem, hiding NewWorker, so an engine run over it evaluates
+// every genome through the Problem's own full-kernel EvaluateInto and
+// never touches the delta kernel.
 type plainProblem struct{ p *core.Problem }
 
 func (pp plainProblem) GenomeLen() int     { return pp.p.GenomeLen() }
 func (pp plainProblem) NumObjectives() int { return pp.p.NumObjectives() }
-func (pp plainProblem) Evaluate(g []byte) ([]float64, float64) {
-	return pp.p.Evaluate(g)
+func (pp plainProblem) EvaluateInto(dst []float64, g, p1, p2 []byte) float64 {
+	return pp.p.EvaluateInto(dst, g, p1, p2)
 }
 
 // TestDeltaRoutingIdenticalToPlain pins the tentpole contract end to
 // end: a paper-instance GA run whose evaluations are routed through
-// the delta kernel (single-gene handle path, few-row near path, full
+// the delta kernel (one-row, few-row and crossover replays, full
 // fallbacks) produces bit-identical populations, counters and archive
-// to a run whose problem exposes only the plain Evaluate.
+// to a run whose problem evaluates everything with the full kernel.
 func TestDeltaRoutingIdenticalToPlain(t *testing.T) {
 	cfg := nsga2.Config{PopSize: 120, Generations: 30, Seed: 42, ArchiveAll: true}
 

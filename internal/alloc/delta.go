@@ -33,31 +33,14 @@ import (
 // unaffected edge's optics are a pure function of inputs that did not
 // change, and the cross-edge aggregation (BER sum, worst BER, total
 // energy) consumes the identical values in the identical order.
-// Property tests (TestDeltaKernelMatchesFull, FuzzEvaluateDelta) pin
+// The property tests and the fuzz target in delta_test.go pin
 // the equivalence across comb sizes.
 //
-// Handle lifetime vs the scratch-aliasing contract: a Handle borrows
-// an entry of the evaluator's bounded parent store. Entries are only
-// invalidated by the store's wholesale reset (when it reaches
-// capacity), never by Evaluate*Into calls — the store copies state
-// out of the scratch, it does not alias it — so the idiomatic
-// lookup-then-evaluate sequence is always safe on a single evaluator.
-// A stale Handle (kept across enough insertions to trigger a reset)
-// fails loudly. Like the rest of the evaluator, none of this is safe
-// for concurrent use.
-
-// Handle references one retained parent evaluation inside an
-// evaluator's delta cache. The zero Handle is invalid. Handles are
-// evaluator-specific and must not be used across evaluators.
-type Handle struct {
-	idx int32
-	gen uint32
-	ok  bool
-}
-
-// Valid reports whether the handle references an entry (it may still
-// have gone stale if the store reset since the lookup).
-func (h Handle) Valid() bool { return h.ok }
+// The parent store copies state out of the evaluator scratch, it does
+// not alias it, so a retained parent stays usable across any number
+// of Evaluate*Into calls until the store's wholesale reset (when it
+// reaches capacity) drops it. Like the rest of the evaluator, none of
+// this is safe for concurrent use.
 
 // deltaEntry is one retained valid evaluation: the decoded mask rows,
 // per-edge wavelength counts, activity windows, and the optics
@@ -78,7 +61,6 @@ type deltaEntry struct {
 type deltaState struct {
 	seed    maphash.Seed
 	slots   int
-	gen     uint32
 	table   []int32 // 1-based indices into entries, 0 = empty
 	mask    uint64
 	entries []deltaEntry
@@ -94,7 +76,6 @@ type deltaState struct {
 	affected    []bool
 	auxEq       []bool
 	fromAux     []bool
-	keyBuf      []byte
 }
 
 // DefaultDeltaCacheBudget is the approximate memory budget (in bytes)
@@ -103,12 +84,12 @@ const DefaultDeltaCacheBudget = 32 << 20
 
 // EnableDeltaCache switches the evaluator into delta-aware mode:
 // every valid evaluation is registered in a bounded parent store, and
-// EvaluateNearInto / EvaluateDeltaInto can re-evaluate nearby genomes
-// incrementally. slots bounds the number of retained parents; slots
-// <= 0 picks a default sized so the store stays within
-// DefaultDeltaCacheBudget for this instance's geometry. When the
-// store fills up it is reset wholesale (entry slices are recycled),
-// so retention is approximately "the most recent slots distinct valid
+// EvaluateNearInto can re-evaluate nearby genomes incrementally. slots
+// bounds the number of retained parents; slots <= 0 picks a default
+// sized so the store stays within DefaultDeltaCacheBudget for this
+// instance's geometry. The store grows as parents arrive; when it
+// fills up it is reset wholesale (entry slices are recycled), so
+// retention is approximately "the most recent slots distinct valid
 // genomes". Results are bit-identical with the cache on or off; only
 // the evaluation cost changes.
 func (e *Evaluator) EnableDeltaCache(slots int) {
@@ -135,7 +116,6 @@ func (e *Evaluator) EnableDeltaCache(slots int) {
 		slots:       slots,
 		table:       make([]int32, tableLen),
 		mask:        uint64(tableLen - 1),
-		entries:     make([]deltaEntry, 0, slots),
 		changed:     make([]int, 0, nl),
 		changedMark: make([]bool, nl),
 		wchanged:    make([]bool, nl),
@@ -143,12 +123,8 @@ func (e *Evaluator) EnableDeltaCache(slots int) {
 		affected:    make([]bool, nl),
 		auxEq:       make([]bool, nl),
 		fromAux:     make([]bool, nl),
-		keyBuf:      make([]byte, nl*e.in.Channels()),
 	}
 }
-
-// DeltaCacheEnabled reports whether EnableDeltaCache was called.
-func (e *Evaluator) DeltaCacheEnabled() bool { return e.delta != nil }
 
 // lookup returns the entry index of key, or false. Allocation-free.
 func (d *deltaState) lookup(key []byte) (int, bool) {
@@ -173,7 +149,6 @@ func (d *deltaState) entryFor(key []byte) *deltaEntry {
 		return &d.entries[idx]
 	}
 	if len(d.entries) >= d.slots {
-		d.gen++
 		for i := range d.table {
 			d.table[i] = 0
 		}
@@ -218,92 +193,6 @@ func (e *Evaluator) capture(key []byte) {
 	ent.commFJ = append(ent.commFJ[:0], e.commFJ...)
 }
 
-// DeltaHandle looks up a retained parent evaluation for g. ok is
-// false when the genome shape mismatches, the delta cache is
-// disabled, or g was not evaluated valid recently enough to still be
-// retained.
-func (e *Evaluator) DeltaHandle(g Genome) (Handle, bool) {
-	if g.Edges() != e.in.Edges() || g.Channels() != e.in.Channels() {
-		return Handle{}, false
-	}
-	return e.deltaHandleBytes(g.bits)
-}
-
-func (e *Evaluator) deltaHandleBytes(key []byte) (Handle, bool) {
-	if e.delta == nil || len(key) != e.in.Edges()*e.in.Channels() {
-		return Handle{}, false
-	}
-	idx, ok := e.delta.lookup(key)
-	if !ok {
-		return Handle{}, false
-	}
-	return Handle{idx: int32(idx), gen: e.delta.gen, ok: true}, true
-}
-
-// resolve returns the entry a handle references, failing loudly on
-// stale or invalid handles (the store reset since the lookup).
-func (d *deltaState) resolve(h Handle) *deltaEntry {
-	if !h.ok || h.gen != d.gen || int(h.idx) >= len(d.entries) {
-		panic("alloc: stale or invalid delta Handle (the parent store reset since the lookup)")
-	}
-	return &d.entries[h.idx]
-}
-
-// EvaluateDeltaInto evaluates the child chromosome obtained from the
-// retained parent by editing one edge's wavelength row — releasing
-// channel oldCh (pass -1 for none) and reserving channel newCh (pass
-// -1 for none) — into out, bit-identically to a full EvaluateInto of
-// that child but rescanning only what the edit can affect. The
-// paper's single-gene mutation is the (oldCh == -1) or (newCh == -1)
-// case; both set is a channel swap, which keeps the schedule and
-// re-grades only the mutated edge's conflict-neighbor CSR row.
-//
-// The evaluator must have the delta cache enabled and parent must be
-// a live Handle from DeltaHandle; misuse (stale handle, out-of-range
-// edge or channels, releasing an unreserved channel, reserving a
-// reserved one) panics. Out aliases evaluator scratch exactly like
-// EvaluateInto's result.
-func (e *Evaluator) EvaluateDeltaInto(out *Eval, parent Handle, edge, oldCh, newCh int) {
-	if e.delta == nil {
-		panic("alloc: EvaluateDeltaInto without EnableDeltaCache")
-	}
-	in := e.in
-	nl, nw, W := in.Edges(), in.Channels(), in.maskWords
-	ent := e.delta.resolve(parent)
-	if edge < 0 || edge >= nl {
-		panic(fmt.Sprintf("alloc: delta edge %d outside [0,%d)", edge, nl))
-	}
-	if oldCh < -1 || oldCh >= nw || newCh < -1 || newCh >= nw {
-		panic(fmt.Sprintf("alloc: delta channels (%d,%d) outside [-1,%d)", oldCh, newCh, nw))
-	}
-	row := ent.masks[edge*W : (edge+1)*W]
-	if oldCh >= 0 && row[oldCh>>6]&(1<<(uint(oldCh)&63)) == 0 {
-		panic(fmt.Sprintf("alloc: delta releases channel %d edge %d, which the parent does not reserve", oldCh, edge))
-	}
-	if newCh >= 0 && newCh != oldCh && row[newCh>>6]&(1<<(uint(newCh)&63)) != 0 {
-		panic(fmt.Sprintf("alloc: delta reserves channel %d edge %d, which the parent already reserves", newCh, edge))
-	}
-	copy(e.masks, ent.masks)
-	crow := e.masks[edge*W : (edge+1)*W]
-	if oldCh >= 0 {
-		crow[oldCh>>6] &^= 1 << (uint(oldCh) & 63)
-	}
-	if newCh >= 0 {
-		crow[newCh>>6] |= 1 << (uint(newCh) & 63)
-	}
-	d := e.delta
-	d.changed = append(d.changed[:0], edge)
-	d.keyBuf = append(d.keyBuf[:0], ent.key...)
-	if oldCh >= 0 {
-		d.keyBuf[edge*nw+oldCh] = 0
-	}
-	if newCh >= 0 {
-		d.keyBuf[edge*nw+newCh] = 1
-	}
-	e.lastPath = EvalPathGeneDelta
-	e.evaluateDelta(out, ent, nil, d.keyBuf)
-}
-
 // EvaluateNearInto evaluates g like EvaluateInto, but first tries the
 // delta path against the candidate parent genomes (typically the
 // offspring's mating parents). The closest retained parent becomes
@@ -316,9 +205,12 @@ func (e *Evaluator) EvaluateDeltaInto(out *Eval, parent Handle, edge, oldCh, new
 // contributors' rows) are bit-identical to the aux evaluation's. The
 // delta path is taken when the rows covered by neither parent are few
 // enough; with a single parent this degenerates to the original
-// closest-parent rule. The result is bit-identical either way; the
-// return value reports whether the delta path was taken (for tests
-// and benchmarks). nil or wrong-length parents are ignored.
+// closest-parent rule. A child one row away from its base — every
+// single-gene mutant of a retained parent, and every one-row channel
+// swap — is served as EvalPathGeneDelta. The result is bit-identical
+// either way; the return value reports whether the delta path was
+// taken (for tests and benchmarks). nil or wrong-length parents are
+// ignored.
 func (e *Evaluator) EvaluateNearInto(out *Eval, g Genome, parents ...[]byte) bool {
 	in := e.in
 	if g.Edges() != in.Edges() || g.Channels() != in.Channels() {
@@ -396,9 +288,12 @@ func (e *Evaluator) EvaluateNearInto(out *Eval, g Genome, parents ...[]byte) boo
 				}
 			}
 			if uncovered <= maxRows {
-				if aux != nil {
+				switch {
+				case len(d.changed) == 1:
+					e.lastPath = EvalPathGeneDelta
+				case aux != nil:
 					e.lastPath = EvalPathCrossDelta
-				} else {
+				default:
 					e.lastPath = EvalPathNearDelta
 				}
 				e.evaluateDelta(out, base, aux, g.bits)

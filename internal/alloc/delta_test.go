@@ -43,8 +43,9 @@ func requireSameEval(t *testing.T, ctx string, got, want *Eval) {
 	}
 }
 
-// mutateOneGene flips one random gene of g in place and returns the
-// delta-call arguments describing the flip.
+// mutateOneGene flips one random gene of g in place and describes the
+// flip: the edge row, and the channel released (oldCh) or reserved
+// (newCh), -1 for the other.
 func mutateOneGene(rng *rand.Rand, g Genome) (edge, oldCh, newCh int) {
 	gene := rng.Intn(g.Len())
 	edge = gene / g.Channels()
@@ -64,7 +65,8 @@ func mutateOneGene(rng *rand.Rand, g Genome) (edge, oldCh, newCh int) {
 // fresh full EvaluateInto, across comb sizes. Chains deliberately
 // cross in and out of the feasible region, so delta-off-delta
 // (captured child becomes the next parent), delta-off-invalid-parent
-// fallbacks and full-kernel re-entry are all exercised.
+// fallbacks and full-kernel re-entry are all exercised. Every delta
+// evaluation of these one-row children must report EvalPathGeneDelta.
 func TestDeltaKernelMatchesFull(t *testing.T) {
 	for _, nw := range []int{4, 8, 16} {
 		in, err := DefaultInstance(nw)
@@ -122,11 +124,11 @@ func TestDeltaKernelMatchesFull(t *testing.T) {
 			ref.EvaluateInto(&want, child)
 
 			var got Eval
-			if h, ok := ev.DeltaHandle(cur); ok {
-				ev.EvaluateDeltaInto(&got, h, edge, oldCh, newCh)
+			if ev.EvaluateNearInto(&got, child, cur.Bits()) {
 				deltaCalls++
-			} else if ev.EvaluateNearInto(&got, child, cur.Bits()) {
-				deltaCalls++
+				if path := ev.LastEvalPath(); path != EvalPathGeneDelta {
+					t.Fatalf("NW=%d: one-row child served as path %d, want EvalPathGeneDelta", nw, path)
+				}
 			}
 			requireSameEval(t, "chain", &got, &want)
 			cur = child
@@ -311,7 +313,8 @@ func TestEvaluateCrossMatchesFull(t *testing.T) {
 }
 
 // TestDeltaHandleMissesInvalid pins the store policy: only valid
-// evaluations are retained as parents.
+// evaluations are retained as parents, so a one-row child of an
+// invalid parent goes to the full kernel.
 func TestDeltaHandleMissesInvalid(t *testing.T) {
 	in, err := DefaultInstance(8)
 	if err != nil {
@@ -328,14 +331,16 @@ func TestDeltaHandleMissesInvalid(t *testing.T) {
 	if out.Valid {
 		t.Fatal("zero genome cannot be valid")
 	}
-	if _, ok := ev.DeltaHandle(zero); ok {
+	child := zero.Clone()
+	child.Set(0, 0, true)
+	if ev.EvaluateNearInto(&out, child, zero.Bits()) || ev.LastEvalPath() != EvalPathFull {
 		t.Fatal("invalid evaluation must not be retained as a delta parent")
 	}
 }
 
 // TestDeltaKernelSteadyStateZeroAllocs pins the delta path's
-// allocation budget: re-evaluating an already-retained child off a
-// retained parent performs no heap allocations.
+// allocation budget: re-evaluating an already-retained single-gene
+// child off a retained parent performs no heap allocations.
 func TestDeltaKernelSteadyStateZeroAllocs(t *testing.T) {
 	in, err := DefaultInstance(8)
 	if err != nil {
@@ -355,15 +360,13 @@ func TestDeltaKernelSteadyStateZeroAllocs(t *testing.T) {
 	if !out.Valid {
 		t.Fatal(out.Reason())
 	}
-	h, ok := ev.DeltaHandle(parent)
-	if !ok {
+	child := parent.Clone()
+	child.Set(0, parent.ChannelSet(0)[0], false)
+	if !ev.EvaluateNearInto(&out, child, parent.Bits()) { // warm: child capture
 		t.Fatal("parent not retained")
 	}
-	ch := parent.ChannelSet(0)[0]
-	ev.EvaluateDeltaInto(&out, h, 0, ch, -1) // warm: child capture
 	allocs := testing.AllocsPerRun(100, func() {
-		h, _ := ev.DeltaHandle(parent)
-		ev.EvaluateDeltaInto(&out, h, 0, ch, -1)
+		ev.EvaluateNearInto(&out, child, parent.Bits())
 	})
 	if allocs != 0 {
 		t.Fatalf("delta path allocates %v times per evaluation, want 0", allocs)
@@ -399,22 +402,11 @@ func FuzzEvaluateDelta(f *testing.F) {
 			child := cur.Clone()
 			gene := int(b) % child.Len()
 			edge, ch := gene/child.Channels(), gene%child.Channels()
-			var oldCh, newCh int
-			if child.Get(edge, ch) {
-				child.Set(edge, ch, false)
-				oldCh, newCh = ch, -1
-			} else {
-				child.Set(edge, ch, true)
-				oldCh, newCh = -1, ch
-			}
+			child.Set(edge, ch, !child.Get(edge, ch))
 			var want Eval
 			ref.EvaluateInto(&want, child)
 			var got Eval
-			if h, ok := ev.DeltaHandle(cur); ok {
-				ev.EvaluateDeltaInto(&got, h, edge, oldCh, newCh)
-			} else {
-				ev.EvaluateNearInto(&got, child, cur.Bits())
-			}
+			ev.EvaluateNearInto(&got, child, cur.Bits())
 			requireSameEval(t, "fuzz", &got, &want)
 			cur = child
 		}

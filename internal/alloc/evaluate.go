@@ -129,7 +129,7 @@ func invalidEval(reason failureReason, violation float64) Eval {
 // hold their own Evaluator instead and skip both the pool round-trip
 // and the copies.
 func (in *Instance) Evaluate(g Genome) Eval {
-	ev, _ := in.evalPool.Get().(*Evaluator)
+	ev, _ := in.evaluators.Get().(*Evaluator)
 	if ev == nil {
 		var err error
 		ev, err = NewEvaluator(in)
@@ -140,7 +140,7 @@ func (in *Instance) Evaluate(g Genome) Eval {
 	var out Eval
 	ev.EvaluateInto(&out, g)
 	out.Detach()
-	in.evalPool.Put(ev)
+	in.evaluators.Put(ev)
 	return out
 }
 

@@ -23,10 +23,10 @@ import (
 //
 // With EnableDeltaCache, the evaluator additionally retains the
 // decoded state and per-edge optics results of recently evaluated
-// valid genomes, which the delta kernel (EvaluateDeltaInto,
-// EvaluateNearInto — see delta.go) uses to re-evaluate single-gene
-// and few-row mutants at a fraction of the full kernel's cost while
-// staying bit-identical to it.
+// valid genomes, which the delta kernel (EvaluateNearInto — see
+// delta.go) uses to re-evaluate single-gene and few-row mutants at a
+// fraction of the full kernel's cost while staying bit-identical to
+// it.
 type Evaluator struct {
 	in      *Instance
 	planner *sched.Planner
@@ -71,8 +71,8 @@ type EvalPath uint8
 const (
 	// EvalPathFull is the full evaluation kernel.
 	EvalPathFull EvalPath = iota
-	// EvalPathGeneDelta is the single-gene delta kernel
-	// (EvaluateDeltaInto).
+	// EvalPathGeneDelta is the delta replay of a child one edge row
+	// away from its base parent (every single-gene mutant).
 	EvalPathGeneDelta
 	// EvalPathNearDelta is the few-row delta replay off a single
 	// retained parent (EvaluateNearInto with one usable parent).

@@ -175,9 +175,8 @@ func runKernelChain(t *testing.T, nw int, inDelta, inRef *Instance, steps int) {
 			cur = lastValid
 		}
 		child := cur.Clone()
-		edge, oldCh, newCh := mutateOneGene(rng, child)
-		useCross := rng.Intn(5) == 0
-		if useCross {
+		edge, _, _ := mutateOneGene(rng, child)
+		if rng.Intn(5) == 0 {
 			// Crossover shape: splice a second edge row from the last
 			// valid genome, giving the two-parent near kernel a child
 			// that matches neither parent exactly.
@@ -191,18 +190,8 @@ func runKernelChain(t *testing.T, nw int, inDelta, inRef *Instance, steps int) {
 		ref.EvaluateInto(&want, child)
 
 		var got Eval
-		served := false
-		if !useCross {
-			if h, ok := ev.DeltaHandle(cur); ok {
-				ev.EvaluateDeltaInto(&got, h, edge, oldCh, newCh)
-				served, deltaCalls = true, deltaCalls+1
-			}
-		}
-		if !served && ev.EvaluateNearInto(&got, child, cur.Bits(), lastValid.Bits()) {
-			served, deltaCalls = true, deltaCalls+1
-		}
-		if !served {
-			ev.EvaluateInto(&got, child)
+		if ev.EvaluateNearInto(&got, child, cur.Bits(), lastValid.Bits()) {
+			deltaCalls++
 		}
 		requireSameEval(t, "fabric chain", &got, &want)
 		cur = child

@@ -103,10 +103,10 @@ type Instance struct {
 	confSymStart []int32
 	confSymAdj   []int32
 
-	// evalPool recycles evaluators behind the compatibility Evaluate
+	// evaluators recycles evaluators behind the compatibility Evaluate
 	// method, so concurrent callers run genuinely in parallel; hot
 	// paths hold their own Evaluator and never touch it.
-	evalPool sync.Pool
+	evaluators sync.Pool
 }
 
 // NewInstance validates the pieces and precomputes the routes. f is

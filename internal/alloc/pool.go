@@ -3,12 +3,10 @@ package alloc
 import "sync"
 
 // EvaluatorPool recycles evaluators over one shared read-only
-// instance. It is the reusable form of the pooling idiom that was
-// private to Instance.Evaluate and core.Problem: callers that serve
-// many short-lived evaluation requests (the GA's compatibility path,
-// the waserve evaluate handler) draw a warm evaluator, run it, and put
-// it back, instead of paying NewEvaluator's scratch construction per
-// request.
+// instance: callers that serve many short-lived evaluation requests
+// (the waserve evaluate and explain handlers) draw a warm evaluator,
+// run it, and put it back, instead of paying NewEvaluator's scratch
+// construction per request.
 //
 // The pool is safe for concurrent use; the evaluators it hands out are
 // not — each Get gives the caller exclusive use until the matching
@@ -16,17 +14,13 @@ import "sync"
 // nothing, and sync.Pool semantics apply: evaluators may be dropped
 // under memory pressure and rebuilt on demand.
 type EvaluatorPool struct {
-	in    *Instance
-	delta bool
-	pool  sync.Pool
+	in   *Instance
+	pool sync.Pool
 }
 
-// NewEvaluatorPool builds a pool over in. With delta set, every
-// evaluator the pool constructs carries a delta cache
-// (EnableDeltaCache), so pooled callers that evaluate related genomes
-// back-to-back keep the incremental kernels available.
-func NewEvaluatorPool(in *Instance, delta bool) *EvaluatorPool {
-	return &EvaluatorPool{in: in, delta: delta}
+// NewEvaluatorPool builds a pool over in.
+func NewEvaluatorPool(in *Instance) *EvaluatorPool {
+	return &EvaluatorPool{in: in}
 }
 
 // Instance returns the instance every pooled evaluator is bound to.
@@ -39,14 +33,7 @@ func (p *EvaluatorPool) Get() (*Evaluator, error) {
 	if ev, _ := p.pool.Get().(*Evaluator); ev != nil {
 		return ev, nil
 	}
-	ev, err := NewEvaluator(p.in)
-	if err != nil {
-		return nil, err
-	}
-	if p.delta {
-		ev.EnableDeltaCache(0)
-	}
-	return ev, nil
+	return NewEvaluator(p.in)
 }
 
 // Put returns an evaluator to the pool. Evaluators bound to a

@@ -167,34 +167,28 @@ type Config struct {
 }
 
 // Problem is a configured wavelength-allocation exploration. It
-// implements nsga2.PerWorkerProblem: with Workers > 1 the engine
-// gives every evaluation goroutine its own zero-allocation
-// alloc.Evaluator and metrics shard (merged when the run finishes),
-// so parallel runs scale without contending on a shared lock while
-// staying bit-for-bit identical to serial ones. The compatibility
-// Evaluate method remains safe for concurrent calls.
-//
-// It also implements nsga2.DeltaProblem: every evaluator the problem
-// hands out carries a delta cache (alloc.EnableDeltaCache), so
-// offspring that differ from a retained parent in a single gene or a
-// few edge rows are re-evaluated incrementally — bit-identically to
-// the full kernel, the engine's variation records merely select the
-// cheaper path.
+// implements nsga2.PerWorkerProblem: every engine, serial or
+// parallel, gets one view per evaluation goroutine, each with its own
+// zero-allocation alloc.Evaluator and metrics shard (merged when the
+// run finishes), so parallel runs scale without contending on a
+// shared lock while staying bit-for-bit identical to serial ones.
+// Each view's evaluator carries a delta cache (alloc.EnableDeltaCache)
+// and hands the engine's parent hints to EvaluateNearInto, so
+// offspring that differ from a retained parent in a few edge rows are
+// re-evaluated incrementally — bit-identically to the full kernel.
+// The Problem's own EvaluateInto runs the full kernel and is safe for
+// concurrent calls.
 type Problem struct {
 	cfg  Config
 	in   *alloc.Instance
 	objs []alloc.Objective
 
-	// evalPool recycles the problem's delta-enabled evaluators behind
-	// Evaluate/EvaluateDelta, so concurrent callers run genuinely in
-	// parallel and the serial engine keeps reusing one warm delta
-	// cache. Distinct from the instance's compatibility pool, whose
-	// evaluators stay delta-free for sim/CLI/tooling callers.
-	evalPool *alloc.EvaluatorPool
-
 	mu      sync.Mutex
 	metrics map[string]Metrics // full metric triple per evaluated genotype
-	workers []*workerProblem   // outstanding shards, folded in by mergeWorkers
+	// shards are the worker views' outstanding metrics shards, folded
+	// in by mergeWorkers. Only the maps are kept: a view's evaluator
+	// goes with its engine.
+	shards []map[string]Metrics
 
 	// stats counts which kernel served each evaluation (atomic:
 	// worker shards update the shared counters lock-free).
@@ -253,8 +247,8 @@ func (p *Problem) lookupMetrics(genome []byte) (Metrics, bool) {
 	if m, ok := p.metrics[string(genome)]; ok {
 		return m, true
 	}
-	for _, w := range p.workers {
-		if m, ok := w.metrics[string(genome)]; ok {
+	for _, shard := range p.shards {
+		if m, ok := shard[string(genome)]; ok {
 			return m, true
 		}
 	}
@@ -398,11 +392,10 @@ func New(cfg Config) (*Problem, error) {
 		return nil, err
 	}
 	return &Problem{
-		cfg:      cfg,
-		in:       in,
-		objs:     objs,
-		evalPool: alloc.NewEvaluatorPool(in, true),
-		metrics:  make(map[string]Metrics),
+		cfg:     cfg,
+		in:      in,
+		objs:    objs,
+		metrics: make(map[string]Metrics),
 	}, nil
 }
 
@@ -416,153 +409,32 @@ func (p *Problem) GenomeLen() int { return p.in.Edges() * p.in.Channels() }
 // NumObjectives implements nsga2.Problem.
 func (p *Problem) NumObjectives() int { return len(p.objs) }
 
-// getEvaluator draws a delta-enabled evaluator from the problem pool
-// (alloc.EvaluatorPool constructs them lazily with the delta cache
-// on).
-func (p *Problem) getEvaluator() (*alloc.Evaluator, error) {
-	return p.evalPool.Get()
-}
-
-// Evaluate implements nsga2.Problem: full evaluation, metric capture,
+// EvaluateInto implements nsga2.Problem: full evaluation through the
+// instance's evaluator pool, metric capture under the problem lock,
 // then projection onto the configured objectives. The returned
 // violation is 0 for valid chromosomes and the graded constraint
-// violation otherwise. This path evaluates through the problem's
-// delta-enabled evaluator pool — concurrent callers run in parallel,
-// only the metrics insert takes the lock; the engine's workers go
-// through NewWorker and skip even that.
-func (p *Problem) Evaluate(genome []byte) ([]float64, float64) {
-	g, err := alloc.FromBits(genome, p.in.Edges(), p.in.Channels())
-	if err != nil {
-		return infObjectives(len(p.objs)), math.Inf(1)
-	}
-	ev, err := p.getEvaluator()
-	if err != nil {
-		return infObjectives(len(p.objs)), 1
-	}
-	var out alloc.Eval
-	ev.EvaluateInto(&out, g)
-	p.countPath(ev.LastEvalPath())
-	p.recordMetrics(g, &out)
-	objs, viol := out.Objectives(p.objs), out.Violation
-	p.evalPool.Put(ev)
-	return objs, viol
-}
-
-// EvaluateDelta implements nsga2.DeltaProblem: a recorded pure
-// single-gene mutant whose parent is still retained in the
-// evaluator's delta cache goes through the handle-based
-// EvaluateDeltaInto; any other offspring tries the general few-row
-// path against both mating parents and falls back to the full kernel
-// inside EvaluateNearInto. Results are bit-identical to Evaluate.
-func (p *Problem) EvaluateDelta(genome, parent1, parent2 []byte, gene int) ([]float64, float64) {
-	g, err := alloc.FromBits(genome, p.in.Edges(), p.in.Channels())
-	if err != nil {
-		return infObjectives(len(p.objs)), math.Inf(1)
-	}
-	ev, err := p.getEvaluator()
-	if err != nil {
-		return infObjectives(len(p.objs)), 1
-	}
-	var out alloc.Eval
-	deltaEvalInto(ev, &out, g, parent1, parent2, gene)
-	p.countPath(ev.LastEvalPath())
-	p.recordMetrics(g, &out)
-	objs, viol := out.Objectives(p.objs), out.Violation
-	p.evalPool.Put(ev)
-	return objs, viol
-}
-
-// EvaluateObjsInto implements nsga2.IntoProblem: Evaluate writing the
-// objective vector into a caller-owned row (the engine's column
-// arena) instead of boxing a fresh slice per evaluation. Values are
-// bit-identical to Evaluate's.
-func (p *Problem) EvaluateObjsInto(dst []float64, genome []byte) float64 {
+// violation otherwise. The parent hints are ignored; the engine's
+// views (NewWorker) are what use them.
+func (p *Problem) EvaluateInto(dst []float64, genome, _, _ []byte) float64 {
 	g, err := alloc.FromBits(genome, p.in.Edges(), p.in.Channels())
 	if err != nil {
 		fillInf(dst)
 		return math.Inf(1)
 	}
-	ev, err := p.getEvaluator()
-	if err != nil {
-		fillInf(dst)
-		return 1
+	out := p.in.Evaluate(g)
+	p.countPath(alloc.EvalPathFull)
+	if out.Valid {
+		p.mu.Lock()
+		p.metrics[g.Key()] = metricsOf(&out)
+		p.mu.Unlock()
 	}
-	var out alloc.Eval
-	ev.EvaluateInto(&out, g)
-	p.countPath(ev.LastEvalPath())
-	p.recordMetrics(g, &out)
 	out.ObjectivesInto(dst, p.objs)
-	viol := out.Violation
-	p.evalPool.Put(ev)
-	return viol
+	return out.Violation
 }
 
-// EvaluateDeltaObjsInto implements nsga2.DeltaIntoProblem — the
-// write-into form of EvaluateDelta.
-func (p *Problem) EvaluateDeltaObjsInto(dst []float64, genome, parent1, parent2 []byte, gene int) float64 {
-	g, err := alloc.FromBits(genome, p.in.Edges(), p.in.Channels())
-	if err != nil {
-		fillInf(dst)
-		return math.Inf(1)
-	}
-	ev, err := p.getEvaluator()
-	if err != nil {
-		fillInf(dst)
-		return 1
-	}
-	var out alloc.Eval
-	deltaEvalInto(ev, &out, g, parent1, parent2, gene)
-	p.countPath(ev.LastEvalPath())
-	p.recordMetrics(g, &out)
-	out.ObjectivesInto(dst, p.objs)
-	viol := out.Violation
-	p.evalPool.Put(ev)
-	return viol
-}
-
-// recordMetrics captures a valid evaluation's full metric triple
-// under the problem lock.
-func (p *Problem) recordMetrics(g alloc.Genome, out *alloc.Eval) {
-	if !out.Valid {
-		return
-	}
-	p.mu.Lock()
-	p.metrics[g.Key()] = Metrics{
-		TimeKCC:     out.TimeKCC(),
-		BitEnergyFJ: out.BitEnergyFJ,
-		MeanBER:     out.MeanBER,
-	}
-	p.mu.Unlock()
-}
-
-// deltaEvalInto dispatches one delta-hinted evaluation on ev: the
-// recorded single-gene flip uses the parent handle directly (the
-// child's mask rows are the parent's with one bit edited — no genome
-// decode at all); everything else goes through EvaluateNearInto,
-// which row-diffs against the retained parents and falls back to the
-// full kernel when no retained parent is close enough.
-func deltaEvalInto(ev *alloc.Evaluator, out *alloc.Eval, g alloc.Genome, parent1, parent2 []byte, gene int) {
-	if gene >= 0 && gene < g.Len() && len(parent1) == g.Len() {
-		if pg, err := alloc.FromBits(parent1, g.Edges(), g.Channels()); err == nil {
-			if h, ok := ev.DeltaHandle(pg); ok {
-				nw := g.Channels()
-				edge, ch := gene/nw, gene%nw
-				oldCh, newCh := -1, ch
-				if parent1[gene] != 0 {
-					oldCh, newCh = ch, -1
-				}
-				ev.EvaluateDeltaInto(out, h, edge, oldCh, newCh)
-				return
-			}
-		}
-	}
-	ev.EvaluateNearInto(out, g, parent1, parent2)
-}
-
-func infObjectives(n int) []float64 {
-	out := make([]float64, n)
-	fillInf(out)
-	return out
+// metricsOf extracts the metric triple of a valid evaluation.
+func metricsOf(ev *alloc.Eval) Metrics {
+	return Metrics{TimeKCC: ev.TimeKCC(), BitEnergyFJ: ev.BitEnergyFJ, MeanBER: ev.MeanBER}
 }
 
 func fillInf(dst []float64) {
@@ -582,19 +454,19 @@ type workerProblem struct {
 }
 
 // NewWorker implements nsga2.PerWorkerProblem. The worker shares the
-// parent's immutable instance and objective set; only scratch and the
-// metrics shard are private.
+// parent's immutable instance and objective set; only the evaluator,
+// with its delta cache, and the metrics shard are private.
 func (p *Problem) NewWorker() nsga2.Problem {
 	ev, err := alloc.NewEvaluator(p.in)
 	if err != nil {
 		// Cannot happen for instances built by New; degrade to the
-		// locked compatibility path rather than failing the run.
+		// locked full-kernel path rather than failing the run.
 		return p
 	}
 	ev.EnableDeltaCache(0)
 	w := &workerProblem{parent: p, eval: ev, metrics: make(map[string]Metrics)}
 	p.mu.Lock()
-	p.workers = append(p.workers, w)
+	p.shards = append(p.shards, w.metrics)
 	p.mu.Unlock()
 	return w
 }
@@ -605,12 +477,12 @@ func (p *Problem) NewWorker() nsga2.Problem {
 func (p *Problem) mergeWorkers() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, w := range p.workers {
-		for k, m := range w.metrics {
+	for _, shard := range p.shards {
+		for k, m := range shard {
 			p.metrics[k] = m
 		}
 	}
-	p.workers = nil
+	p.shards = nil
 }
 
 // GenomeLen implements nsga2.Problem.
@@ -619,40 +491,12 @@ func (w *workerProblem) GenomeLen() int { return w.parent.GenomeLen() }
 // NumObjectives implements nsga2.Problem.
 func (w *workerProblem) NumObjectives() int { return w.parent.NumObjectives() }
 
-// Evaluate implements nsga2.Problem on the worker's private state:
-// no locks, no steady-state allocations beyond the retained objective
-// vector and metrics entry.
-func (w *workerProblem) Evaluate(genome []byte) ([]float64, float64) {
-	p := w.parent
-	g, err := alloc.FromBits(genome, p.in.Edges(), p.in.Channels())
-	if err != nil {
-		return infObjectives(len(p.objs)), math.Inf(1)
-	}
-	var ev alloc.Eval
-	w.eval.EvaluateInto(&ev, g)
-	p.countPath(w.eval.LastEvalPath())
-	w.record(g, &ev)
-	return ev.Objectives(p.objs), ev.Violation
-}
-
-// EvaluateDelta implements nsga2.DeltaProblem on the worker's private
-// delta-enabled evaluator — the lock-free analogue of the parent's.
-func (w *workerProblem) EvaluateDelta(genome, parent1, parent2 []byte, gene int) ([]float64, float64) {
-	p := w.parent
-	g, err := alloc.FromBits(genome, p.in.Edges(), p.in.Channels())
-	if err != nil {
-		return infObjectives(len(p.objs)), math.Inf(1)
-	}
-	var ev alloc.Eval
-	deltaEvalInto(w.eval, &ev, g, parent1, parent2, gene)
-	p.countPath(w.eval.LastEvalPath())
-	w.record(g, &ev)
-	return ev.Objectives(p.objs), ev.Violation
-}
-
-// EvaluateObjsInto implements nsga2.IntoProblem on the worker's
-// private state — the write-into form of the worker Evaluate.
-func (w *workerProblem) EvaluateObjsInto(dst []float64, genome []byte) float64 {
+// EvaluateInto implements nsga2.Problem on the worker's private
+// delta-enabled evaluator: EvaluateNearInto replays the closest
+// retained parent when the child is a few rows away from it and runs
+// the full kernel otherwise. No locks, and no steady-state allocations
+// beyond the retained metrics entry.
+func (w *workerProblem) EvaluateInto(dst []float64, genome, parent1, parent2 []byte) float64 {
 	p := w.parent
 	g, err := alloc.FromBits(genome, p.in.Edges(), p.in.Channels())
 	if err != nil {
@@ -660,41 +504,13 @@ func (w *workerProblem) EvaluateObjsInto(dst []float64, genome []byte) float64 {
 		return math.Inf(1)
 	}
 	var ev alloc.Eval
-	w.eval.EvaluateInto(&ev, g)
+	w.eval.EvaluateNearInto(&ev, g, parent1, parent2)
 	p.countPath(w.eval.LastEvalPath())
-	w.record(g, &ev)
+	if ev.Valid {
+		w.metrics[g.Key()] = metricsOf(&ev)
+	}
 	ev.ObjectivesInto(dst, p.objs)
 	return ev.Violation
-}
-
-// EvaluateDeltaObjsInto implements nsga2.DeltaIntoProblem on the
-// worker's private delta-enabled evaluator.
-func (w *workerProblem) EvaluateDeltaObjsInto(dst []float64, genome, parent1, parent2 []byte, gene int) float64 {
-	p := w.parent
-	g, err := alloc.FromBits(genome, p.in.Edges(), p.in.Channels())
-	if err != nil {
-		fillInf(dst)
-		return math.Inf(1)
-	}
-	var ev alloc.Eval
-	deltaEvalInto(w.eval, &ev, g, parent1, parent2, gene)
-	p.countPath(w.eval.LastEvalPath())
-	w.record(g, &ev)
-	ev.ObjectivesInto(dst, p.objs)
-	return ev.Violation
-}
-
-// record captures a valid evaluation's metric triple in the worker's
-// lock-free shard.
-func (w *workerProblem) record(g alloc.Genome, ev *alloc.Eval) {
-	if !ev.Valid {
-		return
-	}
-	w.metrics[g.Key()] = Metrics{
-		TimeKCC:     ev.TimeKCC(),
-		BitEnergyFJ: ev.BitEnergyFJ,
-		MeanBER:     ev.MeanBER,
-	}
 }
 
 // Solution is one valid wavelength allocation with its metrics.
@@ -803,7 +619,7 @@ func (p *Problem) assembleResult(runRes *nsga2.Result) (*Result, error) {
 
 // solutionFor resolves a genome to a Solution through the metric
 // cache. It takes the problem lock: result assembly can race with
-// concurrent Evaluate calls from other users of the same Problem.
+// concurrent EvaluateInto calls from other users of the same Problem.
 func (p *Problem) solutionFor(genome []byte) (Solution, bool) {
 	p.mu.Lock()
 	m, ok := p.metrics[string(genome)]

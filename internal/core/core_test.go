@@ -53,6 +53,13 @@ func TestProblemShape(t *testing.T) {
 	}
 }
 
+// evaluate runs one full evaluation through the nsga2.Problem
+// interface, with no parent hints.
+func evaluate(p nsga2.Problem, genome []byte) ([]float64, float64) {
+	objs := make([]float64, p.NumObjectives())
+	return objs, p.EvaluateInto(objs, genome, nil, nil)
+}
+
 func TestEvaluateThroughInterface(t *testing.T) {
 	p, err := New(Config{NW: 8})
 	if err != nil {
@@ -64,7 +71,7 @@ func TestEvaluateThroughInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	objs, violation := p.Evaluate(g.Bits())
+	objs, violation := evaluate(p, g.Bits())
 	if violation != 0 {
 		t.Fatalf("heuristic genome must be feasible, violation %v", violation)
 	}
@@ -79,7 +86,7 @@ func TestEvaluateThroughInterface(t *testing.T) {
 	// All-zero genome is infeasible, with one violation per loaded
 	// communication.
 	zero := make([]byte, p.GenomeLen())
-	objs, violation = p.Evaluate(zero)
+	objs, violation = evaluate(p, zero)
 	if violation != 6 {
 		t.Errorf("all-zero genome violation = %v, want 6 (one per communication)", violation)
 	}
@@ -251,7 +258,7 @@ func TestHeuristicSeeds(t *testing.T) {
 		if len(s) != p.GenomeLen() {
 			t.Fatalf("seed %d has %d genes, want %d", i, len(s), p.GenomeLen())
 		}
-		if _, violation := p.Evaluate(s); violation != 0 {
+		if _, violation := evaluate(p, s); violation != 0 {
 			t.Fatalf("heuristic seed %d is infeasible", i)
 		}
 	}
@@ -285,7 +292,7 @@ func TestEvaluateBadGenomeLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	objs, violation := p.Evaluate([]byte{1, 0, 1})
+	objs, violation := evaluate(p, []byte{1, 0, 1})
 	if !math.IsInf(violation, 1) {
 		t.Errorf("short genome violation = %v, want +Inf", violation)
 	}
@@ -375,8 +382,8 @@ func TestNewWorkerSharesInstance(t *testing.T) {
 	for i := range genome {
 		genome[i] = byte(i % 2)
 	}
-	ow, vw := w.Evaluate(genome)
-	op, vp := p.Evaluate(genome)
+	ow, vw := evaluate(w, genome)
+	op, vp := evaluate(p, genome)
 	if vw != vp || len(ow) != len(op) {
 		t.Fatalf("worker and parent disagree: %v/%v vs %v/%v", ow, vw, op, vp)
 	}

@@ -102,6 +102,7 @@ func (p *Problem) resumeExplorerWith(ga nsga2.Config, r io.Reader) (*Explorer, e
 		p.metrics = make(map[string]Metrics, eng.ArchiveLen())
 	}
 	p.mu.Unlock()
+	scratch := make([]float64, len(p.objs))
 	eng.VisitArchive(func(genome []byte, objs []float64, violation float64, aux []float64) {
 		if violation != 0 {
 			return
@@ -110,7 +111,7 @@ func (p *Problem) resumeExplorerWith(ga nsga2.Config, r io.Reader) (*Explorer, e
 			p.injectMetrics(genome, Metrics{TimeKCC: aux[0], BitEnergyFJ: aux[1], MeanBER: aux[2]})
 			return
 		}
-		p.Evaluate(genome)
+		p.EvaluateInto(scratch, genome, nil, nil)
 	})
 	return &Explorer{p: p, eng: eng, gens: eng.Config().Generations}, nil
 }

@@ -155,8 +155,8 @@ func (p *Problem) validateIslands(spec IslandSpec) error {
 }
 
 // forkForSegment builds a fresh Problem over the same instance and
-// settings: empty evaluator pool, empty metric cache — exactly the
-// state a worker process starts a segment with. Running every
+// settings: empty metric cache, no worker views — exactly the state
+// a worker process starts a segment with. Running every
 // segment on a fork keeps a local island run equivalent to a
 // distributed one down to the kernel-path instrumentation (evaluator
 // delta caches never carry over between segments in either mode).

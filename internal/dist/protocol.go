@@ -74,10 +74,11 @@ const (
 	msgShutdown
 )
 
-// maxFrame bounds a frame so a corrupt or hostile length prefix
-// cannot make a peer allocate unbounded memory. Engine checkpoints
-// of paper-scale cells are a few hundred kilobytes; a gigabyte is
-// far beyond anything legitimate.
+// maxFrame bounds a frame so a corrupt or hostile peer cannot make
+// the reader buffer unbounded data (readFrame's buffer follows the
+// bytes received, so the length prefix alone reserves nothing).
+// Engine checkpoints of paper-scale cells are a few hundred
+// kilobytes; a gigabyte is far beyond anything legitimate.
 const maxFrame = 1 << 30
 
 // cellMeta addresses a cell (and, for failures, carries the error).
@@ -195,7 +196,9 @@ func writeFrame(w io.Writer, typ byte, meta any, blob []byte) error {
 	return nil
 }
 
-// readFrame reads one protocol frame.
+// readFrame reads one protocol frame. The payload buffer grows with
+// the bytes actually received, not with the declared length, so a
+// length prefix alone cannot make the reader reserve memory.
 func readFrame(r io.Reader) (typ byte, meta, blob []byte, err error) {
 	var lenBuf [4]byte
 	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
@@ -205,8 +208,11 @@ func readFrame(r io.Reader) (typ byte, meta, blob []byte, err error) {
 	if total < 5 || total > maxFrame {
 		return 0, nil, nil, fmt.Errorf("dist: implausible frame length %d", total)
 	}
-	payload := make([]byte, total)
-	if _, err = io.ReadFull(r, payload); err != nil {
+	payload, err := io.ReadAll(io.LimitReader(r, int64(total)))
+	if err == nil && len(payload) < int(total) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return 0, nil, nil, fmt.Errorf("dist: truncated frame: %w", err)
 	}
 	typ = payload[0]

@@ -182,10 +182,13 @@ type CampaignConfig struct {
 	WarmCacheSiblings bool
 	// Stats records each cell's engine instrumentation (evaluation-
 	// path split, cache/warm hits, dominance comparisons) in the JSON
-	// artifact and completion records. Opt-in because the counters
-	// depend on worker scheduling and warm-cache timing: with Stats
-	// on, artifacts are no longer byte-identical across runs — only
-	// the result data still is. Part of the campaign identity when
+	// artifact and completion records. With serial evaluation
+	// (EvalWorkers <= 1) and no WarmCacheSiblings every counter is
+	// reproducible. Opt-in because otherwise they are not: with
+	// EvalWorkers > 1 the kernel-path split depends on which worker's
+	// delta cache each evaluation lands in, and warm hits depend on
+	// when sibling cells complete — artifacts then stay byte-identical
+	// only in the result data. Part of the campaign identity when
 	// checkpointing (restored cells must carry the same fields).
 	Stats bool
 	// Islands > 1 runs every cell's GA as an island model: the

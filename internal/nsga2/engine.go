@@ -27,11 +27,14 @@ import (
 //
 // An Engine is not safe for concurrent use.
 type Engine struct {
-	p       Problem
-	cfg     Config
-	rng     *rand.Rand
-	src     *countingSource
-	workers []Problem
+	p   Problem
+	cfg Config
+	rng *rand.Rand
+	src *countingSource
+	// views are the evaluation views, one per evaluation goroutine
+	// (max(1, Workers) of them): the problem's NewWorker views when it
+	// implements PerWorkerProblem, the problem itself otherwise.
+	views []Problem
 
 	gl   int // genome length
 	nObj int
@@ -55,29 +58,16 @@ type Engine struct {
 	nextSlab []byte
 	offSlab  []byte
 
-	// Batch-evaluation scratch. offMeta records, per offspring, the
-	// variation-pipeline provenance (mating parents and, for pure
-	// single-gene mutants, the flipped gene); jobP1/jobP2/jobGene carry
-	// it per distinct new genome so the evaluation fan-out can route
-	// through the problem's delta kernel.
+	// Batch-evaluation scratch. offMeta records, per offspring, its
+	// mating parents; jobP1/jobP2 carry them per distinct new genome
+	// into the problem's EvaluateInto.
 	rowRefs  [][]byte
 	jobs     []int
 	entryIdx []int
 	offMeta  []offMeta
 	jobP1    [][]byte
 	jobP2    [][]byte
-	jobGene  []int32
-	deltaP   DeltaProblem   // e.p's delta view, when implemented
-	deltaW   []DeltaProblem // per-worker delta views, aligned with workers
-	// Write-into views (see IntoProblem): when implemented, cache
-	// entries get arena rows carved at insert time and the problem
-	// writes objectives straight into them — no per-evaluation boxing.
-	// deltaIntoP/deltaIntoW are only set when the plain into view is
-	// too, so every into-routed job has its row pre-carved.
-	intoP      IntoProblem
-	intoW      []IntoProblem
-	deltaIntoP DeltaIntoProblem
-	deltaIntoW []DeltaIntoProblem
+	nextJob  atomic.Int64 // next unclaimed index into jobs
 
 	// Rank/crowd scratch (sized for the merged 2*size population),
 	// laid out struct-of-arrays: objCol holds one contiguous column
@@ -145,9 +135,9 @@ type Engine struct {
 	// store is the engine's chunked objective arena: cache entries'
 	// objective and aux vectors are carved from it instead of being
 	// boxed one allocation each (checkpoint rehydration, warm hits and
-	// — for IntoProblem problems — live evaluation all intern through
-	// it). Chunks are never reallocated, so carved slices stay valid
-	// for the engine's lifetime.
+	// live evaluation all intern through it). Chunks are never
+	// reallocated, so carved slices stay valid for the engine's
+	// lifetime.
 	store objStore
 
 	// Instrumentation counters (see Stats).
@@ -157,13 +147,10 @@ type Engine struct {
 }
 
 // offMeta is one offspring's variation-pipeline record: the genomes
-// of its mating parents (aliasing the current population slab, valid
-// through the generation's evaluation) and the flipped gene index
-// when the offspring is a pure single-gene mutant of p1 — crossover
-// skipped or a no-op swap, and exactly one mutation flip — or -1.
+// of its copy source p1 and its mate p2, aliasing the current
+// population slab (valid through the generation's evaluation).
 type offMeta struct {
 	p1, p2 []byte
-	gene   int32
 }
 
 // countingSource wraps the standard math/rand source, counting state
@@ -269,7 +256,6 @@ func newEngineArena(p Problem, cfg Config) (*Engine, error) {
 		offMeta:  make([]offMeta, 0, P),
 		jobP1:    make([][]byte, 0, P),
 		jobP2:    make([][]byte, 0, P),
-		jobGene:  make([]int32, 0, P),
 
 		objCol:    make([][]float64, m),
 		objColBuf: make([]float64, 2*P*m),
@@ -303,38 +289,12 @@ func newEngineArena(p Problem, cfg Config) (*Engine, error) {
 	e.gMask = uint64(gt - 1)
 	e.ensureSortScratch(2 * P)
 	e.rng, e.src = newCountedRNG(cfg.Seed)
-	if dp, ok := p.(DeltaProblem); ok {
-		e.deltaP = dp
-	}
-	if ip, ok := p.(IntoProblem); ok {
-		e.intoP = ip
-		if dip, ok := p.(DeltaIntoProblem); ok {
-			e.deltaIntoP = dip
-		}
-	}
-	if cfg.Workers > 1 {
-		e.workers = make([]Problem, cfg.Workers)
-		e.deltaW = make([]DeltaProblem, cfg.Workers)
-		e.intoW = make([]IntoProblem, cfg.Workers)
-		e.deltaIntoW = make([]DeltaIntoProblem, cfg.Workers)
-		for w := range e.workers {
-			if pw, ok := p.(PerWorkerProblem); ok {
-				e.workers[w] = pw.NewWorker()
-			} else {
-				e.workers[w] = p
-			}
-			if dw, ok := e.workers[w].(DeltaProblem); ok {
-				e.deltaW[w] = dw
-			}
-			// Workers only use the into views when the parent problem
-			// has them too: the parent's view is what gates the
-			// arena-row pre-carve at insert time.
-			if iw, ok := e.workers[w].(IntoProblem); ok && e.intoP != nil {
-				e.intoW[w] = iw
-				if diw, ok := e.workers[w].(DeltaIntoProblem); ok {
-					e.deltaIntoW[w] = diw
-				}
-			}
+	e.views = make([]Problem, max(1, cfg.Workers))
+	for w := range e.views {
+		if pw, ok := p.(PerWorkerProblem); ok {
+			e.views[w] = pw.NewWorker()
+		} else {
+			e.views[w] = p
 		}
 	}
 	return e, nil
@@ -415,20 +375,18 @@ func (e *Engine) fillRandomGenome(g []byte) {
 }
 
 // evaluateBatch resolves a generation's genomes through the dedup
-// cache, evaluating the distinct new ones — in parallel when Workers
-// is set — and writes the individuals into out (one per genome, same
-// order). meta, when non-nil, is the per-offspring variation record
-// (same order as genomes): misses whose problem implements
-// DeltaProblem are routed through the delta kernel with their mating
-// parents, and Config.WarmLookup can short-circuit a miss entirely.
-// Cache insertion order, counters and results are identical to a
-// serial run without either hook.
+// cache, evaluating the distinct new ones — in parallel when there is
+// more than one view — and writes the individuals into out (one per
+// genome, same order). meta, when non-nil, is the per-offspring
+// variation record (same order as genomes), handed to EvaluateInto as
+// the parent hints; Config.WarmLookup can short-circuit a miss
+// entirely. Cache insertion order, counters and results are identical
+// however the jobs are spread over the views.
 func (e *Engine) evaluateBatch(genomes [][]byte, meta []offMeta, out []Individual) {
 	e.jobs = e.jobs[:0]
 	e.entryIdx = e.entryIdx[:0]
 	e.jobP1 = e.jobP1[:0]
 	e.jobP2 = e.jobP2[:0]
-	e.jobGene = e.jobGene[:0]
 	for gi, g := range genomes {
 		idx, ok := e.cache.lookup(g)
 		if ok {
@@ -449,72 +407,34 @@ func (e *Engine) evaluateBatch(genomes [][]byte, meta []offMeta, out []Individua
 					continue
 				}
 			}
-			if e.intoP != nil {
-				// Arena row for the objective write-out: carved
-				// serially here so the concurrent fill below never
-				// touches the store.
-				e.cache.entries[idx].objs = e.store.alloc(e.nObj)
-			}
+			// Arena row for the objective write-out: carved serially
+			// here so the concurrent fill below never touches the store.
+			e.cache.entries[idx].objs = e.store.alloc(e.nObj)
 			e.jobs = append(e.jobs, idx)
+			var p1, p2 []byte
 			if meta != nil {
-				e.jobP1 = append(e.jobP1, meta[gi].p1)
-				e.jobP2 = append(e.jobP2, meta[gi].p2)
-				e.jobGene = append(e.jobGene, meta[gi].gene)
-			} else {
-				e.jobP1 = append(e.jobP1, nil)
-				e.jobP2 = append(e.jobP2, nil)
-				e.jobGene = append(e.jobGene, -1)
+				p1, p2 = meta[gi].p1, meta[gi].p2
 			}
+			e.jobP1 = append(e.jobP1, p1)
+			e.jobP2 = append(e.jobP2, p2)
 		}
 		e.entryIdx = append(e.entryIdx, idx)
 	}
 	// All inserts for this batch are done, so the entries slice is
 	// stable while the jobs are filled (possibly concurrently).
-	if len(e.workers) > 0 && len(e.jobs) > 1 {
-		// Fixed worker pool pulling job indices from an atomic
-		// counter: each worker keeps its own evaluation state for the
-		// whole generation, and results land at their entry, so
-		// scheduling order cannot influence the outcome.
-		var next atomic.Int64
+	e.nextJob.Store(0)
+	if len(e.views) > 1 && len(e.jobs) > 1 {
 		var wg sync.WaitGroup
-		for w := 0; w < len(e.workers) && w < len(e.jobs); w++ {
+		for w := 0; w < len(e.views) && w < len(e.jobs); w++ {
 			wg.Add(1)
-			go func(p Problem, dp DeltaProblem, ip IntoProblem, dip DeltaIntoProblem) {
+			go func(view Problem) {
 				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(e.jobs) {
-						return
-					}
-					ent := &e.cache.entries[e.jobs[i]]
-					switch {
-					case dip != nil && e.jobP1[i] != nil:
-						ent.violation = dip.EvaluateDeltaObjsInto(ent.objs, ent.key, e.jobP1[i], e.jobP2[i], int(e.jobGene[i]))
-					case dp != nil && e.jobP1[i] != nil:
-						ent.objs, ent.violation = dp.EvaluateDelta(ent.key, e.jobP1[i], e.jobP2[i], int(e.jobGene[i]))
-					case ip != nil:
-						ent.violation = ip.EvaluateObjsInto(ent.objs, ent.key)
-					default:
-						ent.objs, ent.violation = p.Evaluate(ent.key)
-					}
-				}
-			}(e.workers[w], e.deltaW[w], e.intoW[w], e.deltaIntoW[w])
+				e.fillJobs(view)
+			}(e.views[w])
 		}
 		wg.Wait()
 	} else {
-		for i, ji := range e.jobs {
-			ent := &e.cache.entries[ji]
-			switch {
-			case e.deltaIntoP != nil && e.jobP1[i] != nil:
-				ent.violation = e.deltaIntoP.EvaluateDeltaObjsInto(ent.objs, ent.key, e.jobP1[i], e.jobP2[i], int(e.jobGene[i]))
-			case e.deltaP != nil && e.jobP1[i] != nil:
-				ent.objs, ent.violation = e.deltaP.EvaluateDelta(ent.key, e.jobP1[i], e.jobP2[i], int(e.jobGene[i]))
-			case e.intoP != nil:
-				ent.violation = e.intoP.EvaluateObjsInto(ent.objs, ent.key)
-			default:
-				ent.objs, ent.violation = e.p.Evaluate(ent.key)
-			}
-		}
+		e.fillJobs(e.views[0])
 	}
 	for i, g := range genomes {
 		e.evals++
@@ -526,10 +446,24 @@ func (e *Engine) evaluateBatch(genomes [][]byte, meta []offMeta, out []Individua
 	}
 }
 
+// fillJobs evaluates batch jobs through one view until none are left.
+// Each view pulls job indices from the shared atomic counter and keeps
+// its own evaluation state for the whole batch; results land at their
+// entry, so scheduling order cannot influence the outcome.
+func (e *Engine) fillJobs(view Problem) {
+	for {
+		i := int(e.nextJob.Add(1)) - 1
+		if i >= len(e.jobs) {
+			return
+		}
+		ent := &e.cache.entries[e.jobs[i]]
+		ent.violation = view.EvaluateInto(ent.objs, ent.key, e.jobP1[i], e.jobP2[i])
+	}
+}
+
 // makeOffspring builds PopSize children by binary tournament,
 // two-point crossover and mutation into the offspring slab, recording
-// each offspring's provenance (mating parents; flipped gene for pure
-// single-gene mutants) for the delta-aware evaluation fan-out. The
+// each offspring's mating parents for the evaluation hints. The
 // genetic operators run serially (they consume the engine's PRNG);
 // evaluation is batched.
 func (e *Engine) makeOffspring() []Individual {
@@ -541,20 +475,14 @@ func (e *Engine) makeOffspring() []Individual {
 		c1, c2 := e.offRow(n), e.offRow(n+1)
 		copy(c1, p1.Genome)
 		copy(c2, p2.Genome)
-		crossed := false
 		if e.rng.Float64() < e.cfg.CrossoverProb {
-			crossed = e.twoPointCrossover(c1, c2)
+			e.twoPointCrossover(c1, c2)
 		}
-		g1 := e.mutate(c1)
-		g2 := e.mutate(c2)
-		if crossed {
-			// A real (non-no-op) crossover mixes rows from both
-			// parents: the children are not single-gene mutants.
-			g1, g2 = -1, -1
-		}
+		e.mutate(c1)
+		e.mutate(c2)
 		e.offMeta = append(e.offMeta,
-			offMeta{p1: p1.Genome, p2: p2.Genome, gene: g1},
-			offMeta{p1: p2.Genome, p2: p1.Genome, gene: g2})
+			offMeta{p1: p1.Genome, p2: p2.Genome},
+			offMeta{p1: p2.Genome, p2: p1.Genome})
 		e.rowRefs = append(e.rowRefs, c1, c2)
 	}
 	e.evaluateBatch(e.rowRefs, e.offMeta, e.offBuf)
@@ -586,50 +514,31 @@ func (e *Engine) tournament() Individual {
 }
 
 // twoPointCrossover exchanges the gene range [x,y] of the two
-// chromosomes (the paper's operator) and reports whether any gene
-// actually changed — a swap of identical ranges (common once the
-// population converges) is a no-op, and its children remain pure
-// mutants of their copy parents.
-func (e *Engine) twoPointCrossover(a, b []byte) bool {
+// chromosomes (the paper's operator).
+func (e *Engine) twoPointCrossover(a, b []byte) {
 	n := len(a)
 	x, y := e.rng.Intn(n), e.rng.Intn(n)
 	if x > y {
 		x, y = y, x
 	}
-	changed := false
 	for i := x; i <= y; i++ {
-		if a[i] != b[i] {
-			changed = true
-		}
 		a[i], b[i] = b[i], a[i]
 	}
-	return changed
 }
 
-// mutate applies the configured mutation operator in place and
-// returns the flipped gene index when exactly one gene changed (the
-// paper's single-gene inversion always qualifies), or -1.
-func (e *Engine) mutate(g []byte) int32 {
+// mutate applies the configured mutation operator in place.
+func (e *Engine) mutate(g []byte) {
 	if e.cfg.PerBitMutation > 0 {
-		flipped, count := -1, 0
 		for i := range g {
 			if e.rng.Float64() < e.cfg.PerBitMutation {
 				g[i] ^= 1
-				flipped = i
-				count++
 			}
 		}
-		if count == 1 {
-			return int32(flipped)
-		}
-		return -1
+		return
 	}
 	if e.rng.Float64() < e.cfg.MutationProb {
-		i := e.rng.Intn(len(g))
-		g[i] ^= 1
-		return int32(i)
+		g[e.rng.Intn(len(g))] ^= 1
 	}
-	return -1
 }
 
 // surviveInto performs the elitist (mu + lambda) selection over the
@@ -1348,9 +1257,9 @@ func (s *frontSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 // evaluations were served (dedup cache, warm lookup, or the problem's
 // kernels, split by path when the problem implements StatsProblem) and
 // how many pairwise dominance relations the ranking compared. The
-// counters observe the new incremental paths' engagement; they are NOT
-// part of the reproducibility contract — kernel-path splits depend on
-// worker scheduling and warm-cache state.
+// counters observe the incremental paths' engagement; they are NOT
+// part of the reproducibility contract — with Workers > 1 the
+// kernel-path split depends on which view evaluated which genome.
 type Stats struct {
 	// Evaluations and CacheHits mirror the run counters: total genome
 	// evaluations requested, and how many were served by the dedup

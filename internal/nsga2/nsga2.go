@@ -31,63 +31,27 @@ type Problem interface {
 	GenomeLen() int
 	// NumObjectives is the dimension of the objective vector.
 	NumObjectives() int
-	// Evaluate maps a genome to its objective vector (minimized) and
-	// a constraint-violation magnitude: 0 means feasible, larger
-	// values mean "more broken". Deb's constraint domination uses the
+	// EvaluateInto writes genome's objective vector (minimized) into
+	// dst (len NumObjectives, an engine-arena row) and returns its
+	// constraint-violation magnitude: 0 means feasible, larger values
+	// mean "more broken". Deb's constraint domination uses the
 	// magnitude to give the search a gradient toward feasibility even
-	// from an all-infeasible population. Implementations must be
-	// deterministic, must not retain or mutate the genome slice, and
-	// must return exactly NumObjectives objective values.
-	Evaluate(genome []byte) (objs []float64, violation float64)
-}
-
-// DeltaProblem is the incremental-evaluation hook: problems that can
-// evaluate an offspring faster by exploiting its similarity to a
-// mating parent implement it, and the engine routes every distinct
-// new offspring through EvaluateDelta with the variation pipeline's
-// provenance record. Implementations MUST return results bit-for-bit
-// identical to Evaluate(genome) — the delta path is a pure
-// optimization, never a semantic switch — and fall back to a full
-// evaluation internally when they cannot exploit the hint.
-//
-// When the problem also implements PerWorkerProblem, each worker view
-// returned by NewWorker may itself implement DeltaProblem; workers
-// whose views do not are routed through plain Evaluate.
-type DeltaProblem interface {
-	Problem
-	// EvaluateDelta evaluates genome knowing it was produced by the
-	// variation pipeline from parent1 (its copy source) and parent2
-	// (its mate; may equal parent1's genome). gene >= 0 records a pure
-	// single-gene mutant: genome equals parent1 with exactly that gene
-	// flipped (crossover skipped or a no-op swap). Either parent may
-	// be nil. The same retention rules as Evaluate apply.
-	EvaluateDelta(genome, parent1, parent2 []byte, gene int) (objs []float64, violation float64)
-}
-
-// IntoProblem is an optional Problem extension for allocation-free
-// objective write-out: EvaluateObjsInto writes the objective vector
-// into dst (len NumObjectives, an engine-arena row carved at cache-
-// insert time) and returns the violation. Results MUST be bit-for-bit
-// identical to Evaluate(genome) — the into path only changes where
-// the floats land, never their values. Implementations must not
-// retain dst or the genome slice past the call.
-type IntoProblem interface {
-	Problem
-	EvaluateObjsInto(dst []float64, genome []byte) (violation float64)
-}
-
-// DeltaIntoProblem combines the delta and write-into extensions: the
-// engine only routes through it when the problem (and worker view)
-// also implements IntoProblem. Same equivalence contract as
-// EvaluateDelta.
-type DeltaIntoProblem interface {
-	DeltaProblem
-	EvaluateDeltaObjsInto(dst []float64, genome, parent1, parent2 []byte, gene int) (violation float64)
+	// from an all-infeasible population.
+	//
+	// parent1 and parent2 are the variation record: the offspring's
+	// copy source and its mate (either may equal the other), nil for
+	// the initial population and injected genomes. They are hints for
+	// an incremental evaluation only — results MUST be a pure,
+	// deterministic function of genome, bit-for-bit. Implementations
+	// must not retain or mutate dst, genome or the parents past the
+	// call.
+	EvaluateInto(dst []float64, genome, parent1, parent2 []byte) (violation float64)
 }
 
 // EvalStats is a problem-side split of how evaluations were served:
-// full kernel runs, single-gene delta replays, few-row (near) delta
-// replays off one parent, and two-parent crossover delta replays.
+// full kernel runs, one-row delta replays (every single-gene mutant),
+// few-row (near) delta replays off one parent, and two-parent
+// crossover delta replays.
 type EvalStats struct {
 	Full       int64
 	GeneDelta  int64
@@ -97,23 +61,23 @@ type EvalStats struct {
 
 // StatsProblem is an optional Problem extension: problems that can
 // distinguish their evaluation kernel paths implement it, and
-// Engine.Stats surfaces the split. Counts are observability only —
-// they may depend on worker scheduling and cache state and are not
-// part of the reproducibility contract.
+// Engine.Stats surfaces the split. Counts are observability only:
+// with Workers > 1 they depend on which view evaluated which genome,
+// so they are not part of the reproducibility contract.
 type StatsProblem interface {
 	EvalStats() EvalStats
 }
 
-// PerWorkerProblem is the scaling hook for problems whose evaluation
-// benefits from per-goroutine state (scratch buffers, metric shards).
-// When Workers > 1 and the problem implements it, the engine calls
-// NewWorker once per worker goroutine at the start of Run and routes
-// every evaluation through the worker problems — so Evaluate
-// implementations need no internal locking and no shared mutable
-// state. Each worker problem is used by exactly one goroutine at a
-// time; the worker problems of one run are used concurrently with
-// each other. Results must be bit-for-bit identical to the parent's
-// Evaluate.
+// PerWorkerProblem is the hook for problems whose evaluation benefits
+// from per-goroutine state (scratch buffers, incremental-evaluation
+// caches, metric shards). When the problem implements it, the engine
+// calls NewWorker once per evaluation goroutine — once for a serial
+// run — when it is built, and routes every evaluation through those
+// views, so EvaluateInto implementations need no internal locking and
+// no shared mutable state. Each view is used by exactly one goroutine
+// at a time; the views of one engine are used concurrently with each
+// other. Results must be bit-for-bit identical to the parent's
+// EvaluateInto.
 type PerWorkerProblem interface {
 	Problem
 	// NewWorker returns an evaluation view for exclusive use by one
@@ -162,7 +126,7 @@ type Config struct {
 	// serial one (operators, caching order and counters are
 	// unaffected). Problems implementing PerWorkerProblem get one
 	// private evaluation view per goroutine and need no locking;
-	// plain Problems must make Evaluate safe for concurrent calls.
+	// plain Problems must make EvaluateInto safe for concurrent calls.
 	Workers int
 	// Seed drives the engine's private PRNG; runs are reproducible.
 	Seed int64
@@ -173,10 +137,11 @@ type Config struct {
 	// WarmLookup, when non-nil, is consulted once per evaluation-cache
 	// miss, before the problem is asked: ok = true resolves the new
 	// genotype with the returned vector and skips its evaluation
-	// entirely. The returned values MUST equal what Evaluate(genome)
-	// would return bit-for-bit (a campaign seeds this from a completed
-	// sibling run's checkpointed cache — evaluation is deterministic,
-	// so the equality holds by construction); anything else silently
+	// entirely. The returned values MUST equal what EvaluateInto
+	// would produce for genome bit-for-bit (a campaign seeds this from
+	// a completed sibling run's checkpointed cache — evaluation is
+	// deterministic, so the equality holds by construction); anything
+	// else silently
 	// diverges the run. Counters, cache insertion order, the archive
 	// and all results are identical with or without the hook — only
 	// evaluation work is skipped. The engine interns the returned objs

@@ -16,8 +16,10 @@ type funcProblem struct {
 
 func (p funcProblem) GenomeLen() int     { return p.n }
 func (p funcProblem) NumObjectives() int { return p.m }
-func (p funcProblem) Evaluate(g []byte) ([]float64, float64) {
-	return p.eval(g)
+func (p funcProblem) EvaluateInto(dst []float64, g, _, _ []byte) float64 {
+	objs, violation := p.eval(g)
+	copy(dst, objs)
+	return violation
 }
 
 func countOnes(g []byte) int {
@@ -499,6 +501,22 @@ type perWorkerProblem struct {
 	parentUsed int // evaluations through the shared problem itself
 }
 
+// hintedProblem counts the evaluations the engine handed a variation
+// record (both parents) and those it handed none.
+type hintedProblem struct {
+	funcProblem
+	withParents, without int
+}
+
+func (p *hintedProblem) EvaluateInto(dst []float64, g, p1, p2 []byte) float64 {
+	if p1 != nil && p2 != nil {
+		p.withParents++
+	} else {
+		p.without++
+	}
+	return p.funcProblem.EvaluateInto(dst, g, p1, p2)
+}
+
 type countingWorker struct {
 	funcProblem
 	evals int
@@ -512,27 +530,41 @@ func (p *perWorkerProblem) NewWorker() Problem {
 	return w
 }
 
-func (p *perWorkerProblem) Evaluate(g []byte) ([]float64, float64) {
+func (p *perWorkerProblem) EvaluateInto(dst []float64, g, p1, p2 []byte) float64 {
 	p.mu.Lock()
 	p.parentUsed++
 	p.mu.Unlock()
-	return p.funcProblem.Evaluate(g)
+	return p.funcProblem.EvaluateInto(dst, g, p1, p2)
 }
 
-func (w *countingWorker) Evaluate(g []byte) ([]float64, float64) {
+func (w *countingWorker) EvaluateInto(dst []float64, g, p1, p2 []byte) float64 {
 	// No lock: the engine promises exclusive use; the race detector
 	// polices the promise.
 	w.evals++
-	return w.funcProblem.Evaluate(g)
+	return w.funcProblem.EvaluateInto(dst, g, p1, p2)
 }
 
 // TestPerWorkerProblemViewsAreUsed proves the engine builds one view
-// per worker, routes the parallel evaluations through them, and still
-// reproduces the serial run exactly.
+// per worker — one for a serial run — routes every evaluation through
+// them, and still reproduces the plain serial run exactly.
 func TestPerWorkerProblemViewsAreUsed(t *testing.T) {
 	serial, err := Run(twoMin(14), Config{PopSize: 24, Generations: 12, Seed: 6, ArchiveAll: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	ps := &perWorkerProblem{funcProblem: twoMin(14)}
+	viaView, err := Run(ps, Config{PopSize: 24, Generations: 12, Seed: 6, ArchiveAll: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ps.workers) != 1 || ps.parentUsed != 0 || ps.workers[0].evals != viaView.DistinctEvaluated {
+		t.Fatalf("serial run: %d views, %d parent evaluations, view saw %d of %d distinct; want 1 view serving all",
+			len(ps.workers), ps.parentUsed, ps.workers[0].evals, viaView.DistinctEvaluated)
+	}
+	for i := range serial.Final {
+		if string(serial.Final[i].Genome) != string(viaView.Final[i].Genome) {
+			t.Fatal("serial run through a view diverges from the plain run")
+		}
 	}
 	p := &perWorkerProblem{funcProblem: twoMin(14)}
 	parallel, err := Run(p, Config{PopSize: 24, Generations: 12, Seed: 6, ArchiveAll: true, Workers: 4})
@@ -547,10 +579,9 @@ func TestPerWorkerProblemViewsAreUsed(t *testing.T) {
 		workerEvals += w.evals
 	}
 	// Every distinct genome is evaluated exactly once, through a
-	// worker view for multi-job batches or through the shared problem
-	// for single-job ones.
-	if workerEvals == 0 {
-		t.Fatal("no evaluations were routed through the worker views")
+	// worker view; the shared problem is never asked.
+	if p.parentUsed != 0 {
+		t.Fatalf("%d evaluations bypassed the worker views", p.parentUsed)
 	}
 	if workerEvals+p.parentUsed != parallel.DistinctEvaluated {
 		t.Fatalf("workers saw %d evaluations + parent %d, engine reports %d distinct",
@@ -585,6 +616,39 @@ func TestWorkersWithoutFactoryStillWork(t *testing.T) {
 	for i := range serial.Final {
 		if string(serial.Final[i].Genome) != string(parallel.Final[i].Genome) {
 			t.Fatal("plain problem parallel run diverges")
+		}
+	}
+}
+
+// TestEvaluateIntoParentHints pins the variation record: the initial
+// population is evaluated without parents, every offspring with both,
+// and the hints do not change the run.
+func TestEvaluateIntoParentHints(t *testing.T) {
+	cfg := Config{PopSize: 16, Generations: 6, Seed: 9, ArchiveAll: true}
+	p := &hintedProblem{funcProblem: twoMin(12)}
+	e, err := NewEngine(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := len(e.cache.entries)
+	if p.withParents != 0 || p.without != initial {
+		t.Fatalf("initial population: %d hinted, %d plain evaluations, want 0 and %d", p.withParents, p.without, initial)
+	}
+	for g := 0; g < cfg.Generations; g++ {
+		e.Step()
+	}
+	hinted := e.Result()
+	if p.without != initial || p.withParents != hinted.DistinctEvaluated-initial {
+		t.Fatalf("offspring: %d hinted, %d plain evaluations, want %d and %d",
+			p.withParents, p.without-initial, hinted.DistinctEvaluated-initial, 0)
+	}
+	plain, err := Run(twoMin(12), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range plain.Archive {
+		if string(plain.Archive[i].Genome) != string(hinted.Archive[i].Genome) {
+			t.Fatal("archive diverges with parent hints")
 		}
 	}
 }

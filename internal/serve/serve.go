@@ -50,7 +50,31 @@ const (
 	// the serving defaults (pop 80 × 60) 0.66 MB, and a paper-scale
 	// run (pop 400 × 300) 14.6 MB at its last step.
 	maxBodyBytes = 32 << 20
+
+	// Request ceilings: an optimize or campaign request (or session
+	// token) asking for more is a 400, like any other request that
+	// does not resolve. They admit paper scale (pop 400 × 300
+	// generations) and keep the largest session token those allow
+	// — its archive grows with pop × generations — under
+	// maxBodyBytes, so every session the daemon hands out can come
+	// back.
+	maxPop         = 400
+	maxGenerations = 400
+	maxReplicates  = 32
 )
+
+// checkCeilings rejects run sizes over the serving ceilings.
+func checkCeilings(pop, generations, replicates int) error {
+	switch {
+	case pop > maxPop:
+		return fmt.Errorf("pop %d exceeds the serving ceiling %d", pop, maxPop)
+	case generations > maxGenerations:
+		return fmt.Errorf("generations %d exceeds the serving ceiling %d", generations, maxGenerations)
+	case replicates > maxReplicates:
+		return fmt.Errorf("replicates %d exceeds the serving ceiling %d", replicates, maxReplicates)
+	}
+	return nil
+}
 
 // Config describes the daemon: which instances to build and how
 // many requests to admit.
@@ -91,8 +115,8 @@ type instKey struct {
 }
 
 // instance is one shared read-only evaluation context plus its
-// serving gear: a delta-enabled evaluator pool and a single
-// lock-guarded evaluator for the NoBatch baseline.
+// serving gear: an evaluator pool and a single lock-guarded evaluator
+// for the NoBatch baseline.
 type instance struct {
 	key  instKey
 	in   *alloc.Instance
@@ -126,7 +150,6 @@ func (inst *instance) evaluateSerial(g alloc.Genome, out *alloc.Eval) error {
 		if err != nil {
 			return err
 		}
-		ev.EnableDeltaCache(0)
 		inst.ev = ev
 	}
 	inst.ev.EvaluateInto(out, g)
@@ -189,7 +212,7 @@ func NewServer(cfg Config) (*Server, error) {
 					return nil, fmt.Errorf("serve: instance (%s, %s, NW=%d): %w", wl, backend, nw, err)
 				}
 				key := instKey{backend: backend, workload: wl, nw: nw}
-				s.instances[key] = &instance{key: key, in: in, pool: alloc.NewEvaluatorPool(in, true)}
+				s.instances[key] = &instance{key: key, in: in, pool: alloc.NewEvaluatorPool(in)}
 				s.order = append(s.order, key)
 			}
 		}
@@ -480,7 +503,7 @@ func resolveOptimize(req OptimizeRequest) (sessionMeta, error) {
 	if meta.Seed == 0 {
 		meta.Seed = defaultSeed
 	}
-	return meta, nil
+	return meta, checkCeilings(meta.Pop, meta.Generations, 0)
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
@@ -493,6 +516,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if req.Session != "" {
 		var err error
 		meta, checkpoint, err = decodeSession(req.Session)
+		if err == nil {
+			// The token's integrity check is a CRC, not a signature:
+			// hold its run size to the same ceilings as a fresh request.
+			err = checkCeilings(meta.Pop, meta.Generations, 0)
+		}
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 			return
@@ -698,6 +726,9 @@ func (s *Server) campaignConfig(req CampaignRequest) (expt.CampaignConfig, error
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = defaultSeed
+	}
+	if err := checkCeilings(cfg.Pop, cfg.Generations, cfg.Replicates); err != nil {
+		return cfg, err
 	}
 	known := make(map[string]bool)
 	for _, b := range core.Backends() {

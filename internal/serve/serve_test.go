@@ -351,6 +351,45 @@ func flip(c byte) string {
 // TestOptimizeDraining: after BeginDrain an optimize request must
 // checkpoint immediately instead of exploring, and the token must
 // resume on a healthy server.
+// TestRunSizeCeilings pins the serving ceilings: a run size over a
+// cap is refused with the 400 every unresolvable request gets, on
+// optimize, on a forged session token and on campaign, while paper
+// scale still resolves.
+func TestRunSizeCeilings(t *testing.T) {
+	_, ts := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}})
+	forged, err := encodeSession(sessionMeta{Workload: "paper", Backend: "ring", NW: 8, Objectives: "teb",
+		Pop: maxPop + 2, Generations: 10, Seed: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, path string
+		req        any
+	}{
+		{"optimize nw", "/v1/optimize", OptimizeRequest{NW: 0}},
+		{"optimize pop", "/v1/optimize", OptimizeRequest{NW: 8, Pop: maxPop + 2}},
+		{"optimize generations", "/v1/optimize", OptimizeRequest{NW: 8, Generations: maxGenerations + 1}},
+		{"session pop", "/v1/optimize", OptimizeRequest{Session: forged}},
+		{"campaign pop", "/v1/campaign", CampaignRequest{NWs: []int{4}, Pop: maxPop + 2}},
+		{"campaign generations", "/v1/campaign", CampaignRequest{NWs: []int{4}, Generations: maxGenerations + 1}},
+		{"campaign replicates", "/v1/campaign", CampaignRequest{NWs: []int{4}, Replicates: maxReplicates + 1}},
+	}
+	for _, tc := range cases {
+		code, body := post(t, ts.URL+tc.path, tc.req)
+		var er ErrorResponse
+		if code != http.StatusBadRequest || json.Unmarshal(body, &er) != nil || er.Error == "" {
+			t.Errorf("%s: status %d, want 400 with a structured error: %.200s", tc.name, code, body)
+		}
+	}
+	if _, err := resolveOptimize(OptimizeRequest{NW: 8, Pop: 400, Generations: 300}); err != nil {
+		t.Errorf("paper-scale optimize refused: %v", err)
+	}
+	s := &Server{}
+	if _, err := s.campaignConfig(CampaignRequest{Pop: 400, Generations: 300, Replicates: maxReplicates}); err != nil {
+		t.Errorf("paper-scale campaign refused: %v", err)
+	}
+}
+
 func TestOptimizeDraining(t *testing.T) {
 	s, ts := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}})
 	s.BeginDrain()
