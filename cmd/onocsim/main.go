@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strconv"
@@ -49,13 +50,14 @@ func main() {
 		explain = flag.Bool("explain", false, "print the full per-wavelength link budget")
 	)
 	flag.Parse()
-	if err := run(*appPath, *nw, *counts, *genome, *policy, *seed, *latency, *width, *explain); err != nil {
+	if err := run(os.Stdout, *appPath, *nw, *counts, *genome, *policy, *seed, *latency, *width, *explain); err != nil {
 		fmt.Fprintf(os.Stderr, "onocsim: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(appPath string, nw int, countsStr, genomeStr, policyStr string, seed, latency int64, width int, explain bool) error {
+// run executes one simulation and writes its report to w.
+func run(w io.Writer, appPath string, nw int, countsStr, genomeStr, policyStr string, seed, latency int64, width int, explain bool) error {
 	app, m, err := loadApp(appPath)
 	if err != nil {
 		return err
@@ -91,27 +93,27 @@ func run(appPath string, nw int, countsStr, genomeStr, policyStr string, seed, l
 	}
 
 	ev := in.Evaluate(g)
-	fmt.Printf("allocation %v  (chromosome %s)\n", ev.Counts, g)
+	fmt.Fprintf(w, "allocation %v  (chromosome %s)\n", ev.Counts, g)
 	if !ev.Valid {
 		return fmt.Errorf("allocation invalid: %s", ev.Reason())
 	}
-	fmt.Printf("analytic:  time %.3f k-cc   bit energy %.3f fJ/bit   mean BER %.3e (log10 %.2f)\n",
+	fmt.Fprintf(w, "analytic:  time %.3f k-cc   bit energy %.3f fJ/bit   mean BER %.3e (log10 %.2f)\n",
 		ev.TimeKCC(), ev.BitEnergyFJ, ev.MeanBER, ev.Log10MeanBER())
 
 	res, err := sim.Run(in, g, sim.Options{LatencyPerHopCycles: latency})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("simulated: time %.3f k-cc   laser energy %.1f fJ   violations %d\n\n",
+	fmt.Fprintf(w, "simulated: time %.3f k-cc   laser energy %.1f fJ   violations %d\n\n",
 		float64(res.MakespanCycles)/1000, res.LaserFJ, len(res.Violations))
 	for _, v := range res.Violations {
-		fmt.Printf("  VIOLATION: %s\n", v)
+		fmt.Fprintf(w, "  VIOLATION: %s\n", v)
 	}
-	fmt.Print(sim.Gantt(in, res, width))
+	fmt.Fprint(w, sim.Gantt(in, res, width))
 
-	fmt.Printf("\nper-communication detail:\n")
+	fmt.Fprintf(w, "\nper-communication detail:\n")
 	for e := range app.Edges {
-		fmt.Printf("  %-4s %2d->%-2d  %5.0f bits on %d lambda  window [%d,%d)  BER %.2e  %.1f fJ\n",
+		fmt.Fprintf(w, "  %-4s %2d->%-2d  %5.0f bits on %d lambda  window [%d,%d)  BER %.2e  %.1f fJ\n",
 			app.Edges[e].Name, in.SrcCore(e), in.DstCore(e), app.Edges[e].VolumeBits,
 			ev.Counts[e], res.CommStart[e], res.CommEnd[e], ev.CommBER[e], ev.CommEnergyFJ[e])
 	}
@@ -120,7 +122,7 @@ func run(appPath string, nw int, countsStr, genomeStr, policyStr string, seed, l
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\n%s", ex)
+		fmt.Fprintf(w, "\n%s", ex)
 	}
 	return nil
 }

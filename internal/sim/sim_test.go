@@ -3,10 +3,12 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/crossbar"
 	"repro/internal/energy"
 	"repro/internal/graph"
 	"repro/internal/ring"
@@ -120,24 +122,66 @@ func TestSimRejectsInvalidGenome(t *testing.T) {
 }
 
 func TestSimUncheckedDetectsConflict(t *testing.T) {
-	// c2 and c4 overlap in time and share segments; putting both on
-	// channel 2 must produce a detected double-booking in unchecked
-	// mode.
-	in := mustInstance(t, 8)
-	sets := [][]int{{0}, {1}, {2}, {3}, {2}, {5}}
-	g, err := alloc.FromSets(sets, 8)
+	// Unchecked runs of conflicting genomes must report every
+	// double-booked (resource, channel) pair, resource-major then
+	// channel, in the fabric's own vocabulary. The slices are pinned
+	// whole: wording and order are part of the output (onocsim prints
+	// them verbatim).
+	x, err := crossbar.New(crossbar.DefaultConfig(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(in, g, Options{Unchecked: true})
+	// T4 shares T5's core, so on the crossbar c0 (12->15) and c3
+	// (13->15) ride destination 15's waveguide during the same window.
+	xin, err := alloc.NewInstance(x, graph.PaperApp(), graph.Mapping{12, 1, 5, 13, 15, 15}, 1, energy.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) == 0 {
-		t.Fatal("conflicting genome must trip the occupancy checker")
-	}
-	if !strings.Contains(res.Violations[0], "channel 2") {
-		t.Errorf("violation = %q", res.Violations[0])
+	cases := []struct {
+		name string
+		in   *alloc.Instance
+		sets [][]int
+		want []string
+	}{{
+		// c2 and c4 overlap in time and share segments; both on
+		// channel 2.
+		name: "ring",
+		in:   mustInstance(t, 8),
+		sets: [][]int{{0}, {1}, {2}, {3}, {2}, {5}},
+		want: []string{
+			"segment 5 channel 2 double-booked: c2 [18000,22000) vs c4 [18000,26000)",
+			"segment 6 channel 2 double-booked: c2 [18000,22000) vs c4 [18000,26000)",
+			"segment 7 channel 2 double-booked: c2 [18000,22000) vs c4 [18000,26000)",
+			"segment 8 channel 2 double-booked: c2 [18000,22000) vs c4 [18000,26000)",
+			"segment 9 channel 2 double-booked: c2 [18000,22000) vs c4 [18000,26000)",
+		},
+	}, {
+		name: "crossbar",
+		in:   xin,
+		sets: [][]int{{0, 6}, {1}, {2}, {0, 6}, {4}, {}},
+		want: []string{
+			"hop 253 channel 0 double-booked: c0 [5000,8000) vs c3 [5000,8000)",
+			"hop 253 channel 6 double-booked: c0 [5000,8000) vs c3 [5000,8000)",
+			"hop 254 channel 0 double-booked: c0 [5000,8000) vs c3 [5000,8000)",
+			"hop 254 channel 6 double-booked: c0 [5000,8000) vs c3 [5000,8000)",
+			"hop 255 channel 0 double-booked: c0 [5000,8000) vs c3 [5000,8000)",
+			"hop 255 channel 6 double-booked: c0 [5000,8000) vs c3 [5000,8000)",
+		},
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := alloc.FromSets(c.sets, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(c.in, g, Options{Unchecked: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Violations, c.want) {
+				t.Errorf("violations:\n got %q\nwant %q", res.Violations, c.want)
+			}
+		})
 	}
 }
 
