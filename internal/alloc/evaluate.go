@@ -150,7 +150,7 @@ func (in *Instance) Evaluate(g Genome) Eval {
 // itself) is dropping ch at oni on e's lane. Each lane carries its
 // own bank (physically separate media), so receivers on other lanes
 // never appear in e's view.
-func (in *Instance) bankFor(e int, s *sched.Schedule, sets [][]int) fabric.BankState {
+func (in *Instance) bankFor(e int, s *sched.Schedule, sets [][]int) *fabric.Bank {
 	nw := in.Channels()
 	bank := fabric.NewBank(in.fab.Size(), nw)
 	for o := 0; o < in.Edges(); o++ {

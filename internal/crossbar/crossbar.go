@@ -32,7 +32,7 @@
 //     receiver.
 //
 // The receiver bank at the destination is walked dynamically against
-// the allocation layer's BankState, exactly like the ring (shared
+// the allocation layer's *fabric.Bank, exactly like the ring (shared
 // fabric.BankWalkDB), so intra- and inter-communication crosstalk at
 // the victim receiver use identical MR-state semantics.
 package crossbar
@@ -170,7 +170,7 @@ func (x *Crossbar) PathBetween(src, dst int) (fabric.Path, error) {
 // banks are modelled in their OFF through state (first order — an ON
 // modulator belongs to a transmission on a disjoint wavelength set,
 // whose through-loss difference is second order).
-func (x *Crossbar) TransitLossDB(p fabric.Path, ch int, bank fabric.BankState) phys.DB {
+func (x *Crossbar) TransitLossDB(p fabric.Path, ch int, bank *fabric.Bank) phys.DB {
 	par := x.cfg.Params
 	hops := p.Hops() // N - src
 	if hops == 0 {
@@ -199,7 +199,7 @@ func (x *Crossbar) layerOf(d int) int { return d % x.cfg.Layers }
 // SignalArrivalDB implements fabric.Fabric: static transit plus the
 // dynamic receiver-bank walk at the destination and the final drop
 // into the resonant micro-ring.
-func (x *Crossbar) SignalArrivalDB(p fabric.Path, ch int, bank fabric.BankState) phys.DB {
+func (x *Crossbar) SignalArrivalDB(p fabric.Path, ch int, bank *fabric.Bank) phys.DB {
 	loss := x.TransitLossDB(p, ch, bank)
 	loss += fabric.BankWalkDB(x.cfg.Params, p.Dst, ch, ch, bank)
 	loss += phys.DropLossDB(x.cfg.Params, phys.MRState(bank.On(p.Dst, ch)))
@@ -210,7 +210,7 @@ func (x *Crossbar) SignalArrivalDB(p fabric.Path, ch int, bank fabric.BankState)
 // only ever reaches its own destination's receiver (the path crosses
 // no other bank), so det must be p.Dst; any other det is the "not
 // downstream" error, which crosstalk scans treat as no coupling.
-func (x *Crossbar) ArrivalAlongDB(p fabric.Path, det, ch, detCh int, bank fabric.BankState) (phys.DB, error) {
+func (x *Crossbar) ArrivalAlongDB(p fabric.Path, det, ch, detCh int, bank *fabric.Bank) (phys.DB, error) {
 	prefix := p
 	if det != p.Dst {
 		var err error
@@ -230,7 +230,7 @@ func (x *Crossbar) ArrivalAlongDB(p fabric.Path, det, ch, detCh int, bank fabric
 }
 
 // DetectorArrivalDB implements fabric.Fabric.
-func (x *Crossbar) DetectorArrivalDB(src, det, ch, detCh int, bank fabric.BankState) (phys.DB, error) {
+func (x *Crossbar) DetectorArrivalDB(src, det, ch, detCh int, bank *fabric.Bank) (phys.DB, error) {
 	p, err := x.PathBetween(src, det)
 	if err != nil {
 		return 0, err

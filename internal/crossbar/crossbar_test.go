@@ -50,7 +50,7 @@ func TestTransitLossOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := float64(x.TransitLossDB(p, 0, fabric.AllOff))
+			got := float64(x.TransitLossDB(p, 0, fabric.NewBank(x.Size(), x.Channels())))
 			want := closedForm(s, d)
 			if math.Abs(got-want) > 1e-12 {
 				t.Errorf("TransitLossDB(%d->%d) = %.6f dB, closed form %.6f dB", s, d, got, want)
@@ -144,7 +144,7 @@ func TestPathStructure(t *testing.T) {
 	}
 	// Self paths never enter the optical layer.
 	self := fabric.SelfPath(2)
-	if x.TransitLossDB(self, 0, fabric.AllOff) != 0 {
+	if x.TransitLossDB(self, 0, fabric.NewBank(x.Size(), x.Channels())) != 0 {
 		t.Error("self path accrues transit loss")
 	}
 }
@@ -164,14 +164,15 @@ func TestSignalArrivalComposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := 2
-	transit := x.TransitLossDB(p, ch, fabric.AllOff)
+	off := fabric.NewBank(x.Size(), x.Channels())
+	transit := x.TransitLossDB(p, ch, off)
 
 	// All-off: walk rings 0..ch-1 in OFF state, then the off-state
 	// drop into the detuned detector ring.
 	wantOff := transit +
 		phys.DB(ch)*par.LossOffMR +
 		phys.DropLossDB(par, phys.MROff)
-	if got := x.SignalArrivalDB(p, ch, fabric.AllOff); math.Abs(float64(got-wantOff)) > 1e-12 {
+	if got := x.SignalArrivalDB(p, ch, off); math.Abs(float64(got-wantOff)) > 1e-12 {
 		t.Errorf("all-off arrival %.6f, want %.6f", got, wantOff)
 	}
 
@@ -188,7 +189,7 @@ func TestSignalArrivalComposition(t *testing.T) {
 	// DetectorArrivalDB composes PathBetween + ArrivalAlongDB; the
 	// crosstalk leak of a neighbouring channel uses the Lorentzian
 	// grid term.
-	leak, err := x.DetectorArrivalDB(0, 1, ch, ch+1, fabric.AllOff)
+	leak, err := x.DetectorArrivalDB(0, 1, ch, ch+1, off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestSignalArrivalComposition(t *testing.T) {
 
 	// A detector the path never reaches is the "not downstream" error
 	// — the crosstalk scans treat it as no coupling.
-	if _, err := x.ArrivalAlongDB(p, 3, ch, ch, fabric.AllOff); err == nil {
+	if _, err := x.ArrivalAlongDB(p, 3, ch, ch, off); err == nil {
 		t.Error("ArrivalAlongDB to an off-path detector must error")
 	}
 }

@@ -2,29 +2,16 @@ package fabric
 
 import "fmt"
 
-// BankState answers whether the micro-ring tuned to grid channel ch in
-// the receiver bank of ONI oni is in the ON (dropping) state during
-// the time window under analysis. The allocation/schedule layer
-// implements this per communication window; the fabric layer only
-// walks the optics.
-type BankState interface {
-	On(oni, ch int) bool
-}
-
-// BankStateFunc adapts a function to the BankState interface.
-type BankStateFunc func(oni, ch int) bool
-
-// On implements BankState.
-func (f BankStateFunc) On(oni, ch int) bool { return f(oni, ch) }
-
-// AllOff is the quiescent network: every micro-ring detuned.
-var AllOff BankState = BankStateFunc(func(int, int) bool { return false })
-
-// Bank is a concrete mutable BankState, convenient for tests and for
-// the simulator's time-evolving receiver state. Internally it packs
-// each ONI's micro-ring states into 64-bit words, so the evaluation
-// kernel can install a communication's whole wavelength set with one
-// word-wise OR (OrRow) instead of per-channel Set calls.
+// Bank records which receiver micro-rings are in the ON (dropping)
+// state during the time window under analysis: the ring tuned to grid
+// channel ch in the receiver bank of ONI oni. The allocation/schedule
+// layer fills one per communication window; the fabric layer only
+// walks the optics against it. A fresh bank is the quiescent network,
+// every micro-ring detuned. Internally it packs each ONI's micro-ring
+// states into 64-bit words, so the evaluation kernel can install a
+// communication's whole wavelength set with one word-wise OR (OrRow)
+// instead of per-channel Set calls, and BankWalkDB reads the row words
+// directly.
 type Bank struct {
 	channels int
 	words    int // 64-bit words per ONI row: MaskWords(channels)
@@ -78,7 +65,7 @@ func (b *Bank) Reset() {
 	}
 }
 
-// On implements BankState.
+// On reports whether the micro-ring for channel ch at ONI oni is ON.
 func (b *Bank) On(oni, ch int) bool {
 	if uint(ch) >= uint(b.channels) {
 		panic(fmt.Sprintf("fabric: bank channel %d outside [0,%d)", ch, b.channels))

@@ -13,8 +13,8 @@
 //     values whose resource IDs drive the conflict structure;
 //   - per-hop optics: TransitLossDB/SignalArrivalDB/ArrivalAlongDB/
 //     DetectorArrivalDB walk the loss and crosstalk budget of a
-//     wavelength against the BankState supplied by the allocation
-//     layer;
+//     wavelength against the receiver-bank state (*Bank) supplied by
+//     the allocation layer;
 //   - conflict structure: Path.Overlaps (resource intersection within
 //     a lane) feeds the CSR neighbor lists and MaskWords sizes the
 //     per-edge wavelength bitmasks;
@@ -24,7 +24,11 @@
 // backend must keep for the delta kernels to stay valid.
 package fabric
 
-import "repro/internal/phys"
+import (
+	"fmt"
+
+	"repro/internal/phys"
+)
 
 // Fabric is one optical interconnect backend. Implementations are
 // immutable after construction and safe for concurrent read-only use;
@@ -54,20 +58,20 @@ type Fabric interface {
 	// TransitLossDB is the loss channel ch accumulates travelling the
 	// whole path p up to (but not into) the receiver bank of p.Dst,
 	// under the given micro-ring states.
-	TransitLossDB(p Path, ch int, bank BankState) phys.DB
+	TransitLossDB(p Path, ch int, bank *Bank) phys.DB
 	// SignalArrivalDB is the power change with which channel ch,
 	// travelling its own path, arrives at its own detector at p.Dst:
 	// transit plus the partial receiver-bank walk and the final drop.
-	SignalArrivalDB(p Path, ch int, bank BankState) phys.DB
+	SignalArrivalDB(p Path, ch int, bank *Bank) phys.DB
 	// ArrivalAlongDB is the power change with which channel ch,
 	// travelling path p, arrives at the photodetector behind the
 	// micro-ring tuned to detCh at ONI det. det is either p.Dst or an
 	// ONI the path crosses; an ONI the signal never reaches is an
 	// error (the caller's crosstalk scan treats it as "no coupling").
-	ArrivalAlongDB(p Path, det, ch, detCh int, bank BankState) (phys.DB, error)
+	ArrivalAlongDB(p Path, det, ch, detCh int, bank *Bank) (phys.DB, error)
 	// DetectorArrivalDB composes PathBetween(src, det) with
 	// ArrivalAlongDB.
-	DetectorArrivalDB(src, det, ch, detCh int, bank BankState) (phys.DB, error)
+	DetectorArrivalDB(src, det, ch, detCh int, bank *Bank) (phys.DB, error)
 	// Area evaluates the footprint model on this fabric.
 	Area(m AreaModel) Area
 }
@@ -78,12 +82,17 @@ type Fabric interface {
 // the detector of channel detCh only crosses the rings before it; pass
 // upto = Channels() for a full transit. Both backends share this walk
 // so the MR-state semantics (ON drops the resonant channel, OFF passes
-// with Lp0) are identical everywhere.
-func BankWalkDB(par phys.Params, oni, ch, upto int, bank BankState) phys.DB {
+// with Lp0) are identical everywhere. The walk reads ONI oni's row
+// words directly and adds one term per ring, left to right.
+func BankWalkDB(par phys.Params, oni, ch, upto int, bank *Bank) phys.DB {
+	if upto > bank.channels {
+		panic(fmt.Sprintf("fabric: bank walk to channel %d outside [0,%d]", upto, bank.channels))
+	}
+	row := bank.on[oni*bank.words : (oni+1)*bank.words]
 	var loss phys.DB
 	for idx := 0; idx < upto; idx++ {
-		state := phys.MRState(bank.On(oni, idx))
-		loss += phys.ThroughLossDB(par, state, idx == ch)
+		on := row[idx>>6]&(1<<(uint(idx)&63)) != 0
+		loss += phys.ThroughLossDB(par, phys.MRState(on), idx == ch)
 	}
 	return loss
 }

@@ -9,7 +9,9 @@
 // chromosome shape of Section III-D. Infeasible individuals (the
 // paper "sets the fitness to infinity") are handled with Deb's
 // constraint dominance: any feasible individual dominates any
-// infeasible one, infeasible ones tie among themselves.
+// infeasible one, and among infeasible ones the smaller violation
+// dominates, so they fall into ascending-violation fronts (equal
+// violations tie).
 //
 // The hot path lives in the Engine (engine.go): an incremental,
 // scratch-arena form of the generation loop that performs zero

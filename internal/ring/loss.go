@@ -11,16 +11,7 @@ import (
 
 var _ fabric.Fabric = (*Ring)(nil)
 
-// BankState is the fabric bank-state interface.
-type BankState = fabric.BankState
-
-// BankStateFunc adapts a function to the BankState interface.
-type BankStateFunc = fabric.BankStateFunc
-
-// AllOff is the quiescent network: every micro-ring detuned.
-var AllOff BankState = fabric.AllOff
-
-// Bank is the fabric's concrete mutable BankState.
+// Bank is the fabric's receiver-bank state.
 type Bank = fabric.Bank
 
 // MaskWords returns the wavelength-bitmask word stride (see
@@ -46,7 +37,7 @@ func (r *Ring) PropagationLossDB(p Path) phys.DB {
 // (almost entirely) dropped there and only the Kp1 residue continues —
 // the situation the allocation validity rule exists to prevent, but
 // the optics model it faithfully.
-func (r *Ring) TransitLossDB(p Path, ch int, bank BankState) phys.DB {
+func (r *Ring) TransitLossDB(p Path, ch int, bank *Bank) phys.DB {
 	loss := r.PropagationLossDB(p)
 	for _, oni := range p.Interior() {
 		loss += fabric.BankWalkDB(r.cfg.Params, oni, ch, r.Channels(), bank)
@@ -63,7 +54,7 @@ func (r *Ring) TransitLossDB(p Path, ch int, bank BankState) phys.DB {
 // caller's path — which matters on bidirectional rings, where the
 // shortest route between two ONIs is not necessarily the route the
 // interferer took.
-func (r *Ring) ArrivalAlongDB(p Path, det, ch, detCh int, bank BankState) (phys.DB, error) {
+func (r *Ring) ArrivalAlongDB(p Path, det, ch, detCh int, bank *Bank) (phys.DB, error) {
 	prefix := p
 	if det != p.Dst {
 		var err error
@@ -99,7 +90,7 @@ func (r *Ring) ArrivalAlongDB(p Path, det, ch, detCh int, bank BankState) (phys.
 // det does not need to be p.Dst for the ch != detCh case: crosstalk
 // enters every receiver the signal passes, so callers evaluate noise
 // at intermediate receivers with the prefix path src -> det.
-func (r *Ring) DetectorArrivalDB(src, det, ch, detCh int, bank BankState) (phys.DB, error) {
+func (r *Ring) DetectorArrivalDB(src, det, ch, detCh int, bank *Bank) (phys.DB, error) {
 	p, err := r.PathBetween(src, det)
 	if err != nil {
 		return 0, err
@@ -110,7 +101,7 @@ func (r *Ring) DetectorArrivalDB(src, det, ch, detCh int, bank BankState) (phys.
 // SignalArrivalDB is the common case of DetectorArrivalDB for the
 // wanted signal itself: channel ch travelling its own path into its
 // own detector at p.Dst.
-func (r *Ring) SignalArrivalDB(p Path, ch int, bank BankState) phys.DB {
+func (r *Ring) SignalArrivalDB(p Path, ch int, bank *Bank) phys.DB {
 	loss := r.TransitLossDB(p, ch, bank)
 	loss += fabric.BankWalkDB(r.cfg.Params, p.Dst, ch, ch, bank)
 	loss += phys.DropLossDB(r.cfg.Params, phys.MRState(bank.On(p.Dst, ch)))

@@ -8,8 +8,8 @@
 // per hop), directed path enumeration, and the per-wavelength optical
 // loss budget of Eqs. 2-6 together with the first-order crosstalk
 // arrival model feeding Eq. 7. It is purely structural: which micro
-// rings are ON at a given instant is supplied by the caller through
-// the BankState interface, because that state is decided by the
+// rings are ON at a given instant is supplied by the caller as a
+// receiver-bank state (Bank), because that state is decided by the
 // wavelength allocation and the application schedule.
 package ring
 

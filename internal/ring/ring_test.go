@@ -299,7 +299,7 @@ func TestTransitLossResonantInteriorRingDropsSignal(t *testing.T) {
 	bank := NewBank(r.Size(), r.Channels())
 	bank.Set(3, 2, true) // interior ONI 3 steals channel 2
 	stolen := r.TransitLossDB(p, 2, bank)
-	clean := r.TransitLossDB(p, 2, AllOff)
+	clean := r.TransitLossDB(p, 2, NewBank(r.Size(), r.Channels()))
 	par := r.Config().Params
 	wantDiff := par.XtalkOnMR - par.LossOffMR // Kp1 instead of Lp0 at one ring
 	if !floatEq(float64(stolen-clean), float64(wantDiff)) {
@@ -333,10 +333,11 @@ func TestDetectorArrivalCrosstalkBelowSignal(t *testing.T) {
 
 func TestDetectorArrivalRejectsBadEndpoints(t *testing.T) {
 	r := mustRing(t, 8)
-	if _, err := r.DetectorArrivalDB(3, 3, 0, 0, AllOff); err == nil {
+	off := NewBank(r.Size(), r.Channels())
+	if _, err := r.DetectorArrivalDB(3, 3, 0, 0, off); err == nil {
 		t.Error("src == det must error")
 	}
-	if _, err := r.DetectorArrivalDB(-1, 3, 0, 0, AllOff); err == nil {
+	if _, err := r.DetectorArrivalDB(-1, 3, 0, 0, off); err == nil {
 		t.Error("bad src must error")
 	}
 }
@@ -356,12 +357,6 @@ func TestBankSetAndQuery(t *testing.T) {
 	b.Set(2, 1, false)
 	if b.On(2, 1) {
 		t.Error("Set(false) not visible")
-	}
-}
-
-func TestAllOffBank(t *testing.T) {
-	if AllOff.On(0, 0) || AllOff.On(5, 7) {
-		t.Error("AllOff must report every ring OFF")
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/alloc"
 )
@@ -54,16 +53,13 @@ type Result struct {
 	// CommStart and CommEnd are per-edge integer windows (zero-volume
 	// edges and same-core self edges collapse to a point).
 	CommStart, CommEnd []int64
-	// SegmentChannel maps (segment, channel) to its busy intervals,
-	// sorted by start. Keys only exist for used pairs.
-	SegmentChannel map[[2]int][]Interval
-	// CoreBusy maps a core to its execution intervals (Interval.Comm
-	// holds the task index), sorted by start. Keys only exist for
-	// cores that ran tasks. The simulator serializes same-core tasks
-	// itself, so overlapping intervals here mean the dispatcher is
-	// broken — they are reported as violations, mirroring the
-	// (segment, channel) cross-check.
-	CoreBusy map[int][]Interval
+	// CoreBusy lists each core's execution intervals (Interval.Comm
+	// holds the task index), sorted by start; it is indexed by core
+	// and a core that ran no task has an empty list. The simulator
+	// serializes same-core tasks itself, so overlapping intervals here
+	// mean the dispatcher is broken — they are reported as
+	// violations, mirroring the (segment, channel) cross-check.
+	CoreBusy [][]Interval
 	// Violations lists every double-booking detected — (segment,
 	// channel) or core — empty for any genome the analytic validity
 	// rule accepts.
@@ -73,6 +69,27 @@ type Result struct {
 	// Unchecked runs of analytically invalid genomes it is NaN — the
 	// analytic model produced no energy windows to integrate.
 	LaserFJ float64
+
+	// The (segment, channel) busy lists live in one arena in CSR
+	// form: the list of key seg*nw+ch is ivs[off[key]:off[key+1]].
+	nw  int
+	off []int32
+	ivs []Interval
+}
+
+// SegmentChannel returns the busy intervals of channel ch on shared
+// resource seg, sorted by start; empty when the pair was never booked.
+// The returned slice is shared; callers must not mutate it.
+func (r *Result) SegmentChannel(seg, ch int) []Interval {
+	if seg < 0 || ch < 0 || ch >= r.nw {
+		return nil
+	}
+	k := seg*r.nw + ch
+	if k >= len(r.off)-1 {
+		return nil
+	}
+	lo, hi := r.off[k], r.off[k+1]
+	return r.ivs[lo:hi:hi]
 }
 
 // event is a scheduled simulator wake-up.
@@ -128,17 +145,22 @@ func Run(in *alloc.Instance, g alloc.Genome, opt Options) (*Result, error) {
 	}
 
 	res := &Result{
-		TaskStart:      make([]int64, app.NumTasks()),
-		TaskEnd:        make([]int64, app.NumTasks()),
-		CommStart:      make([]int64, app.NumEdges()),
-		CommEnd:        make([]int64, app.NumEdges()),
-		SegmentChannel: make(map[[2]int][]Interval),
-		CoreBusy:       make(map[int][]Interval),
+		TaskStart: make([]int64, app.NumTasks()),
+		TaskEnd:   make([]int64, app.NumTasks()),
+		CommStart: make([]int64, app.NumEdges()),
+		CommEnd:   make([]int64, app.NumEdges()),
 	}
 	for i := range res.TaskStart {
 		res.TaskStart[i] = -1
 		res.TaskEnd[i] = -1
 	}
+	durs := make([]int64, app.NumEdges())
+	for ei := range durs {
+		// Self edges have zero-hop paths, so they pick up no hop
+		// latency either.
+		durs[ei] = commDuration(in, counts, ei) + opt.LatencyPerHopCycles*int64(in.Path(ei).Hops())
+	}
+	occ := newOccupancy(in, g, durs, res)
 
 	preds := app.Preds()
 	succs := app.Succs()
@@ -147,7 +169,7 @@ func Run(in *alloc.Instance, g alloc.Genome, opt Options) (*Result, error) {
 		pending[t] = len(preds[t])
 	}
 
-	nCores := in.Fabric().Size()
+	nCores := len(res.CoreBusy)
 	coreFree := make([]int64, nCores) // next instant the core is idle
 	waiting := make([][]int, nCores)  // data-ready tasks queued per core
 	readyAt := make([]int64, app.NumTasks())
@@ -219,14 +241,11 @@ func Run(in *alloc.Instance, g alloc.Genome, opt Options) (*Result, error) {
 					res.MakespanCycles = e.time
 				}
 				for _, ei := range succs[t] {
-					// Self edges have zero-hop paths, so they pick up
-					// no hop latency either.
-					dur := commDuration(in, counts, ei)
-					dur += opt.LatencyPerHopCycles * int64(in.Path(ei).Hops())
+					dur := durs[ei]
 					res.CommStart[ei] = e.time
 					res.CommEnd[ei] = e.time + dur
 					if dur > 0 {
-						reserve(in, g, res, ei, e.time, e.time+dur)
+						occ.reserve(ei, e.time, e.time+dur)
 					}
 					push(e.time+dur, 1, ei)
 				}
@@ -251,7 +270,6 @@ func Run(in *alloc.Instance, g alloc.Genome, opt Options) (*Result, error) {
 		}
 	}
 	res.LaserFJ = integrateLaser(in, &ev, counts, res)
-	sortIntervals(res)
 	return res, nil
 }
 
@@ -272,25 +290,94 @@ func commDuration(in *alloc.Instance, counts []int, ei int) int64 {
 	return ceil64(vol / bitsPerCycle)
 }
 
+// occupancy books (resource, channel) pairs into the Result's CSR
+// arena. Bookings happen at the current event time, which never
+// decreases, so every list fills in start order.
+type occupancy struct {
+	in      *alloc.Instance
+	g       alloc.Genome
+	res     *Result
+	fill    []int32 // next free arena slot per key
+	resName string  // the fabric's name for one shared resource
+}
+
+// newOccupancy sizes the occupancy arena of res for the run: a
+// counting pass over every booked edge (durs[ei] > 0) and its path
+// resources × channel set. It also carves res.CoreBusy, one list per
+// core sized by the tasks mapped there.
+func newOccupancy(in *alloc.Instance, g alloc.Genome, durs []int64, res *Result) *occupancy {
+	nw := in.Channels()
+	maxRes := -1
+	for ei, dur := range durs {
+		if dur <= 0 {
+			continue
+		}
+		for _, seg := range in.Path(ei).Resources() {
+			maxRes = max(maxRes, seg)
+		}
+	}
+	keys := (maxRes + 1) * nw
+	res.nw = nw
+	res.off = make([]int32, keys+1)
+	for ei, dur := range durs {
+		if dur <= 0 {
+			continue
+		}
+		for _, seg := range in.Path(ei).Resources() {
+			for ch := 0; ch < nw; ch++ {
+				if g.Get(ei, ch) {
+					res.off[seg*nw+ch+1]++
+				}
+			}
+		}
+	}
+	for k := 0; k < keys; k++ {
+		res.off[k+1] += res.off[k]
+	}
+	res.ivs = make([]Interval, res.off[keys])
+
+	res.CoreBusy = make([][]Interval, in.Fabric().Size())
+	perCore := make([]int, len(res.CoreBusy))
+	for _, c := range in.Map {
+		perCore[c]++
+	}
+	coreIvs := make([]Interval, len(in.Map))
+	at := 0
+	for c, n := range perCore {
+		res.CoreBusy[c] = coreIvs[at : at : at+n]
+		at += n
+	}
+	return &occupancy{
+		in:      in,
+		g:       g,
+		res:     res,
+		fill:    append([]int32(nil), res.off[:keys]...),
+		resName: in.Fabric().ResourceName(),
+	}
+}
+
 // reserve books every (resource, channel) of communication ei for
 // [start, end), recording violations on overlap. The violation wording
 // names the backend's shared-medium unit (ring: "segment", crossbar:
 // "hop") so diagnostics read in the fabric's own vocabulary.
-func reserve(in *alloc.Instance, g alloc.Genome, res *Result, ei int, start, end int64) {
-	set := g.ChannelSet(ei)
-	resource := in.Fabric().ResourceName()
-	for _, seg := range in.Path(ei).Resources() {
-		for _, ch := range set {
-			key := [2]int{seg, ch}
-			for _, iv := range res.SegmentChannel[key] {
+func (o *occupancy) reserve(ei int, start, end int64) {
+	res, edges := o.res, o.in.App.Edges
+	for _, seg := range o.in.Path(ei).Resources() {
+		for ch := 0; ch < res.nw; ch++ {
+			if !o.g.Get(ei, ch) {
+				continue
+			}
+			k := seg*res.nw + ch
+			for _, iv := range res.ivs[res.off[k]:o.fill[k]] {
 				if start < iv.End && iv.Start < end {
 					res.Violations = append(res.Violations, fmt.Sprintf(
 						"%s %d channel %d double-booked: %s [%d,%d) vs %s [%d,%d)",
-						resource, seg, ch, in.App.Edges[iv.Comm].Name, iv.Start, iv.End,
-						in.App.Edges[ei].Name, start, end))
+						o.resName, seg, ch, edges[iv.Comm].Name, iv.Start, iv.End,
+						edges[ei].Name, start, end))
 				}
 			}
-			res.SegmentChannel[key] = append(res.SegmentChannel[key], Interval{Start: start, End: end, Comm: ei})
+			res.ivs[o.fill[k]] = Interval{Start: start, End: end, Comm: ei}
+			o.fill[k]++
 		}
 	}
 }
@@ -317,17 +404,6 @@ func integrateLaser(in *alloc.Instance, ev *alloc.Eval, counts []int, res *Resul
 	return fj
 }
 
-func sortIntervals(res *Result) {
-	for k := range res.SegmentChannel {
-		ivs := res.SegmentChannel[k]
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
-	}
-	for k := range res.CoreBusy {
-		ivs := res.CoreBusy[k]
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
-	}
-}
-
 func ceil64(x float64) int64 { return int64(math.Ceil(x - 1e-9)) }
 
 // SegmentBusyCycles sums the busy cycles of one waveguide segment
@@ -335,13 +411,8 @@ func ceil64(x float64) int64 { return int64(math.Ceil(x - 1e-9)) }
 // parallelism counts per wavelength).
 func (r *Result) SegmentBusyCycles(seg int) int64 {
 	var busy int64
-	for k, ivs := range r.SegmentChannel {
-		if k[0] != seg {
-			continue
-		}
-		for _, iv := range ivs {
-			busy += iv.End - iv.Start
-		}
+	for ch := 0; ch < r.nw; ch++ {
+		busy += sumCycles(r.SegmentChannel(seg, ch))
 	}
 	return busy
 }
@@ -350,13 +421,8 @@ func (r *Result) SegmentBusyCycles(seg int) int64 {
 // across all segments.
 func (r *Result) ChannelBusyCycles(ch int) int64 {
 	var busy int64
-	for k, ivs := range r.SegmentChannel {
-		if k[1] != ch {
-			continue
-		}
-		for _, iv := range ivs {
-			busy += iv.End - iv.Start
-		}
+	for seg := 0; seg*r.nw < len(r.off)-1; seg++ {
+		busy += sumCycles(r.SegmentChannel(seg, ch))
 	}
 	return busy
 }
@@ -364,8 +430,15 @@ func (r *Result) ChannelBusyCycles(ch int) int64 {
 // CoreBusyCycles sums the execution cycles one core spends running
 // tasks.
 func (r *Result) CoreBusyCycles(core int) int64 {
+	if core < 0 || core >= len(r.CoreBusy) {
+		return 0
+	}
+	return sumCycles(r.CoreBusy[core])
+}
+
+func sumCycles(ivs []Interval) int64 {
 	var busy int64
-	for _, iv := range r.CoreBusy[core] {
+	for _, iv := range ivs {
 		busy += iv.End - iv.Start
 	}
 	return busy

@@ -231,7 +231,7 @@ func TestSimOccupancyTraces(t *testing.T) {
 	// c1 (edge 1) runs on channel 1 over path 1->5 (segments 1..4)
 	// during [5000,13000).
 	for _, seg := range in.Path(1).Resources() {
-		ivs := res.SegmentChannel[[2]int{seg, 1}]
+		ivs := res.SegmentChannel(seg, 1)
 		if len(ivs) != 1 {
 			t.Fatalf("segment %d channel 1 intervals = %v", seg, ivs)
 		}
