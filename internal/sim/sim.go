@@ -71,26 +71,31 @@ type Result struct {
 	LaserFJ float64
 
 	// The (segment, channel) busy lists live in one arena in CSR
-	// form: the list of key seg*nw+ch is ivs[off[key]:off[key+1]].
-	nw  int
-	off []int32
-	ivs []Interval
+	// form: the list of key k = (slot[seg]-1)*nw + ch is
+	// ivs[off[k]:off[k+1]]. slot numbers the booked resources densely
+	// from 1 (0 = never booked), so the key space follows the run,
+	// not the fabric's resource-ID range (the crossbar numbers N²
+	// hops).
+	nw   int
+	slot []int32
+	off  []int32
+	ivs  []Interval
 }
 
 // SegmentChannel returns the busy intervals of channel ch on shared
 // resource seg, sorted by start; empty when the pair was never booked.
 // The returned slice is shared; callers must not mutate it.
 func (r *Result) SegmentChannel(seg, ch int) []Interval {
-	if seg < 0 || ch < 0 || ch >= r.nw {
+	if seg < 0 || seg >= len(r.slot) || r.slot[seg] == 0 || ch < 0 || ch >= r.nw {
 		return nil
 	}
-	k := seg*r.nw + ch
-	if k >= len(r.off)-1 {
-		return nil
-	}
+	k := r.key(seg, ch)
 	lo, hi := r.off[k], r.off[k+1]
 	return r.ivs[lo:hi:hi]
 }
+
+// key is the CSR key of a booked resource's channel.
+func (r *Result) key(seg, ch int) int { return int(r.slot[seg]-1)*r.nw + ch }
 
 // event is a scheduled simulator wake-up.
 type event struct {
@@ -316,18 +321,32 @@ func newOccupancy(in *alloc.Instance, g alloc.Genome, durs []int64, res *Result)
 			maxRes = max(maxRes, seg)
 		}
 	}
-	keys := (maxRes + 1) * nw
 	res.nw = nw
-	res.off = make([]int32, keys+1)
+	res.slot = make([]int32, maxRes+1)
+	booked := int32(0)
 	for ei, dur := range durs {
 		if dur <= 0 {
 			continue
 		}
 		for _, seg := range in.Path(ei).Resources() {
-			for ch := 0; ch < nw; ch++ {
-				if g.Get(ei, ch) {
-					res.off[seg*nw+ch+1]++
-				}
+			if res.slot[seg] == 0 {
+				booked++
+				res.slot[seg] = booked
+			}
+		}
+	}
+	keys := int(booked) * nw
+	res.off = make([]int32, keys+1)
+	for ei, dur := range durs {
+		if dur <= 0 {
+			continue
+		}
+		for ch := 0; ch < nw; ch++ {
+			if !g.Get(ei, ch) {
+				continue
+			}
+			for _, seg := range in.Path(ei).Resources() {
+				res.off[res.key(seg, ch)+1]++
 			}
 		}
 	}
@@ -367,7 +386,7 @@ func (o *occupancy) reserve(ei int, start, end int64) {
 			if !o.g.Get(ei, ch) {
 				continue
 			}
-			k := seg*res.nw + ch
+			k := res.key(seg, ch)
 			for _, iv := range res.ivs[res.off[k]:o.fill[k]] {
 				if start < iv.End && iv.Start < end {
 					res.Violations = append(res.Violations, fmt.Sprintf(
@@ -421,7 +440,7 @@ func (r *Result) SegmentBusyCycles(seg int) int64 {
 // across all segments.
 func (r *Result) ChannelBusyCycles(ch int) int64 {
 	var busy int64
-	for seg := 0; seg*r.nw < len(r.off)-1; seg++ {
+	for seg := range r.slot {
 		busy += sumCycles(r.SegmentChannel(seg, ch))
 	}
 	return busy
