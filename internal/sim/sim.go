@@ -154,6 +154,7 @@ func Run(in *alloc.Instance, g alloc.Genome, opt Options) (*Result, error) {
 		TaskEnd:   make([]int64, app.NumTasks()),
 		CommStart: make([]int64, app.NumEdges()),
 		CommEnd:   make([]int64, app.NumEdges()),
+		CoreBusy:  make([][]Interval, in.Fabric().Size()),
 	}
 	for i := range res.TaskStart {
 		res.TaskStart[i] = -1
@@ -174,7 +175,7 @@ func Run(in *alloc.Instance, g alloc.Genome, opt Options) (*Result, error) {
 		pending[t] = len(preds[t])
 	}
 
-	nCores := len(res.CoreBusy)
+	nCores := in.Fabric().Size()
 	coreFree := make([]int64, nCores) // next instant the core is idle
 	waiting := make([][]int, nCores)  // data-ready tasks queued per core
 	readyAt := make([]int64, app.NumTasks())
@@ -308,8 +309,7 @@ type occupancy struct {
 
 // newOccupancy sizes the occupancy arena of res for the run: a
 // counting pass over every booked edge (durs[ei] > 0) and its path
-// resources × channel set. It also carves res.CoreBusy, one list per
-// core sized by the tasks mapped there.
+// resources × channel set.
 func newOccupancy(in *alloc.Instance, g alloc.Genome, durs []int64, res *Result) *occupancy {
 	nw := in.Channels()
 	maxRes := -1
@@ -354,18 +354,6 @@ func newOccupancy(in *alloc.Instance, g alloc.Genome, durs []int64, res *Result)
 		res.off[k+1] += res.off[k]
 	}
 	res.ivs = make([]Interval, res.off[keys])
-
-	res.CoreBusy = make([][]Interval, in.Fabric().Size())
-	perCore := make([]int, len(res.CoreBusy))
-	for _, c := range in.Map {
-		perCore[c]++
-	}
-	coreIvs := make([]Interval, len(in.Map))
-	at := 0
-	for c, n := range perCore {
-		res.CoreBusy[c] = coreIvs[at : at : at+n]
-		at += n
-	}
 	return &occupancy{
 		in:      in,
 		g:       g,
