@@ -299,9 +299,9 @@ func (p *Problem) RunIslands(spec IslandSpec, runner RoundRunner) (*Result, nsga
 // AssembleIslands folds the islands' final checkpoints into one
 // Result: each checkpoint is resumed (rehydrating the metric cache
 // from the aux payloads, exactly like a single-engine resume), the
-// per-island results are merged with the reference re-rank and
-// archive dedup, and the merged run goes through the standard result
-// assembly. Because the inputs are checkpoint bytes, a distributed
+// per-island results are merged (re-ranked through the engine's
+// ranking pass, archives deduplicated), and the merged run goes
+// through the standard result assembly. Because the inputs are checkpoint bytes, a distributed
 // run assembles identically to a local one.
 func (p *Problem) AssembleIslands(spec IslandSpec, finals [][]byte) (*Result, error) {
 	spec = spec.withDefaults()

@@ -48,8 +48,9 @@ import (
 // infeasible genotypes and crowding boundary values round-trip
 // bit-exactly. The decoder fails loudly — wrong magic, unsupported
 // version, geometry, aux-dimension or seed mismatch, truncation,
-// duplicate or unknown genomes, CRC damage — and never panics on
-// corrupt input (fuzzed by FuzzSnapshotDecode).
+// duplicate or unknown genomes, a NaN objective or violation, CRC
+// damage — and never panics on corrupt input (fuzzed by
+// FuzzSnapshotDecode).
 const checkpointVersion = 2
 
 var checkpointMagic = [6]byte{'W', 'A', 'C', 'K', 'P', 'T'}
@@ -200,33 +201,21 @@ func (e *Engine) readCheckpoint(r io.Reader) error {
 	}
 	key := make([]byte, e.gl)
 	for i := uint64(0); i < cacheLen; i++ {
-		cr.bytes(key)
 		// Objective and aux vectors are carved from the engine's
 		// chunked arena instead of boxed per entry: rehydration drops
 		// from two allocations per genotype to one per arena chunk.
-		objs := e.store.alloc(e.nObj)
-		for k := range objs {
-			objs[k] = cr.f64()
-		}
-		violation := cr.f64()
-		var aux []float64
-		if auxDim > 0 {
-			aux = e.store.alloc(int(auxDim))
-			for k := range aux {
-				aux[k] = cr.f64()
-			}
-		}
-		if cr.err != nil {
-			return fmt.Errorf("nsga2: checkpoint: truncated cache at entry %d of %d: %w", i, cacheLen, cr.err)
+		got, err := cr.cacheEntry(&e.store, key, e.nObj, int(auxDim))
+		if err != nil {
+			return fmt.Errorf("nsga2: checkpoint: cache entry %d of %d: %w", i, cacheLen, err)
 		}
 		if _, dup := e.cache.lookup(key); dup {
 			return fmt.Errorf("nsga2: checkpoint: corrupt cache: duplicate genotype at entry %d", i)
 		}
 		idx := e.cache.insert(key)
 		ent := &e.cache.entries[idx]
-		ent.objs = objs
-		ent.violation = violation
-		ent.aux = aux
+		ent.objs = got.Objs
+		ent.violation = got.Violation
+		ent.aux = got.Aux
 	}
 	want := cr.crc
 	stored := cr.u32()
@@ -335,24 +324,11 @@ func ReadCheckpointArchive(r io.Reader) (*CheckpointArchive, error) {
 	// retain the engine's arena).
 	var store objStore
 	for i := uint64(0); i < cacheLen; i++ {
-		key := make([]byte, gl)
-		cr.bytes(key)
-		objs := store.alloc(int(nObj))
-		for k := range objs {
-			objs[k] = cr.f64()
+		ent, err := cr.cacheEntry(&store, make([]byte, gl), int(nObj), int(auxDim))
+		if err != nil {
+			return nil, fmt.Errorf("nsga2: checkpoint: cache entry %d of %d: %w", i, cacheLen, err)
 		}
-		violation := cr.f64()
-		var aux []float64
-		if auxDim > 0 {
-			aux = store.alloc(int(auxDim))
-			for k := range aux {
-				aux[k] = cr.f64()
-			}
-		}
-		if cr.err != nil {
-			return nil, fmt.Errorf("nsga2: checkpoint: truncated cache at entry %d of %d: %w", i, cacheLen, cr.err)
-		}
-		arch.Entries = append(arch.Entries, ArchiveEntry{Genome: key, Objs: objs, Violation: violation, Aux: aux})
+		arch.Entries = append(arch.Entries, ent)
 	}
 	want := cr.crc
 	stored := cr.u32()
@@ -363,6 +339,34 @@ func ReadCheckpointArchive(r io.Reader) (*CheckpointArchive, error) {
 		return nil, fmt.Errorf("nsga2: checkpoint: CRC mismatch (stored %08x, computed %08x): file damaged", stored, want)
 	}
 	return arch, nil
+}
+
+// cacheEntry decodes one evaluation-cache entry: the genotype into
+// key, then its objectives, violation and auxDim aux values, carving
+// the float vectors from store. It is the checkpoint side of the
+// engine's NaN boundary: a NaN objective or violation is an error,
+// because the ranking cannot order it. NaN aux values stay legal —
+// they mean "unknown", and WriteCheckpoint pre-fills aux with them.
+func (c *crcReader) cacheEntry(store *objStore, key []byte, nObj, auxDim int) (ArchiveEntry, error) {
+	c.bytes(key)
+	ent := ArchiveEntry{Genome: key, Objs: store.alloc(nObj)}
+	for k := range ent.Objs {
+		ent.Objs[k] = c.f64()
+	}
+	ent.Violation = c.f64()
+	if auxDim > 0 {
+		ent.Aux = store.alloc(auxDim)
+		for k := range ent.Aux {
+			ent.Aux[k] = c.f64()
+		}
+	}
+	if c.err != nil {
+		return ArchiveEntry{}, fmt.Errorf("truncated: %w", c.err)
+	}
+	if hasNaN(ent.Objs, ent.Violation) {
+		return ArchiveEntry{}, fmt.Errorf("NaN objective or violation (objectives %v, violation %v)", ent.Objs, ent.Violation)
+	}
+	return ent, nil
 }
 
 // VisitArchive calls fn for every distinct evaluated genotype in

@@ -2,7 +2,11 @@ package nsga2
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -417,6 +421,86 @@ func TestResumeAllocsPerEntry(t *testing.T) {
 	})
 }
 
+// nanCheckpoint writes a valid aux-free checkpoint, sets the first
+// objective of cache entry 3 to NaN and recomputes the CRC, so only
+// the NaN boundary stands between the bytes and a resume. It returns
+// the bytes and the poisoned entry's index.
+func nanCheckpoint(tb testing.TB) ([]byte, int) {
+	tb.Helper()
+	e, err := NewEngine(ckptProblem(8), Config{PopSize: 8, Seed: 11})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.Step()
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	raw := buf.Bytes()
+	// The v2 cache section follows the 68-byte header and the
+	// popLen x (genomeLen + 4 + 8)-byte population; past its 8-byte
+	// length each entry is the key, the objectives and the violation.
+	const entry = 3
+	off := 68 + len(e.pop)*(e.gl+12) + 8 + entry*(e.gl+8*e.nObj+8) + e.gl
+	binary.LittleEndian.PutUint64(raw[off:], math.Float64bits(math.NaN()))
+	body := len(raw) - 4
+	binary.LittleEndian.PutUint32(raw[body:], crc32.ChecksumIEEE(raw[:body]))
+	return raw, entry
+}
+
+// TestCheckpointRejectsNaN pins the checkpoint side of the NaN
+// boundary: a CRC-consistent checkpoint with a NaN cache objective is
+// an error naming the entry, from both decoders.
+func TestCheckpointRejectsNaN(t *testing.T) {
+	raw, entry := nanCheckpoint(t)
+	want := fmt.Sprintf("cache entry %d of ", entry)
+	_, err := ResumeEngine(ckptProblem(8), Config{PopSize: 8, Seed: 11}, bytes.NewReader(raw))
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("ResumeEngine: err = %v, want a NaN error naming %q", err, want)
+	}
+	_, err = ReadCheckpointArchive(bytes.NewReader(raw))
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("ReadCheckpointArchive: err = %v, want a NaN error naming %q", err, want)
+	}
+}
+
+// TestCheckpointNaNAuxResumes pins that NaN stays legal in the aux
+// payload, where it means "unknown": WriteCheckpoint without an
+// AuxFill writes NaN aux for every entry, and the file still decodes,
+// resumes and re-encodes byte-identically.
+func TestCheckpointNaNAuxResumes(t *testing.T) {
+	p := ckptProblem(8)
+	cfg := Config{PopSize: 8, Seed: 11, AuxLen: 2}
+	e, err := NewEngine(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Step()
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	arch, err := ReadCheckpointArchive(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arch.Entries) == 0 || !math.IsNaN(arch.Entries[0].Aux[0]) {
+		t.Fatalf("expected NaN aux payloads, got entries %v", arch.Entries)
+	}
+	resumed, err := ResumeEngine(p, cfg, bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := resumed.WriteCheckpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, again.Bytes()) {
+		t.Fatal("NaN aux payload does not re-encode byte-identically across a resume")
+	}
+}
+
 // FuzzSnapshotDecode fuzzes the checkpoint decoder: arbitrary bytes
 // must either resume cleanly or fail with an error — never panic and
 // never hang. Seeded with a valid checkpoint and structured
@@ -478,6 +562,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(bufAux.Bytes())
+	// A CRC-consistent checkpoint with a NaN cache objective must be
+	// refused at decode time, never ranked.
+	nan, _ := nanCheckpoint(f)
+	f.Add(nan)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// Both the aux-free and the aux-bearing configurations must

@@ -17,13 +17,13 @@ import (
 // The engine owns a scratch arena sized once at construction — genome
 // slabs for the population, offspring and survivors, per-objective
 // column buffers and packed violation words for the non-dominated
-// sort (see the SoA scratch fields), index buffers for crowding and
-// truncation, and the interned-key genome cache — so a steady-state
-// Step performs zero heap allocations
-// beyond the entries retained for newly discovered genotypes (and the
-// problem's own allocations while evaluating them). Everything a Step
-// hands out (OnGeneration populations, Population) aliases that
-// arena; Result detaches what it returns.
+// sort (see ranker), index buffers for crowding and truncation, and
+// the interned-key genome cache — so a steady-state Step performs
+// zero heap allocations beyond the entries retained for newly
+// discovered genotypes (and the problem's own allocations while
+// evaluating them). Everything a Step hands out (OnGeneration
+// populations, Population) aliases that arena; Result detaches what
+// it returns.
 //
 // An Engine is not safe for concurrent use.
 type Engine struct {
@@ -37,7 +37,6 @@ type Engine struct {
 	views []Problem
 
 	gl   int // genome length
-	nObj int
 	size int // population size (even)
 	gen  int
 
@@ -69,68 +68,11 @@ type Engine struct {
 	jobP2    [][]byte
 	nextJob  atomic.Int64 // next unclaimed index into jobs
 
-	// Rank/crowd scratch (sized for the merged 2*size population),
-	// laid out struct-of-arrays: objCol holds one contiguous column
-	// per objective (all carved from objColBuf), and vfW packs each
-	// individual's violation/feasibility into one word — the IEEE-754
-	// bits of the violation, so feasibility is `vfW[i]<<1 == 0`
-	// (violation == ±0) and the numeric value is a free bitcast back.
-	// The relation kernels, the lexicographic pre-sort, the duplicate-
-	// group hash and the crowding sweeps all walk whole columns instead
-	// of striding interleaved rows.
-	// The pair-relation pass runs over duplicate groups — individuals
-	// with bit-identical (violation, objectives) vectors — instead of
-	// individuals: groupOf/gRep/gSize/gHash/gTable find the groups,
-	// gDom holds each group's dominated groups, gmStart/gMembers list
-	// each group's members, and zbuf batches individuals whose
-	// domination count hits zero so fronts keep the reference order.
-	objCol    [][]float64
-	objColBuf []float64
-	vfW       []uint64
-	// relationBatch scratch: per-element better-than flags and the
-	// relation output block of the pairwise builder.
-	batchIB  []uint8
-	batchJB  []uint8
-	relOut   []int8
-	domCount []int32
-	groupOf  []int32
-	gRep     []int32
-	gSize    []int32
-	gCur     []int32
-	gHash    []uint64
-	gTable   []int32
-	gMask    uint64
-	gDom     [][]int32
-	gmStart  []int32
-	gMembers []int32
-	zbuf     []int
-	fronts   [][]int
-	frontBuf []int
-	crowdIdx []int
-	rest     []int
-	oSort    objSorter
-	cSort    crowdSorter
-
-	// Sorted-ranking scratch (the ENS path; see buildFrontsSorted):
-	// group ids in dominance-compatible sorted order, per-front
-	// linked-list heads and per-group next links, the per-group unlock
-	// positions and final last-member positions used to reconstruct
-	// the reference front order, and the previous/current front group
-	// lists of the reconstruction sweep. forcePairwise pins the
-	// retained pair-relation path (the property-test oracle and the
-	// NaN fallback) for tests and benchmarks.
-	sGroups       []int32
-	gFrontOf      []int32
-	gHead         []int32
-	gNext         []int32
-	gP            []int32
-	gLastPos      []int32
-	gPrevF        []int32
-	gCurF         []int32
-	gSortLex      lexSorter
-	gSortPos      posSorter
-	fSort         frontSorter
-	forcePairwise bool
+	// ranker is the rank/crowd scratch, sized for the merged 2*size
+	// population; rest and cSort are the survival truncation's.
+	ranker
+	rest  []int
+	cSort crowdSorter
 
 	// store is the engine's chunked objective arena: cache entries'
 	// objective and aux vectors are carved from it instead of being
@@ -140,10 +82,10 @@ type Engine struct {
 	// lifetime.
 	store objStore
 
-	// Instrumentation counters (see Stats).
+	// Instrumentation counters (see Stats; the relation count lives in
+	// the ranker).
 	cacheHits int64
 	warmHits  int64
-	relations int64
 }
 
 // offMeta is one offspring's variation-pipeline record: the genomes
@@ -235,12 +177,13 @@ func newEngineArena(p Problem, cfg Config) (*Engine, error) {
 	}
 	P, gl, m := cfg.PopSize, p.GenomeLen(), p.NumObjectives()
 	e := &Engine{
-		p:     p,
-		cfg:   cfg,
-		gl:    gl,
-		nObj:  m,
-		size:  P,
-		cache: newGenomeCache(),
+		p:      p,
+		cfg:    cfg,
+		gl:     gl,
+		size:   P,
+		cache:  newGenomeCache(),
+		ranker: newRanker(2*P, m),
+		rest:   make([]int, 0, 2*P),
 
 		popBuf:   make([]Individual, P),
 		nextBuf:  make([]Individual, P),
@@ -256,38 +199,7 @@ func newEngineArena(p Problem, cfg Config) (*Engine, error) {
 		offMeta:  make([]offMeta, 0, P),
 		jobP1:    make([][]byte, 0, P),
 		jobP2:    make([][]byte, 0, P),
-
-		objCol:    make([][]float64, m),
-		objColBuf: make([]float64, 2*P*m),
-		vfW:       make([]uint64, 2*P),
-		batchIB:   make([]uint8, 2*P),
-		batchJB:   make([]uint8, 2*P),
-		relOut:    make([]int8, 2*P),
-		domCount:  make([]int32, 2*P),
-		groupOf:   make([]int32, 2*P),
-		gRep:      make([]int32, 2*P),
-		gSize:     make([]int32, 2*P),
-		gCur:      make([]int32, 2*P),
-		gHash:     make([]uint64, 2*P),
-		gDom:      make([][]int32, 2*P),
-		gmStart:   make([]int32, 2*P+1),
-		gMembers:  make([]int32, 2*P),
-		zbuf:      make([]int, 0, 2*P),
-		frontBuf:  make([]int, 0, 2*P),
-		crowdIdx:  make([]int, 2*P),
-		rest:      make([]int, 0, 2*P),
 	}
-	for k := 0; k < m; k++ {
-		e.objCol[k] = e.objColBuf[k*2*P : (k+1)*2*P : (k+1)*2*P]
-	}
-	// The group hash table stays at most half full at 4*P slots.
-	gt := 1
-	for gt < 4*P {
-		gt *= 2
-	}
-	e.gTable = make([]int32, gt)
-	e.gMask = uint64(gt - 1)
-	e.ensureSortScratch(2 * P)
 	e.rng, e.src = newCountedRNG(cfg.Seed)
 	e.views = make([]Problem, max(1, cfg.Workers))
 	for w := range e.views {
@@ -395,6 +307,7 @@ func (e *Engine) evaluateBatch(genomes [][]byte, meta []offMeta, out []Individua
 			idx = e.cache.insert(g)
 			if e.cfg.WarmLookup != nil {
 				if objs, viol, warm := e.cfg.WarmLookup(g); warm {
+					mustOrder("WarmLookup", g, objs, viol)
 					// Warm hit: the entry is resolved without any
 					// evaluation work; counters and archive order are
 					// untouched. The vector is interned into the
@@ -436,6 +349,12 @@ func (e *Engine) evaluateBatch(genomes [][]byte, meta []offMeta, out []Individua
 	} else {
 		e.fillJobs(e.views[0])
 	}
+	// Checked here, on the caller's goroutine, so the panic can be
+	// recovered like any other.
+	for _, idx := range e.jobs {
+		ent := &e.cache.entries[idx]
+		mustOrder("EvaluateInto", ent.key, ent.objs, ent.violation)
+	}
 	for i, g := range genomes {
 		e.evals++
 		ent := &e.cache.entries[e.entryIdx[i]]
@@ -443,6 +362,32 @@ func (e *Engine) evaluateBatch(genomes [][]byte, meta []offMeta, out []Individua
 			e.validEvals++
 		}
 		out[i] = Individual{Genome: g, Objs: ent.objs, Violation: ent.violation}
+	}
+}
+
+// hasNaN reports whether an objective vector or its violation holds a
+// NaN, the one float value the ranking cannot order.
+func hasNaN(objs []float64, violation float64) bool {
+	if math.IsNaN(violation) {
+		return true
+	}
+	for _, x := range objs {
+		if math.IsNaN(x) {
+			return true
+		}
+	}
+	return false
+}
+
+// mustOrder panics when source returned a NaN objective or violation
+// for genome. Infinity is a valid "worst" value; NaN breaks the
+// problem contract (see Problem.EvaluateInto), and the engine refuses
+// it where it enters rather than ranking it. The engine is unusable
+// after the panic.
+func mustOrder(source string, genome []byte, objs []float64, violation float64) {
+	if hasNaN(objs, violation) {
+		panic(fmt.Sprintf("nsga2: %s returned NaN for genome %v: objectives %v, violation %v",
+			source, genome, objs, violation))
 	}
 }
 
@@ -577,178 +522,161 @@ func (e *Engine) surviveInto(m []Individual) []Individual {
 	return dst[:n]
 }
 
+// ranker is the allocation-free non-dominated ranking and crowding
+// pass, with scratch sized once by newRanker. The layout is
+// struct-of-arrays: objCol holds one contiguous column per objective
+// (all carved from objColBuf), and vfW packs each individual's
+// violation/feasibility into one word — the IEEE-754 bits of the
+// violation, so feasibility is `vfW[i]<<1 == 0` (violation == ±0) and
+// the numeric value is a free bitcast back. The relation kernel, the
+// lexicographic pre-sort, the duplicate-group hash and the crowding
+// sweeps all walk whole columns instead of striding interleaved rows.
+//
+// Ranking runs over duplicate groups — individuals with bit-identical
+// (violation, objectives) vectors: groupOf/gRep/gSize/gHash/gTable
+// find the groups and gmStart/gMembers list each group's members. The
+// second block is buildFrontsSorted's: group ids in
+// dominance-compatible sorted order, per-front linked-list heads and
+// per-group next links, the per-group unlock positions and final
+// last-member positions used to reconstruct the reference front
+// order, and the previous/current front group lists of the
+// reconstruction sweep.
+type ranker struct {
+	nObj      int
+	objCol    [][]float64
+	objColBuf []float64
+	vfW       []uint64
+	groupOf   []int32
+	gRep      []int32
+	gSize     []int32
+	gCur      []int32
+	gHash     []uint64
+	gTable    []int32
+	gMask     uint64
+	gmStart   []int32
+	gMembers  []int32
+	fronts    [][]int
+	frontBuf  []int
+	crowdIdx  []int
+	oSort     objSorter
+
+	sGroups  []int32
+	gFrontOf []int32
+	gHead    []int32
+	gNext    []int32
+	gP       []int32
+	gLastPos []int32
+	gPrevF   []int32
+	gCurF    []int32
+	gSortLex lexSorter
+	gSortPos posSorter
+	fSort    frontSorter
+
+	// relations counts the pair relations compared (see Stats).
+	relations int64
+}
+
+// newRanker sizes the ranking scratch for populations of up to n
+// individuals with m objectives. Every ranking pass is built here:
+// the engine sizes one for its merged 2*PopSize population,
+// MergeResults one for the concatenated island populations.
+func newRanker(n, m int) ranker {
+	// The group hash table stays at most half full at 2*n slots.
+	gt := 1
+	for gt < 2*n {
+		gt *= 2
+	}
+	r := ranker{
+		nObj:      m,
+		objCol:    make([][]float64, m),
+		objColBuf: make([]float64, n*m),
+		vfW:       make([]uint64, n),
+		groupOf:   make([]int32, n),
+		gRep:      make([]int32, n),
+		gSize:     make([]int32, n),
+		gCur:      make([]int32, n),
+		gHash:     make([]uint64, n),
+		gTable:    make([]int32, gt),
+		gMask:     uint64(gt - 1),
+		gmStart:   make([]int32, n+1),
+		gMembers:  make([]int32, n),
+		fronts:    make([][]int, 0, n),
+		frontBuf:  make([]int, 0, n),
+		crowdIdx:  make([]int, n),
+
+		sGroups:  make([]int32, 0, n),
+		gFrontOf: make([]int32, n),
+		gHead:    make([]int32, n),
+		gNext:    make([]int32, n),
+		gP:       make([]int32, n),
+		gLastPos: make([]int32, n),
+		gPrevF:   make([]int32, 0, n),
+		gCurF:    make([]int32, 0, n),
+	}
+	for k := range r.objCol {
+		r.objCol[k] = r.objColBuf[k*n : (k+1)*n : (k+1)*n]
+	}
+	return r
+}
+
 // rankAndCrowd assigns ranks and crowding distances in place and
-// returns the fronts (aliasing engine scratch, valid until the next
+// returns the fronts (aliasing ranker scratch, valid until the next
 // call). It produces bit-identical results to the reference
-// fastNonDominatedSort + assignCrowding pair, but runs the pairwise
-// dominance pass over DUPLICATE GROUPS: individuals whose (violation,
-// objectives) vectors are bit-identical relate identically to
-// everyone else, so one representative relation per group pair
-// replaces up to |a|*|b| individual relations. GA populations carry
-// heavy duplication (every infeasible individual of one violation
-// grade is one group), which shrinks the O(n^2) term by the square of
-// the duplication factor. Fronts, their member order, ranks and
-// crowding are unchanged: group members share one domination count
-// and one dominated set, so they enter the same front, and
-// individuals whose count hits zero under one dominator are appended
-// in ascending index order exactly like the reference's ascending
-// dominated lists produce.
-func (e *Engine) rankAndCrowd(m []Individual) [][]int {
-	n, mo := len(m), e.nObj
-	clean := true
+// fastNonDominatedSort + assignCrowding pair (kept in
+// reference_test.go as the oracle), but ranks DUPLICATE GROUPS:
+// individuals whose (violation, objectives) vectors are bit-identical
+// relate identically to everyone else, so one representative relation
+// per group pair replaces up to |a|*|b| individual relations. GA
+// populations carry heavy duplication (every infeasible individual of
+// one violation grade is one group). Group members always share a
+// front, and buildFrontsSorted reconstructs the reference member
+// order, so fronts, ranks and crowding are unchanged.
+//
+// The population must be NaN-free: the sort-based builder relies on
+// every dominator sorting first, which a NaN breaks. The engine
+// rejects NaN where values enter it (evaluateBatch for problem
+// results and warm hits, readCacheEntry for checkpoints), so nothing
+// it ranks carries one.
+func (r *ranker) rankAndCrowd(m []Individual) [][]int {
+	n, mo := len(m), r.nObj
 	for i := 0; i < n; i++ {
-		v := m[i].Violation
-		e.vfW[i] = math.Float64bits(v)
-		if v != v {
-			clean = false
-		}
+		r.vfW[i] = math.Float64bits(m[i].Violation)
 	}
 	// Scatter the interleaved Individual.Objs into per-objective
 	// columns (zero-padding short vectors, like the row copy used to).
 	for k := 0; k < mo; k++ {
-		col := e.objCol[k]
+		col := r.objCol[k]
 		for i := 0; i < n; i++ {
 			var x float64
 			if k < len(m[i].Objs) {
 				x = m[i].Objs[k]
 			}
 			col[i] = x
-			if x != x {
-				clean = false
-			}
 		}
 	}
-	G := e.groupIndividuals(n)
+	G := r.groupIndividuals(n)
 
 	// Per-group member lists (counting sort; members ascend within a
-	// group because individuals are scanned in index order). Both
-	// front builders consume them.
-	e.gmStart[0] = 0
+	// group because individuals are scanned in index order).
+	r.gmStart[0] = 0
 	for g := 0; g < G; g++ {
-		e.gmStart[g+1] = e.gmStart[g] + e.gSize[g]
-		e.gCur[g] = e.gmStart[g]
+		r.gmStart[g+1] = r.gmStart[g] + r.gSize[g]
+		r.gCur[g] = r.gmStart[g]
 	}
 	for i := 0; i < n; i++ {
-		g := e.groupOf[i]
-		e.gMembers[e.gCur[g]] = int32(i)
-		e.gCur[g]++
+		g := r.groupOf[i]
+		r.gMembers[r.gCur[g]] = int32(i)
+		r.gCur[g]++
 	}
 
-	// The ENS sort-based builder needs the lexicographic pre-sort's
-	// "dominator sorts first" invariant, which NaN payloads break; the
-	// pair-relation builder (also the property-test oracle) compares
-	// NaN exactly like the reference, so it stays the fallback.
-	if clean && !e.forcePairwise {
-		e.buildFrontsSorted(n, G)
-	} else {
-		e.buildFrontsPairwise(n, G)
-	}
-	for rank, front := range e.fronts {
+	r.buildFrontsSorted(n, G)
+	for rank, front := range r.fronts {
 		for _, i := range front {
 			m[i].Rank = rank
 		}
-		e.assignCrowdingScratch(m, front)
+		r.assignCrowdingScratch(m, front)
 	}
-	return e.fronts
-}
-
-// buildFrontsPairwise is the retained pair-relation front builder: an
-// all-pairs relation pass over the group representatives followed by
-// the classic domination-count peel. It is the oracle the sort-based
-// builder is property-tested against and the fallback for populations
-// carrying NaN objectives or violations.
-func (e *Engine) buildFrontsPairwise(n, G int) {
-	for i := 0; i < n; i++ {
-		e.domCount[i] = 0
-	}
-
-	// Group-representative relation pass: one batched relation block
-	// per representative against every later representative (gRep is
-	// already the index block relationBatch wants).
-	for g := 0; g < G; g++ {
-		e.gDom[g] = e.gDom[g][:0]
-	}
-	for a := 0; a < G; a++ {
-		js := e.gRep[a+1 : G]
-		if len(js) == 0 {
-			break
-		}
-		e.ensureBatchScratch(len(js))
-		out := e.relOut[:len(js)]
-		e.relationBatch(int(e.gRep[a]), js, out)
-		for t, r := range out {
-			switch r {
-			case 1:
-				e.gDom[a] = append(e.gDom[a], int32(a+1+t))
-			case -1:
-				e.gDom[a+1+t] = append(e.gDom[a+1+t], int32(a))
-			}
-		}
-	}
-
-	// Expanded per-individual domination counts.
-	for a := 0; a < G; a++ {
-		sz := e.gSize[a]
-		for _, b := range e.gDom[a] {
-			for _, j := range e.gMembers[e.gmStart[b]:e.gmStart[b+1]] {
-				e.domCount[j] += sz
-			}
-		}
-	}
-
-	// Build the fronts as consecutive runs of one flat index buffer:
-	// every individual lands in exactly one front, so frontBuf never
-	// outgrows its n-capacity and the per-front slices stay valid.
-	// Processing a front member decrements every individual its group
-	// dominates; the batch whose count reaches zero under this member
-	// is appended in ascending index order, which is exactly the order
-	// the reference's ascending dominated[i] list yields.
-	fb := e.frontBuf[:0]
-	for i := 0; i < n; i++ {
-		if e.domCount[i] == 0 {
-			fb = append(fb, i)
-		}
-	}
-	e.fronts = e.fronts[:0]
-	for start := 0; start < len(fb); {
-		end := len(fb)
-		for _, i := range fb[start:end] {
-			gd := e.gDom[e.groupOf[i]]
-			if len(gd) == 0 {
-				continue
-			}
-			z := e.zbuf[:0]
-			for _, b := range gd {
-				for _, j := range e.gMembers[e.gmStart[b]:e.gmStart[b+1]] {
-					e.domCount[j]--
-					if e.domCount[j] == 0 {
-						z = append(z, int(j))
-					}
-				}
-			}
-			sort.Ints(z)
-			fb = append(fb, z...)
-		}
-		e.fronts = append(e.fronts, fb[start:end:end])
-		start = end
-	}
-}
-
-// ensureSortScratch sizes the ENS path's scratch for populations up to
-// n. NewEngine pre-sizes it for 2*PopSize; hand-built test engines hit
-// the lazy growth instead.
-func (e *Engine) ensureSortScratch(n int) {
-	if cap(e.sGroups) >= n {
-		return
-	}
-	e.sGroups = make([]int32, 0, n)
-	e.gFrontOf = make([]int32, n)
-	e.gHead = make([]int32, n)
-	e.gNext = make([]int32, n)
-	e.gP = make([]int32, n)
-	e.gLastPos = make([]int32, n)
-	e.gPrevF = make([]int32, 0, n)
-	e.gCurF = make([]int32, 0, n)
+	return r.fronts
 }
 
 // buildFrontsSorted is the ENS-style sort-based front builder. It
@@ -773,33 +701,31 @@ func (e *Engine) ensureSortScratch(n int) {
 // zero-batch append order exactly. The position is found by scanning
 // front f's groups in descending last-member position and stopping at
 // the first dominator. Front 0 and every infeasible front unlock
-// uniformly, i.e. ascend by index. The pair-relation oracle
-// (buildFrontsPairwise) pins all of this bit-for-bit in the property
-// tests.
-func (e *Engine) buildFrontsSorted(n, G int) {
-	e.ensureSortScratch(n)
-	sg := e.sGroups[:0]
+// uniformly, i.e. ascend by index. The property tests pin all of
+// this bit-for-bit against the reference ranker (reference_test.go).
+func (r *ranker) buildFrontsSorted(n, G int) {
+	sg := r.sGroups[:0]
 	for g := 0; g < G; g++ {
 		sg = append(sg, int32(g))
 	}
-	e.gSortLex.e, e.gSortLex.ids = e, sg
-	sort.Sort(&e.gSortLex)
-	e.gSortLex.e, e.gSortLex.ids = nil, nil
+	r.gSortLex.r, r.gSortLex.ids = r, sg
+	sort.Sort(&r.gSortLex)
+	r.gSortLex.r, r.gSortLex.ids = nil, nil
 
 	// Feasible prefix: sequential-search ENS insertion.
 	numFronts := 0
 	k := 0
 	for ; k < len(sg); k++ {
 		g := int(sg[k])
-		rg := int(e.gRep[g])
-		if !feasWord(e.vfW[rg]) {
+		rg := int(r.gRep[g])
+		if !feasWord(r.vfW[rg]) {
 			break
 		}
 		f := 0
 		for ; f < numFronts; f++ {
 			dominated := false
-			for h := e.gHead[f]; h >= 0; h = e.gNext[h] {
-				if e.relation(int(e.gRep[h]), rg) == 1 {
+			for h := r.gHead[f]; h >= 0; h = r.gNext[h] {
+				if r.relation(int(r.gRep[h]), rg) == 1 {
 					dominated = true
 					break
 				}
@@ -809,12 +735,12 @@ func (e *Engine) buildFrontsSorted(n, G int) {
 			}
 		}
 		if f == numFronts {
-			e.gHead[numFronts] = -1
+			r.gHead[numFronts] = -1
 			numFronts++
 		}
-		e.gFrontOf[g] = int32(f)
-		e.gNext[g] = e.gHead[f]
-		e.gHead[f] = int32(g)
+		r.gFrontOf[g] = int32(f)
+		r.gNext[g] = r.gHead[f]
+		r.gHead[f] = int32(g)
 	}
 	nf := numFronts // number of feasible fronts
 
@@ -822,27 +748,27 @@ func (e *Engine) buildFrontsSorted(n, G int) {
 	// ascending, strictly after every feasible front.
 	for prev := 0.0; k < len(sg); k++ {
 		g := int(sg[k])
-		v := math.Float64frombits(e.vfW[e.gRep[g]])
+		v := math.Float64frombits(r.vfW[r.gRep[g]])
 		if numFronts == nf || v > prev {
-			e.gHead[numFronts] = -1
+			r.gHead[numFronts] = -1
 			numFronts++
 		}
 		prev = v
 		f := numFronts - 1
-		e.gFrontOf[g] = int32(f)
-		e.gNext[g] = e.gHead[f]
-		e.gHead[f] = int32(g)
+		r.gFrontOf[g] = int32(f)
+		r.gNext[g] = r.gHead[f]
+		r.gHead[f] = int32(g)
 	}
 
 	// Reconstruction sweep: finalize each front's member order, then
 	// stage its groups (descending last-member position) as the next
 	// front's dominator scan order.
-	fb := e.frontBuf[:0]
-	e.fronts = e.fronts[:0]
-	prevG := e.gPrevF[:0]
+	fb := r.frontBuf[:0]
+	r.fronts = r.fronts[:0]
+	prevG := r.gPrevF[:0]
 	for f := 0; f < numFronts; f++ {
-		cur := e.gCurF[:0]
-		for h := e.gHead[f]; h >= 0; h = e.gNext[h] {
+		cur := r.gCurF[:0]
+		for h := r.gHead[f]; h >= 0; h = r.gNext[h] {
 			cur = append(cur, h)
 		}
 		if f == 0 || f >= nf {
@@ -851,40 +777,40 @@ func (e *Engine) buildFrontsSorted(n, G int) {
 			// members all unlock at that front's final position.
 			// Either way the order is ascending index.
 			for _, g := range cur {
-				e.gP[g] = 0
+				r.gP[g] = 0
 			}
 		} else {
 			for _, g := range cur {
-				rg := int(e.gRep[g])
+				rg := int(r.gRep[g])
 				var P int32
 				for _, d := range prevG {
-					if e.relation(int(e.gRep[d]), rg) == 1 {
-						P = e.gLastPos[d]
+					if r.relation(int(r.gRep[d]), rg) == 1 {
+						P = r.gLastPos[d]
 						break
 					}
 				}
-				e.gP[g] = P
+				r.gP[g] = P
 			}
 		}
 		start := len(fb)
 		for _, g := range cur {
-			for _, j := range e.gMembers[e.gmStart[g]:e.gmStart[g+1]] {
+			for _, j := range r.gMembers[r.gmStart[g]:r.gmStart[g+1]] {
 				fb = append(fb, int(j))
 			}
 		}
 		seg := fb[start:len(fb):len(fb)]
-		e.fSort.e, e.fSort.idx = e, seg
-		sort.Sort(&e.fSort)
-		e.fSort.e, e.fSort.idx = nil, nil
-		e.fronts = append(e.fronts, seg)
+		r.fSort.r, r.fSort.idx = r, seg
+		sort.Sort(&r.fSort)
+		r.fSort.r, r.fSort.idx = nil, nil
+		r.fronts = append(r.fronts, seg)
 		if f+1 < nf {
 			for pos, i := range seg {
-				e.gLastPos[e.groupOf[i]] = int32(pos)
+				r.gLastPos[r.groupOf[i]] = int32(pos)
 			}
-			prevG = append(e.gPrevF[:0], cur...)
-			e.gSortPos.e, e.gSortPos.ids = e, prevG
-			sort.Sort(&e.gSortPos)
-			e.gSortPos.e, e.gSortPos.ids = nil, nil
+			prevG = append(r.gPrevF[:0], cur...)
+			r.gSortPos.r, r.gSortPos.ids = r, prevG
+			sort.Sort(&r.gSortPos)
+			r.gSortPos.r, r.gSortPos.ids = nil, nil
 		}
 	}
 }
@@ -896,35 +822,35 @@ func (e *Engine) buildFrontsSorted(n, G int) {
 // the grouping key: it implies identical comparison behavior in
 // relation (the reverse direction, e.g. 0.0 vs -0.0, merely yields
 // separate groups whose pair relation is 0 — correct either way).
-func (e *Engine) groupIndividuals(n int) int {
-	for i := range e.gTable {
-		e.gTable[i] = 0
+func (r *ranker) groupIndividuals(n int) int {
+	for i := range r.gTable {
+		r.gTable[i] = 0
 	}
-	mo := e.nObj
+	mo := r.nObj
 	G := 0
 	for i := 0; i < n; i++ {
 		const offset64, prime64 = 14695981039346656037, 1099511628211
 		h := uint64(offset64)
-		h = (h ^ e.vfW[i]) * prime64
+		h = (h ^ r.vfW[i]) * prime64
 		for k := 0; k < mo; k++ {
-			h = (h ^ math.Float64bits(e.objCol[k][i])) * prime64
+			h = (h ^ math.Float64bits(r.objCol[k][i])) * prime64
 		}
 		h ^= h >> 29 // finalize: spread the low bits the probe uses
-		for slot := h & e.gMask; ; slot = (slot + 1) & e.gMask {
-			t := e.gTable[slot]
+		for slot := h & r.gMask; ; slot = (slot + 1) & r.gMask {
+			t := r.gTable[slot]
 			if t == 0 {
-				e.gRep[G] = int32(i)
-				e.gSize[G] = 1
-				e.gHash[G] = h
-				e.groupOf[i] = int32(G)
-				e.gTable[slot] = int32(G + 1)
+				r.gRep[G] = int32(i)
+				r.gSize[G] = 1
+				r.gHash[G] = h
+				r.groupOf[i] = int32(G)
+				r.gTable[slot] = int32(G + 1)
 				G++
 				break
 			}
 			g := int(t - 1)
-			if e.gHash[g] == h && e.sameVector(int(e.gRep[g]), i) {
-				e.gSize[g]++
-				e.groupOf[i] = int32(g)
+			if r.gHash[g] == h && r.sameVector(int(r.gRep[g]), i) {
+				r.gSize[g]++
+				r.groupOf[i] = int32(g)
 				break
 			}
 		}
@@ -934,12 +860,12 @@ func (e *Engine) groupIndividuals(n int) int {
 
 // sameVector reports bit-identity of two scratch rows' (violation,
 // objectives) vectors.
-func (e *Engine) sameVector(a, b int) bool {
-	if e.vfW[a] != e.vfW[b] {
+func (r *ranker) sameVector(a, b int) bool {
+	if r.vfW[a] != r.vfW[b] {
 		return false
 	}
-	for k := 0; k < e.nObj; k++ {
-		col := e.objCol[k]
+	for k := 0; k < r.nObj; k++ {
+		col := r.objCol[k]
 		if math.Float64bits(col[a]) != math.Float64bits(col[b]) {
 			return false
 		}
@@ -949,17 +875,16 @@ func (e *Engine) sameVector(a, b int) bool {
 
 // feasWord reports the feasibility packed into a violation word: the
 // word is the violation's IEEE-754 bits, so violation == ±0 (the
-// `v == 0` feasibility rule) means every bit but the sign is clear. A
-// NaN violation has payload bits set and correctly reads infeasible.
+// `v == 0` feasibility rule) means every bit but the sign is clear.
 func feasWord(w uint64) bool { return w<<1 == 0 }
 
 // relation decides one unordered pair under Deb's constraint
 // dominance: 1 if i dominates j, -1 if j dominates i, 0 otherwise.
 // Exactly equivalent to evaluating the reference dominates in both
 // directions.
-func (e *Engine) relation(i, j int) int {
-	e.relations++
-	wi, wj := e.vfW[i], e.vfW[j]
+func (r *ranker) relation(i, j int) int {
+	r.relations++
+	wi, wj := r.vfW[i], r.vfW[j]
 	fi, fj := feasWord(wi), feasWord(wj)
 	if fi != fj {
 		if fi {
@@ -977,31 +902,30 @@ func (e *Engine) relation(i, j int) int {
 		}
 		return 0
 	}
-	mo := e.nObj
+	mo := r.nObj
 	// The common widths (the 2- and 3-objective sets) compare unrolled:
 	// both better-than flags are folded over the whole vector with
 	// short-circuit ORs instead of the flagged scan. The final decision
 	// — both flags 0, one flag 1/-1 — is exactly what the reference
 	// early-exit loop returns (it only returns 0 sooner, never a
-	// different value), including under NaN, where every comparison is
-	// false and both flags stay clear.
+	// different value).
 	var iBetter, jBetter bool
 	switch mo {
 	case 2:
-		c0, c1 := e.objCol[0], e.objCol[1]
+		c0, c1 := r.objCol[0], r.objCol[1]
 		iBetter = c0[i] < c0[j] || c1[i] < c1[j]
 		jBetter = c0[i] > c0[j] || c1[i] > c1[j]
 	case 3:
-		c0, c1, c2 := e.objCol[0], e.objCol[1], e.objCol[2]
+		c0, c1, c2 := r.objCol[0], r.objCol[1], r.objCol[2]
 		iBetter = c0[i] < c0[j] || c1[i] < c1[j] || c2[i] < c2[j]
 		jBetter = c0[i] > c0[j] || c1[i] > c1[j] || c2[i] > c2[j]
 	case 4:
-		c0, c1, c2, c3 := e.objCol[0], e.objCol[1], e.objCol[2], e.objCol[3]
+		c0, c1, c2, c3 := r.objCol[0], r.objCol[1], r.objCol[2], r.objCol[3]
 		iBetter = c0[i] < c0[j] || c1[i] < c1[j] || c2[i] < c2[j] || c3[i] < c3[j]
 		jBetter = c0[i] > c0[j] || c1[i] > c1[j] || c2[i] > c2[j] || c3[i] > c3[j]
 	default:
 		for k := 0; k < mo; k++ {
-			col := e.objCol[k]
+			col := r.objCol[k]
 			switch {
 			case col[i] < col[j]:
 				if jBetter {
@@ -1025,93 +949,10 @@ func (e *Engine) relation(i, j int) int {
 	return 0
 }
 
-// ensureBatchScratch sizes the relationBatch flag and output buffers
-// for blocks up to n. NewEngine pre-sizes them for 2*PopSize;
-// hand-built test engines hit the lazy growth instead.
-func (e *Engine) ensureBatchScratch(n int) {
-	if len(e.batchIB) >= n {
-		return
-	}
-	e.batchIB = make([]uint8, n)
-	e.batchJB = make([]uint8, n)
-	e.relOut = make([]int8, n)
-}
-
-// b2u8 converts a comparison result to a flag byte; the compiler turns
-// it into a branch-free SETcc, keeping the column folds below tight.
-func b2u8(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// relationBatch computes relation(i, j) for a whole block of
-// candidates j at once, writing one int8 per element of js into out
-// (len(out) must be at least len(js)). Instead of finishing one pair
-// before starting the next, it folds each objective COLUMN across the
-// entire block — contiguous loads of col[js[t]] against one scalar
-// col[i], with branch-free flag ORs the compiler can vectorize — and
-// only then combines the flags with the packed violation words into
-// the Deb verdicts. Per element the fold accumulates the same two
-// better-than flags the scalar relation's unrolled OR folds produce
-// (NaN included: every NaN comparison is false, so both flags stay
-// clear), and the combine replays relation's feasibility/violation
-// ladder exactly, so out[t] == relation(i, js[t]) bit-for-bit — the
-// property tests pin this against the scalar kernel.
-func (e *Engine) relationBatch(i int, js []int32, out []int8) {
-	n := len(js)
-	if n == 0 {
-		return
-	}
-	e.relations += int64(n)
-	e.ensureBatchScratch(n)
-	iB, jB := e.batchIB[:n], e.batchJB[:n]
-	for t := range iB {
-		iB[t], jB[t] = 0, 0
-	}
-	for k := 0; k < e.nObj; k++ {
-		col := e.objCol[k]
-		a := col[i]
-		for t, j := range js {
-			b := col[j]
-			iB[t] |= b2u8(a < b)
-			jB[t] |= b2u8(a > b)
-		}
-	}
-	wi := e.vfW[i]
-	fi := feasWord(wi)
-	vi := math.Float64frombits(wi)
-	for t, j := range js {
-		wj := e.vfW[j]
-		fj := feasWord(wj)
-		switch {
-		case fi != fj:
-			if fi {
-				out[t] = 1
-			} else {
-				out[t] = -1
-			}
-		case !fi:
-			vj := math.Float64frombits(wj)
-			switch {
-			case vi < vj:
-				out[t] = 1
-			case vj < vi:
-				out[t] = -1
-			default:
-				out[t] = 0
-			}
-		default:
-			out[t] = int8(iB[t]) - int8(jB[t])
-		}
-	}
-}
-
 // assignCrowdingScratch mirrors the reference assignCrowding on the
 // engine's flat objective buffer with a preallocated index slice and
 // an allocation-free stable sort.
-func (e *Engine) assignCrowdingScratch(m []Individual, front []int) {
+func (r *ranker) assignCrowdingScratch(m []Individual, front []int) {
 	if len(front) == 0 {
 		return
 	}
@@ -1124,14 +965,14 @@ func (e *Engine) assignCrowdingScratch(m []Individual, front []int) {
 		}
 		return
 	}
-	mo := e.nObj
-	idx := e.crowdIdx[:len(front)]
+	mo := r.nObj
+	idx := r.crowdIdx[:len(front)]
 	for obj := 0; obj < mo; obj++ {
-		col := e.objCol[obj]
+		col := r.objCol[obj]
 		copy(idx, front)
-		e.oSort.idx, e.oSort.col = idx, col
-		sort.Stable(&e.oSort)
-		e.oSort.idx, e.oSort.col = nil, nil
+		r.oSort.idx, r.oSort.col = idx, col
+		sort.Stable(&r.oSort)
+		r.oSort.idx, r.oSort.col = nil, nil
 		lo := col[idx[0]]
 		hi := col[idx[len(idx)-1]]
 		spread := hi - lo
@@ -1185,18 +1026,18 @@ func (s *crowdSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 // lexicographic objective vector, then infeasible groups ascending by
 // violation; exact numeric ties fall back to first-seen group order,
 // giving a deterministic total order. Correct only for NaN-free
-// populations (rankAndCrowd guards).
+// populations (see rankAndCrowd).
 type lexSorter struct {
-	e   *Engine
+	r   *ranker
 	ids []int32
 }
 
 func (s *lexSorter) Len() int { return len(s.ids) }
 func (s *lexSorter) Less(a, b int) bool {
-	e := s.e
+	r := s.r
 	ga, gb := s.ids[a], s.ids[b]
-	ra, rb := int(e.gRep[ga]), int(e.gRep[gb])
-	wa, wb := e.vfW[ra], e.vfW[rb]
+	ra, rb := int(r.gRep[ga]), int(r.gRep[gb])
+	wa, wb := r.vfW[ra], r.vfW[rb]
 	fa, fb := feasWord(wa), feasWord(wb)
 	if fa != fb {
 		return fa
@@ -1208,8 +1049,8 @@ func (s *lexSorter) Less(a, b int) bool {
 		}
 		return ga < gb
 	}
-	for k := 0; k < e.nObj; k++ {
-		col := e.objCol[k]
+	for k := 0; k < r.nObj; k++ {
+		col := r.objCol[k]
 		if col[ra] != col[rb] {
 			return col[ra] < col[rb]
 		}
@@ -1222,13 +1063,13 @@ func (s *lexSorter) Swap(a, b int) { s.ids[a], s.ids[b] = s.ids[b], s.ids[a] }
 // last-member position, the scan order of the next front's unlock-
 // position search. Positions are distinct, so the order is strict.
 type posSorter struct {
-	e   *Engine
+	r   *ranker
 	ids []int32
 }
 
 func (s *posSorter) Len() int { return len(s.ids) }
 func (s *posSorter) Less(a, b int) bool {
-	return s.e.gLastPos[s.ids[a]] > s.e.gLastPos[s.ids[b]]
+	return s.r.gLastPos[s.ids[a]] > s.r.gLastPos[s.ids[b]]
 }
 func (s *posSorter) Swap(a, b int) { s.ids[a], s.ids[b] = s.ids[b], s.ids[a] }
 
@@ -1237,15 +1078,15 @@ func (s *posSorter) Swap(a, b int) { s.ids[a], s.ids[b] = s.ids[b], s.ids[a] }
 // domination count reaches zero, then ascending index within the
 // batch — the reference append order.
 type frontSorter struct {
-	e   *Engine
+	r   *ranker
 	idx []int
 }
 
 func (s *frontSorter) Len() int { return len(s.idx) }
 func (s *frontSorter) Less(a, b int) bool {
-	e := s.e
+	r := s.r
 	ia, ib := s.idx[a], s.idx[b]
-	pa, pb := e.gP[e.groupOf[ia]], e.gP[e.groupOf[ib]]
+	pa, pb := r.gP[r.groupOf[ia]], r.gP[r.groupOf[ib]]
 	if pa != pb {
 		return pa < pb
 	}
@@ -1268,8 +1109,8 @@ type Stats struct {
 	CacheHits   int64
 	// WarmHits counts cache misses short-circuited by Config.WarmLookup.
 	WarmHits int64
-	// RelationsCompared counts Deb-dominance pair comparisons across
-	// both front builders.
+	// RelationsCompared counts the Deb-dominance pair comparisons of
+	// the front builder.
 	RelationsCompared int64
 	// Eval is the problem-side kernel-path split, zero-valued when the
 	// problem does not implement StatsProblem.

@@ -1,8 +1,11 @@
 package nsga2
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -36,31 +39,12 @@ func randomPopulation(rng *rand.Rand, n, m int) []Individual {
 }
 
 // scratchEngine builds an engine sized for populations of up to 2*half
-// without running a problem, for driving the scratch machinery
-// directly against the reference implementations.
+// without running a problem, for driving the ranking and survival
+// machinery directly against the reference implementations.
 func scratchEngine(half, m int) *Engine {
-	gt := 1
-	for gt < 4*half {
-		gt *= 2
-	}
-	e := &Engine{
-		nObj:     m,
+	return &Engine{
+		ranker:   newRanker(2*half, m),
 		size:     half,
-		vfW:      make([]uint64, 2*half),
-		domCount: make([]int32, 2*half),
-		groupOf:  make([]int32, 2*half),
-		gRep:     make([]int32, 2*half),
-		gSize:    make([]int32, 2*half),
-		gCur:     make([]int32, 2*half),
-		gHash:    make([]uint64, 2*half),
-		gDom:     make([][]int32, 2*half),
-		gTable:   make([]int32, gt),
-		gMask:    uint64(gt - 1),
-		gmStart:  make([]int32, 2*half+1),
-		gMembers: make([]int32, 2*half),
-		zbuf:     make([]int, 0, 2*half),
-		frontBuf: make([]int, 0, 2*half),
-		crowdIdx: make([]int, 2*half),
 		rest:     make([]int, 0, 2*half),
 		nextBuf:  make([]Individual, half),
 		nextSlab: make([]byte, half),
@@ -68,12 +52,6 @@ func scratchEngine(half, m int) *Engine {
 		curSlab:  make([]byte, half),
 		gl:       1,
 	}
-	e.objCol = make([][]float64, m)
-	e.objColBuf = make([]float64, 2*half*m)
-	for k := 0; k < m; k++ {
-		e.objCol[k] = e.objColBuf[k*2*half : (k+1)*2*half : (k+1)*2*half]
-	}
-	return e
 }
 
 // TestRankAndCrowdMatchesReference pins the scratch non-dominated
@@ -96,38 +74,29 @@ func TestRankAndCrowdMatchesReference(t *testing.T) {
 			assignCrowding(ref, front)
 		}
 
-		// Both builders — the default sort-based one and the retained
-		// pair-relation fallback — must reproduce the reference.
-		for _, pairwise := range []bool{false, true} {
-			copy(got, ref)
-			for i := range got {
-				got[i].Rank, got[i].Crowding = 0, 0
-			}
-			e := scratchEngine(n, m)
-			e.forcePairwise = pairwise
-			gotFronts := e.rankAndCrowd(got)
+		e := scratchEngine(n, m)
+		gotFronts := e.rankAndCrowd(got)
 
-			if len(gotFronts) != len(refFronts) {
+		if len(gotFronts) != len(refFronts) {
+			return false
+		}
+		for fi := range refFronts {
+			if len(gotFronts[fi]) != len(refFronts[fi]) {
 				return false
 			}
-			for fi := range refFronts {
-				if len(gotFronts[fi]) != len(refFronts[fi]) {
+			for k := range refFronts[fi] {
+				if gotFronts[fi][k] != refFronts[fi][k] {
 					return false
-				}
-				for k := range refFronts[fi] {
-					if gotFronts[fi][k] != refFronts[fi][k] {
-						return false
-					}
 				}
 			}
-			for i := range ref {
-				if got[i].Rank != ref[i].Rank {
-					return false
-				}
-				if got[i].Crowding != ref[i].Crowding &&
-					!(math.IsInf(got[i].Crowding, 1) && math.IsInf(ref[i].Crowding, 1)) {
-					return false
-				}
+		}
+		for i := range ref {
+			if got[i].Rank != ref[i].Rank {
+				return false
+			}
+			if got[i].Crowding != ref[i].Crowding &&
+				!(math.IsInf(got[i].Crowding, 1) && math.IsInf(ref[i].Crowding, 1)) {
+				return false
 			}
 		}
 		return true
@@ -465,5 +434,63 @@ func TestGenomeCacheBasics(t *testing.T) {
 	k[0] ^= 1
 	if string(c.entries[0].key) == string(k) {
 		t.Fatal("cache aliased the caller's key slice")
+	}
+}
+
+// nanPanic runs build, which must panic on a NaN, and returns the
+// panic message.
+func nanPanic(t *testing.T, build func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("NaN accepted without a panic")
+		}
+		msg = fmt.Sprint(r)
+	}()
+	build()
+	return ""
+}
+
+// TestEngineRejectsNaN pins the engine's NaN boundary: a problem
+// result with a NaN objective or violation, and a WarmLookup hit with
+// a NaN objective, panic on the caller's goroutine — serial and
+// parallel alike — with a message naming the genome.
+func TestEngineRejectsNaN(t *testing.T) {
+	poison := []byte{1, 0, 1, 1, 0, 0, 1, 0}
+	base := twoMin(len(poison))
+	for _, tc := range []struct {
+		name string
+		objs []float64
+		viol float64
+	}{
+		{"objective", []float64{math.NaN(), 1}, 0},
+		{"violation", []float64{1, 1}, math.NaN()},
+	} {
+		p := funcProblem{n: base.n, m: base.m, eval: func(g []byte) ([]float64, float64) {
+			if bytes.Equal(g, poison) {
+				return tc.objs, tc.viol
+			}
+			return base.eval(g)
+		}}
+		for _, workers := range []int{1, 2} {
+			cfg := Config{PopSize: 8, Seed: 1, Workers: workers, Seeds: [][]byte{poison}}
+			msg := nanPanic(t, func() { _, _ = NewEngine(p, cfg) })
+			if !strings.Contains(msg, "EvaluateInto") || !strings.Contains(msg, fmt.Sprint(poison)) {
+				t.Errorf("%s, workers=%d: panic %q does not name EvaluateInto and genome %v", tc.name, workers, msg, poison)
+			}
+		}
+	}
+
+	cfg := Config{PopSize: 8, Seed: 1, Seeds: [][]byte{poison},
+		WarmLookup: func(g []byte) ([]float64, float64, bool) {
+			if bytes.Equal(g, poison) {
+				return []float64{math.NaN(), 0}, 0, true
+			}
+			return nil, 0, false
+		}}
+	msg := nanPanic(t, func() { _, _ = NewEngine(base, cfg) })
+	if !strings.Contains(msg, "WarmLookup") || !strings.Contains(msg, fmt.Sprint(poison)) {
+		t.Errorf("warm hit: panic %q does not name WarmLookup and genome %v", msg, poison)
 	}
 }

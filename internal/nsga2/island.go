@@ -77,8 +77,9 @@ func (e *Engine) InjectGenomes(genomes [][]byte) error {
 // island model's per-island results) into a single Result:
 //
 //   - Final is the concatenation of the final populations in island
-//     order, re-ranked with the reference non-dominated sort, so
-//     rank 0 is the globally non-dominated set across islands.
+//     order, re-ranked with the engine's ranking pass (a ranker sized
+//     for the whole concatenation), so rank 0 is the globally
+//     non-dominated set across islands.
 //   - Archive is the island-major concatenation deduplicated by
 //     genome (first occurrence wins; evaluation is deterministic, so
 //     duplicates carry identical vectors either way).
@@ -109,7 +110,10 @@ func MergeResults(rs ...*Result) *Result {
 			}
 		}
 	}
-	sortPopulation(merged.Final)
+	if n := len(merged.Final); n > 0 {
+		r := newRanker(n, len(merged.Final[0].Objs))
+		r.rankAndCrowd(merged.Final)
+	}
 	return merged
 }
 

@@ -23,16 +23,18 @@ func loadFlat(e *Engine, pop []Individual) {
 // TestRelationMatchesDominates pins the unrolled pair relation —
 // including the 2/3/4-objective fast paths — to the reference
 // dominates evaluated in both directions, on populations mixing
-// feasible, infeasible, duplicate and NaN-carrying individuals.
+// feasible, infeasible and duplicate individuals with ±Inf and -0
+// objectives sprinkled in.
 func TestRelationMatchesDominates(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(24)
 		m := 1 + rng.Intn(6) // covers the unrolled widths and the generic fallback
 		pop := randomPopulation(rng, n, m)
+		specials := []float64{math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
 		for i := range pop {
 			if rng.Intn(8) == 0 {
-				pop[i].Objs[rng.Intn(m)] = math.NaN()
+				pop[i].Objs[rng.Intn(m)] = specials[rng.Intn(len(specials))]
 			}
 		}
 		e := scratchEngine(n, m)
@@ -92,62 +94,6 @@ func BenchmarkRelation(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkRelationBatch measures one individual against a 64-wide
-// block of opponents, batch kernel vs the scalar relation looped over
-// the same block — the exact comparison CI's relative-speed gate
-// enforces (batch < scalar within the run). Tie-heavy feasible
-// vectors defeat the early exit, so both sides do full-width work.
-func BenchmarkRelationBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	const n, m = 64, 3
-	pop := make([]Individual, n)
-	for i := range pop {
-		objs := make([]float64, m)
-		for k := range objs {
-			objs[k] = float64(rng.Intn(4))
-		}
-		pop[i] = Individual{Objs: objs}
-	}
-	js := make([]int32, n)
-	for j := range js {
-		js[j] = int32(j)
-	}
-	b.Run("batch", func(b *testing.B) {
-		e := scratchEngine(n, m)
-		loadFlat(e, pop)
-		e.ensureBatchScratch(n)
-		out := make([]int8, n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		sink := int8(0)
-		for it := 0; it < b.N; it++ {
-			e.relationBatch(it%n, js, out)
-			sink += out[it%n]
-		}
-		if sink == math.MaxInt8 {
-			b.Fatal("unreachable")
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		e := scratchEngine(n, m)
-		loadFlat(e, pop)
-		out := make([]int8, n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		sink := int8(0)
-		for it := 0; it < b.N; it++ {
-			i := it % n
-			for idx, j := range js {
-				out[idx] = int8(e.relation(i, int(j)))
-			}
-			sink += out[i]
-		}
-		if sink == math.MaxInt8 {
-			b.Fatal("unreachable")
-		}
-	})
 }
 
 func newTestEngine(t *testing.T, n, pop, gens int, seed int64) *Engine {
@@ -351,6 +297,53 @@ func TestMergeResultsDedupAndRank(t *testing.T) {
 	single := MergeResults(r1)
 	if single.DistinctEvaluated != r1.DistinctEvaluated || single.DistinctValid != r1.DistinctValid {
 		t.Fatal("single-run merge changed distinct counts")
+	}
+}
+
+// TestMergeResultsMatchesReference pins MergeResults' re-rank to the
+// reference sortPopulation on three islands' concatenated final
+// populations — 3*PopSize individuals, more than an engine's
+// 2*PopSize ranker holds — with graded infeasible individuals at
+// +Inf and cross-island duplicates: ranks and crowding bits agree.
+func TestMergeResultsMatchesReference(t *testing.T) {
+	const n, pop = 12, 16
+	p := funcProblem{n: n, m: 2, eval: func(g []byte) ([]float64, float64) {
+		ones := countOnes(g)
+		if ones < 2*n/3 {
+			return []float64{math.Inf(1), math.Inf(1)}, float64(2*n/3 - ones)
+		}
+		return []float64{float64(countOnes(g[:n/2])), float64(n/2 - countOnes(g[n/2:]))}, 0
+	}}
+	var rs []*Result
+	for seed := int64(1); seed <= 3; seed++ {
+		r, err := Run(p, Config{PopSize: pop, Generations: 3, Seed: seed, InitDensity: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs = append(rs, r)
+	}
+	merged := MergeResults(rs...)
+	var ref []Individual
+	for _, r := range rs {
+		ref = append(ref, r.Final...)
+	}
+	sortPopulation(ref)
+	if len(merged.Final) != 3*pop || len(ref) != 3*pop {
+		t.Fatalf("merged %d individuals, reference %d, want %d", len(merged.Final), len(ref), 3*pop)
+	}
+	feasible := 0
+	for i := range ref {
+		if ref[i].Feasible() {
+			feasible++
+		}
+		if merged.Final[i].Rank != ref[i].Rank ||
+			math.Float64bits(merged.Final[i].Crowding) != math.Float64bits(ref[i].Crowding) {
+			t.Fatalf("individual %d: rank %d crowding %v, reference rank %d crowding %v",
+				i, merged.Final[i].Rank, merged.Final[i].Crowding, ref[i].Rank, ref[i].Crowding)
+		}
+	}
+	if feasible == 0 || feasible == len(ref) {
+		t.Fatalf("%d of %d individuals feasible; the test needs both kinds", feasible, len(ref))
 	}
 }
 

@@ -16,16 +16,17 @@
 // The hot path lives in the Engine (engine.go): an incremental,
 // scratch-arena form of the generation loop that performs zero
 // steady-state heap allocations per generation. This file keeps the
-// public problem/config/result types and the simple reference
-// implementations of the ranking machinery (fastNonDominatedSort,
-// assignCrowding, survive), which the property tests use as the
-// equivalence oracle for the scratch versions.
+// public problem/config/result types. The simple reference
+// implementations of the ranking machinery (dominates,
+// fastNonDominatedSort, assignCrowding, survive) live in
+// reference_test.go, where the property tests use them as the
+// equivalence oracle for the engine's one ranking path.
+//
+// Objective values and violations may be +Inf but never NaN: the
+// ranking cannot order NaN, so the engine rejects it where values
+// enter — a panic for Problem results and WarmLookup hits, an error
+// for checkpoint cache entries.
 package nsga2
-
-import (
-	"math"
-	"sort"
-)
 
 // Problem is the optimization problem the engine minimizes.
 type Problem interface {
@@ -39,6 +40,10 @@ type Problem interface {
 	// mean "more broken". Deb's constraint domination uses the
 	// magnitude to give the search a gradient toward feasibility even
 	// from an all-infeasible population.
+	//
+	// Objectives and violation may be +Inf (the paper's "fitness set
+	// to infinity") but must not be NaN: the engine checks every new
+	// result and panics, naming the genome, on a NaN.
 	//
 	// parent1 and parent2 are the variation record: the offspring's
 	// copy source and its mate (either may equal the other), nil for
@@ -143,8 +148,9 @@ type Config struct {
 	// would produce for genome bit-for-bit (a campaign seeds this from
 	// a completed sibling run's checkpointed cache — evaluation is
 	// deterministic, so the equality holds by construction); anything
-	// else silently
-	// diverges the run. Counters, cache insertion order, the archive
+	// else silently diverges the run. Like EvaluateInto's, the
+	// returned values must not be NaN: the engine panics on a NaN hit,
+	// naming the genome. Counters, cache insertion order, the archive
 	// and all results are identical with or without the hook — only
 	// evaluation work is skipped. The engine interns the returned objs
 	// slice into its own arena before returning, so the callback may
@@ -257,154 +263,6 @@ func Run(p Problem, cfg Config) (*Result, error) {
 		e.Step()
 	}
 	return e.Result(), nil
-}
-
-// dominates implements Deb's constraint dominance for minimization:
-// a feasible individual dominates any infeasible one; between two
-// infeasible individuals the smaller violation dominates; between two
-// feasible individuals, standard Pareto dominance.
-func dominates(a, b Individual) bool {
-	if a.Feasible() != b.Feasible() {
-		return a.Feasible()
-	}
-	if !a.Feasible() {
-		return a.Violation < b.Violation
-	}
-	strictly := false
-	for i := range a.Objs {
-		switch {
-		case a.Objs[i] > b.Objs[i]:
-			return false
-		case a.Objs[i] < b.Objs[i]:
-			strictly = true
-		}
-	}
-	return strictly
-}
-
-// sortPopulation assigns ranks and crowding distances in place — the
-// reference implementation of the engine's rankAndCrowd scratch pass.
-func sortPopulation(pop []Individual) {
-	fronts := fastNonDominatedSort(pop)
-	for rank, front := range fronts {
-		for _, i := range front {
-			pop[i].Rank = rank
-		}
-		assignCrowding(pop, front)
-	}
-}
-
-// fastNonDominatedSort returns the indices of each front (reference
-// implementation; the Engine carries an allocation-free scratch
-// version producing identical fronts).
-func fastNonDominatedSort(pop []Individual) [][]int {
-	n := len(pop)
-	domCount := make([]int, n)
-	dominated := make([][]int, n)
-	var first []int
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if dominates(pop[i], pop[j]) {
-				dominated[i] = append(dominated[i], j)
-			} else if dominates(pop[j], pop[i]) {
-				domCount[i]++
-			}
-		}
-		if domCount[i] == 0 {
-			first = append(first, i)
-		}
-	}
-	var fronts [][]int
-	cur := first
-	for len(cur) > 0 {
-		fronts = append(fronts, cur)
-		var next []int
-		for _, i := range cur {
-			for _, j := range dominated[i] {
-				domCount[j]--
-				if domCount[j] == 0 {
-					next = append(next, j)
-				}
-			}
-		}
-		cur = next
-	}
-	return fronts
-}
-
-// assignCrowding computes crowding distances for one front (reference
-// implementation).
-func assignCrowding(pop []Individual, front []int) {
-	if len(front) == 0 {
-		return
-	}
-	for _, i := range front {
-		pop[i].Crowding = 0
-	}
-	if len(front) <= 2 {
-		for _, i := range front {
-			pop[i].Crowding = math.Inf(1)
-		}
-		return
-	}
-	m := len(pop[front[0]].Objs)
-	idx := make([]int, len(front))
-	for obj := 0; obj < m; obj++ {
-		copy(idx, front)
-		sort.SliceStable(idx, func(a, b int) bool {
-			return pop[idx[a]].Objs[obj] < pop[idx[b]].Objs[obj]
-		})
-		lo, hi := pop[idx[0]].Objs[obj], pop[idx[len(idx)-1]].Objs[obj]
-		spread := hi - lo
-		pop[idx[0]].Crowding = math.Inf(1)
-		pop[idx[len(idx)-1]].Crowding = math.Inf(1)
-		if spread <= 0 || math.IsInf(spread, 0) || math.IsNaN(spread) {
-			// Degenerate axis (all equal, or infeasible front at
-			// +Inf): contributes nothing.
-			continue
-		}
-		for k := 1; k < len(idx)-1; k++ {
-			d := (pop[idx[k+1]].Objs[obj] - pop[idx[k-1]].Objs[obj]) / spread
-			if !math.IsInf(pop[idx[k]].Crowding, 1) {
-				pop[idx[k]].Crowding += d
-			}
-		}
-	}
-}
-
-// survive performs the elitist (mu + lambda) environmental selection:
-// whole fronts are taken while they fit; the last partial front is
-// truncated by crowding distance (reference implementation).
-func survive(merged []Individual, size int) []Individual {
-	fronts := fastNonDominatedSort(merged)
-	for rank, front := range fronts {
-		for _, i := range front {
-			merged[i].Rank = rank
-		}
-		assignCrowding(merged, front)
-	}
-	next := make([]Individual, 0, size)
-	for _, front := range fronts {
-		if len(next)+len(front) <= size {
-			for _, i := range front {
-				next = append(next, merged[i])
-			}
-			continue
-		}
-		rest := make([]int, len(front))
-		copy(rest, front)
-		sort.SliceStable(rest, func(a, b int) bool {
-			return merged[rest[a]].Crowding > merged[rest[b]].Crowding
-		})
-		for _, i := range rest[:size-len(next)] {
-			next = append(next, merged[i])
-		}
-		break
-	}
-	return next
 }
 
 // FeasibleFront extracts the distinct feasible rank-0 individuals of

@@ -9,8 +9,8 @@ import (
 
 // dupHeavyPopulation builds a population where ~85% of individuals
 // duplicate one of ~n/8 archetype vectors — the shape real GA merges
-// take — with optional NaN payloads sprinkled into objectives.
-func dupHeavyPopulation(rng *rand.Rand, n, m int, nan bool) []Individual {
+// take.
+func dupHeavyPopulation(rng *rand.Rand, n, m int) []Individual {
 	archetypes := randomPopulation(rng, 2+n/8, m)
 	pop := make([]Individual, n)
 	for i := range pop {
@@ -23,72 +23,20 @@ func dupHeavyPopulation(rng *rand.Rand, n, m int, nan bool) []Individual {
 				Violation: src.Violation,
 			}
 		}
-		if nan && rng.Intn(10) == 0 {
-			pop[i].Objs[rng.Intn(m)] = math.NaN()
-		}
 	}
 	return pop
 }
 
-// TestRelationBatchMatchesScalar pins the block relation kernel to the
-// scalar pair relation element by element, at every unrolled width and
-// the generic fallback, over duplicate-heavy populations carrying NaN
-// objectives, infeasible +Inf rows and exact ties — the block kernel
-// must be a pure batching of the scalar result, nothing more.
-func TestRelationBatchMatchesScalar(t *testing.T) {
-	for _, m := range []int{2, 3, 4, 5} {
-		f := func(seed int64) bool {
-			rng := rand.New(rand.NewSource(seed))
-			n := 4 + rng.Intn(60)
-			pop := dupHeavyPopulation(rng, n, m, true)
-			e := scratchEngine((n+1)/2+1, m)
-			loadFlat(e, pop)
-			js := make([]int32, 0, n)
-			for trial := 0; trial < 8; trial++ {
-				i := rng.Intn(n)
-				js = js[:0]
-				for j := 0; j < n; j++ {
-					if rng.Intn(3) != 0 { // ragged blocks, not always 0..n-1
-						js = append(js, int32(j))
-					}
-				}
-				if len(js) == 0 {
-					continue
-				}
-				e.ensureBatchScratch(len(js))
-				out := e.relOut[:len(js)]
-				before := e.relations
-				e.relationBatch(i, js, out)
-				if e.relations != before+int64(len(js)) {
-					t.Logf("relationBatch counted %d relations, want %d", e.relations-before, len(js))
-					return false
-				}
-				for k, j := range js {
-					if want := e.relation(i, int(j)); int(out[k]) != want {
-						t.Logf("m=%d relationBatch(%d)[%d]=%d, scalar relation(%d,%d)=%d (i=%+v j=%+v)",
-							m, i, k, out[k], i, j, want, pop[i], pop[j])
-						return false
-					}
-				}
-			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-			t.Errorf("m=%d: %v", m, err)
-		}
-	}
-}
-
-// TestFrontBuildersAgreeDupHeavy runs the sort-based builder, the
-// batch-accelerated pairwise builder and the allocating reference over
-// the SoA layout on duplicate-heavy populations at m in {2,3,4,5}:
-// fronts, member order, ranks and crowding must agree bit for bit.
+// TestFrontBuildersAgreeDupHeavy runs the engine's sort-based builder
+// and the allocating reference over the SoA layout on duplicate-heavy
+// populations at m in {2,3,4,5}: fronts, member order, ranks and
+// crowding must agree bit for bit.
 func TestFrontBuildersAgreeDupHeavy(t *testing.T) {
 	for _, m := range []int{2, 3, 4, 5} {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			n := 8 + rng.Intn(70)
-			pop := dupHeavyPopulation(rng, n, m, false)
+			pop := dupHeavyPopulation(rng, n, m)
 			ref := make([]Individual, n)
 			copy(ref, pop)
 			refFronts := fastNonDominatedSort(ref)
@@ -98,33 +46,25 @@ func TestFrontBuildersAgreeDupHeavy(t *testing.T) {
 				}
 				assignCrowding(ref, front)
 			}
-			for _, pairwise := range []bool{false, true} {
-				got := make([]Individual, n)
-				copy(got, pop)
-				for i := range got {
-					got[i].Rank, got[i].Crowding = 0, 0
-				}
-				e := scratchEngine((n+1)/2+1, m)
-				e.forcePairwise = pairwise
-				gotFronts := e.rankAndCrowd(got)
-				if len(gotFronts) != len(refFronts) {
+			e := scratchEngine((n+1)/2+1, m)
+			gotFronts := e.rankAndCrowd(pop)
+			if len(gotFronts) != len(refFronts) {
+				return false
+			}
+			for fi := range refFronts {
+				if len(gotFronts[fi]) != len(refFronts[fi]) {
 					return false
 				}
-				for fi := range refFronts {
-					if len(gotFronts[fi]) != len(refFronts[fi]) {
+				for k := range refFronts[fi] {
+					if gotFronts[fi][k] != refFronts[fi][k] {
 						return false
-					}
-					for k := range refFronts[fi] {
-						if gotFronts[fi][k] != refFronts[fi][k] {
-							return false
-						}
 					}
 				}
-				for i := range ref {
-					if got[i].Rank != ref[i].Rank ||
-						math.Float64bits(got[i].Crowding) != math.Float64bits(ref[i].Crowding) {
-						return false
-					}
+			}
+			for i := range ref {
+				if pop[i].Rank != ref[i].Rank ||
+					math.Float64bits(pop[i].Crowding) != math.Float64bits(ref[i].Crowding) {
+					return false
 				}
 			}
 			return true
@@ -136,11 +76,10 @@ func TestFrontBuildersAgreeDupHeavy(t *testing.T) {
 }
 
 // fuzzObjective maps one fuzz byte onto the objective domain that
-// stresses dominance: small tied integers plus the IEEE specials.
+// stresses dominance: small tied integers plus the IEEE specials the
+// engine admits (±Inf, -0; never NaN).
 func fuzzObjective(b byte) float64 {
-	switch b % 16 {
-	case 15:
-		return math.NaN()
+	switch b % 15 {
 	case 14:
 		return math.Inf(1)
 	case 13:
@@ -153,17 +92,15 @@ func fuzzObjective(b byte) float64 {
 }
 
 // fuzzViolation maps one fuzz byte onto the violation domain: mostly
-// feasible, with graded, infinite and NaN violations mixed in.
+// feasible, with graded and infinite violations mixed in.
 func fuzzViolation(b byte) float64 {
-	switch b % 8 {
+	switch b % 7 {
 	case 4:
 		return 1
 	case 5:
 		return 2.5
 	case 6:
 		return math.Inf(1)
-	case 7:
-		return math.NaN()
 	default:
 		return 0
 	}
@@ -171,12 +108,11 @@ func fuzzViolation(b byte) float64 {
 
 // FuzzFrontBuilders decodes arbitrary bytes into a population (one
 // byte per objective plus a violation byte per individual, spanning
-// ties, duplicates, +/-Inf, -0 and NaN) and cross-checks the three
-// front builders — ENS sort-based, batch pairwise, allocating
-// reference — plus the block relation kernel against the scalar one.
+// ties, duplicates, +/-Inf and -0) and cross-checks the engine's
+// sort-based front builder against the allocating reference.
 func FuzzFrontBuilders(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 2, 1, 0, 1, 1, 4}, uint8(0))
-	f.Add([]byte{15, 3, 0, 14, 14, 4, 13, 12, 0, 1, 1, 7}, uint8(1))
+	f.Add([]byte{13, 3, 0, 14, 14, 4, 13, 12, 0, 1, 1, 6}, uint8(1))
 	dup := make([]byte, 0, 120)
 	for i := 0; i < 30; i++ { // ~85% duplicates of three archetypes
 		a := byte(i % 3)
@@ -195,15 +131,11 @@ func FuzzFrontBuilders(f *testing.F) {
 			n = 96
 		}
 		pop := make([]Individual, n)
-		nanObjs := false
 		for i := range pop {
 			row := data[i*stride : (i+1)*stride]
 			objs := make([]float64, m)
 			for k := range objs {
 				objs[k] = fuzzObjective(row[k])
-				if math.IsNaN(objs[k]) {
-					nanObjs = true
-				}
 			}
 			pop[i] = Individual{Objs: objs, Violation: fuzzViolation(row[m])}
 		}
@@ -217,59 +149,27 @@ func FuzzFrontBuilders(f *testing.F) {
 			}
 			assignCrowding(ref, front)
 		}
-		for _, pairwise := range []bool{false, true} {
-			got := make([]Individual, n)
-			copy(got, pop)
-			for i := range got {
-				got[i].Rank, got[i].Crowding = 0, 0
-			}
-			e := scratchEngine((n+1)/2+1, m)
-			e.forcePairwise = pairwise
-			gotFronts := e.rankAndCrowd(got)
-			if len(gotFronts) != len(refFronts) {
-				t.Fatalf("pairwise=%v: %d fronts, reference has %d", pairwise, len(gotFronts), len(refFronts))
-			}
-			for fi := range refFronts {
-				if len(gotFronts[fi]) != len(refFronts[fi]) {
-					t.Fatalf("pairwise=%v front %d: %d members, reference has %d",
-						pairwise, fi, len(gotFronts[fi]), len(refFronts[fi]))
-				}
-				for k := range refFronts[fi] {
-					if gotFronts[fi][k] != refFronts[fi][k] {
-						t.Fatalf("pairwise=%v front %d member %d: %d, reference %d",
-							pairwise, fi, k, gotFronts[fi][k], refFronts[fi][k])
-					}
-				}
-			}
-			for i := range ref {
-				if got[i].Rank != ref[i].Rank {
-					t.Fatalf("pairwise=%v: rank[%d]=%d, reference %d", pairwise, i, got[i].Rank, ref[i].Rank)
-				}
-				// NaN objectives make crowding's comparison-based sort
-				// order implementation-defined; ranks above still pin
-				// the dominance structure in that regime.
-				if !nanObjs && math.Float64bits(got[i].Crowding) != math.Float64bits(ref[i].Crowding) {
-					t.Fatalf("pairwise=%v: crowding[%d]=%v, reference %v", pairwise, i, got[i].Crowding, ref[i].Crowding)
-				}
-			}
-		}
-
-		// The block relation kernel must agree with the scalar relation
-		// on every pair, NaN and all.
 		e := scratchEngine((n+1)/2+1, m)
-		loadFlat(e, pop)
-		js := make([]int32, n)
-		for j := range js {
-			js[j] = int32(j)
+		gotFronts := e.rankAndCrowd(pop)
+		if len(gotFronts) != len(refFronts) {
+			t.Fatalf("%d fronts, reference has %d", len(gotFronts), len(refFronts))
 		}
-		e.ensureBatchScratch(n)
-		out := e.relOut[:n]
-		for i := 0; i < n; i++ {
-			e.relationBatch(i, js, out)
-			for j := 0; j < n; j++ {
-				if want := e.relation(i, j); int(out[j]) != want {
-					t.Fatalf("relationBatch(%d)[%d]=%d, scalar=%d", i, j, out[j], want)
+		for fi := range refFronts {
+			if len(gotFronts[fi]) != len(refFronts[fi]) {
+				t.Fatalf("front %d: %d members, reference has %d", fi, len(gotFronts[fi]), len(refFronts[fi]))
+			}
+			for k := range refFronts[fi] {
+				if gotFronts[fi][k] != refFronts[fi][k] {
+					t.Fatalf("front %d member %d: %d, reference %d", fi, k, gotFronts[fi][k], refFronts[fi][k])
 				}
+			}
+		}
+		for i := range ref {
+			if pop[i].Rank != ref[i].Rank {
+				t.Fatalf("rank[%d]=%d, reference %d", i, pop[i].Rank, ref[i].Rank)
+			}
+			if math.Float64bits(pop[i].Crowding) != math.Float64bits(ref[i].Crowding) {
+				t.Fatalf("crowding[%d]=%v, reference %v", i, pop[i].Crowding, ref[i].Crowding)
 			}
 		}
 	})
