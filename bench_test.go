@@ -866,8 +866,20 @@ func BenchmarkGenerationAmortizedCrossHeavy(b *testing.B) {
 // BenchmarkCampaignCell measures one end-to-end campaign cell — the
 // shared-instance build path, the GA exploration, the result assembly
 // and the simulator cross-check — at the quick configuration.
-func BenchmarkCampaignCell(b *testing.B) {
+func BenchmarkCampaignCell(b *testing.B) { benchCampaignCell(b, nil) }
+
+// BenchmarkCampaignCellCrossbar is BenchmarkCampaignCell on the
+// crossbar backend, where most of a campaign's optics conversions
+// happen: every communication into a destination couples crosstalk
+// into its receiver, so a crossbar NW 8 cell converts ~15x more
+// dB values than a ring one. Each cell starts its evaluators' memos
+// cold, as a campaign does; BenchmarkEvaluateKernel* re-evaluate one
+// genome, so they show the warm-memo ceiling instead.
+func BenchmarkCampaignCellCrossbar(b *testing.B) { benchCampaignCell(b, []string{"crossbar"}) }
+
+func benchCampaignCell(b *testing.B, backends []string) {
 	cfg := expt.CampaignConfig{
+		Backends:    backends,
 		NWs:         []int{8},
 		Pop:         80,
 		Generations: 40,

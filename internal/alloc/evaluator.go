@@ -17,9 +17,10 @@ import (
 // performs no heap allocations for valid genomes.
 //
 // An Evaluator is NOT safe for concurrent use: give each worker
-// goroutine its own (they are cheap — a few KiB of slices). The
-// shared *Instance is read-only during evaluation, so any number of
-// evaluators may wrap the same instance.
+// goroutine its own (they are cheap — a few KiB of slices plus the
+// optics conversion memo, 64 KiB at NW 8). The shared *Instance is
+// read-only during evaluation, so any number of evaluators may wrap
+// the same instance.
 //
 // With EnableDeltaCache, the evaluator additionally retains the
 // decoded state and per-edge optics results of recently evaluated
@@ -55,6 +56,12 @@ type Evaluator struct {
 	powers  []phys.MilliWatt
 	commBER []float64
 	commFJ  []float64
+
+	// mw memoizes the optics walk's dB -> linear conversions (see
+	// mwMemo). p0 is the laser's 0-level power in mW, fixed by the
+	// fabric.
+	mw mwMemo
+	p0 phys.MilliWatt
 
 	// delta is the opt-in retained-parent store plus the delta-path
 	// scratch (see delta.go); nil until EnableDeltaCache.
@@ -113,6 +120,8 @@ func NewEvaluator(in *Instance) (*Evaluator, error) {
 		powers:  make([]phys.MilliWatt, 0, nw),
 		commBER: make([]float64, nl),
 		commFJ:  make([]float64, nl),
+		mw:      newMWMemo(memoBits(nw)),
+		p0:      in.fab.Params().LaserOffDBm.MilliWatt(),
 	}, nil
 }
 
@@ -315,9 +324,8 @@ func (e *Evaluator) opticsInto(out *Eval, s *sched.Schedule) {
 func (e *Evaluator) opticsEdge(out *Eval, ei int, s *sched.Schedule, acc *opticsAccum) {
 	in := e.in
 	nl := in.Edges()
-	par := in.fab.Params()
-	pv := par.LaserOnDBm
-	p0 := par.LaserOffDBm.MilliWatt()
+	pv := in.fab.Params().LaserOnDBm
+	p0 := e.p0
 
 	e.fillBank(ei, s)
 	dst := in.dstCore[ei]
@@ -326,7 +334,7 @@ func (e *Evaluator) opticsEdge(out *Eval, ei int, s *sched.Schedule, acc *optics
 	var commBERSum float64
 	for si, ch := range e.sets[ei] {
 		sigLoss := in.fab.SignalArrivalDB(in.paths[ei], ch, e.bank)
-		psig := pv.Add(sigLoss).MilliWatt()
+		psig := e.mw.milliWatt(pv.Add(sigLoss))
 
 		var noise phys.MilliWatt
 		// Intra-communication crosstalk: the same transfer's
@@ -337,7 +345,7 @@ func (e *Evaluator) opticsEdge(out *Eval, ei int, s *sched.Schedule, acc *optics
 			}
 			arr, err := in.fab.ArrivalAlongDB(in.paths[ei], dst, other, ch, e.bank)
 			if err == nil {
-				noise += pv.Add(arr).MilliWatt()
+				noise += e.mw.milliWatt(pv.Add(arr))
 			}
 		}
 		// Inter-communication crosstalk: wavelengths of other
@@ -366,7 +374,7 @@ func (e *Evaluator) opticsEdge(out *Eval, ei int, s *sched.Schedule, acc *optics
 				}
 				arr, err := in.fab.ArrivalAlongDB(in.paths[o], dst, other, ch, e.bank)
 				if err == nil {
-					noise += pv.Add(arr).MilliWatt()
+					noise += e.mw.milliWatt(pv.Add(arr))
 				}
 			}
 		}
@@ -381,7 +389,7 @@ func (e *Evaluator) opticsEdge(out *Eval, ei int, s *sched.Schedule, acc *optics
 		// Laser sizing: fixed receive-power target by default,
 		// or the BER-target mode where crosstalk directly drives
 		// the emitted power (the paper's introduction).
-		powers = append(powers, in.Energy.WavelengthLaserMW(sigLoss, noise, p0))
+		powers = append(powers, in.Energy.WavelengthLaserMWVia(sigLoss, noise, p0, e.mw.milliWatt))
 	}
 	e.commBER[ei] = commBERSum / float64(len(e.sets[ei]))
 	e.commFJ[ei] = in.Energy.EnergyFJ(powers, s.Comm[ei].Duration())

@@ -28,14 +28,16 @@ func TestExplainMatchesEvaluate(t *testing.T) {
 	if ex.Eval.MeanBER != ev.MeanBER || ex.Eval.MakespanCycles != ev.MakespanCycles {
 		t.Error("explanation must embed the same evaluation")
 	}
-	// The per-lambda BERs must average to the per-communication BER.
+	// The per-lambda BERs must average to the per-communication BER,
+	// bit for bit: Explain walks the budget through the direct
+	// conversions, the kernel through its memo of them.
 	for _, cb := range ex.Comms {
 		var sum float64
 		for _, lb := range cb.Lambdas {
 			sum += lb.BER
 		}
 		mean := sum / float64(len(cb.Lambdas))
-		if math.Abs(mean-ev.CommBER[cb.Edge]) > 1e-15 {
+		if math.Float64bits(mean) != math.Float64bits(ev.CommBER[cb.Edge]) {
 			t.Errorf("%s: explained mean BER %g vs evaluated %g", cb.Name, mean, ev.CommBER[cb.Edge])
 		}
 	}

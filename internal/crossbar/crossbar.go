@@ -88,7 +88,8 @@ func DefaultConfig(channels int) Config {
 // Crossbar is an immutable crossbar instance implementing
 // fabric.Fabric.
 type Crossbar struct {
-	cfg Config
+	cfg   Config
+	xtalk *fabric.CrosstalkTable
 }
 
 var _ fabric.Fabric = (*Crossbar)(nil)
@@ -114,7 +115,7 @@ func New(cfg Config) (*Crossbar, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	return &Crossbar{cfg: cfg}, nil
+	return &Crossbar{cfg: cfg, xtalk: fabric.NewCrosstalkTable(cfg.Grid)}, nil
 }
 
 // Config returns the configuration the crossbar was built from.
@@ -224,7 +225,7 @@ func (x *Crossbar) ArrivalAlongDB(p fabric.Path, det, ch, detCh int, bank *fabri
 	if ch == detCh {
 		loss += phys.DropLossDB(x.cfg.Params, phys.MRState(bank.On(det, detCh)))
 	} else {
-		loss += x.cfg.Grid.CrosstalkDB(detCh, ch)
+		loss += x.xtalk.DB(detCh, ch)
 	}
 	return loss, nil
 }

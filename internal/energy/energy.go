@@ -73,7 +73,11 @@ func (m Model) Validate() error {
 // value): the receive target divided by the link transmission, scaled
 // by the duty cycle.
 func (m Model) LaserPowerMW(lossDB phys.DB) phys.MilliWatt {
-	peak := m.RxTargetDBm.Add(-lossDB).MilliWatt() // compensate the loss
+	return m.laserPowerMW(lossDB, phys.DBm.MilliWatt)
+}
+
+func (m Model) laserPowerMW(lossDB phys.DB, toMW func(phys.DBm) phys.MilliWatt) phys.MilliWatt {
+	peak := toMW(m.RxTargetDBm.Add(-lossDB)) // compensate the loss
 	return phys.MilliWatt(m.Duty * float64(peak))
 }
 
@@ -84,9 +88,15 @@ func (m Model) LaserPowerMW(lossDB phys.DB) phys.MilliWatt {
 // the peak power must deliver SNRForBER(target) times the noise floor
 // through the link's transmission.
 func (m Model) LaserPowerForBERMW(lossDB phys.DB, noise, p0 phys.MilliWatt) phys.MilliWatt {
+	return m.laserPowerForBERMW(lossDB, noise, p0, phys.DBm.MilliWatt)
+}
+
+func (m Model) laserPowerForBERMW(lossDB phys.DB, noise, p0 phys.MilliWatt, toMW func(phys.DBm) phys.MilliWatt) phys.MilliWatt {
 	snr := phys.SNRForBER(m.BERTarget)
 	needAtDetector := snr * (float64(noise) + float64(p0))
-	transmission := lossDB.Linear()
+	// The link transmission lossDB.Linear(): DB.Linear and
+	// DBm.MilliWatt are the same conversion.
+	transmission := float64(toMW(phys.DBm(lossDB)))
 	if transmission <= 0 {
 		return phys.MilliWatt(math.Inf(1))
 	}
@@ -96,10 +106,18 @@ func (m Model) LaserPowerForBERMW(lossDB phys.DB, noise, p0 phys.MilliWatt) phys
 // WavelengthLaserMW dispatches between the fixed receive-power sizing
 // and BER-target sizing according to the model mode.
 func (m Model) WavelengthLaserMW(lossDB phys.DB, noise, p0 phys.MilliWatt) phys.MilliWatt {
+	return m.WavelengthLaserMWVia(lossDB, noise, p0, phys.DBm.MilliWatt)
+}
+
+// WavelengthLaserMWVia is WavelengthLaserMW with the one dB -> linear
+// conversion of either sizing mode done by toMW, which must return
+// exactly what phys.DBm.MilliWatt returns. The evaluation kernel
+// passes its exact memo of that conversion.
+func (m Model) WavelengthLaserMWVia(lossDB phys.DB, noise, p0 phys.MilliWatt, toMW func(phys.DBm) phys.MilliWatt) phys.MilliWatt {
 	if m.BERTarget > 0 {
-		return m.LaserPowerForBERMW(lossDB, noise, p0)
+		return m.laserPowerForBERMW(lossDB, noise, p0, toMW)
 	}
-	return m.LaserPowerMW(lossDB)
+	return m.laserPowerMW(lossDB, toMW)
 }
 
 // EnergyFJ converts summed average laser powers held for a window

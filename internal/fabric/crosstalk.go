@@ -1,0 +1,52 @@
+package fabric
+
+import (
+	"sync"
+
+	"repro/internal/phys"
+)
+
+// CrosstalkTable holds Grid.CrosstalkDB(m, i) — Eq. 1's Lorentzian
+// leak of channel i into the drop port of the ring resonant at m, in
+// dB — for every (m, i) pair of the comb. Backends share one instance
+// per fabric for the final coupling term of ArrivalAlongDB, which
+// otherwise pays a Log10 per crosstalk contributor.
+//
+// The table is built on its first lookup, not with the fabric: fabric
+// construction sits on every campaign's and served instance's set-up
+// path, and a fabric that never walks crosstalk pays nothing. It is
+// safe for concurrent use; the first lookups may come from many
+// goroutines at once.
+type CrosstalkTable struct {
+	grid phys.Grid
+	once sync.Once
+	db   []phys.DB
+}
+
+// NewCrosstalkTable returns the (still empty) table of grid g.
+func NewCrosstalkTable(g phys.Grid) *CrosstalkTable {
+	return &CrosstalkTable{grid: g}
+}
+
+// DB returns g.CrosstalkDB(m, i), bit for bit: every entry is the
+// value that call returned. Pairs outside the comb are computed
+// directly.
+func (t *CrosstalkTable) DB(m, i int) phys.DB {
+	n := t.grid.Channels
+	if uint(m) >= uint(n) || uint(i) >= uint(n) {
+		return t.grid.CrosstalkDB(m, i)
+	}
+	t.once.Do(t.build)
+	return t.db[m*n+i]
+}
+
+func (t *CrosstalkTable) build() {
+	n := t.grid.Channels
+	db := make([]phys.DB, n*n)
+	for m := 0; m < n; m++ {
+		for i := 0; i < n; i++ {
+			db[m*n+i] = t.grid.CrosstalkDB(m, i)
+		}
+	}
+	t.db = db
+}

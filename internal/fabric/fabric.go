@@ -34,7 +34,8 @@ import (
 // immutable after construction and safe for concurrent read-only use;
 // every method must be deterministic (the evaluation kernels rely on
 // bit-identical replay) and allocation-free on the hot paths
-// (TransitLossDB, SignalArrivalDB, ArrivalAlongDB).
+// (TransitLossDB, SignalArrivalDB, ArrivalAlongDB) after their first
+// call, which may build a lazy table such as CrosstalkTable.
 type Fabric interface {
 	// Name identifies the backend ("ring", "crossbar") for reports,
 	// campaign artifacts and checkpoint identities.

@@ -92,3 +92,23 @@ func TestZeroPowerToDBmIsNegInf(t *testing.T) {
 		t.Errorf("0 mW = %v dBm, want -Inf", got)
 	}
 }
+
+// TestDBLinearIsDBmMilliWatt pins that the relative and the absolute
+// conversion are one function, bit for bit, so a single memo of
+// DBm.MilliWatt serves DB.Linear too (the evaluation kernel's laser
+// sizing relies on it).
+func TestDBLinearIsDBmMilliWatt(t *testing.T) {
+	same := func(x float64) bool {
+		a := math.Float64bits(DB(x).Linear())
+		b := math.Float64bits(float64(DBm(x).MilliWatt()))
+		return a == b
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -400, 400, -13, -0.5} {
+		if !same(x) {
+			t.Errorf("DB(%v).Linear() and DBm(%v).MilliWatt() differ in bits", x, x)
+		}
+	}
+	if err := quick.Check(same, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -68,7 +68,7 @@ func (r *Ring) ArrivalAlongDB(p Path, det, ch, detCh int, bank *Bank) (phys.DB, 
 	if ch == detCh {
 		loss += phys.DropLossDB(r.cfg.Params, phys.MRState(bank.On(det, detCh)))
 	} else {
-		loss += r.cfg.Grid.CrosstalkDB(detCh, ch)
+		loss += r.xtalk.DB(detCh, ch)
 	}
 	return loss, nil
 }

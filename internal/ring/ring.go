@@ -16,6 +16,7 @@ package ring
 import (
 	"fmt"
 
+	"repro/internal/fabric"
 	"repro/internal/phys"
 )
 
@@ -66,6 +67,7 @@ type Segment struct {
 type Ring struct {
 	cfg      Config
 	segments []Segment // segments[i] connects ONI i to ONI (i+1) mod N
+	xtalk    *fabric.CrosstalkTable
 }
 
 // New builds the ring, deriving per-hop geometry from the serpentine
@@ -105,7 +107,7 @@ func New(cfg Config) (*Ring, error) {
 		}
 		segs[i] = seg
 	}
-	return &Ring{cfg: cfg, segments: segs}, nil
+	return &Ring{cfg: cfg, segments: segs, xtalk: fabric.NewCrosstalkTable(cfg.Grid)}, nil
 }
 
 // Config returns the configuration the ring was built from.
