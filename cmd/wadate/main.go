@@ -21,6 +21,12 @@
 //	-quick            use the reduced smoke-test configuration
 //	-csv string       write all fronts (and the NW=8 cloud) to this file
 //
+// A flag the chosen experiment does not read is rejected with exit
+// status 2: table1, app and sensitivity print fixed results and take
+// none of -nw, -pop, -gens, -seed, -workers, -seeds or -csv;
+// convergence takes neither -workers nor -csv, robustness no -csv, and
+// only robustness takes -seeds.
+//
 // Eval mode scores one chromosome and prints the canonical JSON
 // response — the exact bytes the waserve daemon returns for the same
 // request, which CI verifies with a literal diff:
@@ -65,8 +71,8 @@
 //	-json string      write the campaign JSON artifact to this file
 //	-csv string       write the campaign CSV table to this file
 //	-stats            record per-cell engine instrumentation (kernel
-//	                  path split, cache/warm hits, dominance
-//	                  comparisons) in the JSON artifact and print one
+//	                  path split, cache hits, dominance comparisons)
+//	                  in the JSON artifact and print one
 //	                  JSON line per cell (with the backend column
 //	                  whenever a non-default backend is swept) plus an
 //	                  aggregate line; the counters depend on worker
@@ -111,10 +117,6 @@
 //	-checkpoint-dir dir    maintain durable campaign checkpoints in dir
 //	-checkpoint-every int  generations between in-flight snapshots
 //	                       (default 25)
-//	-warmcache             retain completed cells' checkpoints and warm
-//	                       later replicate cells from a completed
-//	                       sibling's evaluated infeasible genotypes
-//	                       (results stay byte-identical)
 //	-resume                continue the campaign recorded in
 //	                       -checkpoint-dir (its manifest must match the
 //	                       flags exactly; mismatches fail loudly)
@@ -128,7 +130,7 @@
 // campaign manifest — are rejected up front with exit status 2,
 // before any cell runs.
 //
-// Profiling flags apply to both modes, so hot-path regressions can be
+// Profiling flags apply in every mode, so hot-path regressions can be
 // diagnosed straight from a campaign run without editing code:
 //
 //	-cpuprofile file  write a CPU profile of the run to file
@@ -141,9 +143,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"repro/internal/cliutil"
@@ -184,7 +186,6 @@ func main() {
 		checkpointDir   = flag.String("checkpoint-dir", "", "maintain durable campaign checkpoints in this directory")
 		checkpointEvery = flag.Int("checkpoint-every", 0, "generations between in-flight cell snapshots (default 25 with -checkpoint-dir)")
 		resume          = flag.Bool("resume", false, "resume the campaign recorded in -checkpoint-dir")
-		warmcache       = flag.Bool("warmcache", false, "retain completed cells' checkpoints and warm later replicate cells from a completed sibling's evaluated infeasible genotypes (needs -checkpoint-dir; results byte-identical)")
 		haltAfter       = flag.Int("halt-after-checkpoints", 0, "crash-test aid: exit(3) after the Nth checkpoint write (simulated preemption); with -worker, crash after streaming N snapshots")
 
 		distribute   = flag.String("distribute", "", "coordinate the campaign at this addr:port, sharding cells over connected -worker processes (implies -campaign, needs -checkpoint-dir)")
@@ -215,105 +216,36 @@ func main() {
 		}
 	}
 
-	// A worker takes its whole campaign configuration from the
-	// coordinator over the wire, so every local configuration flag is
-	// a mistake; only the crash-test aid and profiling apply.
-	if *workerAddr != "" {
-		allowed := map[string]bool{"worker": true, "halt-after-checkpoints": true, "cpuprofile": true, "memprofile": true}
-		for name := range explicitly {
-			if !allowed[name] {
-				fmt.Fprintf(os.Stderr, "wadate: -%s does not apply in -worker mode (the coordinator supplies the campaign configuration)\n", name)
-				os.Exit(2)
-			}
-		}
-		runWorker(*workerAddr, *haltAfter)
-		return
-	}
-
-	// Eval mode is a one-shot scoring call sharing the serving
-	// daemon's code path; experiment and campaign flags cannot apply,
-	// so any of them is a usage error (exit status 2).
-	if *evalMode {
-		allowed := map[string]bool{"eval": true, "genome": true, "backend": true, "workload": true, "nw": true,
-			"cpuprofile": true, "memprofile": true}
-		for name := range explicitly {
-			if !allowed[name] {
-				fmt.Fprintf(os.Stderr, "wadate: -%s does not apply in -eval mode\n", name)
-				os.Exit(2)
-			}
-		}
-		if err := runEval(*genome, *backend, *workload, *nws); err != nil {
-			fmt.Fprintf(os.Stderr, "wadate: %v\n", err)
-			os.Exit(cliutil.ExitStatus(err))
-		}
-		return
-	}
-
 	// -distribute is campaign coordination; spelling out -campaign too
 	// is redundant.
 	*campaign = *campaign || *distribute != ""
 
-	// Reject mode-mismatched flags rather than silently ignoring
-	// them: a paper-scale run is too expensive to discover afterwards
-	// that a flag never applied.
-	var err error
-	for _, name := range []string{"genome", "backend", "workload"} {
-		if explicitly[name] {
-			err = cliutil.Usagef("-%s only applies in -eval mode", name)
-			break
-		}
-	}
-	conflicting := []string{"exp", "seeds"}
-	if !*campaign {
-		conflicting = []string{"json", "backends", "cellworkers", "reps", "objsets", "workloads", "warmstart",
-			"checkpoint-dir", "checkpoint-every", "resume", "halt-after-checkpoints", "warmcache", "stats",
-			"islands", "migrate-every", "migrate-k"}
-	}
-	for _, name := range conflicting {
-		if err != nil {
-			break
-		}
-		if explicitly[name] {
-			mode := "outside"
-			if *campaign {
-				mode = "in"
-			}
-			err = cliutil.Usagef("-%s does not apply %s -campaign mode", name, mode)
-			break
-		}
-	}
-	if err == nil && *campaign {
-		err = validateCampaignFlags(*checkpointDir, *resume, *warmcache, *haltAfter, explicitly["checkpoint-every"])
-	}
-	if err == nil && *distribute != "" {
-		switch {
-		case *checkpointDir == "":
-			err = cliutil.Usagef("-distribute needs -checkpoint-dir (the directory is the durable ground truth workers stream into)")
-		case *warmcache:
-			err = cliutil.Usagef("-warmcache does not apply with -distribute (workers hold no sibling checkpoints)")
-		case *haltAfter > 0:
-			err = cliutil.Usagef("-halt-after-checkpoints is a -worker flag; the coordinator does not write snapshots itself")
-		case explicitly["cellworkers"]:
-			err = cliutil.Usagef("-cellworkers does not apply with -distribute (parallelism is the number of connected workers)")
-		}
-	}
+	err := checkFlags(explicitly, modeFlags{
+		exp: *exp, worker: *workerAddr, distribute: *distribute, checkpointDir: *checkpointDir,
+		eval: *evalMode, campaign: *campaign, resume: *resume, haltAfter: *haltAfter,
+	})
 	var stopCPU func()
 	if err == nil && *cpuprofile != "" {
 		stopCPU, err = startCPUProfile(*cpuprofile)
 	}
 	if err == nil {
-		if *campaign {
+		switch {
+		case *workerAddr != "":
+			err = runWorker(*workerAddr, *haltAfter)
+		case *evalMode:
+			err = runEval(*genome, *backend, *workload, *nws)
+		case *campaign:
 			err = runCampaign(campaignOpts{
 				nws: *nws, backends: *backends, pop: *pop, gens: *gens, seed: *seed,
 				cellWorkers: *cellworkers, evalWorkers: *workers, reps: *reps,
 				objsets: *objsets, workloads: *workloads,
 				jsonPath: *jsonPath, csvPath: *csv, warmStart: *warmstart,
 				checkpointDir: *checkpointDir, checkpointEvery: *checkpointEvery,
-				resume: *resume, haltAfter: *haltAfter, warmCache: *warmcache,
+				resume: *resume, haltAfter: *haltAfter,
 				stats: *stats, distribute: *distribute,
 				islands: *islands, migrateEvery: *migrateEvery, migrateK: *migrateK,
 			})
-		} else {
+		default:
 			err = run(*exp, *nws, *pop, *gens, *seed, *csv, *seeds, *workers)
 		}
 	}
@@ -325,6 +257,9 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wadate: %v\n", err)
+		if errors.Is(err, dist.ErrWorkerHalted) {
+			os.Exit(3)
+		}
 		os.Exit(cliutil.ExitStatus(err))
 	}
 }
@@ -358,35 +293,6 @@ func runEval(genome, backend, workload, nws string) error {
 	}
 	_, err = os.Stdout.Write(out)
 	return err
-}
-
-// validateCampaignFlags rejects checkpoint flag combinations up
-// front: every checkpoint-dependent flag needs -checkpoint-dir, and
-// -resume needs a directory that actually holds a campaign manifest —
-// discovering either hours into a paper-scale sweep (or worse,
-// silently starting a fresh campaign) is exactly what the early check
-// prevents.
-func validateCampaignFlags(dir string, resume, warmcache bool, haltAfter int, everySet bool) error {
-	if dir == "" {
-		switch {
-		case warmcache:
-			return cliutil.Usagef("-warmcache needs -checkpoint-dir (the warm cache is read from sibling checkpoints)")
-		case resume:
-			return cliutil.Usagef("-resume needs -checkpoint-dir (there is nothing to resume from)")
-		case haltAfter > 0:
-			return cliutil.Usagef("-halt-after-checkpoints needs -checkpoint-dir")
-		case everySet:
-			return cliutil.Usagef("-checkpoint-every needs -checkpoint-dir")
-		}
-		return nil
-	}
-	if resume {
-		manifest := filepath.Join(dir, "manifest.json")
-		if _, err := os.Stat(manifest); err != nil {
-			return cliutil.Usagef("-resume: no campaign manifest at %s (run once without -resume to start the campaign): %v", manifest, err)
-		}
-	}
-	return nil
 }
 
 // startCPUProfile begins CPU profiling into path; the returned stop
@@ -436,7 +342,6 @@ type campaignOpts struct {
 	checkpointEvery          int
 	resume                   bool
 	haltAfter                int
-	warmCache                bool
 	stats                    bool
 	distribute               string
 	islands                  int
@@ -446,23 +351,17 @@ type campaignOpts struct {
 
 // runWorker joins the coordinator at addr and executes assigned
 // cells and island segments until released. A simulated crash
-// (-halt-after-checkpoints) exits with status 3, like the
-// single-process preemption simulator.
-func runWorker(addr string, haltAfter int) {
-	err := dist.Run(dist.WorkerOptions{
+// (-halt-after-checkpoints) returns dist.ErrWorkerHalted, which main
+// turns into exit status 3, like the single-process preemption
+// simulator.
+func runWorker(addr string, haltAfter int) error {
+	return dist.Run(dist.WorkerOptions{
 		Addr:                 addr,
 		HaltAfterCheckpoints: haltAfter,
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "wadate worker: "+format+"\n", args...)
 		},
 	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wadate: %v\n", err)
-		if errors.Is(err, dist.ErrWorkerHalted) {
-			os.Exit(3)
-		}
-		os.Exit(1)
-	}
 }
 
 // runCampaign drives the multi-cell sweep: deterministic cells,
@@ -481,7 +380,6 @@ func runCampaign(o campaignOpts) error {
 		CheckpointEvery:      o.checkpointEvery,
 		Resume:               o.resume,
 		StopAfterCheckpoints: o.haltAfter,
-		WarmCacheSiblings:    o.warmCache,
 		Stats:                o.stats,
 		Islands:              o.islands,
 		MigrationEvery:       o.migrateEvery,
@@ -595,15 +493,14 @@ func printCampaignStats(camp *expt.Campaign) {
 		}
 		total.Evaluations += s.Evaluations
 		total.CacheHits += s.CacheHits
-		total.WarmHits += s.WarmHits
 		total.FullEvals += s.FullEvals
 		total.GeneDeltaEvals += s.GeneDeltaEvals
 		total.NearDeltaEvals += s.NearDeltaEvals
 		total.CrossDeltaEvals += s.CrossDeltaEvals
 		total.RelationsCompared += s.RelationsCompared
 	}
-	fmt.Printf("\nEngine stats: %d evaluations (%d cache hits, %d warm hits); kernel paths: %d full, %d gene-delta, %d near-delta, %d crossover-delta; %d dominance relations compared\n",
-		total.Evaluations, total.CacheHits, total.WarmHits,
+	fmt.Printf("\nEngine stats: %d evaluations (%d cache hits); kernel paths: %d full, %d gene-delta, %d near-delta, %d crossover-delta; %d dominance relations compared\n",
+		total.Evaluations, total.CacheHits,
 		total.FullEvals, total.GeneDeltaEvals, total.NearDeltaEvals, total.CrossDeltaEvals,
 		total.RelationsCompared)
 }
@@ -660,7 +557,7 @@ func run(exp, nws string, pop, gens int, seed int64, csvPath string, seeds, work
 		fmt.Print(out)
 		return nil
 	}
-	if exp == "fig7" && !contains(cfg.NWs, 8) {
+	if exp == "fig7" && !slices.Contains(cfg.NWs, 8) {
 		return fmt.Errorf("fig7 needs NW=8 in -nw (have %v)", cfg.NWs)
 	}
 	suite, err := expt.Run(cfg)
@@ -700,13 +597,4 @@ func run(exp, nws string, pop, gens int, seed int64, csvPath string, seeds, work
 		fmt.Printf("\nCSV written to %s\n", csvPath)
 	}
 	return nil
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -151,16 +151,6 @@ type Config struct {
 	// optimum is then present from generation zero instead of having
 	// to be discovered.
 	WarmStart bool
-	// WarmSource optionally supplies already-known evaluations (e.g.
-	// a completed replicate sibling's checkpoint archive): when it
-	// reports ok, the engine records the objective vector and
-	// violation without evaluating. For feasible genotypes
-	// (violation == 0) aux must carry the metric triple [TimeKCC,
-	// BitEnergyFJ, MeanBER] so result assembly still resolves them;
-	// a feasible answer without a complete triple is treated as a
-	// miss and evaluated normally. Wired to nsga2.Config.WarmLookup
-	// under the hood — takes precedence over GA.WarmLookup.
-	WarmSource func(genome []byte) (objs []float64, violation float64, aux []float64, ok bool)
 	// GA tunes the engine; GA.ArchiveAll is forced on because the
 	// result assembly needs the archive.
 	GA nsga2.Config
@@ -256,30 +246,11 @@ func (p *Problem) lookupMetrics(genome []byte) (Metrics, bool) {
 }
 
 // injectMetrics registers an externally supplied metric triple (a
-// checkpoint aux payload or a warm-source hit) as if the genotype had
-// been evaluated.
+// checkpoint aux payload) as if the genotype had been evaluated.
 func (p *Problem) injectMetrics(genome []byte, m Metrics) {
 	p.mu.Lock()
 	p.metrics[string(genome)] = m
 	p.mu.Unlock()
-}
-
-// warmLookup adapts Config.WarmSource to nsga2.Config.WarmLookup:
-// feasible hits must carry the complete metric triple, which is
-// injected into the metric cache so result assembly and later
-// checkpoints see it; incomplete feasible answers degrade to a miss.
-func (p *Problem) warmLookup(genome []byte) ([]float64, float64, bool) {
-	objs, viol, aux, ok := p.cfg.WarmSource(genome)
-	if !ok {
-		return nil, 0, false
-	}
-	if viol == 0 {
-		if len(aux) != metricsAuxLen || anyNaN(aux) {
-			return nil, 0, false
-		}
-		p.injectMetrics(genome, Metrics{TimeKCC: aux[0], BitEnergyFJ: aux[1], MeanBER: aux[2]})
-	}
-	return objs, viol, true
 }
 
 func anyNaN(xs []float64) bool {

@@ -22,17 +22,13 @@ type Explorer struct {
 
 // baseGAConfig assembles the part of the engine configuration every
 // run — fresh or resumed — needs: the archive is forced on (result
-// assembly needs it), checkpoints carry the metric triple as the aux
-// payload, and a configured WarmSource is adapted onto the engine's
-// WarmLookup hook.
+// assembly needs it) and checkpoints carry the metric triple as the
+// aux payload.
 func (p *Problem) baseGAConfig() nsga2.Config {
 	ga := p.cfg.GA
 	ga.ArchiveAll = true
 	ga.AuxLen = metricsAuxLen
 	ga.AuxFill = p.auxFill
-	if p.cfg.WarmSource != nil {
-		ga.WarmLookup = p.warmLookup
-	}
 	return ga
 }
 
@@ -130,8 +126,8 @@ func (x *Explorer) Done() bool { return x.eng.Generation() >= x.gens }
 func (x *Explorer) Step() { x.eng.Step() }
 
 // Stats exposes the engine's instrumentation counters: how many
-// evaluations each kernel served, cache and warm-lookup hits, and
-// dominance relations compared (see nsga2.Stats).
+// evaluations each kernel served, cache hits, and dominance
+// relations compared (see nsga2.Stats).
 func (x *Explorer) Stats() nsga2.Stats { return x.eng.Stats() }
 
 // WriteCheckpoint serializes the exploration state (see

@@ -29,8 +29,8 @@ type CoordinatorOptions struct {
 	Addr string
 	// Config is the campaign. CheckpointDir is required — the
 	// directory is the durable ground truth workers stream their
-	// bytes into. Progress, CellWorkers, StopAfterCheckpoints and
-	// WarmCacheSiblings are not supported in distributed mode.
+	// bytes into. Progress, CellWorkers and StopAfterCheckpoints are
+	// not supported in distributed mode.
 	Config expt.CampaignConfig
 	// Log, when non-nil, receives human-oriented progress lines.
 	Log func(format string, args ...any)
@@ -84,8 +84,8 @@ func Serve(opts CoordinatorOptions) error {
 	if cfg.CheckpointDir == "" {
 		return fmt.Errorf("dist: distributed campaigns need CheckpointDir (it is the durable ground truth)")
 	}
-	if cfg.Progress != nil || cfg.StopAfterCheckpoints > 0 || cfg.WarmCacheSiblings {
-		return fmt.Errorf("dist: Progress, StopAfterCheckpoints and WarmCacheSiblings are not supported in distributed mode")
+	if cfg.Progress != nil || cfg.StopAfterCheckpoints > 0 {
+		return fmt.Errorf("dist: Progress and StopAfterCheckpoints are not supported in distributed mode")
 	}
 	dir, err := expt.OpenCampaignDir(cfg)
 	if err != nil {

@@ -168,28 +168,15 @@ type CampaignConfig struct {
 	// ErrCampaignStopped): the deterministic preemption simulator
 	// behind the CI resume-equivalence job. Requires CheckpointDir.
 	StopAfterCheckpoints int
-	// WarmCacheSiblings (requires CheckpointDir) retains each
-	// completed cell's final .ckpt and seeds later cells of the same
-	// (workload, NW, objective-set) identity — the replicate siblings
-	// — with the sibling's evaluated genotypes, decoded from the
-	// checkpoint's cache section. Evaluation is deterministic, so a
-	// warm hit returns exactly what re-evaluating would; feasible
-	// genotypes carry their metric triple in the checkpoint's aux
-	// section, so result assembly resolves them without re-running the
-	// kernel either, and every artifact stays byte-identical. The flag
-	// is not part of the campaign identity: a checkpoint directory can
-	// be resumed with it on or off.
-	WarmCacheSiblings bool
 	// Stats records each cell's engine instrumentation (evaluation-
-	// path split, cache/warm hits, dominance comparisons) in the JSON
+	// path split, cache hits, dominance comparisons) in the JSON
 	// artifact and completion records. With serial evaluation
-	// (EvalWorkers <= 1) and no WarmCacheSiblings every counter is
-	// reproducible. Opt-in because otherwise they are not: with
-	// EvalWorkers > 1 the kernel-path split depends on which worker's
-	// delta cache each evaluation lands in, and warm hits depend on
-	// when sibling cells complete — artifacts then stay byte-identical
-	// only in the result data. Part of the campaign identity when
-	// checkpointing (restored cells must carry the same fields).
+	// (EvalWorkers <= 1) every counter is reproducible. Opt-in because
+	// otherwise they are not: with EvalWorkers > 1 the kernel-path
+	// split depends on which worker's delta cache each evaluation
+	// lands in — artifacts then stay byte-identical only in the result
+	// data. Part of the campaign identity when checkpointing (restored
+	// cells must carry the same fields).
 	Stats bool
 	// Islands > 1 runs every cell's GA as an island model: the
 	// population splits into that many independent engines that
@@ -390,11 +377,9 @@ type CellResult struct {
 // dominance work ranking did.
 type CellStats struct {
 	// Evaluations counts genome evaluations the engine requested;
-	// CacheHits the subset served by the dedup cache, WarmHits the
-	// subset served by the sibling warm cache.
+	// CacheHits the subset served by the dedup cache.
 	Evaluations int64 `json:"evaluations"`
 	CacheHits   int64 `json:"cache_hits"`
-	WarmHits    int64 `json:"warm_hits"`
 	// FullEvals, GeneDeltaEvals, NearDeltaEvals and CrossDeltaEvals
 	// split the kernel invocations by path: full decode, single-gene
 	// delta, single-parent near-delta replay, two-parent crossover
@@ -414,7 +399,6 @@ func cellStatsOf(s nsga2.Stats) *CellStats {
 	return &CellStats{
 		Evaluations:       s.Evaluations,
 		CacheHits:         s.CacheHits,
-		WarmHits:          s.WarmHits,
 		FullEvals:         s.Eval.Full,
 		GeneDeltaEvals:    s.Eval.GeneDelta,
 		NearDeltaEvals:    s.Eval.NearDelta,
@@ -599,17 +583,11 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 			// snapshots are being written when nothing is durable.
 			return nil, fmt.Errorf("expt: CheckpointEvery needs CheckpointDir")
 		}
-		if cfg.WarmCacheSiblings {
-			return nil, fmt.Errorf("expt: WarmCacheSiblings needs CheckpointDir (the warm cache is read from sibling checkpoints)")
-		}
 	}
 	if cfg.Islands > 1 {
 		// Island cells split their population across engines and keep
 		// no single mid-cell snapshot, so the snapshot-dependent
 		// features cannot compose with them.
-		if cfg.WarmCacheSiblings {
-			return nil, fmt.Errorf("expt: WarmCacheSiblings is incompatible with Islands (island cells keep no retained single-engine checkpoint)")
-		}
 		if cfg.StopAfterCheckpoints > 0 {
 			return nil, fmt.Errorf("expt: StopAfterCheckpoints is incompatible with Islands (island cells write no mid-cell snapshots)")
 		}
@@ -778,15 +756,7 @@ func runCell(cfg CampaignConfig, si sharedInstance, cell Cell, mgr *checkpointMa
 	if cfg.Islands > 1 {
 		return runIslandCell(cfg, si.in, cell, mgr, t0)
 	}
-	var warmSrc func([]byte) ([]float64, float64, []float64, bool)
-	if cfg.WarmCacheSiblings && mgr != nil {
-		// Best effort and lazy: the lookup starts serving once any
-		// replicate sibling completes (possibly mid-run, when siblings
-		// started concurrently); a missing or damaged sibling
-		// checkpoint only costs the warm start, never the cell.
-		warmSrc = mgr.siblingWarmSource(cell)
-	}
-	p, err := cellProblem(cfg, cell, si.in, warmSrc)
+	p, err := cellProblem(cfg, cell, si.in)
 	if err != nil {
 		return fail(err)
 	}
@@ -828,16 +798,6 @@ func runCell(cfg CampaignConfig, si sharedInstance, cell Cell, mgr *checkpointMa
 	}
 	cr.Elapsed = time.Since(t0)
 	if mgr != nil && cr.Err == nil {
-		// With sibling warm caching, the retained .ckpt is the medium
-		// later replicates read the cell's full evaluation cache from:
-		// write a final snapshot so it covers the whole run, not just
-		// the last CheckpointEvery boundary.
-		if cfg.WarmCacheSiblings {
-			if err := mgr.writeCellCheckpoint(cell, x); err != nil {
-				cr.Err = err
-				return cr
-			}
-		}
 		// Failures are not recorded: they are deterministic, so a
 		// resume re-runs the cell and reports the same error, while a
 		// fixed environment gets a fresh chance.
@@ -852,14 +812,12 @@ func runCell(cfg CampaignConfig, si sharedInstance, cell Cell, mgr *checkpointMa
 // shared read-only instance — the construction runCell, the island
 // path and the distributed worker all share, so a cell means exactly
 // the same GA wherever it executes.
-func cellProblem(cfg CampaignConfig, cell Cell, in *alloc.Instance,
-	warmSrc func([]byte) ([]float64, float64, []float64, bool)) (*core.Problem, error) {
+func cellProblem(cfg CampaignConfig, cell Cell, in *alloc.Instance) (*core.Problem, error) {
 	return core.New(core.Config{
 		NW:         cell.NW,
 		Instance:   in,
 		Objectives: cell.Objectives,
 		WarmStart:  cfg.WarmStart,
-		WarmSource: warmSrc,
 		GA: nsga2.Config{
 			PopSize:     cfg.Pop,
 			Generations: cfg.Generations,
@@ -876,7 +834,7 @@ func cellProblem(cfg CampaignConfig, cell Cell, in *alloc.Instance,
 // resume; completion records work exactly like the single-engine
 // path's.
 func runIslandCell(cfg CampaignConfig, in *alloc.Instance, cell Cell, mgr *checkpointManager, t0 time.Time) CellResult {
-	p, err := cellProblem(cfg, cell, in, nil)
+	p, err := cellProblem(cfg, cell, in)
 	if err != nil {
 		return CellResult{Cell: cell, Err: err, Elapsed: time.Since(t0)}
 	}

@@ -1,20 +1,16 @@
 package expt
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/nsga2"
 )
 
 // This file implements the campaign checkpoint manager: the durable
@@ -131,11 +127,6 @@ type cellDoneJSON struct {
 type checkpointManager struct {
 	dir   string
 	every int
-	// cells is the campaign's deterministic enumeration; keepCkpt
-	// retains completed cells' snapshots (the sibling warm-cache
-	// medium) instead of dropping them at completion.
-	cells    []Cell
-	keepCkpt bool
 
 	// crashAfter > 0 stops the campaign after that many checkpoint
 	// writes; mu guards the write counter across cell workers.
@@ -143,24 +134,7 @@ type checkpointManager struct {
 	mu         sync.Mutex
 	written    int
 	stopped    bool
-
-	// warmMu guards warmMaps: the per-identity warm maps decoded from
-	// completed siblings' checkpoints, shared read-only by every cell
-	// of one (workload, NW, objective-set) group.
-	warmMu   sync.Mutex
-	warmMaps map[string]map[string]warmRec
 }
-
-// warmHitsTotal counts warm-cache lookups that short-circuited an
-// evaluation, across all campaigns in this process (test
-// observability: the warm cache must not be able to silently never
-// engage). warmFeasibleHitsTotal counts the subset that served a
-// feasible genotype with its persisted metric triple — the hits that
-// only became possible once checkpoints carried the triple.
-var (
-	warmHitsTotal         atomic.Int64
-	warmFeasibleHitsTotal atomic.Int64
-)
 
 func buildManifest(cfg CampaignConfig, cells []Cell) manifestJSON {
 	m := manifestJSON{
@@ -210,8 +184,6 @@ func newCheckpointManager(cfg CampaignConfig, cells []Cell) (*checkpointManager,
 	m := &checkpointManager{
 		dir:        cfg.CheckpointDir,
 		every:      cfg.CheckpointEvery,
-		cells:      cells,
-		keepCkpt:   cfg.WarmCacheSiblings,
 		crashAfter: cfg.StopAfterCheckpoints,
 	}
 	if err := os.MkdirAll(m.dir, 0o755); err != nil {
@@ -287,9 +259,7 @@ func (m *checkpointManager) writeDone(c Cell, art cellArtifact) error {
 	}); err != nil {
 		return fmt.Errorf("expt: record cell %d completion: %w", c.Index, err)
 	}
-	if !m.keepCkpt {
-		os.Remove(m.ckptPath(c)) // best effort; superseded either way
-	}
+	os.Remove(m.ckptPath(c)) // best effort; superseded either way
 	return nil
 }
 
@@ -312,145 +282,6 @@ func (m *checkpointManager) scheduleOrder(cells []Cell) []int {
 		}
 	}
 	return append(order, rest...)
-}
-
-// warmRec is one warm-cache entry: the objective vector and graded
-// violation of a genotype evaluated by a sibling cell, plus — for
-// feasible genotypes — the metric triple persisted as the sibling
-// checkpoint's aux payload (nil for infeasible entries, which have no
-// metrics to carry).
-type warmRec struct {
-	objs      []float64
-	violation float64
-	aux       []float64
-}
-
-// warmIdentity keys the warm-map cache: replicate siblings share
-// (backend, workload, NW, objective set) and nothing else.
-func warmIdentity(c Cell) string {
-	return c.Backend + "|" + c.Workload + "|" + fmt.Sprint(c.NW) + "|" + c.Objectives.String()
-}
-
-// siblingWarmSource returns a cell's warm-cache lookup (the
-// core.Config.WarmSource shape). The sibling discovery is LAZY:
-// replicate siblings of one identity are often claimed by cell
-// workers simultaneously (replicates are the innermost enumeration
-// dimension), so no sibling is completed when the cell starts — the
-// lookup keeps re-scanning (throttled) until one completes mid-run,
-// then serves its archive for the rest of the run. Infeasible
-// genotypes are served as (objs, violation); feasible ones
-// additionally carry the metric triple decoded from the sibling
-// checkpoint's aux section, so result assembly resolves them without
-// re-evaluating. Evaluation is deterministic and the triples
-// round-trip as IEEE-754 bit patterns, which is what keeps every
-// artifact byte-identical. Any read or decode problem just skips that
-// sibling — the warm cache is an optimization, never a correctness
-// dependency.
-func (m *checkpointManager) siblingWarmSource(cell Cell) func([]byte) ([]float64, float64, []float64, bool) {
-	var warm map[string]warmRec
-	misses := 0
-	return func(genome []byte) ([]float64, float64, []float64, bool) {
-		if warm == nil {
-			// Rescan every 256th miss: a handful of os.Stat calls,
-			// amortized to nothing, until a sibling completes (after
-			// which the scan never runs again).
-			if misses%256 == 0 {
-				warm = m.warmMapFor(cell)
-			}
-			misses++
-			if warm == nil {
-				return nil, 0, nil, false
-			}
-		}
-		rec, ok := warm[string(genome)]
-		if !ok {
-			return nil, 0, nil, false
-		}
-		warmHitsTotal.Add(1)
-		if rec.violation == 0 {
-			warmFeasibleHitsTotal.Add(1)
-		}
-		// The engine and the problem layer intern what they retain
-		// (the objs vector into the engine's arena, the aux triple into
-		// a Metrics value), so the shared decoded map can be served by
-		// reference — no per-hit detach copies, and cells warming from
-		// one sibling still stay independent.
-		return rec.objs, rec.violation, rec.aux, true
-	}
-}
-
-// warmMapFor returns the warm map of cell's identity group, decoding
-// the first completed sibling's retained checkpoint at most once per
-// identity across the whole campaign (cells of one group share the
-// decoded map read-only). Returns nil when no usable sibling exists
-// yet.
-func (m *checkpointManager) warmMapFor(cell Cell) map[string]warmRec {
-	key := warmIdentity(cell)
-	m.warmMu.Lock()
-	if w, ok := m.warmMaps[key]; ok {
-		m.warmMu.Unlock()
-		return w
-	}
-	m.warmMu.Unlock()
-	for _, sib := range m.cells {
-		if sib.Index == cell.Index || warmIdentity(sib) != key {
-			continue
-		}
-		if _, err := os.Stat(m.donePath(sib)); err != nil {
-			continue
-		}
-		payload, ok, err := m.loadCellCheckpoint(sib)
-		if err != nil || !ok {
-			continue
-		}
-		arch, err := nsga2.ReadCheckpointArchive(bytes.NewReader(payload))
-		if err != nil {
-			continue
-		}
-		warm := make(map[string]warmRec, len(arch.Entries))
-		for _, ent := range arch.Entries {
-			switch {
-			case ent.Violation > 0:
-				warm[string(ent.Genome)] = warmRec{objs: ent.Objs, violation: ent.Violation}
-			case len(ent.Aux) == arch.AuxDim && arch.AuxDim > 0 && !anyNaNAux(ent.Aux):
-				// Feasible entries are only useful with their complete
-				// metric triple: the problem layer rejects a feasible
-				// warm answer without one, so an incomplete entry
-				// (possible only in a hand-built stream) is dropped
-				// here and evaluated normally.
-				warm[string(ent.Genome)] = warmRec{objs: ent.Objs, violation: ent.Violation, aux: ent.Aux}
-			}
-		}
-		if len(warm) == 0 {
-			continue
-		}
-		// First decode stored wins; a racing worker that decoded a
-		// different sibling adopts the stored one (results are
-		// identical either way — the warm cache only changes speed).
-		m.warmMu.Lock()
-		if m.warmMaps == nil {
-			m.warmMaps = make(map[string]map[string]warmRec)
-		}
-		if w, ok := m.warmMaps[key]; ok {
-			warm = w
-		} else {
-			m.warmMaps[key] = warm
-		}
-		m.warmMu.Unlock()
-		return warm
-	}
-	return nil
-}
-
-// anyNaNAux reports whether an aux payload is incomplete (NaN marks a
-// value the writing run never filled in).
-func anyNaNAux(xs []float64) bool {
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			return true
-		}
-	}
-	return false
 }
 
 // loadCellCheckpoint returns the embedded engine checkpoint of c's

@@ -3,9 +3,10 @@ package expt
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
+	"regexp"
 	"sync"
 	"testing"
 )
@@ -278,65 +279,6 @@ func TestCampaignResumeRunsInflightCellFirst(t *testing.T) {
 	}
 }
 
-// TestCampaignWarmCacheSiblingsByteIdentical pins the opt-in
-// cross-replicate warm cache: replicate cells seeded from a completed
-// sibling's checkpointed evaluation cache produce artifacts
-// byte-identical to a cold campaign, the warm path demonstrably
-// engages, and completed cells retain their snapshots as the warm
-// medium.
-func TestCampaignWarmCacheSiblingsByteIdentical(t *testing.T) {
-	// Large enough (and heuristic-seeded, so both replicates start
-	// from identical warm-start genomes) that the replicates' search
-	// trajectories overlap on rediscovered infeasible genotypes.
-	cfg := CampaignConfig{
-		NWs:         []int{8},
-		Replicates:  2,
-		Pop:         48,
-		Generations: 25,
-		Seed:        5,
-		WarmStart:   true,
-	}
-	ref, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refJSON, refCSV := campaignArtifacts(t, ref)
-
-	warm := cfg
-	warm.CheckpointDir = t.TempDir()
-	warm.WarmCacheSiblings = true
-	before := warmHitsTotal.Load()
-	beforeFeasible := warmFeasibleHitsTotal.Load()
-	camp, err := RunCampaign(warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits := warmHitsTotal.Load() - before; hits == 0 {
-		t.Fatal("warm cache never engaged: no evaluation was short-circuited")
-	}
-	// Both replicates warm-start from the same heuristic seeds, which
-	// are feasible — the second replicate MUST resolve them from the
-	// first's persisted metric triples rather than re-evaluating.
-	if hits := warmFeasibleHitsTotal.Load() - beforeFeasible; hits == 0 {
-		t.Fatal("no feasible genotype was served from the sibling warm cache")
-	}
-	gotJSON, gotCSV := campaignArtifacts(t, camp)
-	if !bytes.Equal(refJSON, gotJSON) {
-		t.Fatal("warm-cached campaign changed the JSON artifact")
-	}
-	if !bytes.Equal(refCSV, gotCSV) {
-		t.Fatal("warm-cached campaign changed the CSV artifact")
-	}
-	// Completed cells keep their checkpoints (the warm medium).
-	for _, cell := range warm.withDefaults().Cells() {
-		if _, err := os.Stat(filepath.Join(warm.CheckpointDir, "cell-"+itoa(cell.Index)+".ckpt")); err != nil {
-			t.Fatalf("completed cell %d checkpoint not retained: %v", cell.Index, err)
-		}
-	}
-}
-
-func itoa(n int) string { return strconv.Itoa(n) }
-
 // TestCampaignStatsRecorded pins the opt-in instrumentation: with
 // Stats on, every successful cell carries a consistent counter block
 // that lands in the JSON artifact, restored cells replay the block
@@ -360,9 +302,9 @@ func TestCampaignStatsRecorded(t *testing.T) {
 			t.Fatalf("cell %d: implausible stats %+v", i, *s)
 		}
 		kernel := s.FullEvals + s.GeneDeltaEvals + s.NearDeltaEvals + s.CrossDeltaEvals
-		if kernel != s.Evaluations-s.CacheHits-s.WarmHits {
-			t.Fatalf("cell %d: kernel paths sum to %d, engine served %d evaluations (%d cache, %d warm)",
-				i, kernel, s.Evaluations, s.CacheHits, s.WarmHits)
+		if kernel != s.Evaluations-s.CacheHits {
+			t.Fatalf("cell %d: kernel paths sum to %d, engine served %d evaluations (%d cache)",
+				i, kernel, s.Evaluations, s.CacheHits)
 		}
 	}
 	gotJSON, _ := campaignArtifacts(t, camp)
@@ -394,44 +336,88 @@ func TestCampaignStatsRecorded(t *testing.T) {
 	}
 }
 
-// TestWarmCacheNeedsCheckpointDir pins the flag guard.
-func TestWarmCacheNeedsCheckpointDir(t *testing.T) {
+// TestResumeDirectoryWithRetainedSnapshots pins compatibility with
+// checkpoint directories written by the retired cross-replicate warm
+// cache: every completed cell there has both a cell-N.json record
+// whose stats carry a "warm_hits" key and a stale cell-N.ckpt holding
+// the cell's final engine snapshot. A resume must
+// restore every cell from its record, ignoring both, and render
+// artifacts byte-identical to a fresh run's.
+func TestResumeDirectoryWithRetainedSnapshots(t *testing.T) {
 	cfg := ckptCampaignConfig()
-	cfg.WarmCacheSiblings = true
-	if _, err := RunCampaign(cfg); err == nil {
-		t.Fatal("WarmCacheSiblings without CheckpointDir must fail")
-	}
-}
-
-// TestCampaignWarmCacheParallelReplicates pins the lazy warm binding:
-// replicate siblings claimed concurrently (no sibling completed at
-// cell start) still produce byte-identical artifacts, with the warm
-// source engaging mid-run if and when a sibling finishes first.
-func TestCampaignWarmCacheParallelReplicates(t *testing.T) {
-	cfg := CampaignConfig{
-		NWs:         []int{8},
-		Replicates:  2,
-		Pop:         48,
-		Generations: 25,
-		Seed:        5,
-		WarmStart:   true,
-	}
+	cfg.Replicates = 2
+	cfg.Stats = true
 	ref, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refJSON, refCSV := campaignArtifacts(t, ref)
 
-	warm := cfg
-	warm.CheckpointDir = t.TempDir()
-	warm.WarmCacheSiblings = true
-	warm.CellWorkers = 2 // both replicates start together
-	camp, err := RunCampaign(warm)
+	old := cfg
+	old.CheckpointDir = t.TempDir()
+	if _, err := RunCampaign(old); err != nil {
+		t.Fatal(err)
+	}
+	full := old.withDefaults()
+	cacheHits := regexp.MustCompile(`(?m)^( *)"cache_hits": [0-9]+,\n`)
+	for _, cell := range full.Cells() {
+		done := filepath.Join(old.CheckpointDir, fmt.Sprintf("cell-%d.json", cell.Index))
+		raw, err := os.ReadFile(done)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withWarm := cacheHits.ReplaceAll(raw, []byte("$0$1\"warm_hits\": 3,\n"))
+		if bytes.Equal(withWarm, raw) {
+			t.Fatalf("cell %d: record has no stats block to extend", cell.Index)
+		}
+		if err := os.WriteFile(done, withWarm, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The final snapshot the warm cache retained: the cell's
+		// engine checkpoint after its last generation.
+		wl, err := NamedWorkload(cell.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := BuildCellInstance(cell, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := cellProblem(full, cell, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := p.NewExplorer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !x.Done() {
+			x.Step()
+		}
+		ckpt, err := encodeCellCkpt(cell, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(old.CheckpointDir, fmt.Sprintf("cell-%d.ckpt", cell.Index)), ckpt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	old.Resume = true
+	camp, err := RunCampaign(old)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i := range camp.Cells {
+		if !camp.Cells[i].Restored() {
+			t.Fatalf("cell %d: ran again instead of restoring from its completion record", i)
+		}
+	}
 	gotJSON, gotCSV := campaignArtifacts(t, camp)
-	if !bytes.Equal(refJSON, gotJSON) || !bytes.Equal(refCSV, gotCSV) {
-		t.Fatal("parallel warm-cached campaign changed the artifacts")
+	if !bytes.Equal(refJSON, gotJSON) {
+		t.Fatal("resume over retained snapshots changed the JSON artifact")
+	}
+	if !bytes.Equal(refCSV, gotCSV) {
+		t.Fatal("resume over retained snapshots changed the CSV artifact")
 	}
 }

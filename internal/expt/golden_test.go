@@ -123,9 +123,9 @@ func TestCampaignGolden(t *testing.T) {
 	// every evaluation the cache did not serve.
 	for i := range c.Cells {
 		s := c.Cells[i].Stats()
-		if paths := s.FullEvals + s.GeneDeltaEvals + s.NearDeltaEvals + s.CrossDeltaEvals; paths != s.Evaluations-s.CacheHits-s.WarmHits {
-			t.Errorf("cell %d: kernel paths sum to %d, want evaluations-cache_hits-warm_hits = %d",
-				i, paths, s.Evaluations-s.CacheHits-s.WarmHits)
+		if paths := s.FullEvals + s.GeneDeltaEvals + s.NearDeltaEvals + s.CrossDeltaEvals; paths != s.Evaluations-s.CacheHits {
+			t.Errorf("cell %d: kernel paths sum to %d, want evaluations-cache_hits = %d",
+				i, paths, s.Evaluations-s.CacheHits)
 		}
 	}
 	checkGolden(t, "campaign_stats.ndjson", st.Bytes())
@@ -171,7 +171,7 @@ func edgeArtifact(variant int) cellArtifact {
 		FrontTimeBER: []solutionRec{
 			{TimeKCC: 1e21, BitEnergyFJ: 9.99999e20, MeanBER: 2.5e-13, Counts: nil, Genome: edgeStrings[variant%len(edgeStrings)]},
 		},
-		Stats: &CellStats{Evaluations: 4800, CacheHits: 1200, WarmHits: 17, FullEvals: 900,
+		Stats: &CellStats{Evaluations: 4800, CacheHits: 1200, FullEvals: 900,
 			GeneDeltaEvals: 1800, NearDeltaEvals: 600, CrossDeltaEvals: 283, RelationsCompared: 1 << 40},
 	}
 	switch variant % 4 {

@@ -134,7 +134,7 @@ func ExecuteCell(cfg CampaignConfig, cell Cell, in *alloc.Instance, resume []byt
 		}
 		return encodeCellDone(cell, cr.artifact())
 	}
-	p, err := cellProblem(cfg, cell, in, nil)
+	p, err := cellProblem(cfg, cell, in)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +184,7 @@ func ExecuteCell(cfg CampaignConfig, cell Cell, in *alloc.Instance, resume []byt
 // any worker computes the same bytes.
 func RunCellSegment(cfg CampaignConfig, cell Cell, in *alloc.Instance, seg core.IslandSegment) (core.IslandSegmentResult, error) {
 	cfg = cfg.withDefaults()
-	p, err := cellProblem(cfg, cell, in, nil)
+	p, err := cellProblem(cfg, cell, in)
 	if err != nil {
 		return core.IslandSegmentResult{}, err
 	}
@@ -202,7 +202,7 @@ func DriveIslandCell(cfg CampaignConfig, cell Cell, in *alloc.Instance, runner c
 	if cfg.Islands <= 1 {
 		return nil, fmt.Errorf("expt: cell %d: DriveIslandCell needs Islands > 1", cell.Index)
 	}
-	p, err := cellProblem(cfg, cell, in, nil)
+	p, err := cellProblem(cfg, cell, in)
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,7 @@ import (
 // Version history: v1 (through PR 5) had no auxDim field and no
 // per-entry aux payload; v2 added both so problems can persist
 // evaluation-derived side state (core's metric triple) next to each
-// genotype and warm-start feasible siblings from it. The decoder
+// genotype, so a resume rebuilds it without re-evaluating. The decoder
 // rejects any version it does not read — there is no silent
 // cross-version parse.
 //
@@ -204,7 +204,7 @@ func (e *Engine) readCheckpoint(r io.Reader) error {
 		// Objective and aux vectors are carved from the engine's
 		// chunked arena instead of boxed per entry: rehydration drops
 		// from two allocations per genotype to one per arena chunk.
-		got, err := cr.cacheEntry(&e.store, key, e.nObj, int(auxDim))
+		objs, violation, aux, err := cr.cacheEntry(&e.store, key, e.nObj, int(auxDim))
 		if err != nil {
 			return fmt.Errorf("nsga2: checkpoint: cache entry %d of %d: %w", i, cacheLen, err)
 		}
@@ -213,9 +213,7 @@ func (e *Engine) readCheckpoint(r io.Reader) error {
 		}
 		idx := e.cache.insert(key)
 		ent := &e.cache.entries[idx]
-		ent.objs = got.Objs
-		ent.violation = got.Violation
-		ent.aux = got.Aux
+		ent.objs, ent.violation, ent.aux = objs, violation, aux
 	}
 	want := cr.crc
 	stored := cr.u32()
@@ -246,127 +244,32 @@ func (e *Engine) readCheckpoint(r io.Reader) error {
 	return nil
 }
 
-// CheckpointArchive is the standalone decode of a checkpoint's
-// identity header and evaluation-cache section — what a warm-start
-// consumer needs, without a Problem to resurrect the engine around.
-type CheckpointArchive struct {
-	GenomeLen     int
-	NumObjectives int
-	AuxDim        int
-	PopSize       int
-	Seed          int64
-	// Entries lists every distinct evaluated genotype in insertion
-	// order, exactly like Result.Archive.
-	Entries []ArchiveEntry
-}
-
-// ReadCheckpointArchive decodes the cache section of a checkpoint
-// written by WriteCheckpoint without rebuilding an engine: the
-// population is skipped, the archive entries are returned, and the
-// trailing CRC is still verified (the whole stream is consumed). A
-// campaign uses this to seed one cell's evaluation cache from a
-// completed sibling's checkpoint. Like ResumeEngine, it fails loudly
-// on damage and reads entry-wise, so a forged length cannot balloon
-// one allocation.
-func ReadCheckpointArchive(r io.Reader) (*CheckpointArchive, error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
-	var magic [6]byte
-	cr.bytes(magic[:])
-	if cr.err == nil && magic != checkpointMagic {
-		return nil, fmt.Errorf("nsga2: checkpoint: bad magic %q (not a checkpoint file?)", magic[:])
-	}
-	if v := cr.u16(); cr.err == nil && v != checkpointVersion {
-		return nil, fmt.Errorf("nsga2: checkpoint: format version %d, this build reads %d", v, checkpointVersion)
-	}
-	gl, nObj, auxDim, popSize := cr.u32(), cr.u32(), cr.u32(), cr.u32()
-	seed := int64(cr.u64())
-	_, _ = cr.u64(), cr.u64() // gen, draws
-	_, _ = cr.u64(), cr.u64() // evals, validEvals
-	popLen := cr.u32()
-	if cr.err != nil {
-		return nil, fmt.Errorf("nsga2: checkpoint: truncated header: %w", cr.err)
-	}
-	// Standalone sanity bounds (no engine geometry to validate
-	// against): reject implausible shapes before sizing any reads.
-	switch {
-	case gl == 0 || gl > 1<<20:
-		return nil, fmt.Errorf("nsga2: checkpoint: implausible genome length %d", gl)
-	case nObj == 0 || nObj > 1<<10:
-		return nil, fmt.Errorf("nsga2: checkpoint: implausible objective count %d", nObj)
-	case auxDim > 1<<10:
-		return nil, fmt.Errorf("nsga2: checkpoint: implausible aux dimension %d", auxDim)
-	case popLen == 0 || popLen > popSize || popSize > 1<<24:
-		return nil, fmt.Errorf("nsga2: checkpoint: implausible population %d of %d", popLen, popSize)
-	}
-	skip := make([]byte, gl)
-	for i := 0; i < int(popLen); i++ {
-		cr.bytes(skip)
-		_ = cr.u32()
-		_ = cr.f64()
-		if cr.err != nil {
-			return nil, fmt.Errorf("nsga2: checkpoint: truncated population at individual %d: %w", i, cr.err)
-		}
-	}
-	cacheLen := cr.u64()
-	if cr.err != nil {
-		return nil, fmt.Errorf("nsga2: checkpoint: truncated cache header: %w", cr.err)
-	}
-	arch := &CheckpointArchive{
-		GenomeLen:     int(gl),
-		NumObjectives: int(nObj),
-		AuxDim:        int(auxDim),
-		PopSize:       int(popSize),
-		Seed:          seed,
-	}
-	// One local arena for the whole decode: per-entry float vectors
-	// are carved from chunks instead of boxed individually (the
-	// entries retain the chunks, exactly like engine cache entries
-	// retain the engine's arena).
-	var store objStore
-	for i := uint64(0); i < cacheLen; i++ {
-		ent, err := cr.cacheEntry(&store, make([]byte, gl), int(nObj), int(auxDim))
-		if err != nil {
-			return nil, fmt.Errorf("nsga2: checkpoint: cache entry %d of %d: %w", i, cacheLen, err)
-		}
-		arch.Entries = append(arch.Entries, ent)
-	}
-	want := cr.crc
-	stored := cr.u32()
-	if cr.err != nil {
-		return nil, fmt.Errorf("nsga2: checkpoint: truncated checksum: %w", cr.err)
-	}
-	if stored != want {
-		return nil, fmt.Errorf("nsga2: checkpoint: CRC mismatch (stored %08x, computed %08x): file damaged", stored, want)
-	}
-	return arch, nil
-}
-
 // cacheEntry decodes one evaluation-cache entry: the genotype into
 // key, then its objectives, violation and auxDim aux values, carving
 // the float vectors from store. It is the checkpoint side of the
 // engine's NaN boundary: a NaN objective or violation is an error,
 // because the ranking cannot order it. NaN aux values stay legal —
 // they mean "unknown", and WriteCheckpoint pre-fills aux with them.
-func (c *crcReader) cacheEntry(store *objStore, key []byte, nObj, auxDim int) (ArchiveEntry, error) {
+func (c *crcReader) cacheEntry(store *objStore, key []byte, nObj, auxDim int) (objs []float64, violation float64, aux []float64, err error) {
 	c.bytes(key)
-	ent := ArchiveEntry{Genome: key, Objs: store.alloc(nObj)}
-	for k := range ent.Objs {
-		ent.Objs[k] = c.f64()
+	objs = store.alloc(nObj)
+	for k := range objs {
+		objs[k] = c.f64()
 	}
-	ent.Violation = c.f64()
+	violation = c.f64()
 	if auxDim > 0 {
-		ent.Aux = store.alloc(auxDim)
-		for k := range ent.Aux {
-			ent.Aux[k] = c.f64()
+		aux = store.alloc(auxDim)
+		for k := range aux {
+			aux[k] = c.f64()
 		}
 	}
 	if c.err != nil {
-		return ArchiveEntry{}, fmt.Errorf("truncated: %w", c.err)
+		return nil, 0, nil, fmt.Errorf("truncated: %w", c.err)
 	}
-	if hasNaN(ent.Objs, ent.Violation) {
-		return ArchiveEntry{}, fmt.Errorf("NaN objective or violation (objectives %v, violation %v)", ent.Objs, ent.Violation)
+	if hasNaN(objs, violation) {
+		return nil, 0, nil, fmt.Errorf("NaN objective or violation (objectives %v, violation %v)", objs, violation)
 	}
-	return ent, nil
+	return objs, violation, aux, nil
 }
 
 // VisitArchive calls fn for every distinct evaluated genotype in

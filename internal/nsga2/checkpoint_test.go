@@ -235,8 +235,7 @@ func encodeV1Checkpoint(e *Engine) []byte {
 // TestCheckpointVersionSkew pins the cross-version contract: a PR
 // 5-era (v1) checkpoint fed to the current decoder must produce a
 // descriptive unsupported-version error — no panic, no silent parse
-// of the shifted layout — through both ResumeEngine and the
-// standalone archive reader.
+// of the shifted layout — through ResumeEngine.
 func TestCheckpointVersionSkew(t *testing.T) {
 	p := ckptProblem(16)
 	cfg := Config{PopSize: 12, Generations: 8, Seed: 3}
@@ -254,19 +253,12 @@ func TestCheckpointVersionSkew(t *testing.T) {
 	if want := "format version 1, this build reads 2"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Fatalf("ResumeEngine error %q does not describe the version skew (want substring %q)", err, want)
 	}
-	_, err = ReadCheckpointArchive(bytes.NewReader(old))
-	if err == nil {
-		t.Fatal("ReadCheckpointArchive accepted a v1 checkpoint")
-	}
-	if want := "format version 1, this build reads 2"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
-		t.Fatalf("ReadCheckpointArchive error %q does not describe the version skew (want substring %q)", err, want)
-	}
 }
 
 // TestCheckpointAuxRoundTrip pins the v2 aux payload: AuxFill's
-// values come back bit-exactly through both the resumed engine's
-// archive and the standalone reader, and an aux-dimension mismatch
-// between file and config fails loudly.
+// values come back bit-exactly, for every written entry, through the
+// resumed engine's archive, and an aux-dimension mismatch between
+// file and config fails loudly.
 func TestCheckpointAuxRoundTrip(t *testing.T) {
 	p := ckptProblem(12)
 	cfg := Config{PopSize: 12, Generations: 6, Seed: 7, AuxLen: 2,
@@ -285,19 +277,6 @@ func TestCheckpointAuxRoundTrip(t *testing.T) {
 	}
 	raw := buf.Bytes()
 
-	arch, err := ReadCheckpointArchive(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arch.AuxDim != 2 {
-		t.Fatalf("AuxDim = %d, want 2", arch.AuxDim)
-	}
-	for i, ent := range arch.Entries {
-		if len(ent.Aux) != 2 || ent.Aux[0] != float64(countOnes(ent.Genome)) || ent.Aux[1] != -float64(len(ent.Genome)) {
-			t.Fatalf("entry %d aux = %v, not the AuxFill payload", i, ent.Aux)
-		}
-	}
-
 	// A resumed engine carries the payload through VisitArchive and
 	// re-encodes it byte-identically without AuxFill's help.
 	cfgNoFill := cfg
@@ -309,12 +288,12 @@ func TestCheckpointAuxRoundTrip(t *testing.T) {
 	n := 0
 	resumed.VisitArchive(func(genome []byte, objs []float64, violation float64, aux []float64) {
 		if len(aux) != 2 || aux[0] != float64(countOnes(genome)) || aux[1] != -float64(len(genome)) {
-			t.Fatalf("resumed aux = %v, not the AuxFill payload", aux)
+			t.Fatalf("resumed entry %d aux = %v, not the AuxFill payload", n, aux)
 		}
 		n++
 	})
-	if n != len(arch.Entries) {
-		t.Fatalf("resumed archive has %d entries, file has %d", n, len(arch.Entries))
+	if n == 0 || n != e.ArchiveLen() {
+		t.Fatalf("resumed archive has %d entries, the written engine had %d", n, e.ArchiveLen())
 	}
 	var buf2 bytes.Buffer
 	if err := resumed.WriteCheckpoint(&buf2); err != nil {
@@ -363,9 +342,9 @@ func TestVisitArchiveMatchesResult(t *testing.T) {
 
 // TestResumeAllocsPerEntry pins the rehydration-cost contract: the
 // marginal price of one more archive entry is about one heap
-// allocation (the interned genome key) for both ResumeEngine and the
-// standalone ReadCheckpointArchive — objective and aux vectors are
-// carved from a chunked arena, not boxed per genotype. The bound is
+// allocation (the interned genome key) for ResumeEngine — objective
+// and aux vectors are carved from a chunked arena, not boxed per
+// genotype. The bound is
 // measured as a marginal rate between a small and a large checkpoint,
 // so the fixed engine-construction cost cancels out.
 func TestResumeAllocsPerEntry(t *testing.T) {
@@ -400,25 +379,18 @@ func TestResumeAllocsPerEntry(t *testing.T) {
 		t.Fatalf("archives too close for a marginal measurement: %d vs %d entries", smallN, largeN)
 	}
 
-	marginal := func(label string, run func(raw []byte, cfg Config)) {
-		small := testing.AllocsPerRun(5, func() { run(smallRaw, smallCfg) })
-		large := testing.AllocsPerRun(5, func() { run(largeRaw, largeCfg) })
-		perEntry := (large - small) / float64(extra)
-		if perEntry > 2.0 {
-			t.Errorf("%s: %.2f allocs per marginal archive entry (%d extra entries, %.0f -> %.0f allocs), want <= 2.0",
-				label, perEntry, extra, small, large)
-		}
-	}
-	marginal("ResumeEngine", func(raw []byte, cfg Config) {
+	resume := func(raw []byte, cfg Config) {
 		if _, err := ResumeEngine(p, cfg, bytes.NewReader(raw)); err != nil {
 			t.Fatal(err)
 		}
-	})
-	marginal("ReadCheckpointArchive", func(raw []byte, cfg Config) {
-		if _, err := ReadCheckpointArchive(bytes.NewReader(raw)); err != nil {
-			t.Fatal(err)
-		}
-	})
+	}
+	small := testing.AllocsPerRun(5, func() { resume(smallRaw, smallCfg) })
+	large := testing.AllocsPerRun(5, func() { resume(largeRaw, largeCfg) })
+	perEntry := (large - small) / float64(extra)
+	if perEntry > 2.0 {
+		t.Errorf("ResumeEngine: %.2f allocs per marginal archive entry (%d extra entries, %.0f -> %.0f allocs), want <= 2.0",
+			perEntry, extra, small, large)
+	}
 }
 
 // nanCheckpoint writes a valid aux-free checkpoint, sets the first
@@ -450,17 +422,13 @@ func nanCheckpoint(tb testing.TB) ([]byte, int) {
 
 // TestCheckpointRejectsNaN pins the checkpoint side of the NaN
 // boundary: a CRC-consistent checkpoint with a NaN cache objective is
-// an error naming the entry, from both decoders.
+// an error naming the entry.
 func TestCheckpointRejectsNaN(t *testing.T) {
 	raw, entry := nanCheckpoint(t)
 	want := fmt.Sprintf("cache entry %d of ", entry)
 	_, err := ResumeEngine(ckptProblem(8), Config{PopSize: 8, Seed: 11}, bytes.NewReader(raw))
 	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "NaN") {
 		t.Errorf("ResumeEngine: err = %v, want a NaN error naming %q", err, want)
-	}
-	_, err = ReadCheckpointArchive(bytes.NewReader(raw))
-	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "NaN") {
-		t.Errorf("ReadCheckpointArchive: err = %v, want a NaN error naming %q", err, want)
 	}
 }
 
@@ -481,16 +449,19 @@ func TestCheckpointNaNAuxResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	arch, err := ReadCheckpointArchive(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(arch.Entries) == 0 || !math.IsNaN(arch.Entries[0].Aux[0]) {
-		t.Fatalf("expected NaN aux payloads, got entries %v", arch.Entries)
-	}
 	resumed, err := ResumeEngine(p, cfg, bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
+	}
+	n := 0
+	resumed.VisitArchive(func(genome []byte, objs []float64, violation float64, aux []float64) {
+		if len(aux) != 2 || !math.IsNaN(aux[0]) || !math.IsNaN(aux[1]) {
+			t.Fatalf("entry %d aux = %v, want NaN payloads", n, aux)
+		}
+		n++
+	})
+	if n == 0 {
+		t.Fatal("resumed archive is empty")
 	}
 	var again bytes.Buffer
 	if err := resumed.WriteCheckpoint(&again); err != nil {
@@ -579,6 +550,5 @@ func FuzzSnapshotDecode(f *testing.F) {
 			// A decodable checkpoint must yield a steppable engine.
 			eng.Step()
 		}
-		_, _ = ReadCheckpointArchive(bytes.NewReader(raw))
 	})
 }

@@ -76,8 +76,8 @@ type Engine struct {
 
 	// store is the engine's chunked objective arena: cache entries'
 	// objective and aux vectors are carved from it instead of being
-	// boxed one allocation each (checkpoint rehydration, warm hits and
-	// live evaluation all intern through it). Chunks are never
+	// boxed one allocation each (checkpoint rehydration and live
+	// evaluation both carve from it). Chunks are never
 	// reallocated, so carved slices stay valid for the engine's
 	// lifetime.
 	store objStore
@@ -85,7 +85,6 @@ type Engine struct {
 	// Instrumentation counters (see Stats; the relation count lives in
 	// the ranker).
 	cacheHits int64
-	warmHits  int64
 }
 
 // offMeta is one offspring's variation-pipeline record: the genomes
@@ -291,9 +290,8 @@ func (e *Engine) fillRandomGenome(g []byte) {
 // more than one view — and writes the individuals into out (one per
 // genome, same order). meta, when non-nil, is the per-offspring
 // variation record (same order as genomes), handed to EvaluateInto as
-// the parent hints; Config.WarmLookup can short-circuit a miss
-// entirely. Cache insertion order, counters and results are identical
-// however the jobs are spread over the views.
+// the parent hints. Cache insertion order, counters and results are
+// identical however the jobs are spread over the views.
 func (e *Engine) evaluateBatch(genomes [][]byte, meta []offMeta, out []Individual) {
 	e.jobs = e.jobs[:0]
 	e.entryIdx = e.entryIdx[:0]
@@ -305,21 +303,6 @@ func (e *Engine) evaluateBatch(genomes [][]byte, meta []offMeta, out []Individua
 			e.cacheHits++
 		} else {
 			idx = e.cache.insert(g)
-			if e.cfg.WarmLookup != nil {
-				if objs, viol, warm := e.cfg.WarmLookup(g); warm {
-					mustOrder("WarmLookup", g, objs, viol)
-					// Warm hit: the entry is resolved without any
-					// evaluation work; counters and archive order are
-					// untouched. The vector is interned into the
-					// engine's arena, so the lookup may alias its own
-					// storage instead of detaching a copy per hit.
-					e.warmHits++
-					ent := &e.cache.entries[idx]
-					ent.objs, ent.violation = e.store.intern(objs), viol
-					e.entryIdx = append(e.entryIdx, idx)
-					continue
-				}
-			}
 			// Arena row for the objective write-out: carved serially
 			// here so the concurrent fill below never touches the store.
 			e.cache.entries[idx].objs = e.store.alloc(e.nObj)
@@ -353,7 +336,7 @@ func (e *Engine) evaluateBatch(genomes [][]byte, meta []offMeta, out []Individua
 	// recovered like any other.
 	for _, idx := range e.jobs {
 		ent := &e.cache.entries[idx]
-		mustOrder("EvaluateInto", ent.key, ent.objs, ent.violation)
+		mustOrder(ent.key, ent.objs, ent.violation)
 	}
 	for i, g := range genomes {
 		e.evals++
@@ -379,15 +362,15 @@ func hasNaN(objs []float64, violation float64) bool {
 	return false
 }
 
-// mustOrder panics when source returned a NaN objective or violation
-// for genome. Infinity is a valid "worst" value; NaN breaks the
+// mustOrder panics when EvaluateInto returned a NaN objective or
+// violation for genome. Infinity is a valid "worst" value; NaN breaks the
 // problem contract (see Problem.EvaluateInto), and the engine refuses
 // it where it enters rather than ranking it. The engine is unusable
 // after the panic.
-func mustOrder(source string, genome []byte, objs []float64, violation float64) {
+func mustOrder(genome []byte, objs []float64, violation float64) {
 	if hasNaN(objs, violation) {
-		panic(fmt.Sprintf("nsga2: %s returned NaN for genome %v: objectives %v, violation %v",
-			source, genome, objs, violation))
+		panic(fmt.Sprintf("nsga2: EvaluateInto returned NaN for genome %v: objectives %v, violation %v",
+			genome, objs, violation))
 	}
 }
 
@@ -635,8 +618,8 @@ func newRanker(n, m int) ranker {
 // The population must be NaN-free: the sort-based builder relies on
 // every dominator sorting first, which a NaN breaks. The engine
 // rejects NaN where values enter it (evaluateBatch for problem
-// results and warm hits, readCacheEntry for checkpoints), so nothing
-// it ranks carries one.
+// results, cacheEntry for checkpoints), so nothing it ranks carries
+// one.
 func (r *ranker) rankAndCrowd(m []Individual) [][]int {
 	n, mo := len(m), r.nObj
 	for i := 0; i < n; i++ {
@@ -1095,7 +1078,7 @@ func (s *frontSorter) Less(a, b int) bool {
 func (s *frontSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
 // Stats is a snapshot of the engine's instrumentation counters: how
-// evaluations were served (dedup cache, warm lookup, or the problem's
+// evaluations were served (dedup cache or the problem's
 // kernels, split by path when the problem implements StatsProblem) and
 // how many pairwise dominance relations the ranking compared. The
 // counters observe the incremental paths' engagement; they are NOT
@@ -1107,8 +1090,6 @@ type Stats struct {
 	// cache without touching the problem.
 	Evaluations int64
 	CacheHits   int64
-	// WarmHits counts cache misses short-circuited by Config.WarmLookup.
-	WarmHits int64
 	// RelationsCompared counts the Deb-dominance pair comparisons of
 	// the front builder.
 	RelationsCompared int64
@@ -1122,7 +1103,6 @@ func (e *Engine) Stats() Stats {
 	s := Stats{
 		Evaluations:       int64(e.evals),
 		CacheHits:         e.cacheHits,
-		WarmHits:          e.warmHits,
 		RelationsCompared: e.relations,
 	}
 	if sp, ok := e.p.(StatsProblem); ok {

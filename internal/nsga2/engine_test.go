@@ -453,9 +453,9 @@ func nanPanic(t *testing.T, build func()) (msg string) {
 }
 
 // TestEngineRejectsNaN pins the engine's NaN boundary: a problem
-// result with a NaN objective or violation, and a WarmLookup hit with
-// a NaN objective, panic on the caller's goroutine — serial and
-// parallel alike — with a message naming the genome.
+// result with a NaN objective or violation panics on the caller's
+// goroutine — serial and parallel alike — with a message naming the
+// genome.
 func TestEngineRejectsNaN(t *testing.T) {
 	poison := []byte{1, 0, 1, 1, 0, 0, 1, 0}
 	base := twoMin(len(poison))
@@ -480,17 +480,5 @@ func TestEngineRejectsNaN(t *testing.T) {
 				t.Errorf("%s, workers=%d: panic %q does not name EvaluateInto and genome %v", tc.name, workers, msg, poison)
 			}
 		}
-	}
-
-	cfg := Config{PopSize: 8, Seed: 1, Seeds: [][]byte{poison},
-		WarmLookup: func(g []byte) ([]float64, float64, bool) {
-			if bytes.Equal(g, poison) {
-				return []float64{math.NaN(), 0}, 0, true
-			}
-			return nil, 0, false
-		}}
-	msg := nanPanic(t, func() { _, _ = NewEngine(base, cfg) })
-	if !strings.Contains(msg, "WarmLookup") || !strings.Contains(msg, fmt.Sprint(poison)) {
-		t.Errorf("warm hit: panic %q does not name WarmLookup and genome %v", msg, poison)
 	}
 }

@@ -124,7 +124,6 @@ func (s Stats) Sub(o Stats) Stats {
 	return Stats{
 		Evaluations:       s.Evaluations - o.Evaluations,
 		CacheHits:         s.CacheHits - o.CacheHits,
-		WarmHits:          s.WarmHits - o.WarmHits,
 		RelationsCompared: s.RelationsCompared - o.RelationsCompared,
 		Eval: EvalStats{
 			Full:       s.Eval.Full - o.Eval.Full,
@@ -140,7 +139,6 @@ func (s Stats) Add(o Stats) Stats {
 	return Stats{
 		Evaluations:       s.Evaluations + o.Evaluations,
 		CacheHits:         s.CacheHits + o.CacheHits,
-		WarmHits:          s.WarmHits + o.WarmHits,
 		RelationsCompared: s.RelationsCompared + o.RelationsCompared,
 		Eval: EvalStats{
 			Full:       s.Eval.Full + o.Eval.Full,

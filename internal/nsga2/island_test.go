@@ -348,9 +348,9 @@ func TestMergeResultsMatchesReference(t *testing.T) {
 }
 
 func TestStatsAddSub(t *testing.T) {
-	a := Stats{Evaluations: 10, CacheHits: 4, WarmHits: 2, RelationsCompared: 100,
+	a := Stats{Evaluations: 10, CacheHits: 4, RelationsCompared: 100,
 		Eval: EvalStats{Full: 5, GeneDelta: 3, NearDelta: 1, CrossDelta: 1}}
-	b := Stats{Evaluations: 7, CacheHits: 1, WarmHits: 2, RelationsCompared: 40,
+	b := Stats{Evaluations: 7, CacheHits: 1, RelationsCompared: 40,
 		Eval: EvalStats{Full: 2, GeneDelta: 2, NearDelta: 1, CrossDelta: 2}}
 	if got := a.Add(b).Sub(b); got != a {
 		t.Fatalf("Add/Sub roundtrip: got %+v want %+v", got, a)

@@ -24,8 +24,8 @@
 //
 // Objective values and violations may be +Inf but never NaN: the
 // ranking cannot order NaN, so the engine rejects it where values
-// enter — a panic for Problem results and WarmLookup hits, an error
-// for checkpoint cache entries.
+// enter — a panic for Problem results, an error for checkpoint cache
+// entries.
 package nsga2
 
 // Problem is the optimization problem the engine minimizes.
@@ -141,22 +141,6 @@ type Config struct {
 	// Table II / Fig. 7 analyses need. The archive doubles as an
 	// evaluation cache either way.
 	ArchiveAll bool
-	// WarmLookup, when non-nil, is consulted once per evaluation-cache
-	// miss, before the problem is asked: ok = true resolves the new
-	// genotype with the returned vector and skips its evaluation
-	// entirely. The returned values MUST equal what EvaluateInto
-	// would produce for genome bit-for-bit (a campaign seeds this from
-	// a completed sibling run's checkpointed cache — evaluation is
-	// deterministic, so the equality holds by construction); anything
-	// else silently diverges the run. Like EvaluateInto's, the
-	// returned values must not be NaN: the engine panics on a NaN hit,
-	// naming the genome. Counters, cache insertion order, the archive
-	// and all results are identical with or without the hook — only
-	// evaluation work is skipped. The engine interns the returned objs
-	// slice into its own arena before returning, so the callback may
-	// hand out a slice it owns (even one aliasing its backing store)
-	// without detaching a copy per hit.
-	WarmLookup func(genome []byte) (objs []float64, violation float64, ok bool)
 	// AuxLen is the number of auxiliary float64 values serialized per
 	// evaluation-cache entry in checkpoints (format v2): problem-side
 	// state, such as derived metrics, that a resumed run needs without
@@ -227,9 +211,6 @@ type ArchiveEntry struct {
 	Genome    []byte
 	Objs      []float64
 	Violation float64
-	// Aux carries the checkpoint's per-entry auxiliary values (see
-	// Config.AuxLen); nil when the source carries none.
-	Aux []float64
 }
 
 // Feasible reports whether the archived genotype was valid.

@@ -1,10 +1,9 @@
 package nsga2
 
 // objStore is a chunked float64 arena for cache-entry objective and
-// aux vectors. Rehydrating a checkpoint (or decoding a warm-cache
-// archive) used to box two small slices per entry; the store carves
-// them out of large chunks instead, cutting the resume path to one
-// allocation per chunk. Chunks are never reallocated or reused —
+// aux vectors. Rehydrating a checkpoint used to box two small slices
+// per entry; the store carves them out of large chunks instead,
+// cutting the resume path to one allocation per chunk. Chunks are never reallocated or reused —
 // previously carved slices stay valid for the owner's lifetime, which
 // is exactly the retention contract cache entries already have.
 type objStore struct {
@@ -32,11 +31,4 @@ func (s *objStore) alloc(n int) []float64 {
 	off := len(s.cur)
 	s.cur = s.cur[: off+n : cap(s.cur)]
 	return s.cur[off : off+n : off+n]
-}
-
-// intern copies v into the arena and returns the arena-owned copy.
-func (s *objStore) intern(v []float64) []float64 {
-	dst := s.alloc(len(v))
-	copy(dst, v)
-	return dst
 }
