@@ -537,83 +537,6 @@ func BenchmarkEvaluateDeltaKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateCrossDeltaKernel measures the two-parent
-// crossover replay: the child of a two-point crossover inherits every
-// row intact from one of two retained parents, so the kernel
-// re-schedules, re-grades conflicts against the closer base parent
-// and splices the other parent's recorded per-channel optics into the
-// emission stream instead of recomputing them. Compare ns/op against
-// BenchmarkEvaluateKernel — the full kernel this path replaces for
-// distant-parent children — and note the CI ratio gate: the crossover
-// replay must stay strictly faster within the same run.
-func BenchmarkEvaluateCrossDeltaKernel(b *testing.B) {
-	in, err := alloc.DefaultInstance(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev, err := alloc.NewEvaluator(in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev.EnableDeltaCache(0)
-	parentA, err := alloc.Assign(in, []int{1, 4, 2, 3, 2, 3}, alloc.LeastUsed, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var out alloc.Eval
-	ev.EvaluateInto(&out, parentA)
-	if !out.Valid {
-		b.Fatal(out.Reason())
-	}
-	// parentB: rotate every row's channel set so all rows differ from
-	// parentA while the per-edge counts (and therefore validity
-	// odds) are preserved; take the first rotation that evaluates
-	// valid.
-	nl, nw := in.Edges(), in.Channels()
-	var parentB alloc.Genome
-	for rot := 1; rot < nw; rot++ {
-		cand := parentA.Clone()
-		for e := 0; e < nl; e++ {
-			for c := 0; c < nw; c++ {
-				cand.Set(e, (c+rot)%nw, parentA.Get(e, c))
-			}
-		}
-		if ev.EvaluateInto(&out, cand); out.Valid {
-			parentB = cand
-			break
-		}
-	}
-	if parentB.Len() == 0 {
-		b.Fatal("no valid rotated mate found")
-	}
-	// Child: a row-boundary crossover — every row comes intact from
-	// one parent, so the two-parent replay covers all of it. Not
-	// every split of two valid parents is itself valid (mixed rows
-	// can conflict); scan the cut points for one that is. Both
-	// parents are retained and distinct, so every delta evaluation
-	// here replays the other parent's rows; the path label alone
-	// calls a child one row from its base EvalPathGeneDelta.
-	var child alloc.Genome
-	for k := 1; k < nl && child.Len() == 0; k++ {
-		cand := parentA.Clone()
-		copy(cand.Bits()[:k*nw], parentB.Bits()[:k*nw])
-		if ev.EvaluateNearInto(&out, cand, parentA.Bits(), parentB.Bits()) && out.Valid {
-			child = cand
-		}
-	}
-	if child.Len() == 0 {
-		b.Fatal("no valid row-boundary crossover child found")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.EvaluateNearInto(&out, child, parentA.Bits(), parentB.Bits())
-		if !out.Valid {
-			b.Fatal(out.Reason())
-		}
-	}
-}
-
 // BenchmarkEvaluateInvalid measures the fast-reject path.
 func BenchmarkEvaluateInvalid(b *testing.B) {
 	in, err := alloc.DefaultInstance(8)
@@ -844,7 +767,7 @@ func BenchmarkGenerationAmortized(b *testing.B) {
 // variant of BenchmarkGenerationAmortized: mutation off and crossover
 // near-certain, so essentially every new offspring is a true
 // two-parent child and the amortized generation cost tracks the
-// crossover-delta replay instead of the single-gene path.
+// near-delta and full kernels instead of the single-gene path.
 func BenchmarkGenerationAmortizedCrossHeavy(b *testing.B) {
 	p, err := core.New(core.Config{NW: 8})
 	if err != nil {

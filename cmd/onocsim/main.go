@@ -31,9 +31,8 @@ import (
 	"strings"
 
 	"repro/internal/alloc"
-	"repro/internal/energy"
+	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/ring"
 	"repro/internal/sim"
 )
 
@@ -62,11 +61,7 @@ func run(w io.Writer, appPath string, nw int, countsStr, genomeStr, policyStr st
 	if err != nil {
 		return err
 	}
-	r, err := ring.New(ring.DefaultConfig(nw))
-	if err != nil {
-		return err
-	}
-	in, err := alloc.NewInstance(r, app, m, 1, energy.Default())
+	in, err := core.NewSharedInstance(core.Config{NW: nw, App: app, Mapping: m})
 	if err != nil {
 		return err
 	}

@@ -496,12 +496,11 @@ func printCampaignStats(camp *expt.Campaign) {
 		total.FullEvals += s.FullEvals
 		total.GeneDeltaEvals += s.GeneDeltaEvals
 		total.NearDeltaEvals += s.NearDeltaEvals
-		total.CrossDeltaEvals += s.CrossDeltaEvals
 		total.RelationsCompared += s.RelationsCompared
 	}
-	fmt.Printf("\nEngine stats: %d evaluations (%d cache hits); kernel paths: %d full, %d gene-delta, %d near-delta, %d crossover-delta; %d dominance relations compared\n",
+	fmt.Printf("\nEngine stats: %d evaluations (%d cache hits); kernel paths: %d full, %d gene-delta, %d near-delta; %d dominance relations compared\n",
 		total.Evaluations, total.CacheHits,
-		total.FullEvals, total.GeneDeltaEvals, total.NearDeltaEvals, total.CrossDeltaEvals,
+		total.FullEvals, total.GeneDeltaEvals, total.NearDeltaEvals,
 		total.RelationsCompared)
 }
 

@@ -8,9 +8,8 @@
 // application and time models (graph, sched), the chromosome
 // evaluation and baseline heuristics (alloc), the NSGA-II engine
 // (nsga2), the wavelength-allocation explorer that is the paper's
-// contribution (core), a cycle-resolution simulator (sim), the
-// mapping-exploration extension (mapping), and the experiment harness
-// regenerating every table and figure (expt).
+// contribution (core), a cycle-resolution simulator (sim), and the
+// experiment harness regenerating every table and figure (expt).
 //
 // Entry points: cmd/wadate (experiments and campaign sweeps),
 // cmd/onocsim (simulator), cmd/wagen (workload generator), the

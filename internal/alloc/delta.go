@@ -65,17 +65,12 @@ type deltaState struct {
 	mask    uint64
 	entries []deltaEntry
 
-	// Per-evaluation scratch of the delta path. auxEq and fromAux
-	// belong to the two-parent crossover replay: auxEq marks child
-	// rows bit-equal to the aux parent's, fromAux the edges whose
-	// optics are replayed from the aux parent's recorded results.
+	// Per-evaluation scratch of the delta path.
 	changed     []int
 	changedMark []bool
 	wchanged    []bool
 	wchangedLst []int
 	affected    []bool
-	auxEq       []bool
-	fromAux     []bool
 }
 
 // DefaultDeltaCacheBudget is the approximate memory budget (in bytes)
@@ -121,8 +116,6 @@ func (e *Evaluator) EnableDeltaCache(slots int) {
 		wchanged:    make([]bool, nl),
 		wchangedLst: make([]int, 0, nl),
 		affected:    make([]bool, nl),
-		auxEq:       make([]bool, nl),
-		fromAux:     make([]bool, nl),
 	}
 }
 
@@ -195,22 +188,15 @@ func (e *Evaluator) capture(key []byte) {
 
 // EvaluateNearInto evaluates g like EvaluateInto, but first tries the
 // delta path against the candidate parent genomes (typically the
-// offspring's mating parents). The closest retained parent becomes
-// the BASE: the schedule is recomputed and conflicts are re-graded
-// over the rows differing from it. When a second distinct parent is
-// also retained (the crossover case), it becomes the AUX parent:
-// child rows inherited intact from the aux parent replay the aux
-// evaluation's recorded optics instead of recomputing, provided the
-// row's optics inputs (duration bits, overlap relations, overlapping
-// contributors' rows) are bit-identical to the aux evaluation's. The
-// delta path is taken when the rows covered by neither parent are few
-// enough; with a single parent this degenerates to the original
-// closest-parent rule. A child one row away from its base — every
-// single-gene mutant of a retained parent, and every one-row channel
-// swap — is served as EvalPathGeneDelta. The result is bit-identical
-// either way; the return value reports whether the delta path was
-// taken (for tests and benchmarks). nil or wrong-length parents are
-// ignored.
+// offspring's mating parents). The closest retained parent (the first
+// on a tie) becomes the base: the schedule is recomputed and
+// conflicts are re-graded over the rows differing from it. The delta
+// path is taken when few enough rows differ; a child one row away
+// from its base — every single-gene mutant of a retained parent, and
+// every one-row channel swap — is served as EvalPathGeneDelta. The
+// result is bit-identical either way; the return value reports
+// whether the delta path was taken (for tests and benchmarks). nil or
+// wrong-length parents are ignored.
 func (e *Evaluator) EvaluateNearInto(out *Eval, g Genome, parents ...[]byte) bool {
 	in := e.in
 	if g.Edges() != in.Edges() || g.Channels() != in.Channels() {
@@ -222,11 +208,7 @@ func (e *Evaluator) EvaluateNearInto(out *Eval, g Genome, parents ...[]byte) boo
 	nl, W := in.Edges(), in.maskWords
 	g.MaskInto(e.masks, W)
 	if e.delta != nil {
-		maxRows := nl / 2
-		if maxRows < 2 {
-			maxRows = 2
-		}
-		var base, aux *deltaEntry
+		var base *deltaEntry
 		baseDiff := 0
 		for _, p := range parents {
 			if len(p) != nl*in.Channels() {
@@ -237,83 +219,57 @@ func (e *Evaluator) EvaluateNearInto(out *Eval, g Genome, parents ...[]byte) boo
 				continue
 			}
 			ent := &e.delta.entries[idx]
-			if ent == base || ent == aux {
-				continue // identical parents share an interned entry
-			}
 			diff := 0
 			for ei := 0; ei < nl; ei++ {
-				for w := ei * W; w < (ei+1)*W; w++ {
-					if e.masks[w] != ent.masks[w] {
-						diff++
-						break
-					}
+				if e.rowDiffers(ent, ei) {
+					diff++
 				}
 			}
-			switch {
-			case base == nil:
+			if base == nil || diff < baseDiff {
 				base, baseDiff = ent, diff
-			case diff < baseDiff:
-				base, aux, baseDiff = ent, base, diff
-			case aux == nil:
-				aux = ent
 			}
 		}
-		if base != nil {
+		maxRows := nl / 2
+		if maxRows < 2 {
+			maxRows = 2
+		}
+		if base != nil && baseDiff <= maxRows {
 			d := e.delta
 			d.changed = d.changed[:0]
-			uncovered := 0
 			for ei := 0; ei < nl; ei++ {
-				rowChanged := false
-				for w := ei * W; w < (ei+1)*W; w++ {
-					if e.masks[w] != base.masks[w] {
-						rowChanged = true
-						break
-					}
-				}
-				eqAux := aux != nil
-				if eqAux {
-					for w := ei * W; w < (ei+1)*W; w++ {
-						if e.masks[w] != aux.masks[w] {
-							eqAux = false
-							break
-						}
-					}
-				}
-				d.auxEq[ei] = eqAux
-				if rowChanged {
+				if e.rowDiffers(base, ei) {
 					d.changed = append(d.changed, ei)
-					if !eqAux {
-						uncovered++
-					}
 				}
 			}
-			if uncovered <= maxRows {
-				switch {
-				case len(d.changed) == 1:
-					e.lastPath = EvalPathGeneDelta
-				case aux != nil:
-					e.lastPath = EvalPathCrossDelta
-				default:
-					e.lastPath = EvalPathNearDelta
-				}
-				e.evaluateDelta(out, base, aux, g.bits)
-				return true
+			e.lastPath = EvalPathNearDelta
+			if len(d.changed) == 1 {
+				e.lastPath = EvalPathGeneDelta
 			}
+			e.evaluateDelta(out, base, g.bits)
+			return true
 		}
 	}
 	e.evaluateDecoded(out, g.bits)
 	return false
 }
 
+// rowDiffers reports whether the child's mask row ei (in e.masks)
+// differs from the retained entry's.
+func (e *Evaluator) rowDiffers(ent *deltaEntry, ei int) bool {
+	W := e.in.maskWords
+	for w := ei * W; w < (ei+1)*W; w++ {
+		if e.masks[w] != ent.masks[w] {
+			return true
+		}
+	}
+	return false
+}
+
 // evaluateDelta runs the delta kernel: e.masks holds the child's mask
-// rows, ent the retained (valid) BASE parent, e.delta.changed the
-// edges whose rows differ from it. aux, when non-nil, is a second
-// retained parent (the crossover mate) whose recorded optics are
-// replayed for changed rows the child inherited from it intact
-// (d.auxEq, filled by EvaluateNearInto) whenever auxReplayable proves
-// the row's optics inputs bit-identical to the aux evaluation's. key
-// is the child's gene slice for registration.
-func (e *Evaluator) evaluateDelta(out *Eval, ent, aux *deltaEntry, key []byte) {
+// rows, ent the retained (valid) base parent, e.delta.changed the
+// edges whose rows differ from it. key is the child's gene slice for
+// registration.
+func (e *Evaluator) evaluateDelta(out *Eval, ent *deltaEntry, key []byte) {
 	in := e.in
 	nl := in.Edges()
 	d := e.delta
@@ -372,16 +328,6 @@ func (e *Evaluator) evaluateDelta(out *Eval, ent, aux *deltaEntry, key []byte) {
 	// flipped when windows moved. Everything else has bit-identical
 	// optics inputs and replays the parent's recorded results.
 	for o := 0; o < nl; o++ {
-		d.fromAux[o] = false
-		if aux != nil && d.changedMark[o] && d.auxEq[o] && e.auxReplayable(o, aux, s) {
-			// The row differs from the base but was inherited intact
-			// from the aux parent, and every optics input matches the
-			// aux evaluation bit-for-bit: replay aux instead of
-			// recomputing.
-			d.fromAux[o] = true
-			d.affected[o] = false
-			continue
-		}
 		aff := d.changedMark[o]
 		laneO := in.paths[o].Lane
 		if !aff && d.wchanged[o] {
@@ -448,19 +394,13 @@ func (e *Evaluator) evaluateDelta(out *Eval, ent, aux *deltaEntry, key []byte) {
 			continue
 		}
 		// Replay: identical inputs would produce identical per-channel
-		// BERs and energies, so feed the recorded values — the aux
-		// parent's for rows inherited from it, the base parent's for
-		// the rest — into the same accumulation stream the full kernel
-		// runs.
-		src := ent
-		if d.fromAux[ei] {
-			src = aux
-		}
+		// BERs and energies, so feed the parent's recorded values into
+		// the same accumulation stream the full kernel runs.
 		off := int(e.setOff[ei])
-		poff := int(src.setOff[ei])
+		poff := int(ent.setOff[ei])
 		n := int(e.setOff[ei+1]) - off
 		for k := 0; k < n; k++ {
-			ber := src.bers[poff+k]
+			ber := ent.bers[poff+k]
 			e.berBuf[off+k] = ber
 			acc.berSum += ber
 			acc.berN++
@@ -468,8 +408,8 @@ func (e *Evaluator) evaluateDelta(out *Eval, ent, aux *deltaEntry, key []byte) {
 				out.WorstBER = ber
 			}
 		}
-		e.commBER[ei] = src.commBER[ei]
-		e.commFJ[ei] = src.commFJ[ei]
+		e.commBER[ei] = ent.commBER[ei]
+		e.commFJ[ei] = ent.commFJ[ei]
 		acc.totalFJ += e.commFJ[ei]
 		acc.totalBits += in.App.Edges[ei].VolumeBits
 	}
@@ -480,46 +420,6 @@ func (e *Evaluator) evaluateDelta(out *Eval, ent, aux *deltaEntry, key []byte) {
 		out.BitEnergyFJ = acc.totalFJ / acc.totalBits
 	}
 	e.capture(key)
-}
-
-// auxReplayable reports whether changed edge o's optics under the
-// child's schedule s are a bit-identical replay of the aux parent's
-// evaluation. It requires (the caller already established the child's
-// row o equals aux's row o):
-//
-//   - o's activity-window duration bits match aux's (the laser-energy
-//     input, a float subtraction sensitive in the last ulp), and
-//   - for every other statically loaded same-lane edge q, the
-//     o/q window-overlap relation matches the aux evaluation's, and
-//     every overlapping q's row equals aux's row q.
-//
-// Those inputs determine everything o's optics consume: the receiver
-// bank is the OR of overlapping same-lane rows (a zero row ORs
-// as a no-op, so counts need no separate check), the inter-crosstalk
-// contributors are a subset of the same overlapping set, and the
-// intra walk uses only o's own row.
-func (e *Evaluator) auxReplayable(o int, aux *deltaEntry, s *sched.Schedule) bool {
-	in := e.in
-	d := e.delta
-	w, aw := s.Comm[o], aux.windows[o]
-	if math.Float64bits(w.End-w.Start) != math.Float64bits(aw.End-aw.Start) {
-		return false
-	}
-	laneO := in.paths[o].Lane
-	nl := in.Edges()
-	for q := 0; q < nl; q++ {
-		if q == o || in.App.Edges[q].VolumeBits <= 0 || in.selfEdge[q] || in.paths[q].Lane != laneO {
-			continue
-		}
-		ov := w.Overlaps(s.Comm[q])
-		if ov != aw.Overlaps(aux.windows[q]) {
-			return false
-		}
-		if ov && !d.auxEq[q] {
-			return false
-		}
-	}
-	return true
 }
 
 // gradeConflictsChanged re-grades the wavelength-disjointness rule

@@ -81,12 +81,9 @@ const (
 	// EvalPathGeneDelta is the delta replay of a child one edge row
 	// away from its base parent (every single-gene mutant).
 	EvalPathGeneDelta
-	// EvalPathNearDelta is the few-row delta replay off a single
-	// retained parent (EvaluateNearInto with one usable parent).
+	// EvalPathNearDelta is the few-row delta replay off the closest
+	// retained parent.
 	EvalPathNearDelta
-	// EvalPathCrossDelta is the two-parent crossover delta replay
-	// (EvaluateNearInto with both mating parents retained).
-	EvalPathCrossDelta
 )
 
 // LastEvalPath reports which kernel served the most recent

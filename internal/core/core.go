@@ -187,7 +187,7 @@ type Problem struct {
 
 // evalStats is the problem-level half of the engine instrumentation.
 type evalStats struct {
-	full, gene, near, cross atomic.Int64
+	full, gene, near atomic.Int64
 }
 
 // countPath attributes one evaluation to the kernel that served it.
@@ -197,8 +197,6 @@ func (p *Problem) countPath(path alloc.EvalPath) {
 		p.stats.gene.Add(1)
 	case alloc.EvalPathNearDelta:
 		p.stats.near.Add(1)
-	case alloc.EvalPathCrossDelta:
-		p.stats.cross.Add(1)
 	default:
 		p.stats.full.Add(1)
 	}
@@ -207,10 +205,9 @@ func (p *Problem) countPath(path alloc.EvalPath) {
 // EvalStats implements nsga2.StatsProblem.
 func (p *Problem) EvalStats() nsga2.EvalStats {
 	return nsga2.EvalStats{
-		Full:       p.stats.full.Load(),
-		GeneDelta:  p.stats.gene.Load(),
-		NearDelta:  p.stats.near.Load(),
-		CrossDelta: p.stats.cross.Load(),
+		Full:      p.stats.full.Load(),
+		GeneDelta: p.stats.gene.Load(),
+		NearDelta: p.stats.near.Load(),
 	}
 }
 

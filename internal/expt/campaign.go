@@ -380,14 +380,12 @@ type CellStats struct {
 	// CacheHits the subset served by the dedup cache.
 	Evaluations int64 `json:"evaluations"`
 	CacheHits   int64 `json:"cache_hits"`
-	// FullEvals, GeneDeltaEvals, NearDeltaEvals and CrossDeltaEvals
-	// split the kernel invocations by path: full decode, single-gene
-	// delta, single-parent near-delta replay, two-parent crossover
-	// replay.
-	FullEvals       int64 `json:"full_evals"`
-	GeneDeltaEvals  int64 `json:"gene_delta_evals"`
-	NearDeltaEvals  int64 `json:"near_delta_evals"`
-	CrossDeltaEvals int64 `json:"cross_delta_evals"`
+	// FullEvals, GeneDeltaEvals and NearDeltaEvals split the kernel
+	// invocations by path: full decode, single-gene delta, few-row
+	// near-delta replay.
+	FullEvals      int64 `json:"full_evals"`
+	GeneDeltaEvals int64 `json:"gene_delta_evals"`
+	NearDeltaEvals int64 `json:"near_delta_evals"`
 	// RelationsCompared counts Deb-dominance pair comparisons across
 	// the run's ranking passes.
 	RelationsCompared int64 `json:"relations_compared"`
@@ -402,7 +400,6 @@ func cellStatsOf(s nsga2.Stats) *CellStats {
 		FullEvals:         s.Eval.Full,
 		GeneDeltaEvals:    s.Eval.GeneDelta,
 		NearDeltaEvals:    s.Eval.NearDelta,
-		CrossDeltaEvals:   s.Eval.CrossDelta,
 		RelationsCompared: s.RelationsCompared,
 	}
 }

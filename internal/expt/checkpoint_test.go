@@ -301,7 +301,7 @@ func TestCampaignStatsRecorded(t *testing.T) {
 		if s.Evaluations <= 0 || s.FullEvals <= 0 || s.RelationsCompared <= 0 {
 			t.Fatalf("cell %d: implausible stats %+v", i, *s)
 		}
-		kernel := s.FullEvals + s.GeneDeltaEvals + s.NearDeltaEvals + s.CrossDeltaEvals
+		kernel := s.FullEvals + s.GeneDeltaEvals + s.NearDeltaEvals
 		if kernel != s.Evaluations-s.CacheHits {
 			t.Fatalf("cell %d: kernel paths sum to %d, engine served %d evaluations (%d cache)",
 				i, kernel, s.Evaluations, s.CacheHits)
@@ -338,10 +338,11 @@ func TestCampaignStatsRecorded(t *testing.T) {
 
 // TestResumeDirectoryWithRetainedSnapshots pins compatibility with
 // checkpoint directories written by the retired cross-replicate warm
-// cache: every completed cell there has both a cell-N.json record
-// whose stats carry a "warm_hits" key and a stale cell-N.ckpt holding
-// the cell's final engine snapshot. A resume must
-// restore every cell from its record, ignoring both, and render
+// cache and the retired two-parent crossover replay: every completed
+// cell there has both a cell-N.json record whose stats carry
+// "warm_hits" and "cross_delta_evals" keys and a stale cell-N.ckpt
+// holding the cell's final engine snapshot. A resume must restore
+// every cell from its record, ignoring all three, and render
 // artifacts byte-identical to a fresh run's.
 func TestResumeDirectoryWithRetainedSnapshots(t *testing.T) {
 	cfg := ckptCampaignConfig()
@@ -360,6 +361,7 @@ func TestResumeDirectoryWithRetainedSnapshots(t *testing.T) {
 	}
 	full := old.withDefaults()
 	cacheHits := regexp.MustCompile(`(?m)^( *)"cache_hits": [0-9]+,\n`)
+	nearDelta := regexp.MustCompile(`(?m)^( *)"near_delta_evals": [0-9]+,\n`)
 	for _, cell := range full.Cells() {
 		done := filepath.Join(old.CheckpointDir, fmt.Sprintf("cell-%d.json", cell.Index))
 		raw, err := os.ReadFile(done)
@@ -370,7 +372,11 @@ func TestResumeDirectoryWithRetainedSnapshots(t *testing.T) {
 		if bytes.Equal(withWarm, raw) {
 			t.Fatalf("cell %d: record has no stats block to extend", cell.Index)
 		}
-		if err := os.WriteFile(done, withWarm, 0o644); err != nil {
+		withCross := nearDelta.ReplaceAll(withWarm, []byte("$0$1\"cross_delta_evals\": 5,\n"))
+		if bytes.Equal(withCross, withWarm) {
+			t.Fatalf("cell %d: record has no kernel-path split to extend", cell.Index)
+		}
+		if err := os.WriteFile(done, withCross, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		// The final snapshot the warm cache retained: the cell's

@@ -123,7 +123,7 @@ func TestCampaignGolden(t *testing.T) {
 	// every evaluation the cache did not serve.
 	for i := range c.Cells {
 		s := c.Cells[i].Stats()
-		if paths := s.FullEvals + s.GeneDeltaEvals + s.NearDeltaEvals + s.CrossDeltaEvals; paths != s.Evaluations-s.CacheHits {
+		if paths := s.FullEvals + s.GeneDeltaEvals + s.NearDeltaEvals; paths != s.Evaluations-s.CacheHits {
 			t.Errorf("cell %d: kernel paths sum to %d, want evaluations-cache_hits = %d",
 				i, paths, s.Evaluations-s.CacheHits)
 		}
@@ -172,7 +172,7 @@ func edgeArtifact(variant int) cellArtifact {
 			{TimeKCC: 1e21, BitEnergyFJ: 9.99999e20, MeanBER: 2.5e-13, Counts: nil, Genome: edgeStrings[variant%len(edgeStrings)]},
 		},
 		Stats: &CellStats{Evaluations: 4800, CacheHits: 1200, FullEvals: 900,
-			GeneDeltaEvals: 1800, NearDeltaEvals: 600, CrossDeltaEvals: 283, RelationsCompared: 1 << 40},
+			GeneDeltaEvals: 1800, NearDeltaEvals: 600, RelationsCompared: 1 << 40},
 	}
 	switch variant % 4 {
 	case 1:

@@ -35,12 +35,3 @@ map consumer 5
 	// consumer -> core 5
 	// volume: 4096 bits
 }
-
-func ExampleRingDistance() {
-	// Directed hops on a 16-core unidirectional ring.
-	fmt.Println(graph.RingDistance(16, 14, 2))
-	fmt.Println(graph.RingDistance(16, 2, 14))
-	// Output:
-	// 4
-	// 12
-}

@@ -76,49 +76,3 @@ func (m Mapping) Clone() Mapping {
 	copy(c, m)
 	return c
 }
-
-// IdentityMapping maps task i to core i.
-func IdentityMapping(n int) Mapping {
-	m := make(Mapping, n)
-	for i := range m {
-		m[i] = i
-	}
-	return m
-}
-
-// ACG is the Architecture Characterization Graph of Definition 2: an
-// undirected graph of cores and physical links. For the ring platform
-// the links mirror the waveguide hops; the type exists so mapping
-// exploration can reason about core adjacency without importing the
-// optical layer.
-type ACG struct {
-	Cores int
-	Links [][2]int
-}
-
-// NewRingACG builds the ACG of an n-core ring: core i linked to core
-// (i+1) mod n.
-func NewRingACG(n int) *ACG {
-	a := &ACG{Cores: n, Links: make([][2]int, 0, n)}
-	for i := 0; i < n; i++ {
-		a.Links = append(a.Links, [2]int{i, (i + 1) % n})
-	}
-	return a
-}
-
-// Degree returns the number of links incident to core c.
-func (a *ACG) Degree(c int) int {
-	d := 0
-	for _, l := range a.Links {
-		if l[0] == c || l[1] == c {
-			d++
-		}
-	}
-	return d
-}
-
-// RingDistance returns the directed hop count from src to dst on a
-// unidirectional n-core ring.
-func RingDistance(n, src, dst int) int {
-	return ((dst-src)%n + n) % n
-}

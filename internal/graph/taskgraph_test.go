@@ -251,44 +251,6 @@ func TestSharedRandomMapping(t *testing.T) {
 	}
 }
 
-func TestIdentityMapping(t *testing.T) {
-	m := IdentityMapping(6)
-	if err := m.Validate(PaperApp(), 6); err != nil {
-		t.Fatalf("identity mapping invalid: %v", err)
-	}
-	for i, p := range m {
-		if p != i {
-			t.Errorf("IdentityMapping[%d] = %d", i, p)
-		}
-	}
-}
-
-func TestRingACG(t *testing.T) {
-	a := NewRingACG(16)
-	if a.Cores != 16 || len(a.Links) != 16 {
-		t.Fatalf("ring ACG = %d cores, %d links; want 16/16", a.Cores, len(a.Links))
-	}
-	for c := 0; c < 16; c++ {
-		if d := a.Degree(c); d != 2 {
-			t.Errorf("core %d degree = %d, want 2", c, d)
-		}
-	}
-}
-
-func TestRingDistance(t *testing.T) {
-	cases := []struct{ n, s, d, want int }{
-		{16, 0, 1, 1},
-		{16, 1, 0, 15},
-		{16, 14, 2, 4},
-		{16, 5, 5, 0},
-	}
-	for _, c := range cases {
-		if got := RingDistance(c.n, c.s, c.d); got != c.want {
-			t.Errorf("RingDistance(%d,%d,%d) = %d, want %d", c.n, c.s, c.d, got, c.want)
-		}
-	}
-}
-
 func TestRandomMapping(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := PaperApp()

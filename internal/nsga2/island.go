@@ -126,10 +126,9 @@ func (s Stats) Sub(o Stats) Stats {
 		CacheHits:         s.CacheHits - o.CacheHits,
 		RelationsCompared: s.RelationsCompared - o.RelationsCompared,
 		Eval: EvalStats{
-			Full:       s.Eval.Full - o.Eval.Full,
-			GeneDelta:  s.Eval.GeneDelta - o.Eval.GeneDelta,
-			NearDelta:  s.Eval.NearDelta - o.Eval.NearDelta,
-			CrossDelta: s.Eval.CrossDelta - o.Eval.CrossDelta,
+			Full:      s.Eval.Full - o.Eval.Full,
+			GeneDelta: s.Eval.GeneDelta - o.Eval.GeneDelta,
+			NearDelta: s.Eval.NearDelta - o.Eval.NearDelta,
 		},
 	}
 }
@@ -141,10 +140,9 @@ func (s Stats) Add(o Stats) Stats {
 		CacheHits:         s.CacheHits + o.CacheHits,
 		RelationsCompared: s.RelationsCompared + o.RelationsCompared,
 		Eval: EvalStats{
-			Full:       s.Eval.Full + o.Eval.Full,
-			GeneDelta:  s.Eval.GeneDelta + o.Eval.GeneDelta,
-			NearDelta:  s.Eval.NearDelta + o.Eval.NearDelta,
-			CrossDelta: s.Eval.CrossDelta + o.Eval.CrossDelta,
+			Full:      s.Eval.Full + o.Eval.Full,
+			GeneDelta: s.Eval.GeneDelta + o.Eval.GeneDelta,
+			NearDelta: s.Eval.NearDelta + o.Eval.NearDelta,
 		},
 	}
 }

@@ -56,13 +56,14 @@ type Problem interface {
 }
 
 // EvalStats is a problem-side split of how evaluations were served:
-// full kernel runs, one-row delta replays (every single-gene mutant),
-// few-row (near) delta replays off one parent, and two-parent
-// crossover delta replays.
+// full kernel runs, one-row delta replays (every single-gene mutant)
+// and few-row (near) delta replays off the closest retained parent.
 type EvalStats struct {
-	Full       int64
-	GeneDelta  int64
-	NearDelta  int64
+	Full      int64
+	GeneDelta int64
+	NearDelta int64
+	// CrossDelta is always zero. Only the e2ebench trace still reads
+	// it; it goes with the next change to the benchmark harness.
 	CrossDelta int64
 }
 
