@@ -90,7 +90,7 @@
 // Distributed mode shards the same campaign across worker processes
 // over a length-prefixed TCP protocol. The checkpoint formats double
 // as the wire format: workers stream back the exact cell-N.json and
-// cell-N.ckpt bytes the in-process checkpoint manager writes, so the
+// cell-N.ckpt bytes an in-process run stores, so the
 // coordinator's directory — and the JSON/CSV/summary artifacts
 // rendered from it — are byte-identical to a single-process run's. A
 // worker killed mid-cell loses only the tail since its last streamed

@@ -99,7 +99,7 @@ type IslandSegmentResult struct {
 
 // RoundRunner executes one migration round: all islands' segments
 // for the same generation window. The local implementation
-// (Problem.RunIslandRound) runs them serially in-process; the
+// (Problem.runIslandRound) runs them serially in-process; the
 // distributed coordinator fans them out to workers. Results must be
 // indexed like segs.
 type RoundRunner func(segs []IslandSegment) ([]IslandSegmentResult, error)
@@ -222,11 +222,11 @@ func (p *Problem) RunIslandSegment(seg IslandSegment) (IslandSegmentResult, erro
 	}, nil
 }
 
-// RunIslandRound is the local RoundRunner: the round's segments run
+// runIslandRound is the local RoundRunner: the round's segments run
 // serially in-process, each on its own problem fork (evaluation
 // within a segment still uses the configured worker pool).
 // Island-level parallelism is the distributed coordinator's job.
-func (p *Problem) RunIslandRound(segs []IslandSegment) ([]IslandSegmentResult, error) {
+func (p *Problem) runIslandRound(segs []IslandSegment) ([]IslandSegmentResult, error) {
 	out := make([]IslandSegmentResult, len(segs))
 	for i, seg := range segs {
 		r, err := p.RunIslandSegment(seg)
@@ -242,7 +242,7 @@ func (p *Problem) RunIslandRound(segs []IslandSegment) ([]IslandSegmentResult, e
 // interval each, with every island's emigrants injected into its
 // successor on a directed ring ((i+1) mod N) at the next round's
 // start. runner executes each round's segments (nil uses the local
-// serial RunIslandRound). Returns the assembled result and the
+// serial runIslandRound). Returns the assembled result and the
 // summed per-segment instrumentation.
 func (p *Problem) RunIslands(spec IslandSpec, runner RoundRunner) (*Result, nsga2.Stats, error) {
 	spec = spec.withDefaults()
@@ -250,7 +250,7 @@ func (p *Problem) RunIslands(spec IslandSpec, runner RoundRunner) (*Result, nsga
 		return nil, nsga2.Stats{}, err
 	}
 	if runner == nil {
-		runner = p.RunIslandRound
+		runner = p.runIslandRound
 	}
 	n := spec.Islands
 	gens := p.cfg.GA.Generations

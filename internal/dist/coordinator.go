@@ -87,6 +87,11 @@ func Serve(opts CoordinatorOptions) error {
 	if cfg.Progress != nil || cfg.StopAfterCheckpoints > 0 {
 		return fmt.Errorf("dist: Progress and StopAfterCheckpoints are not supported in distributed mode")
 	}
+	if cfg.CheckpointEvery <= 0 {
+		// Workers hold no CheckpointDir, so they cannot default the
+		// snapshot cadence themselves: ship the in-process default.
+		cfg.CheckpointEvery = expt.DefaultCheckpointEvery
+	}
 	dir, err := expt.OpenCampaignDir(cfg)
 	if err != nil {
 		return err
@@ -124,7 +129,7 @@ func Serve(opts CoordinatorOptions) error {
 	errs := make([]error, len(cells))
 	var wg sync.WaitGroup
 	for i, cell := range cells {
-		restored, err := dir.HasDone(cell)
+		_, restored, err := dir.LoadDone(cell)
 		if err != nil {
 			errs[i] = err
 			continue
@@ -178,20 +183,21 @@ func (c *coordinator) logf(format string, args ...any) {
 // a single leased job; island cells run the migration loop here in
 // the coordinator, with each round's segments fanned out as jobs.
 func (c *coordinator) runCell(cell expt.Cell, total int) error {
-	in, err := c.instance(cell)
-	if err != nil {
-		return fmt.Errorf("dist: cell %d: %w", cell.Index, err)
-	}
 	c.logf("cell %d/%d: dispatching", cell.Index+1, total)
 	var done []byte
+	var err error
 	if c.cfg.Islands > 1 {
-		done, err = expt.DriveIslandCell(c.cfg, cell, in, c.roundRunner(cell))
-	} else {
-		resume, ok, lerr := c.dir.LoadCkptRaw(cell)
-		if lerr != nil {
-			return lerr
+		var in *alloc.Instance
+		if in, err = c.instance(cell); err != nil {
+			return fmt.Errorf("dist: cell %d: %w", cell.Index, err)
 		}
-		if ok {
+		done, err = expt.ExecuteCell(c.cfg, cell, in, nil, nil, c.roundRunner(cell))
+	} else {
+		var resume []byte
+		if resume, err = c.dir.LoadCkpt(cell); err != nil {
+			return err
+		}
+		if resume != nil {
 			c.logf("cell %d/%d: resuming from snapshot", cell.Index+1, total)
 		}
 		done, err = c.dispatch(&job{cell: cell, resume: resume})
@@ -200,17 +206,16 @@ func (c *coordinator) runCell(cell expt.Cell, total int) error {
 		c.logf("cell %d/%d: FAILED: %v", cell.Index+1, total, err)
 		return err
 	}
-	if err := c.dir.PutDoneRaw(cell, done); err != nil {
+	if err := c.dir.StoreDone(cell, done); err != nil {
 		return err
 	}
 	c.logf("cell %d/%d: done", cell.Index+1, total)
 	return nil
 }
 
-// instance builds the cell's shared evaluation instance (needed
-// coordinator-side only for island cells, whose assembly and sim
-// cross-check run here). Instances are cheap relative to cells, so
-// no cross-cell cache.
+// instance builds an island cell's shared evaluation instance: its
+// assembly and sim cross-check run coordinator-side. Instances are
+// cheap relative to cells, so no cross-cell cache.
 func (c *coordinator) instance(cell expt.Cell) (*alloc.Instance, error) {
 	wl, err := expt.NamedWorkload(cell.Workload)
 	if err != nil {
@@ -410,7 +415,7 @@ func (c *coordinator) runLease(conn net.Conn, j *job) error {
 		case msgCkpt:
 			// Persist the snapshot (durability) and retain it as the
 			// job's resume point (lease reassignment).
-			if err := c.dir.PutCkptRaw(j.cell, blob); err != nil {
+			if err := c.dir.StoreCkpt(j.cell, blob); err != nil {
 				j.result <- jobResult{err: err}
 				return nil
 			}

@@ -68,9 +68,9 @@ func sameTree(t *testing.T, want, got map[string][]byte, label string) {
 	}
 }
 
-// serveAndWork runs a coordinator for cfg plus n workers in-process
-// and returns the coordinator error and each worker's error.
-func serveAndWork(t *testing.T, cfg expt.CampaignConfig, workers []WorkerOptions) (error, []error) {
+// startCoordinator runs Serve for cfg in the background and returns
+// its listen address and the channel its result arrives on.
+func startCoordinator(t *testing.T, cfg expt.CampaignConfig) (string, <-chan error) {
 	t.Helper()
 	addrCh := make(chan string, 1)
 	serveCh := make(chan error, 1)
@@ -82,7 +82,14 @@ func serveAndWork(t *testing.T, cfg expt.CampaignConfig, workers []WorkerOptions
 			Ready:  func(addr string) { addrCh <- addr },
 		})
 	}()
-	addr := <-addrCh
+	return <-addrCh, serveCh
+}
+
+// serveAndWork runs a coordinator for cfg plus n workers in-process
+// and returns the coordinator error and each worker's error.
+func serveAndWork(t *testing.T, cfg expt.CampaignConfig, workers []WorkerOptions) (error, []error) {
+	t.Helper()
+	addr, serveCh := startCoordinator(t, cfg)
 	errs := make([]error, len(workers))
 	var wg sync.WaitGroup
 	for i := range workers {
@@ -390,5 +397,82 @@ func TestWireConfigRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cfg.Cells(), back.Cells()) {
 		t.Fatal("wire round-trip changed the cell enumeration")
+	}
+}
+
+// TestWorkerSnapshotsAtDefaultCadence: with CheckpointEvery unset, a
+// worker still streams snapshots at the in-process default cadence,
+// so a crash after the first snapshot halts the worker mid-cell, the
+// replacement resumes, and the directory matches a single-process run
+// of the same configuration.
+func TestWorkerSnapshotsAtDefaultCadence(t *testing.T) {
+	single := func(dir string) expt.CampaignConfig {
+		return expt.CampaignConfig{
+			NWs:           []int{4},
+			Pop:           12,
+			Generations:   expt.DefaultCheckpointEvery + 5,
+			Seed:          7,
+			CheckpointDir: dir,
+		}
+	}
+	refDir := t.TempDir()
+	if _, err := expt.RunCampaign(single(refDir)); err != nil {
+		t.Fatal(err)
+	}
+
+	distDir := t.TempDir()
+	addr, serveCh := startCoordinator(t, single(distDir))
+	if err := Run(WorkerOptions{Addr: addr, HaltAfterCheckpoints: 1, Log: t.Logf}); !errors.Is(err, ErrWorkerHalted) {
+		t.Fatalf("doomed worker returned %v, want ErrWorkerHalted", err)
+	}
+	if err := Run(WorkerOptions{Addr: addr, Log: t.Logf}); err != nil {
+		t.Fatalf("replacement worker: %v", err)
+	}
+	if err := <-serveCh; err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	sameTree(t, readTree(t, refDir), readTree(t, distDir), "default-cadence checkpoint dir")
+}
+
+// TestDistributedStatsMatchSingleProcess: with Stats on and serial
+// evaluation, the completion records a distributed run stores carry
+// the same instrumentation blocks as the single-process run's, for
+// whole cells and for island cells assembled by the coordinator.
+func TestDistributedStatsMatchSingleProcess(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		islands int
+	}{{"plain", 0}, {"island", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			config := func(dir string) expt.CampaignConfig {
+				cfg := distCampaignConfig()
+				cfg.Stats = true
+				cfg.CheckpointDir = dir
+				if tc.islands > 1 {
+					cfg.CheckpointEvery = 0
+					cfg.Islands, cfg.MigrationEvery, cfg.MigrationK = tc.islands, 2, 2
+				}
+				return cfg
+			}
+			refDir := t.TempDir()
+			if _, err := expt.RunCampaign(config(refDir)); err != nil {
+				t.Fatal(err)
+			}
+			distDir := t.TempDir()
+			serveErr, workerErrs := serveAndWork(t, config(distDir), make([]WorkerOptions, 2))
+			if serveErr != nil {
+				t.Fatalf("coordinator: %v", serveErr)
+			}
+			for i, err := range workerErrs {
+				if err != nil {
+					t.Fatalf("worker %d: %v", i, err)
+				}
+			}
+			got := readTree(t, distDir)
+			if !bytes.Contains(got["cell-0.json"], []byte(`"relations_compared"`)) {
+				t.Fatal("distributed completion record carries no stats block")
+			}
+			sameTree(t, readTree(t, refDir), got, "stats checkpoint dir")
+		})
 	}
 }

@@ -5,8 +5,8 @@
 //
 // The campaign checkpoint formats double as the wire formats: a
 // worker streams back the exact cell-<N>.ckpt / cell-<N>.json bytes
-// the in-process checkpoint manager writes, the coordinator stores
-// them verbatim in its checkpoint directory, and the artifact
+// an in-process run stores, the coordinator stores them verbatim in
+// its checkpoint directory, and the artifact
 // directory comes out byte-identical to a single-process run's. A
 // worker that dies mid-cell loses nothing but the tail since its
 // last streamed snapshot: the coordinator holds the cell's lease,

@@ -182,7 +182,7 @@ func (w *worker) runCell(conn net.Conn, meta, resume []byte) error {
 		}
 		return nil
 	}
-	done, err := expt.ExecuteCell(w.cfg, cell, in, resume, emit)
+	done, err := expt.ExecuteCell(w.cfg, cell, in, resume, emit, nil)
 	if err != nil {
 		if errors.Is(err, ErrWorkerHalted) {
 			// Simulated crash: sever the connection with the lease

@@ -597,12 +597,18 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 	cells := cfg.Cells()
 	results := make([]CellResult, len(cells))
 
-	var mgr *checkpointManager
+	var dir *CampaignDir
 	if cfg.CheckpointDir != "" {
 		var err error
-		if mgr, err = newCheckpointManager(cfg, cells); err != nil {
+		if dir, err = OpenCampaignDir(cfg); err != nil {
 			return nil, err
 		}
+	}
+	// written counts snapshot writes toward StopAfterCheckpoints
+	// across cell workers.
+	var written atomic.Int64
+	stopped := func() bool {
+		return cfg.StopAfterCheckpoints > 0 && written.Load() >= int64(cfg.StopAfterCheckpoints)
 	}
 
 	// Build one shared evaluation instance per (backend, workload, NW)
@@ -650,8 +656,8 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 	// partial work into durable completion records soonest. Results
 	// are indexed by cell, so the order only affects wall-clock shape.
 	order := make([]int, 0, len(cells))
-	if mgr != nil && cfg.Resume {
-		order = mgr.scheduleOrder(cells)
+	if dir != nil && cfg.Resume {
+		order = dir.scheduleOrder()
 	} else {
 		for i := range cells {
 			order = append(order, i)
@@ -676,28 +682,28 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 				}
 				i := order[oi]
 				cell := cells[i]
-				if mgr.stopRequested() {
+				if stopped() {
 					results[i] = CellResult{Cell: cell, Err: ErrCampaignStopped}
 					notifyDone(cell, results[i])
 					continue
 				}
-				if mgr != nil {
-					if art, ok, err := mgr.loadDone(cell); err != nil {
+				if dir != nil {
+					if cr, ok, err := dir.LoadDone(cell); err != nil {
 						results[i] = CellResult{Cell: cell, Err: err}
 						notifyDone(cell, results[i])
 						continue
 					} else if ok {
-						results[i] = CellResult{Cell: cell, restored: art}
-						results[i].SimChecked = art.SimChecked
-						results[i].SimViolations = art.SimViolations
-						results[i].SimBracketMisses = art.SimBracketMisses
+						results[i] = cr
 						notifyStart(cell, true)
 						notifyDone(cell, results[i])
 						continue
 					}
 				}
 				notifyStart(cell, false)
-				results[i] = runCell(cfg, instances[instanceKey(cell.Backend, cell.Workload, cell.NW)], cell, mgr)
+				results[i] = runCell(cfg, instances[instanceKey(cell.Backend, cell.Workload, cell.NW)], cell, dir, func() bool {
+					written.Add(1)
+					return stopped()
+				})
 				notifyDone(cell, results[i])
 			}
 		}()
@@ -705,7 +711,7 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 	wg.Wait()
 
 	camp := &Campaign{Cfg: cfg, Cells: results, Elapsed: time.Since(start)}
-	if mgr.stopRequested() {
+	if stopped() {
 		return camp, fmt.Errorf("expt: campaign interrupted mid-cell with durable checkpoints in %s: %w", cfg.CheckpointDir, ErrCampaignStopped)
 	}
 	if n := camp.Failed(); n > 0 {
@@ -734,81 +740,126 @@ func instanceKey(backend, workload string, nw int) string {
 	return backend + "|" + workload + "|" + strconv.Itoa(nw)
 }
 
-// runCell executes one exploration with the cell's derived seed on
-// the pair's shared read-only instance, then cross-checks the
-// projected fronts on the simulator. With a checkpoint manager, the
-// GA runs Step by Step: an existing in-flight snapshot is resumed
-// mid-cell, a fresh snapshot is written every CheckpointEvery
-// generations, and completion is recorded durably — all without
-// perturbing the run (the stepped explorer is bit-identical to the
-// monolithic Optimize).
-func runCell(cfg CampaignConfig, si sharedInstance, cell Cell, mgr *checkpointManager) CellResult {
-	t0 := time.Now()
-	fail := func(err error) CellResult {
-		return CellResult{Cell: cell, Err: err, Elapsed: time.Since(t0)}
-	}
+// runCell is RunCampaign's adapter around executeCell. Without a
+// checkpoint directory it encodes nothing. With one, it resumes the
+// cell's in-flight snapshot, stores every snapshot the executor emits
+// (counting it through snapshotted, which reports when
+// StopAfterCheckpoints has tripped), and stores the completion record.
+func runCell(cfg CampaignConfig, si sharedInstance, cell Cell, dir *CampaignDir, snapshotted func() (stop bool)) CellResult {
 	if si.err != nil {
-		return fail(si.err)
+		return CellResult{Cell: cell, Err: si.err}
 	}
-	if cfg.Islands > 1 {
-		return runIslandCell(cfg, si.in, cell, mgr, t0)
+	if dir == nil {
+		return executeCell(cfg, cell, si.in, nil, nil, nil)
 	}
-	p, err := cellProblem(cfg, cell, si.in)
+	resume, err := dir.LoadCkpt(cell)
 	if err != nil {
-		return fail(err)
+		return CellResult{Cell: cell, Err: err}
 	}
-	var x *core.Explorer
-	if mgr != nil {
-		payload, ok, err := mgr.loadCellCheckpoint(cell)
-		if err != nil {
-			return fail(err)
+	cr := executeCell(cfg, cell, si.in, resume, func(ckpt []byte) error {
+		if err := dir.StoreCkpt(cell, ckpt); err != nil {
+			return err
 		}
-		if ok {
-			if x, err = p.ResumeExplorer(bytes.NewReader(payload)); err != nil {
-				return fail(fmt.Errorf("resume cell %d from %s: %w", cell.Index, mgr.ckptPath(cell), err))
-			}
+		if snapshotted() {
+			return ErrCampaignStopped
 		}
-	}
-	if x == nil {
-		if x, err = p.NewExplorer(); err != nil {
-			return fail(err)
-		}
-	}
-	for !x.Done() {
-		x.Step()
-		if mgr != nil && !x.Done() && x.Generation()%mgr.every == 0 {
-			if err := mgr.writeCellCheckpoint(cell, x); err != nil {
-				return fail(err)
-			}
-			if mgr.stopRequested() {
-				return fail(ErrCampaignStopped)
-			}
-		}
-	}
-	res, err := x.Finish()
-	cr := CellResult{Cell: cell, Result: res, Err: err}
-	if cfg.Stats && err == nil {
-		cr.stats = cellStatsOf(x.Stats())
-	}
-	if err == nil && res != nil {
-		cr.SimChecked, cr.SimViolations, cr.SimBracketMisses, cr.Err = simCheck(p.Instance(), res)
-	}
-	cr.Elapsed = time.Since(t0)
-	if mgr != nil && cr.Err == nil {
+		return nil
+	}, nil)
+	if cr.Err == nil {
 		// Failures are not recorded: they are deterministic, so a
 		// resume re-runs the cell and reports the same error, while a
 		// fixed environment gets a fresh chance.
-		if err := mgr.writeDone(cell, cr.artifact()); err != nil {
-			cr.Err = err
+		raw, err := encodeCellDone(cell, cr.artifact())
+		if err == nil {
+			err = dir.StoreDone(cell, raw)
 		}
+		cr.Err = err
 	}
 	return cr
 }
 
+// executeCell runs one cell with its derived seed on the shared
+// read-only instance in, then cross-checks the projected fronts on
+// the simulator. It is the one cell executor: RunCampaign, a
+// distributed worker and the distributed coordinator's island driver
+// all run cells through it.
+//
+// A single-engine cell runs Step by Step (bit-identical to the
+// monolithic Optimize): from resume, a cell-<N>.ckpt file, when
+// non-nil, and handing emit a fresh snapshot file every
+// cfg.CheckpointEvery generations when emit is non-nil. An island
+// cell (cfg.Islands > 1) runs its migration rounds through runner
+// (nil runs them locally) and ignores resume and emit: its state is a
+// set of per-island checkpoints, not one engine stream, so an
+// interrupted island cell re-runs from scratch. cfg must have its
+// defaults applied.
+func executeCell(cfg CampaignConfig, cell Cell, in *alloc.Instance, resume []byte, emit func(ckpt []byte) error, runner core.RoundRunner) (cr CellResult) {
+	t0 := time.Now()
+	cr.Cell = cell
+	defer func() { cr.Elapsed = time.Since(t0) }()
+	p, err := cellProblem(cfg, cell, in)
+	if err != nil {
+		cr.Err = err
+		return cr
+	}
+	var stats nsga2.Stats
+	if cfg.Islands > 1 {
+		cr.Result, stats, cr.Err = p.RunIslands(cfg.islandSpec(), runner)
+	} else {
+		x, err := startExplorer(p, cell, resume)
+		if err != nil {
+			cr.Err = err
+			return cr
+		}
+		for !x.Done() {
+			x.Step()
+			if emit != nil && cfg.CheckpointEvery > 0 && !x.Done() && x.Generation()%cfg.CheckpointEvery == 0 {
+				ckpt, err := encodeCellCkpt(cell, x)
+				if err == nil {
+					err = emit(ckpt)
+				}
+				if err != nil {
+					cr.Err = err
+					return cr
+				}
+			}
+		}
+		cr.Result, cr.Err = x.Finish()
+		stats = x.Stats()
+	}
+	if cr.Err != nil {
+		return cr
+	}
+	if cfg.Stats {
+		cr.stats = cellStatsOf(stats)
+	}
+	if cr.Result != nil {
+		cr.SimChecked, cr.SimViolations, cr.SimBracketMisses, cr.Err = simCheck(p.Instance(), cr.Result)
+	}
+	return cr
+}
+
+// startExplorer opens a single-engine cell's explorer: fresh, or from
+// resume, a cell-<N>.ckpt file whose header must name this cell.
+func startExplorer(p *core.Problem, cell Cell, resume []byte) (*core.Explorer, error) {
+	if resume == nil {
+		return p.NewExplorer()
+	}
+	payload, err := decodeCellCkpt(cell, resume)
+	if err != nil {
+		return nil, err
+	}
+	x, err := p.ResumeExplorer(bytes.NewReader(payload))
+	if err != nil {
+		return nil, fmt.Errorf("expt: resume cell %d: %w", cell.Index, err)
+	}
+	return x, nil
+}
+
 // cellProblem builds one cell's exploration problem on the pair's
-// shared read-only instance — the construction runCell, the island
-// path and the distributed worker all share, so a cell means exactly
-// the same GA wherever it executes.
+// shared read-only instance — the construction executeCell and the
+// distributed island segment (RunCellSegment) share, so a cell means
+// exactly the same GA wherever it executes.
 func cellProblem(cfg CampaignConfig, cell Cell, in *alloc.Instance) (*core.Problem, error) {
 	return core.New(core.Config{
 		NW:         cell.NW,
@@ -822,34 +873,6 @@ func cellProblem(cfg CampaignConfig, cell Cell, in *alloc.Instance) (*core.Probl
 			Workers:     cfg.EvalWorkers,
 		},
 	})
-}
-
-// runIslandCell executes one cell as an island model (see
-// CampaignConfig.Islands). Island cells write no mid-cell snapshots —
-// their state is a set of per-island checkpoints, not one engine
-// stream — so an interrupted island cell re-runs from scratch on
-// resume; completion records work exactly like the single-engine
-// path's.
-func runIslandCell(cfg CampaignConfig, in *alloc.Instance, cell Cell, mgr *checkpointManager, t0 time.Time) CellResult {
-	p, err := cellProblem(cfg, cell, in)
-	if err != nil {
-		return CellResult{Cell: cell, Err: err, Elapsed: time.Since(t0)}
-	}
-	res, stats, err := p.RunIslands(cfg.islandSpec(), nil)
-	cr := CellResult{Cell: cell, Result: res, Err: err}
-	if cfg.Stats && err == nil {
-		cr.stats = cellStatsOf(stats)
-	}
-	if err == nil && res != nil {
-		cr.SimChecked, cr.SimViolations, cr.SimBracketMisses, cr.Err = simCheck(p.Instance(), res)
-	}
-	cr.Elapsed = time.Since(t0)
-	if mgr != nil && cr.Err == nil {
-		if err := mgr.writeDone(cell, cr.artifact()); err != nil {
-			cr.Err = err
-		}
-	}
-	return cr
 }
 
 // simCheck runs every distinct projected-front genome of a cell

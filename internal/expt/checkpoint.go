@@ -1,6 +1,8 @@
 package expt
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,15 +10,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 
 	"repro/internal/core"
 )
 
-// This file implements the campaign checkpoint manager: the durable
-// state that lets a killed campaign resume where it stopped — mid-
-// cell, not just at cell granularity. The on-disk layout of a
-// checkpoint directory is
+// This file implements the campaign checkpoint directory
+// (CampaignDir): the durable state that lets a killed campaign resume
+// where it stopped — mid-cell, not just at cell granularity. The
+// on-disk layout of a checkpoint directory is
 //
 //	manifest.json   campaign identity: config axes, the deterministic
 //	                cell enumeration and the identity-derived seeds.
@@ -74,8 +75,8 @@ const cellCkptVersion = 1
 
 // manifestJSON is the campaign identity record. Every field
 // influences results; a resume whose configuration disagrees on any
-// of them would silently compute different numbers, so the manager
-// refuses it instead.
+// of them would silently compute different numbers, so
+// OpenCampaignDir refuses it instead.
 type manifestJSON struct {
 	Schema string `json:"schema"`
 	// Backends is always populated (["ring"] for a default campaign):
@@ -123,17 +124,15 @@ type cellDoneJSON struct {
 	cellArtifact
 }
 
-// checkpointManager owns a campaign's checkpoint directory.
-type checkpointManager struct {
+// CampaignDir owns a campaign's checkpoint directory: the manifest,
+// plus one load and one store per cell file kind. Loads and stores
+// both validate the file against the cell's identity, and stores
+// write atomically. RunCampaign and the distributed coordinator
+// (internal/dist) both go through it, so a directory obeys the same
+// rules however its cells ran.
+type CampaignDir struct {
 	dir   string
-	every int
-
-	// crashAfter > 0 stops the campaign after that many checkpoint
-	// writes; mu guards the write counter across cell workers.
-	crashAfter int
-	mu         sync.Mutex
-	written    int
-	stopped    bool
+	cells []Cell
 }
 
 func buildManifest(cfg CampaignConfig, cells []Cell) manifestJSON {
@@ -177,20 +176,19 @@ func manifestCellOf(c Cell) manifestCell {
 	}
 }
 
-// newCheckpointManager initializes (or, with resume, validates) the
-// checkpoint directory for a campaign. cfg must already have its
-// defaults applied.
-func newCheckpointManager(cfg CampaignConfig, cells []Cell) (*checkpointManager, error) {
-	m := &checkpointManager{
-		dir:        cfg.CheckpointDir,
-		every:      cfg.CheckpointEvery,
-		crashAfter: cfg.StopAfterCheckpoints,
+// OpenCampaignDir initializes (or, with cfg.Resume, validates) the
+// campaign checkpoint directory at cfg.CheckpointDir.
+func OpenCampaignDir(cfg CampaignConfig) (*CampaignDir, error) {
+	cfg = cfg.withDefaults()
+	if cfg.CheckpointDir == "" {
+		return nil, fmt.Errorf("expt: OpenCampaignDir needs CheckpointDir")
 	}
-	if err := os.MkdirAll(m.dir, 0o755); err != nil {
+	d := &CampaignDir{dir: cfg.CheckpointDir, cells: cfg.Cells()}
+	if err := os.MkdirAll(d.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("expt: checkpoint dir: %w", err)
 	}
-	want := buildManifest(cfg, cells)
-	path := filepath.Join(m.dir, "manifest.json")
+	want := buildManifest(cfg, d.cells)
+	path := filepath.Join(d.dir, "manifest.json")
 	raw, err := os.ReadFile(path)
 	switch {
 	case cfg.Resume:
@@ -205,10 +203,10 @@ func newCheckpointManager(cfg CampaignConfig, cells []Cell) (*checkpointManager,
 			return nil, fmt.Errorf("expt: resume: manifest schema %q, this build reads %q", have.Schema, manifestSchema)
 		}
 		if !reflect.DeepEqual(have, want) {
-			return nil, fmt.Errorf("expt: resume: checkpoint directory %s was written by a different campaign configuration (axes, seeds, pop, generations or warm start differ) — resuming would silently change results", m.dir)
+			return nil, fmt.Errorf("expt: resume: checkpoint directory %s was written by a different campaign configuration (axes, seeds, pop, generations or warm start differ) — resuming would silently change results", d.dir)
 		}
 	case err == nil:
-		return nil, fmt.Errorf("expt: checkpoint dir %s already holds a campaign manifest: pass Resume to continue it, or use a fresh directory", m.dir)
+		return nil, fmt.Errorf("expt: checkpoint dir %s already holds a campaign manifest: pass Resume to continue it, or use a fresh directory", d.dir)
 	case !errors.Is(err, os.ErrNotExist):
 		return nil, fmt.Errorf("expt: checkpoint dir: %w", err)
 	default:
@@ -216,51 +214,90 @@ func newCheckpointManager(cfg CampaignConfig, cells []Cell) (*checkpointManager,
 			return nil, fmt.Errorf("expt: write campaign manifest: %w", err)
 		}
 	}
-	return m, nil
+	return d, nil
 }
 
-func (m *checkpointManager) donePath(c Cell) string {
-	return filepath.Join(m.dir, fmt.Sprintf("cell-%d.json", c.Index))
+// Cells returns the campaign's deterministic cell enumeration.
+func (d *CampaignDir) Cells() []Cell { return d.cells }
+
+func (d *CampaignDir) donePath(c Cell) string {
+	return filepath.Join(d.dir, fmt.Sprintf("cell-%d.json", c.Index))
 }
 
-func (m *checkpointManager) ckptPath(c Cell) string {
-	return filepath.Join(m.dir, fmt.Sprintf("cell-%d.ckpt", c.Index))
+func (d *CampaignDir) ckptPath(c Cell) string {
+	return filepath.Join(d.dir, fmt.Sprintf("cell-%d.ckpt", c.Index))
 }
 
-// loadDone returns the completed-cell record of c, if one exists.
-func (m *checkpointManager) loadDone(c Cell) (*cellArtifact, bool, error) {
-	raw, err := os.ReadFile(m.donePath(c))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("expt: resume cell %d: %w", c.Index, err)
+// LoadDone restores cell c from its completion record, if one exists.
+func (d *CampaignDir) LoadDone(c Cell) (CellResult, bool, error) {
+	raw, err := d.read(c, d.donePath(c))
+	if raw == nil || err != nil {
+		return CellResult{}, false, err
 	}
 	art, err := decodeCellDone(c, raw)
 	if err != nil {
-		return nil, false, fmt.Errorf("expt: resume: %w", err)
+		return CellResult{}, false, fmt.Errorf("expt: resume: %w", err)
 	}
-	return art, true, nil
+	return CellResult{Cell: c, restored: art,
+		SimChecked: art.SimChecked, SimViolations: art.SimViolations, SimBracketMisses: art.SimBracketMisses}, true, nil
 }
 
-// writeDone atomically records c's completion and drops its in-flight
-// snapshot. A kill between the two operations leaves both files; the
-// completion record wins on resume. The record bytes come from
-// encodeCellDone — the same encoder a distributed worker streams
-// records through, so both paths write identical files.
-func (m *checkpointManager) writeDone(c Cell, art cellArtifact) error {
-	raw, err := encodeCellDone(c, art)
-	if err != nil {
+// StoreDone records c's completion (raw is an encodeCellDone record)
+// and drops its in-flight snapshot. A kill between the two operations
+// leaves both files; the completion record wins on resume.
+func (d *CampaignDir) StoreDone(c Cell, raw []byte) error {
+	if _, err := decodeCellDone(c, raw); err != nil {
+		return err
+	}
+	if err := d.write(d.donePath(c), raw); err != nil {
 		return fmt.Errorf("expt: record cell %d completion: %w", c.Index, err)
 	}
-	if err := atomicWriteFile(m.donePath(c), func(w io.Writer) error {
+	os.Remove(d.ckptPath(c)) // best effort; superseded either way
+	return nil
+}
+
+// LoadCkpt returns c's in-flight snapshot file verbatim, nil when
+// there is none.
+func (d *CampaignDir) LoadCkpt(c Cell) ([]byte, error) {
+	raw, err := d.read(c, d.ckptPath(c))
+	if raw == nil || err != nil {
+		return nil, err
+	}
+	if _, err := decodeCellCkpt(c, raw); err != nil {
+		return nil, fmt.Errorf("expt: resume: %w", err)
+	}
+	return raw, nil
+}
+
+// StoreCkpt stores an in-flight snapshot file of c (raw is an
+// encodeCellCkpt file).
+func (d *CampaignDir) StoreCkpt(c Cell, raw []byte) error {
+	if _, err := decodeCellCkpt(c, raw); err != nil {
+		return err
+	}
+	if err := d.write(d.ckptPath(c), raw); err != nil {
+		return fmt.Errorf("expt: checkpoint cell %d: %w", c.Index, err)
+	}
+	return nil
+}
+
+// read returns the file's contents, nil when it does not exist.
+func (d *CampaignDir) read(c Cell, path string) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("expt: resume cell %d: %w", c.Index, err)
+	}
+	return raw, nil
+}
+
+func (d *CampaignDir) write(path string, raw []byte) error {
+	return atomicWriteFile(path, func(w io.Writer) error {
 		_, err := w.Write(raw)
 		return err
-	}); err != nil {
-		return fmt.Errorf("expt: record cell %d completion: %w", c.Index, err)
-	}
-	os.Remove(m.ckptPath(c)) // best effort; superseded either way
-	return nil
+	})
 }
 
 // scheduleOrder returns the cell indices in resume-scheduling order:
@@ -269,12 +306,12 @@ func (m *checkpointManager) writeDone(c Cell, art cellArtifact) error {
 // order. In-flight cells carry the most sunk cost — finishing them
 // first converts partial GA work into durable completion records
 // before any fresh cell starts.
-func (m *checkpointManager) scheduleOrder(cells []Cell) []int {
-	order := make([]int, 0, len(cells))
+func (d *CampaignDir) scheduleOrder() []int {
+	order := make([]int, 0, len(d.cells))
 	var rest []int
-	for i, c := range cells {
-		_, ckptErr := os.Stat(m.ckptPath(c))
-		_, doneErr := os.Stat(m.donePath(c))
+	for i, c := range d.cells {
+		_, ckptErr := os.Stat(d.ckptPath(c))
+		_, doneErr := os.Stat(d.donePath(c))
 		if ckptErr == nil && doneErr != nil {
 			order = append(order, i)
 		} else {
@@ -284,55 +321,70 @@ func (m *checkpointManager) scheduleOrder(cells []Cell) []int {
 	return append(order, rest...)
 }
 
-// loadCellCheckpoint returns the embedded engine checkpoint of c's
-// in-flight snapshot, if one exists.
-func (m *checkpointManager) loadCellCheckpoint(c Cell) ([]byte, bool, error) {
-	raw, err := os.ReadFile(m.ckptPath(c))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, nil
+// encodeCellCkpt renders a cell's in-flight snapshot file: the
+// WACELL header followed by the engine checkpoint stream.
+func encodeCellCkpt(c Cell, x *core.Explorer) ([]byte, error) {
+	var buf bytes.Buffer
+	var hdr [16]byte
+	off := copy(hdr[:], cellCkptMagic[:])
+	binary.LittleEndian.PutUint16(hdr[off:], cellCkptVersion)
+	binary.LittleEndian.PutUint32(hdr[off+2:], uint32(c.Index))
+	binary.LittleEndian.PutUint32(hdr[off+6:], uint32(c.NW))
+	buf.Write(hdr[:off+10])
+	if err := x.WriteCheckpoint(&buf); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return nil, false, fmt.Errorf("expt: resume cell %d: %w", c.Index, err)
-	}
-	payload, err := decodeCellCkpt(c, raw)
-	if err != nil {
-		return nil, false, fmt.Errorf("expt: resume: %w", err)
-	}
-	return payload, true, nil
+	return buf.Bytes(), nil
 }
 
-// writeCellCheckpoint atomically snapshots an in-flight cell and
-// accounts the write toward the crash-test stop. The snapshot bytes
-// come from encodeCellCkpt — the same encoder a distributed worker
-// streams snapshots through.
-func (m *checkpointManager) writeCellCheckpoint(c Cell, x *core.Explorer) error {
-	raw, err := encodeCellCkpt(c, x)
-	if err != nil {
-		return fmt.Errorf("expt: checkpoint cell %d: %w", c.Index, err)
+// decodeCellCkpt validates a cell snapshot file's header against the
+// cell identity and returns the embedded engine checkpoint stream.
+func decodeCellCkpt(c Cell, raw []byte) ([]byte, error) {
+	hdrLen := len(cellCkptMagic) + 2 + 4 + 4
+	if len(raw) < hdrLen || !bytes.Equal(raw[:len(cellCkptMagic)], cellCkptMagic[:]) {
+		return nil, fmt.Errorf("expt: cell %d: not a cell checkpoint", c.Index)
 	}
-	if err := atomicWriteFile(m.ckptPath(c), func(w io.Writer) error {
-		_, err := w.Write(raw)
-		return err
-	}); err != nil {
-		return fmt.Errorf("expt: checkpoint cell %d: %w", c.Index, err)
+	off := len(cellCkptMagic)
+	if v := binary.LittleEndian.Uint16(raw[off:]); v != cellCkptVersion {
+		return nil, fmt.Errorf("expt: cell %d: cell checkpoint version %d, this build reads %d", c.Index, v, cellCkptVersion)
 	}
-	m.mu.Lock()
-	m.written++
-	if m.crashAfter > 0 && m.written >= m.crashAfter {
-		m.stopped = true
+	off += 2
+	if idx := binary.LittleEndian.Uint32(raw[off:]); int(idx) != c.Index {
+		return nil, fmt.Errorf("expt: cell %d: checkpoint belongs to cell %d", c.Index, idx)
 	}
-	m.mu.Unlock()
-	return nil
+	off += 4
+	if nw := binary.LittleEndian.Uint32(raw[off:]); int(nw) != c.NW {
+		return nil, fmt.Errorf("expt: cell %d: checkpoint comb size %d, cell wants %d", c.Index, nw, c.NW)
+	}
+	off += 4
+	return raw[off:], nil
 }
 
-// stopRequested reports whether the crash-test stop has tripped.
-func (m *checkpointManager) stopRequested() bool {
-	if m == nil {
-		return false
+// encodeCellDone renders a cell's completion record, the
+// cell-<N>.json file.
+func encodeCellDone(c Cell, art cellArtifact) ([]byte, error) {
+	done := cellDoneJSON{Schema: cellDoneSchema, Cell: manifestCellOf(c), cellArtifact: art}
+	var buf bytes.Buffer
+	if err := writeIndentedJSON(&buf, done); err != nil {
+		return nil, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stopped
+	return buf.Bytes(), nil
+}
+
+// decodeCellDone validates a completion record's schema and identity
+// against the cell and returns its artifact view.
+func decodeCellDone(c Cell, raw []byte) (*cellArtifact, error) {
+	var done cellDoneJSON
+	if err := json.Unmarshal(raw, &done); err != nil {
+		return nil, fmt.Errorf("expt: cell %d: corrupt completion record: %w", c.Index, err)
+	}
+	if done.Schema != cellDoneSchema {
+		return nil, fmt.Errorf("expt: cell %d: completion schema %q, this build reads %q", c.Index, done.Schema, cellDoneSchema)
+	}
+	if done.Cell != manifestCellOf(c) {
+		return nil, fmt.Errorf("expt: cell %d: completion record identifies %+v, campaign expects %+v", c.Index, done.Cell, manifestCellOf(c))
+	}
+	return &done.cellArtifact, nil
 }
 
 // atomicWriteFile writes via tmp+fsync+rename, so the destination

@@ -209,19 +209,19 @@ func TestScheduleOrderInflightFirst(t *testing.T) {
 	cfg.CheckpointDir = t.TempDir()
 	cfg.NWs = []int{4, 8, 12}
 	cells := cfg.Cells()
-	mgr, err := newCheckpointManager(cfg, cells)
+	dir, err := OpenCampaignDir(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cell 2 is in-flight (snapshot, no completion record); cell 0 is
 	// completed (record present — its stale snapshot must not promote
-	// it, mirroring a kill between writeDone and the ckpt removal).
-	for _, p := range []string{mgr.ckptPath(cells[2]), mgr.ckptPath(cells[0]), mgr.donePath(cells[0])} {
+	// it, mirroring a kill between StoreDone and the ckpt removal).
+	for _, p := range []string{dir.ckptPath(cells[2]), dir.ckptPath(cells[0]), dir.donePath(cells[0])} {
 		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := mgr.scheduleOrder(cells)
+	got := dir.scheduleOrder()
 	want := []int{2, 0, 1}
 	for i, w := range want {
 		if got[i] != w {

@@ -52,16 +52,6 @@ func (p Path) Resources() []int { return p.resources }
 // slice is shared; callers must not mutate it.
 func (p Path) ONIs() []int { return p.onis }
 
-// UsesResource reports whether the path traverses resource r.
-func (p Path) UsesResource(r int) bool {
-	for _, i := range p.resources {
-		if i == r {
-			return true
-		}
-	}
-	return false
-}
-
 // Overlaps reports whether two paths share at least one resource.
 // Paths on different lanes never overlap (physically separate media);
 // two same-lane paths overlap when their resource runs intersect.
