@@ -38,8 +38,9 @@
 //	                             base-name pairs: FAST's minimum ns/op
 //	                             must be strictly below SLOW's in this
 //	                             run. A machine-independent ratio gate —
-//	                             e.g. the delta kernel must beat the
-//	                             full kernel wherever the suite runs
+//	                             e.g. the memo's hit path must beat the
+//	                             kernel's miss path wherever the suite
+//	                             runs
 //	-require-speedup triples     comma-separated FAST<SLOW@FACTOR
 //	                             triples: SLOW's minimum ns/op must be
 //	                             at least FACTOR times FAST's in this

@@ -494,14 +494,10 @@ func printCampaignStats(camp *expt.Campaign) {
 		total.Evaluations += s.Evaluations
 		total.CacheHits += s.CacheHits
 		total.FullEvals += s.FullEvals
-		total.GeneDeltaEvals += s.GeneDeltaEvals
-		total.NearDeltaEvals += s.NearDeltaEvals
 		total.RelationsCompared += s.RelationsCompared
 	}
-	fmt.Printf("\nEngine stats: %d evaluations (%d cache hits); kernel paths: %d full, %d gene-delta, %d near-delta; %d dominance relations compared\n",
-		total.Evaluations, total.CacheHits,
-		total.FullEvals, total.GeneDeltaEvals, total.NearDeltaEvals,
-		total.RelationsCompared)
+	fmt.Printf("\nEngine stats: %d evaluations (%d cache hits, %d kernel runs); %d dominance relations compared\n",
+		total.Evaluations, total.CacheHits, total.FullEvals, total.RelationsCompared)
 }
 
 func writeArtifact(path string, write func(*os.File) error) error {

@@ -2,8 +2,10 @@ package alloc
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
+	"repro/internal/energy"
 	"repro/internal/fabric"
 	"repro/internal/phys"
 	"repro/internal/sched"
@@ -22,12 +24,10 @@ import (
 // read-only during evaluation, so any number of evaluators may wrap
 // the same instance.
 //
-// With EnableDeltaCache, the evaluator additionally retains the
-// decoded state and per-edge optics results of recently evaluated
-// valid genomes, which the delta kernel (EvaluateNearInto — see
-// delta.go) uses to re-evaluate single-gene and few-row mutants at a
-// fraction of the full kernel's cost while staying bit-identical to
-// it.
+// Each evaluator also keeps an exact memo of per-communication optics
+// results (see edgeMemo): a communication whose optics inputs match
+// one already walked replays the stored BERs and energy instead of
+// walking again, bit for bit.
 type Evaluator struct {
 	in      *Instance
 	planner *sched.Planner
@@ -37,22 +37,22 @@ type Evaluator struct {
 	eff     []int
 	sets    [][]int
 	setsBuf []int
-	// setOff holds the per-edge CSR offsets of sets/berBuf: edge e's
-	// channel set is setsBuf[setOff[e]:setOff[e+1]], and its
-	// per-channel BERs land at the same offsets in berBuf.
-	setOff []int32
 	// masks holds the decoded per-edge wavelength bitmasks, one
 	// in.MaskWords()-word row per edge: the native representation of
 	// the conflict kernel (disjointness = word-wise AND) and of the
 	// receiver-bank fill (Bank.OrRow).
 	masks []uint64
 	bank  *fabric.Bank
-	// berBuf records the per-(edge, reserved channel) BER values of
-	// the optics walk, parallel to setsBuf. The delta kernel replays
-	// them in stream order for edges whose optics inputs did not
-	// change, reproducing the full kernel's float accumulation
-	// bit-for-bit.
-	berBuf  []float64
+	// inter lists the current communication's inter-crosstalk
+	// contributors in ascending order; key is its memo key and vals
+	// its walked optics result (per-channel BERs, mean BER, energy).
+	inter []int
+	key   []uint64
+	vals  []float64
+	// liveRow[oni] reports whether some transmitting communication's
+	// receiver sits at ONI oni. fillBank writes only those rows; every
+	// other row is zero in every fill, so the memo key skips it.
+	liveRow []bool
 	powers  []phys.MilliWatt
 	commBER []float64
 	commFJ  []float64
@@ -63,33 +63,12 @@ type Evaluator struct {
 	mw mwMemo
 	p0 phys.MilliWatt
 
-	// delta is the opt-in retained-parent store plus the delta-path
-	// scratch (see delta.go); nil until EnableDeltaCache.
-	delta *deltaState
-
-	// lastPath records which kernel served the most recent
-	// Evaluate*Into call (see LastEvalPath).
-	lastPath EvalPath
+	// memo holds the per-communication optics results (edgememo.go),
+	// valid for the crosstalk mode and energy model recorded here.
+	memo       edgeMemo
+	memoXtalk  CrosstalkMode
+	memoEnergy energy.Model
 }
-
-// EvalPath identifies which kernel served an evaluation.
-type EvalPath uint8
-
-const (
-	// EvalPathFull is the full evaluation kernel.
-	EvalPathFull EvalPath = iota
-	// EvalPathGeneDelta is the delta replay of a child one edge row
-	// away from its base parent (every single-gene mutant).
-	EvalPathGeneDelta
-	// EvalPathNearDelta is the few-row delta replay off the closest
-	// retained parent.
-	EvalPathNearDelta
-)
-
-// LastEvalPath reports which kernel served the most recent
-// Evaluate*Into call on this evaluator — observability for the
-// engine-level instrumentation counters, not part of any result.
-func (e *Evaluator) LastEvalPath() EvalPath { return e.lastPath }
 
 // NewEvaluator builds an evaluator with scratch sized for the
 // instance. The only possible error is a task graph that lost its
@@ -103,6 +82,12 @@ func NewEvaluator(in *Instance) (*Evaluator, error) {
 		return nil, err
 	}
 	nl, nw := in.Edges(), in.Channels()
+	liveRow := make([]bool, in.fab.Size())
+	for o := 0; o < nl; o++ {
+		if in.App.Edges[o].VolumeBits > 0 && !in.selfEdge[o] {
+			liveRow[in.dstCore[o]] = true
+		}
+	}
 	return &Evaluator{
 		in:      in,
 		planner: planner,
@@ -110,15 +95,19 @@ func NewEvaluator(in *Instance) (*Evaluator, error) {
 		eff:     make([]int, nl),
 		sets:    make([][]int, nl),
 		setsBuf: make([]int, 0, nl*nw),
-		setOff:  make([]int32, nl+1),
 		masks:   make([]uint64, nl*in.maskWords),
 		bank:    fabric.NewBank(in.fab.Size(), nw),
-		berBuf:  make([]float64, nl*nw),
+		inter:   make([]int, 0, nl),
+		vals:    make([]float64, 0, nw+2),
+		liveRow: liveRow,
 		powers:  make([]phys.MilliWatt, 0, nw),
 		commBER: make([]float64, nl),
 		commFJ:  make([]float64, nl),
 		mw:      newMWMemo(memoBits(nw)),
 		p0:      in.fab.Params().LaserOffDBm.MilliWatt(),
+
+		memoXtalk:  in.Xtalk,
+		memoEnergy: in.Energy,
 	}, nil
 }
 
@@ -158,7 +147,6 @@ func (e *Evaluator) Evaluate(g Genome) Eval {
 func (e *Evaluator) EvaluateInto(out *Eval, g Genome) {
 	in := e.in
 	if g.Edges() != in.Edges() || g.Channels() != in.Channels() {
-		e.lastPath = EvalPathFull
 		*out = invalid(fmt.Sprintf("genome shape %dx%d does not match instance %dx%d",
 			g.Edges(), g.Channels(), in.Edges(), in.Channels()), 1)
 		return
@@ -166,14 +154,6 @@ func (e *Evaluator) EvaluateInto(out *Eval, g Genome) {
 	// Decode the chromosome into per-edge wavelength bitmasks; the
 	// rest of the kernel consumes the mask rows natively.
 	g.MaskInto(e.masks, in.maskWords)
-	e.evaluateDecoded(out, g.bits)
-}
-
-// evaluateDecoded runs the kernel on the already decoded mask rows in
-// e.masks. key is the genome's gene slice, used only to register the
-// evaluation with the delta cache (nil skips registration).
-func (e *Evaluator) evaluateDecoded(out *Eval, key []byte) {
-	e.lastPath = EvalPathFull
 	violation, reason := e.decodeMasks()
 	if err := e.planner.ComputeInto(&e.sched, e.eff, e.in.BitsPerCycle); err != nil {
 		*out = invalid(err.Error(), violation+1)
@@ -186,7 +166,6 @@ func (e *Evaluator) evaluateDecoded(out *Eval, key []byte) {
 		return
 	}
 	e.opticsInto(out, s)
-	e.capture(key)
 }
 
 // decodeMasks derives the channel index sets (the optics walk
@@ -212,7 +191,6 @@ func (e *Evaluator) decodeMasks() (violation float64, reason failureReason) {
 				word &= word - 1
 			}
 		}
-		e.setOff[ei] = int32(off)
 		e.sets[ei] = e.setsBuf[off : off+n : off+n]
 		off += n
 		e.counts[ei] = n
@@ -230,7 +208,6 @@ func (e *Evaluator) decodeMasks() (violation float64, reason failureReason) {
 			e.eff[ei] = 1
 		}
 	}
-	e.setOff[nl] = int32(off)
 	return violation, reason
 }
 
@@ -276,8 +253,8 @@ func (e *Evaluator) gradeConflicts(s *sched.Schedule, violation float64, reason 
 }
 
 // opticsAccum carries the cross-edge aggregation state of the optics
-// walk. The delta path shares it with the full kernel so replayed and
-// recomputed edges contribute to the same float accumulation sequence.
+// walk. Walked and replayed communications feed it the same values in
+// the same order.
 type opticsAccum struct {
 	berSum             float64
 	berN               int
@@ -297,6 +274,12 @@ func (e *Evaluator) opticsInto(out *Eval, s *sched.Schedule) {
 		Schedule:       s,
 		MakespanCycles: s.MakespanCycles,
 	}
+	// Memo keys leave out the instance's crosstalk mode and energy
+	// model; start over if a caller changed either.
+	if in.Xtalk != e.memoXtalk || in.Energy != e.memoEnergy {
+		e.memo.reset()
+		e.memoXtalk, e.memoEnergy = in.Xtalk, in.Energy
+	}
 	var acc opticsAccum
 	for ei := 0; ei < nl; ei++ {
 		// Self edges never reach the optics: no BER, no laser energy,
@@ -314,22 +297,106 @@ func (e *Evaluator) opticsInto(out *Eval, s *sched.Schedule) {
 	}
 }
 
-// opticsEdge computes one transmitting edge's optics: the receiver
-// bank it sees, the signal and crosstalk walks of every reserved
-// wavelength, the per-channel BERs (recorded in berBuf for the delta
-// kernel's replay) and the edge's laser energy.
+// opticsEdge computes one transmitting edge's optics and feeds them
+// to the accumulation: the receiver bank it sees, then either the
+// memoized result for the same inputs or a fresh walk (stored for the
+// next time).
 func (e *Evaluator) opticsEdge(out *Eval, ei int, s *sched.Schedule, acc *opticsAccum) {
+	e.fillBank(ei, s)
+	e.gatherInter(ei, s)
+	key := e.edgeKey(ei, s)
+	vals, h, ok := e.memo.lookup(key)
+	if !ok {
+		vals = e.walkOptics(ei, s)
+		e.memo.insert(h, key, vals)
+	}
+	n := len(vals) - 2
+	for _, ber := range vals[:n] {
+		acc.berSum += ber
+		acc.berN++
+		if ber > out.WorstBER {
+			out.WorstBER = ber
+		}
+	}
+	e.commBER[ei], e.commFJ[ei] = vals[n], vals[n+1]
+	acc.totalFJ += e.commFJ[ei]
+	acc.totalBits += e.in.App.Edges[ei].VolumeBits
+}
+
+// gatherInter lists, in ascending order, the communications whose
+// light crosses edge ei's receiver while ei is active: the
+// inter-communication crosstalk contributors. Transfers on another
+// lane live on a physically separate medium and pass a different
+// receiver bank, so they never couple.
+func (e *Evaluator) gatherInter(ei int, s *sched.Schedule) {
 	in := e.in
-	nl := in.Edges()
+	e.inter = e.inter[:0]
+	if !in.Xtalk.inter() {
+		return
+	}
+	dst := in.dstCore[ei]
+	for o := 0; o < in.Edges(); o++ {
+		if o == ei || e.counts[o] == 0 || in.App.Edges[o].VolumeBits <= 0 || in.selfEdge[o] {
+			continue
+		}
+		if in.paths[o].Lane != in.paths[ei].Lane {
+			continue
+		}
+		if !s.Comm[ei].Overlaps(s.Comm[o]) || !in.paths[o].Through(dst) {
+			continue
+		}
+		e.inter = append(e.inter, o)
+	}
+}
+
+// interTag marks a contributor's index word in a memo key.
+const interTag = 1 << 63
+
+// edgeKey packs every input of edge ei's optics into the memo key
+// (see edgeMemo). The bank rows are the ones the fabric's loss
+// methods read (the fabric.Fabric read-set contract): a path's
+// ONIs()[1:], and a contributor's only up to the victim's receiver,
+// whose row the edge's own part already holds. Rows no fill ever
+// writes are left out: they are zero whatever the genome.
+func (e *Evaluator) edgeKey(ei int, s *sched.Schedule) []uint64 {
+	in := e.in
+	W := in.maskWords
+	k := append(e.key[:0], uint64(ei), math.Float64bits(s.Comm[ei].Duration()))
+	k = append(k, e.masks[ei*W:(ei+1)*W]...)
+	for _, oni := range in.paths[ei].ONIs()[1:] {
+		if e.liveRow[oni] {
+			k = append(k, e.bank.Row(oni)...)
+		}
+	}
+	dst := in.dstCore[ei]
+	for _, o := range e.inter {
+		k = append(k, interTag|uint64(o))
+		k = append(k, e.masks[o*W:(o+1)*W]...)
+		for _, oni := range in.paths[o].ONIs()[1:] {
+			if oni == dst {
+				break
+			}
+			if e.liveRow[oni] {
+				k = append(k, e.bank.Row(oni)...)
+			}
+		}
+	}
+	e.key = k
+	return k
+}
+
+// walkOptics walks the signal and crosstalk of every wavelength edge
+// ei reserves against the filled bank, and returns the per-channel
+// BERs followed by the edge's mean BER and laser energy.
+func (e *Evaluator) walkOptics(ei int, s *sched.Schedule) []float64 {
+	in := e.in
 	pv := in.fab.Params().LaserOnDBm
 	p0 := e.p0
-
-	e.fillBank(ei, s)
 	dst := in.dstCore[ei]
 	powers := e.powers[:0]
-	bers := e.berBuf[e.setOff[ei]:e.setOff[ei+1]]
+	vals := e.vals[:0]
 	var commBERSum float64
-	for si, ch := range e.sets[ei] {
+	for _, ch := range e.sets[ei] {
 		sigLoss := in.fab.SignalArrivalDB(in.paths[ei], ch, e.bank)
 		psig := e.mw.milliWatt(pv.Add(sigLoss))
 
@@ -349,19 +416,7 @@ func (e *Evaluator) opticsEdge(out *Eval, ei int, s *sched.Schedule, acc *optics
 		// transfers whose light crosses this receiver while this
 		// transfer is active, walked along the interferer's own
 		// route.
-		for o := 0; in.Xtalk.inter() && o < nl; o++ {
-			if o == ei || e.counts[o] == 0 || in.App.Edges[o].VolumeBits <= 0 || in.selfEdge[o] {
-				continue
-			}
-			// Transfers on another lane live on a physically
-			// separate medium and pass a different receiver bank:
-			// no coupling.
-			if in.paths[o].Lane != in.paths[ei].Lane {
-				continue
-			}
-			if !s.Comm[ei].Overlaps(s.Comm[o]) || !in.paths[o].Through(dst) {
-				continue
-			}
+		for _, o := range e.inter {
 			for _, other := range e.sets[o] {
 				if other == ch {
 					// Impossible in valid genomes (the shared
@@ -376,22 +431,14 @@ func (e *Evaluator) opticsEdge(out *Eval, ei int, s *sched.Schedule, acc *optics
 			}
 		}
 		ber := phys.BEROOK(phys.SNR(psig, noise, p0))
-		bers[si] = ber
+		vals = append(vals, ber)
 		commBERSum += ber
-		acc.berSum += ber
-		acc.berN++
-		if ber > out.WorstBER {
-			out.WorstBER = ber
-		}
 		// Laser sizing: fixed receive-power target by default,
 		// or the BER-target mode where crosstalk directly drives
 		// the emitted power (the paper's introduction).
 		powers = append(powers, in.Energy.WavelengthLaserMWVia(sigLoss, noise, p0, e.mw.milliWatt))
 	}
-	e.commBER[ei] = commBERSum / float64(len(e.sets[ei]))
-	e.commFJ[ei] = in.Energy.EnergyFJ(powers, s.Comm[ei].Duration())
-	acc.totalFJ += e.commFJ[ei]
-	acc.totalBits += in.App.Edges[ei].VolumeBits
+	return append(vals, commBERSum/float64(len(e.sets[ei])), in.Energy.EnergyFJ(powers, s.Comm[ei].Duration()))
 }
 
 // fillBank rebuilds the evaluator's receiver-bank scratch with the

@@ -1,23 +1,20 @@
 package alloc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/crossbar"
 	"repro/internal/energy"
 	"repro/internal/fabric"
 	"repro/internal/graph"
 	"repro/internal/ring"
 )
 
-// This file pins the tentpole refactor: routing the evaluation stack
+// This file pins the fabric indirection: routing the evaluation stack
 // through the fabric.Fabric interface must be bit-identical to the
-// pre-refactor direct ring calls — for the loss model, the full
-// kernel, every delta kernel and Explain — and the delta kernels must
-// hold their bit-identity contract on the crossbar backend too, whose
-// single-lane all-paths-share-a-destination overlap structure stresses
-// the affected-set computation differently than the ring.
+// direct ring calls, for the loss model, the memoized kernel and
+// Explain.
 
 // ringFabric builds the paper platform and returns it both as the
 // concrete ring and as an opaque fabric handle.
@@ -83,8 +80,8 @@ func TestRingFabricLossBitIdentical(t *testing.T) {
 // TestRingFabricKernelsAndExplainBitIdentical runs mutation chains
 // through two instances of the same ring — one consumed through the
 // evaluation stack's fabric handle, one rebuilt independently — and
-// checks the full kernel, the gene-delta kernel, the near/crossover
-// delta kernels and Explain agree bit for bit at every step.
+// checks the warm-memo kernel, a cold kernel and Explain agree bit for
+// bit at every step.
 func TestRingFabricKernelsAndExplainBitIdentical(t *testing.T) {
 	for _, nw := range []int{4, 8, 16} {
 		r, f := ringFabric(t, nw)
@@ -100,7 +97,7 @@ func TestRingFabricKernelsAndExplainBitIdentical(t *testing.T) {
 		if inFabric.Fabric().Name() != "ring" {
 			t.Fatalf("fabric name %q", inFabric.Fabric().Name())
 		}
-		runKernelChain(t, nw, inFabric, inDirect, 300)
+		runKernelChain(t, fmt.Sprintf("NW=%d", nw), inFabric, inDirect, int64(900+nw), 300)
 
 		// Explain: identical strings through either instance.
 		g, err := Assign(inFabric, UniformCounts(inFabric.Edges(), 1), FirstFit, nil)
@@ -118,88 +115,5 @@ func TestRingFabricKernelsAndExplainBitIdentical(t *testing.T) {
 		if exF.String() != exD.String() {
 			t.Fatalf("NW=%d: Explain differs between fabric-handle and direct instances", nw)
 		}
-	}
-}
-
-// TestCrossbarDeltaKernelsMatchFull holds the delta kernels to their
-// bit-identity contract on the crossbar backend: all paths share lane
-// 0 and overlap exactly by destination, so the affected-set scan sees
-// a conflict graph shape the ring never produces.
-func TestCrossbarDeltaKernelsMatchFull(t *testing.T) {
-	for _, nw := range []int{4, 8, 16} {
-		x, err := crossbar.New(crossbar.DefaultConfig(nw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		in, err := NewInstance(x, graph.PaperApp(), graph.PaperMapping(), 1, energy.Default())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if in.Fabric().Name() != "crossbar" {
-			t.Fatalf("fabric name %q", in.Fabric().Name())
-		}
-		runKernelChain(t, nw, in, in, 300)
-	}
-}
-
-// runKernelChain drives a random single-gene mutation chain (with
-// occasional crossover-shaped two-parent children) through a
-// delta-enabled evaluator on inDelta and a fresh full evaluator on
-// inRef, requiring bit-identical evaluations throughout and that the
-// delta path actually served a meaningful share.
-func runKernelChain(t *testing.T, nw int, inDelta, inRef *Instance, steps int) {
-	t.Helper()
-	ev, err := NewEvaluator(inDelta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev.EnableDeltaCache(0)
-	ref, err := NewEvaluator(inRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(int64(900 + nw)))
-	cur, err := Assign(inDelta, UniformCounts(inDelta.Edges(), 1), FirstFit, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seedOut Eval
-	ev.EvaluateInto(&seedOut, cur)
-	if !seedOut.Valid {
-		t.Fatalf("NW=%d: seed genome invalid: %s", nw, seedOut.Reason())
-	}
-	lastValid := cur
-	deltaCalls := 0
-	for step := 0; step < steps; step++ {
-		if rng.Intn(3) == 0 {
-			cur = lastValid
-		}
-		child := cur.Clone()
-		edge, _, _ := mutateOneGene(rng, child)
-		if rng.Intn(5) == 0 {
-			// Crossover shape: splice a second edge row from the last
-			// valid genome, giving the two-parent near kernel a child
-			// that matches neither parent exactly.
-			other := (edge + 1) % child.Edges()
-			for c := 0; c < child.Channels(); c++ {
-				child.Set(other, c, lastValid.Get(other, c))
-			}
-		}
-
-		var want Eval
-		ref.EvaluateInto(&want, child)
-
-		var got Eval
-		if ev.EvaluateNearInto(&got, child, cur.Bits(), lastValid.Bits()) {
-			deltaCalls++
-		}
-		requireSameEval(t, "fabric chain", &got, &want)
-		cur = child
-		if want.Valid {
-			lastValid = child
-		}
-	}
-	if deltaCalls < steps/3 {
-		t.Fatalf("NW=%d: only %d of %d steps served by delta kernels", nw, deltaCalls, steps)
 	}
 }

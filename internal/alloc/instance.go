@@ -94,14 +94,6 @@ type Instance struct {
 	// through core.Config.Instance, by every campaign replicate).
 	confStart []int32
 	confAdj   []int32
-	// confSymStart/confSymAdj hold the same overlap relation as a
-	// symmetric CSR adjacency: confSymAdj[confSymStart[i]:confSymStart[i+1]]
-	// lists, in ascending order, every edge j != i whose fabric path
-	// shares a waveguide resource with edge i's. The delta kernel walks
-	// this row to re-grade only the conflict pairs a mutated edge can
-	// touch, in either pair direction.
-	confSymStart []int32
-	confSymAdj   []int32
 
 	// evaluators recycles evaluators behind the compatibility Evaluate
 	// method, so concurrent callers run genuinely in parallel; hot
@@ -177,18 +169,6 @@ func NewInstance(f fabric.Fabric, app *graph.TaskGraph, m graph.Mapping, bitsPer
 	}
 	in.confStart[nl] = int32(len(adj))
 	in.confAdj = adj
-	in.confSymStart = make([]int32, nl+1)
-	var sym []int32
-	for i := 0; i < nl; i++ {
-		in.confSymStart[i] = int32(len(sym))
-		for j := 0; j < nl; j++ {
-			if j != i && in.pathOverlap[i*nl+j] {
-				sym = append(sym, int32(j))
-			}
-		}
-	}
-	in.confSymStart[nl] = int32(len(sym))
-	in.confSymAdj = sym
 	return in, nil
 }
 
@@ -201,14 +181,6 @@ func (in *Instance) MaskWords() int { return in.maskWords }
 // The returned slice is shared; callers must not mutate it.
 func (in *Instance) ConflictNeighbors(i int) []int32 {
 	return in.confAdj[in.confStart[i]:in.confStart[i+1]]
-}
-
-// AllConflictNeighbors returns every edge j != i whose precomputed
-// fabric path shares a waveguide resource with edge i's, in ascending
-// order — the symmetric form of ConflictNeighbors. The returned slice
-// is shared; callers must not mutate it.
-func (in *Instance) AllConflictNeighbors(i int) []int32 {
-	return in.confSymAdj[in.confSymStart[i]:in.confSymStart[i+1]]
 }
 
 // PathsOverlap reports whether the precomputed routes of edges i and

@@ -162,12 +162,9 @@ type Config struct {
 // zero-allocation alloc.Evaluator and metrics shard (merged when the
 // run finishes), so parallel runs scale without contending on a
 // shared lock while staying bit-for-bit identical to serial ones.
-// Each view's evaluator carries a delta cache (alloc.EnableDeltaCache)
-// and hands the engine's parent hints to EvaluateNearInto, so
-// offspring that differ from a retained parent in a few edge rows are
-// re-evaluated incrementally — bit-identically to the full kernel.
-// The Problem's own EvaluateInto runs the full kernel and is safe for
-// concurrent calls.
+// Each view's evaluator keeps its own per-communication optics memo
+// warm across the run. The Problem's own EvaluateInto draws pooled
+// evaluators and is safe for concurrent calls.
 type Problem struct {
 	cfg  Config
 	in   *alloc.Instance
@@ -180,35 +177,14 @@ type Problem struct {
 	// goes with its engine.
 	shards []map[string]Metrics
 
-	// stats counts which kernel served each evaluation (atomic:
-	// worker shards update the shared counters lock-free).
-	stats evalStats
-}
-
-// evalStats is the problem-level half of the engine instrumentation.
-type evalStats struct {
-	full, gene, near atomic.Int64
-}
-
-// countPath attributes one evaluation to the kernel that served it.
-func (p *Problem) countPath(path alloc.EvalPath) {
-	switch path {
-	case alloc.EvalPathGeneDelta:
-		p.stats.gene.Add(1)
-	case alloc.EvalPathNearDelta:
-		p.stats.near.Add(1)
-	default:
-		p.stats.full.Add(1)
-	}
+	// kernelRuns counts evaluations (atomic: worker views update it
+	// lock-free).
+	kernelRuns atomic.Int64
 }
 
 // EvalStats implements nsga2.StatsProblem.
 func (p *Problem) EvalStats() nsga2.EvalStats {
-	return nsga2.EvalStats{
-		Full:      p.stats.full.Load(),
-		GeneDelta: p.stats.gene.Load(),
-		NearDelta: p.stats.near.Load(),
-	}
+	return nsga2.EvalStats{Full: p.kernelRuns.Load()}
 }
 
 // metricsAuxLen is the checkpoint aux payload dimension: the metric
@@ -381,16 +357,15 @@ func (p *Problem) NumObjectives() int { return len(p.objs) }
 // instance's evaluator pool, metric capture under the problem lock,
 // then projection onto the configured objectives. The returned
 // violation is 0 for valid chromosomes and the graded constraint
-// violation otherwise. The parent hints are ignored; the engine's
-// views (NewWorker) are what use them.
-func (p *Problem) EvaluateInto(dst []float64, genome, _, _ []byte) float64 {
+// violation otherwise.
+func (p *Problem) EvaluateInto(dst []float64, genome []byte) float64 {
 	g, err := alloc.FromBits(genome, p.in.Edges(), p.in.Channels())
 	if err != nil {
 		fillInf(dst)
 		return math.Inf(1)
 	}
 	out := p.in.Evaluate(g)
-	p.countPath(alloc.EvalPathFull)
+	p.kernelRuns.Add(1)
 	if out.Valid {
 		p.mu.Lock()
 		p.metrics[g.Key()] = metricsOf(&out)
@@ -423,7 +398,7 @@ type workerProblem struct {
 
 // NewWorker implements nsga2.PerWorkerProblem. The worker shares the
 // parent's immutable instance and objective set; only the evaluator,
-// with its delta cache, and the metrics shard are private.
+// with its optics memo, and the metrics shard are private.
 func (p *Problem) NewWorker() nsga2.Problem {
 	ev, err := alloc.NewEvaluator(p.in)
 	if err != nil {
@@ -431,7 +406,6 @@ func (p *Problem) NewWorker() nsga2.Problem {
 		// locked full-kernel path rather than failing the run.
 		return p
 	}
-	ev.EnableDeltaCache(0)
 	w := &workerProblem{parent: p, eval: ev, metrics: make(map[string]Metrics)}
 	p.mu.Lock()
 	p.shards = append(p.shards, w.metrics)
@@ -460,11 +434,9 @@ func (w *workerProblem) GenomeLen() int { return w.parent.GenomeLen() }
 func (w *workerProblem) NumObjectives() int { return w.parent.NumObjectives() }
 
 // EvaluateInto implements nsga2.Problem on the worker's private
-// delta-enabled evaluator: EvaluateNearInto replays the closest
-// retained parent when the child is a few rows away from it and runs
-// the full kernel otherwise. No locks, and no steady-state allocations
-// beyond the retained metrics entry.
-func (w *workerProblem) EvaluateInto(dst []float64, genome, parent1, parent2 []byte) float64 {
+// evaluator. No locks, and no steady-state allocations beyond the
+// retained metrics entry.
+func (w *workerProblem) EvaluateInto(dst []float64, genome []byte) float64 {
 	p := w.parent
 	g, err := alloc.FromBits(genome, p.in.Edges(), p.in.Channels())
 	if err != nil {
@@ -472,8 +444,8 @@ func (w *workerProblem) EvaluateInto(dst []float64, genome, parent1, parent2 []b
 		return math.Inf(1)
 	}
 	var ev alloc.Eval
-	w.eval.EvaluateNearInto(&ev, g, parent1, parent2)
-	p.countPath(w.eval.LastEvalPath())
+	w.eval.EvaluateInto(&ev, g)
+	p.kernelRuns.Add(1)
 	if ev.Valid {
 		w.metrics[g.Key()] = metricsOf(&ev)
 	}

@@ -53,11 +53,10 @@ func TestProblemShape(t *testing.T) {
 	}
 }
 
-// evaluate runs one full evaluation through the nsga2.Problem
-// interface, with no parent hints.
+// evaluate runs one evaluation through the nsga2.Problem interface.
 func evaluate(p nsga2.Problem, genome []byte) ([]float64, float64) {
 	objs := make([]float64, p.NumObjectives())
-	return objs, p.EvaluateInto(objs, genome, nil, nil)
+	return objs, p.EvaluateInto(objs, genome)
 }
 
 func TestEvaluateThroughInterface(t *testing.T) {

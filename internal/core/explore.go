@@ -107,7 +107,7 @@ func (p *Problem) resumeExplorerWith(ga nsga2.Config, r io.Reader) (*Explorer, e
 			p.injectMetrics(genome, Metrics{TimeKCC: aux[0], BitEnergyFJ: aux[1], MeanBER: aux[2]})
 			return
 		}
-		p.EvaluateInto(scratch, genome, nil, nil)
+		p.EvaluateInto(scratch, genome)
 	})
 	return &Explorer{p: p, eng: eng, gens: eng.Config().Generations}, nil
 }

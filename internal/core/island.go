@@ -158,8 +158,7 @@ func (p *Problem) validateIslands(spec IslandSpec) error {
 // settings: empty metric cache, no worker views — exactly the state
 // a worker process starts a segment with. Running every
 // segment on a fork keeps a local island run equivalent to a
-// distributed one down to the kernel-path instrumentation (evaluator
-// delta caches never carry over between segments in either mode).
+// distributed one down to the instrumentation counters.
 func (p *Problem) forkForSegment() (*Problem, error) {
 	cfg := p.cfg
 	cfg.Instance = p.in

@@ -168,15 +168,11 @@ type CampaignConfig struct {
 	// ErrCampaignStopped): the deterministic preemption simulator
 	// behind the CI resume-equivalence job. Requires CheckpointDir.
 	StopAfterCheckpoints int
-	// Stats records each cell's engine instrumentation (evaluation-
-	// path split, cache hits, dominance comparisons) in the JSON
-	// artifact and completion records. With serial evaluation
-	// (EvalWorkers <= 1) every counter is reproducible. Opt-in because
-	// otherwise they are not: with EvalWorkers > 1 the kernel-path
-	// split depends on which worker's delta cache each evaluation
-	// lands in — artifacts then stay byte-identical only in the result
-	// data. Part of the campaign identity when checkpointing (restored
-	// cells must carry the same fields).
+	// Stats records each cell's engine instrumentation (evaluations,
+	// cache hits, kernel runs, dominance comparisons) in the JSON
+	// artifact and completion records. Opt-in because it adds fields
+	// to the artifact. Part of the campaign identity when
+	// checkpointing (restored cells must carry the same fields).
 	Stats bool
 	// Islands > 1 runs every cell's GA as an island model: the
 	// population splits into that many independent engines that
@@ -374,18 +370,16 @@ type CellResult struct {
 
 // CellStats is one cell's engine instrumentation record (see
 // CampaignConfig.Stats): how each evaluation was served and how much
-// dominance work ranking did.
+// dominance work ranking did. Records written before the delta kernel
+// was deleted also carry gene_delta_evals and near_delta_evals keys;
+// decoding ignores them.
 type CellStats struct {
 	// Evaluations counts genome evaluations the engine requested;
 	// CacheHits the subset served by the dedup cache.
 	Evaluations int64 `json:"evaluations"`
 	CacheHits   int64 `json:"cache_hits"`
-	// FullEvals, GeneDeltaEvals and NearDeltaEvals split the kernel
-	// invocations by path: full decode, single-gene delta, few-row
-	// near-delta replay.
-	FullEvals      int64 `json:"full_evals"`
-	GeneDeltaEvals int64 `json:"gene_delta_evals"`
-	NearDeltaEvals int64 `json:"near_delta_evals"`
+	// FullEvals counts kernel runs: Evaluations - CacheHits.
+	FullEvals int64 `json:"full_evals"`
 	// RelationsCompared counts Deb-dominance pair comparisons across
 	// the run's ranking passes.
 	RelationsCompared int64 `json:"relations_compared"`
@@ -398,8 +392,6 @@ func cellStatsOf(s nsga2.Stats) *CellStats {
 		Evaluations:       s.Evaluations,
 		CacheHits:         s.CacheHits,
 		FullEvals:         s.Eval.Full,
-		GeneDeltaEvals:    s.Eval.GeneDelta,
-		NearDeltaEvals:    s.Eval.NearDelta,
 		RelationsCompared: s.RelationsCompared,
 	}
 }

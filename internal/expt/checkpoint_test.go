@@ -301,14 +301,13 @@ func TestCampaignStatsRecorded(t *testing.T) {
 		if s.Evaluations <= 0 || s.FullEvals <= 0 || s.RelationsCompared <= 0 {
 			t.Fatalf("cell %d: implausible stats %+v", i, *s)
 		}
-		kernel := s.FullEvals + s.GeneDeltaEvals + s.NearDeltaEvals
-		if kernel != s.Evaluations-s.CacheHits {
-			t.Fatalf("cell %d: kernel paths sum to %d, engine served %d evaluations (%d cache)",
-				i, kernel, s.Evaluations, s.CacheHits)
+		if s.FullEvals != s.Evaluations-s.CacheHits {
+			t.Fatalf("cell %d: %d kernel runs, engine served %d evaluations (%d cache)",
+				i, s.FullEvals, s.Evaluations, s.CacheHits)
 		}
 	}
 	gotJSON, _ := campaignArtifacts(t, camp)
-	if !bytes.Contains(gotJSON, []byte(`"gene_delta_evals"`)) {
+	if !bytes.Contains(gotJSON, []byte(`"full_evals"`)) {
 		t.Fatal("stats block missing from JSON artifact")
 	}
 
@@ -338,12 +337,12 @@ func TestCampaignStatsRecorded(t *testing.T) {
 
 // TestResumeDirectoryWithRetainedSnapshots pins compatibility with
 // checkpoint directories written by the retired cross-replicate warm
-// cache and the retired two-parent crossover replay: every completed
-// cell there has both a cell-N.json record whose stats carry
-// "warm_hits" and "cross_delta_evals" keys and a stale cell-N.ckpt
-// holding the cell's final engine snapshot. A resume must restore
-// every cell from its record, ignoring all three, and render
-// artifacts byte-identical to a fresh run's.
+// cache and the retired delta kernel: every completed cell there has
+// both a cell-N.json record whose stats carry "warm_hits",
+// "gene_delta_evals", "near_delta_evals" and "cross_delta_evals" keys
+// and a stale cell-N.ckpt holding the cell's final engine snapshot. A
+// resume must restore every cell from its record, ignoring all of
+// them, and render artifacts byte-identical to a fresh run's.
 func TestResumeDirectoryWithRetainedSnapshots(t *testing.T) {
 	cfg := ckptCampaignConfig()
 	cfg.Replicates = 2
@@ -361,7 +360,7 @@ func TestResumeDirectoryWithRetainedSnapshots(t *testing.T) {
 	}
 	full := old.withDefaults()
 	cacheHits := regexp.MustCompile(`(?m)^( *)"cache_hits": [0-9]+,\n`)
-	nearDelta := regexp.MustCompile(`(?m)^( *)"near_delta_evals": [0-9]+,\n`)
+	fullEvals := regexp.MustCompile(`(?m)^( *)"full_evals": [0-9]+,\n`)
 	for _, cell := range full.Cells() {
 		done := filepath.Join(old.CheckpointDir, fmt.Sprintf("cell-%d.json", cell.Index))
 		raw, err := os.ReadFile(done)
@@ -372,7 +371,8 @@ func TestResumeDirectoryWithRetainedSnapshots(t *testing.T) {
 		if bytes.Equal(withWarm, raw) {
 			t.Fatalf("cell %d: record has no stats block to extend", cell.Index)
 		}
-		withCross := nearDelta.ReplaceAll(withWarm, []byte("$0$1\"cross_delta_evals\": 5,\n"))
+		withCross := fullEvals.ReplaceAll(withWarm,
+			[]byte("$0$1\"gene_delta_evals\": 7,\n$1\"near_delta_evals\": 6,\n$1\"cross_delta_evals\": 5,\n"))
 		if bytes.Equal(withCross, withWarm) {
 			t.Fatalf("cell %d: record has no kernel-path split to extend", cell.Index)
 		}

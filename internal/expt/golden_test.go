@@ -118,14 +118,14 @@ func TestCampaignGolden(t *testing.T) {
 	if err := WriteCampaignStats(&st, c); err != nil {
 		t.Fatal(err)
 	}
-	// Serial evaluation makes every stats byte reproducible, the
-	// kernel-path split included; the split must still account for
-	// every evaluation the cache did not serve.
+	// Serial evaluation makes every stats byte reproducible; the
+	// kernel runs must account for every evaluation the cache did not
+	// serve.
 	for i := range c.Cells {
 		s := c.Cells[i].Stats()
-		if paths := s.FullEvals + s.GeneDeltaEvals + s.NearDeltaEvals; paths != s.Evaluations-s.CacheHits {
-			t.Errorf("cell %d: kernel paths sum to %d, want evaluations-cache_hits = %d",
-				i, paths, s.Evaluations-s.CacheHits)
+		if s.FullEvals != s.Evaluations-s.CacheHits {
+			t.Errorf("cell %d: %d kernel runs, want evaluations-cache_hits = %d",
+				i, s.FullEvals, s.Evaluations-s.CacheHits)
 		}
 	}
 	checkGolden(t, "campaign_stats.ndjson", st.Bytes())
@@ -171,8 +171,8 @@ func edgeArtifact(variant int) cellArtifact {
 		FrontTimeBER: []solutionRec{
 			{TimeKCC: 1e21, BitEnergyFJ: 9.99999e20, MeanBER: 2.5e-13, Counts: nil, Genome: edgeStrings[variant%len(edgeStrings)]},
 		},
-		Stats: &CellStats{Evaluations: 4800, CacheHits: 1200, FullEvals: 900,
-			GeneDeltaEvals: 1800, NearDeltaEvals: 600, RelationsCompared: 1 << 40},
+		Stats: &CellStats{Evaluations: 4800, CacheHits: 1200, FullEvals: 3600,
+			RelationsCompared: 1 << 40},
 	}
 	switch variant % 4 {
 	case 1:

@@ -65,6 +65,11 @@ func (b *Bank) Reset() {
 	}
 }
 
+// Row returns ONI oni's micro-ring state words, laid out as by
+// MaskWords. The slice aliases the bank: callers must not mutate it,
+// and it changes with the next Set, OrRow or Reset.
+func (b *Bank) Row(oni int) []uint64 { return b.on[oni*b.words : (oni+1)*b.words] }
+
 // On reports whether the micro-ring for channel ch at ONI oni is ON.
 func (b *Bank) On(oni, ch int) bool {
 	if uint(ch) >= uint(b.channels) {

@@ -21,7 +21,8 @@
 //   - accounting: Area summarizes the photonic footprint.
 //
 // See DESIGN.md "Optical fabric contract" for the invariants a third
-// backend must keep for the delta kernels to stay valid.
+// backend must keep for the evaluator's per-communication optics memo
+// to stay exact.
 package fabric
 
 import (
@@ -32,10 +33,18 @@ import (
 
 // Fabric is one optical interconnect backend. Implementations are
 // immutable after construction and safe for concurrent read-only use;
-// every method must be deterministic (the evaluation kernels rely on
-// bit-identical replay) and allocation-free on the hot paths
-// (TransitLossDB, SignalArrivalDB, ArrivalAlongDB) after their first
-// call, which may build a lazy table such as CrosstalkTable.
+// every method must be deterministic and allocation-free on the hot
+// paths (TransitLossDB, SignalArrivalDB, ArrivalAlongDB) after their
+// first call, which may build a lazy table such as CrosstalkTable.
+//
+// Read-set contract: the loss methods are pure functions of their
+// arguments, and they read the *Bank only at the ONIs in
+// p.ONIs()[1:] up to det (up to p.Dst for TransitLossDB and
+// SignalArrivalDB). The evaluator's per-communication optics memo
+// keys a result on exactly those bank rows, so a backend that reads
+// any other row, or keeps state between calls, breaks its
+// exactness. TestLossReadSetContract holds every shipped backend to
+// it.
 type Fabric interface {
 	// Name identifies the backend ("ring", "crossbar") for reports,
 	// campaign artifacts and checkpoint identities.

@@ -57,15 +57,10 @@ type Engine struct {
 	nextSlab []byte
 	offSlab  []byte
 
-	// Batch-evaluation scratch. offMeta records, per offspring, its
-	// mating parents; jobP1/jobP2 carry them per distinct new genome
-	// into the problem's EvaluateInto.
+	// Batch-evaluation scratch.
 	rowRefs  [][]byte
 	jobs     []int
 	entryIdx []int
-	offMeta  []offMeta
-	jobP1    [][]byte
-	jobP2    [][]byte
 	nextJob  atomic.Int64 // next unclaimed index into jobs
 
 	// ranker is the rank/crowd scratch, sized for the merged 2*size
@@ -85,13 +80,6 @@ type Engine struct {
 	// Instrumentation counters (see Stats; the relation count lives in
 	// the ranker).
 	cacheHits int64
-}
-
-// offMeta is one offspring's variation-pipeline record: the genomes
-// of its copy source p1 and its mate p2, aliasing the current
-// population slab (valid through the generation's evaluation).
-type offMeta struct {
-	p1, p2 []byte
 }
 
 // countingSource wraps the standard math/rand source, counting state
@@ -141,7 +129,7 @@ func NewEngine(p Problem, cfg Config) (*Engine, error) {
 		}
 		e.rowRefs = append(e.rowRefs, row)
 	}
-	e.evaluateBatch(e.rowRefs, nil, e.popBuf)
+	e.evaluateBatch(e.rowRefs, e.popBuf)
 	e.pop = e.popBuf[:P]
 	e.rankAndCrowd(e.pop)
 	return e, nil
@@ -195,9 +183,6 @@ func newEngineArena(p Problem, cfg Config) (*Engine, error) {
 		rowRefs:  make([][]byte, 0, P),
 		jobs:     make([]int, 0, P),
 		entryIdx: make([]int, 0, P),
-		offMeta:  make([]offMeta, 0, P),
-		jobP1:    make([][]byte, 0, P),
-		jobP2:    make([][]byte, 0, P),
 	}
 	e.rng, e.src = newCountedRNG(cfg.Seed)
 	e.views = make([]Problem, max(1, cfg.Workers))
@@ -288,16 +273,12 @@ func (e *Engine) fillRandomGenome(g []byte) {
 // evaluateBatch resolves a generation's genomes through the dedup
 // cache, evaluating the distinct new ones — in parallel when there is
 // more than one view — and writes the individuals into out (one per
-// genome, same order). meta, when non-nil, is the per-offspring
-// variation record (same order as genomes), handed to EvaluateInto as
-// the parent hints. Cache insertion order, counters and results are
-// identical however the jobs are spread over the views.
-func (e *Engine) evaluateBatch(genomes [][]byte, meta []offMeta, out []Individual) {
+// genome, same order). Cache insertion order, counters and results
+// are identical however the jobs are spread over the views.
+func (e *Engine) evaluateBatch(genomes [][]byte, out []Individual) {
 	e.jobs = e.jobs[:0]
 	e.entryIdx = e.entryIdx[:0]
-	e.jobP1 = e.jobP1[:0]
-	e.jobP2 = e.jobP2[:0]
-	for gi, g := range genomes {
+	for _, g := range genomes {
 		idx, ok := e.cache.lookup(g)
 		if ok {
 			e.cacheHits++
@@ -307,12 +288,6 @@ func (e *Engine) evaluateBatch(genomes [][]byte, meta []offMeta, out []Individua
 			// here so the concurrent fill below never touches the store.
 			e.cache.entries[idx].objs = e.store.alloc(e.nObj)
 			e.jobs = append(e.jobs, idx)
-			var p1, p2 []byte
-			if meta != nil {
-				p1, p2 = meta[gi].p1, meta[gi].p2
-			}
-			e.jobP1 = append(e.jobP1, p1)
-			e.jobP2 = append(e.jobP2, p2)
 		}
 		e.entryIdx = append(e.entryIdx, idx)
 	}
@@ -385,18 +360,16 @@ func (e *Engine) fillJobs(view Problem) {
 			return
 		}
 		ent := &e.cache.entries[e.jobs[i]]
-		ent.violation = view.EvaluateInto(ent.objs, ent.key, e.jobP1[i], e.jobP2[i])
+		ent.violation = view.EvaluateInto(ent.objs, ent.key)
 	}
 }
 
 // makeOffspring builds PopSize children by binary tournament,
-// two-point crossover and mutation into the offspring slab, recording
-// each offspring's mating parents for the evaluation hints. The
+// two-point crossover and mutation into the offspring slab. The
 // genetic operators run serially (they consume the engine's PRNG);
 // evaluation is batched.
 func (e *Engine) makeOffspring() []Individual {
 	e.rowRefs = e.rowRefs[:0]
-	e.offMeta = e.offMeta[:0]
 	for n := 0; n < e.size; n += 2 {
 		p1 := e.tournament()
 		p2 := e.tournament()
@@ -408,12 +381,9 @@ func (e *Engine) makeOffspring() []Individual {
 		}
 		e.mutate(c1)
 		e.mutate(c2)
-		e.offMeta = append(e.offMeta,
-			offMeta{p1: p1.Genome, p2: p2.Genome},
-			offMeta{p1: p2.Genome, p2: p1.Genome})
 		e.rowRefs = append(e.rowRefs, c1, c2)
 	}
-	e.evaluateBatch(e.rowRefs, e.offMeta, e.offBuf)
+	e.evaluateBatch(e.rowRefs, e.offBuf)
 	return e.offBuf[:e.size]
 }
 

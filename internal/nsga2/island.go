@@ -66,7 +66,7 @@ func (e *Engine) InjectGenomes(genomes [][]byte) error {
 		copy(row, g)
 		e.rowRefs = append(e.rowRefs, row)
 	}
-	e.evaluateBatch(e.rowRefs, nil, e.offBuf)
+	e.evaluateBatch(e.rowRefs, e.offBuf)
 	m := append(e.merged[:0], e.pop...)
 	m = append(m, e.offBuf[:len(genomes)]...)
 	e.pop = e.surviveInto(m)
@@ -126,9 +126,7 @@ func (s Stats) Sub(o Stats) Stats {
 		CacheHits:         s.CacheHits - o.CacheHits,
 		RelationsCompared: s.RelationsCompared - o.RelationsCompared,
 		Eval: EvalStats{
-			Full:      s.Eval.Full - o.Eval.Full,
-			GeneDelta: s.Eval.GeneDelta - o.Eval.GeneDelta,
-			NearDelta: s.Eval.NearDelta - o.Eval.NearDelta,
+			Full: s.Eval.Full - o.Eval.Full,
 		},
 	}
 }
@@ -140,9 +138,7 @@ func (s Stats) Add(o Stats) Stats {
 		CacheHits:         s.CacheHits + o.CacheHits,
 		RelationsCompared: s.RelationsCompared + o.RelationsCompared,
 		Eval: EvalStats{
-			Full:      s.Eval.Full + o.Eval.Full,
-			GeneDelta: s.Eval.GeneDelta + o.Eval.GeneDelta,
-			NearDelta: s.Eval.NearDelta + o.Eval.NearDelta,
+			Full: s.Eval.Full + o.Eval.Full,
 		},
 	}
 }

@@ -349,9 +349,9 @@ func TestMergeResultsMatchesReference(t *testing.T) {
 
 func TestStatsAddSub(t *testing.T) {
 	a := Stats{Evaluations: 10, CacheHits: 4, RelationsCompared: 100,
-		Eval: EvalStats{Full: 5, GeneDelta: 3, NearDelta: 1}}
+		Eval: EvalStats{Full: 5}}
 	b := Stats{Evaluations: 7, CacheHits: 1, RelationsCompared: 40,
-		Eval: EvalStats{Full: 2, GeneDelta: 2, NearDelta: 1}}
+		Eval: EvalStats{Full: 2}}
 	if got := a.Add(b).Sub(b); got != a {
 		t.Fatalf("Add/Sub roundtrip: got %+v want %+v", got, a)
 	}

@@ -45,25 +45,21 @@ type Problem interface {
 	// to infinity") but must not be NaN: the engine checks every new
 	// result and panics, naming the genome, on a NaN.
 	//
-	// parent1 and parent2 are the variation record: the offspring's
-	// copy source and its mate (either may equal the other), nil for
-	// the initial population and injected genomes. They are hints for
-	// an incremental evaluation only — results MUST be a pure,
-	// deterministic function of genome, bit-for-bit. Implementations
-	// must not retain or mutate dst, genome or the parents past the
-	// call.
-	EvaluateInto(dst []float64, genome, parent1, parent2 []byte) (violation float64)
+	// Results MUST be a pure, deterministic function of genome,
+	// bit-for-bit. Implementations must not retain or mutate dst or
+	// genome past the call.
+	EvaluateInto(dst []float64, genome []byte) (violation float64)
 }
 
-// EvalStats is a problem-side split of how evaluations were served:
-// full kernel runs, one-row delta replays (every single-gene mutant)
-// and few-row (near) delta replays off the closest retained parent.
+// EvalStats is the problem side of the engine instrumentation: Full
+// counts the problem's kernel runs.
 type EvalStats struct {
-	Full      int64
-	GeneDelta int64
-	NearDelta int64
-	// CrossDelta is always zero. Only the e2ebench trace still reads
-	// it; it goes with the next change to the benchmark harness.
+	Full int64
+	// GeneDelta, NearDelta and CrossDelta are always zero. Only the
+	// e2ebench trace still reads them; they go with the next change to
+	// the benchmark harness.
+	GeneDelta  int64
+	NearDelta  int64
 	CrossDelta int64
 }
 
@@ -77,8 +73,7 @@ type StatsProblem interface {
 }
 
 // PerWorkerProblem is the hook for problems whose evaluation benefits
-// from per-goroutine state (scratch buffers, incremental-evaluation
-// caches, metric shards). When the problem implements it, the engine
+// from per-goroutine state (scratch buffers, memos, metric shards). When the problem implements it, the engine
 // calls NewWorker once per evaluation goroutine — once for a serial
 // run — when it is built, and routes every evaluation through those
 // views, so EvaluateInto implementations need no internal locking and

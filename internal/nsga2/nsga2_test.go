@@ -16,7 +16,7 @@ type funcProblem struct {
 
 func (p funcProblem) GenomeLen() int     { return p.n }
 func (p funcProblem) NumObjectives() int { return p.m }
-func (p funcProblem) EvaluateInto(dst []float64, g, _, _ []byte) float64 {
+func (p funcProblem) EvaluateInto(dst []float64, g []byte) float64 {
 	objs, violation := p.eval(g)
 	copy(dst, objs)
 	return violation
@@ -501,22 +501,6 @@ type perWorkerProblem struct {
 	parentUsed int // evaluations through the shared problem itself
 }
 
-// hintedProblem counts the evaluations the engine handed a variation
-// record (both parents) and those it handed none.
-type hintedProblem struct {
-	funcProblem
-	withParents, without int
-}
-
-func (p *hintedProblem) EvaluateInto(dst []float64, g, p1, p2 []byte) float64 {
-	if p1 != nil && p2 != nil {
-		p.withParents++
-	} else {
-		p.without++
-	}
-	return p.funcProblem.EvaluateInto(dst, g, p1, p2)
-}
-
 type countingWorker struct {
 	funcProblem
 	evals int
@@ -530,18 +514,18 @@ func (p *perWorkerProblem) NewWorker() Problem {
 	return w
 }
 
-func (p *perWorkerProblem) EvaluateInto(dst []float64, g, p1, p2 []byte) float64 {
+func (p *perWorkerProblem) EvaluateInto(dst []float64, g []byte) float64 {
 	p.mu.Lock()
 	p.parentUsed++
 	p.mu.Unlock()
-	return p.funcProblem.EvaluateInto(dst, g, p1, p2)
+	return p.funcProblem.EvaluateInto(dst, g)
 }
 
-func (w *countingWorker) EvaluateInto(dst []float64, g, p1, p2 []byte) float64 {
+func (w *countingWorker) EvaluateInto(dst []float64, g []byte) float64 {
 	// No lock: the engine promises exclusive use; the race detector
 	// polices the promise.
 	w.evals++
-	return w.funcProblem.EvaluateInto(dst, g, p1, p2)
+	return w.funcProblem.EvaluateInto(dst, g)
 }
 
 // TestPerWorkerProblemViewsAreUsed proves the engine builds one view
@@ -616,39 +600,6 @@ func TestWorkersWithoutFactoryStillWork(t *testing.T) {
 	for i := range serial.Final {
 		if string(serial.Final[i].Genome) != string(parallel.Final[i].Genome) {
 			t.Fatal("plain problem parallel run diverges")
-		}
-	}
-}
-
-// TestEvaluateIntoParentHints pins the variation record: the initial
-// population is evaluated without parents, every offspring with both,
-// and the hints do not change the run.
-func TestEvaluateIntoParentHints(t *testing.T) {
-	cfg := Config{PopSize: 16, Generations: 6, Seed: 9, ArchiveAll: true}
-	p := &hintedProblem{funcProblem: twoMin(12)}
-	e, err := NewEngine(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial := len(e.cache.entries)
-	if p.withParents != 0 || p.without != initial {
-		t.Fatalf("initial population: %d hinted, %d plain evaluations, want 0 and %d", p.withParents, p.without, initial)
-	}
-	for g := 0; g < cfg.Generations; g++ {
-		e.Step()
-	}
-	hinted := e.Result()
-	if p.without != initial || p.withParents != hinted.DistinctEvaluated-initial {
-		t.Fatalf("offspring: %d hinted, %d plain evaluations, want %d and %d",
-			p.withParents, p.without-initial, hinted.DistinctEvaluated-initial, 0)
-	}
-	plain, err := Run(twoMin(12), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain.Archive {
-		if string(plain.Archive[i].Genome) != string(hinted.Archive[i].Genome) {
-			t.Fatal("archive diverges with parent hints")
 		}
 	}
 }

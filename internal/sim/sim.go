@@ -17,7 +17,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -105,26 +104,58 @@ type event struct {
 	seq  int // tie-breaker for determinism
 }
 
+// before orders events by (time, kind, seq). seq is unique, so the
+// order is strict and total: the pop sequence does not depend on the
+// heap's layout.
+func (a event) before(b event) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	if a.kind != b.kind {
+		return a.kind < b.kind
+	}
+	return a.seq < b.seq
+}
+
+// eventQueue is a binary min-heap of events, typed so that pushing and
+// popping copy events instead of boxing them into interfaces.
 type eventQueue []event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+func (q *eventQueue) push(e event) {
+	*q = append(*q, e)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
 	}
-	if q[i].kind != q[j].kind {
-		return q[i].kind < q[j].kind
-	}
-	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
+	return top
 }
 
 // Run simulates the allocation g on instance in. Cores are a
@@ -183,7 +214,7 @@ func Run(in *alloc.Instance, g alloc.Genome, opt Options) (*Result, error) {
 	var q eventQueue
 	seq := 0
 	push := func(time int64, kind, id int) {
-		heap.Push(&q, event{time: time, kind: kind, id: id, seq: seq})
+		q.push(event{time: time, kind: kind, id: id, seq: seq})
 		seq++
 	}
 	// startTask books the core and schedules the completion. The
@@ -231,14 +262,14 @@ func Run(in *alloc.Instance, g alloc.Genome, opt Options) (*Result, error) {
 		dispatch(core, 0)
 	}
 
-	for q.Len() > 0 {
+	for len(q) > 0 {
 		// Drain every event at this timestamp before dispatching, so
 		// a core choosing its next task sees all tasks that became
 		// ready at this instant — matching the analytic model's
 		// global (start, ready, index) commitment order.
 		now := q[0].time
-		for q.Len() > 0 && q[0].time == now {
-			e := heap.Pop(&q).(event)
+		for len(q) > 0 && q[0].time == now {
+			e := q.pop()
 			switch e.kind {
 			case 0: // task finished: launch its outgoing communications
 				t := e.id

@@ -10,29 +10,30 @@ import (
 
 // plainProblem forwards only the base nsga2.Problem surface of a
 // core.Problem, hiding NewWorker, so an engine run over it evaluates
-// every genome through the Problem's own full-kernel EvaluateInto and
-// never touches the delta kernel.
+// every genome through the Problem's own EvaluateInto, on evaluators
+// drawn from the instance pool, instead of one worker evaluator whose
+// optics memo stays warm for the whole run.
 type plainProblem struct{ p *core.Problem }
 
 func (pp plainProblem) GenomeLen() int     { return pp.p.GenomeLen() }
 func (pp plainProblem) NumObjectives() int { return pp.p.NumObjectives() }
-func (pp plainProblem) EvaluateInto(dst []float64, g, p1, p2 []byte) float64 {
-	return pp.p.EvaluateInto(dst, g, p1, p2)
+func (pp plainProblem) EvaluateInto(dst []float64, g []byte) float64 {
+	return pp.p.EvaluateInto(dst, g)
 }
 
-// TestDeltaRoutingIdenticalToPlain pins the tentpole contract end to
-// end: a paper-instance GA run whose evaluations are routed through
-// the delta kernel (one-row, few-row and crossover replays, full
-// fallbacks) produces bit-identical populations, counters and archive
-// to a run whose problem evaluates everything with the full kernel.
-func TestDeltaRoutingIdenticalToPlain(t *testing.T) {
+// TestMemoRoutingIdenticalToPlain pins the memo end to end: a
+// paper-instance GA run whose evaluations go through one worker
+// evaluator, its optics memo warm across every generation, produces
+// bit-identical populations, counters and archive to a run whose
+// problem evaluates through pooled evaluators.
+func TestMemoRoutingIdenticalToPlain(t *testing.T) {
 	cfg := nsga2.Config{PopSize: 120, Generations: 30, Seed: 42, ArchiveAll: true}
 
 	pd, err := core.New(core.Config{NW: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withDelta, err := nsga2.Run(pd, cfg)
+	withMemo, err := nsga2.Run(pd, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,27 +47,27 @@ func TestDeltaRoutingIdenticalToPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if withDelta.Evaluations != plain.Evaluations ||
-		withDelta.ValidEvaluations != plain.ValidEvaluations ||
-		withDelta.DistinctEvaluated != plain.DistinctEvaluated ||
-		withDelta.DistinctValid != plain.DistinctValid {
-		t.Fatalf("counters diverge: delta %+v vs plain %+v", withDelta, plain)
+	if withMemo.Evaluations != plain.Evaluations ||
+		withMemo.ValidEvaluations != plain.ValidEvaluations ||
+		withMemo.DistinctEvaluated != plain.DistinctEvaluated ||
+		withMemo.DistinctValid != plain.DistinctValid {
+		t.Fatalf("counters diverge: memo %+v vs plain %+v", withMemo, plain)
 	}
-	if len(withDelta.Final) != len(plain.Final) {
-		t.Fatalf("final population sizes diverge: %d vs %d", len(withDelta.Final), len(plain.Final))
+	if len(withMemo.Final) != len(plain.Final) {
+		t.Fatalf("final population sizes diverge: %d vs %d", len(withMemo.Final), len(plain.Final))
 	}
 	for i := range plain.Final {
-		a, b := withDelta.Final[i], plain.Final[i]
+		a, b := withMemo.Final[i], plain.Final[i]
 		if string(a.Genome) != string(b.Genome) || a.Rank != b.Rank ||
 			math.Float64bits(a.Crowding) != math.Float64bits(b.Crowding) {
 			t.Fatalf("final individual %d diverges", i)
 		}
 	}
-	if len(withDelta.Archive) != len(plain.Archive) {
-		t.Fatalf("archive sizes diverge: %d vs %d", len(withDelta.Archive), len(plain.Archive))
+	if len(withMemo.Archive) != len(plain.Archive) {
+		t.Fatalf("archive sizes diverge: %d vs %d", len(withMemo.Archive), len(plain.Archive))
 	}
 	for i := range plain.Archive {
-		a, b := withDelta.Archive[i], plain.Archive[i]
+		a, b := withMemo.Archive[i], plain.Archive[i]
 		if string(a.Genome) != string(b.Genome) {
 			t.Fatalf("archive order diverges at %d", i)
 		}
