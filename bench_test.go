@@ -30,9 +30,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/core"
-	"repro/internal/crossbar"
 	"repro/internal/dist"
-	"repro/internal/energy"
 	"repro/internal/expt"
 	"repro/internal/graph"
 	"repro/internal/nsga2"
@@ -394,18 +392,18 @@ func BenchmarkEvaluateValid(b *testing.B) {
 	}
 }
 
-// kernelGenomeCount is how many distinct valid genomes the kernel
-// benchmarks cycle through: more than the evaluator's optics memo holds
-// entries (2^14). On the ring the set has ~4x more distinct
-// per-communication configurations than that, so a communication
-// comes round again mostly after its result was evicted, and 3 in 4
-// lookups miss: the benchmark times the optics walk, not a replay. On
-// the crossbar a communication's key holds one bank row, and the
-// cycle's genomes share fewer configurations than the memo holds:
-// there the cycle times the memo's hit path.
+// kernelGenomeCount is how many distinct valid genomes
+// BenchmarkEvaluateKernel cycles through: more than the evaluator's
+// optics memo holds entries (2^14). On the ring the set has ~4x more
+// distinct per-communication configurations than that, so a
+// communication comes round again mostly after its result was evicted,
+// and 3 in 4 lookups miss: the benchmark times the optics walk, not a
+// replay. (The crossbar's keys repeat far more; its miss-path
+// benchmark lives in internal/alloc and empties the memo instead.)
 const kernelGenomeCount = 1<<14 + 1024
 
-var kernelGenomes sync.Map // fabric name -> []alloc.Genome
+// kernelGenomes caches the cycle across benchmark rounds.
+var kernelGenomes []alloc.Genome
 
 // distinctKernelGenomes returns kernelGenomeCount distinct valid
 // genomes of in. Each reserves a random permutation of
@@ -413,12 +411,11 @@ var kernelGenomes sync.Map // fabric name -> []alloc.Genome
 // channels, so the wavelengths walked per evaluation match the
 // single-genome benchmarks' while the schedule varies (with the counts
 // fixed, the ring's whole set would share ~1.7k configurations). The
-// set is drawn once per fabric.
+// set is drawn once per process.
 func distinctKernelGenomes(b *testing.B, in *alloc.Instance) []alloc.Genome {
 	b.Helper()
-	name := in.Fabric().Name()
-	if gs, ok := kernelGenomes.Load(name); ok {
-		return gs.([]alloc.Genome)
+	if kernelGenomes != nil {
+		return kernelGenomes
 	}
 	ev, err := alloc.NewEvaluator(in)
 	if err != nil {
@@ -431,7 +428,7 @@ func distinctKernelGenomes(b *testing.B, in *alloc.Instance) []alloc.Genome {
 	var out alloc.Eval
 	for tries := 0; len(gs) < kernelGenomeCount; tries++ {
 		if tries > 100*kernelGenomeCount {
-			b.Fatalf("%s: only %d distinct valid genomes found", name, len(gs))
+			b.Fatalf("only %d distinct valid genomes found", len(gs))
 		}
 		rng.Shuffle(len(counts), func(i, j int) { counts[i], counts[j] = counts[j], counts[i] })
 		g, err := alloc.Assign(in, counts, alloc.RandomFit, rng)
@@ -443,16 +440,22 @@ func distinctKernelGenomes(b *testing.B, in *alloc.Instance) []alloc.Genome {
 			gs = append(gs, g)
 		}
 	}
-	kernelGenomes.Store(name, gs)
+	kernelGenomes = gs
 	return gs
 }
 
-// benchKernelCycle times one evaluation per op through a dedicated
-// Evaluator — the GA workers' zero-allocation inner loop — cycling
-// through the distinct genome set. One warm pass first grows the
-// evaluator's scratch and memo to steady state, so the zero-alloc gate
-// measures the kernel, not first-call buffer growth.
-func benchKernelCycle(b *testing.B, in *alloc.Instance) {
+// BenchmarkEvaluateKernel measures the evaluation kernel on the ring
+// through a dedicated Evaluator — the GA workers' zero-allocation
+// inner loop — cycling through more distinct valid genomes than its
+// optics memo holds: mostly the miss path. One warm pass first grows
+// the evaluator's scratch and memo to steady state, so the zero-alloc
+// gate measures the kernel, not first-call buffer growth. Compare
+// allocs/op against BenchmarkEvaluateValid.
+func BenchmarkEvaluateKernel(b *testing.B) {
+	in, err := alloc.DefaultInstance(8)
+	if err != nil {
+		b.Fatal(err)
+	}
 	gs := distinctKernelGenomes(b, in)
 	ev, err := alloc.NewEvaluator(in)
 	if err != nil {
@@ -470,18 +473,6 @@ func benchKernelCycle(b *testing.B, in *alloc.Instance) {
 			b.Fatal(out.Reason())
 		}
 	}
-}
-
-// BenchmarkEvaluateKernel measures the evaluation kernel on the ring
-// through a dedicated Evaluator, cycling through more distinct valid
-// genomes than its optics memo holds: the miss path. Compare allocs/op
-// against BenchmarkEvaluateValid.
-func BenchmarkEvaluateKernel(b *testing.B) {
-	in, err := alloc.DefaultInstance(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchKernelCycle(b, in)
 }
 
 // BenchmarkEvaluateKernelWarm re-evaluates one genome through a
@@ -511,24 +502,6 @@ func BenchmarkEvaluateKernelWarm(b *testing.B) {
 			b.Fatal(out.Reason())
 		}
 	}
-}
-
-// BenchmarkEvaluateKernelCrossbar measures the evaluator's miss path
-// on the multi-layer crossbar backend: the same kernel as
-// BenchmarkEvaluateKernel driven through the fabric interface with the
-// crossbar's single-lane, overlap-by-destination conflict structure.
-// Gated at 0 allocs/op in CI like the ring kernel — the fabric
-// indirection must not introduce allocations on any backend.
-func BenchmarkEvaluateKernelCrossbar(b *testing.B) {
-	x, err := crossbar.New(crossbar.DefaultConfig(8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	in, err := alloc.NewInstance(x, graph.PaperApp(), graph.PaperMapping(), 1, energy.Default())
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchKernelCycle(b, in)
 }
 
 // BenchmarkEvaluateInvalidKernel measures the fast-reject path

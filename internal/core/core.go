@@ -20,7 +20,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/alloc"
 	"repro/internal/crossbar"
@@ -176,15 +175,6 @@ type Problem struct {
 	// in by mergeWorkers. Only the maps are kept: a view's evaluator
 	// goes with its engine.
 	shards []map[string]Metrics
-
-	// kernelRuns counts evaluations (atomic: worker views update it
-	// lock-free).
-	kernelRuns atomic.Int64
-}
-
-// EvalStats implements nsga2.StatsProblem.
-func (p *Problem) EvalStats() nsga2.EvalStats {
-	return nsga2.EvalStats{Full: p.kernelRuns.Load()}
 }
 
 // metricsAuxLen is the checkpoint aux payload dimension: the metric
@@ -365,7 +355,6 @@ func (p *Problem) EvaluateInto(dst []float64, genome []byte) float64 {
 		return math.Inf(1)
 	}
 	out := p.in.Evaluate(g)
-	p.kernelRuns.Add(1)
 	if out.Valid {
 		p.mu.Lock()
 		p.metrics[g.Key()] = metricsOf(&out)
@@ -445,7 +434,6 @@ func (w *workerProblem) EvaluateInto(dst []float64, genome []byte) float64 {
 	}
 	var ev alloc.Eval
 	w.eval.EvaluateInto(&ev, g)
-	p.kernelRuns.Add(1)
 	if ev.Valid {
 		w.metrics[g.Key()] = metricsOf(&ev)
 	}

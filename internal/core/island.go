@@ -194,7 +194,6 @@ func (p *Problem) RunIslandSegment(seg IslandSegment) (IslandSegmentResult, erro
 		x, err = fp.resumeExplorerWith(ga, bytes.NewReader(seg.Checkpoint))
 		if err == nil {
 			engBefore = x.eng.Stats()
-			engBefore.Eval = nsga2.EvalStats{} // fork's kernel counters started at zero
 		}
 	}
 	if err != nil {

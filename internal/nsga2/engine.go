@@ -1048,12 +1048,8 @@ func (s *frontSorter) Less(a, b int) bool {
 func (s *frontSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
 // Stats is a snapshot of the engine's instrumentation counters: how
-// evaluations were served (dedup cache or the problem's
-// kernels, split by path when the problem implements StatsProblem) and
-// how many pairwise dominance relations the ranking compared. The
-// counters observe the incremental paths' engagement; they are NOT
-// part of the reproducibility contract — with Workers > 1 the
-// kernel-path split depends on which view evaluated which genome.
+// evaluations were served (dedup cache or the problem's kernel) and
+// how many pairwise dominance relations the ranking compared.
 type Stats struct {
 	// Evaluations and CacheHits mirror the run counters: total genome
 	// evaluations requested, and how many were served by the dedup
@@ -1063,22 +1059,20 @@ type Stats struct {
 	// RelationsCompared counts the Deb-dominance pair comparisons of
 	// the front builder.
 	RelationsCompared int64
-	// Eval is the problem-side kernel-path split, zero-valued when the
-	// problem does not implement StatsProblem.
+	// Eval counts the problem's kernel runs.
 	Eval EvalStats
 }
 
 // Stats returns the engine's instrumentation counters.
 func (e *Engine) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Evaluations:       int64(e.evals),
 		CacheHits:         e.cacheHits,
 		RelationsCompared: e.relations,
+		// Every evaluation the cache does not serve runs the
+		// problem's kernel once.
+		Eval: EvalStats{Full: int64(e.evals) - e.cacheHits},
 	}
-	if sp, ok := e.p.(StatsProblem); ok {
-		s.Eval = sp.EvalStats()
-	}
-	return s
 }
 
 // Snapshot captures the engine's evolutionary state — the ranked

@@ -51,8 +51,9 @@ type Problem interface {
 	EvaluateInto(dst []float64, genome []byte) (violation float64)
 }
 
-// EvalStats is the problem side of the engine instrumentation: Full
-// counts the problem's kernel runs.
+// EvalStats is the kernel side of the engine instrumentation: Full
+// counts the problem's kernel runs, the evaluations the dedup cache
+// did not serve.
 type EvalStats struct {
 	Full int64
 	// GeneDelta, NearDelta and CrossDelta are always zero. Only the
@@ -61,15 +62,6 @@ type EvalStats struct {
 	GeneDelta  int64
 	NearDelta  int64
 	CrossDelta int64
-}
-
-// StatsProblem is an optional Problem extension: problems that can
-// distinguish their evaluation kernel paths implement it, and
-// Engine.Stats surfaces the split. Counts are observability only:
-// with Workers > 1 they depend on which view evaluated which genome,
-// so they are not part of the reproducibility contract.
-type StatsProblem interface {
-	EvalStats() EvalStats
 }
 
 // PerWorkerProblem is the hook for problems whose evaluation benefits

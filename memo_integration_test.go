@@ -4,28 +4,42 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/nsga2"
 )
 
-// plainProblem forwards only the base nsga2.Problem surface of a
-// core.Problem, hiding NewWorker, so an engine run over it evaluates
-// every genome through the Problem's own EvaluateInto, on evaluators
-// drawn from the instance pool, instead of one worker evaluator whose
-// optics memo stays warm for the whole run.
-type plainProblem struct{ p *core.Problem }
+// plainProblem evaluates every genome of a paper instance on a fresh
+// alloc.Evaluator, projected onto core's default objectives (time,
+// energy, BER). A fresh evaluator's optics memo starts empty, and each
+// communication's key carries its edge index, so no lookup within one
+// evaluation can hit: every communication walks its optics.
+type plainProblem struct{ in *alloc.Instance }
 
-func (pp plainProblem) GenomeLen() int     { return pp.p.GenomeLen() }
-func (pp plainProblem) NumObjectives() int { return pp.p.NumObjectives() }
-func (pp plainProblem) EvaluateInto(dst []float64, g []byte) float64 {
-	return pp.p.EvaluateInto(dst, g)
+var plainObjectives = []alloc.Objective{alloc.ObjTime, alloc.ObjEnergy, alloc.ObjBER}
+
+func (pp plainProblem) GenomeLen() int     { return pp.in.Edges() * pp.in.Channels() }
+func (pp plainProblem) NumObjectives() int { return len(plainObjectives) }
+func (pp plainProblem) EvaluateInto(dst []float64, genome []byte) float64 {
+	g, err := alloc.FromBits(genome, pp.in.Edges(), pp.in.Channels())
+	if err != nil {
+		panic(err)
+	}
+	ev, err := alloc.NewEvaluator(pp.in)
+	if err != nil {
+		panic(err)
+	}
+	var out alloc.Eval
+	ev.EvaluateInto(&out, g)
+	out.ObjectivesInto(dst, plainObjectives)
+	return out.Violation
 }
 
 // TestMemoRoutingIdenticalToPlain pins the memo end to end: a
-// paper-instance GA run whose evaluations go through one worker
+// paper-instance GA run whose evaluations go through core's worker
 // evaluator, its optics memo warm across every generation, produces
-// bit-identical populations, counters and archive to a run whose
-// problem evaluates through pooled evaluators.
+// bit-identical populations, counters and archive to a run that walks
+// every communication's optics afresh.
 func TestMemoRoutingIdenticalToPlain(t *testing.T) {
 	cfg := nsga2.Config{PopSize: 120, Generations: 30, Seed: 42, ArchiveAll: true}
 
@@ -38,11 +52,11 @@ func TestMemoRoutingIdenticalToPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pp, err := core.New(core.Config{NW: 8})
+	in, err := alloc.DefaultInstance(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := nsga2.Run(plainProblem{pp}, cfg)
+	plain, err := nsga2.Run(plainProblem{in}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
