@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/alloc"
 	"repro/internal/crossbar"
@@ -158,72 +157,23 @@ type Config struct {
 // Problem is a configured wavelength-allocation exploration. It
 // implements nsga2.PerWorkerProblem: every engine, serial or
 // parallel, gets one view per evaluation goroutine, each with its own
-// zero-allocation alloc.Evaluator and metrics shard (merged when the
-// run finishes), so parallel runs scale without contending on a
+// zero-allocation alloc.Evaluator, so parallel runs scale without a
 // shared lock while staying bit-for-bit identical to serial ones.
 // Each view's evaluator keeps its own per-communication optics memo
-// warm across the run. The Problem's own EvaluateInto draws pooled
-// evaluators and is safe for concurrent calls.
+// warm across the run. It also implements nsga2.AuxProblem: the
+// engine keeps every genome's metric triple on its cache entry, next
+// to the objectives. A Problem is immutable after New; its own
+// EvaluateInto draws pooled evaluators and is safe for concurrent
+// calls.
 type Problem struct {
 	cfg  Config
 	in   *alloc.Instance
 	objs []alloc.Objective
-
-	mu      sync.Mutex
-	metrics map[string]Metrics // full metric triple per evaluated genotype
-	// shards are the worker views' outstanding metrics shards, folded
-	// in by mergeWorkers. Only the maps are kept: a view's evaluator
-	// goes with its engine.
-	shards []map[string]Metrics
 }
 
-// metricsAuxLen is the checkpoint aux payload dimension: the metric
-// triple [TimeKCC, BitEnergyFJ, MeanBER] of feasible genotypes.
+// metricsAuxLen is the aux dimension: the metric triple [TimeKCC,
+// BitEnergyFJ, MeanBER], NaN for an invalid genome.
 const metricsAuxLen = 3
-
-// auxFill implements nsga2.Config.AuxFill: persist the metric triple
-// of every genotype the problem knows next to its checkpoint cache
-// entry. Unknown genotypes keep the pre-filled payload (a resumed
-// entry's retained triple, or NaN).
-func (p *Problem) auxFill(genome []byte, aux []float64) {
-	if m, ok := p.lookupMetrics(genome); ok {
-		aux[0], aux[1], aux[2] = m.TimeKCC, m.BitEnergyFJ, m.MeanBER
-	}
-}
-
-// lookupMetrics reads the metric triple for a genotype from the
-// parent map or any outstanding worker shard, without folding the
-// shards. Safe between engine Steps (no evaluation goroutines run).
-func (p *Problem) lookupMetrics(genome []byte) (Metrics, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if m, ok := p.metrics[string(genome)]; ok {
-		return m, true
-	}
-	for _, shard := range p.shards {
-		if m, ok := shard[string(genome)]; ok {
-			return m, true
-		}
-	}
-	return Metrics{}, false
-}
-
-// injectMetrics registers an externally supplied metric triple (a
-// checkpoint aux payload) as if the genotype had been evaluated.
-func (p *Problem) injectMetrics(genome []byte, m Metrics) {
-	p.mu.Lock()
-	p.metrics[string(genome)] = m
-	p.mu.Unlock()
-}
-
-func anyNaN(xs []float64) bool {
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			return true
-		}
-	}
-	return false
-}
 
 // Metrics is the full figure-of-merit triple of a valid genome.
 type Metrics struct {
@@ -325,12 +275,7 @@ func New(cfg Config) (*Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Problem{
-		cfg:     cfg,
-		in:      in,
-		objs:    objs,
-		metrics: make(map[string]Metrics),
-	}, nil
+	return &Problem{cfg: cfg, in: in, objs: objs}, nil
 }
 
 // Instance exposes the underlying evaluation instance (heuristics,
@@ -343,25 +288,34 @@ func (p *Problem) GenomeLen() int { return p.in.Edges() * p.in.Channels() }
 // NumObjectives implements nsga2.Problem.
 func (p *Problem) NumObjectives() int { return len(p.objs) }
 
-// EvaluateInto implements nsga2.Problem: full evaluation through the
-// instance's evaluator pool, metric capture under the problem lock,
-// then projection onto the configured objectives. The returned
-// violation is 0 for valid chromosomes and the graded constraint
-// violation otherwise.
+// AuxLen implements nsga2.AuxProblem.
+func (p *Problem) AuxLen() int { return metricsAuxLen }
+
+// EvaluateInto implements nsga2.AuxProblem: full evaluation through
+// the instance's evaluator pool, written out by writeEval.
 func (p *Problem) EvaluateInto(dst []float64, genome []byte) float64 {
 	g, err := alloc.FromBits(genome, p.in.Edges(), p.in.Channels())
 	if err != nil {
-		fillInf(dst)
-		return math.Inf(1)
+		return p.writeEval(dst, &alloc.Eval{Violation: math.Inf(1)})
 	}
 	out := p.in.Evaluate(g)
-	if out.Valid {
-		p.mu.Lock()
-		p.metrics[g.Key()] = metricsOf(&out)
-		p.mu.Unlock()
+	return p.writeEval(dst, &out)
+}
+
+// writeEval writes ev's projection onto the configured objectives,
+// then its metric triple (NaN x3 when invalid), into dst and returns
+// the violation: 0 for valid chromosomes, the graded constraint
+// violation otherwise.
+func (p *Problem) writeEval(dst []float64, ev *alloc.Eval) float64 {
+	n := len(p.objs)
+	ev.ObjectivesInto(dst[:n], p.objs)
+	m := metricsOf(ev)
+	if !ev.Valid {
+		nan := math.NaN()
+		m = Metrics{TimeKCC: nan, BitEnergyFJ: nan, MeanBER: nan}
 	}
-	out.ObjectivesInto(dst, p.objs)
-	return out.Violation
+	dst[n], dst[n+1], dst[n+2] = m.TimeKCC, m.BitEnergyFJ, m.MeanBER
+	return ev.Violation
 }
 
 // metricsOf extracts the metric triple of a valid evaluation.
@@ -369,51 +323,24 @@ func metricsOf(ev *alloc.Eval) Metrics {
 	return Metrics{TimeKCC: ev.TimeKCC(), BitEnergyFJ: ev.BitEnergyFJ, MeanBER: ev.MeanBER}
 }
 
-func fillInf(dst []float64) {
-	inf := math.Inf(1)
-	for i := range dst {
-		dst[i] = inf
-	}
-}
-
 // workerProblem is one engine goroutine's private evaluation view: a
-// zero-allocation evaluator plus a metrics shard written without any
-// locking. Shards fold back into the parent when the run completes.
+// zero-allocation evaluator over the parent's instance.
 type workerProblem struct {
-	parent  *Problem
-	eval    *alloc.Evaluator
-	metrics map[string]Metrics
+	parent *Problem
+	eval   *alloc.Evaluator
 }
 
 // NewWorker implements nsga2.PerWorkerProblem. The worker shares the
 // parent's immutable instance and objective set; only the evaluator,
-// with its optics memo, and the metrics shard are private.
+// with its optics memo, is private.
 func (p *Problem) NewWorker() nsga2.Problem {
 	ev, err := alloc.NewEvaluator(p.in)
 	if err != nil {
 		// Cannot happen for instances built by New; degrade to the
-		// locked full-kernel path rather than failing the run.
+		// pooled path rather than failing the run.
 		return p
 	}
-	w := &workerProblem{parent: p, eval: ev, metrics: make(map[string]Metrics)}
-	p.mu.Lock()
-	p.shards = append(p.shards, w.metrics)
-	p.mu.Unlock()
-	return w
-}
-
-// mergeWorkers folds every outstanding shard into the parent metrics
-// map. Evaluation is deterministic, so identical keys carry identical
-// metrics and the merge order cannot matter.
-func (p *Problem) mergeWorkers() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, shard := range p.shards {
-		for k, m := range shard {
-			p.metrics[k] = m
-		}
-	}
-	p.shards = nil
+	return &workerProblem{parent: p, eval: ev}
 }
 
 // GenomeLen implements nsga2.Problem.
@@ -423,22 +350,17 @@ func (w *workerProblem) GenomeLen() int { return w.parent.GenomeLen() }
 func (w *workerProblem) NumObjectives() int { return w.parent.NumObjectives() }
 
 // EvaluateInto implements nsga2.Problem on the worker's private
-// evaluator. No locks, and no steady-state allocations beyond the
-// retained metrics entry.
+// evaluator, with the parent's write-out. No locks and no
+// steady-state allocations.
 func (w *workerProblem) EvaluateInto(dst []float64, genome []byte) float64 {
 	p := w.parent
 	g, err := alloc.FromBits(genome, p.in.Edges(), p.in.Channels())
 	if err != nil {
-		fillInf(dst)
-		return math.Inf(1)
+		return p.writeEval(dst, &alloc.Eval{Violation: math.Inf(1)})
 	}
 	var ev alloc.Eval
 	w.eval.EvaluateInto(&ev, g)
-	if ev.Valid {
-		w.metrics[g.Key()] = metricsOf(&ev)
-	}
-	ev.ObjectivesInto(dst, p.objs)
-	return ev.Violation
+	return p.writeEval(dst, &ev)
 }
 
 // Solution is one valid wavelength allocation with its metrics.
@@ -512,8 +434,8 @@ func (p *Problem) Optimize() (*Result, error) {
 }
 
 // assembleResult builds the Result from a finished run: the feasible
-// final front, the valid archive and its 2D Pareto projections, all
-// resolved through the metric cache.
+// final front, the valid archive and its 2D Pareto projections, each
+// solution's metrics read from its archive entry's aux triple.
 func (p *Problem) assembleResult(runRes *nsga2.Result) (*Result, error) {
 	res := &Result{
 		NW:                p.in.Channels(),
@@ -522,20 +444,34 @@ func (p *Problem) assembleResult(runRes *nsga2.Result) (*Result, error) {
 		DistinctEvaluated: runRes.DistinctEvaluated,
 		DistinctValid:     runRes.DistinctValid,
 	}
-	for _, ind := range nsga2.FeasibleFront(runRes.Final) {
-		if s, ok := p.solutionFor(ind.Genome); ok {
-			res.Front = append(res.Front, s)
-		}
+	// The final front is resolved in the same archive pass: slot i
+	// receives the solution of front genome i.
+	front := nsga2.FeasibleFront(runRes.Final)
+	slot := make(map[string]int, len(front))
+	for i, ind := range front {
+		slot[string(ind.Genome)] = i
 	}
-	sortByTime(res.Front)
+	frontSols := make([]Solution, len(front))
+	resolved := make([]bool, len(front))
 	for _, e := range runRes.Archive {
 		if !e.Feasible() {
 			continue
 		}
-		if s, ok := p.solutionFor(e.Genome); ok {
-			res.Valid = append(res.Valid, s)
+		s, ok := p.solutionFor(e.Genome, e.Aux)
+		if !ok {
+			continue
+		}
+		res.Valid = append(res.Valid, s)
+		if i, inFront := slot[string(e.Genome)]; inFront {
+			frontSols[i], resolved[i] = s, true
 		}
 	}
+	for i, s := range frontSols {
+		if resolved[i] {
+			res.Front = append(res.Front, s)
+		}
+	}
+	sortByTime(res.Front)
 	res.FrontTimeEnergy = projectFront(res.Valid, func(s Solution) [2]float64 {
 		return [2]float64{s.TimeKCC, s.BitEnergyFJ}
 	})
@@ -545,21 +481,35 @@ func (p *Problem) assembleResult(runRes *nsga2.Result) (*Result, error) {
 	return res, nil
 }
 
-// solutionFor resolves a genome to a Solution through the metric
-// cache. It takes the problem lock: result assembly can race with
-// concurrent EvaluateInto calls from other users of the same Problem.
-func (p *Problem) solutionFor(genome []byte) (Solution, bool) {
-	p.mu.Lock()
-	m, ok := p.metrics[string(genome)]
-	p.mu.Unlock()
-	if !ok {
-		return Solution{}, false
-	}
+// solutionFor resolves a feasible archive entry to a Solution. The
+// metric triple comes from the entry's aux values; an entry without a
+// complete triple (only a hand-built checkpoint or session token holds
+// one) is evaluated once instead.
+func (p *Problem) solutionFor(genome []byte, aux []float64) (Solution, bool) {
 	g, err := alloc.FromBits(append([]byte(nil), genome...), p.in.Edges(), p.in.Channels())
 	if err != nil {
 		return Solution{}, false
 	}
+	var m Metrics
+	if len(aux) == metricsAuxLen && !anyNaN(aux) {
+		m = Metrics{TimeKCC: aux[0], BitEnergyFJ: aux[1], MeanBER: aux[2]}
+	} else {
+		ev := p.in.Evaluate(g)
+		if !ev.Valid {
+			return Solution{}, false
+		}
+		m = metricsOf(&ev)
+	}
 	return Solution{Genome: g, Counts: g.Counts(), Metrics: m}, true
+}
+
+func anyNaN(xs []float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) {
+			return true
+		}
+	}
+	return false
 }
 
 // projectFront reduces the valid set to its 2D Pareto front under the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/alloc"
@@ -53,10 +54,13 @@ func TestProblemShape(t *testing.T) {
 	}
 }
 
-// evaluate runs one evaluation through the nsga2.Problem interface.
-func evaluate(p nsga2.Problem, genome []byte) ([]float64, float64) {
-	objs := make([]float64, p.NumObjectives())
-	return objs, p.EvaluateInto(objs, genome)
+// evaluate runs one evaluation through the nsga2.Problem interface,
+// returning the objectives and the metric triple written after them.
+func evaluate(p nsga2.Problem, genome []byte) (objs, aux []float64, violation float64) {
+	n := p.NumObjectives()
+	row := make([]float64, n+metricsAuxLen)
+	violation = p.EvaluateInto(row, genome)
+	return row[:n], row[n:], violation
 }
 
 func TestEvaluateThroughInterface(t *testing.T) {
@@ -70,7 +74,7 @@ func TestEvaluateThroughInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	objs, violation := evaluate(p, g.Bits())
+	objs, aux, violation := evaluate(p, g.Bits())
 	if violation != 0 {
 		t.Fatalf("heuristic genome must be feasible, violation %v", violation)
 	}
@@ -82,16 +86,25 @@ func TestEvaluateThroughInterface(t *testing.T) {
 			t.Errorf("feasible objective carries %v", v)
 		}
 	}
+	ev := p.Instance().Evaluate(g)
+	if want := []float64{ev.TimeKCC(), ev.BitEnergyFJ, ev.MeanBER}; !slices.Equal(aux, want) {
+		t.Errorf("feasible aux = %v, want the metric triple %v", aux, want)
+	}
 	// All-zero genome is infeasible, with one violation per loaded
 	// communication.
 	zero := make([]byte, p.GenomeLen())
-	objs, violation = evaluate(p, zero)
+	objs, aux, violation = evaluate(p, zero)
 	if violation != 6 {
 		t.Errorf("all-zero genome violation = %v, want 6 (one per communication)", violation)
 	}
 	for _, v := range objs {
 		if !math.IsInf(v, 1) {
 			t.Error("infeasible objectives must be +Inf")
+		}
+	}
+	for _, v := range aux {
+		if !math.IsNaN(v) {
+			t.Errorf("infeasible aux = %v, want NaN x3", aux)
 		}
 	}
 }
@@ -257,7 +270,7 @@ func TestHeuristicSeeds(t *testing.T) {
 		if len(s) != p.GenomeLen() {
 			t.Fatalf("seed %d has %d genes, want %d", i, len(s), p.GenomeLen())
 		}
-		if _, violation := evaluate(p, s); violation != 0 {
+		if _, _, violation := evaluate(p, s); violation != 0 {
 			t.Fatalf("heuristic seed %d is infeasible", i)
 		}
 	}
@@ -291,13 +304,18 @@ func TestEvaluateBadGenomeLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	objs, violation := evaluate(p, []byte{1, 0, 1})
+	objs, aux, violation := evaluate(p, []byte{1, 0, 1})
 	if !math.IsInf(violation, 1) {
 		t.Errorf("short genome violation = %v, want +Inf", violation)
 	}
 	for _, v := range objs {
 		if !math.IsInf(v, 1) {
 			t.Error("short genome objectives must be +Inf")
+		}
+	}
+	for _, v := range aux {
+		if !math.IsNaN(v) {
+			t.Errorf("short genome aux = %v, want NaN x3", aux)
 		}
 	}
 }
@@ -381,14 +399,19 @@ func TestNewWorkerSharesInstance(t *testing.T) {
 	for i := range genome {
 		genome[i] = byte(i % 2)
 	}
-	ow, vw := evaluate(w, genome)
-	op, vp := evaluate(p, genome)
+	ow, aw, vw := evaluate(w, genome)
+	op, ap, vp := evaluate(p, genome)
 	if vw != vp || len(ow) != len(op) {
 		t.Fatalf("worker and parent disagree: %v/%v vs %v/%v", ow, vw, op, vp)
 	}
 	for i := range ow {
 		if ow[i] != op[i] && !(math.IsInf(ow[i], 1) && math.IsInf(op[i], 1)) {
 			t.Fatalf("objective %d differs: %v vs %v", i, ow[i], op[i])
+		}
+	}
+	for i := range aw {
+		if math.Float64bits(aw[i]) != math.Float64bits(ap[i]) {
+			t.Fatalf("aux %d differs: %v vs %v", i, aw[i], ap[i])
 		}
 	}
 }

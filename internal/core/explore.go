@@ -21,14 +21,11 @@ type Explorer struct {
 }
 
 // baseGAConfig assembles the part of the engine configuration every
-// run — fresh or resumed — needs: the archive is forced on (result
-// assembly needs it) and checkpoints carry the metric triple as the
-// aux payload.
+// run — fresh or resumed — needs: the archive is forced on, because
+// result assembly reads every valid genome's metric triple from it.
 func (p *Problem) baseGAConfig() nsga2.Config {
 	ga := p.cfg.GA
 	ga.ArchiveAll = true
-	ga.AuxLen = metricsAuxLen
-	ga.AuxFill = p.auxFill
 	return ga
 }
 
@@ -64,15 +61,14 @@ func (p *Problem) newExplorerWith(ga nsga2.Config) (*Explorer, error) {
 // checkpoint header pins genome geometry, population size and seed
 // and fails loudly on mismatch).
 //
-// Beyond the engine state, the problem's metric cache is rehydrated:
-// checkpoints persist the metric triple of every known genotype as
-// the cache entries' aux payload, so a resume decodes the triples
-// straight back instead of re-running the evaluation kernel. The
-// triples were recorded from deterministic evaluations and round-trip
-// as IEEE-754 bit patterns, which keeps the rehydrated metrics — and
-// therefore the final Result — bit-identical to an uninterrupted
+// Checkpoints carry every genotype's metric triple as its cache
+// entry's aux values, so the resumed engine holds the triples without
+// re-running the evaluation kernel. The triples were recorded from
+// deterministic evaluations and round-trip as IEEE-754 bit patterns,
+// which keeps the final Result bit-identical to an uninterrupted
 // run's. A feasible entry without a complete triple (possible only in
-// a hand-built stream) falls back to one evaluation.
+// a hand-built stream) is evaluated once when the Result is
+// assembled.
 func (p *Problem) ResumeExplorer(r io.Reader) (*Explorer, error) {
 	// Warm-start seeds are an initial-population concern; the
 	// population comes from the checkpoint here, so skip the heuristic
@@ -89,26 +85,6 @@ func (p *Problem) resumeExplorerWith(ga nsga2.Config, r io.Reader) (*Explorer, e
 	if err != nil {
 		return nil, err
 	}
-	// Rehydration inserts up to one metric triple per archive entry;
-	// pre-sizing the cache once replaces the incremental map growth
-	// (and rehashing of everything already inserted) a large resumed
-	// archive would otherwise pay.
-	p.mu.Lock()
-	if len(p.metrics) == 0 {
-		p.metrics = make(map[string]Metrics, eng.ArchiveLen())
-	}
-	p.mu.Unlock()
-	scratch := make([]float64, len(p.objs))
-	eng.VisitArchive(func(genome []byte, objs []float64, violation float64, aux []float64) {
-		if violation != 0 {
-			return
-		}
-		if len(aux) == metricsAuxLen && !anyNaN(aux) {
-			p.injectMetrics(genome, Metrics{TimeKCC: aux[0], BitEnergyFJ: aux[1], MeanBER: aux[2]})
-			return
-		}
-		p.EvaluateInto(scratch, genome)
-	})
 	return &Explorer{p: p, eng: eng, gens: eng.Config().Generations}, nil
 }
 
@@ -136,15 +112,13 @@ func (x *Explorer) WriteCheckpoint(w io.Writer) error {
 	return x.eng.WriteCheckpoint(w)
 }
 
-// Finish folds the worker metric shards and assembles the Result. The
-// explorer can keep stepping afterwards (e.g. to extend a run), but
-// the usual pattern is Step-until-Done, then Finish.
+// Finish assembles the Result. The explorer can keep stepping
+// afterwards (e.g. to extend a run), but the usual pattern is
+// Step-until-Done, then Finish.
 func (x *Explorer) Finish() (*Result, error) {
 	if !x.Done() {
 		return nil, fmt.Errorf("core: Finish at generation %d of %d (step the explorer to completion first)",
 			x.eng.Generation(), x.gens)
 	}
-	runRes := x.eng.Result()
-	x.p.mergeWorkers()
-	return x.p.assembleResult(runRes)
+	return x.p.assembleResult(x.eng.Result())
 }

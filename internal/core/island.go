@@ -155,10 +155,10 @@ func (p *Problem) validateIslands(spec IslandSpec) error {
 }
 
 // forkForSegment builds a fresh Problem over the same instance and
-// settings: empty metric cache, no worker views — exactly the state
-// a worker process starts a segment with. Running every
-// segment on a fork keeps a local island run equivalent to a
-// distributed one down to the instrumentation counters.
+// settings — exactly the state a worker process starts a segment
+// with. Running every segment on a fork keeps a local island run
+// equivalent to a distributed one down to the instrumentation
+// counters.
 func (p *Problem) forkForSegment() (*Problem, error) {
 	cfg := p.cfg
 	cfg.Instance = p.in
@@ -295,12 +295,13 @@ func (p *Problem) RunIslands(spec IslandSpec, runner RoundRunner) (*Result, nsga
 }
 
 // AssembleIslands folds the islands' final checkpoints into one
-// Result: each checkpoint is resumed (rehydrating the metric cache
-// from the aux payloads, exactly like a single-engine resume), the
+// Result: each checkpoint is resumed (its archive entries carry their
+// metric triples, exactly like a single-engine resume), the
 // per-island results are merged (re-ranked through the engine's
 // ranking pass, archives deduplicated), and the merged run goes
-// through the standard result assembly. Because the inputs are checkpoint bytes, a distributed
-// run assembles identically to a local one.
+// through the standard result assembly. Because the inputs are
+// checkpoint bytes, a distributed run assembles identically to a
+// local one.
 func (p *Problem) AssembleIslands(spec IslandSpec, finals [][]byte) (*Result, error) {
 	spec = spec.withDefaults()
 	if len(finals) != spec.Islands {
@@ -314,7 +315,5 @@ func (p *Problem) AssembleIslands(spec IslandSpec, finals [][]byte) (*Result, er
 		}
 		rs[i] = x.eng.Result()
 	}
-	merged := nsga2.MergeResults(rs...)
-	p.mergeWorkers()
-	return p.assembleResult(merged)
+	return p.assembleResult(nsga2.MergeResults(rs...))
 }

@@ -39,15 +39,6 @@ func (g *TaskGraph) NumTasks() int { return len(g.Tasks) }
 // NumEdges returns Nl, the number of communications.
 func (g *TaskGraph) NumEdges() int { return len(g.Edges) }
 
-// TotalVolumeBits sums the communication volume over all edges.
-func (g *TaskGraph) TotalVolumeBits() float64 {
-	var v float64
-	for _, e := range g.Edges {
-		v += e.VolumeBits
-	}
-	return v
-}
-
 // Preds returns, for every task, the indices of its incoming edges.
 func (g *TaskGraph) Preds() [][]int {
 	in := make([][]int, len(g.Tasks))

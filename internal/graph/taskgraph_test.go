@@ -150,13 +150,6 @@ func TestCriticalPathIgnoresVolumes(t *testing.T) {
 	}
 }
 
-func TestTotalVolume(t *testing.T) {
-	g := PaperApp()
-	if got := g.TotalVolumeBits(); got != 36000 {
-		t.Errorf("total volume = %v, want 36000 bits", got)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	g := PaperApp()
 	c := g.Clone()

@@ -31,11 +31,19 @@ type cacheEntry struct {
 	key       []byte
 	objs      []float64
 	violation float64
-	// aux is the checkpoint-carried auxiliary payload (Config.AuxLen
-	// values) restored on resume; nil for entries evaluated live. The
-	// engine never interprets it — it exists so problems can persist
-	// evaluation-derived side state across checkpoint round-trips.
+	// aux holds the AuxProblem's aux values for the genotype, written
+	// by its EvaluateInto or restored from a checkpoint; nil for a
+	// problem without them. The engine never interprets them.
 	aux []float64
+}
+
+// setRow points the entry's objective and aux views into one arena
+// row: the objectives first, then the aux values.
+func (c *cacheEntry) setRow(row []float64, nObj int) {
+	c.objs = row[:nObj:nObj]
+	if len(row) > nObj {
+		c.aux = row[nObj:]
+	}
 }
 
 func newGenomeCache() genomeCache {

@@ -20,7 +20,7 @@ import (
 //	version    uint16   (checkpointVersion)
 //	genomeLen  uint32   genes per chromosome (edges x channels)
 //	numObjs    uint32   objective vector dimension
-//	auxDim     uint32   auxiliary payload dimension (Config.AuxLen)
+//	auxDim     uint32   auxiliary payload dimension (AuxProblem.AuxLen)
 //	popSize    uint32   configured population size
 //	seed       int64    engine PRNG seed
 //	gen        uint64   completed generations
@@ -36,8 +36,8 @@ import (
 // Version history: v1 (through PR 5) had no auxDim field and no
 // per-entry aux payload; v2 added both so problems can persist
 // evaluation-derived side state (core's metric triple) next to each
-// genotype, so a resume rebuilds it without re-evaluating. The decoder
-// rejects any version it does not read — there is no silent
+// genotype, so a resumed engine carries it without re-evaluating. The
+// decoder rejects any version it does not read — there is no silent
 // cross-version parse.
 //
 // Individuals carry no objective vectors of their own: every
@@ -68,7 +68,7 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	cw.u16(checkpointVersion)
 	cw.u32(uint32(e.gl))
 	cw.u32(uint32(e.nObj))
-	cw.u32(uint32(e.cfg.AuxLen))
+	cw.u32(uint32(e.auxLen))
 	cw.u32(uint32(e.size))
 	cw.u64(uint64(e.cfg.Seed))
 	cw.u64(uint64(e.gen))
@@ -83,7 +83,6 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 		cw.f64(ind.Crowding)
 	}
 	cw.u64(uint64(len(e.cache.entries)))
-	aux := make([]float64, e.cfg.AuxLen)
 	for i := range e.cache.entries {
 		ent := &e.cache.entries[i]
 		if len(ent.objs) != e.nObj {
@@ -95,23 +94,8 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 			cw.f64(o)
 		}
 		cw.f64(ent.violation)
-		if len(aux) > 0 {
-			// Pre-fill with what a resume retained (NaN where nothing
-			// is known) and let the problem's hook overwrite from its
-			// own side state.
-			for k := range aux {
-				if k < len(ent.aux) {
-					aux[k] = ent.aux[k]
-				} else {
-					aux[k] = math.NaN()
-				}
-			}
-			if e.cfg.AuxFill != nil {
-				e.cfg.AuxFill(ent.key, aux)
-			}
-			for _, v := range aux {
-				cw.f64(v)
-			}
+		for _, v := range ent.aux {
+			cw.f64(v)
 		}
 	}
 	// The CRC itself is written outside the checksummed stream.
@@ -167,8 +151,8 @@ func (e *Engine) readCheckpoint(r io.Reader) error {
 		return fmt.Errorf("nsga2: checkpoint: genome length %d, problem wants %d", gl, e.gl)
 	case int(nObj) != e.nObj:
 		return fmt.Errorf("nsga2: checkpoint: %d objectives, problem wants %d", nObj, e.nObj)
-	case int(auxDim) != e.cfg.AuxLen:
-		return fmt.Errorf("nsga2: checkpoint: aux dimension %d, config wants %d", auxDim, e.cfg.AuxLen)
+	case int(auxDim) != e.auxLen:
+		return fmt.Errorf("nsga2: checkpoint: aux dimension %d, problem wants %d", auxDim, e.auxLen)
 	case int(popSize) != e.size:
 		return fmt.Errorf("nsga2: checkpoint: population size %d, config wants %d", popSize, e.size)
 	case seed != e.cfg.Seed:
@@ -201,19 +185,21 @@ func (e *Engine) readCheckpoint(r io.Reader) error {
 	}
 	key := make([]byte, e.gl)
 	for i := uint64(0); i < cacheLen; i++ {
-		// Objective and aux vectors are carved from the engine's
-		// chunked arena instead of boxed per entry: rehydration drops
-		// from two allocations per genotype to one per arena chunk.
-		objs, violation, aux, err := cr.cacheEntry(&e.store, key, e.nObj, int(auxDim))
+		// Each entry's objectives and aux values are one row carved
+		// from the engine's chunked arena instead of boxed per entry:
+		// rehydration costs one allocation per arena chunk, not per
+		// genotype.
+		row := e.store.alloc(e.nObj + e.auxLen)
+		violation, err := cr.cacheEntry(key, row, e.nObj)
 		if err != nil {
 			return fmt.Errorf("nsga2: checkpoint: cache entry %d of %d: %w", i, cacheLen, err)
 		}
 		if _, dup := e.cache.lookup(key); dup {
 			return fmt.Errorf("nsga2: checkpoint: corrupt cache: duplicate genotype at entry %d", i)
 		}
-		idx := e.cache.insert(key)
-		ent := &e.cache.entries[idx]
-		ent.objs, ent.violation, ent.aux = objs, violation, aux
+		ent := &e.cache.entries[e.cache.insert(key)]
+		ent.setRow(row, e.nObj)
+		ent.violation = violation
 	}
 	want := cr.crc
 	stored := cr.u32()
@@ -245,52 +231,28 @@ func (e *Engine) readCheckpoint(r io.Reader) error {
 }
 
 // cacheEntry decodes one evaluation-cache entry: the genotype into
-// key, then its objectives, violation and auxDim aux values, carving
-// the float vectors from store. It is the checkpoint side of the
-// engine's NaN boundary: a NaN objective or violation is an error,
-// because the ranking cannot order it. NaN aux values stay legal —
-// they mean "unknown", and WriteCheckpoint pre-fills aux with them.
-func (c *crcReader) cacheEntry(store *objStore, key []byte, nObj, auxDim int) (objs []float64, violation float64, aux []float64, err error) {
+// key, its objectives into row[:nObj], and its aux values into the
+// rest of row; it returns the violation. It is the checkpoint side of
+// the engine's NaN boundary: a NaN objective or violation is an
+// error, because the ranking cannot order it. NaN aux values stay
+// legal — they mean "unknown".
+func (c *crcReader) cacheEntry(key []byte, row []float64, nObj int) (violation float64, err error) {
 	c.bytes(key)
-	objs = store.alloc(nObj)
-	for k := range objs {
-		objs[k] = c.f64()
+	for k := range row[:nObj] {
+		row[k] = c.f64()
 	}
 	violation = c.f64()
-	if auxDim > 0 {
-		aux = store.alloc(auxDim)
-		for k := range aux {
-			aux[k] = c.f64()
-		}
+	for k := nObj; k < len(row); k++ {
+		row[k] = c.f64()
 	}
 	if c.err != nil {
-		return nil, 0, nil, fmt.Errorf("truncated: %w", c.err)
+		return 0, fmt.Errorf("truncated: %w", c.err)
 	}
-	if hasNaN(objs, violation) {
-		return nil, 0, nil, fmt.Errorf("NaN objective or violation (objectives %v, violation %v)", objs, violation)
+	if hasNaN(row[:nObj], violation) {
+		return 0, fmt.Errorf("NaN objective or violation (objectives %v, violation %v)", row[:nObj], violation)
 	}
-	return objs, violation, aux, nil
+	return violation, nil
 }
-
-// VisitArchive calls fn for every distinct evaluated genotype in
-// insertion order — the same sequence Result's Archive reports, but
-// without detaching copies. aux is the entry's auxiliary payload
-// (nil when Config.AuxLen is zero or the entry was not resumed from
-// a checkpoint carrying one). The slices alias engine-owned state:
-// callers must not mutate or retain them past fn's return. Problems
-// resuming from a checkpoint use this to rebuild evaluation-derived
-// side state (e.g. core's metric cache) without re-running the GA.
-func (e *Engine) VisitArchive(fn func(genome []byte, objs []float64, violation float64, aux []float64)) {
-	for i := range e.cache.entries {
-		ent := &e.cache.entries[i]
-		fn(ent.key, ent.objs, ent.violation, ent.aux)
-	}
-}
-
-// ArchiveLen returns the number of distinct evaluated genotypes
-// VisitArchive will report, so resume paths can pre-size the side
-// state they rebuild instead of growing maps entry by entry.
-func (e *Engine) ArchiveLen() int { return len(e.cache.entries) }
 
 // crcWriter accumulates an IEEE CRC-32 over everything written
 // through it, encoding fixed-width little-endian. Errors stick.

@@ -24,6 +24,28 @@ func ckptProblem(n int) funcProblem {
 	}}
 }
 
+// auxProblem gives a funcProblem aux values: fill writes a genome's
+// n aux values after its objectives.
+type auxProblem struct {
+	funcProblem
+	n    int
+	fill func(genome []byte, aux []float64)
+}
+
+func (p auxProblem) AuxLen() int { return p.n }
+func (p auxProblem) EvaluateInto(dst []float64, g []byte) float64 {
+	violation := p.funcProblem.EvaluateInto(dst, g)
+	p.fill(g, dst[p.m:p.m+p.n])
+	return violation
+}
+
+// onesAux is an aux fill: the genome's one count, then its length
+// negated.
+func onesAux(genome []byte, aux []float64) {
+	aux[0] = float64(countOnes(genome))
+	aux[1] = -float64(len(genome))
+}
+
 func popsEqual(t *testing.T, a, b []Individual, label string) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -255,17 +277,14 @@ func TestCheckpointVersionSkew(t *testing.T) {
 	}
 }
 
-// TestCheckpointAuxRoundTrip pins the v2 aux payload: AuxFill's
-// values come back bit-exactly, for every written entry, through the
-// resumed engine's archive, and an aux-dimension mismatch between
-// file and config fails loudly.
+// TestCheckpointAuxRoundTrip pins the v2 aux payload: the problem's
+// aux values land on every archive entry, come back bit-exactly
+// through a resumed engine's archive, and re-encode byte-identically
+// without the problem's help; an aux-dimension mismatch between file
+// and problem fails loudly.
 func TestCheckpointAuxRoundTrip(t *testing.T) {
-	p := ckptProblem(12)
-	cfg := Config{PopSize: 12, Generations: 6, Seed: 7, AuxLen: 2,
-		AuxFill: func(genome []byte, aux []float64) {
-			aux[0] = float64(countOnes(genome))
-			aux[1] = -float64(len(genome))
-		}}
+	p := auxProblem{ckptProblem(12), 2, onesAux}
+	cfg := Config{PopSize: 12, Generations: 6, Seed: 7, ArchiveAll: true}
 	e, err := NewEngine(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -277,24 +296,28 @@ func TestCheckpointAuxRoundTrip(t *testing.T) {
 	}
 	raw := buf.Bytes()
 
-	// A resumed engine carries the payload through VisitArchive and
-	// re-encodes it byte-identically without AuxFill's help.
-	cfgNoFill := cfg
-	cfgNoFill.AuxFill = nil
-	resumed, err := ResumeEngine(p, cfgNoFill, bytes.NewReader(raw))
+	// The resumed engine's problem writes different aux values, so the
+	// payload it reports and re-encodes can only come from the file.
+	other := p
+	other.fill = func(genome []byte, aux []float64) { aux[0], aux[1] = 1, 1 }
+	resumed, err := ResumeEngine(other, cfg, bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	resumed.VisitArchive(func(genome []byte, objs []float64, violation float64, aux []float64) {
-		if len(aux) != 2 || aux[0] != float64(countOnes(genome)) || aux[1] != -float64(len(genome)) {
-			t.Fatalf("resumed entry %d aux = %v, not the AuxFill payload", n, aux)
+	wantAux := func(label string, archive []ArchiveEntry) {
+		t.Helper()
+		for i, ent := range archive {
+			if len(ent.Aux) != 2 || ent.Aux[0] != float64(countOnes(ent.Genome)) || ent.Aux[1] != -float64(len(ent.Genome)) {
+				t.Fatalf("%s entry %d aux = %v, not the written payload", label, i, ent.Aux)
+			}
 		}
-		n++
-	})
-	if n == 0 || n != e.ArchiveLen() {
-		t.Fatalf("resumed archive has %d entries, the written engine had %d", n, e.ArchiveLen())
 	}
+	archive := resumed.Result().Archive
+	wantAux("resumed", archive)
+	if n := len(e.Result().Archive); len(archive) == 0 || len(archive) != n {
+		t.Fatalf("resumed archive has %d entries, the written engine had %d", len(archive), n)
+	}
+	wantAux("merged", MergeResults(e.Result(), resumed.Result()).Archive)
 	var buf2 bytes.Buffer
 	if err := resumed.WriteCheckpoint(&buf2); err != nil {
 		t.Fatal(err)
@@ -303,40 +326,9 @@ func TestCheckpointAuxRoundTrip(t *testing.T) {
 		t.Fatal("aux payload does not re-encode byte-identically across a resume")
 	}
 
-	// Dimension mismatch: same file, config expecting a different aux
-	// length.
-	cfgMismatch := cfg
-	cfgMismatch.AuxLen = 0
-	cfgMismatch.AuxFill = nil
-	if _, err := ResumeEngine(p, cfgMismatch, bytes.NewReader(raw)); err == nil {
+	// Dimension mismatch: same file, a problem without aux values.
+	if _, err := ResumeEngine(p.funcProblem, cfg, bytes.NewReader(raw)); err == nil {
 		t.Fatal("aux-dimension mismatch accepted")
-	}
-}
-
-// TestVisitArchiveMatchesResult pins VisitArchive to the Result
-// archive: same genomes, same insertion order, same verdicts.
-func TestVisitArchiveMatchesResult(t *testing.T) {
-	e, err := NewEngine(ckptProblem(12), Config{PopSize: 16, Generations: 6, Seed: 5, ArchiveAll: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < 6; g++ {
-		e.Step()
-	}
-	res := e.Result()
-	i := 0
-	e.VisitArchive(func(genome []byte, objs []float64, violation float64, aux []float64) {
-		if i >= len(res.Archive) {
-			t.Fatalf("VisitArchive yields more than the %d archived entries", len(res.Archive))
-		}
-		want := res.Archive[i]
-		if !bytes.Equal(genome, want.Genome) || violation != want.Violation {
-			t.Fatalf("entry %d diverges from Result archive", i)
-		}
-		i++
-	})
-	if i != len(res.Archive) {
-		t.Fatalf("VisitArchive yielded %d entries, Result archived %d", i, len(res.Archive))
 	}
 }
 
@@ -351,14 +343,13 @@ func TestResumeAllocsPerEntry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
 	}
-	p := ckptProblem(16)
+	p := auxProblem{ckptProblem(16), 3, func(genome []byte, aux []float64) {
+		aux[0] = float64(countOnes(genome))
+		aux[1] = 2
+		aux[2] = 3
+	}}
 	mk := func(gens int) ([]byte, int, Config) {
-		cfg := Config{PopSize: 32, Generations: gens, Seed: 17, ArchiveAll: true, AuxLen: 3,
-			AuxFill: func(genome []byte, aux []float64) {
-				aux[0] = float64(countOnes(genome))
-				aux[1] = 2
-				aux[2] = 3
-			}}
+		cfg := Config{PopSize: 32, Generations: gens, Seed: 17, ArchiveAll: true}
 		e, err := NewEngine(p, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -370,7 +361,7 @@ func TestResumeAllocsPerEntry(t *testing.T) {
 		if err := e.WriteCheckpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes(), e.ArchiveLen(), cfg
+		return buf.Bytes(), len(e.Result().Archive), cfg
 	}
 	smallRaw, smallN, smallCfg := mk(2)
 	largeRaw, largeN, largeCfg := mk(40)
@@ -433,12 +424,14 @@ func TestCheckpointRejectsNaN(t *testing.T) {
 }
 
 // TestCheckpointNaNAuxResumes pins that NaN stays legal in the aux
-// payload, where it means "unknown": WriteCheckpoint without an
-// AuxFill writes NaN aux for every entry, and the file still decodes,
-// resumes and re-encodes byte-identically.
+// payload, where it means "unknown": a problem that writes NaN aux
+// for every entry still checkpoints, and the file decodes, resumes
+// and re-encodes byte-identically.
 func TestCheckpointNaNAuxResumes(t *testing.T) {
-	p := ckptProblem(8)
-	cfg := Config{PopSize: 8, Seed: 11, AuxLen: 2}
+	p := auxProblem{ckptProblem(8), 2, func(genome []byte, aux []float64) {
+		aux[0], aux[1] = math.NaN(), math.NaN()
+	}}
+	cfg := Config{PopSize: 8, Seed: 11, ArchiveAll: true}
 	e, err := NewEngine(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -453,14 +446,13 @@ func TestCheckpointNaNAuxResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	resumed.VisitArchive(func(genome []byte, objs []float64, violation float64, aux []float64) {
-		if len(aux) != 2 || !math.IsNaN(aux[0]) || !math.IsNaN(aux[1]) {
-			t.Fatalf("entry %d aux = %v, want NaN payloads", n, aux)
+	archive := resumed.Result().Archive
+	for i, ent := range archive {
+		if len(ent.Aux) != 2 || !math.IsNaN(ent.Aux[0]) || !math.IsNaN(ent.Aux[1]) {
+			t.Fatalf("entry %d aux = %v, want NaN payloads", i, ent.Aux)
 		}
-		n++
-	})
-	if n == 0 {
+	}
+	if len(archive) == 0 {
 		t.Fatal("resumed archive is empty")
 	}
 	var again bytes.Buffer
@@ -517,13 +509,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	eV1.Step()
 	f.Add(encodeV1Checkpoint(eV1))
-	// An aux-bearing v2 stream seeds the aux-section decode paths.
-	cfgAux := cfg
-	cfgAux.AuxLen = 3
-	cfgAux.AuxFill = func(genome []byte, aux []float64) {
-		aux[0] = float64(countOnes(genome))
-	}
-	eAux, err := NewEngine(p, cfgAux)
+	// An aux-bearing v2 stream seeds the aux-section decode paths,
+	// with both known and NaN ("unknown") aux values.
+	pAux := auxProblem{p, 3, func(genome []byte, aux []float64) {
+		aux[0], aux[1], aux[2] = float64(countOnes(genome)), math.NaN(), math.NaN()
+	}}
+	eAux, err := NewEngine(pAux, cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -539,11 +530,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(nan)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		// Both the aux-free and the aux-bearing configurations must
-		// survive arbitrary input: resume cleanly or error, never
-		// panic, never hang.
-		for _, c := range []Config{cfg, cfgAux} {
-			eng, err := ResumeEngine(p, c, bytes.NewReader(raw))
+		// Both the aux-free and the aux-bearing problems must survive
+		// arbitrary input: resume cleanly or error, never panic, never
+		// hang.
+		for _, q := range []Problem{p, pAux} {
+			eng, err := ResumeEngine(q, cfg, bytes.NewReader(raw))
 			if err != nil {
 				continue
 			}

@@ -1,10 +1,11 @@
 package nsga2
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -36,9 +37,10 @@ type Engine struct {
 	// implements PerWorkerProblem, the problem itself otherwise.
 	views []Problem
 
-	gl   int // genome length
-	size int // population size (even)
-	gen  int
+	gl     int // genome length
+	size   int // population size (even)
+	auxLen int // aux values per cache entry (AuxProblem.AuxLen, else 0)
+	gen    int
 
 	evals      int
 	validEvals int
@@ -59,21 +61,20 @@ type Engine struct {
 
 	// Batch-evaluation scratch.
 	rowRefs  [][]byte
-	jobs     []int
+	jobs     []evalJob
 	entryIdx []int
 	nextJob  atomic.Int64 // next unclaimed index into jobs
 
 	// ranker is the rank/crowd scratch, sized for the merged 2*size
-	// population; rest and cSort are the survival truncation's.
+	// population; rest is the survival truncation's.
 	ranker
-	rest  []int
-	cSort crowdSorter
+	rest []int
 
-	// store is the engine's chunked objective arena: cache entries'
-	// objective and aux vectors are carved from it instead of being
-	// boxed one allocation each (checkpoint rehydration and live
-	// evaluation both carve from it). Chunks are never
-	// reallocated, so carved slices stay valid for the engine's
+	// store is the engine's chunked objective arena: each cache
+	// entry's objectives and aux values are one row carved from it
+	// instead of being boxed one allocation each (checkpoint
+	// rehydration and live evaluation both carve from it). Chunks are
+	// never reallocated, so carved slices stay valid for the engine's
 	// lifetime.
 	store objStore
 
@@ -162,12 +163,20 @@ func newEngineArena(p Problem, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("nsga2: seed %d has %d genes, want %d", i, len(s), p.GenomeLen())
 		}
 	}
+	auxLen := 0
+	if ap, ok := p.(AuxProblem); ok {
+		auxLen = ap.AuxLen()
+	}
+	if auxLen < 0 {
+		return nil, fmt.Errorf("nsga2: negative aux length %d", auxLen)
+	}
 	P, gl, m := cfg.PopSize, p.GenomeLen(), p.NumObjectives()
 	e := &Engine{
 		p:      p,
 		cfg:    cfg,
 		gl:     gl,
 		size:   P,
+		auxLen: auxLen,
 		cache:  newGenomeCache(),
 		ranker: newRanker(2*P, m),
 		rest:   make([]int, 0, 2*P),
@@ -181,7 +190,7 @@ func newEngineArena(p Problem, cfg Config) (*Engine, error) {
 		offSlab:  make([]byte, P*gl),
 
 		rowRefs:  make([][]byte, 0, P),
-		jobs:     make([]int, 0, P),
+		jobs:     make([]evalJob, 0, P),
 		entryIdx: make([]int, 0, P),
 	}
 	e.rng, e.src = newCountedRNG(cfg.Seed)
@@ -253,7 +262,7 @@ func (e *Engine) Result() *Result {
 			res.DistinctValid++
 		}
 		if e.cfg.ArchiveAll {
-			res.Archive = append(res.Archive, ArchiveEntry{Genome: ent.key, Objs: ent.objs, Violation: ent.violation})
+			res.Archive = append(res.Archive, ArchiveEntry{Genome: ent.key, Objs: ent.objs, Violation: ent.violation, Aux: ent.aux})
 		}
 	}
 	return res
@@ -270,6 +279,14 @@ func (e *Engine) fillRandomGenome(g []byte) {
 	}
 }
 
+// evalJob is one distinct new genome of a batch: its cache entry and
+// the arena row EvaluateInto fills (the objectives, then any aux
+// values).
+type evalJob struct {
+	idx int
+	row []float64
+}
+
 // evaluateBatch resolves a generation's genomes through the dedup
 // cache, evaluating the distinct new ones — in parallel when there is
 // more than one view — and writes the individuals into out (one per
@@ -284,10 +301,11 @@ func (e *Engine) evaluateBatch(genomes [][]byte, out []Individual) {
 			e.cacheHits++
 		} else {
 			idx = e.cache.insert(g)
-			// Arena row for the objective write-out: carved serially
-			// here so the concurrent fill below never touches the store.
-			e.cache.entries[idx].objs = e.store.alloc(e.nObj)
-			e.jobs = append(e.jobs, idx)
+			// Arena row for the write-out: carved serially here so the
+			// concurrent fill below never touches the store.
+			row := e.store.alloc(e.nObj + e.auxLen)
+			e.cache.entries[idx].setRow(row, e.nObj)
+			e.jobs = append(e.jobs, evalJob{idx: idx, row: row})
 		}
 		e.entryIdx = append(e.entryIdx, idx)
 	}
@@ -309,8 +327,8 @@ func (e *Engine) evaluateBatch(genomes [][]byte, out []Individual) {
 	}
 	// Checked here, on the caller's goroutine, so the panic can be
 	// recovered like any other.
-	for _, idx := range e.jobs {
-		ent := &e.cache.entries[idx]
+	for _, job := range e.jobs {
+		ent := &e.cache.entries[job.idx]
 		mustOrder(ent.key, ent.objs, ent.violation)
 	}
 	for i, g := range genomes {
@@ -359,8 +377,9 @@ func (e *Engine) fillJobs(view Problem) {
 		if i >= len(e.jobs) {
 			return
 		}
-		ent := &e.cache.entries[e.jobs[i]]
-		ent.violation = view.EvaluateInto(ent.objs, ent.key)
+		job := e.jobs[i]
+		ent := &e.cache.entries[job.idx]
+		ent.violation = view.EvaluateInto(job.row, ent.key)
 	}
 }
 
@@ -455,10 +474,11 @@ func (e *Engine) surviveInto(m []Individual) []Individual {
 			}
 			continue
 		}
+		// Descending crowding distance, stably.
 		rest := append(e.rest[:0], front...)
-		e.cSort.ind, e.cSort.idx = m, rest
-		sort.Stable(&e.cSort)
-		e.cSort.ind, e.cSort.idx = nil, nil
+		slices.SortStableFunc(rest, func(a, b int) int {
+			return cmp.Compare(m[b].Crowding, m[a].Crowding)
+		})
 		for _, i := range rest[:e.size-n] {
 			dst[n] = m[i]
 			n++
@@ -511,7 +531,6 @@ type ranker struct {
 	fronts    [][]int
 	frontBuf  []int
 	crowdIdx  []int
-	oSort     objSorter
 
 	sGroups  []int32
 	gFrontOf []int32
@@ -521,9 +540,6 @@ type ranker struct {
 	gLastPos []int32
 	gPrevF   []int32
 	gCurF    []int32
-	gSortLex lexSorter
-	gSortPos posSorter
-	fSort    frontSorter
 
 	// relations counts the pair relations compared (see Stats).
 	relations int64
@@ -661,9 +677,7 @@ func (r *ranker) buildFrontsSorted(n, G int) {
 	for g := 0; g < G; g++ {
 		sg = append(sg, int32(g))
 	}
-	r.gSortLex.r, r.gSortLex.ids = r, sg
-	sort.Sort(&r.gSortLex)
-	r.gSortLex.r, r.gSortLex.ids = nil, nil
+	slices.SortFunc(sg, r.lexCompare)
 
 	// Feasible prefix: sequential-search ENS insertion.
 	numFronts := 0
@@ -751,19 +765,26 @@ func (r *ranker) buildFrontsSorted(n, G int) {
 				fb = append(fb, int(j))
 			}
 		}
+		// Order the front's individuals by (unlock position, index):
+		// the reference append order.
 		seg := fb[start:len(fb):len(fb)]
-		r.fSort.r, r.fSort.idx = r, seg
-		sort.Sort(&r.fSort)
-		r.fSort.r, r.fSort.idx = nil, nil
+		slices.SortFunc(seg, func(a, b int) int {
+			if c := cmp.Compare(r.gP[r.groupOf[a]], r.gP[r.groupOf[b]]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
 		r.fronts = append(r.fronts, seg)
 		if f+1 < nf {
 			for pos, i := range seg {
 				r.gLastPos[r.groupOf[i]] = int32(pos)
 			}
+			// Descending last-member position (distinct, so the order
+			// is strict): the next front's dominator scan order.
 			prevG = append(r.gPrevF[:0], cur...)
-			r.gSortPos.r, r.gSortPos.ids = r, prevG
-			sort.Sort(&r.gSortPos)
-			r.gSortPos.r, r.gSortPos.ids = nil, nil
+			slices.SortFunc(prevG, func(a, b int32) int {
+				return cmp.Compare(r.gLastPos[b], r.gLastPos[a])
+			})
 		}
 	}
 }
@@ -903,8 +924,9 @@ func (r *ranker) relation(i, j int) int {
 }
 
 // assignCrowdingScratch mirrors the reference assignCrowding on the
-// engine's flat objective buffer with a preallocated index slice and
-// an allocation-free stable sort.
+// engine's objective columns with a preallocated index slice and an
+// allocation-free stable sort (a stable sort's output is fixed by its
+// comparator, so it reproduces the reference sort.SliceStable).
 func (r *ranker) assignCrowdingScratch(m []Individual, front []int) {
 	if len(front) == 0 {
 		return
@@ -923,9 +945,7 @@ func (r *ranker) assignCrowdingScratch(m []Individual, front []int) {
 	for obj := 0; obj < mo; obj++ {
 		col := r.objCol[obj]
 		copy(idx, front)
-		r.oSort.idx, r.oSort.col = idx, col
-		sort.Stable(&r.oSort)
-		r.oSort.idx, r.oSort.col = nil, nil
+		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(col[a], col[b]) })
 		lo := col[idx[0]]
 		hi := col[idx[len(idx)-1]]
 		spread := hi - lo
@@ -945,107 +965,36 @@ func (r *ranker) assignCrowdingScratch(m []Individual, front []int) {
 	}
 }
 
-// objSorter stable-sorts an index slice by one objective column —
-// contiguous keyed loads, no stride arithmetic. A stable sort's output
-// is uniquely determined by the comparator, so sort.Stable here
-// reproduces the reference sort.SliceStable exactly — without the
-// reflection swapper's allocations.
-type objSorter struct {
-	idx []int
-	col []float64
-}
-
-func (s *objSorter) Len() int { return len(s.idx) }
-func (s *objSorter) Less(a, b int) bool {
-	return s.col[s.idx[a]] < s.col[s.idx[b]]
-}
-func (s *objSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
-
-// crowdSorter stable-sorts a front's index slice by descending
-// crowding distance for the survival truncation.
-type crowdSorter struct {
-	ind []Individual
-	idx []int
-}
-
-func (s *crowdSorter) Len() int { return len(s.idx) }
-func (s *crowdSorter) Less(a, b int) bool {
-	return s.ind[s.idx[a]].Crowding > s.ind[s.idx[b]].Crowding
-}
-func (s *crowdSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
-
-// lexSorter orders group ids so that any dominator sorts strictly
+// lexCompare orders group ids so that any dominator sorts strictly
 // before everything it dominates: feasible groups first, ascending by
 // lexicographic objective vector, then infeasible groups ascending by
 // violation; exact numeric ties fall back to first-seen group order,
 // giving a deterministic total order. Correct only for NaN-free
 // populations (see rankAndCrowd).
-type lexSorter struct {
-	r   *ranker
-	ids []int32
-}
-
-func (s *lexSorter) Len() int { return len(s.ids) }
-func (s *lexSorter) Less(a, b int) bool {
-	r := s.r
-	ga, gb := s.ids[a], s.ids[b]
+func (r *ranker) lexCompare(ga, gb int32) int {
 	ra, rb := int(r.gRep[ga]), int(r.gRep[gb])
 	wa, wb := r.vfW[ra], r.vfW[rb]
 	fa, fb := feasWord(wa), feasWord(wb)
 	if fa != fb {
-		return fa
+		if fa {
+			return -1
+		}
+		return 1
 	}
 	if !fa {
-		va, vb := math.Float64frombits(wa), math.Float64frombits(wb)
-		if va != vb {
-			return va < vb
+		if c := cmp.Compare(math.Float64frombits(wa), math.Float64frombits(wb)); c != 0 {
+			return c
 		}
-		return ga < gb
+		return cmp.Compare(ga, gb)
 	}
 	for k := 0; k < r.nObj; k++ {
 		col := r.objCol[k]
-		if col[ra] != col[rb] {
-			return col[ra] < col[rb]
+		if c := cmp.Compare(col[ra], col[rb]); c != 0 {
+			return c
 		}
 	}
-	return ga < gb
+	return cmp.Compare(ga, gb)
 }
-func (s *lexSorter) Swap(a, b int) { s.ids[a], s.ids[b] = s.ids[b], s.ids[a] }
-
-// posSorter orders a front's group ids by descending final
-// last-member position, the scan order of the next front's unlock-
-// position search. Positions are distinct, so the order is strict.
-type posSorter struct {
-	r   *ranker
-	ids []int32
-}
-
-func (s *posSorter) Len() int { return len(s.ids) }
-func (s *posSorter) Less(a, b int) bool {
-	return s.r.gLastPos[s.ids[a]] > s.r.gLastPos[s.ids[b]]
-}
-func (s *posSorter) Swap(a, b int) { s.ids[a], s.ids[b] = s.ids[b], s.ids[a] }
-
-// frontSorter orders one front's individuals by (unlock position,
-// index): the previous-front position after which the individual's
-// domination count reaches zero, then ascending index within the
-// batch — the reference append order.
-type frontSorter struct {
-	r   *ranker
-	idx []int
-}
-
-func (s *frontSorter) Len() int { return len(s.idx) }
-func (s *frontSorter) Less(a, b int) bool {
-	r := s.r
-	ia, ib := s.idx[a], s.idx[b]
-	pa, pb := r.gP[r.groupOf[ia]], r.gP[r.groupOf[ib]]
-	if pa != pb {
-		return pa < pb
-	}
-	return ia < ib
-}
-func (s *frontSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
 // Stats is a snapshot of the engine's instrumentation counters: how
 // evaluations were served (dedup cache or the problem's kernel) and

@@ -35,7 +35,8 @@ type Problem interface {
 	// NumObjectives is the dimension of the objective vector.
 	NumObjectives() int
 	// EvaluateInto writes genome's objective vector (minimized) into
-	// dst (len NumObjectives, an engine-arena row) and returns its
+	// dst (an engine-arena row of len NumObjectives, followed by the
+	// aux values of an AuxProblem) and returns its
 	// constraint-violation magnitude: 0 means feasible, larger values
 	// mean "more broken". Deb's constraint domination uses the
 	// magnitude to give the search a gradient toward feasibility even
@@ -65,19 +66,35 @@ type EvalStats struct {
 }
 
 // PerWorkerProblem is the hook for problems whose evaluation benefits
-// from per-goroutine state (scratch buffers, memos, metric shards). When the problem implements it, the engine
-// calls NewWorker once per evaluation goroutine — once for a serial
-// run — when it is built, and routes every evaluation through those
-// views, so EvaluateInto implementations need no internal locking and
-// no shared mutable state. Each view is used by exactly one goroutine
-// at a time; the views of one engine are used concurrently with each
-// other. Results must be bit-for-bit identical to the parent's
-// EvaluateInto.
+// from per-goroutine state (scratch buffers, memos). When the problem
+// implements it, the engine calls NewWorker once per evaluation
+// goroutine — once for a serial run — when it is built, and routes
+// every evaluation through those views, so EvaluateInto
+// implementations need no internal locking and no shared mutable
+// state. Each view is used by exactly one goroutine at a time; the
+// views of one engine are used concurrently with each other. Results
+// must be bit-for-bit identical to the parent's EvaluateInto, aux
+// values included.
 type PerWorkerProblem interface {
 	Problem
 	// NewWorker returns an evaluation view for exclusive use by one
 	// engine worker goroutine.
 	NewWorker() Problem
+}
+
+// AuxProblem is the hook for problems that keep side values per
+// distinct genome next to its objectives, such as derived metrics a
+// resumed run needs without re-evaluating the genome. For such a
+// problem, EvaluateInto's dst holds NumObjectives()+AuxLen() values:
+// the objectives first, then the aux values. The engine keeps the aux
+// values on the genome's cache entry, reports them as
+// ArchiveEntry.Aux and writes them to checkpoints, so a resumed engine
+// carries them without calling the problem. The engine never ranks
+// aux values; NaN is legal there and means "unknown".
+type AuxProblem interface {
+	Problem
+	// AuxLen is the number of aux values per genome (>= 0).
+	AuxLen() int
 }
 
 // Off is the sentinel disabling a genetic operator probability.
@@ -129,19 +146,6 @@ type Config struct {
 	// Table II / Fig. 7 analyses need. The archive doubles as an
 	// evaluation cache either way.
 	ArchiveAll bool
-	// AuxLen is the number of auxiliary float64 values serialized per
-	// evaluation-cache entry in checkpoints (format v2): problem-side
-	// state, such as derived metrics, that a resumed run needs without
-	// re-evaluating the genotype. 0 (the default) writes no aux data.
-	// Resuming a checkpoint whose aux dimension differs from AuxLen
-	// fails loudly.
-	AuxLen int
-	// AuxFill, when non-nil and AuxLen > 0, supplies the aux values at
-	// checkpoint-write time: it is called once per cache entry with aux
-	// pre-filled with the entry's retained aux values (NaN when none),
-	// and may overwrite them. Entries the problem has no aux for should
-	// be left untouched. The genome slice must not be retained.
-	AuxFill func(genome []byte, aux []float64)
 	// OnGeneration, when non-nil, observes each generation's
 	// population after survival selection. The Individual slice and
 	// the genome bytes it references alias engine-owned scratch that
@@ -199,6 +203,9 @@ type ArchiveEntry struct {
 	Genome    []byte
 	Objs      []float64
 	Violation float64
+	// Aux holds the AuxProblem's aux values for the genotype; nil for
+	// a problem without them.
+	Aux []float64
 }
 
 // Feasible reports whether the archived genotype was valid.

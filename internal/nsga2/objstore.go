@@ -1,11 +1,12 @@
 package nsga2
 
-// objStore is a chunked float64 arena for cache-entry objective and
-// aux vectors. Rehydrating a checkpoint used to box two small slices
-// per entry; the store carves them out of large chunks instead,
-// cutting the resume path to one allocation per chunk. Chunks are never reallocated or reused —
-// previously carved slices stay valid for the owner's lifetime, which
-// is exactly the retention contract cache entries already have.
+// objStore is a chunked float64 arena for cache-entry value rows (the
+// objectives, then any aux values). Live evaluation and checkpoint
+// decoding carve one row per entry out of large chunks instead of
+// boxing it, so neither pays an allocation per genotype. Chunks are
+// never reallocated or reused — previously carved slices stay valid
+// for the owner's lifetime, which is exactly the retention contract
+// cache entries already have.
 type objStore struct {
 	cur []float64
 }

@@ -117,23 +117,6 @@ func Project(points [][]float64, dims ...int) [][]float64 {
 	return out
 }
 
-// SortByObjective orders indices by the given objective of their
-// points, ascending; ties broken by the next objectives then index.
-func SortByObjective(points [][]float64, idx []int, obj int) {
-	sort.SliceStable(idx, func(a, b int) bool {
-		pa, pb := points[idx[a]], points[idx[b]]
-		if pa[obj] != pb[obj] {
-			return pa[obj] < pb[obj]
-		}
-		for d := range pa {
-			if pa[d] != pb[d] {
-				return pa[d] < pb[d]
-			}
-		}
-		return idx[a] < idx[b]
-	})
-}
-
 // Hypervolume2D computes the dominated hypervolume of a 2D
 // minimization front with respect to a reference point that must be
 // dominated by every front point. Larger is better; the indicator is

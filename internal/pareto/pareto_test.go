@@ -113,16 +113,6 @@ func TestProject(t *testing.T) {
 	}
 }
 
-func TestSortByObjective(t *testing.T) {
-	points := [][]float64{{3, 1}, {1, 9}, {2, 5}, {1, 2}}
-	idx := []int{0, 1, 2, 3}
-	SortByObjective(points, idx, 0)
-	want := []int{3, 1, 2, 0} // ties on obj 0 broken by obj 1
-	if !reflect.DeepEqual(idx, want) {
-		t.Errorf("sorted = %v, want %v", idx, want)
-	}
-}
-
 func TestHypervolume2D(t *testing.T) {
 	// Single point {1,1} against ref {3,3}: box 2x2.
 	hv := Hypervolume2D([][]float64{{1, 1}}, [2]float64{3, 3})

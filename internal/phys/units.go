@@ -48,14 +48,3 @@ func (p MilliWatt) DBm() DBm {
 // Add applies a relative gain or loss to an absolute power. Because
 // both quantities are logarithmic this is a plain addition.
 func (p DBm) Add(gain DB) DBm { return p + DBm(gain) }
-
-// SumMilliWatt sums linear powers. Noise powers combine linearly
-// (Eq. 7 of the paper sums the crosstalk contributions of every other
-// wavelength present at the photodetector).
-func SumMilliWatt(ps ...MilliWatt) MilliWatt {
-	var s MilliWatt
-	for _, p := range ps {
-		s += p
-	}
-	return s
-}

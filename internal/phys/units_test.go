@@ -78,15 +78,6 @@ func TestDBmAddIsLogDomainMultiplication(t *testing.T) {
 	}
 }
 
-func TestSumMilliWatt(t *testing.T) {
-	if got := SumMilliWatt(); got != 0 {
-		t.Errorf("empty sum = %v, want 0", got)
-	}
-	if got := SumMilliWatt(1, 2, 3.5); !almostEqual(float64(got), 6.5, 1e-12) {
-		t.Errorf("SumMilliWatt = %v, want 6.5", got)
-	}
-}
-
 func TestZeroPowerToDBmIsNegInf(t *testing.T) {
 	if got := MilliWatt(0).DBm(); !math.IsInf(float64(got), -1) {
 		t.Errorf("0 mW = %v dBm, want -Inf", got)

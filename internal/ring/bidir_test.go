@@ -20,24 +20,24 @@ func TestBidirectionalPicksShorterDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if PathDirection(p) != CCW || p.Hops() != 3 {
-		t.Errorf("path 1->14 = %s %d hops, want ccw 3", PathDirection(p), p.Hops())
+	if Direction(p.Lane) != CCW || p.Hops() != 3 {
+		t.Errorf("path 1->14 = %s %d hops, want ccw 3", Direction(p.Lane), p.Hops())
 	}
 	// 1 -> 4 stays clockwise.
 	q, err := r.PathBetween(1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if PathDirection(q) != CW || q.Hops() != 3 {
-		t.Errorf("path 1->4 = %s %d hops, want cw 3", PathDirection(q), q.Hops())
+	if Direction(q.Lane) != CW || q.Hops() != 3 {
+		t.Errorf("path 1->4 = %s %d hops, want cw 3", Direction(q.Lane), q.Hops())
 	}
 	// Exact halves tie clockwise.
 	h, err := r.PathBetween(0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if PathDirection(h) != CW || h.Hops() != 8 {
-		t.Errorf("path 0->8 = %s %d hops, want cw 8 (tie)", PathDirection(h), h.Hops())
+	if Direction(h.Lane) != CW || h.Hops() != 8 {
+		t.Errorf("path 0->8 = %s %d hops, want cw 8 (tie)", Direction(h.Lane), h.Hops())
 	}
 }
 
@@ -156,7 +156,7 @@ func TestPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pre.Src != 1 || pre.Dst != 5 || pre.Hops() != 4 || PathDirection(pre) != CW {
+	if pre.Src != 1 || pre.Dst != 5 || pre.Hops() != 4 || Direction(pre.Lane) != CW {
 		t.Errorf("prefix = %+v", pre)
 	}
 	// Prefix to the destination is the whole path.

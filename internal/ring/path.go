@@ -37,9 +37,6 @@ func (d Direction) String() string {
 // directions.
 type Path = fabric.Path
 
-// PathDirection reports which waveguide a ring path travels.
-func PathDirection(p Path) Direction { return Direction(p.Lane) }
-
 // PathBetween returns the route from src to dst: the unique clockwise
 // route on a unidirectional ring, or the hop-shorter of the two
 // directions (ties clockwise) when the ring is bidirectional.
