@@ -33,6 +33,20 @@ import (
 //	go run ./cmd/wadate -campaign -backends ring,crossbar -nw 4,8 -pop 24 -gens 10 -seed 1 -stats |
 //	    grep '^{"cell"' > internal/expt/testdata/golden/campaign_stats.ndjson
 //
+// The suite_*, robustness_*, convergence_*, sensitivity and table2
+// files are the paper-suite experiments, regenerated with
+//
+//	go run ./cmd/wadate -exp all -quick > internal/expt/testdata/golden/suite_all_quick.txt
+//	go run ./cmd/wadate -exp all -quick -csv internal/expt/testdata/golden/suite_all_quick.csv
+//	go run ./cmd/wadate -exp robustness -quick -seeds 3 > internal/expt/testdata/golden/robustness_quick_seeds3.txt
+//	go run ./cmd/wadate -exp convergence -quick -nw 8 > internal/expt/testdata/golden/convergence_quick_nw8.txt
+//	go run ./cmd/wadate -exp sensitivity > internal/expt/testdata/golden/sensitivity.txt
+//	go run ./cmd/wadate -exp table2 > internal/expt/testdata/golden/table2.txt
+//
+// TestSuiteGoldens renders all but table2.txt through the package
+// API; table2.txt is the paper-scale run (pop 400 x 300 generations),
+// which CI diffs against the built binary's output instead.
+//
 // The edge_* files render synthetic campaigns whose values sit on the
 // formatting edges (negative zero, denormals, the 1e-6/1e21 notation
 // switch, HTML-significant bytes, CSV quoting triggers); they are the
@@ -374,4 +388,43 @@ func TestCampaignDocGoldenRandom(t *testing.T) {
 		fmt.Fprintf(&lines, "%d %s\n", iter, hex.EncodeToString(sum[:8]))
 	}
 	checkGolden(t, "random_campaigns.sha256", []byte(lines.String()))
+}
+
+// quickSuiteConfig is what `wadate -quick` runs: pop 80 x 60
+// generations, seed 42, the default comb sizes 4, 8 and 12.
+var quickSuiteConfig = Config{NWs: []int{4, 8, 12}, Pop: 80, Generations: 60, Seed: 42}
+
+// TestSuiteGoldens pins the paper-suite experiments' bytes: `-exp all`
+// is the concatenation wadate prints, each artifact followed by a
+// blank line except the last.
+func TestSuiteGoldens(t *testing.T) {
+	s, err := Run(quickSuiteConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := strings.Join([]string{Table1(), Fig6a(s), Fig6b(s), Fig7(s), Table2(s), Summary(s)}, "\n")
+	checkGolden(t, "suite_all_quick.txt", []byte(all))
+	var csvOut bytes.Buffer
+	if err := WriteSuiteCSV(&csvOut, s); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "suite_all_quick.csv", csvOut.Bytes())
+
+	rob, err := MultiSeedReport(quickSuiteConfig, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "robustness_quick_seeds3.txt", []byte(rob))
+
+	conv, err := ConvergenceReport(quickSuiteConfig, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "convergence_quick_nw8.txt", []byte(conv))
+
+	sens, err := Sensitivity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "sensitivity.txt", []byte(sens))
 }
