@@ -58,9 +58,7 @@ var (
 func fullSuite(b *testing.B) *expt.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
-		cfg := expt.DefaultConfig()
-		cfg.Workers = runtime.NumCPU()
-		suiteVal, suiteErr = expt.Run(cfg)
+		suiteVal, suiteErr = expt.Run(expt.CampaignConfig{EvalWorkers: runtime.NumCPU()})
 	})
 	if suiteErr != nil {
 		b.Fatal(suiteErr)
@@ -203,11 +201,11 @@ func BenchmarkExploration(b *testing.B) {
 	for _, nw := range []int{4, 8, 12} {
 		b.Run(fmt.Sprintf("NW=%d", nw), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := expt.RunNW(expt.DefaultConfig(), nw)
+				s, err := expt.Run(expt.CampaignConfig{NWs: []int{nw}})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Valid) == 0 {
+				if len(s.Results[nw].Valid) == 0 {
 					b.Fatal("no valid solutions")
 				}
 			}

@@ -156,6 +156,9 @@ import (
 	"repro/internal/serve"
 )
 
+// -quick's reduced smoke-test configuration.
+const quickPop, quickGens, quickSeed = 80, 60, 42
+
 func main() {
 	var (
 		exp     = flag.String("exp", "all", "experiment: all, summary, table1, table2, fig6a, fig6b, fig7, app, convergence, robustness, sensitivity")
@@ -204,15 +207,14 @@ func main() {
 	// -quick supplies defaults only: explicitly passed -pop, -gens
 	// and -seed win over it in both modes.
 	if *quick {
-		q := expt.QuickConfig()
 		if !explicitly["pop"] {
-			*pop = q.Pop
+			*pop = quickPop
 		}
 		if !explicitly["gens"] {
-			*gens = q.Generations
+			*gens = quickGens
 		}
 		if !explicitly["seed"] {
-			*seed = q.Seed
+			*seed = quickSeed
 		}
 	}
 
@@ -530,7 +532,7 @@ func run(exp, nws string, pop, gens int, seed int64, csvPath string, seeds, work
 		return nil
 	}
 
-	cfg := expt.Config{Pop: pop, Generations: gens, Seed: seed, Workers: workers}
+	cfg := expt.CampaignConfig{Pop: pop, Generations: gens, Seed: seed, EvalWorkers: workers}
 	var err error
 	cfg.NWs, err = cliutil.ParseNWs(nws)
 	if err != nil {

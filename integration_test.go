@@ -68,7 +68,7 @@ func TestFrontSolutionsSimulateCleanly(t *testing.T) {
 func TestCSVGenomesRoundTripThroughEvaluation(t *testing.T) {
 	// The CSV the harness exports carries enough to re-evaluate every
 	// solution bit-for-bit.
-	s, err := expt.Run(expt.Config{NWs: []int{8}, Pop: 40, Generations: 20, Seed: 3})
+	s, err := expt.Run(expt.CampaignConfig{NWs: []int{8}, Pop: 40, Generations: 20, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestPipelineDeterminism(t *testing.T) {
 	// The same configuration must reproduce the same rendered figure,
 	// byte for byte.
 	run := func() string {
-		s, err := expt.Run(expt.Config{NWs: []int{4}, Pop: 30, Generations: 15, Seed: 9})
+		s, err := expt.Run(expt.CampaignConfig{NWs: []int{4}, Pop: 30, Generations: 15, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

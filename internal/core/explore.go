@@ -101,6 +101,11 @@ func (x *Explorer) Done() bool { return x.eng.Generation() >= x.gens }
 // Step advances one generation.
 func (x *Explorer) Step() { x.eng.Step() }
 
+// Population returns the current ranked population. It aliases engine
+// scratch and is valid until the next Step (see
+// nsga2.Engine.Population).
+func (x *Explorer) Population() []nsga2.Individual { return x.eng.Population() }
+
 // Stats exposes the engine's instrumentation counters: how many
 // evaluations each kernel served, cache hits, and dominance
 // relations compared (see nsga2.Stats).

@@ -586,7 +586,13 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 	} else if cfg.MigrationEvery > 0 || cfg.MigrationK > 0 {
 		return nil, fmt.Errorf("expt: MigrationEvery/MigrationK need Islands > 1")
 	}
-	cells := cfg.Cells()
+	return runCells(cfg, cfg.Cells())
+}
+
+// runCells executes cells, drawn from cfg's (backend, workload, NW)
+// axes, across cfg's bounded worker pool. cfg must be validated and
+// have its defaults applied.
+func runCells(cfg CampaignConfig, cells []Cell) (*Campaign, error) {
 	results := make([]CellResult, len(cells))
 
 	var dir *CampaignDir

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/nsga2"
 	"repro/internal/pareto"
 )
@@ -24,54 +23,59 @@ type ConvergencePoint struct {
 	Hypervolume float64
 }
 
-// Convergence runs one exploration and records the per-generation
+// Convergence runs the paper-suite exploration of comb size nw, under
+// cfg's Pop, Generations and Seed, and records the per-generation
 // trajectory. warmStart seeds the initial population with the
 // heuristic allocations.
-func Convergence(cfg Config, nw int, warmStart bool) ([]ConvergencePoint, error) {
-	cfg = cfg.withDefaults()
-	var points []ConvergencePoint
-	observe := func(gen int, pop []nsga2.Individual) {
-		p := ConvergencePoint{Generation: gen, BestTimeKCC: math.Inf(1)}
-		var front [][]float64
-		for _, ind := range pop {
-			if !ind.Feasible() {
-				continue
-			}
-			p.FeasibleFraction++
-			t := ind.Objs[0] / 1000 // objective 0 is time in cycles
-			if t < p.BestTimeKCC {
-				p.BestTimeKCC = t
-			}
-			if ind.Rank == 0 {
-				front = append(front, []float64{t, ind.Objs[1]})
-			}
-		}
-		p.FeasibleFraction /= float64(len(pop))
-		p.Hypervolume = pareto.Hypervolume2D(front, [2]float64{40, 10})
-		points = append(points, p)
-	}
-	problem, err := core.New(core.Config{
-		NW:        nw,
-		WarmStart: warmStart,
-		GA: nsga2.Config{
-			PopSize:      cfg.Pop,
-			Generations:  cfg.Generations,
-			Seed:         cfg.Seed + int64(nw)*1000,
-			OnGeneration: observe,
-		},
-	})
+func Convergence(cfg CampaignConfig, nw int, warmStart bool) ([]ConvergencePoint, error) {
+	cfg = CampaignConfig{NWs: []int{nw}, Pop: cfg.Pop, Generations: cfg.Generations, Seed: cfg.Seed,
+		WarmStart: warmStart}.withDefaults()
+	cell := paperCells(cfg, 1)[0]
+	in, err := BuildCellInstance(cell, PaperWorkload())
 	if err != nil {
 		return nil, err
 	}
-	if _, err := problem.Optimize(); err != nil {
+	p, err := cellProblem(cfg, cell, in)
+	if err != nil {
 		return nil, err
+	}
+	x, err := p.NewExplorer()
+	if err != nil {
+		return nil, err
+	}
+	var points []ConvergencePoint
+	for !x.Done() {
+		x.Step()
+		points = append(points, convergencePoint(len(points), x.Population()))
 	}
 	return points, nil
 }
 
+// convergencePoint summarizes one generation's ranked population.
+func convergencePoint(gen int, pop []nsga2.Individual) ConvergencePoint {
+	p := ConvergencePoint{Generation: gen, BestTimeKCC: math.Inf(1)}
+	var front [][]float64
+	for _, ind := range pop {
+		if !ind.Feasible() {
+			continue
+		}
+		p.FeasibleFraction++
+		t := ind.Objs[0] / 1000 // objective 0 is time in cycles
+		if t < p.BestTimeKCC {
+			p.BestTimeKCC = t
+		}
+		if ind.Rank == 0 {
+			front = append(front, []float64{t, ind.Objs[1]})
+		}
+	}
+	p.FeasibleFraction /= float64(len(pop))
+	p.Hypervolume = pareto.Hypervolume2D(front, [2]float64{40, 10})
+	return p
+}
+
 // ConvergenceReport renders cold- vs warm-start trajectories side by
 // side: the ablation behind the WarmStart option.
-func ConvergenceReport(cfg Config, nw int) (string, error) {
+func ConvergenceReport(cfg CampaignConfig, nw int) (string, error) {
 	cold, err := Convergence(cfg, nw, false)
 	if err != nil {
 		return "", err

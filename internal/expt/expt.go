@@ -5,93 +5,67 @@
 // solution cloud for NW = 8, and the Table II solution counts. All
 // runs are seeded and deterministic; reports render as text tables
 // and ASCII scatter plots, with CSV export for external plotting.
+//
+// Every exploration — the paper suite, the robustness study, the
+// convergence trace and every campaign — is a campaign cell whose GA
+// cellProblem builds on a shared instance (see campaign.go).
 package expt
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/nsga2"
 )
-
-// Config fixes one harness run.
-type Config struct {
-	// NWs lists the comb sizes to explore (default 4, 8, 12 — the
-	// paper's sweep).
-	NWs []int
-	// Pop and Generations configure the GA (defaults 400 and 300, the
-	// paper's settings).
-	Pop, Generations int
-	// Seed makes the whole suite reproducible.
-	Seed int64
-	// Workers parallelizes chromosome evaluation without changing any
-	// result (see nsga2.Config.Workers). 0 runs serially.
-	Workers int
-}
-
-// DefaultConfig returns the paper's evaluation settings.
-func DefaultConfig() Config {
-	return Config{NWs: []int{4, 8, 12}, Pop: 400, Generations: 300, Seed: 42}
-}
-
-// QuickConfig is a reduced configuration for unit tests and smoke
-// runs: same structure, a fraction of the evaluations.
-func QuickConfig() Config {
-	return Config{NWs: []int{4, 8}, Pop: 80, Generations: 60, Seed: 42}
-}
-
-func (c Config) withDefaults() Config {
-	if len(c.NWs) == 0 {
-		c.NWs = []int{4, 8, 12}
-	}
-	if c.Pop == 0 {
-		c.Pop = 400
-	}
-	if c.Generations == 0 {
-		c.Generations = 300
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	return c
-}
 
 // Suite holds the per-NW exploration results of one harness run.
 type Suite struct {
-	Cfg     Config
 	Results map[int]*core.Result
 }
 
-// RunNW executes the paper's exploration for one comb size.
-func RunNW(cfg Config, nw int) (*core.Result, error) {
-	cfg = cfg.withDefaults()
-	p, err := core.New(core.Config{
-		NW: nw,
-		GA: nsga2.Config{
-			PopSize:     cfg.Pop,
-			Generations: cfg.Generations,
-			Workers:     cfg.Workers,
-			// Decorrelate the comb sizes while keeping determinism.
-			Seed: cfg.Seed + int64(nw)*1000,
-		},
-	})
+// paperCells enumerates the paper suite's cells: reps GA seeds of the
+// 3-objective paper workload on the ring per comb size of cfg, whose
+// defaults must be applied. Replicate s of comb size NW runs with the
+// historical seed cfg.Seed + 1000·NW + 7919·s, which decorrelates the
+// comb sizes and keeps every published suite output reproducible.
+func paperCells(cfg CampaignConfig, reps int) []Cell {
+	cells := make([]Cell, 0, len(cfg.NWs)*reps)
+	for _, nw := range cfg.NWs {
+		for s := 0; s < reps; s++ {
+			cells = append(cells, Cell{
+				Index:      len(cells),
+				Backend:    core.DefaultBackend,
+				NW:         nw,
+				Objectives: core.TimeEnergyBER,
+				Workload:   PaperWorkload().Name,
+				Replicate:  s,
+				Seed:       cfg.Seed + 1000*int64(nw) + 7919*int64(s),
+			})
+		}
+	}
+	return cells
+}
+
+// runPaper runs reps paper-suite cells per comb size. Of cfg it reads
+// NWs, Pop, Generations, Seed, CellWorkers and EvalWorkers; the other
+// axes are the paper's.
+func runPaper(cfg CampaignConfig, reps int) (*Campaign, error) {
+	cfg = CampaignConfig{
+		NWs: cfg.NWs, Pop: cfg.Pop, Generations: cfg.Generations, Seed: cfg.Seed,
+		CellWorkers: cfg.CellWorkers, EvalWorkers: cfg.EvalWorkers,
+	}.withDefaults()
+	return runCells(cfg, paperCells(cfg, reps))
+}
+
+// Run executes the paper suite: one exploration per comb size of cfg
+// (default 4, 8 and 12 at the paper's pop 400 × 300 generations).
+func Run(cfg CampaignConfig) (*Suite, error) {
+	camp, err := runPaper(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	return p.Optimize()
-}
-
-// Run executes the full suite.
-func Run(cfg Config) (*Suite, error) {
-	cfg = cfg.withDefaults()
-	s := &Suite{Cfg: cfg, Results: make(map[int]*core.Result, len(cfg.NWs))}
-	for _, nw := range cfg.NWs {
-		res, err := RunNW(cfg, nw)
-		if err != nil {
-			return nil, fmt.Errorf("expt: NW=%d: %w", nw, err)
-		}
-		s.Results[nw] = res
+	s := &Suite{Results: make(map[int]*core.Result, len(camp.Cells))}
+	for _, cr := range camp.Cells {
+		s.Results[cr.Cell.NW] = cr.Result
 	}
 	return s, nil
 }

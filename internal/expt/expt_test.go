@@ -17,7 +17,7 @@ func quickSuite(t *testing.T) *Suite {
 	if cachedSuite != nil {
 		return cachedSuite
 	}
-	s, err := Run(QuickConfig())
+	s, err := Run(CampaignConfig{NWs: []int{4, 8}, Pop: 80, Generations: 60, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFig7Report(t *testing.T) {
 }
 
 func TestFig7NeedsNW8(t *testing.T) {
-	s, err := Run(Config{NWs: []int{4}, Pop: 20, Generations: 10, Seed: 1})
+	s, err := Run(CampaignConfig{NWs: []int{4}, Pop: 20, Generations: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,18 +228,18 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
+	c := CampaignConfig{}.withDefaults()
 	if c.Pop != PaperGAPopulation || c.Generations != PaperGAGenerations {
 		t.Errorf("defaults %d/%d, want the paper's %d/%d",
 			c.Pop, c.Generations, PaperGAPopulation, PaperGAGenerations)
 	}
-	if len(c.NWs) != 3 {
-		t.Errorf("default NWs = %v", c.NWs)
+	if len(c.NWs) != 3 || c.NWs[0] != 4 || c.NWs[1] != 8 || c.NWs[2] != 12 {
+		t.Errorf("default NWs = %v, want the paper's [4 8 12]", c.NWs)
 	}
 }
 
 func TestConvergenceTrajectory(t *testing.T) {
-	cfg := Config{NWs: []int{8}, Pop: 40, Generations: 30, Seed: 5}
+	cfg := CampaignConfig{Pop: 40, Generations: 30, Seed: 5}
 	points, err := Convergence(cfg, 8, false)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestConvergenceTrajectory(t *testing.T) {
 }
 
 func TestConvergenceWarmStartsFeasible(t *testing.T) {
-	cfg := Config{NWs: []int{8}, Pop: 40, Generations: 10, Seed: 5}
+	cfg := CampaignConfig{Pop: 40, Generations: 10, Seed: 5}
 	warm, err := Convergence(cfg, 8, true)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestConvergenceWarmStartsFeasible(t *testing.T) {
 }
 
 func TestConvergenceReportRenders(t *testing.T) {
-	cfg := Config{NWs: []int{8}, Pop: 30, Generations: 12, Seed: 3}
+	cfg := CampaignConfig{Pop: 30, Generations: 12, Seed: 3}
 	out, err := ConvergenceReport(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -311,11 +311,15 @@ func TestMilestones(t *testing.T) {
 }
 
 func TestMultiSeedStats(t *testing.T) {
-	cfg := Config{NWs: []int{8}, Pop: 30, Generations: 15, Seed: 2}
-	ss, err := MultiSeed(cfg, 8, 3)
+	cfg := CampaignConfig{NWs: []int{8}, Pop: 30, Generations: 15, Seed: 2}
+	all, err := MultiSeed(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(all) != 1 {
+		t.Fatalf("%d comb sizes, want 1", len(all))
+	}
+	ss := all[0]
 	if ss.NW != 8 || ss.BestTime.N != 3 {
 		t.Fatalf("stats = %+v", ss)
 	}
@@ -325,13 +329,13 @@ func TestMultiSeedStats(t *testing.T) {
 	if ss.BestTime.Max >= 36 {
 		t.Errorf("a seed failed to improve on all-ones: %+v", ss.BestTime)
 	}
-	if _, err := MultiSeed(cfg, 8, 0); err == nil {
+	if _, err := MultiSeed(cfg, 0); err == nil {
 		t.Error("zero seeds must fail")
 	}
 }
 
 func TestMultiSeedReportRenders(t *testing.T) {
-	cfg := Config{NWs: []int{4}, Pop: 20, Generations: 10, Seed: 2}
+	cfg := CampaignConfig{NWs: []int{4}, Pop: 20, Generations: 10, Seed: 2}
 	out, err := MultiSeedReport(cfg, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -392,7 +392,7 @@ func TestCampaignDocGoldenRandom(t *testing.T) {
 
 // quickSuiteConfig is what `wadate -quick` runs: pop 80 x 60
 // generations, seed 42, the default comb sizes 4, 8 and 12.
-var quickSuiteConfig = Config{NWs: []int{4, 8, 12}, Pop: 80, Generations: 60, Seed: 42}
+var quickSuiteConfig = CampaignConfig{NWs: []int{4, 8, 12}, Pop: 80, Generations: 60, Seed: 42}
 
 // TestSuiteGoldens pins the paper-suite experiments' bytes: `-exp all`
 // is the concatenation wadate prints, each artifact followed by a

@@ -5,8 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/alloc"
-	"repro/internal/energy"
-	"repro/internal/graph"
+	"repro/internal/core"
 	"repro/internal/phys"
 	"repro/internal/ring"
 	"repro/internal/stats"
@@ -23,50 +22,52 @@ type SeedStats struct {
 	Valid     stats.Summary // distinct valid genomes
 }
 
-// MultiSeed reruns the exploration for nw with `seeds` different GA
-// seeds derived from cfg.Seed.
-func MultiSeed(cfg Config, nw, seeds int) (SeedStats, error) {
-	cfg = cfg.withDefaults()
+// MultiSeed explores every comb size of cfg under `seeds` GA seeds,
+// all as one run of paper-suite cells, and returns the per-NW
+// distributions in cfg.NWs order.
+func MultiSeed(cfg CampaignConfig, seeds int) ([]SeedStats, error) {
 	if seeds < 1 {
-		return SeedStats{}, fmt.Errorf("expt: need at least one seed, got %d", seeds)
+		return nil, fmt.Errorf("expt: need at least one seed, got %d", seeds)
 	}
-	var bt, me, fs, vd []float64
-	for s := 0; s < seeds; s++ {
-		run := cfg
-		run.Seed = cfg.Seed + int64(s)*7919 // distinct, deterministic
-		res, err := RunNW(run, nw)
-		if err != nil {
-			return SeedStats{}, err
-		}
-		bt = append(bt, res.BestTimeKCC())
-		if sol, ok := res.MinEnergySolution(); ok {
-			me = append(me, sol.BitEnergyFJ)
-		}
-		fs = append(fs, float64(len(res.FrontTimeBER)))
-		vd = append(vd, float64(res.DistinctValid))
+	camp, err := runPaper(cfg, seeds)
+	if err != nil {
+		return nil, err
 	}
-	return SeedStats{
-		NW:        nw,
-		BestTime:  stats.Describe(bt),
-		MinEnergy: stats.Describe(me),
-		FrontSize: stats.Describe(fs),
-		Valid:     stats.Describe(vd),
-	}, nil
+	out := make([]SeedStats, 0, len(camp.Cells)/seeds)
+	for i := 0; i < len(camp.Cells); i += seeds {
+		var bt, me, fs, vd []float64
+		for _, cr := range camp.Cells[i : i+seeds] {
+			res := cr.Result
+			bt = append(bt, res.BestTimeKCC())
+			if sol, ok := res.MinEnergySolution(); ok {
+				me = append(me, sol.BitEnergyFJ)
+			}
+			fs = append(fs, float64(len(res.FrontTimeBER)))
+			vd = append(vd, float64(res.DistinctValid))
+		}
+		out = append(out, SeedStats{
+			NW:        camp.Cells[i].Cell.NW,
+			BestTime:  stats.Describe(bt),
+			MinEnergy: stats.Describe(me),
+			FrontSize: stats.Describe(fs),
+			Valid:     stats.Describe(vd),
+		})
+	}
+	return out, nil
 }
 
 // MultiSeedReport renders the per-NW distributions.
-func MultiSeedReport(cfg Config, seeds int) (string, error) {
-	cfg = cfg.withDefaults()
+func MultiSeedReport(cfg CampaignConfig, seeds int) (string, error) {
+	all, err := MultiSeed(cfg, seeds)
+	if err != nil {
+		return "", err
+	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Multi-seed robustness (%d seeds per comb size)\n\n", seeds)
-	rows := make([][]string, 0, len(cfg.NWs))
-	for _, nw := range cfg.NWs {
-		ss, err := MultiSeed(cfg, nw, seeds)
-		if err != nil {
-			return "", err
-		}
+	rows := make([][]string, 0, len(all))
+	for _, ss := range all {
 		rows = append(rows, []string{
-			fmt.Sprintf("%d", nw),
+			fmt.Sprintf("%d", ss.NW),
 			ss.BestTime.String(),
 			ss.MinEnergy.String(),
 			ss.FrontSize.String(),
@@ -95,11 +96,7 @@ func Sensitivity() (string, error) {
 		for _, nw := range nws {
 			rcfg := ring.DefaultConfig(nw)
 			rcfg.Grid.Q = q
-			r, err := ring.New(rcfg)
-			if err != nil {
-				return "", err
-			}
-			in, err := alloc.NewInstance(r, graph.PaperApp(), graph.PaperMapping(), 1, energy.Default())
+			in, err := core.NewSharedInstance(core.Config{NW: nw, Ring: &rcfg})
 			if err != nil {
 				return "", err
 			}

@@ -22,9 +22,8 @@ import (
 // the interned-key genome cache — so a steady-state Step performs
 // zero heap allocations beyond the entries retained for newly
 // discovered genotypes (and the problem's own allocations while
-// evaluating them). Everything a Step hands out (OnGeneration
-// populations, Population) aliases that arena; Result detaches what
-// it returns.
+// evaluating them). The slice Population returns aliases that
+// arena; Result detaches what it returns.
 //
 // An Engine is not safe for concurrent use.
 type Engine struct {
@@ -235,9 +234,6 @@ func (e *Engine) Step() {
 	m := append(e.merged[:0], e.pop...)
 	m = append(m, off...)
 	e.pop = e.surviveInto(m)
-	if e.cfg.OnGeneration != nil {
-		e.cfg.OnGeneration(e.gen, e.pop)
-	}
 	e.gen++
 }
 

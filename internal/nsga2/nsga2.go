@@ -146,12 +146,6 @@ type Config struct {
 	// Table II / Fig. 7 analyses need. The archive doubles as an
 	// evaluation cache either way.
 	ArchiveAll bool
-	// OnGeneration, when non-nil, observes each generation's
-	// population after survival selection. The Individual slice and
-	// the genome bytes it references alias engine-owned scratch that
-	// is reused by the next generation: callbacks that retain genomes
-	// past their own return must copy them.
-	OnGeneration func(gen int, pop []Individual)
 }
 
 func (c Config) withDefaults() Config {

@@ -349,20 +349,19 @@ func TestPerBitMutationMode(t *testing.T) {
 	}
 }
 
-func TestOnGenerationObserved(t *testing.T) {
-	gens := 0
-	_, err := Run(twoMin(8), Config{PopSize: 10, Generations: 7, Seed: 1,
-		OnGeneration: func(gen int, pop []Individual) {
-			gens++
-			if len(pop) != 10 {
-				t.Errorf("generation %d population size %d", gen, len(pop))
-			}
-		}})
+func TestStepPopulation(t *testing.T) {
+	e, err := NewEngine(twoMin(8), Config{PopSize: 10, Generations: 7, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gens != 7 {
-		t.Errorf("callback fired %d times, want 7", gens)
+	for gen := 0; gen < 7; gen++ {
+		e.Step()
+		if n := len(e.Population()); n != 10 {
+			t.Errorf("generation %d population size %d", gen, n)
+		}
+	}
+	if e.Generation() != 7 {
+		t.Errorf("engine at generation %d after 7 steps, want 7", e.Generation())
 	}
 }
 

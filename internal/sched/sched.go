@@ -313,14 +313,6 @@ func (s *Schedule) Clone() *Schedule {
 	return c
 }
 
-// MinMakespanCycles is the infinite-bandwidth floor of the makespan:
-// the task-graph critical path with all communication times at zero
-// (the paper's "minimal execution time", 20 k-cc for the virtual
-// application).
-func MinMakespanCycles(g *graph.TaskGraph) (float64, error) {
-	return g.CriticalPathCycles()
-}
-
 // Slack returns, for each edge, how many cycles its window could grow
 // before delaying the start of its consumer task. Slack 0 marks the
 // communications on the schedule's binding chain — the ones extra

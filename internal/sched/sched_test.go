@@ -66,7 +66,7 @@ func TestPaperAppGenerousAllocationApproachesFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	floor, _ := MinMakespanCycles(g)
+	floor, _ := g.CriticalPathCycles()
 	if floor != 20000 {
 		t.Fatalf("floor = %v, want 20000", floor)
 	}

@@ -30,8 +30,8 @@ import (
 )
 
 // Serving defaults. Optimize and campaign defaults match the quick
-// suite (expt.QuickConfig) so a bare request reproduces familiar
-// numbers.
+// suite (wadate -quick: pop 80, 60 generations, seed 42) so a bare
+// request reproduces familiar numbers.
 const (
 	defaultWorkload   = "paper"
 	defaultObjectives = "teb"
