@@ -32,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/expt"
+	"repro/internal/fabric"
 	"repro/internal/graph"
 	"repro/internal/nsga2"
 	"repro/internal/pareto"
@@ -567,13 +568,19 @@ func BenchmarkEvaluateQuickGA(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedule measures the analytic time model alone.
+// BenchmarkSchedule measures the analytic time model alone, on the
+// reused planner and schedule the evaluation kernel runs.
 func BenchmarkSchedule(b *testing.B) {
 	g := graph.PaperApp()
+	p, err := sched.NewPlanner(g)
+	if err != nil {
+		b.Fatal(err)
+	}
 	lambdas := []int{1, 4, 2, 3, 2, 3}
+	var s sched.Schedule
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.Compute(g, lambdas, 1); err != nil {
+		if err := p.ComputeInto(&s, lambdas, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -621,7 +628,7 @@ func BenchmarkSignalArrival(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bank := ring.NewBank(r.Size(), r.Channels())
+	bank := fabric.NewBank(r.Size(), r.Channels())
 	bank.Set(10, 3, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

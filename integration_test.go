@@ -109,7 +109,7 @@ func TestGeneratedWorkloadEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := graph.FormatString(app, m)
-	app2, m2, err := graph.ParseString(text)
+	app2, m2, err := graph.Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,13 +121,13 @@ func invalidEval(reason failureReason, violation float64) Eval {
 		MakespanCycles: inf, BitEnergyFJ: inf, MeanBER: inf, WorstBER: inf}
 }
 
-// Evaluate computes the objective vector of one chromosome. It is a
-// compatibility wrapper over Evaluator.EvaluateInto: evaluators are
-// drawn from a pool (so concurrent callers evaluate in parallel, as
-// before the kernel refactor) and the result is detached, so the
-// returned Eval owns its slices. Hot loops (the GA workers) should
-// hold their own Evaluator instead and skip both the pool round-trip
-// and the copies.
+// Evaluate computes the objective vector of one chromosome. It is the
+// pooled entry point for one-off evaluations (the waserve evaluate and
+// explain handlers, the simulator, explain): evaluators are drawn from
+// the instance's pool, so concurrent callers evaluate in parallel, and
+// the result is detached, so the returned Eval owns its slices. Hot
+// loops (the GA workers) hold their own Evaluator instead and skip
+// both the pool round-trip and the copies.
 func (in *Instance) Evaluate(g Genome) Eval {
 	ev, _ := in.evaluators.Get().(*Evaluator)
 	if ev == nil {
@@ -170,52 +170,11 @@ func (in *Instance) bankFor(e int, s *sched.Schedule, sets [][]int) *fabric.Bank
 	return bank
 }
 
-// intersects returns a channel present in both sorted sets, or -1.
-func intersects(a, b []int) int {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return a[i]
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return -1
-}
-
-// countShared returns how many channels two sorted sets share.
-func countShared(a, b []int) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			n++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return n
-}
-
-// Objectives projects an evaluation onto a minimization vector.
-// Invalid evaluations map to +Inf in every coordinate, mirroring the
-// paper's "set the fitness to infinity".
-func (e Eval) Objectives(objs []Objective) []float64 {
-	out := make([]float64, len(objs))
-	e.ObjectivesInto(out, objs)
-	return out
-}
-
-// ObjectivesInto is Objectives writing into a caller-owned vector
-// (len(dst) must be len(objs)) — the allocation-free form the search
-// engine uses to land objective values directly in its column arena.
+// ObjectivesInto projects an evaluation onto a minimization vector
+// written into dst (len(dst) must be len(objs)), so the search engine
+// lands objective values directly in its column arena. Invalid
+// evaluations map to +Inf in every coordinate, mirroring the paper's
+// "set the fitness to infinity".
 func (e Eval) ObjectivesInto(dst []float64, objs []Objective) {
 	for i, o := range objs {
 		if !e.Valid {

@@ -93,9 +93,9 @@ func TestEvaluateBitEnergyInPaperDecade(t *testing.T) {
 	if lean.BitEnergyFJ < 2 || lean.BitEnergyFJ > 5.5 {
 		t.Errorf("lean bit energy = %v fJ/bit, want in the 3.5 fJ/bit region", lean.BitEnergyFJ)
 	}
-	dense, err := FromCounts(UniformCounts(6, 8), 8)
-	if err != nil {
-		t.Fatal(err)
+	dense := in.NewZeroGenome()
+	for i := range dense.Bits() {
+		dense.Bits()[i] = 1
 	}
 	dev := in.Evaluate(dense)
 	// Dense same-channel allocation is likely invalid (conflicts), so
@@ -287,7 +287,8 @@ func TestEvaluateInterCommCrosstalkRaisesBER(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet := app.Clone()
+	quiet := graph.PaperApp()
+	quiet.Edges[2].VolumeBits = 8000
 	quiet.Edges[3].VolumeBits = 0 // silence c3
 	inLoud, err := NewInstance(r, app, graph.PaperMapping(), 1, energy.Default())
 	if err != nil {
@@ -329,7 +330,7 @@ func TestEvaluateInterCommCrosstalkRaisesBER(t *testing.T) {
 
 func TestEvaluateZeroVolumeEdgeSkipped(t *testing.T) {
 	in := mustInstance(t, 8)
-	app := in.App.Clone()
+	app := graph.PaperApp()
 	app.Edges[0].VolumeBits = 0
 	r := in.Fabric()
 	in2, err := NewInstance(r, app, in.Map, 1, energy.Default())
@@ -354,7 +355,7 @@ func TestEvaluateDeterministic(t *testing.T) {
 	in := mustInstance(t, 8)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
-		g := RandomGenome(rng, in.Edges(), in.Channels(), 0.3)
+		g := randomGenome(rng, in.Edges(), in.Channels(), 0.3)
 		a := in.Evaluate(g)
 		b := in.Evaluate(g)
 		if a.Valid != b.Valid || a.MakespanCycles != b.MakespanCycles ||
@@ -367,11 +368,13 @@ func TestEvaluateDeterministic(t *testing.T) {
 func TestObjectivesProjection(t *testing.T) {
 	in := mustInstance(t, 8)
 	ev := in.Evaluate(allOnesDisjoint(t, in))
-	objs := ev.Objectives([]Objective{ObjTime, ObjEnergy, ObjBER})
+	objs := make([]float64, 3)
+	ev.ObjectivesInto(objs, []Objective{ObjTime, ObjEnergy, ObjBER})
 	if objs[0] != ev.MakespanCycles || objs[1] != ev.BitEnergyFJ || objs[2] != ev.MeanBER {
 		t.Errorf("projection mismatch: %v", objs)
 	}
-	bad := invalid("x", 2).Objectives([]Objective{ObjTime, ObjBER})
+	bad := make([]float64, 2)
+	invalid("x", 2).ObjectivesInto(bad, []Objective{ObjTime, ObjBER})
 	for _, v := range bad {
 		if !math.IsInf(v, 1) {
 			t.Error("invalid genome must project to +Inf")
@@ -478,7 +481,7 @@ func TestCrosstalkModeAttribution(t *testing.T) {
 	// decompose cleanly: both >= each single source >= none, and the
 	// no-crosstalk BER is the extinction-ratio floor.
 	in := mustInstance(t, 8)
-	app := in.App.Clone()
+	app := graph.PaperApp()
 	app.Edges[3].VolumeBits = 16000 // widen c3's window to force overlap with c2
 	mkEval := func(mode CrosstalkMode) Eval {
 		in2, err := NewInstance(in.Fabric(), app, in.Map, 1, in.Energy)

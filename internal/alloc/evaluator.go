@@ -111,20 +111,6 @@ func NewEvaluator(in *Instance) (*Evaluator, error) {
 	}, nil
 }
 
-// Instance returns the bound problem instance.
-func (e *Evaluator) Instance() *Instance { return e.in }
-
-// Evaluate is the convenience form of EvaluateInto: the returned
-// Eval is detached, so it owns its slices and survives later calls
-// on this evaluator. Hot loops should use EvaluateInto and accept
-// the scratch-aliasing contract instead.
-func (e *Evaluator) Evaluate(g Genome) Eval {
-	var out Eval
-	e.EvaluateInto(&out, g)
-	out.Detach()
-	return out
-}
-
 // EvaluateInto computes the objective vector of one chromosome into
 // out, reusing the evaluator's scratch. The slices and the Schedule
 // reachable from out (Counts, CommBER, CommEnergyFJ, Schedule) alias

@@ -251,7 +251,9 @@ func NewEvaluatorMustErr() bool {
 	return err == nil
 }
 
-// TestEvaluatorConvenienceEvaluate covers the value-returning form.
+// TestEvaluatorConvenienceEvaluate covers the value-returning form:
+// the pooled Instance.Evaluate equals a held evaluator's EvaluateInto
+// followed by Detach.
 func TestEvaluatorConvenienceEvaluate(t *testing.T) {
 	in, err := DefaultInstance(4)
 	if err != nil {
@@ -261,14 +263,13 @@ func TestEvaluatorConvenienceEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Instance() != in {
-		t.Fatal("evaluator lost its instance")
+	g := in.NewZeroGenome()
+	for e := 0; e < in.Edges(); e++ {
+		g.Set(e, 0, true)
 	}
-	g, err := FromCounts(UniformCounts(in.Edges(), 1), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ev.Evaluate(g)
+	var got Eval
+	ev.EvaluateInto(&got, g)
+	got.Detach()
 	want := in.Evaluate(g)
 	if !evalEqual(want, got) {
 		t.Fatalf("convenience form differs: %+v vs %+v", got, want)

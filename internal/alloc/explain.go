@@ -155,7 +155,7 @@ func (in *Instance) Explain(g Genome) (*Explanation, error) {
 			})
 			lb.SNR = phys.SNR(lb.SignalDBm.MilliWatt(), lb.NoiseTotalMW, p0)
 			lb.BER = phys.BEROOK(lb.SNR)
-			lb.LaserMW = in.Energy.WavelengthLaserMW(loss, lb.NoiseTotalMW, p0)
+			lb.LaserMW = in.Energy.WavelengthLaserMWVia(loss, lb.NoiseTotalMW, p0, phys.DBm.MilliWatt)
 			cb.Lambdas = append(cb.Lambdas, lb)
 		}
 		ex.Comms = append(ex.Comms, cb)

@@ -112,7 +112,8 @@ func FuzzEvaluateFinite(f *testing.F) {
 		}
 		var out Eval
 		ev.EvaluateInto(&out, g)
-		objs := out.Objectives(all)
+		objs := make([]float64, len(all))
+		out.ObjectivesInto(objs, all)
 		for i, v := range append(objs, out.Violation, out.MakespanCycles, out.BitEnergyFJ, out.MeanBER, out.WorstBER) {
 			if math.IsNaN(v) {
 				t.Fatalf("value %d is NaN (valid=%v, objectives %v, violation %v)", i, out.Valid, objs, out.Violation)

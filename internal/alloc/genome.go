@@ -84,7 +84,7 @@ func (g Genome) ChannelSet(e int) []int {
 // MaskInto decodes the chromosome into per-edge wavelength bitmasks:
 // row e occupies dst[e*words : (e+1)*words], with bit ch of the row
 // (bit ch&63 of word ch>>6) set iff gene (e, ch) is 1. words must be
-// at least ring.MaskWords(Channels()) and dst must hold Edges()*words
+// at least fabric.MaskWords(Channels()) and dst must hold Edges()*words
 // words. The evaluation kernel consumes these rows natively: set
 // disjointness is a word-wise AND, wavelength counts are popcounts.
 func (g Genome) MaskInto(dst []uint64, words int) {
@@ -165,24 +165,6 @@ func ParseGenome(s string, edges, nw int) (Genome, error) {
 			g.bits[i] = 1
 		default:
 			return Genome{}, fmt.Errorf("alloc: invalid gene %q in %q", c, s)
-		}
-	}
-	return g, nil
-}
-
-// FromCounts builds the canonical genome for a per-edge wavelength
-// count vector by assigning the lowest channel indices to every edge
-// (the packing a designer would write down first; heuristics and
-// tests use it as a starting point). Counts exceeding NW are
-// rejected.
-func FromCounts(counts []int, nw int) (Genome, error) {
-	g := NewGenome(len(counts), nw)
-	for e, n := range counts {
-		if n < 0 || n > nw {
-			return Genome{}, fmt.Errorf("alloc: edge %d count %d outside [0,%d]", e, n, nw)
-		}
-		for ch := 0; ch < n; ch++ {
-			g.Set(e, ch, true)
 		}
 	}
 	return g, nil

@@ -76,7 +76,7 @@ func TestParseGenomeErrors(t *testing.T) {
 func TestGenomeRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := RandomGenome(rng, 5, 8, 0.4)
+		g := randomGenome(rng, 5, 8, 0.4)
 		back, err := ParseGenome(g.String(), 5, 8)
 		if err != nil {
 			return false
@@ -113,25 +113,6 @@ func TestFromBits(t *testing.T) {
 	bits[1] = 1
 	if !g.Get(0, 1) {
 		t.Error("FromBits must alias the slice")
-	}
-}
-
-func TestFromCounts(t *testing.T) {
-	g, err := FromCounts([]int{1, 3, 0}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.ChannelSet(1); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("edge 1 channels = %v, want first three", got)
-	}
-	if len(g.ChannelSet(2)) != 0 {
-		t.Error("zero count must reserve nothing")
-	}
-	if _, err := FromCounts([]int{5}, 4); err == nil {
-		t.Error("count above NW must fail")
-	}
-	if _, err := FromCounts([]int{-1}, 4); err == nil {
-		t.Error("negative count must fail")
 	}
 }
 

@@ -160,18 +160,3 @@ func UniformCounts(edges, n int) []int {
 	}
 	return counts
 }
-
-// RandomGenome draws a random chromosome with the given per-gene
-// reservation probability — the initial population generator of the
-// GA (the paper draws the first generation uniformly at random).
-func RandomGenome(rng *rand.Rand, edges, nw int, density float64) Genome {
-	g := NewGenome(edges, nw)
-	for e := 0; e < edges; e++ {
-		for ch := 0; ch < nw; ch++ {
-			if rng.Float64() < density {
-				g.Set(e, ch, true)
-			}
-		}
-	}
-	return g
-}

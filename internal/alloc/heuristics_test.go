@@ -139,19 +139,6 @@ func TestAssignFirstFitMatchesPaperChromosomeShape(t *testing.T) {
 	}
 }
 
-func TestRandomGenomeDensity(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := RandomGenome(rng, 50, 8, 0.25)
-	onBits := 0
-	for e := 0; e < g.Edges(); e++ {
-		onBits += len(g.ChannelSet(e))
-	}
-	frac := float64(onBits) / float64(g.Len())
-	if frac < 0.15 || frac > 0.35 {
-		t.Errorf("density = %v, want near 0.25", frac)
-	}
-}
-
 func TestPolicyStrings(t *testing.T) {
 	for pol, want := range map[Policy]string{
 		FirstFit: "first-fit", RandomFit: "random", MostUsed: "most-used", LeastUsed: "least-used",

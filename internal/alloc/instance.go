@@ -76,28 +76,24 @@ type Instance struct {
 	srcCore  []int         // per edge
 	dstCore  []int         // per edge
 	selfEdge []bool        // per edge: endpoints mapped onto the same core
-	// pathOverlap[i*Nl+j] caches paths[i].Overlaps(paths[j]) — the
-	// pair relation is fixed at instance construction and sits on the
-	// validity check of every evaluation.
-	pathOverlap []bool
 	// maskWords is the stride of one edge's wavelength bitmask row
 	// (fabric.MaskWords of the comb size).
 	maskWords int
-	// confStart/confAdj hold the overlap matrix as a CSR adjacency
-	// over edge pairs: confAdj[confStart[i]:confStart[i+1]] lists, in
-	// ascending order, the edges j > i whose fabric paths share a
-	// waveguide resource with edge i's — the only pairs the wavelength
-	// disjointness rule can reject. The conflict kernel walks this
-	// sparse list instead of the Nl x Nl matrix, so a validity check
-	// costs O(actually-overlapping pairs). Both slices are immutable
+	// confStart/confAdj hold the path-overlap relation as a CSR
+	// adjacency over edge pairs: confAdj[confStart[i]:confStart[i+1]]
+	// lists, in ascending order, the edges j > i whose fabric paths
+	// share a waveguide resource with edge i's — the only pairs the
+	// wavelength disjointness rule can reject. The conflict kernel
+	// walks this sparse list, so a validity check costs
+	// O(actually-overlapping pairs). Both slices are immutable
 	// after construction and shared read-only by every evaluator (and,
 	// through core.Config.Instance, by every campaign replicate).
 	confStart []int32
 	confAdj   []int32
 
-	// evaluators recycles evaluators behind the compatibility Evaluate
-	// method, so concurrent callers run genuinely in parallel; hot
-	// paths hold their own Evaluator and never touch it.
+	// evaluators recycles evaluators behind Evaluate, so concurrent
+	// callers run genuinely in parallel; hot paths hold their own
+	// Evaluator and never touch it.
 	evaluators sync.Pool
 }
 
@@ -150,19 +146,13 @@ func NewInstance(f fabric.Fabric, app *graph.TaskGraph, m graph.Mapping, bitsPer
 		in.paths[ei] = p
 	}
 	nl := app.NumEdges()
-	in.pathOverlap = make([]bool, nl*nl)
-	for i := 0; i < nl; i++ {
-		for j := 0; j < nl; j++ {
-			in.pathOverlap[i*nl+j] = in.paths[i].Overlaps(in.paths[j])
-		}
-	}
 	in.maskWords = fabric.MaskWords(f.Channels())
 	in.confStart = make([]int32, nl+1)
 	var adj []int32
 	for i := 0; i < nl; i++ {
 		in.confStart[i] = int32(len(adj))
 		for j := i + 1; j < nl; j++ {
-			if in.pathOverlap[i*nl+j] {
+			if in.paths[i].Overlaps(in.paths[j]) {
 				adj = append(adj, int32(j))
 			}
 		}
@@ -170,23 +160,6 @@ func NewInstance(f fabric.Fabric, app *graph.TaskGraph, m graph.Mapping, bitsPer
 	in.confStart[nl] = int32(len(adj))
 	in.confAdj = adj
 	return in, nil
-}
-
-// MaskWords returns the per-edge wavelength bitmask stride of this
-// instance's comb (see Genome.MaskInto and fabric.MaskWords).
-func (in *Instance) MaskWords() int { return in.maskWords }
-
-// ConflictNeighbors returns the edges j > i whose precomputed fabric
-// paths share a waveguide resource with edge i's, in ascending order.
-// The returned slice is shared; callers must not mutate it.
-func (in *Instance) ConflictNeighbors(i int) []int32 {
-	return in.confAdj[in.confStart[i]:in.confStart[i+1]]
-}
-
-// PathsOverlap reports whether the precomputed routes of edges i and
-// j share a waveguide resource.
-func (in *Instance) PathsOverlap(i, j int) bool {
-	return in.pathOverlap[i*len(in.paths)+j]
 }
 
 // DefaultInstance assembles the paper's evaluation platform: the

@@ -45,7 +45,7 @@ func refValidity(t *testing.T, in *Instance, g Genome) (violation float64, reaso
 	}
 	for i := 0; i < nl; i++ {
 		for j := i + 1; j < nl; j++ {
-			if !s.Comm[i].Overlaps(s.Comm[j]) || !in.PathsOverlap(i, j) {
+			if !s.Comm[i].Overlaps(s.Comm[j]) || !in.Path(i).Overlaps(in.Path(j)) {
 				continue
 			}
 			if shared := countShared(sets[i], sets[j]); shared > 0 {
@@ -58,6 +58,40 @@ func refValidity(t *testing.T, in *Instance, g Genome) (violation float64, reaso
 		}
 	}
 	return violation, reason
+}
+
+// intersects returns a channel present in both sorted sets, or -1.
+func intersects(a, b []int) int {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			return a[i]
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return -1
+}
+
+// countShared returns how many channels two sorted sets share.
+func countShared(a, b []int) int {
+	i, j, n := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			n++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return n
 }
 
 // checkMaskAgainstReference compares one genome's EvaluateInto result
@@ -167,7 +201,7 @@ func TestMaskIntoMatchesChannelSets(t *testing.T) {
 }
 
 // TestConflictNeighborsMatchOverlapMatrix pins the sparse CSR
-// adjacency to the dense path-overlap matrix it compresses.
+// adjacency to the dense path-overlap relation it compresses.
 func TestConflictNeighborsMatchOverlapMatrix(t *testing.T) {
 	for _, nw := range []int{4, 8} {
 		in, err := DefaultInstance(nw)
@@ -178,11 +212,11 @@ func TestConflictNeighborsMatchOverlapMatrix(t *testing.T) {
 		for i := 0; i < nl; i++ {
 			var want []int32
 			for j := i + 1; j < nl; j++ {
-				if in.PathsOverlap(i, j) {
+				if in.Path(i).Overlaps(in.Path(j)) {
 					want = append(want, int32(j))
 				}
 			}
-			got := in.ConflictNeighbors(i)
+			got := in.confAdj[in.confStart[i]:in.confStart[i+1]]
 			if len(got) != len(want) {
 				t.Fatalf("edge %d: neighbors %v, want %v", i, got, want)
 			}
@@ -240,7 +274,7 @@ func FuzzGenomeDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		words := in.MaskWords()
+		words := in.maskWords
 		masks := make([]uint64, nl*words)
 		g.MaskInto(masks, words)
 		counts := g.Counts()

@@ -71,7 +71,7 @@ func TestSharedInstanceConstruction(t *testing.T) {
 				t.Errorf("self edge %d has %d hops, want 0", e, in.Path(e).Hops())
 			}
 			for j := 0; j < in.Edges(); j++ {
-				if in.PathsOverlap(e, j) {
+				if in.Path(e).Overlaps(in.Path(j)) {
 					t.Errorf("self edge %d overlaps edge %d", e, j)
 				}
 			}

@@ -68,11 +68,4 @@ func TestParseObjectiveSets(t *testing.T) {
 			t.Fatalf("ParseObjectiveSets(%q) = %v, want usage error", bad, err)
 		}
 	}
-	// Round trip through the short names core exposes.
-	for _, os := range want {
-		back, err := core.ParseObjectiveSet(os.ShortName())
-		if err != nil || back != os {
-			t.Fatalf("ParseObjectiveSet(%q) = %v, %v", os.ShortName(), back, err)
-		}
-	}
 }

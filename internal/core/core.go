@@ -81,19 +81,6 @@ func ParseObjectiveSet(name string) (ObjectiveSet, error) {
 	return 0, fmt.Errorf("core: unknown objective set %q (want teb, te or tb)", name)
 }
 
-// ShortName is the inverse of ParseObjectiveSet.
-func (s ObjectiveSet) ShortName() string {
-	switch s {
-	case TimeEnergyBER:
-		return "teb"
-	case TimeEnergy:
-		return "te"
-	case TimeBER:
-		return "tb"
-	}
-	return fmt.Sprintf("objectives(%d)", int(s))
-}
-
 func (s ObjectiveSet) objectives() ([]alloc.Objective, error) {
 	switch s {
 	case TimeEnergyBER:

@@ -91,9 +91,6 @@ func (p *Problem) resumeExplorerWith(ga nsga2.Config, r io.Reader) (*Explorer, e
 // Generation returns the number of completed generations.
 func (x *Explorer) Generation() int { return x.eng.Generation() }
 
-// Generations returns the run's target generation count.
-func (x *Explorer) Generations() int { return x.gens }
-
 // Done reports whether the run has completed its configured
 // generations.
 func (x *Explorer) Done() bool { return x.eng.Generation() >= x.gens }

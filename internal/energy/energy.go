@@ -68,56 +68,34 @@ func (m Model) Validate() error {
 	return nil
 }
 
-// LaserPowerMW returns the average emitted laser power (in mW) needed
-// on a wavelength whose end-to-end link loss is lossDB (a negative dB
-// value): the receive target divided by the link transmission, scaled
-// by the duty cycle.
-func (m Model) LaserPowerMW(lossDB phys.DB) phys.MilliWatt {
-	return m.laserPowerMW(lossDB, phys.DBm.MilliWatt)
-}
-
-func (m Model) laserPowerMW(lossDB phys.DB, toMW func(phys.DBm) phys.MilliWatt) phys.MilliWatt {
-	peak := toMW(m.RxTargetDBm.Add(-lossDB)) // compensate the loss
-	return phys.MilliWatt(m.Duty * float64(peak))
-}
-
-// LaserPowerForBERMW sizes the average laser power of a wavelength so
-// that its detector reaches the model's BER target given the
-// first-order crosstalk noise and the 0-level residue at that
-// detector (both in linear mW, evaluated at the nominal laser level):
-// the peak power must deliver SNRForBER(target) times the noise floor
-// through the link's transmission.
-func (m Model) LaserPowerForBERMW(lossDB phys.DB, noise, p0 phys.MilliWatt) phys.MilliWatt {
-	return m.laserPowerForBERMW(lossDB, noise, p0, phys.DBm.MilliWatt)
-}
-
-func (m Model) laserPowerForBERMW(lossDB phys.DB, noise, p0 phys.MilliWatt, toMW func(phys.DBm) phys.MilliWatt) phys.MilliWatt {
-	snr := phys.SNRForBER(m.BERTarget)
-	needAtDetector := snr * (float64(noise) + float64(p0))
-	// The link transmission lossDB.Linear(): DB.Linear and
-	// DBm.MilliWatt are the same conversion.
-	transmission := float64(toMW(phys.DBm(lossDB)))
-	if transmission <= 0 {
-		return phys.MilliWatt(math.Inf(1))
-	}
-	return phys.MilliWatt(m.Duty * needAtDetector / transmission)
-}
-
-// WavelengthLaserMW dispatches between the fixed receive-power sizing
-// and BER-target sizing according to the model mode.
-func (m Model) WavelengthLaserMW(lossDB phys.DB, noise, p0 phys.MilliWatt) phys.MilliWatt {
-	return m.WavelengthLaserMWVia(lossDB, noise, p0, phys.DBm.MilliWatt)
-}
-
-// WavelengthLaserMWVia is WavelengthLaserMW with the one dB -> linear
-// conversion of either sizing mode done by toMW, which must return
-// exactly what phys.DBm.MilliWatt returns. The evaluation kernel
-// passes its exact memo of that conversion.
+// WavelengthLaserMWVia returns the average emitted laser power (mW)
+// of one wavelength whose end-to-end link loss is lossDB (a negative
+// dB value). Without a BER target it is the fixed receive-power
+// sizing: the receive target divided by the link transmission, scaled
+// by the duty cycle. With a positive target the peak power must
+// deliver SNRForBER(target) times the noise floor at the detector —
+// the first-order crosstalk noise plus the 0-level residue p0, both
+// in linear mW at the nominal laser level — through the link's
+// transmission.
+//
+// toMW does the one dB -> linear conversion of either mode and must
+// return exactly what phys.DBm.MilliWatt returns: the evaluation
+// kernel passes its exact memo of that conversion, Explain the
+// conversion itself.
 func (m Model) WavelengthLaserMWVia(lossDB phys.DB, noise, p0 phys.MilliWatt, toMW func(phys.DBm) phys.MilliWatt) phys.MilliWatt {
 	if m.BERTarget > 0 {
-		return m.laserPowerForBERMW(lossDB, noise, p0, toMW)
+		snr := phys.SNRForBER(m.BERTarget)
+		needAtDetector := snr * (float64(noise) + float64(p0))
+		// The link's linear transmission: the absolute conversion
+		// applied to the relative ratio.
+		transmission := float64(toMW(phys.DBm(lossDB)))
+		if transmission <= 0 {
+			return phys.MilliWatt(math.Inf(1))
+		}
+		return phys.MilliWatt(m.Duty * needAtDetector / transmission)
 	}
-	return m.laserPowerMW(lossDB, toMW)
+	peak := toMW(m.RxTargetDBm.Add(-lossDB)) // compensate the loss
+	return phys.MilliWatt(m.Duty * float64(peak))
 }
 
 // EnergyFJ converts summed average laser powers held for a window
@@ -130,26 +108,4 @@ func (m Model) EnergyFJ(avgPowers []phys.MilliWatt, durationCycles float64) floa
 	ns := durationCycles / m.ClockGHz
 	// 1 mW * 1 ns = 1 pJ = 1000 fJ.
 	return totalMW * ns * 1000
-}
-
-// CommEnergyFJ returns the laser energy (femtojoules) spent moving one
-// communication in fixed receive-power mode: the summed average power
-// of its wavelengths times the transfer duration. lossesDB carries
-// the per-wavelength end-to-end link loss; durationCycles is the
-// window length from the schedule.
-func (m Model) CommEnergyFJ(lossesDB []phys.DB, durationCycles float64) float64 {
-	powers := make([]phys.MilliWatt, len(lossesDB))
-	for i, l := range lossesDB {
-		powers[i] = m.LaserPowerMW(l)
-	}
-	return m.EnergyFJ(powers, durationCycles)
-}
-
-// BitEnergyFJ aggregates communication energies into the figure of
-// merit of Fig. 6(a): total laser femtojoules per transmitted bit.
-func BitEnergyFJ(totalFJ, totalBits float64) float64 {
-	if totalBits <= 0 {
-		return 0
-	}
-	return totalFJ / totalBits
 }

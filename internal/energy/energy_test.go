@@ -7,6 +7,23 @@ import (
 	"repro/internal/phys"
 )
 
+// laserMW sizes one wavelength through the exported entry point with
+// the plain dB -> mW conversion.
+func laserMW(m Model, lossDB phys.DB, noise, p0 phys.MilliWatt) phys.MilliWatt {
+	return m.WavelengthLaserMWVia(lossDB, noise, p0, phys.DBm.MilliWatt)
+}
+
+// commEnergyFJ is the laser energy of one communication in fixed
+// receive-power mode: its wavelengths' summed average power held for
+// durationCycles.
+func commEnergyFJ(m Model, lossesDB []phys.DB, durationCycles float64) float64 {
+	powers := make([]phys.MilliWatt, len(lossesDB))
+	for i, l := range lossesDB {
+		powers[i] = laserMW(m, l, 0, 0)
+	}
+	return m.EnergyFJ(powers, durationCycles)
+}
+
 func TestDefaultValidates(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Fatal(err)
@@ -34,13 +51,13 @@ func TestValidateRejects(t *testing.T) {
 func TestLaserPowerCompensatesLoss(t *testing.T) {
 	m := Default()
 	// Lossless link: average power is duty * 10^(-13/10) mW.
-	p0 := float64(m.LaserPowerMW(0))
+	p0 := float64(laserMW(m, 0, 0, 0))
 	want := 0.5 * math.Pow(10, -1.3)
 	if math.Abs(p0-want) > 1e-12 {
 		t.Errorf("lossless laser power = %v mW, want %v", p0, want)
 	}
 	// A 3 dB link needs twice the power.
-	p3 := float64(m.LaserPowerMW(-3.0103))
+	p3 := float64(laserMW(m, -3.0103, 0, 0))
 	if math.Abs(p3/p0-2) > 1e-3 {
 		t.Errorf("3 dB loss should double the power: %v vs %v", p3, p0)
 	}
@@ -50,7 +67,7 @@ func TestLaserPowerMonotoneInLoss(t *testing.T) {
 	m := Default()
 	prev := phys.MilliWatt(0)
 	for loss := phys.DB(0); loss >= -10; loss -= 0.5 {
-		p := m.LaserPowerMW(loss)
+		p := laserMW(m, loss, 0, 0)
 		if p <= prev {
 			t.Fatalf("power must grow with loss: %v mW at %v dB", p, loss)
 		}
@@ -64,8 +81,7 @@ func TestCommEnergyCalibration(t *testing.T) {
 	m := Default()
 	volume := 8000.0
 	duration := volume // one wavelength, 1 bit/cycle
-	fj := m.CommEnergyFJ([]phys.DB{-1.5}, duration)
-	perBit := BitEnergyFJ(fj, volume)
+	perBit := commEnergyFJ(m, []phys.DB{-1.5}, duration) / volume
 	if perBit < 3 || perBit > 4.5 {
 		t.Errorf("baseline bit energy = %v fJ/bit, want ~3.5 (paper's floor)", perBit)
 	}
@@ -78,8 +94,8 @@ func TestMoreWavelengthsWithSameLossKeepBitEnergy(t *testing.T) {
 	// losses, which the allocation layer feeds through lossesDB.
 	m := Default()
 	volume := 8000.0
-	one := BitEnergyFJ(m.CommEnergyFJ([]phys.DB{-2}, volume), volume)
-	four := BitEnergyFJ(m.CommEnergyFJ([]phys.DB{-2, -2, -2, -2}, volume/4), volume)
+	one := commEnergyFJ(m, []phys.DB{-2}, volume) / volume
+	four := commEnergyFJ(m, []phys.DB{-2, -2, -2, -2}, volume/4) / volume
 	if math.Abs(one-four) > 1e-9 {
 		t.Errorf("equal-loss split changed bit energy: %v vs %v", one, four)
 	}
@@ -91,8 +107,8 @@ func TestExtraOnRingLossRaisesBitEnergy(t *testing.T) {
 	// must rise.
 	m := Default()
 	volume := 8000.0
-	flat := BitEnergyFJ(m.CommEnergyFJ([]phys.DB{-2, -2, -2, -2}, volume/4), volume)
-	stair := BitEnergyFJ(m.CommEnergyFJ([]phys.DB{-2, -2.5, -3, -3.5}, volume/4), volume)
+	flat := commEnergyFJ(m, []phys.DB{-2, -2, -2, -2}, volume/4) / volume
+	stair := commEnergyFJ(m, []phys.DB{-2, -2.5, -3, -3.5}, volume/4) / volume
 	if stair <= flat {
 		t.Errorf("staircase losses must cost more: %v vs %v fJ/bit", stair, flat)
 	}
@@ -100,24 +116,28 @@ func TestExtraOnRingLossRaisesBitEnergy(t *testing.T) {
 
 func TestCommEnergyScalesWithDuration(t *testing.T) {
 	m := Default()
-	e1 := m.CommEnergyFJ([]phys.DB{-1}, 1000)
-	e2 := m.CommEnergyFJ([]phys.DB{-1}, 2000)
+	e1 := commEnergyFJ(m, []phys.DB{-1}, 1000)
+	e2 := commEnergyFJ(m, []phys.DB{-1}, 2000)
 	if math.Abs(e2-2*e1) > 1e-9 {
 		t.Errorf("energy must be linear in duration: %v vs %v", e1, e2)
 	}
 }
 
 func TestBitEnergyDegenerate(t *testing.T) {
-	if got := BitEnergyFJ(100, 0); got != 0 {
-		t.Errorf("zero bits bit-energy = %v, want 0", got)
+	m := Default()
+	if got := m.EnergyFJ(nil, 1000); got != 0 {
+		t.Errorf("no wavelengths cost %v fJ, want 0", got)
+	}
+	if got := m.EnergyFJ([]phys.MilliWatt{laserMW(m, -1, 0, 0)}, 0); got != 0 {
+		t.Errorf("a zero-length window costs %v fJ, want 0", got)
 	}
 }
 
 func TestLaserPowerForBERScalesWithNoise(t *testing.T) {
 	m := Default()
 	m.BERTarget = 1e-9
-	quiet := m.LaserPowerForBERMW(-2, 0.0005, 0.001)
-	noisy := m.LaserPowerForBERMW(-2, 0.005, 0.001)
+	quiet := laserMW(m, -2, 0.0005, 0.001)
+	noisy := laserMW(m, -2, 0.005, 0.001)
 	if noisy <= quiet {
 		t.Errorf("more crosstalk must demand more power: %v vs %v", noisy, quiet)
 	}
@@ -132,27 +152,28 @@ func TestLaserPowerForBERScalesWithNoise(t *testing.T) {
 func TestLaserPowerForBERScalesWithLoss(t *testing.T) {
 	m := Default()
 	m.BERTarget = 1e-9
-	short := m.LaserPowerForBERMW(-1, 0.001, 0.001)
-	long := m.LaserPowerForBERMW(-4, 0.001, 0.001)
+	short := laserMW(m, -1, 0.001, 0.001)
+	long := laserMW(m, -4, 0.001, 0.001)
 	if long <= short {
 		t.Errorf("lossier link must demand more power: %v vs %v", long, short)
 	}
 	// Fully blocked link needs infinite power.
-	if !math.IsInf(float64(m.LaserPowerForBERMW(phys.DB(math.Inf(-1)), 0.001, 0.001)), 1) {
+	if !math.IsInf(float64(laserMW(m, phys.DB(math.Inf(-1)), 0.001, 0.001)), 1) {
 		t.Error("a dark link must demand infinite power")
 	}
 }
 
 func TestWavelengthLaserDispatch(t *testing.T) {
 	m := Default()
-	fixed := m.WavelengthLaserMW(-2, 0.005, 0.001)
-	if fixed != m.LaserPowerMW(-2) {
-		t.Error("zero target must use the fixed receive-power model")
+	fixed := laserMW(m, -2, 0.005, 0.001)
+	if want := phys.MilliWatt(m.Duty * float64((m.RxTargetDBm + 2).MilliWatt())); fixed != want {
+		t.Errorf("zero target: %v mW, want the fixed receive-power %v mW", fixed, want)
 	}
 	m.BERTarget = 1e-9
-	adaptive := m.WavelengthLaserMW(-2, 0.005, 0.001)
-	if adaptive != m.LaserPowerForBERMW(-2, 0.005, 0.001) {
-		t.Error("positive target must use the BER-target model")
+	adaptive := laserMW(m, -2, 0.005, 0.001)
+	want := phys.MilliWatt(m.Duty * phys.SNRForBER(m.BERTarget) * (0.005 + 0.001) / float64(phys.DBm(-2).MilliWatt()))
+	if adaptive != want {
+		t.Errorf("positive target: %v mW, want the BER-target %v mW", adaptive, want)
 	}
 }
 
@@ -173,15 +194,11 @@ func TestValidateBERTarget(t *testing.T) {
 }
 
 func TestEnergyFJMatchesCommEnergy(t *testing.T) {
+	// 1 mW held for 1 ns is 1 pJ: three wavelengths summing to 1 mW
+	// over 4000 cycles at 10 GHz (400 ns).
 	m := Default()
-	losses := []phys.DB{-1, -2, -3}
-	powers := make([]phys.MilliWatt, len(losses))
-	for i, l := range losses {
-		powers[i] = m.LaserPowerMW(l)
-	}
-	a := m.CommEnergyFJ(losses, 4000)
-	b := m.EnergyFJ(powers, 4000)
-	if math.Abs(a-b) > 1e-12 {
-		t.Errorf("CommEnergyFJ %v vs EnergyFJ %v", a, b)
+	got := m.EnergyFJ([]phys.MilliWatt{0.5, 0.25, 0.25}, 4000)
+	if want := 1.0 * 400 * 1000; math.Abs(got-want) > 1e-9 {
+		t.Errorf("EnergyFJ = %v fJ, want %v", got, want)
 	}
 }

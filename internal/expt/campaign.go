@@ -546,12 +546,8 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 	// Duplicate axis entries would enumerate bit-identical cells
 	// (identical identity tuples, therefore identical seeds) counted
 	// as independent results — reject them like duplicate workloads.
-	seenNW := make(map[int]bool, len(cfg.NWs))
-	for _, nw := range cfg.NWs {
-		if seenNW[nw] {
-			return nil, fmt.Errorf("expt: duplicate campaign comb size %d", nw)
-		}
-		seenNW[nw] = true
+	if err := checkNWs(cfg.NWs); err != nil {
+		return nil, err
 	}
 	seenObjs := make(map[core.ObjectiveSet]bool, len(cfg.ObjectiveSets))
 	for _, objs := range cfg.ObjectiveSets {
@@ -587,6 +583,20 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 		return nil, fmt.Errorf("expt: MigrationEvery/MigrationK need Islands > 1")
 	}
 	return runCells(cfg, cfg.Cells())
+}
+
+// checkNWs rejects a comb size listed twice: campaigns and the paper
+// suite alike would run its cells twice, with the same seeds, and
+// report them as independent results.
+func checkNWs(nws []int) error {
+	seen := make(map[int]bool, len(nws))
+	for _, nw := range nws {
+		if seen[nw] {
+			return fmt.Errorf("expt: duplicate comb size %d", nw)
+		}
+		seen[nw] = true
+	}
+	return nil
 }
 
 // runCells executes cells, drawn from cfg's (backend, workload, NW)

@@ -228,7 +228,10 @@ func TestNamedWorkloadsBeyondPlatform(t *testing.T) {
 		}
 		// Load-balanced: no core idles while another is overloaded by
 		// more than one task.
-		loads := wl.Mapping.CoreLoads(PlatformCores)
+		loads := make([]int, PlatformCores)
+		for _, c := range wl.Mapping {
+			loads[c]++
+		}
 		min, max := loads[0], loads[0]
 		for _, l := range loads[1:] {
 			if l < min {

@@ -12,6 +12,7 @@
 package expt
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -47,13 +48,38 @@ func paperCells(cfg CampaignConfig, reps int) []Cell {
 
 // runPaper runs reps paper-suite cells per comb size. Of cfg it reads
 // NWs, Pop, Generations, Seed, CellWorkers and EvalWorkers; the other
-// axes are the paper's.
+// axes are the paper's. A cell whose front the simulator contradicts
+// (an occupancy violation or a makespan outside the analytic bracket)
+// fails the run: the suite's outputs report no simulator counts, so
+// the error is the only place a disagreement can show.
 func runPaper(cfg CampaignConfig, reps int) (*Campaign, error) {
 	cfg = CampaignConfig{
 		NWs: cfg.NWs, Pop: cfg.Pop, Generations: cfg.Generations, Seed: cfg.Seed,
 		CellWorkers: cfg.CellWorkers, EvalWorkers: cfg.EvalWorkers,
 	}.withDefaults()
-	return runCells(cfg, paperCells(cfg, reps))
+	if err := checkNWs(cfg.NWs); err != nil {
+		return nil, err
+	}
+	camp, err := runCells(cfg, paperCells(cfg, reps))
+	if err != nil {
+		return nil, err
+	}
+	if err := camp.simDisagreement(); err != nil {
+		return nil, err
+	}
+	return camp, nil
+}
+
+// simDisagreement names the first cell whose simulator cross-check
+// found an occupancy violation or a bracket miss.
+func (c *Campaign) simDisagreement() error {
+	for _, cr := range c.Cells {
+		if cr.SimViolations > 0 || cr.SimBracketMisses > 0 {
+			return fmt.Errorf("expt: cell %d (%s): the simulator contradicts the analytic model (%d violations, %d bracket misses over %d checked genomes)",
+				cr.Cell.Index, cr.Cell, cr.SimViolations, cr.SimBracketMisses, cr.SimChecked)
+		}
+	}
+	return nil
 }
 
 // Run executes the paper suite: one exploration per comb size of cfg

@@ -381,3 +381,49 @@ func TestSensitivityReport(t *testing.T) {
 		t.Errorf("low-Q BER (log %v) must be worse than high-Q (log %v)", low, high)
 	}
 }
+
+// TestSuiteRejectsDuplicateNWs pins that a comb size listed twice
+// fails the paper suite's entry points before any cell runs, as it
+// fails RunCampaign.
+func TestSuiteRejectsDuplicateNWs(t *testing.T) {
+	cfg := CampaignConfig{NWs: []int{4, 8, 4}, Pop: 8, Generations: 1, Seed: 1}
+	const want = "duplicate comb size 4"
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Run: err = %v, want %q", err, want)
+	}
+	if _, err := MultiSeed(cfg, 2); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("MultiSeed: err = %v, want %q", err, want)
+	}
+}
+
+// TestSimDisagreementNamesFirstCell pins the check runPaper applies to
+// every suite run (Run and MultiSeed alike): the first cell whose
+// simulator cross-check reports a violation or a bracket miss fails
+// the run, and a clean campaign passes.
+func TestSimDisagreementNamesFirstCell(t *testing.T) {
+	cell := func(i, nw int) Cell {
+		return Cell{Index: i, Backend: "ring", NW: nw, Workload: "paper"}
+	}
+	camp := &Campaign{Cells: []CellResult{
+		{Cell: cell(0, 4), SimChecked: 5},
+		{Cell: cell(1, 8), SimChecked: 7, SimViolations: 1},
+		{Cell: cell(2, 12), SimChecked: 3, SimBracketMisses: 2},
+	}}
+	err := camp.simDisagreement()
+	if err == nil {
+		t.Fatal("a cell with a simulator violation must fail the suite")
+	}
+	for _, want := range []string{"cell 1 (NW=8", "1 violations", "0 bracket misses", "7 checked"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	camp.Cells[1].SimViolations = 0
+	if err := camp.simDisagreement(); err == nil || !strings.Contains(err.Error(), "cell 2 (NW=12") {
+		t.Errorf("bracket miss: err = %v, want cell 2 named", err)
+	}
+	camp.Cells[2].SimBracketMisses = 0
+	if err := camp.simDisagreement(); err != nil {
+		t.Errorf("clean campaign: %v", err)
+	}
+}

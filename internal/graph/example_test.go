@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/graph"
 )
@@ -16,7 +17,7 @@ func ExamplePaperApp() {
 	// Output: 6 tasks, 6 communications, 20 k-cc floor
 }
 
-func ExampleParseString() {
+func ExampleParse() {
 	src := `
 task producer 1000
 task consumer 2000
@@ -24,7 +25,7 @@ edge stream producer consumer 4096
 map producer 0
 map consumer 5
 `
-	app, m, err := graph.ParseString(src)
+	app, m, err := graph.Parse(strings.NewReader(src))
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -149,7 +149,7 @@ func TestTextFormatRoundTrip(t *testing.T) {
 	g := PaperApp()
 	m := PaperMapping()
 	text := FormatString(g, m)
-	g2, m2, err := ParseString(text)
+	g2, m2, err := Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, text)
 	}
@@ -164,7 +164,7 @@ func TestTextFormatNoMapping(t *testing.T) {
 	if strings.Contains(text, "map ") {
 		t.Error("nil mapping must not emit map lines")
 	}
-	g2, m2, err := ParseString(text)
+	g2, m2, err := Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ task a 100
 task b 200
 edge e a b 50
 `
-	g, _, err := ParseString(src)
+	g, _, err := Parse(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestParseErrors(t *testing.T) {
 		{"empty graph", "# nothing"},
 	}
 	for _, c := range cases {
-		if _, _, err := ParseString(c.src); err == nil {
+		if _, _, err := Parse(strings.NewReader(c.src)); err == nil {
 			t.Errorf("%s: expected parse error", c.name)
 		}
 	}

@@ -153,14 +153,3 @@ func (g *TaskGraph) CriticalPathCycles() (float64, error) {
 	}
 	return best, nil
 }
-
-// Clone deep-copies the graph.
-func (g *TaskGraph) Clone() *TaskGraph {
-	ng := &TaskGraph{
-		Tasks: make([]Task, len(g.Tasks)),
-		Edges: make([]Edge, len(g.Edges)),
-	}
-	copy(ng.Tasks, g.Tasks)
-	copy(ng.Edges, g.Edges)
-	return ng
-}

@@ -140,8 +140,3 @@ func Parse(r io.Reader) (*TaskGraph, Mapping, error) {
 	}
 	return g, m, nil
 }
-
-// ParseString is a convenience wrapper over Parse.
-func ParseString(s string) (*TaskGraph, Mapping, error) {
-	return Parse(strings.NewReader(s))
-}

@@ -889,10 +889,6 @@ func (r *ranker) relation(i, j int) int {
 		c0, c1, c2 := r.objCol[0], r.objCol[1], r.objCol[2]
 		iBetter = c0[i] < c0[j] || c1[i] < c1[j] || c2[i] < c2[j]
 		jBetter = c0[i] > c0[j] || c1[i] > c1[j] || c2[i] > c2[j]
-	case 4:
-		c0, c1, c2, c3 := r.objCol[0], r.objCol[1], r.objCol[2], r.objCol[3]
-		iBetter = c0[i] < c0[j] || c1[i] < c1[j] || c2[i] < c2[j] || c3[i] < c3[j]
-		jBetter = c0[i] > c0[j] || c1[i] > c1[j] || c2[i] > c2[j] || c3[i] > c3[j]
 	default:
 		for k := 0; k < mo; k++ {
 			col := r.objCol[k]

@@ -21,7 +21,7 @@ func loadFlat(e *Engine, pop []Individual) {
 }
 
 // TestRelationMatchesDominates pins the unrolled pair relation —
-// including the 2/3/4-objective fast paths — to the reference
+// including the 2/3-objective fast paths — to the reference
 // dominates evaluated in both directions, on populations mixing
 // feasible, infeasible and duplicate individuals with ±Inf and -0
 // objectives sprinkled in.
@@ -62,9 +62,10 @@ func TestRelationMatchesDominates(t *testing.T) {
 	}
 }
 
-// BenchmarkRelation measures the pair relation at each unrolled width
-// and at the generic-fallback width, over a feasible population with
-// tie-heavy objective vectors (the shape that defeats the early exit).
+// BenchmarkRelation measures the pair relation at the unrolled widths
+// (m2, m3) and on the generic loop (m4, m5-generic), over a feasible
+// population with tie-heavy objective vectors (the shape that defeats
+// the early exit).
 func BenchmarkRelation(b *testing.B) {
 	for _, m := range []int{2, 3, 4, 5} {
 		name := map[int]string{2: "m2", 3: "m3", 4: "m4", 5: "m5-generic"}[m]

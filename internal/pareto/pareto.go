@@ -1,7 +1,7 @@
 // Package pareto provides multi-objective dominance utilities used by
 // the NSGA-II engine and by the post-hoc analyses that regenerate the
-// paper's figures: dominance tests, global front extraction,
-// projections, and a 2D hypervolume indicator for ablation studies.
+// paper's figures: dominance tests, 2D front extraction and a 2D
+// hypervolume indicator for ablation studies.
 // All objectives are minimized, matching the paper's formulation
 // (execution time, bit energy, BER).
 package pareto
@@ -30,32 +30,13 @@ func Dominates(a, b []float64) bool {
 	return strictly
 }
 
-// FrontIndices returns the indices of the non-dominated points, in
-// their original order. Duplicate objective vectors are all kept (they
-// dominate nothing and are dominated by nothing among themselves),
-// matching how the paper counts "solutions on the Pareto front" from
-// distinct genomes.
-func FrontIndices(points [][]float64) []int {
-	var front []int
-	for i, p := range points {
-		dominated := false
-		for j, q := range points {
-			if i != j && Dominates(q, p) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, i)
-		}
-	}
-	return front
-}
-
-// FrontIndices2D is an O(n log n) specialization for two objectives:
-// sort by the first objective, sweep keeping the running minimum of
-// the second. It matches FrontIndices on 2D inputs and makes the
-// 100k-solution archives of Table II cheap to reduce.
+// FrontIndices2D returns the indices of the non-dominated 2D points,
+// in ascending order, in O(n log n): sort by the first objective,
+// sweep keeping the running minimum of the second. Duplicate
+// objective vectors are all kept (they dominate nothing and are
+// dominated by nothing among themselves), matching how the paper
+// counts "solutions on the Pareto front" from distinct genomes; the
+// sweep makes the 100k-solution archives of Table II cheap to reduce.
 func FrontIndices2D(points [][]float64) []int {
 	type rec struct {
 		x, y float64
@@ -101,20 +82,6 @@ func FrontIndices2D(points [][]float64) []int {
 	}
 	sort.Ints(front)
 	return front
-}
-
-// Project extracts the chosen objective columns from each point,
-// e.g. Project(points, 0, 2) maps (time, energy, ber) to (time, ber).
-func Project(points [][]float64, dims ...int) [][]float64 {
-	out := make([][]float64, len(points))
-	for i, p := range points {
-		row := make([]float64, len(dims))
-		for k, d := range dims {
-			row[k] = p[d]
-		}
-		out[i] = row
-	}
-	return out
 }
 
 // Hypervolume2D computes the dominated hypervolume of a 2D

@@ -53,6 +53,25 @@ func TestDominanceIsStrictPartialOrder(t *testing.T) {
 	}
 }
 
+// frontIndices is the quadratic reference front: the indices of the
+// points no other point dominates, in their original order.
+func frontIndices(points [][]float64) []int {
+	var front []int
+	for i, p := range points {
+		dominated := false
+		for j, q := range points {
+			if i != j && Dominates(q, p) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			front = append(front, i)
+		}
+	}
+	return front
+}
+
 func TestFrontIndicesSmall(t *testing.T) {
 	points := [][]float64{
 		{1, 5},   // front
@@ -62,7 +81,7 @@ func TestFrontIndicesSmall(t *testing.T) {
 		{4, 4},   // dominated by {2,4} and {3,3}
 		{0.5, 6}, // front
 	}
-	got := FrontIndices(points)
+	got := FrontIndices2D(points)
 	want := []int{0, 1, 2, 5}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("front = %v, want %v", got, want)
@@ -71,7 +90,7 @@ func TestFrontIndicesSmall(t *testing.T) {
 
 func TestFrontKeepsDuplicates(t *testing.T) {
 	points := [][]float64{{1, 1}, {1, 1}, {2, 2}}
-	got := FrontIndices(points)
+	got := FrontIndices2D(points)
 	if !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Errorf("front = %v, want both duplicates", got)
 	}
@@ -86,7 +105,7 @@ func TestFront2DMatchesGeneral(t *testing.T) {
 			// Coarse coordinates force plenty of ties.
 			points[i] = []float64{float64(rng.Intn(10)), float64(rng.Intn(10))}
 		}
-		slow := FrontIndices(points)
+		slow := frontIndices(points)
 		fast := FrontIndices2D(points)
 		sort.Ints(slow)
 		if !reflect.DeepEqual(slow, fast) {
@@ -102,15 +121,6 @@ func TestFront2DPanicsOnWrongDim(t *testing.T) {
 		}
 	}()
 	FrontIndices2D([][]float64{{1, 2, 3}})
-}
-
-func TestProject(t *testing.T) {
-	points := [][]float64{{1, 2, 3}, {4, 5, 6}}
-	got := Project(points, 0, 2)
-	want := [][]float64{{1, 3}, {4, 6}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Project = %v, want %v", got, want)
-	}
 }
 
 func TestHypervolume2D(t *testing.T) {
@@ -148,7 +158,7 @@ func TestHypervolumeMonotoneUnderImprovement(t *testing.T) {
 }
 
 func TestFrontOfEmptyAndSingle(t *testing.T) {
-	if got := FrontIndices(nil); len(got) != 0 {
+	if got := FrontIndices2D(nil); len(got) != 0 {
 		t.Errorf("front of empty = %v", got)
 	}
 	if got := FrontIndices2D([][]float64{{1, 2}}); !reflect.DeepEqual(got, []int{0}) {

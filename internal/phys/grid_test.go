@@ -77,7 +77,7 @@ func TestCrosstalkDBProperties(t *testing.T) {
 	// Leakage decreases monotonically with channel distance.
 	prev := 1.0
 	for d := 1; d < g.Channels; d++ {
-		leak := g.CrosstalkDB(0, d).Linear()
+		leak := float64(DBm(g.CrosstalkDB(0, d)).MilliWatt())
 		if leak >= prev {
 			t.Errorf("leak at distance %d = %v, not below %v", d, leak, prev)
 		}

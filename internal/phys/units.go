@@ -25,9 +25,6 @@ type DBm float64
 // MilliWatt is an absolute optical power in the linear domain.
 type MilliWatt float64
 
-// Linear converts a relative dB ratio to a linear power ratio.
-func (d DB) Linear() float64 { return math.Pow(10, float64(d)/10) }
-
 // LinearToDB converts a linear power ratio to decibels. Ratios must be
 // strictly positive; zero maps to -Inf, which propagates harmlessly
 // through the loss budget (a fully blocked signal).
@@ -35,14 +32,10 @@ func LinearToDB(ratio float64) DB {
 	return DB(10 * math.Log10(ratio))
 }
 
-// MilliWatt converts an absolute dBm power to linear milliwatts.
+// MilliWatt converts an absolute dBm power to linear milliwatts. For a
+// relative ratio d, DBm(d).MilliWatt() is its linear transmission.
 func (p DBm) MilliWatt() MilliWatt {
 	return MilliWatt(math.Pow(10, float64(p)/10))
-}
-
-// DBm converts a linear power to dBm. Non-positive powers map to -Inf.
-func (p MilliWatt) DBm() DBm {
-	return DBm(10 * math.Log10(float64(p)))
 }
 
 // Add applies a relative gain or loss to an absolute power. Because

@@ -3,6 +3,8 @@ package ring
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/fabric"
 )
 
 // TestMaskWords pins the bitmask stride shared with the allocation
@@ -10,8 +12,8 @@ import (
 func TestMaskWords(t *testing.T) {
 	cases := map[int]int{1: 1, 63: 1, 64: 1, 65: 2, 128: 2, 129: 3}
 	for channels, want := range cases {
-		if got := MaskWords(channels); got != want {
-			t.Errorf("MaskWords(%d) = %d, want %d", channels, got, want)
+		if got := fabric.MaskWords(channels); got != want {
+			t.Errorf("fabric.MaskWords(%d) = %d, want %d", channels, got, want)
 		}
 	}
 }
@@ -22,7 +24,7 @@ func TestMaskWords(t *testing.T) {
 func TestBankOrRowMatchesSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, channels := range []int{3, 8, 64, 65, 130} {
-		words := MaskWords(channels)
+		words := fabric.MaskWords(channels)
 		for trial := 0; trial < 50; trial++ {
 			onis := 2 + rng.Intn(6)
 			mask := make([]uint64, words)
@@ -33,9 +35,9 @@ func TestBankOrRowMatchesSets(t *testing.T) {
 			}
 			oni := rng.Intn(onis)
 
-			viaOr := NewBank(onis, channels)
+			viaOr := fabric.NewBank(onis, channels)
 			viaOr.OrRow(oni, mask)
-			viaSet := NewBank(onis, channels)
+			viaSet := fabric.NewBank(onis, channels)
 			for ch := 0; ch < channels; ch++ {
 				if mask[ch>>6]&(1<<(uint(ch)&63)) != 0 {
 					viaSet.Set(oni, ch, true)
@@ -56,7 +58,7 @@ func TestBankOrRowMatchesSets(t *testing.T) {
 // TestBankOrRowAccumulates proves OrRow merges with existing state
 // instead of overwriting it, and Reset clears everything.
 func TestBankOrRowAccumulates(t *testing.T) {
-	b := NewBank(3, 8)
+	b := fabric.NewBank(3, 8)
 	b.Set(1, 0, true)
 	b.OrRow(1, []uint64{0b10})
 	if !b.On(1, 0) || !b.On(1, 1) {
@@ -79,7 +81,7 @@ func TestBankOrRowAccumulates(t *testing.T) {
 // out-of-comb channels, which the packed representation would
 // otherwise silently mis-index.
 func TestBankChannelBoundsPanic(t *testing.T) {
-	b := NewBank(2, 8)
+	b := fabric.NewBank(2, 8)
 	for name, f := range map[string]func(){
 		"Set": func() { b.Set(0, 8, true) },
 		"On":  func() { _ = b.On(0, -1) },

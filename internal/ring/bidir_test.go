@@ -1,6 +1,10 @@
 package ring
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/fabric"
+)
 
 func mustBidir(t *testing.T, channels int) *Ring {
 	t.Helper()
@@ -189,7 +193,7 @@ func TestArrivalAlongFollowsCallerPath(t *testing.T) {
 	if !long.Through(det) {
 		t.Fatal("test setup: detector not on the CCW route")
 	}
-	bank := NewBank(r.Size(), r.Channels())
+	bank := fabric.NewBank(r.Size(), r.Channels())
 	bank.Set(det, 3, true)
 	alongCCW, err := r.ArrivalAlongDB(long, det, 5, 3, bank)
 	if err != nil {

@@ -5,21 +5,11 @@ import (
 	"repro/internal/phys"
 )
 
-// The micro-ring bank state machinery lives in the fabric package
-// (shared by every backend); the ring re-exports it so existing
-// callers keep compiling.
-
 var _ fabric.Fabric = (*Ring)(nil)
 
-// Bank is the fabric's receiver-bank state.
+// Bank is the fabric's receiver-bank state; the micro-ring bank
+// machinery lives in the fabric package, shared by every backend.
 type Bank = fabric.Bank
-
-// MaskWords returns the wavelength-bitmask word stride (see
-// fabric.MaskWords).
-func MaskWords(channels int) int { return fabric.MaskWords(channels) }
-
-// NewBank returns an all-OFF bank matrix for onis x channels rings.
-func NewBank(onis, channels int) *Bank { return fabric.NewBank(onis, channels) }
 
 // PropagationLossDB returns the waveguide propagation plus bending
 // loss (LP + LB of Eq. 6) accumulated along a path.

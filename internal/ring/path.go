@@ -98,10 +98,6 @@ func (r *Ring) DirectedPath(src, dst int, dir Direction) (Path, error) {
 	return fabric.NewPath(src, dst, int(dir), onis, segIdx), nil
 }
 
-// SelfPath returns the degenerate zero-hop path of a same-core
-// communication (see fabric.SelfPath).
-func SelfPath(oni int) Path { return fabric.SelfPath(oni) }
-
 // physSegment maps a direction-qualified resource ID to the physical
 // hop geometry: the CCW hop j -> j-1 runs along the same layout trace
 // as the CW hop (j-1) -> j.

@@ -134,21 +134,3 @@ func (r *Ring) Channels() int { return r.cfg.Grid.Channels }
 
 // Segment returns the directed hop leaving ring position i.
 func (r *Ring) Segment(i int) Segment { return r.segments[i] }
-
-// Coord converts a serpentine core ID to grid coordinates.
-func (r *Ring) Coord(id int) (row, col int) {
-	row = id / r.cfg.Cols
-	col = id % r.cfg.Cols
-	if row%2 == 1 {
-		col = r.cfg.Cols - 1 - col
-	}
-	return row, col
-}
-
-// CoreAt converts grid coordinates to the serpentine core ID.
-func (r *Ring) CoreAt(row, col int) int {
-	if row%2 == 1 {
-		col = r.cfg.Cols - 1 - col
-	}
-	return row*r.cfg.Cols + col
-}

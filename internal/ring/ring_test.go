@@ -3,6 +3,7 @@ package ring
 import (
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/phys"
 )
 
@@ -52,34 +53,22 @@ func TestSerpentineCoords(t *testing.T) {
 	//  7  6  5  4
 	//  8  9 10 11
 	// 15 14 13 12
+	// Consecutive IDs sit on adjacent tiles: every hop is one pitch,
+	// straight inside a row and with two bends where the serpentine
+	// turns down at a row end; only the closing hop 15 -> 0 runs three
+	// pitches up the left edge.
 	r := mustRing(t, 4)
-	wants := map[int][2]int{
-		0:  {0, 0},
-		3:  {0, 3},
-		4:  {1, 3},
-		7:  {1, 0},
-		8:  {2, 0},
-		11: {2, 3},
-		12: {3, 3},
-		15: {3, 0},
-	}
-	for id, rc := range wants {
-		row, col := r.Coord(id)
-		if row != rc[0] || col != rc[1] {
-			t.Errorf("Coord(%d) = (%d,%d), want (%d,%d)", id, row, col, rc[0], rc[1])
+	pitch := r.Config().TilePitchCM
+	for i := 0; i < r.Size(); i++ {
+		want := Segment{From: i, To: i + 1, LengthCM: pitch}
+		switch {
+		case i == 15:
+			want.To, want.LengthCM, want.Bends = 0, 3*pitch, 2
+		case i%4 == 3:
+			want.Bends = 2
 		}
-		if back := r.CoreAt(rc[0], rc[1]); back != id {
-			t.Errorf("CoreAt(%d,%d) = %d, want %d", rc[0], rc[1], back, id)
-		}
-	}
-}
-
-func TestCoordRoundTrip(t *testing.T) {
-	r := mustRing(t, 4)
-	for id := 0; id < r.Size(); id++ {
-		row, col := r.Coord(id)
-		if back := r.CoreAt(row, col); back != id {
-			t.Errorf("round trip %d -> (%d,%d) -> %d", id, row, col, back)
+		if got := r.Segment(i); got != want {
+			t.Errorf("segment %d = %+v, want %+v", i, got, want)
 		}
 	}
 }
@@ -252,7 +241,7 @@ func TestSignalArrivalQuiescentNetwork(t *testing.T) {
 	// propagation + bends + (hops' worth of OFF banks) + Lp1 drop.
 	r := mustRing(t, 8)
 	p, _ := r.PathBetween(1, 5)
-	bank := NewBank(r.Size(), r.Channels())
+	bank := fabric.NewBank(r.Size(), r.Channels())
 	bank.Set(5, 0, true) // destination receives channel 0
 	got := r.SignalArrivalDB(p, 0, bank)
 
@@ -275,11 +264,11 @@ func TestSignalArrivalPaysForEarlierOnRings(t *testing.T) {
 	// wavelength count.
 	r := mustRing(t, 8)
 	p, _ := r.PathBetween(1, 5)
-	single := NewBank(r.Size(), r.Channels())
+	single := fabric.NewBank(r.Size(), r.Channels())
 	single.Set(5, 7, true)
 	lone := r.SignalArrivalDB(p, 7, single)
 
-	crowd := NewBank(r.Size(), r.Channels())
+	crowd := fabric.NewBank(r.Size(), r.Channels())
 	for ch := 0; ch < 8; ch++ {
 		crowd.Set(5, ch, true)
 	}
@@ -296,10 +285,10 @@ func TestTransitLossResonantInteriorRingDropsSignal(t *testing.T) {
 	// the validity rule forbids), only the Kp1 residue survives.
 	r := mustRing(t, 8)
 	p, _ := r.PathBetween(1, 5)
-	bank := NewBank(r.Size(), r.Channels())
+	bank := fabric.NewBank(r.Size(), r.Channels())
 	bank.Set(3, 2, true) // interior ONI 3 steals channel 2
 	stolen := r.TransitLossDB(p, 2, bank)
-	clean := r.TransitLossDB(p, 2, NewBank(r.Size(), r.Channels()))
+	clean := r.TransitLossDB(p, 2, fabric.NewBank(r.Size(), r.Channels()))
 	par := r.Config().Params
 	wantDiff := par.XtalkOnMR - par.LossOffMR // Kp1 instead of Lp0 at one ring
 	if !floatEq(float64(stolen-clean), float64(wantDiff)) {
@@ -312,7 +301,7 @@ func TestDetectorArrivalCrosstalkBelowSignal(t *testing.T) {
 	// below the resonant signal's arrival (by roughly the Lorentzian
 	// rejection).
 	r := mustRing(t, 8)
-	bank := NewBank(r.Size(), r.Channels())
+	bank := fabric.NewBank(r.Size(), r.Channels())
 	bank.Set(5, 3, true)
 	bank.Set(5, 4, true)
 	sig, err := r.DetectorArrivalDB(1, 5, 3, 3, bank)
@@ -333,7 +322,7 @@ func TestDetectorArrivalCrosstalkBelowSignal(t *testing.T) {
 
 func TestDetectorArrivalRejectsBadEndpoints(t *testing.T) {
 	r := mustRing(t, 8)
-	off := NewBank(r.Size(), r.Channels())
+	off := fabric.NewBank(r.Size(), r.Channels())
 	if _, err := r.DetectorArrivalDB(3, 3, 0, 0, off); err == nil {
 		t.Error("src == det must error")
 	}
@@ -343,7 +332,7 @@ func TestDetectorArrivalRejectsBadEndpoints(t *testing.T) {
 }
 
 func TestBankSetAndQuery(t *testing.T) {
-	b := NewBank(4, 3)
+	b := fabric.NewBank(4, 3)
 	if b.On(2, 1) {
 		t.Error("new bank must be all OFF")
 	}

@@ -121,9 +121,6 @@ func newPlanner(g *graph.TaskGraph, m graph.Mapping, nCores int) (*Planner, erro
 	return p, nil
 }
 
-// Graph returns the planner's task graph.
-func (p *Planner) Graph() *graph.TaskGraph { return p.g }
-
 // SelfEdge reports whether edge e connects two tasks mapped onto the
 // same core (always false for unmapped planners). Self edges need no
 // wavelengths and have zero-length activity windows.
@@ -137,7 +134,10 @@ func (p *Planner) Shared() bool { return p.shared }
 
 // ComputeInto evaluates the time model into s, reusing its slices
 // when their capacity suffices — a steady-state caller performs zero
-// heap allocations. On error s is left in an unspecified state.
+// heap allocations. lambdas[e] is the number of wavelengths reserved
+// for edge e; every positive-volume edge needs at least one.
+// bitsPerCycle is B; the paper-scale experiments use 1 bit per cycle
+// per wavelength. On error s is left in an unspecified state.
 func (p *Planner) ComputeInto(s *Schedule, lambdas []int, bitsPerCycle float64) error {
 	g := p.g
 	if len(lambdas) != g.NumEdges() {
@@ -278,29 +278,6 @@ func grow[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// ComputeInto is the single-shot form of Planner.ComputeInto: it
-// re-derives the traversal order each call but still reuses s's
-// slices. Callers with a fixed graph should hold a Planner instead.
-func ComputeInto(s *Schedule, g *graph.TaskGraph, lambdas []int, bitsPerCycle float64) error {
-	p, err := NewPlanner(g)
-	if err != nil {
-		return err
-	}
-	return p.ComputeInto(s, lambdas, bitsPerCycle)
-}
-
-// Compute evaluates the time model. lambdas[e] is the number of
-// wavelengths reserved for edge e; every positive-volume edge needs at
-// least one. bitsPerCycle is B; the paper-scale experiments use 1 bit
-// per cycle per wavelength.
-func Compute(g *graph.TaskGraph, lambdas []int, bitsPerCycle float64) (*Schedule, error) {
-	s := &Schedule{}
-	if err := ComputeInto(s, g, lambdas, bitsPerCycle); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // Clone deep-copies the schedule, detaching it from any scratch
 // storage it was computed into.
 func (s *Schedule) Clone() *Schedule {
@@ -311,23 +288,6 @@ func (s *Schedule) Clone() *Schedule {
 		MakespanCycles: s.MakespanCycles,
 	}
 	return c
-}
-
-// Slack returns, for each edge, how many cycles its window could grow
-// before delaying the start of its consumer task. Slack 0 marks the
-// communications on the schedule's binding chain — the ones extra
-// wavelengths actually accelerate.
-func (s *Schedule) Slack(g *graph.TaskGraph) []float64 {
-	slack := make([]float64, g.NumEdges())
-	for ei, e := range g.Edges {
-		slack[ei] = s.TaskStart[e.Dst] - s.Comm[ei].End
-		if slack[ei] < 0 {
-			// Numerical noise only; the schedule construction makes
-			// TaskStart >= every incoming window end.
-			slack[ei] = 0
-		}
-	}
-	return slack
 }
 
 // ValidateCoreSerial cross-checks a core-serialized schedule: on top

@@ -114,30 +114,15 @@ type instKey struct {
 	nw       int
 }
 
-// instance is one shared read-only evaluation context plus its
-// serving gear: an evaluator pool and a single lock-guarded evaluator
-// for the NoBatch baseline.
+// instance is one shared read-only evaluation context (whose
+// Evaluate draws from its own evaluator pool) plus a single
+// lock-guarded evaluator for the NoBatch baseline.
 type instance struct {
-	key  instKey
-	in   *alloc.Instance
-	pool *alloc.EvaluatorPool
+	key instKey
+	in  *alloc.Instance
 
 	mu sync.Mutex
 	ev *alloc.Evaluator
-}
-
-// evaluatePooled evaluates on an evaluator drawn from the pool. The
-// result is detached before the evaluator goes back, so the caller
-// owns it outright.
-func (inst *instance) evaluatePooled(g alloc.Genome, out *alloc.Eval) error {
-	ev, err := inst.pool.Get()
-	if err != nil {
-		return err
-	}
-	ev.EvaluateInto(out, g)
-	out.Detach()
-	inst.pool.Put(ev)
-	return nil
 }
 
 // evaluateSerial is the NoBatch path: the whole evaluation serializes
@@ -212,7 +197,7 @@ func NewServer(cfg Config) (*Server, error) {
 					return nil, fmt.Errorf("serve: instance (%s, %s, NW=%d): %w", wl, backend, nw, err)
 				}
 				key := instKey{backend: backend, workload: wl, nw: nw}
-				s.instances[key] = &instance{key: key, in: in, pool: alloc.NewEvaluatorPool(in)}
+				s.instances[key] = &instance{key: key, in: in}
 				s.order = append(s.order, key)
 			}
 		}
@@ -240,9 +225,6 @@ func (noopWriter) Write(p []byte) (int, error) { return len(p), nil }
 // balancers stop routing here. Evaluate and explain keep answering
 // until Close.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Close stops evaluation: evaluate requests that arrive afterwards
 // answer 503. Call after http.Server.Shutdown has returned; Shutdown
@@ -382,12 +364,12 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	evaluate := inst.evaluatePooled
-	if s.cfg.NoBatch {
-		evaluate = inst.evaluateSerial
-	}
 	var out alloc.Eval
-	err = evaluate(g, &out)
+	if s.cfg.NoBatch {
+		err = inst.evaluateSerial(g, &out)
+	} else {
+		out = inst.in.Evaluate(g)
+	}
 	<-s.evalSlots
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
@@ -415,11 +397,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	var out alloc.Eval
-	if err := inst.evaluatePooled(g, &out); err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
-		return
-	}
+	out := inst.in.Evaluate(g)
 	if !out.Valid {
 		// Unlike evaluate, explain has nothing to say about an invalid
 		// chromosome: 422 with the evaluator's failure reason.

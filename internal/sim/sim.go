@@ -443,41 +443,3 @@ func integrateLaser(in *alloc.Instance, ev *alloc.Eval, counts []int, res *Resul
 }
 
 func ceil64(x float64) int64 { return int64(math.Ceil(x - 1e-9)) }
-
-// SegmentBusyCycles sums the busy cycles of one waveguide segment
-// across all channels (overlaps across channels accumulate: WDM
-// parallelism counts per wavelength).
-func (r *Result) SegmentBusyCycles(seg int) int64 {
-	var busy int64
-	for ch := 0; ch < r.nw; ch++ {
-		busy += sumCycles(r.SegmentChannel(seg, ch))
-	}
-	return busy
-}
-
-// ChannelBusyCycles sums the busy cycles of one wavelength channel
-// across all segments.
-func (r *Result) ChannelBusyCycles(ch int) int64 {
-	var busy int64
-	for seg := range r.slot {
-		busy += sumCycles(r.SegmentChannel(seg, ch))
-	}
-	return busy
-}
-
-// CoreBusyCycles sums the execution cycles one core spends running
-// tasks.
-func (r *Result) CoreBusyCycles(core int) int64 {
-	if core < 0 || core >= len(r.CoreBusy) {
-		return 0
-	}
-	return sumCycles(r.CoreBusy[core])
-}
-
-func sumCycles(ivs []Interval) int64 {
-	var busy int64
-	for _, iv := range ivs {
-		busy += iv.End - iv.Start
-	}
-	return busy
-}

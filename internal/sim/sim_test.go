@@ -14,6 +14,15 @@ import (
 	"repro/internal/ring"
 )
 
+// busyCycles sums the lengths of busy intervals.
+func busyCycles(ivs []Interval) int64 {
+	var busy int64
+	for _, iv := range ivs {
+		busy += iv.End - iv.Start
+	}
+	return busy
+}
+
 func mustInstance(t *testing.T, nw int) *alloc.Instance {
 	t.Helper()
 	in, err := alloc.DefaultInstance(nw)
@@ -240,17 +249,24 @@ func TestSimOccupancyTraces(t *testing.T) {
 		}
 	}
 	// Busy accounting: c1 holds 4 segments for 8000 cycles each.
-	if got := res.ChannelBusyCycles(1); got != 4*8000 {
-		t.Errorf("channel 1 busy = %d, want 32000", got)
+	var channelBusy, segmentBusy int64
+	for seg := range res.slot {
+		channelBusy += busyCycles(res.SegmentChannel(seg, 1))
 	}
-	if got := res.SegmentBusyCycles(1); got <= 0 {
-		t.Errorf("segment 1 busy = %d, want positive", got)
+	for ch := 0; ch < in.Channels(); ch++ {
+		segmentBusy += busyCycles(res.SegmentChannel(1, ch))
+	}
+	if channelBusy != 4*8000 {
+		t.Errorf("channel 1 busy = %d, want 32000", channelBusy)
+	}
+	if segmentBusy <= 0 {
+		t.Errorf("segment 1 busy = %d, want positive", segmentBusy)
 	}
 }
 
 func TestSimZeroVolumeEdge(t *testing.T) {
 	in := mustInstance(t, 8)
-	app := in.App.Clone()
+	app := graph.PaperApp()
 	app.Edges[0].VolumeBits = 0
 	in2, err := alloc.NewInstance(in.Fabric(), app, in.Map, 1, in.Energy)
 	if err != nil {
@@ -394,7 +410,7 @@ func TestSimCoreOccupancyTraces(t *testing.T) {
 				want += int64(in.App.Tasks[tsk].ExecCycles)
 			}
 		}
-		if got := res.CoreBusyCycles(core); got != want {
+		if got := busyCycles(ivs); got != want {
 			t.Errorf("core %d busy %d cycles, tasks need %d", core, got, want)
 		}
 		for _, iv := range ivs {
