@@ -673,6 +673,36 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorReuse measures a warm Simulator re-running one
+// valid paper NW 8 genome, as a campaign cell's cross-check re-runs
+// its front genomes: its evaluator's optics memo holds the genome and
+// its scratch is sized, so a run must not allocate.
+func BenchmarkSimulatorReuse(b *testing.B) {
+	in, err := alloc.DefaultInstance(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := alloc.Assign(in, []int{1, 4, 2, 3, 2, 3}, alloc.LeastUsed, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev, err := alloc.NewEvaluator(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := sim.NewSimulator(ev)
+	if _, err := s.Run(g, sim.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Run(g, sim.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHeuristicAssign measures the baseline allocators.
 func BenchmarkHeuristicAssign(b *testing.B) {
 	in, err := alloc.DefaultInstance(8)

@@ -463,13 +463,13 @@ func runCampaign(o campaignOpts) error {
 		if werr := writeArtifact(o.jsonPath, func(f *os.File) error { return expt.WriteCampaignJSON(f, camp) }); werr != nil {
 			return werr
 		}
-		fmt.Printf("\nJSON artifact written to %s\n", o.jsonPath)
+		fmt.Fprintf(os.Stderr, "wadate: JSON artifact written to %s\n", o.jsonPath)
 	}
 	if o.csvPath != "" {
 		if werr := writeArtifact(o.csvPath, func(f *os.File) error { return expt.WriteCampaignCSV(f, camp) }); werr != nil {
 			return werr
 		}
-		fmt.Printf("CSV table written to %s\n", o.csvPath)
+		fmt.Fprintf(os.Stderr, "wadate: CSV table written to %s\n", o.csvPath)
 	}
 	return err
 }
@@ -591,7 +591,7 @@ func run(exp, nws string, pop, gens int, seed int64, csvPath string, seeds, work
 		if err := writeArtifact(csvPath, func(f *os.File) error { return expt.WriteSuiteCSV(f, suite) }); err != nil {
 			return err
 		}
-		fmt.Printf("\nCSV written to %s\n", csvPath)
+		fmt.Fprintf(os.Stderr, "wadate: CSV written to %s\n", csvPath)
 	}
 	return nil
 }

@@ -123,26 +123,36 @@ func invalidEval(reason failureReason, violation float64) Eval {
 
 // Evaluate computes the objective vector of one chromosome. It is the
 // pooled entry point for one-off evaluations (the waserve evaluate and
-// explain handlers, the simulator, explain): evaluators are drawn from
-// the instance's pool, so concurrent callers evaluate in parallel, and
-// the result is detached, so the returned Eval owns its slices. Hot
-// loops (the GA workers) hold their own Evaluator instead and skip
-// both the pool round-trip and the copies.
+// explain handlers, explain): evaluators are drawn from the instance's
+// pool, so concurrent callers evaluate in parallel, and the result is
+// detached, so the returned Eval owns its slices. Hot loops (the GA
+// workers, a campaign cell's simulator) hold their own Evaluator
+// instead and skip both the pool round-trip and the copies.
 func (in *Instance) Evaluate(g Genome) Eval {
-	ev, _ := in.evaluators.Get().(*Evaluator)
-	if ev == nil {
-		var err error
-		ev, err = NewEvaluator(in)
-		if err != nil {
-			return invalid(err.Error(), 1)
-		}
+	ev, err := in.BorrowEvaluator()
+	if err != nil {
+		return invalid(err.Error(), 1)
 	}
 	var out Eval
 	ev.EvaluateInto(&out, g)
 	out.Detach()
-	in.evaluators.Put(ev)
+	in.ReturnEvaluator(ev)
 	return out
 }
+
+// BorrowEvaluator draws an evaluator from the instance's pool, building
+// one when the pool is empty. The caller owns it exclusively until it
+// hands it back with ReturnEvaluator. The error is NewEvaluator's.
+func (in *Instance) BorrowEvaluator() (*Evaluator, error) {
+	if ev, _ := in.evaluators.Get().(*Evaluator); ev != nil {
+		return ev, nil
+	}
+	return NewEvaluator(in)
+}
+
+// ReturnEvaluator hands an evaluator drawn by BorrowEvaluator back to
+// the pool. The caller must not use it afterwards.
+func (in *Instance) ReturnEvaluator(ev *Evaluator) { in.evaluators.Put(ev) }
 
 // bankFor builds the receiver-bank state seen by communication e's
 // light: the micro-ring for channel ch at ONI oni is ON when some

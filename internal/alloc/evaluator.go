@@ -111,6 +111,9 @@ func NewEvaluator(in *Instance) (*Evaluator, error) {
 	}, nil
 }
 
+// Instance returns the instance the evaluator was built over.
+func (e *Evaluator) Instance() *Instance { return e.in }
+
 // EvaluateInto computes the objective vector of one chromosome into
 // out, reusing the evaluator's scratch. The slices and the Schedule
 // reachable from out (Counts, CommBER, CommEnergyFJ, Schedule) alias

@@ -109,16 +109,22 @@ func (g Genome) MaskInto(dst []uint64, words int) {
 // Counts returns the per-edge number of reserved wavelengths: the
 // "[2, 8, 6, 6, 4, 7]" vectors printed beside the paper's Pareto
 // plots.
-func (g Genome) Counts() []int {
-	counts := make([]int, g.edges)
-	for e := 0; e < g.edges; e++ {
-		for ch := 0; ch < g.nw; ch++ {
-			if g.Get(e, ch) {
-				counts[e]++
+func (g Genome) Counts() []int { return g.CountsInto(make([]int, g.edges)) }
+
+// CountsInto writes the per-edge wavelength counts into dst, which
+// must hold Edges() entries, and returns dst[:Edges()].
+func (g Genome) CountsInto(dst []int) []int {
+	dst = dst[:g.edges]
+	for e := range dst {
+		n := 0
+		for _, b := range g.bits[e*g.nw : (e+1)*g.nw] {
+			if b != 0 {
+				n++
 			}
 		}
+		dst[e] = n
 	}
-	return counts
+	return dst
 }
 
 // String renders the chromosome in the paper's notation:

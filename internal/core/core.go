@@ -16,9 +16,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/crossbar"
@@ -323,9 +324,8 @@ type workerProblem struct {
 func (p *Problem) NewWorker() nsga2.Problem {
 	ev, err := alloc.NewEvaluator(p.in)
 	if err != nil {
-		// Cannot happen for instances built by New; degrade to the
-		// pooled path rather than failing the run.
-		return p
+		// NewEvaluator checks only what NewInstance already validated.
+		panic(fmt.Sprintf("core: %v", err))
 	}
 	return &workerProblem{parent: p, eval: ev}
 }
@@ -440,11 +440,25 @@ func (p *Problem) assembleResult(runRes *nsga2.Result) (*Result, error) {
 	}
 	frontSols := make([]Solution, len(front))
 	resolved := make([]bool, len(front))
+	// The solutions' genome copies and count vectors are carved from
+	// two flat arrays sized for the feasible entries.
+	feasible := 0
+	for _, e := range runRes.Archive {
+		if e.Feasible() {
+			feasible++
+		}
+	}
+	gl, nl := p.GenomeLen(), p.in.Edges()
+	bits := make([]byte, feasible*gl)
+	counts := make([]int, feasible*nl)
+	res.Valid = make([]Solution, 0, feasible)
 	for _, e := range runRes.Archive {
 		if !e.Feasible() {
 			continue
 		}
-		s, ok := p.solutionFor(e.Genome, e.Aux)
+		k := len(res.Valid)
+		s, ok := p.solutionFor(e.Genome, e.Aux,
+			bits[k*gl:(k+1)*gl:(k+1)*gl], counts[k*nl:(k+1)*nl:(k+1)*nl])
 		if !ok {
 			continue
 		}
@@ -468,12 +482,17 @@ func (p *Problem) assembleResult(runRes *nsga2.Result) (*Result, error) {
 	return res, nil
 }
 
-// solutionFor resolves a feasible archive entry to a Solution. The
-// metric triple comes from the entry's aux values; an entry without a
+// solutionFor resolves a feasible archive entry to a Solution whose
+// genome is a copy in bits and whose counts fill counts. The metric
+// triple comes from the entry's aux values; an entry without a
 // complete triple (only a hand-built checkpoint or session token holds
 // one) is evaluated once instead.
-func (p *Problem) solutionFor(genome []byte, aux []float64) (Solution, bool) {
-	g, err := alloc.FromBits(append([]byte(nil), genome...), p.in.Edges(), p.in.Channels())
+func (p *Problem) solutionFor(genome []byte, aux []float64, bits []byte, counts []int) (Solution, bool) {
+	if len(genome) != len(bits) {
+		return Solution{}, false
+	}
+	copy(bits, genome)
+	g, err := alloc.FromBits(bits, p.in.Edges(), p.in.Channels())
 	if err != nil {
 		return Solution{}, false
 	}
@@ -487,7 +506,7 @@ func (p *Problem) solutionFor(genome []byte, aux []float64) (Solution, bool) {
 		}
 		m = metricsOf(&ev)
 	}
-	return Solution{Genome: g, Counts: g.Counts(), Metrics: m}, true
+	return Solution{Genome: g, Counts: g.CountsInto(counts), Metrics: m}, true
 }
 
 func anyNaN(xs []float64) bool {
@@ -505,10 +524,12 @@ func projectFront(valid []Solution, proj func(Solution) [2]float64) []Solution {
 	if len(valid) == 0 {
 		return nil
 	}
+	flat := make([]float64, 2*len(valid))
 	points := make([][]float64, len(valid))
 	for i, s := range valid {
 		xy := proj(s)
-		points[i] = []float64{xy[0], xy[1]}
+		flat[2*i], flat[2*i+1] = xy[0], xy[1]
+		points[i] = flat[2*i : 2*i+2 : 2*i+2]
 	}
 	idx := pareto.FrontIndices2D(points)
 	front := make([]Solution, 0, len(idx))
@@ -520,14 +541,14 @@ func projectFront(valid []Solution, proj func(Solution) [2]float64) []Solution {
 }
 
 func sortByTime(ss []Solution) {
-	sort.SliceStable(ss, func(i, j int) bool {
-		if ss[i].TimeKCC != ss[j].TimeKCC {
-			return ss[i].TimeKCC < ss[j].TimeKCC
+	slices.SortStableFunc(ss, func(a, b Solution) int {
+		if c := cmp.Compare(a.TimeKCC, b.TimeKCC); c != 0 {
+			return c
 		}
-		if ss[i].BitEnergyFJ != ss[j].BitEnergyFJ {
-			return ss[i].BitEnergyFJ < ss[j].BitEnergyFJ
+		if c := cmp.Compare(a.BitEnergyFJ, b.BitEnergyFJ); c != 0 {
+			return c
 		}
-		return ss[i].MeanBER < ss[j].MeanBER
+		return cmp.Compare(a.MeanBER, b.MeanBER)
 	})
 }
 

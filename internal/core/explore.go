@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/alloc"
 	"repro/internal/nsga2"
 )
 
@@ -102,6 +103,16 @@ func (x *Explorer) Step() { x.eng.Step() }
 // scratch and is valid until the next Step (see
 // nsga2.Engine.Population).
 func (x *Explorer) Population() []nsga2.Individual { return x.eng.Population() }
+
+// Evaluator returns the evaluator of the engine's first worker view.
+// Its exact optics memo already holds the communications of the
+// genomes the run evaluated, so re-evaluating them through it — as a
+// campaign cell's simulator cross-check does — replays instead of
+// walking, with the same bits. Use it only between Steps: the engine
+// evaluates through it inside Step.
+func (x *Explorer) Evaluator() *alloc.Evaluator {
+	return x.eng.Worker().(*workerProblem).eval
+}
 
 // Stats exposes the engine's instrumentation counters: how many
 // evaluations each kernel served, cache hits, and dominance

@@ -811,8 +811,17 @@ func executeCell(cfg CampaignConfig, cell Cell, in *alloc.Instance, resume []byt
 		return cr
 	}
 	var stats nsga2.Stats
+	// ev is the simulator cross-check's evaluator: a single-engine
+	// cell lends its first worker's, whose optics memo already holds
+	// the front genomes' communications. An island cell's engines ran
+	// in its round runner, possibly in other processes, so it builds
+	// one.
+	var ev *alloc.Evaluator
 	if cfg.Islands > 1 {
 		cr.Result, stats, cr.Err = p.RunIslands(cfg.islandSpec(), runner)
+		if cr.Err == nil {
+			ev, cr.Err = alloc.NewEvaluator(in)
+		}
 	} else {
 		x, err := startExplorer(p, cell, resume)
 		if err != nil {
@@ -834,6 +843,7 @@ func executeCell(cfg CampaignConfig, cell Cell, in *alloc.Instance, resume []byt
 		}
 		cr.Result, cr.Err = x.Finish()
 		stats = x.Stats()
+		ev = x.Evaluator()
 	}
 	if cr.Err != nil {
 		return cr
@@ -842,7 +852,7 @@ func executeCell(cfg CampaignConfig, cell Cell, in *alloc.Instance, resume []byt
 		cr.stats = cellStatsOf(stats)
 	}
 	if cr.Result != nil {
-		cr.SimChecked, cr.SimViolations, cr.SimBracketMisses, cr.Err = simCheck(p.Instance(), cr.Result)
+		cr.SimChecked, cr.SimViolations, cr.SimBracketMisses, cr.Err = simCheck(sim.NewSimulator(ev), cr.Result)
 	}
 	return cr
 }
@@ -891,7 +901,8 @@ func cellProblem(cfg CampaignConfig, cell Cell, in *alloc.Instance) (*core.Probl
 // separately as a bracket miss: on shared cores an integer-rounding
 // tie can reorder same-core dispatch against the fractional model, so
 // the looser bound keeps a correct model/simulator pair at zero.
-func simCheck(in *alloc.Instance, res *core.Result) (checked, violations, bracketMisses int, err error) {
+func simCheck(s *sim.Simulator, res *core.Result) (checked, violations, bracketMisses int, err error) {
+	in := s.Instance()
 	var maxExec float64
 	for _, t := range in.App.Tasks {
 		if t.ExecCycles > maxExec {
@@ -907,7 +918,7 @@ func simCheck(in *alloc.Instance, res *core.Result) (checked, violations, bracke
 				continue
 			}
 			seen[key] = true
-			r, serr := sim.Run(in, sol.Genome, sim.Options{})
+			r, serr := s.Run(sol.Genome, sim.Options{})
 			if serr != nil {
 				return checked, violations, bracketMisses, fmt.Errorf("sim cross-check: %w", serr)
 			}

@@ -12,11 +12,13 @@ import (
 // map[string]..., a lookup never converts the genome to a string and
 // never allocates: the probe compares the 64-bit hash first and the
 // interned key bytes only on a hash match. Only inserting a
-// previously unseen genome allocates (the interned key copy and the
-// table growth), which is exactly the data the run retains anyway.
+// previously unseen genome allocates (the entry slice and table
+// growth, and a fresh chunk of the key arena the interned copies are
+// carved from), which is exactly the data the run retains anyway.
 type genomeCache struct {
 	seed    maphash.Seed
 	entries []cacheEntry
+	keys    arena[byte]
 	// table holds 1-based indices into entries (0 = empty slot) and
 	// always has power-of-two length; mask is len(table)-1.
 	table []int32
@@ -46,12 +48,18 @@ func (c *cacheEntry) setRow(row []float64, nObj int) {
 	}
 }
 
-func newGenomeCache() genomeCache {
+// newGenomeCache returns an empty cache for keyLen-byte genomes whose
+// entry slice and first key chunk have room for want entries, capped
+// at what the initial table holds before it first grows and at one
+// key chunk.
+func newGenomeCache(want, keyLen int) genomeCache {
 	const initialSlots = 1024
 	return genomeCache{
-		seed:  maphash.MakeSeed(),
-		table: make([]int32, initialSlots),
-		mask:  initialSlots - 1,
+		seed:    maphash.MakeSeed(),
+		entries: make([]cacheEntry, 0, min(want, initialSlots*3/4)),
+		keys:    newArena[byte](want*keyLen, keyChunk),
+		table:   make([]int32, initialSlots),
+		mask:    initialSlots - 1,
 	}
 }
 
@@ -81,7 +89,7 @@ func (c *genomeCache) insert(g []byte) int {
 	idx := len(c.entries)
 	c.entries = append(c.entries, cacheEntry{
 		hash:      h,
-		key:       append([]byte(nil), g...),
+		key:       c.internKey(g),
 		violation: math.NaN(),
 	})
 	for slot := h & c.mask; ; slot = (slot + 1) & c.mask {
@@ -91,6 +99,13 @@ func (c *genomeCache) insert(g []byte) int {
 		}
 	}
 	return idx
+}
+
+// internKey copies g into the key arena.
+func (c *genomeCache) internKey(g []byte) []byte {
+	key := c.keys.alloc(len(g))
+	copy(key, g)
+	return key
 }
 
 func (c *genomeCache) grow() {

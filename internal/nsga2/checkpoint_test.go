@@ -543,3 +543,66 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestArenaSizedFromRunBound pins the arenas' sizing: a fresh pop
+// P x G run carves every value row, in insertion order, from one chunk
+// of at most P·(G+1)·(nObj+aux) floats — the most distinct genomes the
+// run can evaluate — and every interned key from one chunk of at most
+// P·(G+1)·genomeLen bytes. A checkpoint holding more entries than
+// a resuming configuration's bound still decodes, into further chunks,
+// and re-encodes byte-identically.
+func TestArenaSizedFromRunBound(t *testing.T) {
+	p := auxProblem{ckptProblem(16), 2, onesAux}
+	const P, G = 12, 6
+	cfg := Config{PopSize: P, Generations: G, Seed: 5, ArchiveAll: true}
+	e, err := NewEngine(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.Generation() < G {
+		e.Step()
+	}
+	row := e.nObj + e.auxLen
+	chunk := e.store.cur[:cap(e.store.cur)]
+	if bound := P * (G + 1) * row; len(chunk) > bound {
+		t.Fatalf("arena chunk holds %d floats, the run's bound is %d", len(chunk), bound)
+	}
+	entries := e.cache.entries
+	if len(entries) < 2*P {
+		t.Fatalf("only %d distinct genomes: too few to exercise the arena", len(entries))
+	}
+	keys := e.cache.keys.cur[:cap(e.cache.keys.cur)]
+	if bound := P * (G + 1) * e.gl; len(keys) > bound {
+		t.Fatalf("key chunk holds %d bytes, the run's bound is %d", len(keys), bound)
+	}
+	for i := range entries {
+		if &entries[i].objs[0] != &chunk[i*row] || &entries[i].aux[0] != &chunk[i*row+e.nObj] {
+			t.Fatalf("entry %d's row is not carved at row %d of the run's one chunk", i, i)
+		}
+		if &entries[i].key[0] != &keys[i*e.gl] {
+			t.Fatalf("entry %d's key is not carved at key %d of the run's one key chunk", i, i)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	short := cfg
+	short.Generations = 1
+	resumed, err := ResumeEngine(p, short, bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, bound := len(resumed.cache.entries), P*(short.Generations+1); n <= bound {
+		t.Fatalf("checkpoint holds %d entries, not past the resuming bound %d", n, bound)
+	}
+	var buf2 bytes.Buffer
+	if err := resumed.WriteCheckpoint(&buf2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, buf2.Bytes()) {
+		t.Fatal("checkpoint past the arena bound does not re-encode byte-identically")
+	}
+}

@@ -72,10 +72,11 @@ type Engine struct {
 	// store is the engine's chunked objective arena: each cache
 	// entry's objectives and aux values are one row carved from it
 	// instead of being boxed one allocation each (checkpoint
-	// rehydration and live evaluation both carve from it). Chunks are
-	// never reallocated, so carved slices stay valid for the engine's
-	// lifetime.
-	store objStore
+	// rehydration and live evaluation both carve from it). Its first
+	// chunk is sized from the run's bound of distinct genomes. Chunks
+	// are never reallocated, so carved slices stay valid for the
+	// engine's lifetime.
+	store arena[float64]
 
 	// Instrumentation counters (see Stats; the relation count lives in
 	// the ranker).
@@ -170,13 +171,17 @@ func newEngineArena(p Problem, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("nsga2: negative aux length %d", auxLen)
 	}
 	P, gl, m := cfg.PopSize, p.GenomeLen(), p.NumObjectives()
+	// A run evaluates at most P distinct genomes per population it
+	// builds: the initial one and one offspring set per generation.
+	bound := P * (cfg.Generations + 1)
 	e := &Engine{
 		p:      p,
 		cfg:    cfg,
 		gl:     gl,
 		size:   P,
 		auxLen: auxLen,
-		cache:  newGenomeCache(),
+		cache:  newGenomeCache(bound, gl),
+		store:  newArena[float64](bound*(m+auxLen), storeChunk),
 		ranker: newRanker(2*P, m),
 		rest:   make([]int, 0, 2*P),
 
@@ -211,6 +216,12 @@ func (e *Engine) curRow(i int) []byte {
 func (e *Engine) offRow(i int) []byte {
 	return e.offSlab[i*e.gl : (i+1)*e.gl : (i+1)*e.gl]
 }
+
+// Worker returns the engine's first evaluation view: the problem's
+// first NewWorker view when it implements PerWorkerProblem, the
+// problem itself otherwise. The engine uses it only inside NewEngine
+// and Step, so between Steps a caller may use it freely.
+func (e *Engine) Worker() Problem { return e.views[0] }
 
 // Generation returns the number of completed Steps.
 func (e *Engine) Generation() int { return e.gen }
@@ -251,6 +262,9 @@ func (e *Engine) Result() *Result {
 	copy(res.Final, e.pop)
 	for i := range res.Final {
 		res.Final[i].Genome = append([]byte(nil), res.Final[i].Genome...)
+	}
+	if e.cfg.ArchiveAll {
+		res.Archive = make([]ArchiveEntry, 0, len(e.cache.entries))
 	}
 	for i := range e.cache.entries {
 		ent := &e.cache.entries[i]

@@ -398,7 +398,7 @@ func TestOffDisablesOperators(t *testing.T) {
 // lookups are exact, insertion order is preserved, growth keeps every
 // entry reachable.
 func TestGenomeCacheBasics(t *testing.T) {
-	c := newGenomeCache()
+	c := newGenomeCache(64, 16)
 	rng := rand.New(rand.NewSource(1))
 	var keys [][]byte
 	for i := 0; i < 5000; i++ {

@@ -1,33 +1,44 @@
 package nsga2
 
-// objStore is a chunked float64 arena for cache-entry value rows (the
-// objectives, then any aux values). Live evaluation and checkpoint
-// decoding carve one row per entry out of large chunks instead of
-// boxing it, so neither pays an allocation per genotype. Chunks are
-// never reallocated or reused — previously carved slices stay valid
-// for the owner's lifetime, which is exactly the retention contract
-// cache entries already have.
-type objStore struct {
-	cur []float64
+// arena is a chunked slice arena for the engine's per-genotype data:
+// cache-entry value rows (the objectives, then any aux values) and
+// interned genome keys. Live evaluation and checkpoint decoding carve
+// one slice per entry out of large chunks instead of boxing it, so
+// neither pays an allocation per genotype. Chunks are never
+// reallocated or reused — previously carved slices stay valid for the
+// owner's lifetime, which is exactly the retention contract cache
+// entries already have.
+type arena[T any] struct {
+	cur []T
+	// next is the length of the next chunk; every chunk after the
+	// first is chunk long.
+	next, chunk int
 }
 
-// storeChunk is the arena chunk size in float64s (128 KiB chunks):
-// large enough to amortize to well under one allocation per entry,
-// small enough that a mostly-unused tail chunk costs little.
-const storeChunk = 16384
+// newArena returns an arena whose first chunk holds want elements,
+// capped at chunk: an engine sizes it from its run's bound, so a small
+// run does not pay for a mostly empty full-size chunk.
+func newArena[T any](want, chunk int) arena[T] {
+	return arena[T]{next: min(want, chunk), chunk: chunk}
+}
 
-// alloc carves an n-float slice (len n, full capacity) from the
+// Chunk lengths: 128 KiB of float64s for value rows, 64 KiB of key
+// bytes — large enough to amortize to well under one allocation per
+// entry, small enough that a mostly-unused tail chunk costs little.
+const (
+	storeChunk = 16384
+	keyChunk   = 65536
+)
+
+// alloc carves an n-element slice (len n, full capacity) from the
 // current chunk, starting a fresh chunk when it would overflow.
-func (s *objStore) alloc(n int) []float64 {
+func (s *arena[T]) alloc(n int) []T {
 	if n == 0 {
 		return nil
 	}
 	if len(s.cur)+n > cap(s.cur) {
-		c := storeChunk
-		if c < n {
-			c = n
-		}
-		s.cur = make([]float64, 0, c)
+		s.cur = make([]T, 0, max(s.next, n))
+		s.next = s.chunk
 	}
 	off := len(s.cur)
 	s.cur = s.cur[: off+n : cap(s.cur)]

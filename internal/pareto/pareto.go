@@ -7,8 +7,9 @@
 package pareto
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Dominates reports whether point a Pareto-dominates point b under
@@ -49,11 +50,13 @@ func FrontIndices2D(points [][]float64) []int {
 		}
 		rs[i] = rec{p[0], p[1], i}
 	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].x != rs[j].x {
-			return rs[i].x < rs[j].x
+	// Ties in (x, y) may land in any order: the front is re-sorted by
+	// index below, so the order cannot leak into the result.
+	slices.SortFunc(rs, func(a, b rec) int {
+		if c := cmp.Compare(a.x, b.x); c != 0 {
+			return c
 		}
-		return rs[i].y < rs[j].y
+		return cmp.Compare(a.y, b.y)
 	})
 	var front []int
 	bestY := 0.0
@@ -80,7 +83,7 @@ func FrontIndices2D(points [][]float64) []int {
 		}
 		i = j
 	}
-	sort.Ints(front)
+	slices.Sort(front)
 	return front
 }
 
@@ -99,7 +102,7 @@ func Hypervolume2D(points [][]float64, ref [2]float64) float64 {
 		}
 		fs = append(fs, xy{p[0], p[1]})
 	}
-	sort.Slice(fs, func(i, j int) bool { return fs[i].x < fs[j].x })
+	slices.SortFunc(fs, func(a, b xy) int { return cmp.Compare(a.x, b.x) })
 	var hv float64
 	prevY := ref[1]
 	for _, p := range fs {

@@ -96,6 +96,37 @@ func TestFrontKeepsDuplicates(t *testing.T) {
 	}
 }
 
+// TestFrontTiesIndependentOfInputOrder pins that duplicate and
+// tied points cannot leak the sort's tie order into the front: the
+// front of a permuted input is the permuted front, in index order.
+func TestFrontTiesIndependentOfInputOrder(t *testing.T) {
+	points := [][]float64{{2, 1}, {1, 3}, {2, 1}, {1, 3}, {1, 2}, {3, 0}, {1, 2}}
+	if got, want := FrontIndices2D(points), []int{0, 2, 4, 5, 6}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("front = %v, want %v", got, want)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(40)
+		points := make([][]float64, n)
+		for i := range points {
+			points[i] = []float64{float64(rng.Intn(4)), float64(rng.Intn(4))}
+		}
+		perm := rng.Perm(n)
+		permuted := make([][]float64, n)
+		for i, j := range perm {
+			permuted[i] = points[j]
+		}
+		var mapped []int
+		for _, i := range FrontIndices2D(permuted) {
+			mapped = append(mapped, perm[i])
+		}
+		sort.Ints(mapped)
+		if want := FrontIndices2D(points); !reflect.DeepEqual(mapped, want) {
+			t.Fatalf("trial %d: permuted front %v, want %v for %v", trial, mapped, want, points)
+		}
+	}
+}
+
 func TestFront2DMatchesGeneral(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {

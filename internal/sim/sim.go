@@ -158,118 +158,185 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// Run simulates the allocation g on instance in. Cores are a
-// simulated resource: a core executes one task at a time, picking
-// among its data-ready tasks the one with the earliest (ready time,
-// task index) — the same deterministic policy as the analytic
-// core-serialized model, so the two stay bracketed within ceiling
-// error.
+// Simulator is a reusable simulation of one instance: it is built
+// once over an evaluator, computes the task graph's adjacency once,
+// and keeps its result, occupancy, event-queue and dispatch arrays
+// across runs, so a warm simulator re-running valid genomes does not
+// allocate. The evaluator supplies the validity gate and the laser
+// windows; its optics memo is exact, so a warm evaluator yields the
+// same bits as a fresh one.
+//
+// A Simulator uses its evaluator exclusively while it runs and is not
+// safe for concurrent use.
+type Simulator struct {
+	in      *alloc.Instance
+	ev      *alloc.Evaluator
+	eval    alloc.Eval
+	resName string // the fabric's name for one shared resource
+	// inDeg counts each task's incoming edges; task t's outgoing edges
+	// are succ[succOff[t]:succOff[t+1]], in edge order.
+	inDeg   []int
+	succOff []int
+	succ    []int
+
+	res Result
+
+	counts   []int
+	durs     []int64
+	pending  []int   // unreceived inputs per task
+	readyAt  []int64 // data-ready instant per task
+	coreFree []int64 // next instant each core is idle
+	waiting  [][]int // data-ready tasks queued per core
+	fill     []int32 // next free arena slot per occupancy key
+	q        eventQueue
+	seq      int
+}
+
+// NewSimulator builds a simulator over ev's instance. The simulator
+// evaluates through ev; the caller must not use ev while a Run is in
+// progress.
+func NewSimulator(ev *alloc.Evaluator) *Simulator {
+	in := ev.Instance()
+	app := in.App
+	nTasks, nEdges, nCores := app.NumTasks(), app.NumEdges(), in.Fabric().Size()
+	s := &Simulator{
+		in:      in,
+		ev:      ev,
+		resName: in.Fabric().ResourceName(),
+		inDeg:   make([]int, nTasks),
+		succOff: make([]int, nTasks+1),
+		succ:    make([]int, nEdges),
+		res: Result{
+			TaskStart: make([]int64, nTasks),
+			TaskEnd:   make([]int64, nTasks),
+			CommStart: make([]int64, nEdges),
+			CommEnd:   make([]int64, nEdges),
+			CoreBusy:  make([][]Interval, nCores),
+		},
+		counts:   make([]int, nEdges),
+		durs:     make([]int64, nEdges),
+		pending:  make([]int, nTasks),
+		readyAt:  make([]int64, nTasks),
+		coreFree: make([]int64, nCores),
+		waiting:  make([][]int, nCores),
+	}
+	for _, e := range app.Edges {
+		s.inDeg[e.Dst]++
+		s.succOff[e.Src+1]++
+	}
+	for t := 0; t < nTasks; t++ {
+		s.succOff[t+1] += s.succOff[t]
+	}
+	next := append([]int(nil), s.succOff[:nTasks]...)
+	for ei, e := range app.Edges {
+		s.succ[next[e.Src]] = ei
+		next[e.Src]++
+	}
+	// Every task runs once and queues once on its mapped core, so each
+	// core's busy list and ready queue are carved from one flat array
+	// at the core's task count. A core without tasks keeps nil lists.
+	perCore := make([]int, nCores)
+	for _, c := range in.Map {
+		perCore[c]++
+	}
+	busy, queued := make([]Interval, nTasks), make([]int, nTasks)
+	off := 0
+	for c, n := range perCore {
+		if n > 0 {
+			s.res.CoreBusy[c] = busy[off : off : off+n]
+			s.waiting[c] = queued[off : off : off+n]
+		}
+		off += n
+	}
+	return s
+}
+
+// Instance returns the instance the simulator runs.
+func (s *Simulator) Instance() *alloc.Instance { return s.in }
+
+// Run simulates the allocation g on instance in: a one-shot Simulator
+// over an evaluator drawn from the instance's pool.
 func Run(in *alloc.Instance, g alloc.Genome, opt Options) (*Result, error) {
-	ev := in.Evaluate(g)
-	if !ev.Valid && !opt.Unchecked {
-		return nil, fmt.Errorf("sim: allocation invalid: %s", ev.Reason())
+	ev, err := in.BorrowEvaluator()
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	defer in.ReturnEvaluator(ev)
+	return NewSimulator(ev).Run(g, opt)
+}
+
+// Run simulates the allocation g. Cores are a simulated resource: a
+// core executes one task at a time, picking among its data-ready
+// tasks the one with the earliest (ready time, task index) — the same
+// deterministic policy as the analytic core-serialized model, so the
+// two stay bracketed within ceiling error.
+//
+// The returned Result aliases the simulator's scratch: it is valid
+// until the next Run.
+func (s *Simulator) Run(g alloc.Genome, opt Options) (*Result, error) {
+	in, app := s.in, s.in.App
+	s.ev.EvaluateInto(&s.eval, g)
+	if !s.eval.Valid && !opt.Unchecked {
+		return nil, fmt.Errorf("sim: allocation invalid: %s", s.eval.Reason())
 	}
 	if opt.LatencyPerHopCycles < 0 {
 		return nil, fmt.Errorf("sim: negative hop latency")
 	}
-	app := in.App
-	counts := g.Counts()
+	if g.Edges() != in.Edges() || g.Channels() != in.Channels() {
+		return nil, fmt.Errorf("sim: genome shape %dx%d does not match instance %dx%d",
+			g.Edges(), g.Channels(), in.Edges(), in.Channels())
+	}
+	counts := g.CountsInto(s.counts)
 	for e := range app.Edges {
 		if app.Edges[e].VolumeBits > 0 && counts[e] == 0 && !in.SelfEdge(e) && !opt.Unchecked {
 			return nil, fmt.Errorf("sim: communication %s has no wavelengths", app.Edges[e].Name)
 		}
 	}
 
-	res := &Result{
-		TaskStart: make([]int64, app.NumTasks()),
-		TaskEnd:   make([]int64, app.NumTasks()),
-		CommStart: make([]int64, app.NumEdges()),
-		CommEnd:   make([]int64, app.NumEdges()),
-		CoreBusy:  make([][]Interval, in.Fabric().Size()),
-	}
+	res := &s.res
+	res.MakespanCycles = 0
+	res.Violations = nil
+	// A run that completes sets every task's times and every edge's
+	// window; TaskEnd = -1 marks a task that never completed.
 	for i := range res.TaskStart {
 		res.TaskStart[i] = -1
 		res.TaskEnd[i] = -1
 	}
-	durs := make([]int64, app.NumEdges())
-	for ei := range durs {
+	for c := range res.CoreBusy {
+		res.CoreBusy[c] = res.CoreBusy[c][:0]
+	}
+	for ei := range s.durs {
 		// Self edges have zero-hop paths, so they pick up no hop
 		// latency either.
-		durs[ei] = commDuration(in, counts, ei) + opt.LatencyPerHopCycles*int64(in.Path(ei).Hops())
+		s.durs[ei] = commDuration(in, counts, ei) + opt.LatencyPerHopCycles*int64(in.Path(ei).Hops())
 	}
-	occ := newOccupancy(in, g, durs, res)
+	s.bookArena(g)
 
-	preds := app.Preds()
-	succs := app.Succs()
-	pending := make([]int, app.NumTasks()) // unreceived inputs per task
-	for t := range pending {
-		pending[t] = len(preds[t])
+	copy(s.pending, s.inDeg)
+	clear(s.coreFree)
+	for c := range s.waiting {
+		s.waiting[c] = s.waiting[c][:0]
 	}
-
-	nCores := in.Fabric().Size()
-	coreFree := make([]int64, nCores) // next instant the core is idle
-	waiting := make([][]int, nCores)  // data-ready tasks queued per core
-	readyAt := make([]int64, app.NumTasks())
-
-	var q eventQueue
-	seq := 0
-	push := func(time int64, kind, id int) {
-		q.push(event{time: time, kind: kind, id: id, seq: seq})
-		seq++
-	}
-	// startTask books the core and schedules the completion. The
-	// CoreBusy overlap scan is the occupancy cross-check: the
-	// dispatcher below serializes same-core tasks, so a hit means the
-	// simulator itself is broken.
-	startTask := func(t int, now int64) {
-		res.TaskStart[t] = now
-		end := now + ceil64(app.Tasks[t].ExecCycles)
-		core := in.Map[t]
-		for _, iv := range res.CoreBusy[core] {
-			if now < iv.End && iv.Start < end {
-				res.Violations = append(res.Violations, fmt.Sprintf(
-					"core %d double-booked: task %d [%d,%d) vs task %d [%d,%d)",
-					core, iv.Comm, iv.Start, iv.End, t, now, end))
-			}
-		}
-		res.CoreBusy[core] = append(res.CoreBusy[core], Interval{Start: now, End: end, Comm: t})
-		coreFree[core] = end
-		push(end, 0, t)
-	}
-	// dispatch starts the waiting task with the earliest (ready, index)
-	// on core if the core is idle at now.
-	dispatch := func(core int, now int64) {
-		if coreFree[core] > now || len(waiting[core]) == 0 {
-			return
-		}
-		best, bestPos := -1, -1
-		for pos, t := range waiting[core] {
-			if best == -1 || readyAt[t] < readyAt[best] ||
-				(readyAt[t] == readyAt[best] && t < best) {
-				best, bestPos = t, pos
-			}
-		}
-		waiting[core] = append(waiting[core][:bestPos], waiting[core][bestPos+1:]...)
-		startTask(best, now)
-	}
-	for t := range pending {
-		if pending[t] == 0 {
-			readyAt[t] = 0
-			waiting[in.Map[t]] = append(waiting[in.Map[t]], t)
+	s.q = s.q[:0]
+	s.seq = 0
+	for t := range s.pending {
+		if s.pending[t] == 0 {
+			s.readyAt[t] = 0
+			s.waiting[in.Map[t]] = append(s.waiting[in.Map[t]], t)
 		}
 	}
-	for core := 0; core < nCores; core++ {
-		dispatch(core, 0)
+	for core := range s.waiting {
+		s.dispatch(core, 0)
 	}
 
-	for len(q) > 0 {
+	for len(s.q) > 0 {
 		// Drain every event at this timestamp before dispatching, so
 		// a core choosing its next task sees all tasks that became
 		// ready at this instant — matching the analytic model's
 		// global (start, ready, index) commitment order.
-		now := q[0].time
-		for len(q) > 0 && q[0].time == now {
-			e := q.pop()
+		now := s.q[0].time
+		for len(s.q) > 0 && s.q[0].time == now {
+			e := s.q.pop()
 			switch e.kind {
 			case 0: // task finished: launch its outgoing communications
 				t := e.id
@@ -277,27 +344,27 @@ func Run(in *alloc.Instance, g alloc.Genome, opt Options) (*Result, error) {
 				if e.time > res.MakespanCycles {
 					res.MakespanCycles = e.time
 				}
-				for _, ei := range succs[t] {
-					dur := durs[ei]
+				for _, ei := range s.succ[s.succOff[t]:s.succOff[t+1]] {
+					dur := s.durs[ei]
 					res.CommStart[ei] = e.time
 					res.CommEnd[ei] = e.time + dur
 					if dur > 0 {
-						occ.reserve(ei, e.time, e.time+dur)
+						s.reserve(g, ei, e.time, e.time+dur)
 					}
-					push(e.time+dur, 1, ei)
+					s.push(e.time+dur, 1, ei)
 				}
 			case 1: // communication delivered: maybe queue its consumer
 				ei := e.id
 				dst := app.Edges[ei].Dst
-				pending[dst]--
-				if pending[dst] == 0 {
-					readyAt[dst] = e.time
-					waiting[in.Map[dst]] = append(waiting[in.Map[dst]], dst)
+				s.pending[dst]--
+				if s.pending[dst] == 0 {
+					s.readyAt[dst] = e.time
+					s.waiting[in.Map[dst]] = append(s.waiting[in.Map[dst]], dst)
 				}
 			}
 		}
-		for core := 0; core < nCores; core++ {
-			dispatch(core, now)
+		for core := range s.waiting {
+			s.dispatch(core, now)
 		}
 	}
 
@@ -306,8 +373,51 @@ func Run(in *alloc.Instance, g alloc.Genome, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("sim: task %d never completed (broken dependency graph)", t)
 		}
 	}
-	res.LaserFJ = integrateLaser(in, &ev, counts, res)
+	res.LaserFJ = integrateLaser(in, &s.eval, counts, res)
 	return res, nil
+}
+
+func (s *Simulator) push(time int64, kind, id int) {
+	s.q.push(event{time: time, kind: kind, id: id, seq: s.seq})
+	s.seq++
+}
+
+// startTask books the core and schedules the completion. The CoreBusy
+// overlap scan is the occupancy cross-check: dispatch serializes
+// same-core tasks, so a hit means the simulator itself is broken.
+func (s *Simulator) startTask(t int, now int64) {
+	res := &s.res
+	res.TaskStart[t] = now
+	end := now + ceil64(s.in.App.Tasks[t].ExecCycles)
+	core := s.in.Map[t]
+	for _, iv := range res.CoreBusy[core] {
+		if now < iv.End && iv.Start < end {
+			res.Violations = append(res.Violations, fmt.Sprintf(
+				"core %d double-booked: task %d [%d,%d) vs task %d [%d,%d)",
+				core, iv.Comm, iv.Start, iv.End, t, now, end))
+		}
+	}
+	res.CoreBusy[core] = append(res.CoreBusy[core], Interval{Start: now, End: end, Comm: t})
+	s.coreFree[core] = end
+	s.push(end, 0, t)
+}
+
+// dispatch starts the waiting task with the earliest (ready, index)
+// on core if the core is idle at now.
+func (s *Simulator) dispatch(core int, now int64) {
+	waiting := s.waiting[core]
+	if s.coreFree[core] > now || len(waiting) == 0 {
+		return
+	}
+	best, bestPos := -1, -1
+	for pos, t := range waiting {
+		if best == -1 || s.readyAt[t] < s.readyAt[best] ||
+			(s.readyAt[t] == s.readyAt[best] && t < best) {
+			best, bestPos = t, pos
+		}
+	}
+	s.waiting[core] = append(waiting[:bestPos], waiting[bestPos+1:]...)
+	s.startTask(best, now)
 }
 
 // commDuration is the integer transfer time of edge ei. Self edges of
@@ -327,24 +437,15 @@ func commDuration(in *alloc.Instance, counts []int, ei int) int64 {
 	return ceil64(vol / bitsPerCycle)
 }
 
-// occupancy books (resource, channel) pairs into the Result's CSR
-// arena. Bookings happen at the current event time, which never
-// decreases, so every list fills in start order.
-type occupancy struct {
-	in      *alloc.Instance
-	g       alloc.Genome
-	res     *Result
-	fill    []int32 // next free arena slot per key
-	resName string  // the fabric's name for one shared resource
-}
-
-// newOccupancy sizes the occupancy arena of res for the run: a
+// bookArena sizes the run's occupancy arena in the Result: a
 // counting pass over every booked edge (durs[ei] > 0) and its path
-// resources × channel set.
-func newOccupancy(in *alloc.Instance, g alloc.Genome, durs []int64, res *Result) *occupancy {
+// resources × channel set. The arena's slices are the simulator's,
+// resized and zeroed for the run.
+func (s *Simulator) bookArena(g alloc.Genome) {
+	in, res := s.in, &s.res
 	nw := in.Channels()
 	maxRes := -1
-	for ei, dur := range durs {
+	for ei, dur := range s.durs {
 		if dur <= 0 {
 			continue
 		}
@@ -353,9 +454,9 @@ func newOccupancy(in *alloc.Instance, g alloc.Genome, durs []int64, res *Result)
 		}
 	}
 	res.nw = nw
-	res.slot = make([]int32, maxRes+1)
+	res.slot = resize(res.slot, maxRes+1)
 	booked := int32(0)
-	for ei, dur := range durs {
+	for ei, dur := range s.durs {
 		if dur <= 0 {
 			continue
 		}
@@ -367,8 +468,8 @@ func newOccupancy(in *alloc.Instance, g alloc.Genome, durs []int64, res *Result)
 		}
 	}
 	keys := int(booked) * nw
-	res.off = make([]int32, keys+1)
-	for ei, dur := range durs {
+	res.off = resize(res.off, keys+1)
+	for ei, dur := range s.durs {
 		if dur <= 0 {
 			continue
 		}
@@ -384,38 +485,43 @@ func newOccupancy(in *alloc.Instance, g alloc.Genome, durs []int64, res *Result)
 	for k := 0; k < keys; k++ {
 		res.off[k+1] += res.off[k]
 	}
-	res.ivs = make([]Interval, res.off[keys])
-	return &occupancy{
-		in:      in,
-		g:       g,
-		res:     res,
-		fill:    append([]int32(nil), res.off[:keys]...),
-		resName: in.Fabric().ResourceName(),
+	res.ivs = resize(res.ivs, int(res.off[keys]))
+	s.fill = append(s.fill[:0], res.off[:keys]...)
+}
+
+// resize returns buf resliced (or reallocated) to length n, zeroed.
+// Like make, it never returns nil.
+func resize[T any](buf []T, n int) []T {
+	if buf == nil || cap(buf) < n {
+		return make([]T, n)
 	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // reserve books every (resource, channel) of communication ei for
 // [start, end), recording violations on overlap. The violation wording
 // names the backend's shared-medium unit (ring: "segment", crossbar:
 // "hop") so diagnostics read in the fabric's own vocabulary.
-func (o *occupancy) reserve(ei int, start, end int64) {
-	res, edges := o.res, o.in.App.Edges
-	for _, seg := range o.in.Path(ei).Resources() {
+func (s *Simulator) reserve(g alloc.Genome, ei int, start, end int64) {
+	res, edges := &s.res, s.in.App.Edges
+	for _, seg := range s.in.Path(ei).Resources() {
 		for ch := 0; ch < res.nw; ch++ {
-			if !o.g.Get(ei, ch) {
+			if !g.Get(ei, ch) {
 				continue
 			}
 			k := res.key(seg, ch)
-			for _, iv := range res.ivs[res.off[k]:o.fill[k]] {
+			for _, iv := range res.ivs[res.off[k]:s.fill[k]] {
 				if start < iv.End && iv.Start < end {
 					res.Violations = append(res.Violations, fmt.Sprintf(
 						"%s %d channel %d double-booked: %s [%d,%d) vs %s [%d,%d)",
-						o.resName, seg, ch, edges[iv.Comm].Name, iv.Start, iv.End,
+						s.resName, seg, ch, edges[iv.Comm].Name, iv.Start, iv.End,
 						edges[ei].Name, start, end))
 				}
 			}
-			res.ivs[o.fill[k]] = Interval{Start: start, End: end, Comm: ei}
-			o.fill[k]++
+			res.ivs[s.fill[k]] = Interval{Start: start, End: end, Comm: ei}
+			s.fill[k]++
 		}
 	}
 }
