@@ -630,9 +630,10 @@ func BenchmarkSignalArrival(b *testing.B) {
 	}
 	bank := fabric.NewBank(r.Size(), r.Channels())
 	bank.Set(10, 3, true)
+	bud := fabric.NewBudget(r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = r.SignalArrivalDB(p, 3, bank)
+		_ = bud.SignalArrivalDB(p, 3, bank)
 	}
 }
 

@@ -342,11 +342,12 @@ func (e *Evaluator) gatherInter(ei int, s *sched.Schedule) {
 const interTag = 1 << 63
 
 // edgeKey packs every input of edge ei's optics into the memo key
-// (see edgeMemo). The bank rows are the ones the fabric's loss
-// methods read (the fabric.Fabric read-set contract): a path's
-// ONIs()[1:], and a contributor's only up to the victim's receiver,
-// whose row the edge's own part already holds. Rows no fill ever
-// writes are left out: they are zero whatever the genome.
+// (see edgeMemo). The bank rows are the ones the instance's
+// fabric.Budget reads (the fabric.Fabric read-set contract: the
+// backend's transit before the detector, the budget's walk at it): a
+// path's ONIs()[1:], and a contributor's only up to the victim's
+// receiver, whose row the edge's own part already holds. Rows no fill
+// ever writes are left out: they are zero whatever the genome.
 func (e *Evaluator) edgeKey(ei int, s *sched.Schedule) []uint64 {
 	in := e.in
 	W := in.maskWords
@@ -386,7 +387,7 @@ func (e *Evaluator) walkOptics(ei int, s *sched.Schedule) []float64 {
 	vals := e.vals[:0]
 	var commBERSum float64
 	for _, ch := range e.sets[ei] {
-		sigLoss := in.fab.SignalArrivalDB(in.paths[ei], ch, e.bank)
+		sigLoss := in.budget.SignalArrivalDB(in.paths[ei], ch, e.bank)
 		psig := e.mw.milliWatt(pv.Add(sigLoss))
 
 		var noise phys.MilliWatt
@@ -396,7 +397,7 @@ func (e *Evaluator) walkOptics(ei int, s *sched.Schedule) []float64 {
 			if other == ch || !in.Xtalk.intra() {
 				continue
 			}
-			arr, err := in.fab.ArrivalAlongDB(in.paths[ei], dst, other, ch, e.bank)
+			arr, err := in.budget.ArrivalAlongDB(in.paths[ei], dst, other, ch, e.bank)
 			if err == nil {
 				noise += e.mw.milliWatt(pv.Add(arr))
 			}
@@ -413,7 +414,7 @@ func (e *Evaluator) walkOptics(ei int, s *sched.Schedule) []float64 {
 					// validity rule); skip defensively.
 					continue
 				}
-				arr, err := in.fab.ArrivalAlongDB(in.paths[o], dst, other, ch, e.bank)
+				arr, err := in.budget.ArrivalAlongDB(in.paths[o], dst, other, ch, e.bank)
 				if err == nil {
 					noise += e.mw.milliWatt(pv.Add(arr))
 				}

@@ -107,7 +107,7 @@ func (in *Instance) Explain(g Genome) (*Explanation, error) {
 			Window:  ev.Schedule.Comm[e],
 		}
 		for _, ch := range sets[e] {
-			loss := in.fab.SignalArrivalDB(in.paths[e], ch, bank)
+			loss := in.budget.SignalArrivalDB(in.paths[e], ch, bank)
 			lb := LambdaBudget{
 				Channel:      ch,
 				WavelengthNM: grid.WavelengthNM(ch),
@@ -115,7 +115,7 @@ func (in *Instance) Explain(g Genome) (*Explanation, error) {
 				PathLossDB:   loss,
 			}
 			addTerm := func(from, channel int, intra bool) {
-				arr, err := in.fab.ArrivalAlongDB(in.paths[from], in.dstCore[e], channel, ch, bank)
+				arr, err := in.budget.ArrivalAlongDB(in.paths[from], in.dstCore[e], channel, ch, bank)
 				if err != nil {
 					return
 				}

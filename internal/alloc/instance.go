@@ -72,6 +72,9 @@ type Instance struct {
 	// Explain; the zero value is the full physical model.
 	Xtalk CrosstalkMode
 
+	// budget composes the detector end of the link budget on fab's
+	// transit, for the evaluation kernel and Explain.
+	budget   *fabric.Budget
 	paths    []fabric.Path // per edge: src core -> dst core route
 	srcCore  []int         // per edge
 	dstCore  []int         // per edge
@@ -119,6 +122,7 @@ func NewInstance(f fabric.Fabric, app *graph.TaskGraph, m graph.Mapping, bitsPer
 	}
 	in := &Instance{
 		fab:          f,
+		budget:       fabric.NewBudget(f),
 		App:          app,
 		Map:          m,
 		BitsPerCycle: bitsPerCycle,

@@ -31,10 +31,14 @@
 //     (layer d mod Layers) couples up at injection and down at the
 //     receiver.
 //
-// The receiver bank at the destination is walked dynamically against
-// the allocation layer's *fabric.Bank, exactly like the ring (shared
-// fabric.BankWalkDB), so intra- and inter-communication crosstalk at
-// the victim receiver use identical MR-state semantics.
+// The backend supplies only that transit (TransitLossDB). The receiver
+// bank at the destination, the drop and the crosstalk coupling are
+// composed by fabric.Budget against the allocation layer's
+// *fabric.Bank, exactly as on the ring, so intra- and
+// inter-communication crosstalk at the victim receiver use identical
+// MR-state semantics. A crossbar path crosses no receiver bank but its
+// destination's, so an arrival at any other detector is the Prefix
+// error, which crosstalk scans treat as no coupling.
 package crossbar
 
 import (
@@ -88,8 +92,7 @@ func DefaultConfig(channels int) Config {
 // Crossbar is an immutable crossbar instance implementing
 // fabric.Fabric.
 type Crossbar struct {
-	cfg   Config
-	xtalk *fabric.CrosstalkTable
+	cfg Config
 }
 
 var _ fabric.Fabric = (*Crossbar)(nil)
@@ -115,14 +118,11 @@ func New(cfg Config) (*Crossbar, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	return &Crossbar{cfg: cfg, xtalk: fabric.NewCrosstalkTable(cfg.Grid)}, nil
+	return &Crossbar{cfg: cfg}, nil
 }
 
 // Config returns the configuration the crossbar was built from.
 func (x *Crossbar) Config() Config { return x.cfg }
-
-// Name implements fabric.Fabric.
-func (x *Crossbar) Name() string { return "crossbar" }
 
 // ResourceName implements fabric.Fabric: the shared-medium unit is a
 // span ("hop") of a destination's dedicated waveguide.
@@ -197,51 +197,9 @@ func (x *Crossbar) crossings(d int) int {
 // waveguide (round-robin assignment).
 func (x *Crossbar) layerOf(d int) int { return d % x.cfg.Layers }
 
-// SignalArrivalDB implements fabric.Fabric: static transit plus the
-// dynamic receiver-bank walk at the destination and the final drop
-// into the resonant micro-ring.
-func (x *Crossbar) SignalArrivalDB(p fabric.Path, ch int, bank *fabric.Bank) phys.DB {
-	loss := x.TransitLossDB(p, ch, bank)
-	loss += fabric.BankWalkDB(x.cfg.Params, p.Dst, ch, ch, bank)
-	loss += phys.DropLossDB(x.cfg.Params, phys.MRState(bank.On(p.Dst, ch)))
-	return loss
-}
-
-// ArrivalAlongDB implements fabric.Fabric. On the crossbar a signal
-// only ever reaches its own destination's receiver (the path crosses
-// no other bank), so det must be p.Dst; any other det is the "not
-// downstream" error, which crosstalk scans treat as no coupling.
-func (x *Crossbar) ArrivalAlongDB(p fabric.Path, det, ch, detCh int, bank *fabric.Bank) (phys.DB, error) {
-	prefix := p
-	if det != p.Dst {
-		var err error
-		prefix, err = p.Prefix(det)
-		if err != nil {
-			return 0, err
-		}
-	}
-	loss := x.TransitLossDB(prefix, ch, bank)
-	loss += fabric.BankWalkDB(x.cfg.Params, det, ch, detCh, bank)
-	if ch == detCh {
-		loss += phys.DropLossDB(x.cfg.Params, phys.MRState(bank.On(det, detCh)))
-	} else {
-		loss += x.xtalk.DB(detCh, ch)
-	}
-	return loss, nil
-}
-
-// DetectorArrivalDB implements fabric.Fabric.
-func (x *Crossbar) DetectorArrivalDB(src, det, ch, detCh int, bank *fabric.Bank) (phys.DB, error) {
-	p, err := x.PathBetween(src, det)
-	if err != nil {
-		return 0, err
-	}
-	return x.ArrivalAlongDB(p, det, ch, detCh, bank)
-}
-
-// Area implements fabric.Fabric with the first-order crossbar bill of
-// materials: every source carries NW modulator micro-rings on each of
-// the N-1 foreign waveguides plus NW lasers; every destination a
+// Area evaluates the footprint model on the first-order crossbar bill
+// of materials: every source carries NW modulator micro-rings on each
+// of the N-1 foreign waveguides plus NW lasers; every destination a
 // NW-ring receiver bank with its photodetectors; each of the N
 // waveguides runs N tap pitches. Vertical couplers are not counted
 // (negligible footprint against N^2*NW modulators).

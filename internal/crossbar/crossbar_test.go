@@ -149,8 +149,8 @@ func TestPathStructure(t *testing.T) {
 	}
 }
 
-// TestSignalArrivalComposition checks that the dynamic receiver-bank
-// terms compose on top of the static transit exactly like the ring:
+// TestSignalArrivalComposition checks that fabric.Budget composes the
+// dynamic receiver-bank terms on top of the crossbar's static transit:
 // all-off bank pays the Kp0 off-state walk before the detector ring,
 // and turning the detector ring ON swaps the final drop term.
 func TestSignalArrivalComposition(t *testing.T) {
@@ -163,6 +163,7 @@ func TestSignalArrivalComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bud := fabric.NewBudget(x)
 	ch := 2
 	off := fabric.NewBank(x.Size(), x.Channels())
 	transit := x.TransitLossDB(p, ch, off)
@@ -172,7 +173,7 @@ func TestSignalArrivalComposition(t *testing.T) {
 	wantOff := transit +
 		phys.DB(ch)*par.LossOffMR +
 		phys.DropLossDB(par, phys.MROff)
-	if got := x.SignalArrivalDB(p, ch, off); math.Abs(float64(got-wantOff)) > 1e-12 {
+	if got := bud.SignalArrivalDB(p, ch, off); math.Abs(float64(got-wantOff)) > 1e-12 {
 		t.Errorf("all-off arrival %.6f, want %.6f", got, wantOff)
 	}
 
@@ -182,14 +183,13 @@ func TestSignalArrivalComposition(t *testing.T) {
 	wantOn := transit +
 		phys.DB(ch)*par.LossOffMR +
 		phys.DropLossDB(par, phys.MROn)
-	if got := x.SignalArrivalDB(p, ch, bank); math.Abs(float64(got-wantOn)) > 1e-12 {
+	if got := bud.SignalArrivalDB(p, ch, bank); math.Abs(float64(got-wantOn)) > 1e-12 {
 		t.Errorf("detector-on arrival %.6f, want %.6f", got, wantOn)
 	}
 
-	// DetectorArrivalDB composes PathBetween + ArrivalAlongDB; the
-	// crosstalk leak of a neighbouring channel uses the Lorentzian
-	// grid term.
-	leak, err := x.DetectorArrivalDB(0, 1, ch, ch+1, off)
+	// The crosstalk leak of a neighbouring channel uses the
+	// Lorentzian grid term.
+	leak, err := bud.ArrivalAlongDB(p, 1, ch, ch+1, off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestSignalArrivalComposition(t *testing.T) {
 
 	// A detector the path never reaches is the "not downstream" error
 	// — the crosstalk scans treat it as no coupling.
-	if _, err := x.ArrivalAlongDB(p, 3, ch, ch, off); err == nil {
+	if _, err := bud.ArrivalAlongDB(p, 3, ch, ch, off); err == nil {
 		t.Error("ArrivalAlongDB to an off-path detector must error")
 	}
 }
@@ -259,7 +259,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := x.PathBetween(-1, 3); err == nil {
 		t.Error("out-of-range endpoint accepted")
 	}
-	if x.Name() != "crossbar" || x.ResourceName() != "hop" {
-		t.Errorf("identity = %s/%s", x.Name(), x.ResourceName())
+	if x.ResourceName() != "hop" {
+		t.Errorf("resource name = %s", x.ResourceName())
 	}
 }

@@ -6,32 +6,27 @@ import (
 	"repro/internal/phys"
 )
 
-// CrosstalkTable holds Grid.CrosstalkDB(m, i) — Eq. 1's Lorentzian
+// crosstalkTable holds Grid.CrosstalkDB(m, i) — Eq. 1's Lorentzian
 // leak of channel i into the drop port of the ring resonant at m, in
-// dB — for every (m, i) pair of the comb. Backends share one instance
-// per fabric for the final coupling term of ArrivalAlongDB, which
-// otherwise pays a Log10 per crosstalk contributor.
+// dB — for every (m, i) pair of the comb. A Budget keeps one for the
+// final coupling term of ArrivalAlongDB, which otherwise pays a Log10
+// per crosstalk contributor.
 //
-// The table is built on its first lookup, not with the fabric: fabric
+// The table is built on its first lookup, not with the budget: budget
 // construction sits on every campaign's and served instance's set-up
-// path, and a fabric that never walks crosstalk pays nothing. It is
+// path, and an instance that never walks crosstalk pays nothing. It is
 // safe for concurrent use; the first lookups may come from many
 // goroutines at once.
-type CrosstalkTable struct {
+type crosstalkTable struct {
 	grid phys.Grid
 	once sync.Once
 	db   []phys.DB
 }
 
-// NewCrosstalkTable returns the (still empty) table of grid g.
-func NewCrosstalkTable(g phys.Grid) *CrosstalkTable {
-	return &CrosstalkTable{grid: g}
-}
-
-// DB returns g.CrosstalkDB(m, i), bit for bit: every entry is the
+// DB returns t.grid.CrosstalkDB(m, i), bit for bit: every entry is the
 // value that call returned. Pairs outside the comb are computed
 // directly.
-func (t *CrosstalkTable) DB(m, i int) phys.DB {
+func (t *crosstalkTable) DB(m, i int) phys.DB {
 	n := t.grid.Channels
 	if uint(m) >= uint(n) || uint(i) >= uint(n) {
 		return t.grid.CrosstalkDB(m, i)
@@ -40,7 +35,7 @@ func (t *CrosstalkTable) DB(m, i int) phys.DB {
 	return t.db[m*n+i]
 }
 
-func (t *CrosstalkTable) build() {
+func (t *crosstalkTable) build() {
 	n := t.grid.Channels
 	db := make([]phys.DB, n*n)
 	for m := 0; m < n; m++ {

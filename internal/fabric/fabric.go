@@ -11,14 +11,16 @@
 //
 //   - route construction: PathBetween/SelfPath produce immutable Path
 //     values whose resource IDs drive the conflict structure;
-//   - per-hop optics: TransitLossDB/SignalArrivalDB/ArrivalAlongDB/
-//     DetectorArrivalDB walk the loss and crosstalk budget of a
-//     wavelength against the receiver-bank state (*Bank) supplied by
-//     the allocation layer;
+//   - transit optics: TransitLossDB, the one loss hook a backend
+//     implements, walks a wavelength from its source to (but not
+//     into) a receiver bank against the bank state (*Bank) supplied
+//     by the allocation layer;
+//   - detector optics: Budget composes the transit with the receiver
+//     bank walk and the final drop or crosstalk coupling (Eqs. 1-9),
+//     once for every backend;
 //   - conflict structure: Path.Overlaps (resource intersection within
 //     a lane) feeds the CSR neighbor lists and MaskWords sizes the
-//     per-edge wavelength bitmasks;
-//   - accounting: Area summarizes the photonic footprint.
+//     per-edge wavelength bitmasks.
 //
 // See DESIGN.md "Optical fabric contract" for the invariants a third
 // backend must keep for the evaluator's per-communication optics memo
@@ -33,22 +35,18 @@ import (
 
 // Fabric is one optical interconnect backend. Implementations are
 // immutable after construction and safe for concurrent read-only use;
-// every method must be deterministic and allocation-free on the hot
-// paths (TransitLossDB, SignalArrivalDB, ArrivalAlongDB) after their
-// first call, which may build a lazy table such as CrosstalkTable.
+// every method must be deterministic, and TransitLossDB, on the
+// evaluation hot path, allocation-free.
 //
-// Read-set contract: the loss methods are pure functions of their
-// arguments, and they read the *Bank only at the ONIs in
-// p.ONIs()[1:] up to det (up to p.Dst for TransitLossDB and
-// SignalArrivalDB). The evaluator's per-communication optics memo
-// keys a result on exactly those bank rows, so a backend that reads
-// any other row, or keeps state between calls, breaks its
-// exactness. TestLossReadSetContract holds every shipped backend to
-// it.
+// Read-set contract: TransitLossDB is a pure function of its
+// arguments, and it reads the *Bank only at the ONIs in p.ONIs()[1:]
+// before p.Dst. Budget adds the row of the detector, so an arrival
+// reads the rows up to and including it. The evaluator's
+// per-communication optics memo keys a result on exactly those bank
+// rows, so a backend that reads any other row, or keeps state between
+// calls, breaks its exactness. TestLossReadSetContract holds every
+// shipped backend to it.
 type Fabric interface {
-	// Name identifies the backend ("ring", "crossbar") for reports,
-	// campaign artifacts and checkpoint identities.
-	Name() string
 	// ResourceName is the human word for one unit of the shared
 	// optical medium ("segment" for the ring's waveguide hops), used
 	// by diagnostics that name a double-booked resource.
@@ -69,30 +67,16 @@ type Fabric interface {
 	// whole path p up to (but not into) the receiver bank of p.Dst,
 	// under the given micro-ring states.
 	TransitLossDB(p Path, ch int, bank *Bank) phys.DB
-	// SignalArrivalDB is the power change with which channel ch,
-	// travelling its own path, arrives at its own detector at p.Dst:
-	// transit plus the partial receiver-bank walk and the final drop.
-	SignalArrivalDB(p Path, ch int, bank *Bank) phys.DB
-	// ArrivalAlongDB is the power change with which channel ch,
-	// travelling path p, arrives at the photodetector behind the
-	// micro-ring tuned to detCh at ONI det. det is either p.Dst or an
-	// ONI the path crosses; an ONI the signal never reaches is an
-	// error (the caller's crosstalk scan treats it as "no coupling").
-	ArrivalAlongDB(p Path, det, ch, detCh int, bank *Bank) (phys.DB, error)
-	// DetectorArrivalDB composes PathBetween(src, det) with
-	// ArrivalAlongDB.
-	DetectorArrivalDB(src, det, ch, detCh int, bank *Bank) (phys.DB, error)
-	// Area evaluates the footprint model on this fabric.
-	Area(m AreaModel) Area
 }
 
 // BankWalkDB accumulates the through-losses of channel ch crossing the
 // MRs [0, upto) of the receiver bank at ONI oni. MRs are assumed to be
 // ordered by grid channel along the waveguide, so a signal headed for
 // the detector of channel detCh only crosses the rings before it; pass
-// upto = Channels() for a full transit. Both backends share this walk
-// so the MR-state semantics (ON drops the resonant channel, OFF passes
-// with Lp0) are identical everywhere. The walk reads ONI oni's row
+// upto = Channels() for a full transit. Budget's detector walk and
+// the ring's interior-bank transits share it, so the MR-state
+// semantics (ON drops the resonant channel, OFF passes with Lp0) are
+// identical everywhere. The walk reads ONI oni's row
 // words directly and adds one term per ring, left to right.
 func BankWalkDB(par phys.Params, oni, ch, upto int, bank *Bank) phys.DB {
 	if upto > bank.channels {

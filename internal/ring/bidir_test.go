@@ -195,7 +195,8 @@ func TestArrivalAlongFollowsCallerPath(t *testing.T) {
 	}
 	bank := fabric.NewBank(r.Size(), r.Channels())
 	bank.Set(det, 3, true)
-	alongCCW, err := r.ArrivalAlongDB(long, det, 5, 3, bank)
+	bud := fabric.NewBudget(r)
+	alongCCW, err := bud.ArrivalAlongDB(long, det, 5, 3, bank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestArrivalAlongFollowsCallerPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alongCW, err := r.ArrivalAlongDB(cwPath, det, 5, 3, bank)
+	alongCW, err := bud.ArrivalAlongDB(cwPath, det, 5, 3, bank)
 	if err != nil {
 		t.Fatal(err)
 	}

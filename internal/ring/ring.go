@@ -5,18 +5,20 @@
 // serpentine waveguide closed into a ring (Fig. 1 and Fig. 5(b)).
 //
 // The package provides the geometry (waveguide lengths and bend counts
-// per hop), directed path enumeration, and the per-wavelength optical
-// loss budget of Eqs. 2-6 together with the first-order crosstalk
-// arrival model feeding Eq. 7. It is purely structural: which micro
-// rings are ON at a given instant is supplied by the caller as a
-// receiver-bank state (Bank), because that state is decided by the
-// wavelength allocation and the application schedule.
+// per hop), directed path enumeration, and the transit loss of Eqs.
+// 2-6: propagation and bends along the waveguide plus a full receiver
+// bank walk at every interior ONI. The detector end of the budget (the
+// partial bank walk, the drop and the crosstalk coupling of Eq. 7) is
+// composed by fabric.Budget, the same for every backend. The package
+// is purely structural: which micro rings are ON at a given instant is
+// supplied by the caller as a receiver-bank state (Bank), because that
+// state is decided by the wavelength allocation and the application
+// schedule.
 package ring
 
 import (
 	"fmt"
 
-	"repro/internal/fabric"
 	"repro/internal/phys"
 )
 
@@ -67,7 +69,6 @@ type Segment struct {
 type Ring struct {
 	cfg      Config
 	segments []Segment // segments[i] connects ONI i to ONI (i+1) mod N
-	xtalk    *fabric.CrosstalkTable
 }
 
 // New builds the ring, deriving per-hop geometry from the serpentine
@@ -107,14 +108,11 @@ func New(cfg Config) (*Ring, error) {
 		}
 		segs[i] = seg
 	}
-	return &Ring{cfg: cfg, segments: segs, xtalk: fabric.NewCrosstalkTable(cfg.Grid)}, nil
+	return &Ring{cfg: cfg, segments: segs}, nil
 }
 
 // Config returns the configuration the ring was built from.
 func (r *Ring) Config() Config { return r.cfg }
-
-// Name implements fabric.Fabric.
-func (r *Ring) Name() string { return "ring" }
 
 // ResourceName implements fabric.Fabric: the ring's shared-medium
 // unit is the waveguide segment.

@@ -243,7 +243,7 @@ func TestSignalArrivalQuiescentNetwork(t *testing.T) {
 	p, _ := r.PathBetween(1, 5)
 	bank := fabric.NewBank(r.Size(), r.Channels())
 	bank.Set(5, 0, true) // destination receives channel 0
-	got := r.SignalArrivalDB(p, 0, bank)
+	got := fabric.NewBudget(r).SignalArrivalDB(p, 0, bank)
 
 	par := r.Config().Params
 	want := r.PropagationLossDB(p)
@@ -266,13 +266,14 @@ func TestSignalArrivalPaysForEarlierOnRings(t *testing.T) {
 	p, _ := r.PathBetween(1, 5)
 	single := fabric.NewBank(r.Size(), r.Channels())
 	single.Set(5, 7, true)
-	lone := r.SignalArrivalDB(p, 7, single)
+	bud := fabric.NewBudget(r)
+	lone := bud.SignalArrivalDB(p, 7, single)
 
 	crowd := fabric.NewBank(r.Size(), r.Channels())
 	for ch := 0; ch < 8; ch++ {
 		crowd.Set(5, ch, true)
 	}
-	crowded := r.SignalArrivalDB(p, 7, crowd)
+	crowded := bud.SignalArrivalDB(p, 7, crowd)
 	par := r.Config().Params
 	wantDiff := phys.DB(7) * (par.LossOnMR - par.LossOffMR)
 	if !floatEq(float64(crowded-lone), float64(wantDiff)) {
@@ -304,11 +305,13 @@ func TestDetectorArrivalCrosstalkBelowSignal(t *testing.T) {
 	bank := fabric.NewBank(r.Size(), r.Channels())
 	bank.Set(5, 3, true)
 	bank.Set(5, 4, true)
-	sig, err := r.DetectorArrivalDB(1, 5, 3, 3, bank)
+	bud := fabric.NewBudget(r)
+	p, _ := r.PathBetween(1, 5)
+	sig, err := bud.ArrivalAlongDB(p, 5, 3, 3, bank)
 	if err != nil {
 		t.Fatalf("signal arrival: %v", err)
 	}
-	leak, err := r.DetectorArrivalDB(1, 5, 4, 3, bank)
+	leak, err := bud.ArrivalAlongDB(p, 5, 4, 3, bank)
 	if err != nil {
 		t.Fatalf("leak arrival: %v", err)
 	}
@@ -323,11 +326,16 @@ func TestDetectorArrivalCrosstalkBelowSignal(t *testing.T) {
 func TestDetectorArrivalRejectsBadEndpoints(t *testing.T) {
 	r := mustRing(t, 8)
 	off := fabric.NewBank(r.Size(), r.Channels())
-	if _, err := r.DetectorArrivalDB(3, 3, 0, 0, off); err == nil {
+	if _, err := r.PathBetween(3, 3); err == nil {
 		t.Error("src == det must error")
 	}
-	if _, err := r.DetectorArrivalDB(-1, 3, 0, 0, off); err == nil {
+	if _, err := r.PathBetween(-1, 3); err == nil {
 		t.Error("bad src must error")
+	}
+	// A detector the light never reaches is the Prefix error.
+	p, _ := r.PathBetween(1, 5)
+	if _, err := fabric.NewBudget(r).ArrivalAlongDB(p, 8, 0, 0, off); err == nil {
+		t.Error("off-path detector must error")
 	}
 }
 

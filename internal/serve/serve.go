@@ -226,9 +226,9 @@ func (noopWriter) Write(p []byte) (int, error) { return len(p), nil }
 // until Close.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Close stops evaluation: evaluate requests that arrive afterwards
-// answer 503. Call after http.Server.Shutdown has returned; Shutdown
-// already waited for the in-flight handlers, and so for every
+// Close stops evaluation: evaluate and explain requests that arrive
+// afterwards answer 503. Call after http.Server.Shutdown has returned;
+// Shutdown already waited for the in-flight handlers, and so for every
 // in-flight evaluation.
 func (s *Server) Close() { s.closed.Store(true) }
 
@@ -328,43 +328,61 @@ func (s *Server) lookup(workload, backend string, nw int) (*instance, *ErrorResp
 		workload, backend, nw, served)}
 }
 
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
+// evaluateInput decodes and resolves an evaluate or explain body,
+// finds its served instance and parses its genome, answering the
+// client's error itself when any step fails.
+func (s *Server) evaluateInput(w http.ResponseWriter, r *http.Request) (EvaluateRequest, *instance, alloc.Genome, bool) {
 	var req EvaluateRequest
 	if !decodeRequest(w, r, &req) {
-		return
+		return req, nil, alloc.Genome{}, false
 	}
 	if err := resolveEvaluate(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
+		return req, nil, alloc.Genome{}, false
 	}
 	inst, nf := s.lookup(req.Workload, req.Backend, req.NW)
 	if nf != nil {
 		writeJSON(w, http.StatusNotFound, *nf)
-		return
+		return req, nil, alloc.Genome{}, false
 	}
 	g, err := alloc.ParseGenome(req.Genome, inst.in.Edges(), req.NW)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
+		return req, nil, alloc.Genome{}, false
 	}
+	return req, inst, g, true
+}
+
+// admit is the admission control of every evaluation, evaluate and
+// explain alike: 503 once Close has run, and a slot per evaluation in
+// flight otherwise. A full semaphore sheds the request at once; a slot
+// frees within microseconds, so the hint is the smallest the body can
+// say, and the header's resolution is whole seconds. On true the
+// caller holds a slot and must release it with <-s.evalSlots.
+func (s *Server) admit(w http.ResponseWriter) bool {
 	if s.closed.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "serve: server is shutting down"})
-		return
+		return false
 	}
-	// Admission: a slot per evaluation in flight. A full semaphore
-	// sheds the request at once; a slot frees within microseconds, so
-	// the hint is the smallest the body can say, and the header's
-	// resolution is whole seconds.
 	select {
 	case s.evalSlots <- struct{}{}:
+		return true
 	default:
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
 			Error: "serve: too many evaluations in flight", RetryAfterMS: 1,
 		})
+		return false
+	}
+}
+
+func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
+	req, inst, g, ok := s.evaluateInput(w, r)
+	if !ok || !s.admit(w) {
 		return
 	}
 	var out alloc.Eval
+	var err error
 	if s.cfg.NoBatch {
 		err = inst.evaluateSerial(g, &out)
 	} else {
@@ -379,26 +397,19 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req EvaluateRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	if err := resolveEvaluate(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	inst, nf := s.lookup(req.Workload, req.Backend, req.NW)
-	if nf != nil {
-		writeJSON(w, http.StatusNotFound, *nf)
-		return
-	}
-	g, err := alloc.ParseGenome(req.Genome, inst.in.Edges(), req.NW)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+	req, inst, g, ok := s.evaluateInput(w, r)
+	if !ok || !s.admit(w) {
 		return
 	}
 	out := inst.in.Evaluate(g)
-	if !out.Valid {
+	var exp *alloc.Explanation
+	var err error
+	if out.Valid {
+		exp, err = inst.in.Explain(g)
+	}
+	<-s.evalSlots
+	switch {
+	case !out.Valid:
 		// Unlike evaluate, explain has nothing to say about an invalid
 		// chromosome: 422 with the evaluator's failure reason.
 		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{
@@ -406,9 +417,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			Reason: out.Reason(),
 		})
 		return
-	}
-	exp, err := inst.in.Explain(g)
-	if err != nil {
+	case err != nil:
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
@@ -438,12 +447,7 @@ func EvaluateLocal(req EvaluateRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev, err := alloc.NewEvaluator(in)
-	if err != nil {
-		return nil, err
-	}
-	var out alloc.Eval
-	ev.EvaluateInto(&out, g)
+	out := in.Evaluate(g)
 	return encodeJSON(buildEvaluateResponse(req.Workload, req.Backend, req.NW, g, &out))
 }
 

@@ -81,7 +81,7 @@ func oversizeBody(prefix string) io.Reader {
 // testGenomes builds a deterministic mix of valid heuristic
 // allocations and an invalid all-on-one-channel chromosome for the
 // paper workload at NW=8.
-func testGenomes(t *testing.T) []string {
+func testGenomes(t testing.TB) []string {
 	t.Helper()
 	in, err := core.NewSharedInstance(core.Config{NW: 8, Backend: "ring"})
 	if err != nil {
@@ -209,9 +209,9 @@ func TestNoBatchMatchesBatched(t *testing.T) {
 }
 
 // TestQueueFullBackpressure holds every admission slot itself and
-// checks the daemon sheds an evaluation with 429 + Retry-After
-// instead of queueing it, then serves the same request once the slots
-// are free.
+// checks the daemon sheds an evaluation or an explanation with 429 +
+// Retry-After instead of queueing it, then serves the same request
+// once the slots are free.
 func TestQueueFullBackpressure(t *testing.T) {
 	s, ts := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}, QueueDepth: 2})
 	req := EvaluateRequest{NW: 8, Genome: testGenomes(t)[0]}
@@ -221,49 +221,57 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 	body, _ := json.Marshal(req)
 
-	for i := 0; i < cap(s.evalSlots); i++ {
-		s.evalSlots <- struct{}{}
-	}
-	resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	shed, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("full semaphore returned %d, want 429: %s", resp.StatusCode, shed)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("429 without Retry-After header")
-	}
-	var er ErrorResponse
-	if err := json.Unmarshal(shed, &er); err != nil || er.RetryAfterMS <= 0 {
-		t.Fatalf("429 body %s should carry retry_after_ms", shed)
-	}
+	for _, route := range []string{"/v1/evaluate", "/v1/explain"} {
+		for i := 0; i < cap(s.evalSlots); i++ {
+			s.evalSlots <- struct{}{}
+		}
+		resp, err := http.Post(ts.URL+route, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", route, err)
+		}
+		shed, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s: full semaphore returned %d, want 429: %s", route, resp.StatusCode, shed)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s: 429 without Retry-After header", route)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(shed, &er); err != nil || er.RetryAfterMS <= 0 {
+			t.Fatalf("%s: 429 body %s should carry retry_after_ms", route, shed)
+		}
 
-	for i := 0; i < cap(s.evalSlots); i++ {
-		<-s.evalSlots
+		for i := 0; i < cap(s.evalSlots); i++ {
+			<-s.evalSlots
+		}
+		code, got := post(t, ts.URL+route, body)
+		if code != http.StatusOK {
+			t.Fatalf("%s after the slots freed: status %d: %s", route, code, got)
+		}
+		if route == "/v1/evaluate" && !bytes.Equal(got, want) {
+			t.Fatalf("after the slots freed: response differs from CLI bytes:\nserved: %s\ncli:    %s", got, want)
+		}
 	}
-	code, got := post(t, ts.URL+"/v1/evaluate", body)
-	if code != http.StatusOK {
-		t.Fatalf("after the slots freed: status %d: %s", code, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("after the slots freed: response differs from CLI bytes:\nserved: %s\ncli:    %s", got, want)
+	if n := len(s.evalSlots); n != 0 {
+		t.Fatalf("%d admission slots still held after the requests returned", n)
 	}
 }
 
-// TestEvaluateAfterClose: once Close has run, evaluate answers 503.
+// TestEvaluateAfterClose: once Close has run, evaluate and explain
+// answer 503.
 func TestEvaluateAfterClose(t *testing.T) {
 	s, ts := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}})
 	s.Close()
-	code, body := post(t, ts.URL+"/v1/evaluate", EvaluateRequest{NW: 8, Genome: testGenomes(t)[0]})
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("evaluate after Close: status %d, want 503: %s", code, body)
-	}
-	var er ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
-		t.Fatalf("503 body %s is not a structured error", body)
+	for _, route := range []string{"/v1/evaluate", "/v1/explain"} {
+		code, body := post(t, ts.URL+route, EvaluateRequest{NW: 8, Genome: testGenomes(t)[0]})
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("%s after Close: status %d, want 503: %s", route, code, body)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
+			t.Fatalf("%s: 503 body %s is not a structured error", route, body)
+		}
 	}
 }
 
