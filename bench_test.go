@@ -917,44 +917,6 @@ func BenchmarkGAGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBidirectional compares the paper's unidirectional
-// ring against the ORNoC-style twin-waveguide variant at equal GA
-// budgets: shorter routes cut laser energy and relax the
-// wavelength-sharing constraints.
-func BenchmarkAblationBidirectional(b *testing.B) {
-	for _, bidir := range []bool{false, true} {
-		name := "unidirectional"
-		if bidir {
-			name = "bidirectional"
-		}
-		b.Run(name, func(b *testing.B) {
-			var hv float64
-			var minE float64
-			for i := 0; i < b.N; i++ {
-				rcfg := ring.DefaultConfig(8)
-				rcfg.Bidirectional = bidir
-				p, err := core.New(core.Config{NW: 8, Ring: &rcfg,
-					GA: nsga2.Config{PopSize: 120, Generations: 80, Seed: 9}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := p.Optimize()
-				if err != nil {
-					b.Fatal(err)
-				}
-				hv = hypervolume(res)
-				if s, ok := res.MinEnergySolution(); ok {
-					minE = s.BitEnergyFJ
-				}
-			}
-			b.ReportMetric(hv, "hypervolume")
-			b.ReportMetric(minE, "minfJ/bit")
-			printOnce("ablation-"+name,
-				fmt.Sprintf("%s: hypervolume %.1f, min energy %.2f fJ/bit", name, hv, minE))
-		})
-	}
-}
-
 // BenchmarkAblationWarmStart compares cold random initialization with
 // heuristic-seeded populations.
 func BenchmarkAblationWarmStart(b *testing.B) {
@@ -992,11 +954,13 @@ func BenchmarkExplain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ev := in.Evaluate(g)
+	if !ev.Valid {
+		b.Fatal(ev.Reason())
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.Explain(g); err != nil {
-			b.Fatal(err)
-		}
+		in.Explain(g, ev)
 	}
 }
 

@@ -113,11 +113,7 @@ func run(w io.Writer, appPath string, nw int, countsStr, genomeStr, policyStr st
 			ev.Counts[e], res.CommStart[e], res.CommEnd[e], ev.CommBER[e], ev.CommEnergyFJ[e])
 	}
 	if explain {
-		ex, err := in.Explain(g)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\n%s", ex)
+		fmt.Fprintf(w, "\n%s", in.Explain(g, ev))
 	}
 	return nil
 }

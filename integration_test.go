@@ -191,41 +191,3 @@ func TestPipelineDeterminism(t *testing.T) {
 		t.Fatal("identical configurations rendered different figures")
 	}
 }
-
-func TestBidirectionalEndToEnd(t *testing.T) {
-	// The ORNoC-style twin-waveguide variant must run the whole
-	// pipeline too, and its energy optimum cannot lose to the
-	// unidirectional one.
-	rcfg := ring.DefaultConfig(8)
-	rcfg.Bidirectional = true
-	p, err := core.New(core.Config{NW: 8, Ring: &rcfg, WarmStart: true,
-		GA: nsga2.Config{PopSize: 60, Generations: 30, Seed: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Optimize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	biMin, ok := res.MinEnergySolution()
-	if !ok {
-		t.Fatal("bidirectional run found no valid solutions")
-	}
-	uni, err := core.New(core.Config{NW: 8, WarmStart: true,
-		GA: nsga2.Config{PopSize: 60, Generations: 30, Seed: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniRes, err := uni.Optimize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniMin, ok := uniRes.MinEnergySolution()
-	if !ok {
-		t.Fatal("unidirectional run found no valid solutions")
-	}
-	if biMin.BitEnergyFJ > uniMin.BitEnergyFJ {
-		t.Errorf("twin waveguide min energy %v fJ/bit loses to unidirectional %v",
-			biMin.BitEnergyFJ, uniMin.BitEnergyFJ)
-	}
-}

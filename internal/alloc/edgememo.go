@@ -8,8 +8,8 @@ import "math/bits"
 // evaluator packs every one of them into the key (see
 // Evaluator.edgeKey):
 //
-//   - the edge index, which fixes the path, the destination and the
-//     lane, and the bits of its window duration;
+//   - the edge index, which fixes the path and the destination, and
+//     the bits of its window duration;
 //   - its own wavelength mask row;
 //   - the receiver-bank rows its light crosses;
 //   - for each inter-crosstalk contributor, in ascending order, a

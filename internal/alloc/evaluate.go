@@ -157,17 +157,12 @@ func (in *Instance) ReturnEvaluator(ev *Evaluator) { in.evaluators.Put(ev) }
 // bankFor builds the receiver-bank state seen by communication e's
 // light: the micro-ring for channel ch at ONI oni is ON when some
 // communication whose activity window overlaps e's (including e
-// itself) is dropping ch at oni on e's lane. Each lane carries its
-// own bank (physically separate media), so receivers on other lanes
-// never appear in e's view.
+// itself) is dropping ch at oni.
 func (in *Instance) bankFor(e int, s *sched.Schedule, sets [][]int) *fabric.Bank {
 	nw := in.Channels()
 	bank := fabric.NewBank(in.fab.Size(), nw)
 	for o := 0; o < in.Edges(); o++ {
 		if in.App.Edges[o].VolumeBits <= 0 || in.selfEdge[o] {
-			continue
-		}
-		if in.paths[o].Lane != in.paths[e].Lane {
 			continue
 		}
 		if o != e && !s.Comm[e].Overlaps(s.Comm[o]) {

@@ -394,88 +394,6 @@ func TestObjectiveStrings(t *testing.T) {
 	}
 }
 
-func bidirInstance(t *testing.T, nw int) *Instance {
-	t.Helper()
-	cfg := ring.DefaultConfig(nw)
-	cfg.Bidirectional = true
-	r, err := ring.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := NewInstance(r, graph.PaperApp(), graph.PaperMapping(), 1, energy.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return in
-}
-
-func TestBidirectionalShortensPaths(t *testing.T) {
-	uni := mustInstance(t, 8)
-	bi := bidirInstance(t, 8)
-	shorter := 0
-	for e := 0; e < uni.Edges(); e++ {
-		if bi.Path(e).Hops() > uni.Path(e).Hops() {
-			t.Errorf("edge %d: bidirectional path longer (%d vs %d hops)",
-				e, bi.Path(e).Hops(), uni.Path(e).Hops())
-		}
-		if bi.Path(e).Hops() < uni.Path(e).Hops() {
-			shorter++
-		}
-	}
-	if shorter == 0 {
-		t.Error("no communication benefited from the twin waveguide")
-	}
-}
-
-func TestBidirectionalLowersEnergy(t *testing.T) {
-	// Shorter routes mean fewer bank transits and less propagation:
-	// the loss-compensating laser spends less.
-	uni := mustInstance(t, 8)
-	bi := bidirInstance(t, 8)
-	g, err := Assign(uni, UniformCounts(6, 1), LeastUsed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evU := uni.Evaluate(g)
-	evB := bi.Evaluate(g)
-	if !evU.Valid {
-		t.Fatalf("unidirectional eval invalid: %s", evU.Reason())
-	}
-	if !evB.Valid {
-		t.Fatalf("bidirectional eval invalid: %s", evB.Reason())
-	}
-	if evB.BitEnergyFJ >= evU.BitEnergyFJ {
-		t.Errorf("twin waveguide must save laser energy: %v vs %v fJ/bit",
-			evB.BitEnergyFJ, evU.BitEnergyFJ)
-	}
-	// The analytic time model is topology-independent: same makespan.
-	if evB.MakespanCycles != evU.MakespanCycles {
-		t.Errorf("makespan changed: %v vs %v", evB.MakespanCycles, evU.MakespanCycles)
-	}
-}
-
-func TestBidirectionalRelaxesConflicts(t *testing.T) {
-	// c0 (0->15) runs clockwise 15 hops on the unidirectional ring
-	// and conflicts with everything; bidirectionally it hops 15->0
-	// backwards in one step, freeing its wavelength for c1.
-	uni := mustInstance(t, 8)
-	bi := bidirInstance(t, 8)
-	if got := bi.Path(0).Hops(); got != 1 {
-		t.Fatalf("bidirectional c0 hops = %d, want 1 (0->15 backwards)", got)
-	}
-	sets := [][]int{{0}, {0}, {1}, {2}, {3}, {4}}
-	g, err := FromSets(sets, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev := uni.Evaluate(g); ev.Valid {
-		t.Fatal("channel sharing between overlapping c0/c1 must be invalid unidirectionally")
-	}
-	if ev := bi.Evaluate(g); !ev.Valid {
-		t.Fatalf("counter-propagating c0/c1 must be valid bidirectionally: %s", ev.Reason())
-	}
-}
-
 func TestCrosstalkModeAttribution(t *testing.T) {
 	// The two noise sources the paper's introduction names must
 	// decompose cleanly: both >= each single source >= none, and the
@@ -542,10 +460,7 @@ func TestExplainRespectsCrosstalkMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := in.Explain(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := mustExplain(t, in, g)
 	for _, cb := range ex.Comms {
 		for _, lb := range cb.Lambdas {
 			if len(lb.Noise) != 0 {

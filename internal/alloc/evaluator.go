@@ -314,9 +314,7 @@ func (e *Evaluator) opticsEdge(out *Eval, ei int, s *sched.Schedule, acc *optics
 
 // gatherInter lists, in ascending order, the communications whose
 // light crosses edge ei's receiver while ei is active: the
-// inter-communication crosstalk contributors. Transfers on another
-// lane live on a physically separate medium and pass a different
-// receiver bank, so they never couple.
+// inter-communication crosstalk contributors.
 func (e *Evaluator) gatherInter(ei int, s *sched.Schedule) {
 	in := e.in
 	e.inter = e.inter[:0]
@@ -326,9 +324,6 @@ func (e *Evaluator) gatherInter(ei int, s *sched.Schedule) {
 	dst := in.dstCore[ei]
 	for o := 0; o < in.Edges(); o++ {
 		if o == ei || e.counts[o] == 0 || in.App.Edges[o].VolumeBits <= 0 || in.selfEdge[o] {
-			continue
-		}
-		if in.paths[o].Lane != in.paths[ei].Lane {
 			continue
 		}
 		if !s.Comm[ei].Overlaps(s.Comm[o]) || !in.paths[o].Through(dst) {
@@ -441,9 +436,6 @@ func (e *Evaluator) fillBank(ei int, s *sched.Schedule) {
 	e.bank.Reset()
 	for o := 0; o < in.Edges(); o++ {
 		if in.App.Edges[o].VolumeBits <= 0 || in.selfEdge[o] {
-			continue
-		}
-		if in.paths[o].Lane != in.paths[ei].Lane {
 			continue
 		}
 		if o != ei && !s.Comm[ei].Overlaps(s.Comm[o]) {

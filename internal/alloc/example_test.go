@@ -14,7 +14,7 @@ func ExampleParseGenome() {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println("counts:", g.Counts())
+	fmt.Println("counts:", g.CountsInto(make([]int, g.Edges())))
 	fmt.Println("c0 channels:", g.ChannelSet(0))
 	// Output:
 	// counts: [1 1 1 1 1 1]

@@ -73,13 +73,15 @@ type NoiseTerm struct {
 	PowerDBm phys.DBm
 }
 
-// Explain evaluates the chromosome and expands the full budget. It
-// fails on invalid chromosomes — there is no meaningful budget for a
-// conflicting allocation.
-func (in *Instance) Explain(g Genome) (*Explanation, error) {
-	ev := in.Evaluate(g)
+// Explain expands ev, the valid evaluation of chromosome g on this
+// instance (as Evaluate returns it), into the full link budget. The
+// schedule and the scalar results come from ev; Explain walks only the
+// per-wavelength budgets. It panics on an invalid evaluation — there
+// is no meaningful budget for a conflicting allocation, and every
+// caller has already reported the evaluator's reason.
+func (in *Instance) Explain(g Genome, ev Eval) *Explanation {
 	if !ev.Valid {
-		return nil, fmt.Errorf("alloc: cannot explain invalid chromosome: %s", ev.Reason())
+		panic("alloc: Explain of an invalid evaluation: " + ev.Reason())
 	}
 	sets := make([][]int, in.Edges())
 	for e := range sets {
@@ -138,9 +140,6 @@ func (in *Instance) Explain(g Genome) (*Explanation, error) {
 				if o == e || len(sets[o]) == 0 || in.App.Edges[o].VolumeBits <= 0 {
 					continue
 				}
-				if in.paths[o].Lane != in.paths[e].Lane {
-					continue
-				}
 				if !ev.Schedule.Comm[e].Overlaps(ev.Schedule.Comm[o]) || !in.paths[o].Through(in.dstCore[e]) {
 					continue
 				}
@@ -160,7 +159,7 @@ func (in *Instance) Explain(g Genome) (*Explanation, error) {
 		}
 		ex.Comms = append(ex.Comms, cb)
 	}
-	return ex, nil
+	return ex
 }
 
 // String renders the explanation as the report cmd/onocsim -explain

@@ -17,14 +17,21 @@ func explainedGenome(t *testing.T, in *Instance) Genome {
 	return g
 }
 
+// mustExplain evaluates g on in and expands the valid evaluation.
+func mustExplain(t *testing.T, in *Instance, g Genome) *Explanation {
+	t.Helper()
+	ev := in.Evaluate(g)
+	if !ev.Valid {
+		t.Fatalf("genome %s invalid: %s", g, ev.Reason())
+	}
+	return in.Explain(g, ev)
+}
+
 func TestExplainMatchesEvaluate(t *testing.T) {
 	in := mustInstance(t, 12)
 	g := explainedGenome(t, in)
 	ev := in.Evaluate(g)
-	ex, err := in.Explain(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := mustExplain(t, in, g)
 	if ex.Eval.MeanBER != ev.MeanBER || ex.Eval.MakespanCycles != ev.MakespanCycles {
 		t.Error("explanation must embed the same evaluation")
 	}
@@ -50,10 +57,7 @@ func TestExplainMatchesEvaluate(t *testing.T) {
 func TestExplainBudgetInternals(t *testing.T) {
 	in := mustInstance(t, 12)
 	g := explainedGenome(t, in)
-	ex, err := in.Explain(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := mustExplain(t, in, g)
 	for _, cb := range ex.Comms {
 		if cb.Hops <= 0 {
 			t.Errorf("%s: zero hops", cb.Name)
@@ -90,10 +94,7 @@ func TestExplainBudgetInternals(t *testing.T) {
 func TestExplainMultiLambdaHasIntraTerms(t *testing.T) {
 	in := mustInstance(t, 12)
 	g := explainedGenome(t, in)
-	ex, err := in.Explain(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := mustExplain(t, in, g)
 	// c1 holds 4 wavelengths: each of its detectors must see 3 intra
 	// terms from its own transfer.
 	for _, cb := range ex.Comms {
@@ -119,18 +120,23 @@ func TestExplainMultiLambdaHasIntraTerms(t *testing.T) {
 
 func TestExplainRejectsInvalid(t *testing.T) {
 	in := mustInstance(t, 8)
-	if _, err := in.Explain(in.NewZeroGenome()); err == nil {
-		t.Error("invalid genome must not be explainable")
+	g := in.NewZeroGenome()
+	ev := in.Evaluate(g)
+	if ev.Valid {
+		t.Fatal("the all-zero genome must evaluate invalid")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an invalid evaluation must not be explainable")
+		}
+	}()
+	in.Explain(g, ev)
 }
 
 func TestExplainString(t *testing.T) {
 	in := mustInstance(t, 12)
 	g := explainedGenome(t, in)
-	ex, err := in.Explain(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := mustExplain(t, in, g)
 	out := ex.String()
 	for _, want := range []string{"link budget", "c1", "SNR", "dBm", "mW"} {
 		if !strings.Contains(out, want) {

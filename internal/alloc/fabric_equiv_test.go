@@ -14,18 +14,25 @@ import (
 
 // This file pins the ring's link budget: the arrivals fabric.Budget
 // composes on the ring's transit against an independent closed form,
-// and the evaluation stack routed through the fabric.Fabric interface
+// and the evaluation stack routed through an opaque fabric.Fabric
 // against the concrete ring, for the memoized kernel and Explain.
 
-// ringFabric builds the paper platform and returns it both as the
-// concrete ring and as an opaque fabric handle.
-func ringFabric(t *testing.T, nw int) (*ring.Ring, fabric.Fabric) {
-	t.Helper()
-	r, err := ring.New(ring.DefaultConfig(nw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, r
+// fabricOnly forwards exactly fabric.Fabric's methods to an inner
+// backend. An instance built on it sees no concrete type, so nothing
+// in the evaluation stack can reach the backend but through the
+// interface.
+type fabricOnly struct{ f fabric.Fabric }
+
+func (o fabricOnly) ResourceName() string { return o.f.ResourceName() }
+func (o fabricOnly) Size() int            { return o.f.Size() }
+func (o fabricOnly) Channels() int        { return o.f.Channels() }
+func (o fabricOnly) Grid() phys.Grid      { return o.f.Grid() }
+func (o fabricOnly) Params() phys.Params  { return o.f.Params() }
+func (o fabricOnly) PathBetween(src, dst int) (fabric.Path, error) {
+	return o.f.PathBetween(src, dst)
+}
+func (o fabricOnly) TransitLossDB(p fabric.Path, ch int, bank *fabric.Bank) phys.DB {
+	return o.f.TransitLossDB(p, ch, bank)
 }
 
 // randomBank flips a random subset of (oni, channel) micro-rings ON.
@@ -64,9 +71,6 @@ func ringArrivalOracle(r *ring.Ring, p fabric.Path, det, ch, detCh int, bank *fa
 	bends := 0
 	for h := 1; h < len(onis); h++ {
 		seg := r.Segment(onis[h-1]) // clockwise hop onis[h-1] -> onis[h]
-		if p.Lane == int(ring.CCW) {
-			seg = r.Segment(onis[h]) // the CCW twin runs the same trace
-		}
 		lengthCM += seg.LengthCM
 		bends += seg.Bends
 	}
@@ -82,67 +86,65 @@ func ringArrivalOracle(r *ring.Ring, p fabric.Path, det, ch, detCh int, bank *fa
 }
 
 // TestRingFabricLossBitIdentical holds the ring's arrivals, composed
-// by fabric.Budget on ring.TransitLossDB, to ringArrivalOracle on
-// unidirectional and bidirectional rings: random paths in both
-// directions, random detectors along them, random channels and bank
+// by fabric.Budget on ring.TransitLossDB, to ringArrivalOracle:
+// random paths, random detectors along them, random channels and bank
 // states, across the comb sizes. Every arrival must match to the bit.
 func TestRingFabricLossBitIdentical(t *testing.T) {
-	for _, bidir := range []bool{false, true} {
-		for _, nw := range []int{4, 8, 16} {
-			cfg := ring.DefaultConfig(nw)
-			cfg.Bidirectional = bidir
-			r, err := ring.New(cfg)
+	for _, nw := range []int{4, 8, 16} {
+		r, err := ring.New(ring.DefaultConfig(nw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bud := fabric.NewBudget(r)
+		rng := rand.New(rand.NewSource(int64(nw)))
+		for trial := 0; trial < 200; trial++ {
+			src, dst := rng.Intn(r.Size()), rng.Intn(r.Size())
+			if src == dst {
+				continue
+			}
+			p, err := r.PathBetween(src, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bud := fabric.NewBudget(r)
-			rng := rand.New(rand.NewSource(int64(nw)))
-			for trial := 0; trial < 200; trial++ {
-				src, dst := rng.Intn(r.Size()), rng.Intn(r.Size())
-				if src == dst {
-					continue
-				}
-				dir := ring.CW
-				if bidir && rng.Intn(2) == 0 {
-					dir = ring.CCW
-				}
-				p, err := r.DirectedPath(src, dst, dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bank := randomBank(rng, r.Size(), nw)
-				ch, detCh := rng.Intn(nw), rng.Intn(nw)
-				where := fmt.Sprintf("bidir=%v NW=%d %d->%d %v ch %d", bidir, nw, src, dst, dir, ch)
-				if got, want := bud.SignalArrivalDB(p, ch, bank), ringArrivalOracle(r, p, dst, ch, ch, bank); got != want {
-					t.Fatalf("%s: SignalArrivalDB %v, closed form %v", where, got, want)
-				}
-				det := p.ONIs()[1+rng.Intn(p.Hops())]
-				got, err := bud.ArrivalAlongDB(p, det, ch, detCh, bank)
-				if err != nil {
-					t.Fatalf("%s: ArrivalAlongDB to ONI %d on the path: %v", where, det, err)
-				}
-				if want := ringArrivalOracle(r, p, det, ch, detCh, bank); got != want {
-					t.Fatalf("%s: ArrivalAlongDB at ONI %d ring %d = %v, closed form %v", where, det, detCh, got, want)
-				}
+			bank := randomBank(rng, r.Size(), nw)
+			ch, detCh := rng.Intn(nw), rng.Intn(nw)
+			where := fmt.Sprintf("NW=%d %d->%d ch %d", nw, src, dst, ch)
+			if got, want := bud.SignalArrivalDB(p, ch, bank), ringArrivalOracle(r, p, dst, ch, ch, bank); got != want {
+				t.Fatalf("%s: SignalArrivalDB %v, closed form %v", where, got, want)
+			}
+			det := p.ONIs()[1+rng.Intn(p.Hops())]
+			got, err := bud.ArrivalAlongDB(p, det, ch, detCh, bank)
+			if err != nil {
+				t.Fatalf("%s: ArrivalAlongDB to ONI %d on the path: %v", where, det, err)
+			}
+			if want := ringArrivalOracle(r, p, det, ch, detCh, bank); got != want {
+				t.Fatalf("%s: ArrivalAlongDB at ONI %d ring %d = %v, closed form %v", where, det, detCh, got, want)
 			}
 		}
 	}
 }
 
 // TestRingFabricKernelsAndExplainBitIdentical runs mutation chains
-// through two instances of the same ring — one consumed through the
-// evaluation stack's fabric handle, one rebuilt independently — and
-// checks the warm-memo kernel, a cold kernel and Explain agree bit for
-// bit at every step.
+// through two instances of the paper platform — one on a concrete
+// ring, one on an independently built ring reached only through
+// fabricOnly — and checks the warm-memo kernel, a cold kernel and
+// Explain agree bit for bit at every step.
 func TestRingFabricKernelsAndExplainBitIdentical(t *testing.T) {
 	for _, nw := range []int{4, 8, 16} {
-		r, f := ringFabric(t, nw)
+		r, err := ring.New(ring.DefaultConfig(nw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := ring.New(ring.DefaultConfig(nw))
+		if err != nil {
+			t.Fatal(err)
+		}
 		app := graph.PaperApp()
 		inDirect, err := NewInstance(r, app, graph.PaperMapping(), 1, energy.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
-		inFabric, err := NewInstance(f, app, graph.PaperMapping(), 1, energy.Default())
+		inFabric, err := NewInstance(fabricOnly{twin}, app, graph.PaperMapping(), 1, energy.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,15 +155,7 @@ func TestRingFabricKernelsAndExplainBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exF, err := inFabric.Explain(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exD, err := inDirect.Explain(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exF.String() != exD.String() {
+		if mustExplain(t, inFabric, g).String() != mustExplain(t, inDirect, g).String() {
 			t.Fatalf("NW=%d: Explain differs between fabric-handle and direct instances", nw)
 		}
 	}

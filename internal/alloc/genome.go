@@ -106,13 +106,10 @@ func (g Genome) MaskInto(dst []uint64, words int) {
 	}
 }
 
-// Counts returns the per-edge number of reserved wavelengths: the
+// CountsInto writes the per-edge number of reserved wavelengths into
+// dst, which must hold Edges() entries, and returns dst[:Edges()]: the
 // "[2, 8, 6, 6, 4, 7]" vectors printed beside the paper's Pareto
 // plots.
-func (g Genome) Counts() []int { return g.CountsInto(make([]int, g.edges)) }
-
-// CountsInto writes the per-edge wavelength counts into dst, which
-// must hold Edges() entries, and returns dst[:Edges()].
 func (g Genome) CountsInto(dst []int) []int {
 	dst = dst[:g.edges]
 	for e := range dst {

@@ -42,7 +42,7 @@ func TestGenomePaperExample(t *testing.T) {
 	if got := g.ChannelSet(1); !reflect.DeepEqual(got, []int{3}) {
 		t.Errorf("c1 channels = %v, want [3]", got)
 	}
-	if got := g.Counts(); !reflect.DeepEqual(got, []int{1, 1, 1, 1, 1, 1}) {
+	if got := g.CountsInto(make([]int, g.Edges())); !reflect.DeepEqual(got, []int{1, 1, 1, 1, 1, 1}) {
 		t.Errorf("counts = %v, want all ones", got)
 	}
 	if g.String() != "1000/0001/0001/0001/1000/1000" {

@@ -11,7 +11,7 @@ import (
 // BenchmarkEvaluateKernelCrossbar measures the evaluator's miss path
 // on the multi-layer crossbar backend: the same kernel as the ring's
 // BenchmarkEvaluateKernel driven through the fabric interface with the
-// crossbar's single-lane, overlap-by-destination conflict structure.
+// crossbar's overlap-by-destination conflict structure.
 //
 // A crossbar communication's memo key holds one bank row, so valid
 // paper genomes at NW 8 share a few thousand configurations and a

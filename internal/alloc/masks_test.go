@@ -172,7 +172,7 @@ func TestMaskIntoMatchesChannelSets(t *testing.T) {
 		words := (nw + 63) / 64
 		masks := make([]uint64, edges*words)
 		g.MaskInto(masks, words)
-		counts := g.Counts()
+		counts := g.CountsInto(make([]int, g.Edges()))
 		for e := 0; e < edges; e++ {
 			row := masks[e*words : (e+1)*words]
 			n := 0
@@ -277,7 +277,7 @@ func FuzzGenomeDecode(f *testing.F) {
 		words := in.maskWords
 		masks := make([]uint64, nl*words)
 		g.MaskInto(masks, words)
-		counts := g.Counts()
+		counts := g.CountsInto(make([]int, g.Edges()))
 		for e := 0; e < nl; e++ {
 			n := 0
 			for _, w := range masks[e*words : (e+1)*words] {

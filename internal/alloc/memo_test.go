@@ -57,10 +57,7 @@ func requireSameEval(t *testing.T, ctx string, got, want *Eval) {
 // energy must agree bit for bit.
 func requireExplained(t *testing.T, ctx string, in *Instance, g Genome, got *Eval) {
 	t.Helper()
-	ex, err := in.Explain(g)
-	if err != nil {
-		t.Fatalf("%s: %v", ctx, err)
-	}
+	ex := mustExplain(t, in, g)
 	for _, cb := range ex.Comms {
 		var sum float64
 		powers := make([]phys.MilliWatt, 0, len(cb.Lambdas))
@@ -95,7 +92,7 @@ func mutateOneGene(rng *rand.Rand, g Genome) (edge, oldCh, newCh int) {
 
 // memoConfig is one instance variant the memo is held to.
 type memoConfig struct {
-	backend   string // "ring", "bidir" or "crossbar"
+	backend   string // "ring" or "crossbar"
 	nw        int
 	berTarget float64
 	xtalk     CrosstalkMode
@@ -129,9 +126,7 @@ func (c memoConfig) instance(t *testing.T) *Instance {
 	case "crossbar":
 		f, err = crossbar.New(crossbar.DefaultConfig(c.nw))
 	default:
-		cfg := ring.DefaultConfig(c.nw)
-		cfg.Bidirectional = c.backend == "bidir"
-		f, err = ring.New(cfg)
+		f, err = ring.New(ring.DefaultConfig(c.nw))
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -262,11 +257,10 @@ func runKernelChain(t *testing.T, ctx string, inMemo, inRef *Instance, seed int6
 }
 
 // TestMemoKernelMatchesFull holds the warm memo to the cold kernel and
-// to Explain on the ring, one-way and bidirectional, across comb
-// sizes, both laser-sizing modes and the single-source crosstalk
+// to Explain on the ring across comb sizes, both laser-sizing modes and the single-source crosstalk
 // modes, and requires the memo to serve a real share of the lookups.
 func TestMemoKernelMatchesFull(t *testing.T) {
-	for i, c := range memoConfigs("ring", "bidir") {
+	for i, c := range memoConfigs("ring") {
 		in := c.instance(t)
 		tally := runKernelChain(t, c.String(), in, in, int64(100+i), 400)
 		tally.requireHitShare(t, c.String(), 0.3)
@@ -274,7 +268,7 @@ func TestMemoKernelMatchesFull(t *testing.T) {
 }
 
 // TestCrossbarMemoKernelMatchesFull runs the same chains on the
-// crossbar: all paths share lane 0 and overlap exactly by destination,
+// crossbar: paths overlap exactly by destination,
 // and a path crosses no receiver bank but its own, so keys there are
 // short and contributor sets large.
 func TestCrossbarMemoKernelMatchesFull(t *testing.T) {
@@ -291,7 +285,7 @@ func TestCrossbarMemoKernelMatchesFull(t *testing.T) {
 // six, so contributors come from ONIs far outside the victim's own
 // path and contributor sets vary between keys of the same edge.
 func TestMemoKernelRandomApps(t *testing.T) {
-	for _, backend := range []string{"ring", "bidir", "crossbar"} {
+	for _, backend := range []string{"ring", "crossbar"} {
 		ran := 0
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))

@@ -109,10 +109,7 @@ func TestMemoKernelMatchesExplainBitExact(t *testing.T) {
 					}
 					n++
 					valid++
-					ex, err := in.Explain(g)
-					if err != nil {
-						t.Fatal(err)
-					}
+					ex := mustExplain(t, in, g)
 					for _, cb := range ex.Comms {
 						var sum float64
 						powers := make([]phys.MilliWatt, 0, len(cb.Lambdas))

@@ -266,10 +266,6 @@ func New(cfg Config) (*Problem, error) {
 	return &Problem{cfg: cfg, in: in, objs: objs}, nil
 }
 
-// Instance exposes the underlying evaluation instance (heuristics,
-// simulator and CLI tooling build on it).
-func (p *Problem) Instance() *alloc.Instance { return p.in }
-
 // GenomeLen implements nsga2.Problem.
 func (p *Problem) GenomeLen() int { return p.in.Edges() * p.in.Channels() }
 

@@ -70,7 +70,7 @@ func TestEvaluateThroughInterface(t *testing.T) {
 	}
 	// The valid staggered genome from the heuristics must evaluate
 	// feasible through the nsga2.Problem interface.
-	g, err := alloc.Assign(p.Instance(), alloc.UniformCounts(6, 1), alloc.FirstFit, nil)
+	g, err := alloc.Assign(p.in, alloc.UniformCounts(6, 1), alloc.FirstFit, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestEvaluateThroughInterface(t *testing.T) {
 			t.Errorf("feasible objective carries %v", v)
 		}
 	}
-	ev := p.Instance().Evaluate(g)
+	ev := p.in.Evaluate(g)
 	if want := []float64{ev.TimeKCC(), ev.BitEnergyFJ, ev.MeanBER}; !slices.Equal(aux, want) {
 		t.Errorf("feasible aux = %v, want the metric triple %v", aux, want)
 	}
@@ -230,7 +230,7 @@ func TestSolutionAllocationVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Solution{Genome: g, Counts: g.Counts()}
+	s := Solution{Genome: g, Counts: g.CountsInto(make([]int, g.Edges()))}
 	if s.AllocationVector() != "[1 1 1 1 1 1]" {
 		t.Errorf("vector = %q", s.AllocationVector())
 	}

@@ -121,9 +121,6 @@ func New(cfg Config) (*Crossbar, error) {
 	return &Crossbar{cfg: cfg}, nil
 }
 
-// Config returns the configuration the crossbar was built from.
-func (x *Crossbar) Config() Config { return x.cfg }
-
 // ResourceName implements fabric.Fabric: the shared-medium unit is a
 // span ("hop") of a destination's dedicated waveguide.
 func (x *Crossbar) ResourceName() string { return "hop" }
@@ -144,8 +141,7 @@ func (x *Crossbar) Params() phys.Params { return x.cfg.Params }
 // rides destination dst's dedicated waveguide: hop j of waveguide d
 // (resource ID d*N + j) is the span from tap j toward tap j+1 (hop
 // N-1 ends in the receiver), so light injected at src occupies hops
-// src..N-1. Two paths overlap iff they target the same destination;
-// all paths share lane 0 — there are no counter-propagating media.
+// src..N-1. Two paths overlap iff they target the same destination.
 // The ONI sequence is just {src, dst}: the signal passes no
 // intermediate receiver bank, only modulator banks accounted
 // statically by the loss model.
@@ -161,7 +157,7 @@ func (x *Crossbar) PathBetween(src, dst int) (fabric.Path, error) {
 	for j := src; j < n; j++ {
 		hops = append(hops, dst*n+j)
 	}
-	return fabric.NewPath(src, dst, 0, []int{src, dst}, hops), nil
+	return fabric.NewPath(src, dst, []int{src, dst}, hops), nil
 }
 
 // TransitLossDB implements fabric.Fabric: the static worst-case
@@ -196,21 +192,3 @@ func (x *Crossbar) crossings(d int) int {
 // layerOf returns the deposited layer carrying destination d's
 // waveguide (round-robin assignment).
 func (x *Crossbar) layerOf(d int) int { return d % x.cfg.Layers }
-
-// Area evaluates the footprint model on the first-order crossbar bill
-// of materials: every source carries NW modulator micro-rings on each
-// of the N-1 foreign waveguides plus NW lasers; every destination a
-// NW-ring receiver bank with its photodetectors; each of the N
-// waveguides runs N tap pitches. Vertical couplers are not counted
-// (negligible footprint against N^2*NW modulators).
-func (x *Crossbar) Area(m fabric.AreaModel) fabric.Area {
-	n, nw := x.cfg.Cores, x.Channels()
-	a := fabric.Area{
-		MRs:            n*(n-1)*nw + n*nw,
-		Lasers:         n * nw,
-		Photodetectors: n * nw,
-		WaveguideCM:    float64(n*n) * x.cfg.TilePitchCM,
-	}
-	a.Total(m)
-	return a
-}

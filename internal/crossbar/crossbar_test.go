@@ -158,7 +158,7 @@ func TestSignalArrivalComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := x.Config().Params
+	par := x.Params()
 	p, err := x.PathBetween(0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestSignalArrivalComposition(t *testing.T) {
 	}
 	wantLeak := transit +
 		phys.DB(ch+1)*par.LossOffMR +
-		x.Config().Grid.CrosstalkDB(ch+1, ch)
+		x.Grid().CrosstalkDB(ch+1, ch)
 	if math.Abs(float64(leak-wantLeak)) > 1e-12 {
 		t.Errorf("crosstalk arrival %.6f, want %.6f", leak, wantLeak)
 	}
@@ -204,28 +204,6 @@ func TestSignalArrivalComposition(t *testing.T) {
 	// — the crosstalk scans treat it as no coupling.
 	if _, err := bud.ArrivalAlongDB(p, 3, ch, ch, off); err == nil {
 		t.Error("ArrivalAlongDB to an off-path detector must error")
-	}
-}
-
-// TestAreaBillOfMaterials pins the area model against the explicit
-// device counts of the 4-core, 4-channel instance.
-func TestAreaBillOfMaterials(t *testing.T) {
-	x, err := New(smallConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := x.Area(fabric.DefaultAreaModel())
-	if a.MRs != 4*3*4+4*4 {
-		t.Errorf("MRs = %d, want %d", a.MRs, 4*3*4+4*4)
-	}
-	if a.Lasers != 16 || a.Photodetectors != 16 {
-		t.Errorf("lasers/photodetectors = %d/%d, want 16/16", a.Lasers, a.Photodetectors)
-	}
-	if want := 16 * 0.2; math.Abs(a.WaveguideCM-want) > 1e-12 {
-		t.Errorf("waveguide = %.3f cm, want %.3f", a.WaveguideCM, want)
-	}
-	if a.TotalMM2 <= 0 {
-		t.Error("total area must be positive")
 	}
 }
 

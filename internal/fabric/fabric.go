@@ -18,9 +18,9 @@
 //   - detector optics: Budget composes the transit with the receiver
 //     bank walk and the final drop or crosstalk coupling (Eqs. 1-9),
 //     once for every backend;
-//   - conflict structure: Path.Overlaps (resource intersection within
-//     a lane) feeds the CSR neighbor lists and MaskWords sizes the
-//     per-edge wavelength bitmasks.
+//   - conflict structure: Path.Overlaps (resource intersection) feeds
+//     the CSR neighbor lists and MaskWords sizes the per-edge
+//     wavelength bitmasks.
 //
 // See DESIGN.md "Optical fabric contract" for the invariants a third
 // backend must keep for the evaluator's per-communication optics memo

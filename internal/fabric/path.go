@@ -6,16 +6,12 @@ import "fmt"
 // destination ONI. Paths are immutable values built by a backend's
 // PathBetween (or SelfPath) and consumed by the allocation layer's
 // conflict and optics machinery; the backend encodes its topology
-// entirely in the ONI sequence, the resource IDs and the lane.
+// entirely in the ONI sequence and the resource IDs. Every path of a
+// fabric shares one optical medium: two paths interact exactly when
+// their resource runs intersect (Overlaps) or one crosses the other's
+// receiver bank (Through).
 type Path struct {
 	Src, Dst int
-	// Lane separates physically disjoint copies of the medium:
-	// paths on different lanes never share resources, never conflict
-	// and never couple crosstalk (the ring backend uses lanes for its
-	// counter-propagating waveguides; single-medium backends put
-	// everything on lane 0). Resource IDs must not collide across
-	// lanes.
-	Lane int
 	// onis is the visited ONI sequence, source first, destination
 	// last.
 	onis []int
@@ -28,8 +24,8 @@ type Path struct {
 // must start at src and end at dst; resources holds one ID per hop
 // (len(onis)-1 of them for a linear route). The slices are retained,
 // not copied: backends must not mutate them afterwards.
-func NewPath(src, dst, lane int, onis, resources []int) Path {
-	return Path{Src: src, Dst: dst, Lane: lane, onis: onis, resources: resources}
+func NewPath(src, dst int, onis, resources []int) Path {
+	return Path{Src: src, Dst: dst, onis: onis, resources: resources}
 }
 
 // SelfPath returns the degenerate zero-hop path of a communication
@@ -53,15 +49,10 @@ func (p Path) Resources() []int { return p.resources }
 func (p Path) ONIs() []int { return p.onis }
 
 // Overlaps reports whether two paths share at least one resource.
-// Paths on different lanes never overlap (physically separate media);
-// two same-lane paths overlap when their resource runs intersect.
 // Overlapping simultaneous transmissions must use disjoint wavelength
 // sets (the validity rule) and mutually inject inter-communication
 // crosstalk.
 func (p Path) Overlaps(q Path) bool {
-	if p.Lane != q.Lane {
-		return false
-	}
 	// Paths carry few resources, so the quadratic scan beats a hash
 	// set at these sizes and never allocates — this sits on the
 	// evaluation kernel's validity path.
@@ -109,10 +100,9 @@ func (p Path) Prefix(det int) (Path, error) {
 		return Path{
 			Src:       p.Src,
 			Dst:       det,
-			Lane:      p.Lane,
 			onis:      p.onis[:i+1],
 			resources: p.resources[:i],
 		}, nil
 	}
-	return Path{}, fmt.Errorf("fabric: ONI %d not downstream on path %d->%d (lane %d)", det, p.Src, p.Dst, p.Lane)
+	return Path{}, fmt.Errorf("fabric: ONI %d not downstream on path %d->%d", det, p.Src, p.Dst)
 }

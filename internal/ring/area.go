@@ -7,9 +7,8 @@ import "repro/internal/fabric"
 // quantitative with a first-order photonic area model: every ONI
 // carries one receiver micro-ring, one photodetector and one
 // modulating laser per comb channel, and the serpentine waveguide
-// occupies its trace; a bidirectional ring doubles both the waveguide
-// and the per-ONI interfaces. The model types live in the fabric
-// package, shared by every backend.
+// occupies its trace. The model types live in the fabric package,
+// shared by every backend.
 
 // AreaModel holds per-device footprints in square micrometres.
 type AreaModel = fabric.AreaModel
@@ -22,20 +21,11 @@ type Area = fabric.Area
 
 // Area evaluates the model on this ring.
 func (r *Ring) Area(m AreaModel) Area {
-	dirs := 1
-	if r.cfg.Bidirectional {
-		dirs = 2
-	}
-	perONI := r.Channels() * dirs
-	a := Area{
-		MRs:            r.Size() * perONI,
-		Lasers:         r.Size() * perONI,
-		Photodetectors: r.Size() * perONI,
-	}
+	devices := r.Size() * r.Channels()
+	a := Area{MRs: devices, Lasers: devices, Photodetectors: devices}
 	for i := 0; i < r.Size(); i++ {
 		a.WaveguideCM += r.segments[i].LengthCM
 	}
-	a.WaveguideCM *= float64(dirs)
 	a.Total(m)
 	return a
 }

@@ -5,9 +5,9 @@
 // serpentine waveguide closed into a ring (Fig. 1 and Fig. 5(b)).
 //
 // The package provides the geometry (waveguide lengths and bend counts
-// per hop), directed path enumeration, and the transit loss of Eqs.
-// 2-6: propagation and bends along the waveguide plus a full receiver
-// bank walk at every interior ONI. The detector end of the budget (the
+// per hop), the clockwise route between two ONIs, and the transit loss
+// of Eqs. 2-6: propagation and bends along the waveguide plus a full
+// receiver bank walk at every interior ONI. The detector end of the budget (the
 // partial bank walk, the drop and the crosstalk coupling of Eq. 7) is
 // composed by fabric.Budget, the same for every backend. The package
 // is purely structural: which micro rings are ON at a given instant is
@@ -34,11 +34,6 @@ type Config struct {
 	Grid phys.Grid
 	// Params are the device power parameters (Table I).
 	Params phys.Params
-	// Bidirectional adds the ORNoC-style counter-clockwise twin
-	// waveguide (the paper's reference [9]); routes then take the
-	// hop-shorter direction. The paper's own evaluation platform is
-	// unidirectional (false).
-	Bidirectional bool
 }
 
 // DefaultConfig returns the paper's evaluation platform: a 4x4 core

@@ -376,18 +376,32 @@ func TestAreaModel(t *testing.T) {
 	}
 }
 
-func TestAreaBidirectionalDoubles(t *testing.T) {
-	uni := mustRing(t, 8)
-	bi := mustBidir(t, 8)
-	au := uni.Area(DefaultAreaModel())
-	ab := bi.Area(DefaultAreaModel())
-	if ab.MRs != 2*au.MRs {
-		t.Errorf("twin waveguide MRs = %d, want %d", ab.MRs, 2*au.MRs)
+func TestPrefix(t *testing.T) {
+	r := mustRing(t, 8)
+	p, err := r.PathBetween(1, 9)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ab.WaveguideCM != 2*au.WaveguideCM {
-		t.Errorf("twin waveguide length = %v, want %v", ab.WaveguideCM, 2*au.WaveguideCM)
+	pre, err := p.Prefix(5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ab.TotalMM2 <= au.TotalMM2 {
-		t.Error("twin waveguide must cost more area")
+	if pre.Src != 1 || pre.Dst != 5 || pre.Hops() != 4 {
+		t.Errorf("prefix = %+v", pre)
+	}
+	// Prefix to the destination is the whole path.
+	full, err := p.Prefix(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Hops() != p.Hops() {
+		t.Errorf("prefix to dst = %d hops, want %d", full.Hops(), p.Hops())
+	}
+	// ONIs not on the path (or the source itself) are rejected.
+	if _, err := p.Prefix(12); err == nil {
+		t.Error("prefix to off-path ONI must fail")
+	}
+	if _, err := p.Prefix(1); err == nil {
+		t.Error("prefix to the source must fail")
 	}
 }

@@ -403,22 +403,17 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	out := inst.in.Evaluate(g)
 	var exp *alloc.Explanation
-	var err error
 	if out.Valid {
-		exp, err = inst.in.Explain(g)
+		exp = inst.in.Explain(g, out)
 	}
 	<-s.evalSlots
-	switch {
-	case !out.Valid:
+	if !out.Valid {
 		// Unlike evaluate, explain has nothing to say about an invalid
 		// chromosome: 422 with the evaluator's failure reason.
 		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{
 			Error:  "cannot explain invalid chromosome",
 			Reason: out.Reason(),
 		})
-		return
-	case err != nil:
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, ExplainResponse{
