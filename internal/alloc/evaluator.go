@@ -13,10 +13,10 @@ import (
 
 // Evaluator is the reusable, allocation-free form of the chromosome
 // evaluation kernel. It owns every piece of scratch the evaluation
-// needs — the decoded channel sets, the effective-count vector, the
-// schedule windows, the receiver-bank state and the per-communication
-// metric vectors — so a steady-state GA loop calling EvaluateInto
-// performs no heap allocations for valid genomes.
+// needs — the wavelength masks and counts, the schedule windows, the
+// time-overlap rows, the receiver-bank state, the arrival matrices and
+// the per-communication metric vectors — so a steady-state GA loop
+// calling EvaluateInto performs no heap allocations for valid genomes.
 //
 // An Evaluator is NOT safe for concurrent use: give each worker
 // goroutine its own (they are cheap — a few KiB of slices plus the
@@ -27,22 +27,34 @@ import (
 // Each evaluator also keeps an exact memo of per-communication optics
 // results (see edgeMemo): a communication whose optics inputs match
 // one already walked replays the stored BERs and energy instead of
-// walking again, bit for bit.
+// walking again, bit for bit. A walk is linear in the channels that
+// reach the receiver: fabric.Budget.ArrivalsDB gives each one transit
+// and one walk of the detector's bank, and each (victim, interferer)
+// channel pair only its coupling.
 type Evaluator struct {
 	in      *Instance
 	planner *sched.Planner
 
-	sched   sched.Schedule
-	counts  []int
-	eff     []int
-	sets    [][]int
-	setsBuf []int
+	sched  sched.Schedule
+	counts []int
+	eff    []int
 	// masks holds the decoded per-edge wavelength bitmasks, one
 	// in.MaskWords()-word row per edge: the native representation of
-	// the conflict kernel (disjointness = word-wise AND) and of the
-	// receiver-bank fill (Bank.OrRow).
+	// the conflict kernel (disjointness = word-wise AND), of the
+	// receiver-bank fill (Bank.OrRow) and of the channel lists a walk
+	// reads off.
 	masks []uint64
 	bank  *fabric.Bank
+	// Edge sets are bit rows of ow = ceil(nl/64) words. live holds the
+	// edges that can transmit (some volume, distinct endpoint cores);
+	// through, one row per edge e, the other edges whose path crosses
+	// e's receiver; overlap, one row per edge e, the live edges other
+	// than e whose windows overlap e's — the time-overlap relation,
+	// rebuilt once per valid evaluation.
+	ow      int
+	live    []uint64
+	through []uint64
+	overlap []uint64
 	// inter lists the current communication's inter-crosstalk
 	// contributors in ascending order; key is its memo key and vals
 	// its walked optics result (per-channel BERs, mean BER, energy).
@@ -53,9 +65,17 @@ type Evaluator struct {
 	// receiver sits at ONI oni. fillBank writes only those rows; every
 	// other row is zero in every fill, so the memo key skips it.
 	liveRow []bool
-	powers  []phys.MilliWatt
-	commBER []float64
-	commFJ  []float64
+	// A walk's scratch: the victim's and one contributor's channel
+	// lists, the arrival matrix of a channel set at the victim's
+	// detectors, and the victim's per-channel signal arrivals and
+	// crosstalk powers.
+	chans, ochans []int
+	arr           []phys.DB
+	sig           []phys.DB
+	noise         []phys.MilliWatt
+	powers        []phys.MilliWatt
+	commBER       []float64
+	commFJ        []float64
 
 	// mw memoizes the optics walk's dB -> linear conversions (see
 	// mwMemo). p0 is the laser's 0-level power in mW, fixed by the
@@ -82,10 +102,19 @@ func NewEvaluator(in *Instance) (*Evaluator, error) {
 		return nil, err
 	}
 	nl, nw := in.Edges(), in.Channels()
+	ow := (nl + 63) / 64
+	live := make([]uint64, ow)
+	through := make([]uint64, nl*ow)
 	liveRow := make([]bool, in.fab.Size())
 	for o := 0; o < nl; o++ {
 		if in.App.Edges[o].VolumeBits > 0 && !in.selfEdge[o] {
+			setBit(live, o)
 			liveRow[in.dstCore[o]] = true
+		}
+		for ei := 0; ei < nl; ei++ {
+			if o != ei && in.paths[o].Through(in.dstCore[ei]) {
+				setBit(through[ei*ow:(ei+1)*ow], o)
+			}
 		}
 	}
 	return &Evaluator{
@@ -93,13 +122,20 @@ func NewEvaluator(in *Instance) (*Evaluator, error) {
 		planner: planner,
 		counts:  make([]int, nl),
 		eff:     make([]int, nl),
-		sets:    make([][]int, nl),
-		setsBuf: make([]int, 0, nl*nw),
 		masks:   make([]uint64, nl*in.maskWords),
 		bank:    fabric.NewBank(in.fab.Size(), nw),
+		ow:      ow,
+		live:    live,
+		through: through,
+		overlap: make([]uint64, nl*ow),
 		inter:   make([]int, 0, nl),
 		vals:    make([]float64, 0, nw+2),
 		liveRow: liveRow,
+		chans:   make([]int, 0, nw),
+		ochans:  make([]int, 0, nw),
+		arr:     make([]phys.DB, nw*nw),
+		sig:     make([]phys.DB, nw),
+		noise:   make([]phys.MilliWatt, nw),
 		powers:  make([]phys.MilliWatt, 0, nw),
 		commBER: make([]float64, nl),
 		commFJ:  make([]float64, nl),
@@ -109,6 +145,20 @@ func NewEvaluator(in *Instance) (*Evaluator, error) {
 		memoXtalk:  in.Xtalk,
 		memoEnergy: in.Energy,
 	}, nil
+}
+
+// setBit sets bit i of a bit row.
+func setBit(row []uint64, i int) { row[i>>6] |= 1 << (uint(i) & 63) }
+
+// appendBits appends the indices of the bits set in row, ascending.
+func appendBits(dst []int, row []uint64) []int {
+	for w, word := range row {
+		for word != 0 {
+			dst = append(dst, w*64+bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
+	return dst
 }
 
 // Instance returns the instance the evaluator was built over.
@@ -157,31 +207,19 @@ func (e *Evaluator) EvaluateInto(out *Eval, g Genome) {
 	e.opticsInto(out, s)
 }
 
-// decodeMasks derives the channel index sets (the optics walk
-// iterates those) and the effective counts from the mask rows in
-// e.masks: counts are popcounts, set members come off TrailingZeros.
-// Missing reservations are graded as we go; effective counts let the
-// scheduler produce windows even for a broken chromosome, so the
-// conflict grading stays meaningful while the genome is repaired by
-// evolution.
+// decodeMasks derives the wavelength counts (popcounts of the mask
+// rows in e.masks) and the effective counts. Missing reservations are
+// graded as we go; effective counts let the scheduler produce windows
+// even for a broken chromosome, so the conflict grading stays
+// meaningful while the genome is repaired by evolution.
 func (e *Evaluator) decodeMasks() (violation float64, reason failureReason) {
 	in := e.in
 	nl, W := in.Edges(), in.maskWords
-	e.setsBuf = e.setsBuf[:0]
-	off := 0
 	for ei := 0; ei < nl; ei++ {
-		row := e.masks[ei*W : (ei+1)*W]
 		n := 0
-		for w, word := range row {
+		for _, word := range e.masks[ei*W : (ei+1)*W] {
 			n += bits.OnesCount64(word)
-			base := w * 64
-			for word != 0 {
-				e.setsBuf = append(e.setsBuf, base+bits.TrailingZeros64(word))
-				word &= word - 1
-			}
 		}
-		e.sets[ei] = e.setsBuf[off : off+n : off+n]
-		off += n
 		e.counts[ei] = n
 		e.eff[ei] = n
 		e.commBER[ei] = 0
@@ -251,10 +289,10 @@ type opticsAccum struct {
 }
 
 // opticsInto walks the optics of every transmitting edge and
-// assembles the valid evaluation.
+// assembles the valid evaluation. In a valid genome every live edge
+// reserves a wavelength, so the live edges are the transmitting ones.
 func (e *Evaluator) opticsInto(out *Eval, s *sched.Schedule) {
 	in := e.in
-	nl := in.Edges()
 	*out = Eval{
 		Valid:          true,
 		Counts:         e.counts,
@@ -269,14 +307,13 @@ func (e *Evaluator) opticsInto(out *Eval, s *sched.Schedule) {
 		e.memo.reset()
 		e.memoXtalk, e.memoEnergy = in.Xtalk, in.Energy
 	}
+	e.overlapRows(s)
 	var acc opticsAccum
-	for ei := 0; ei < nl; ei++ {
-		// Self edges never reach the optics: no BER, no laser energy,
-		// and their bits do not count as optically transmitted.
-		if in.App.Edges[ei].VolumeBits <= 0 || e.counts[ei] == 0 || in.selfEdge[ei] {
-			continue
+	for w, word := range e.live {
+		for word != 0 {
+			e.opticsEdge(out, w*64+bits.TrailingZeros64(word), s, &acc)
+			word &= word - 1
 		}
-		e.opticsEdge(out, ei, s, &acc)
 	}
 	if acc.berN > 0 {
 		out.MeanBER = acc.berSum / float64(acc.berN)
@@ -286,13 +323,32 @@ func (e *Evaluator) opticsInto(out *Eval, s *sched.Schedule) {
 	}
 }
 
+// overlapRows rebuilds e.overlap from the schedule's windows: one
+// Overlaps test per pair of live edges.
+func (e *Evaluator) overlapRows(s *sched.Schedule) {
+	ow := e.ow
+	clear(e.overlap)
+	for w, word := range e.live {
+		for word != 0 {
+			i := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			for j := i + 1; j < e.in.Edges(); j++ {
+				if e.live[j>>6]&(1<<(uint(j)&63)) != 0 && s.Comm[i].Overlaps(s.Comm[j]) {
+					setBit(e.overlap[i*ow:(i+1)*ow], j)
+					setBit(e.overlap[j*ow:(j+1)*ow], i)
+				}
+			}
+		}
+	}
+}
+
 // opticsEdge computes one transmitting edge's optics and feeds them
 // to the accumulation: the receiver bank it sees, then either the
 // memoized result for the same inputs or a fresh walk (stored for the
 // next time).
 func (e *Evaluator) opticsEdge(out *Eval, ei int, s *sched.Schedule, acc *opticsAccum) {
-	e.fillBank(ei, s)
-	e.gatherInter(ei, s)
+	e.fillBank(ei)
+	e.gatherInter(ei)
 	key := e.edgeKey(ei, s)
 	vals, h, ok := e.memo.lookup(key)
 	if !ok {
@@ -315,21 +371,17 @@ func (e *Evaluator) opticsEdge(out *Eval, ei int, s *sched.Schedule, acc *optics
 // gatherInter lists, in ascending order, the communications whose
 // light crosses edge ei's receiver while ei is active: the
 // inter-communication crosstalk contributors.
-func (e *Evaluator) gatherInter(ei int, s *sched.Schedule) {
-	in := e.in
+func (e *Evaluator) gatherInter(ei int) {
 	e.inter = e.inter[:0]
-	if !in.Xtalk.inter() {
+	if !e.in.Xtalk.inter() {
 		return
 	}
-	dst := in.dstCore[ei]
-	for o := 0; o < in.Edges(); o++ {
-		if o == ei || e.counts[o] == 0 || in.App.Edges[o].VolumeBits <= 0 || in.selfEdge[o] {
-			continue
+	ow := e.ow
+	over, thr := e.overlap[ei*ow:(ei+1)*ow], e.through[ei*ow:(ei+1)*ow]
+	for w := range over {
+		for word := over[w] & thr[w]; word != 0; word &= word - 1 {
+			e.inter = append(e.inter, w*64+bits.TrailingZeros64(word))
 		}
-		if !s.Comm[ei].Overlaps(s.Comm[o]) || !in.paths[o].Through(dst) {
-			continue
-		}
-		e.inter = append(e.inter, o)
 	}
 }
 
@@ -373,75 +425,88 @@ func (e *Evaluator) edgeKey(ei int, s *sched.Schedule) []uint64 {
 // walkOptics walks the signal and crosstalk of every wavelength edge
 // ei reserves against the filled bank, and returns the per-channel
 // BERs followed by the edge's mean BER and laser energy.
+//
+// The budget fills one arrival matrix per channel set that reaches
+// the receiver: the edge's own (the signals on its diagonal, the
+// intra-communication crosstalk off it), then each inter-crosstalk
+// contributor's, walked along the contributor's own route. Each
+// detector's noise adds its terms in the pairwise order: its own
+// transfer's other wavelengths ascending, then the contributors
+// ascending, each one's wavelengths ascending.
 func (e *Evaluator) walkOptics(ei int, s *sched.Schedule) []float64 {
 	in := e.in
+	W := in.maskWords
 	pv := in.fab.Params().LaserOnDBm
-	p0 := e.p0
 	dst := in.dstCore[ei]
-	powers := e.powers[:0]
-	vals := e.vals[:0]
-	var commBERSum float64
-	for _, ch := range e.sets[ei] {
-		sigLoss := in.budget.SignalArrivalDB(in.paths[ei], ch, e.bank)
-		psig := e.mw.milliWatt(pv.Add(sigLoss))
+	chans := appendBits(e.chans[:0], e.masks[ei*W:(ei+1)*W])
+	k := len(chans)
+	sig, noise := e.sig[:k], e.noise[:k]
 
-		var noise phys.MilliWatt
-		// Intra-communication crosstalk: the same transfer's
-		// other wavelengths leak into this detector.
-		for _, other := range e.sets[ei] {
-			if other == ch || !in.Xtalk.intra() {
-				continue
-			}
-			arr, err := in.budget.ArrivalAlongDB(in.paths[ei], dst, other, ch, e.bank)
-			if err == nil {
-				noise += e.mw.milliWatt(pv.Add(arr))
+	own := e.arr[:k*k]
+	// A path always reaches its own destination: no error.
+	_ = in.budget.ArrivalsDB(own, in.paths[ei], dst, chans, chans, e.bank)
+	for j := range chans {
+		sig[j] = own[j*k+j]
+		noise[j] = 0
+		if !in.Xtalk.intra() {
+			continue
+		}
+		for i := range chans {
+			if i != j {
+				noise[j] += e.mw.milliWatt(pv.Add(own[i*k+j]))
 			}
 		}
-		// Inter-communication crosstalk: wavelengths of other
-		// transfers whose light crosses this receiver while this
-		// transfer is active, walked along the interferer's own
-		// route.
-		for _, o := range e.inter {
-			for _, other := range e.sets[o] {
+	}
+	for _, o := range e.inter {
+		ochans := appendBits(e.ochans[:0], e.masks[o*W:(o+1)*W])
+		arr := e.arr[:len(ochans)*k]
+		if in.budget.ArrivalsDB(arr, in.paths[o], dst, ochans, chans, e.bank) != nil {
+			continue // the light never reaches this receiver
+		}
+		for j, ch := range chans {
+			for i, other := range ochans {
 				if other == ch {
 					// Impossible in valid genomes (the shared
 					// incoming segment would have tripped the
 					// validity rule); skip defensively.
 					continue
 				}
-				arr, err := in.budget.ArrivalAlongDB(in.paths[o], dst, other, ch, e.bank)
-				if err == nil {
-					noise += e.mw.milliWatt(pv.Add(arr))
-				}
+				noise[j] += e.mw.milliWatt(pv.Add(arr[i*k+j]))
 			}
 		}
-		ber := phys.BEROOK(phys.SNR(psig, noise, p0))
+	}
+
+	powers := e.powers[:0]
+	vals := e.vals[:0]
+	var commBERSum float64
+	for j := range chans {
+		psig := e.mw.milliWatt(pv.Add(sig[j]))
+		ber := phys.BEROOK(phys.SNR(psig, noise[j], e.p0))
 		vals = append(vals, ber)
 		commBERSum += ber
 		// Laser sizing: fixed receive-power target by default,
 		// or the BER-target mode where crosstalk directly drives
 		// the emitted power (the paper's introduction).
-		powers = append(powers, in.Energy.WavelengthLaserMWVia(sigLoss, noise, p0, e.mw.milliWatt))
+		powers = append(powers, in.Energy.WavelengthLaserMWVia(sig[j], noise[j], e.p0, e.mw.milliWatt))
 	}
-	return append(vals, commBERSum/float64(len(e.sets[ei])), in.Energy.EnergyFJ(powers, s.Comm[ei].Duration()))
+	return append(vals, commBERSum/float64(k), in.Energy.EnergyFJ(powers, s.Comm[ei].Duration()))
 }
 
 // fillBank rebuilds the evaluator's receiver-bank scratch with the
 // state seen by communication ei's light (the zero-allocation form of
-// Instance.bankFor). Each contributing communication installs its
-// whole wavelength set with one word-wise OR of its mask row.
-func (e *Evaluator) fillBank(ei int, s *sched.Schedule) {
+// Instance.bankFor): ei and every live edge whose window overlaps
+// ei's install their whole wavelength set with one word-wise OR of
+// the mask row.
+func (e *Evaluator) fillBank(ei int) {
 	in := e.in
 	W := in.maskWords
 	e.bank.Reset()
-	for o := 0; o < in.Edges(); o++ {
-		if in.App.Edges[o].VolumeBits <= 0 || in.selfEdge[o] {
-			continue
+	e.bank.OrRow(in.dstCore[ei], e.masks[ei*W:(ei+1)*W])
+	for w, word := range e.overlap[ei*e.ow : (ei+1)*e.ow] {
+		for ; word != 0; word &= word - 1 {
+			o := w*64 + bits.TrailingZeros64(word)
+			e.bank.OrRow(in.dstCore[o], e.masks[o*W:(o+1)*W])
 		}
-		if o != ei && !s.Comm[ei].Overlaps(s.Comm[o]) {
-			continue
-		}
-		e.bank.OrRow(in.dstCore[o], e.masks[o*W:(o+1)*W])
 	}
 }
 

@@ -8,6 +8,7 @@
 package alloc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -83,10 +84,11 @@ func (g Genome) ChannelSet(e int) []int {
 
 // MaskInto decodes the chromosome into per-edge wavelength bitmasks:
 // row e occupies dst[e*words : (e+1)*words], with bit ch of the row
-// (bit ch&63 of word ch>>6) set iff gene (e, ch) is 1. words must be
-// at least fabric.MaskWords(Channels()) and dst must hold Edges()*words
-// words. The evaluation kernel consumes these rows natively: set
-// disjointness is a word-wise AND, wavelength counts are popcounts.
+// (bit ch&63 of word ch>>6) set iff gene (e, ch) is nonzero. words
+// must be at least fabric.MaskWords(Channels()) and dst must hold
+// Edges()*words words. The evaluation kernel consumes these rows
+// natively: set disjointness is a word-wise AND, wavelength counts are
+// popcounts.
 func (g Genome) MaskInto(dst []uint64, words int) {
 	if g.edges*words == 0 {
 		return
@@ -94,16 +96,35 @@ func (g Genome) MaskInto(dst []uint64, words int) {
 	_ = dst[g.edges*words-1]
 	for e := 0; e < g.edges; e++ {
 		row := dst[e*words : (e+1)*words]
+		genes := g.bits[e*g.nw : (e+1)*g.nw]
 		for w := range row {
-			row[w] = 0
-		}
-		base := e * g.nw
-		for ch := 0; ch < g.nw; ch++ {
-			if g.bits[base+ch] != 0 {
-				row[ch>>6] |= 1 << (uint(ch) & 63)
+			// Word w holds channels [64w, 64w+64), eight genes per
+			// step, then the comb's tail one by one.
+			end := min(64*(w+1), len(genes))
+			var word uint64
+			ch := 64 * w
+			for ; ch+8 <= end; ch += 8 {
+				word |= uint64(nonzeroBytes(binary.LittleEndian.Uint64(genes[ch:]))) << (uint(ch) & 63)
 			}
+			for ; ch < end; ch++ {
+				if genes[ch] != 0 {
+					word |= 1 << (uint(ch) & 63)
+				}
+			}
+			row[w] = word
 		}
 	}
+}
+
+// nonzeroBytes returns the byte whose bit i is set iff byte i of x
+// (little-endian) is nonzero. The shifts fold each byte's bits into
+// its lowest; the multiply then gathers the eight lowest bits, which
+// land on distinct product bits without carries, into the top byte.
+func nonzeroBytes(x uint64) uint8 {
+	x |= x >> 4
+	x |= x >> 2
+	x |= x >> 1
+	return uint8((x & 0x0101010101010101) * 0x0102040810204080 >> 56)
 }
 
 // CountsInto writes the per-edge number of reserved wavelengths into

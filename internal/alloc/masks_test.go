@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/sched"
 )
 
@@ -197,6 +198,48 @@ func TestMaskIntoMatchesChannelSets(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMaskIntoReadsAnyNonzeroGene feeds MaskInto genes of every byte
+// value: any nonzero byte reserves its channel, at every position of
+// the eight genes MaskInto reads per step and in the tail past them,
+// and a row wider than the comb is cleared past it.
+func TestMaskIntoReadsAnyNonzeroGene(t *testing.T) {
+	check := func(g Genome) {
+		t.Helper()
+		words := fabric.MaskWords(g.Channels()) + 1
+		masks := make([]uint64, g.Edges()*words)
+		for i := range masks {
+			masks[i] = ^uint64(0) // stale bits MaskInto must clear
+		}
+		g.MaskInto(masks, words)
+		for e := 0; e < g.Edges(); e++ {
+			for ch := 0; ch < words*64; ch++ {
+				got := masks[e*words+ch>>6]&(1<<(uint(ch)&63)) != 0
+				if want := ch < g.Channels() && g.Get(e, ch); got != want {
+					t.Fatalf("NW=%d genes %v: edge %d channel %d masked %v, want %v",
+						g.Channels(), g.Bits(), e, ch, got, want)
+				}
+			}
+		}
+	}
+	for v := 0; v < 256; v++ {
+		for pos := 0; pos < 9; pos++ {
+			g := NewGenome(1, 9)
+			g.Bits()[pos] = byte(v)
+			check(g)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, nw := range []int{1, 7, 8, 9, 16, 63, 64, 65, 130} {
+		g := NewGenome(1+rng.Intn(6), nw)
+		for i := range g.Bits() {
+			if rng.Intn(2) == 0 {
+				g.Bits()[i] = byte(1 + rng.Intn(255))
+			}
+		}
+		check(g)
 	}
 }
 

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -130,4 +131,114 @@ func TestMemoKernelMatchesExplainBitExact(t *testing.T) {
 		}
 	}
 	t.Logf("%d valid genomes matched bit for bit", valid)
+}
+
+// TestKernelMatchesExplainWideInputs runs the kernel-versus-Explain
+// bit-exact check of TestMemoKernelMatchesExplainBitExact past the
+// paper's six communications: random layered applications, mapped
+// injectively and shared-core (self edges included); an application
+// of more than 64 communications, whose edge-set rows take two words;
+// and NW 65, whose wavelength masks take two words. Every application
+// runs on both fabrics in both laser-sizing modes, through one warm
+// evaluator per instance.
+func TestKernelMatchesExplainWideInputs(t *testing.T) {
+	type appCase struct {
+		name   string
+		nw     int
+		layers int // 0: the paper's application and mapping
+		width  int
+		prob   float64 // edge probability between adjacent layers
+		shared bool
+		seed   int64
+	}
+	cases := []appCase{
+		{name: "layered", nw: 16, layers: 3, width: 4, prob: 0.5, seed: 1},
+		{name: "layered", nw: 16, layers: 4, width: 4, prob: 0.3, seed: 2},
+		// More tasks than cores: some edges become self edges.
+		{name: "layered-shared", nw: 16, layers: 5, width: 4, prob: 0.3, shared: true, seed: 4},
+		{name: "layered-shared", nw: 16, layers: 4, width: 6, prob: 0.2, shared: true, seed: 2},
+		{name: "paper", nw: 65},
+		{name: "wide", nw: 65, layers: 5, width: 6, prob: 0.6, shared: true, seed: 5},
+	}
+	perInstance := 12
+	if testing.Short() {
+		perInstance = 3
+	}
+	for _, c := range cases {
+		app, m := graph.PaperApp(), graph.PaperMapping()
+		if c.layers > 0 {
+			rng := rand.New(rand.NewSource(c.seed))
+			var err error
+			if app, err = graph.Layered(rng, c.layers, c.width, c.prob, graph.DefaultGenConfig()); err != nil {
+				t.Fatal(err)
+			}
+			if c.shared {
+				m, err = graph.SharedRandomMapping(rng, app, 16)
+			} else {
+				m, err = graph.RandomMapping(rng, app, 16)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.name == "wide" && app.NumEdges() <= 64 {
+			t.Fatalf("wide application has %d communications, want more than 64", app.NumEdges())
+		}
+		self := 0
+		for _, e := range app.Edges {
+			if m[e.Src] == m[e.Dst] {
+				self++
+			}
+		}
+		if c.shared && self == 0 {
+			t.Fatalf("%s seed %d: no self edge under the shared-core mapping", c.name, c.seed)
+		}
+		t.Logf("%s seed %d: %d communications, %d self edges", c.name, c.seed, app.NumEdges(), self)
+		for _, backend := range []string{"ring", "crossbar"} {
+			for _, berTarget := range []float64{0, 1e-9} {
+				base := memoConfig{backend: backend, nw: c.nw}.instance(t)
+				if base.Fabric().Size() != 16 {
+					t.Fatalf("%s has %d ONIs, the mappings assume 16", backend, base.Fabric().Size())
+				}
+				em := energy.Default()
+				em.BERTarget = berTarget
+				in, err := NewInstance(base.Fabric(), app, m, 1, em)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev, err := NewEvaluator(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := fmt.Sprintf("%s(%d comms)/%s/NW%d/target%g", c.name, in.Edges(), backend, c.nw, berTarget)
+				rng := rand.New(rand.NewSource(c.seed*31 + int64(c.nw)))
+				counts := make([]int, in.Edges())
+				var out Eval
+				n := 0
+				for tries := 0; n < perInstance && tries < 200*perInstance; tries++ {
+					// Mostly single wavelengths, so the larger
+					// applications stay feasible, with some wider
+					// sets for the crosstalk sums.
+					for i := range counts {
+						counts[i] = 1
+						if rng.Intn(3) == 0 {
+							counts[i] += rng.Intn(1 + c.nw/4)
+						}
+					}
+					g, err := Assign(in, counts, RandomFit, rng)
+					if err != nil {
+						continue // infeasible counts for this draw
+					}
+					if ev.EvaluateInto(&out, g); !out.Valid {
+						continue
+					}
+					requireExplained(t, ctx, in, g, &out)
+					n++
+				}
+				if n < perInstance {
+					t.Fatalf("%s: only %d of %d valid genomes drawn", ctx, n, perInstance)
+				}
+			}
+		}
+	}
 }

@@ -46,20 +46,52 @@ func (b *Budget) SignalArrivalDB(p Path, ch int, bank *Bank) phys.DB {
 //     Phi(detCh, ch) for any other — the first-order crosstalk term
 //     summed by Eq. 7.
 func (b *Budget) ArrivalAlongDB(p Path, det, ch, detCh int, bank *Bank) (phys.DB, error) {
-	prefix := p
-	if det != p.Dst {
-		var err error
-		prefix, err = p.Prefix(det)
-		if err != nil {
-			return 0, err
-		}
+	prefix, err := p.Prefix(det)
+	if err != nil {
+		return 0, err
 	}
 	loss := b.fab.TransitLossDB(prefix, ch, bank)
 	loss += BankWalkDB(b.par, det, ch, detCh, bank)
-	if ch == detCh {
-		loss += phys.DropLossDB(b.par, phys.MRState(bank.On(det, detCh)))
-	} else {
-		loss += b.xtalk.DB(detCh, ch)
-	}
+	loss += b.couplingDB(det, ch, detCh, bank)
 	return loss, nil
+}
+
+// ArrivalsDB fills dst with the arrivals of every channel of chs,
+// travelling path p, at the detector of every channel of detChs at
+// ONI det: dst[i*len(detChs)+j] is ArrivalAlongDB(p, det, chs[i],
+// detChs[j], bank), bit for bit. detChs must be ascending and dst must
+// hold len(chs)*len(detChs) values. The error is ArrivalAlongDB's, for
+// a det the path never reaches; dst is then left untouched.
+//
+// The work is linear in the channels where the pairwise calls are
+// quadratic: the prefix to det is resolved once, each travelling
+// channel pays one transit and one walk of det's bank, up to the last
+// detector, and each pair only its coupling. The walk's running sum
+// passes through BankWalkDB(b.par, det, ch, detCh, bank) at every
+// detCh, and each arrival adds (transit + walk) + coupling, the
+// pairwise order.
+func (b *Budget) ArrivalsDB(dst []phys.DB, p Path, det int, chs, detChs []int, bank *Bank) error {
+	prefix, err := p.Prefix(det)
+	if err != nil {
+		return err
+	}
+	n := len(detChs)
+	for i, ch := range chs {
+		transit := b.fab.TransitLossDB(prefix, ch, bank)
+		walk := newBankWalk(&b.par, det, ch, bank)
+		row := dst[i*n : (i+1)*n]
+		for j, detCh := range detChs {
+			row[j] = transit + walk.to(detCh) + b.couplingDB(det, ch, detCh, bank)
+		}
+	}
+	return nil
+}
+
+// couplingDB is the last term of an arrival: the drop into detCh's
+// ring at det for the resonant channel, Eq. 1's leak for any other.
+func (b *Budget) couplingDB(det, ch, detCh int, bank *Bank) phys.DB {
+	if ch == detCh {
+		return phys.DropLossDB(b.par, phys.MRState(bank.On(det, detCh)))
+	}
+	return b.xtalk.DB(detCh, ch)
 }

@@ -9,7 +9,7 @@ import (
 // crosstalkTable holds Grid.CrosstalkDB(m, i) — Eq. 1's Lorentzian
 // leak of channel i into the drop port of the ring resonant at m, in
 // dB — for every (m, i) pair of the comb. A Budget keeps one for the
-// final coupling term of ArrivalAlongDB, which otherwise pays a Log10
+// final coupling term of its arrivals, which otherwise pays a Log10
 // per crosstalk contributor.
 //
 // The table is built on its first lookup, not with the budget: budget

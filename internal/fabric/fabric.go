@@ -73,8 +73,9 @@ type Fabric interface {
 // MRs [0, upto) of the receiver bank at ONI oni. MRs are assumed to be
 // ordered by grid channel along the waveguide, so a signal headed for
 // the detector of channel detCh only crosses the rings before it; pass
-// upto = Channels() for a full transit. Budget's detector walk and
-// the ring's interior-bank transits share it, so the MR-state
+// upto = Channels() for a full transit. ArrivalAlongDB's detector
+// walk and the ring's interior-bank transits share it, and
+// ArrivalsDB's bankWalk adds the same terms, so the MR-state
 // semantics (ON drops the resonant channel, OFF passes with Lp0) are
 // identical everywhere. The walk reads ONI oni's row
 // words directly and adds one term per ring, left to right.
@@ -85,8 +86,40 @@ func BankWalkDB(par phys.Params, oni, ch, upto int, bank *Bank) phys.DB {
 	row := bank.on[oni*bank.words : (oni+1)*bank.words]
 	var loss phys.DB
 	for idx := 0; idx < upto; idx++ {
-		on := row[idx>>6]&(1<<(uint(idx)&63)) != 0
-		loss += phys.ThroughLossDB(par, phys.MRState(on), idx == ch)
+		loss += ringThroughDB(&par, row, idx, ch)
 	}
 	return loss
+}
+
+// ringThroughDB is the through loss of channel ch past ring idx of
+// the bank row.
+func ringThroughDB(par *phys.Params, row []uint64, idx, ch int) phys.DB {
+	on := row[idx>>6]&(1<<(uint(idx)&63)) != 0
+	return phys.ThroughLossDB(*par, phys.MRState(on), idx == ch)
+}
+
+// bankWalk is a BankWalkDB kept open: it walks channel ch across ONI
+// oni's receiver bank one ring at a time, so one pass serves every
+// detector of the bank. After to(upto) its sum is BankWalkDB(par,
+// oni, ch, upto, bank), bit for bit: the same terms, added in the same
+// order from the same zero.
+type bankWalk struct {
+	par  *phys.Params
+	row  []uint64
+	ch   int
+	next int // rings walked so far
+	loss phys.DB
+}
+
+func newBankWalk(par *phys.Params, oni, ch int, bank *Bank) bankWalk {
+	return bankWalk{par: par, row: bank.Row(oni), ch: ch}
+}
+
+// to walks on to ring upto and returns the sum so far. upto must not
+// fall below an earlier call's.
+func (w *bankWalk) to(upto int) phys.DB {
+	for ; w.next < upto; w.next++ {
+		w.loss += ringThroughDB(w.par, w.row, w.next, w.ch)
+	}
+	return w.loss
 }

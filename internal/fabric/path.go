@@ -91,8 +91,13 @@ func (p Path) Through(o int) bool {
 
 // Prefix returns the sub-path from the source up to ONI det, which
 // must lie on the path past the source. Noise analyses use it to walk
-// an interferer's light only as far as the victim's receiver.
+// an interferer's light only as far as the victim's receiver. The
+// prefix to p.Dst is p itself: a backend whose resources do not follow
+// its ONIs one per hop (the crossbar's) must not lose any to a cut.
 func (p Path) Prefix(det int) (Path, error) {
+	if det == p.Dst {
+		return p, nil
+	}
 	for i, oni := range p.onis {
 		if oni != det || i == 0 {
 			continue
