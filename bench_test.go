@@ -273,21 +273,15 @@ func BenchmarkAblationCrossover(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMutation compares the paper's single-gene
-// inversion with classic per-bit mutation.
+// BenchmarkAblationMutation sweeps the probability of the paper's
+// single-gene inversion (1.0 is the paper's setting).
 func BenchmarkAblationMutation(b *testing.B) {
-	cases := []struct {
-		name string
-		cfg  nsga2.Config
-	}{
-		{"single-flip", nsga2.Config{PopSize: 120, Generations: 80, Seed: 9}},
-		{"per-bit", nsga2.Config{PopSize: 120, Generations: 80, Seed: 9, PerBitMutation: 1.0 / 48}},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
+	for _, pm := range []float64{0.25, 0.5, 1.0} {
+		b.Run(fmt.Sprintf("pm=%.2f", pm), func(b *testing.B) {
 			var hv float64
 			for i := 0; i < b.N; i++ {
-				p, err := core.New(core.Config{NW: 8, GA: c.cfg})
+				p, err := core.New(core.Config{NW: 8,
+					GA: nsga2.Config{PopSize: 120, Generations: 80, MutationProb: pm, Seed: 9}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -961,40 +955,6 @@ func BenchmarkExplain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in.Explain(g, ev)
-	}
-}
-
-// BenchmarkAblationCrosstalkSources attributes the BER between the two
-// noise sources the paper's introduction names: intra-communication
-// (same transfer's wavelengths, unavoidable) and inter-communication
-// (simultaneous transfers, avoidable by mapping/scheduling).
-func BenchmarkAblationCrosstalkSources(b *testing.B) {
-	modes := []alloc.CrosstalkMode{
-		alloc.XtalkBoth, alloc.XtalkIntraOnly, alloc.XtalkInterOnly, alloc.XtalkNone,
-	}
-	for _, mode := range modes {
-		b.Run(mode.String(), func(b *testing.B) {
-			in, err := alloc.DefaultInstance(8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			in.Xtalk = mode
-			g, err := alloc.Assign(in, []int{1, 4, 2, 3, 2, 3}, alloc.LeastUsed, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var ber float64
-			for i := 0; i < b.N; i++ {
-				ev := in.Evaluate(g)
-				if !ev.Valid {
-					b.Fatal(ev.Reason())
-				}
-				ber = ev.MeanBER
-			}
-			b.ReportMetric(phys.Log10BER(ber), "log10BER")
-			printOnce("xtalk-"+mode.String(),
-				fmt.Sprintf("crosstalk %s: mean log10(BER) %.2f", mode, phys.Log10BER(ber)))
-		})
 	}
 }
 

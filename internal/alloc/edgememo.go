@@ -16,6 +16,9 @@ import "math/bits"
 //     tagged index word, its mask row and the bank rows its light
 //     crosses before the victim's receiver.
 //
+// The fabric and the energy model complete the inputs; both are fixed
+// when the instance is built, so the key leaves them out.
+//
 // The GA rebuilds the same few configurations over and over, so most
 // communications of a campaign cell repeat one already walked. Keys
 // are compared word for word; the hash only picks the probe start, so

@@ -393,79 +393,3 @@ func TestObjectiveStrings(t *testing.T) {
 		t.Error("unknown objective must still render")
 	}
 }
-
-func TestCrosstalkModeAttribution(t *testing.T) {
-	// The two noise sources the paper's introduction names must
-	// decompose cleanly: both >= each single source >= none, and the
-	// no-crosstalk BER is the extinction-ratio floor.
-	in := mustInstance(t, 8)
-	app := graph.PaperApp()
-	app.Edges[3].VolumeBits = 16000 // widen c3's window to force overlap with c2
-	mkEval := func(mode CrosstalkMode) Eval {
-		in2, err := NewInstance(in.Fabric(), app, in.Map, 1, in.Energy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in2.Xtalk = mode
-		g, err := FromSets([][]int{{7}, {0, 1, 2, 3}, {4}, {5}, {6}, {7}}, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev := in2.Evaluate(g)
-		if !ev.Valid {
-			t.Fatalf("%v: invalid: %s", mode, ev.Reason())
-		}
-		return ev
-	}
-	both := mkEval(XtalkBoth)
-	intra := mkEval(XtalkIntraOnly)
-	inter := mkEval(XtalkInterOnly)
-	none := mkEval(XtalkNone)
-	if !(both.MeanBER >= intra.MeanBER && both.MeanBER >= inter.MeanBER) {
-		t.Errorf("both (%g) must dominate single sources (intra %g, inter %g)",
-			both.MeanBER, intra.MeanBER, inter.MeanBER)
-	}
-	if !(intra.MeanBER > none.MeanBER && inter.MeanBER > none.MeanBER) {
-		t.Errorf("each source must add noise over the floor: intra %g inter %g none %g",
-			intra.MeanBER, inter.MeanBER, none.MeanBER)
-	}
-	// The no-crosstalk BER is the pure extinction floor: SNR = P1/P0
-	// scaled by the link loss, identical for every wavelength count.
-	if none.MeanBER <= 0 {
-		t.Error("extinction floor must be positive (P0 is non-zero)")
-	}
-	// The schedule is crosstalk-independent.
-	for _, ev := range []Eval{intra, inter, none} {
-		if ev.MakespanCycles != both.MakespanCycles {
-			t.Error("crosstalk mode must not change the schedule")
-		}
-	}
-}
-
-func TestCrosstalkModeStrings(t *testing.T) {
-	for mode, want := range map[CrosstalkMode]string{
-		XtalkBoth: "intra+inter", XtalkIntraOnly: "intra-only",
-		XtalkInterOnly: "inter-only", XtalkNone: "none",
-	} {
-		if mode.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(mode), mode.String(), want)
-		}
-	}
-}
-
-func TestExplainRespectsCrosstalkMode(t *testing.T) {
-	in := mustInstance(t, 8)
-	in.Xtalk = XtalkNone
-	g, err := Assign(in, []int{1, 3, 2, 2, 2, 2}, LeastUsed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := mustExplain(t, in, g)
-	for _, cb := range ex.Comms {
-		for _, lb := range cb.Lambdas {
-			if len(lb.Noise) != 0 {
-				t.Fatalf("%s ch%d: noise terms present with crosstalk disabled", cb.Name, lb.Channel)
-			}
-		}
-	}
-}

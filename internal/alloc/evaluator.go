@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 
-	"repro/internal/energy"
 	"repro/internal/fabric"
 	"repro/internal/phys"
 	"repro/internal/sched"
@@ -83,11 +82,8 @@ type Evaluator struct {
 	mw mwMemo
 	p0 phys.MilliWatt
 
-	// memo holds the per-communication optics results (edgememo.go),
-	// valid for the crosstalk mode and energy model recorded here.
-	memo       edgeMemo
-	memoXtalk  CrosstalkMode
-	memoEnergy energy.Model
+	// memo holds the per-communication optics results (edgememo.go).
+	memo edgeMemo
 }
 
 // NewEvaluator builds an evaluator with scratch sized for the
@@ -141,9 +137,6 @@ func NewEvaluator(in *Instance) (*Evaluator, error) {
 		commFJ:  make([]float64, nl),
 		mw:      newMWMemo(memoBits(nw)),
 		p0:      in.fab.Params().LaserOffDBm.MilliWatt(),
-
-		memoXtalk:  in.Xtalk,
-		memoEnergy: in.Energy,
 	}, nil
 }
 
@@ -292,7 +285,6 @@ type opticsAccum struct {
 // assembles the valid evaluation. In a valid genome every live edge
 // reserves a wavelength, so the live edges are the transmitting ones.
 func (e *Evaluator) opticsInto(out *Eval, s *sched.Schedule) {
-	in := e.in
 	*out = Eval{
 		Valid:          true,
 		Counts:         e.counts,
@@ -300,12 +292,6 @@ func (e *Evaluator) opticsInto(out *Eval, s *sched.Schedule) {
 		CommEnergyFJ:   e.commFJ,
 		Schedule:       s,
 		MakespanCycles: s.MakespanCycles,
-	}
-	// Memo keys leave out the instance's crosstalk mode and energy
-	// model; start over if a caller changed either.
-	if in.Xtalk != e.memoXtalk || in.Energy != e.memoEnergy {
-		e.memo.reset()
-		e.memoXtalk, e.memoEnergy = in.Xtalk, in.Energy
 	}
 	e.overlapRows(s)
 	var acc opticsAccum
@@ -373,9 +359,6 @@ func (e *Evaluator) opticsEdge(out *Eval, ei int, s *sched.Schedule, acc *optics
 // inter-communication crosstalk contributors.
 func (e *Evaluator) gatherInter(ei int) {
 	e.inter = e.inter[:0]
-	if !e.in.Xtalk.inter() {
-		return
-	}
 	ow := e.ow
 	over, thr := e.overlap[ei*ow:(ei+1)*ow], e.through[ei*ow:(ei+1)*ow]
 	for w := range over {
@@ -448,9 +431,6 @@ func (e *Evaluator) walkOptics(ei int, s *sched.Schedule) []float64 {
 	for j := range chans {
 		sig[j] = own[j*k+j]
 		noise[j] = 0
-		if !in.Xtalk.intra() {
-			continue
-		}
 		for i := range chans {
 			if i != j {
 				noise[j] += e.mw.milliWatt(pv.Add(own[i*k+j]))
@@ -484,12 +464,9 @@ func (e *Evaluator) walkOptics(ei int, s *sched.Schedule) []float64 {
 		ber := phys.BEROOK(phys.SNR(psig, noise[j], e.p0))
 		vals = append(vals, ber)
 		commBERSum += ber
-		// Laser sizing: fixed receive-power target by default,
-		// or the BER-target mode where crosstalk directly drives
-		// the emitted power (the paper's introduction).
-		powers = append(powers, in.Energy.WavelengthLaserMWVia(sig[j], noise[j], e.p0, e.mw.milliWatt))
+		powers = append(powers, in.energy.WavelengthLaserMWVia(sig[j], e.mw.milliWatt))
 	}
-	return append(vals, commBERSum/float64(k), in.Energy.EnergyFJ(powers, s.Comm[ei].Duration()))
+	return append(vals, commBERSum/float64(k), in.energy.EnergyFJ(powers, s.Comm[ei].Duration()))
 }
 
 // fillBank rebuilds the evaluator's receiver-bank scratch with the

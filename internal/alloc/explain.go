@@ -132,11 +132,11 @@ func (in *Instance) Explain(g Genome, ev Eval) *Explanation {
 				lb.NoiseTotalMW += t.PowerDBm.MilliWatt()
 			}
 			for _, other := range sets[e] {
-				if other != ch && in.Xtalk.intra() {
+				if other != ch {
 					addTerm(e, other, true)
 				}
 			}
-			for o := 0; in.Xtalk.inter() && o < in.Edges(); o++ {
+			for o := 0; o < in.Edges(); o++ {
 				if o == e || len(sets[o]) == 0 || in.App.Edges[o].VolumeBits <= 0 {
 					continue
 				}
@@ -154,7 +154,7 @@ func (in *Instance) Explain(g Genome, ev Eval) *Explanation {
 			})
 			lb.SNR = phys.SNR(lb.SignalDBm.MilliWatt(), lb.NoiseTotalMW, p0)
 			lb.BER = phys.BEROOK(lb.SNR)
-			lb.LaserMW = in.Energy.WavelengthLaserMWVia(loss, lb.NoiseTotalMW, p0, phys.DBm.MilliWatt)
+			lb.LaserMW = in.energy.WavelengthLaserMWVia(loss, phys.DBm.MilliWatt)
 			cb.Lambdas = append(cb.Lambdas, lb)
 		}
 		ex.Comms = append(ex.Comms, cb)

@@ -144,77 +144,3 @@ func TestExplainString(t *testing.T) {
 		}
 	}
 }
-
-func TestBERTargetModeRaisesEnergyWithCrosstalk(t *testing.T) {
-	// In BER-target mode a communication in a noisier environment
-	// needs more laser power: compare c1 alone on many channels
-	// (heavy intra crosstalk) against spread single channels.
-	in := mustInstance(t, 8)
-	em := in.Energy
-	em.BERTarget = 1e-9
-	in2, err := NewInstance(in.Fabric(), in.App, in.Map, 1, em)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lean, err := FromSets([][]int{{7}, {0}, {1}, {2}, {3}, {0}}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := FromSets([][]int{{7}, {0, 1, 2, 3, 4, 5}, {1}, {6}, {3}, {0}}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evLean := in2.Evaluate(lean)
-	evDense := in2.Evaluate(dense)
-	if !evLean.Valid || !evDense.Valid {
-		t.Fatalf("genomes invalid: %s / %s", evLean.Reason(), evDense.Reason())
-	}
-	// Per-bit laser energy on c1 (averaged over its channels) grows
-	// with the crosstalk its own parallelism injects. Compare the
-	// per-channel average power, which normalizes the time split.
-	leanPower := evLean.CommEnergyFJ[1] / evLean.Schedule.Comm[1].Duration()
-	densePower := evDense.CommEnergyFJ[1] / evDense.Schedule.Comm[1].Duration() / 6
-	if densePower <= leanPower {
-		t.Errorf("BER-target mode: per-channel power %v (dense) must exceed %v (lean)",
-			densePower, leanPower)
-	}
-}
-
-func TestBERTargetStricterCostsMore(t *testing.T) {
-	in := mustInstance(t, 8)
-	g := explainedGenome(t, in)
-	energyAt := func(target float64) float64 {
-		em := in.Energy
-		em.BERTarget = target
-		in2, err := NewInstance(in.Fabric(), in.App, in.Map, 1, em)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev := in2.Evaluate(g)
-		if !ev.Valid {
-			t.Fatal(ev.Reason())
-		}
-		return ev.BitEnergyFJ
-	}
-	if e9, e12 := energyAt(1e-9), energyAt(1e-12); e12 <= e9 {
-		t.Errorf("stricter BER target must cost more energy: %v (1e-12) vs %v (1e-9)", e12, e9)
-	}
-}
-
-func TestBERTargetZeroKeepsFixedTargetModel(t *testing.T) {
-	in := mustInstance(t, 8)
-	g := explainedGenome(t, in)
-	ev := in.Evaluate(g)
-	// Rebuilding with an explicit zero target must not change
-	// anything.
-	em := in.Energy
-	em.BERTarget = 0
-	in2, err := NewInstance(in.Fabric(), in.App, in.Map, 1, em)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev2 := in2.Evaluate(g)
-	if ev.BitEnergyFJ != ev2.BitEnergyFJ {
-		t.Errorf("zero target changed energy: %v vs %v", ev.BitEnergyFJ, ev2.BitEnergyFJ)
-	}
-}

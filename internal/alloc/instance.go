@@ -10,45 +10,6 @@ import (
 	"repro/internal/ring"
 )
 
-// CrosstalkMode selects which first-order crosstalk sources the
-// evaluation accounts. The paper's introduction distinguishes the two:
-// intra-communication crosstalk ("undesirable coupling between
-// different wavelengths used for the same transmission... will always
-// be there until the communication finishes") and inter-communication
-// crosstalk ("two different transmissions share the same waveguide
-// simultaneously"). The ablation modes quantify each contribution.
-type CrosstalkMode int
-
-const (
-	// XtalkBoth is the physical model (default).
-	XtalkBoth CrosstalkMode = iota
-	// XtalkIntraOnly keeps only same-transmission coupling.
-	XtalkIntraOnly
-	// XtalkInterOnly keeps only cross-transmission coupling.
-	XtalkInterOnly
-	// XtalkNone disables crosstalk: the BER floor set by the laser's
-	// 0-level residue alone.
-	XtalkNone
-)
-
-// String names the mode for reports.
-func (m CrosstalkMode) String() string {
-	switch m {
-	case XtalkBoth:
-		return "intra+inter"
-	case XtalkIntraOnly:
-		return "intra-only"
-	case XtalkInterOnly:
-		return "inter-only"
-	case XtalkNone:
-		return "none"
-	}
-	return fmt.Sprintf("xtalk(%d)", int(m))
-}
-
-func (m CrosstalkMode) intra() bool { return m == XtalkBoth || m == XtalkIntraOnly }
-func (m CrosstalkMode) inter() bool { return m == XtalkBoth || m == XtalkInterOnly }
-
 // Instance binds one wavelength-allocation problem: an application
 // task graph mapped onto an optical fabric backend (the ring ONoC,
 // the multi-layer crossbar, ...), with the data rate and energy
@@ -66,11 +27,9 @@ type Instance struct {
 	Map graph.Mapping
 	// BitsPerCycle is B of Eq. 10 (1 in all paper experiments).
 	BitsPerCycle float64
-	// Energy is the bit-energy calibration.
-	Energy energy.Model
-	// Xtalk selects the crosstalk sources accounted by Evaluate and
-	// Explain; the zero value is the full physical model.
-	Xtalk CrosstalkMode
+	// energy is the bit-energy calibration, fixed at construction:
+	// the evaluators' optics memo keys leave it out.
+	energy energy.Model
 
 	// budget composes the detector end of the link budget on fab's
 	// transit, for the evaluation kernel and Explain.
@@ -126,7 +85,7 @@ func NewInstance(f fabric.Fabric, app *graph.TaskGraph, m graph.Mapping, bitsPer
 		App:          app,
 		Map:          m,
 		BitsPerCycle: bitsPerCycle,
-		Energy:       em,
+		energy:       em,
 		paths:        make([]fabric.Path, app.NumEdges()),
 		srcCore:      make([]int, app.NumEdges()),
 		dstCore:      make([]int, app.NumEdges()),

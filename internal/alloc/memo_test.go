@@ -66,7 +66,7 @@ func requireExplained(t *testing.T, ctx string, in *Instance, g Genome, got *Eva
 			powers = append(powers, lb.LaserMW)
 		}
 		mean := sum / float64(len(cb.Lambdas))
-		fj := in.Energy.EnergyFJ(powers, cb.Window.Duration())
+		fj := in.energy.EnergyFJ(powers, cb.Window.Duration())
 		if math.Float64bits(mean) != math.Float64bits(got.CommBER[cb.Edge]) ||
 			math.Float64bits(fj) != math.Float64bits(got.CommEnergyFJ[cb.Edge]) {
 			t.Fatalf("%s: genome %s, %s: explained BER %g / %g fJ, kernel %g / %g fJ",
@@ -92,28 +92,21 @@ func mutateOneGene(rng *rand.Rand, g Genome) (edge, oldCh, newCh int) {
 
 // memoConfig is one instance variant the memo is held to.
 type memoConfig struct {
-	backend   string // "ring" or "crossbar"
-	nw        int
-	berTarget float64
-	xtalk     CrosstalkMode
+	backend string // "ring" or "crossbar"
+	nw      int
 }
 
 func (c memoConfig) String() string {
-	return fmt.Sprintf("%s/NW%d/target%g/%v", c.backend, c.nw, c.berTarget, c.xtalk)
+	return fmt.Sprintf("%s/NW%d", c.backend, c.nw)
 }
 
-// memoConfigs spans the fabrics at every tested comb, plus both laser
-// modes and the single-source crosstalk modes at NW 8.
+// memoConfigs spans the fabrics at every tested comb.
 func memoConfigs(backends ...string) []memoConfig {
 	var cs []memoConfig
 	for _, b := range backends {
 		for _, nw := range []int{4, 8, 16} {
 			cs = append(cs, memoConfig{backend: b, nw: nw})
 		}
-		cs = append(cs,
-			memoConfig{backend: b, nw: 8, berTarget: 1e-9},
-			memoConfig{backend: b, nw: 8, xtalk: XtalkIntraOnly},
-			memoConfig{backend: b, nw: 8, xtalk: XtalkInterOnly})
 	}
 	return cs
 }
@@ -131,13 +124,10 @@ func (c memoConfig) instance(t *testing.T) *Instance {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em := energy.Default()
-	em.BERTarget = c.berTarget
-	in, err := NewInstance(f, graph.PaperApp(), graph.PaperMapping(), 1, em)
+	in, err := NewInstance(f, graph.PaperApp(), graph.PaperMapping(), 1, energy.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Xtalk = c.xtalk
 	return in
 }
 
@@ -257,8 +247,8 @@ func runKernelChain(t *testing.T, ctx string, inMemo, inRef *Instance, seed int6
 }
 
 // TestMemoKernelMatchesFull holds the warm memo to the cold kernel and
-// to Explain on the ring across comb sizes, both laser-sizing modes and the single-source crosstalk
-// modes, and requires the memo to serve a real share of the lookups.
+// to Explain on the ring across comb sizes, and requires the memo to
+// serve a real share of the lookups.
 func TestMemoKernelMatchesFull(t *testing.T) {
 	for i, c := range memoConfigs("ring") {
 		in := c.instance(t)
@@ -474,42 +464,6 @@ func TestMemoSkipsInvalid(t *testing.T) {
 	}
 	if len(ev.memo.ents) != 0 || ev.memo.table != nil {
 		t.Fatalf("invalid evaluations stored %d memo entries", len(ev.memo.ents))
-	}
-}
-
-// TestMemoFollowsInstanceModel changes the instance's crosstalk mode
-// and energy model between evaluations of one evaluator: the memo
-// keys leave both out, so the evaluator must start its memo over and
-// match a fresh evaluator under the new model.
-func TestMemoFollowsInstanceModel(t *testing.T) {
-	in, err := DefaultInstance(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := NewEvaluator(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := Assign(in, []int{1, 4, 2, 3, 2, 3}, LeastUsed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Eval
-	ev.EvaluateInto(&got, g)
-	for i, change := range []func(){
-		func() { in.Xtalk = XtalkInterOnly },
-		func() { in.Energy.BERTarget = 1e-9 },
-		func() { in.Energy.RxTargetDBm-- },
-	} {
-		change()
-		fresh, err := NewEvaluator(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want Eval
-		fresh.EvaluateInto(&want, g)
-		ev.EvaluateInto(&got, g)
-		requireSameEval(t, fmt.Sprintf("change %d", i), &got, &want)
 	}
 }
 

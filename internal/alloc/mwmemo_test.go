@@ -59,11 +59,11 @@ func TestMWMemoSizing(t *testing.T) {
 // TestMemoKernelMatchesExplainBitExact is the oracle test of the
 // memoized optics kernel. One long-lived evaluator per instance, its
 // memo warm across thousands of genomes, evaluates random valid
-// genomes on both fabrics, at NW 4/8/12, in both laser-sizing modes.
-// Explain walks the same budget through the direct conversions, so
-// every communication's BER and laser energy must agree bit for bit:
-// the mean of Explain's per-lambda BERs against CommBER, and
-// Energy.EnergyFJ over Explain's LaserMWs against CommEnergyFJ.
+// genomes on both fabrics, at NW 4/8/12. Explain walks the same
+// budget through the direct conversions, so every communication's BER
+// and laser energy must agree bit for bit: the mean of Explain's
+// per-lambda BERs against CommBER, and the energy model's EnergyFJ over
+// Explain's LaserMWs against CommEnergyFJ.
 func TestMemoKernelMatchesExplainBitExact(t *testing.T) {
 	perInstance := 350
 	if testing.Short() {
@@ -72,59 +72,55 @@ func TestMemoKernelMatchesExplainBitExact(t *testing.T) {
 	valid := 0
 	for _, backend := range []string{"ring", "crossbar"} {
 		for _, nw := range []int{4, 8, 12} {
-			for _, berTarget := range []float64{0, 1e-9} {
-				var f fabric.Fabric
-				var err error
-				if backend == "ring" {
-					f, err = ring.New(ring.DefaultConfig(nw))
-				} else {
-					f, err = crossbar.New(crossbar.DefaultConfig(nw))
+			var f fabric.Fabric
+			var err error
+			if backend == "ring" {
+				f, err = ring.New(ring.DefaultConfig(nw))
+			} else {
+				f, err = crossbar.New(crossbar.DefaultConfig(nw))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := NewInstance(f, graph.PaperApp(), graph.PaperMapping(), 1, energy.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev, err := NewEvaluator(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(nw)*7 + int64(len(backend))))
+			counts := make([]int, in.Edges())
+			var out Eval
+			for n := 0; n < perInstance; {
+				for i := range counts {
+					counts[i] = 1 + rng.Intn((nw+1)/2)
 				}
+				g, err := Assign(in, counts, RandomFit, rng)
 				if err != nil {
-					t.Fatal(err)
+					continue // infeasible counts for this draw
 				}
-				em := energy.Default()
-				em.BERTarget = berTarget
-				in, err := NewInstance(f, graph.PaperApp(), graph.PaperMapping(), 1, em)
-				if err != nil {
-					t.Fatal(err)
+				ev.EvaluateInto(&out, g)
+				if !out.Valid {
+					continue
 				}
-				ev, err := NewEvaluator(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(int64(nw)*7 + int64(len(backend))))
-				counts := make([]int, in.Edges())
-				var out Eval
-				for n := 0; n < perInstance; {
-					for i := range counts {
-						counts[i] = 1 + rng.Intn((nw+1)/2)
+				n++
+				valid++
+				ex := mustExplain(t, in, g)
+				for _, cb := range ex.Comms {
+					var sum float64
+					powers := make([]phys.MilliWatt, 0, len(cb.Lambdas))
+					for _, lb := range cb.Lambdas {
+						sum += lb.BER
+						powers = append(powers, lb.LaserMW)
 					}
-					g, err := Assign(in, counts, RandomFit, rng)
-					if err != nil {
-						continue // infeasible counts for this draw
-					}
-					ev.EvaluateInto(&out, g)
-					if !out.Valid {
-						continue
-					}
-					n++
-					valid++
-					ex := mustExplain(t, in, g)
-					for _, cb := range ex.Comms {
-						var sum float64
-						powers := make([]phys.MilliWatt, 0, len(cb.Lambdas))
-						for _, lb := range cb.Lambdas {
-							sum += lb.BER
-							powers = append(powers, lb.LaserMW)
-						}
-						mean := sum / float64(len(cb.Lambdas))
-						fj := in.Energy.EnergyFJ(powers, cb.Window.Duration())
-						if math.Float64bits(mean) != math.Float64bits(out.CommBER[cb.Edge]) ||
-							math.Float64bits(fj) != math.Float64bits(out.CommEnergyFJ[cb.Edge]) {
-							t.Fatalf("%s NW %d BER target %g, genome %s, %s: explained BER %g / %g fJ, kernel %g / %g fJ",
-								backend, nw, berTarget, g, cb.Name, mean, fj, out.CommBER[cb.Edge], out.CommEnergyFJ[cb.Edge])
-						}
+					mean := sum / float64(len(cb.Lambdas))
+					fj := in.energy.EnergyFJ(powers, cb.Window.Duration())
+					if math.Float64bits(mean) != math.Float64bits(out.CommBER[cb.Edge]) ||
+						math.Float64bits(fj) != math.Float64bits(out.CommEnergyFJ[cb.Edge]) {
+						t.Fatalf("%s NW %d, genome %s, %s: explained BER %g / %g fJ, kernel %g / %g fJ",
+							backend, nw, g, cb.Name, mean, fj, out.CommBER[cb.Edge], out.CommEnergyFJ[cb.Edge])
 					}
 				}
 			}
@@ -139,8 +135,7 @@ func TestMemoKernelMatchesExplainBitExact(t *testing.T) {
 // injectively and shared-core (self edges included); an application
 // of more than 64 communications, whose edge-set rows take two words;
 // and NW 65, whose wavelength masks take two words. Every application
-// runs on both fabrics in both laser-sizing modes, through one warm
-// evaluator per instance.
+// runs on both fabrics, through one warm evaluator per instance.
 func TestKernelMatchesExplainWideInputs(t *testing.T) {
 	type appCase struct {
 		name   string
@@ -195,49 +190,45 @@ func TestKernelMatchesExplainWideInputs(t *testing.T) {
 		}
 		t.Logf("%s seed %d: %d communications, %d self edges", c.name, c.seed, app.NumEdges(), self)
 		for _, backend := range []string{"ring", "crossbar"} {
-			for _, berTarget := range []float64{0, 1e-9} {
-				base := memoConfig{backend: backend, nw: c.nw}.instance(t)
-				if base.Fabric().Size() != 16 {
-					t.Fatalf("%s has %d ONIs, the mappings assume 16", backend, base.Fabric().Size())
+			base := memoConfig{backend: backend, nw: c.nw}.instance(t)
+			if base.Fabric().Size() != 16 {
+				t.Fatalf("%s has %d ONIs, the mappings assume 16", backend, base.Fabric().Size())
+			}
+			in, err := NewInstance(base.Fabric(), app, m, 1, energy.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev, err := NewEvaluator(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := fmt.Sprintf("%s(%d comms)/%s/NW%d", c.name, in.Edges(), backend, c.nw)
+			rng := rand.New(rand.NewSource(c.seed*31 + int64(c.nw)))
+			counts := make([]int, in.Edges())
+			var out Eval
+			n := 0
+			for tries := 0; n < perInstance && tries < 200*perInstance; tries++ {
+				// Mostly single wavelengths, so the larger
+				// applications stay feasible, with some wider
+				// sets for the crosstalk sums.
+				for i := range counts {
+					counts[i] = 1
+					if rng.Intn(3) == 0 {
+						counts[i] += rng.Intn(1 + c.nw/4)
+					}
 				}
-				em := energy.Default()
-				em.BERTarget = berTarget
-				in, err := NewInstance(base.Fabric(), app, m, 1, em)
+				g, err := Assign(in, counts, RandomFit, rng)
 				if err != nil {
-					t.Fatal(err)
+					continue // infeasible counts for this draw
 				}
-				ev, err := NewEvaluator(in)
-				if err != nil {
-					t.Fatal(err)
+				if ev.EvaluateInto(&out, g); !out.Valid {
+					continue
 				}
-				ctx := fmt.Sprintf("%s(%d comms)/%s/NW%d/target%g", c.name, in.Edges(), backend, c.nw, berTarget)
-				rng := rand.New(rand.NewSource(c.seed*31 + int64(c.nw)))
-				counts := make([]int, in.Edges())
-				var out Eval
-				n := 0
-				for tries := 0; n < perInstance && tries < 200*perInstance; tries++ {
-					// Mostly single wavelengths, so the larger
-					// applications stay feasible, with some wider
-					// sets for the crosstalk sums.
-					for i := range counts {
-						counts[i] = 1
-						if rng.Intn(3) == 0 {
-							counts[i] += rng.Intn(1 + c.nw/4)
-						}
-					}
-					g, err := Assign(in, counts, RandomFit, rng)
-					if err != nil {
-						continue // infeasible counts for this draw
-					}
-					if ev.EvaluateInto(&out, g); !out.Valid {
-						continue
-					}
-					requireExplained(t, ctx, in, g, &out)
-					n++
-				}
-				if n < perInstance {
-					t.Fatalf("%s: only %d of %d valid genomes drawn", ctx, n, perInstance)
-				}
+				requireExplained(t, ctx, in, g, &out)
+				n++
+			}
+			if n < perInstance {
+				t.Fatalf("%s: only %d of %d valid genomes drawn", ctx, n, perInstance)
 			}
 		}
 	}

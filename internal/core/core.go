@@ -116,10 +116,6 @@ type Config struct {
 	// campaigns can sweep workloads larger than the 16-core platform.
 	App     *graph.TaskGraph
 	Mapping graph.Mapping
-	// BitsPerCycle is B of the time model.
-	BitsPerCycle float64
-	// Energy overrides the bit-energy calibration.
-	Energy *energy.Model
 	// Objectives selects the optimization criteria.
 	Objectives ObjectiveSet
 	// Instance optionally supplies a prebuilt evaluation instance
@@ -128,8 +124,8 @@ type Config struct {
 	// replicate cells over the same (workload, NW) pair — may share
 	// one and reuse its precomputed routes, path-overlap matrix and
 	// conflict-neighbor lists instead of rebuilding them per run.
-	// Mutually exclusive with Ring, App, Mapping, BitsPerCycle and
-	// Energy; its comb size must equal NW.
+	// Mutually exclusive with Backend, Ring, App and Mapping; its comb
+	// size must equal NW.
 	Instance *alloc.Instance
 	// WarmStart seeds the GA's initial population with the
 	// related-work heuristic allocations (First-Fit / Most-Used /
@@ -204,15 +200,7 @@ func NewSharedInstance(cfg Config) (*alloc.Instance, error) {
 		}
 		m = graph.PaperMapping()
 	}
-	bpc := cfg.BitsPerCycle
-	if bpc == 0 {
-		bpc = 1
-	}
-	em := energy.Default()
-	if cfg.Energy != nil {
-		em = *cfg.Energy
-	}
-	return alloc.NewInstance(f, app, m, bpc, em)
+	return alloc.NewInstance(f, app, m, 1, energy.Default())
 }
 
 // newFabric builds the optical backend Config.Backend selects.
@@ -245,8 +233,8 @@ func New(cfg Config) (*Problem, error) {
 	}
 	in := cfg.Instance
 	if in != nil {
-		if cfg.Backend != "" || cfg.Ring != nil || cfg.App != nil || cfg.Mapping != nil || cfg.Energy != nil || cfg.BitsPerCycle != 0 {
-			return nil, fmt.Errorf("core: Instance is mutually exclusive with Backend, Ring, App, Mapping, BitsPerCycle and Energy")
+		if cfg.Backend != "" || cfg.Ring != nil || cfg.App != nil || cfg.Mapping != nil {
+			return nil, fmt.Errorf("core: Instance is mutually exclusive with Backend, Ring, App and Mapping")
 		}
 		if in.Channels() != cfg.NW {
 			return nil, fmt.Errorf("core: shared instance has %d channels, config says NW=%d",

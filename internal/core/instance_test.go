@@ -21,9 +21,6 @@ func TestConfigInstanceValidation(t *testing.T) {
 	if _, err := New(Config{NW: 8, Instance: in, App: graph.PaperApp()}); err == nil {
 		t.Error("Instance together with App must fail")
 	}
-	if _, err := New(Config{NW: 8, Instance: in, BitsPerCycle: 2}); err == nil {
-		t.Error("Instance together with BitsPerCycle must fail")
-	}
 	if _, err := New(Config{NW: 8, Instance: in}); err != nil {
 		t.Errorf("valid shared-instance config rejected: %v", err)
 	}

@@ -162,7 +162,7 @@ func (p *Problem) validateIslands(spec IslandSpec) error {
 func (p *Problem) forkForSegment() (*Problem, error) {
 	cfg := p.cfg
 	cfg.Instance = p.in
-	cfg.Backend, cfg.Ring, cfg.App, cfg.Mapping, cfg.Energy, cfg.BitsPerCycle = "", nil, nil, nil, nil, 0
+	cfg.Backend, cfg.Ring, cfg.App, cfg.Mapping = "", nil, nil, nil
 	return New(cfg)
 }
 

@@ -15,13 +15,13 @@
 // power), and the average emitted power accounts for the OOK duty
 // cycle. Energy per communication is the summed average laser power
 // of its wavelengths times the transfer duration; the figure-of-merit
-// divides by the bits moved. See DESIGN.md section 5 for the
-// calibration discussion.
+// divides by the bits moved. Crosstalk does not size the laser: it
+// enters the objectives only through the BER (Eqs. 8-9). See DESIGN.md
+// section 5 for the calibration discussion.
 package energy
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/phys"
 )
@@ -39,13 +39,6 @@ type Model struct {
 	// runs at 10 GHz, so one cycle moves one bit per wavelength at
 	// 10 Gb/s.
 	ClockGHz float64
-	// BERTarget, when positive, switches the laser sizing from the
-	// fixed receive-power target to BER-target mode: each wavelength
-	// emits just enough power for its detector to reach the target
-	// BER in its crosstalk environment — the paper's introduction
-	// ("inter-channel crosstalk leads to an increase of the laser
-	// power when a specific BER is targeted") made operational.
-	BERTarget float64
 }
 
 // Default returns the calibration used by all paper-reproduction
@@ -62,38 +55,18 @@ func (m Model) Validate() error {
 	if m.ClockGHz <= 0 {
 		return fmt.Errorf("energy: clock %v GHz must be positive", m.ClockGHz)
 	}
-	if m.BERTarget < 0 || m.BERTarget >= 0.5 {
-		return fmt.Errorf("energy: BER target %v outside [0, 0.5)", m.BERTarget)
-	}
 	return nil
 }
 
 // WavelengthLaserMWVia returns the average emitted laser power (mW)
 // of one wavelength whose end-to-end link loss is lossDB (a negative
-// dB value). Without a BER target it is the fixed receive-power
-// sizing: the receive target divided by the link transmission, scaled
-// by the duty cycle. With a positive target the peak power must
-// deliver SNRForBER(target) times the noise floor at the detector —
-// the first-order crosstalk noise plus the 0-level residue p0, both
-// in linear mW at the nominal laser level — through the link's
-// transmission.
+// dB value): the receive target divided by the link transmission,
+// scaled by the duty cycle.
 //
-// toMW does the one dB -> linear conversion of either mode and must
-// return exactly what phys.DBm.MilliWatt returns: the evaluation
-// kernel passes its exact memo of that conversion, Explain the
-// conversion itself.
-func (m Model) WavelengthLaserMWVia(lossDB phys.DB, noise, p0 phys.MilliWatt, toMW func(phys.DBm) phys.MilliWatt) phys.MilliWatt {
-	if m.BERTarget > 0 {
-		snr := phys.SNRForBER(m.BERTarget)
-		needAtDetector := snr * (float64(noise) + float64(p0))
-		// The link's linear transmission: the absolute conversion
-		// applied to the relative ratio.
-		transmission := float64(toMW(phys.DBm(lossDB)))
-		if transmission <= 0 {
-			return phys.MilliWatt(math.Inf(1))
-		}
-		return phys.MilliWatt(m.Duty * needAtDetector / transmission)
-	}
+// toMW does the dB -> linear conversion and must return exactly what
+// phys.DBm.MilliWatt returns: the evaluation kernel passes its exact
+// memo of that conversion, Explain the conversion itself.
+func (m Model) WavelengthLaserMWVia(lossDB phys.DB, toMW func(phys.DBm) phys.MilliWatt) phys.MilliWatt {
 	peak := toMW(m.RxTargetDBm.Add(-lossDB)) // compensate the loss
 	return phys.MilliWatt(m.Duty * float64(peak))
 }

@@ -9,17 +9,16 @@ import (
 
 // laserMW sizes one wavelength through the exported entry point with
 // the plain dB -> mW conversion.
-func laserMW(m Model, lossDB phys.DB, noise, p0 phys.MilliWatt) phys.MilliWatt {
-	return m.WavelengthLaserMWVia(lossDB, noise, p0, phys.DBm.MilliWatt)
+func laserMW(m Model, lossDB phys.DB) phys.MilliWatt {
+	return m.WavelengthLaserMWVia(lossDB, phys.DBm.MilliWatt)
 }
 
-// commEnergyFJ is the laser energy of one communication in fixed
-// receive-power mode: its wavelengths' summed average power held for
-// durationCycles.
+// commEnergyFJ is the laser energy of one communication: its
+// wavelengths' summed average power held for durationCycles.
 func commEnergyFJ(m Model, lossesDB []phys.DB, durationCycles float64) float64 {
 	powers := make([]phys.MilliWatt, len(lossesDB))
 	for i, l := range lossesDB {
-		powers[i] = laserMW(m, l, 0, 0)
+		powers[i] = laserMW(m, l)
 	}
 	return m.EnergyFJ(powers, durationCycles)
 }
@@ -51,13 +50,13 @@ func TestValidateRejects(t *testing.T) {
 func TestLaserPowerCompensatesLoss(t *testing.T) {
 	m := Default()
 	// Lossless link: average power is duty * 10^(-13/10) mW.
-	p0 := float64(laserMW(m, 0, 0, 0))
+	p0 := float64(laserMW(m, 0))
 	want := 0.5 * math.Pow(10, -1.3)
 	if math.Abs(p0-want) > 1e-12 {
 		t.Errorf("lossless laser power = %v mW, want %v", p0, want)
 	}
 	// A 3 dB link needs twice the power.
-	p3 := float64(laserMW(m, -3.0103, 0, 0))
+	p3 := float64(laserMW(m, -3.0103))
 	if math.Abs(p3/p0-2) > 1e-3 {
 		t.Errorf("3 dB loss should double the power: %v vs %v", p3, p0)
 	}
@@ -67,7 +66,7 @@ func TestLaserPowerMonotoneInLoss(t *testing.T) {
 	m := Default()
 	prev := phys.MilliWatt(0)
 	for loss := phys.DB(0); loss >= -10; loss -= 0.5 {
-		p := laserMW(m, loss, 0, 0)
+		p := laserMW(m, loss)
 		if p <= prev {
 			t.Fatalf("power must grow with loss: %v mW at %v dB", p, loss)
 		}
@@ -128,68 +127,16 @@ func TestBitEnergyDegenerate(t *testing.T) {
 	if got := m.EnergyFJ(nil, 1000); got != 0 {
 		t.Errorf("no wavelengths cost %v fJ, want 0", got)
 	}
-	if got := m.EnergyFJ([]phys.MilliWatt{laserMW(m, -1, 0, 0)}, 0); got != 0 {
+	if got := m.EnergyFJ([]phys.MilliWatt{laserMW(m, -1)}, 0); got != 0 {
 		t.Errorf("a zero-length window costs %v fJ, want 0", got)
-	}
-}
-
-func TestLaserPowerForBERScalesWithNoise(t *testing.T) {
-	m := Default()
-	m.BERTarget = 1e-9
-	quiet := laserMW(m, -2, 0.0005, 0.001)
-	noisy := laserMW(m, -2, 0.005, 0.001)
-	if noisy <= quiet {
-		t.Errorf("more crosstalk must demand more power: %v vs %v", noisy, quiet)
-	}
-	// Power is linear in (noise + p0).
-	ratio := float64(noisy) / float64(quiet)
-	want := (0.005 + 0.001) / (0.0005 + 0.001)
-	if math.Abs(ratio-want) > 1e-9 {
-		t.Errorf("scaling ratio %v, want %v", ratio, want)
-	}
-}
-
-func TestLaserPowerForBERScalesWithLoss(t *testing.T) {
-	m := Default()
-	m.BERTarget = 1e-9
-	short := laserMW(m, -1, 0.001, 0.001)
-	long := laserMW(m, -4, 0.001, 0.001)
-	if long <= short {
-		t.Errorf("lossier link must demand more power: %v vs %v", long, short)
-	}
-	// Fully blocked link needs infinite power.
-	if !math.IsInf(float64(laserMW(m, phys.DB(math.Inf(-1)), 0.001, 0.001)), 1) {
-		t.Error("a dark link must demand infinite power")
 	}
 }
 
 func TestWavelengthLaserDispatch(t *testing.T) {
 	m := Default()
-	fixed := laserMW(m, -2, 0.005, 0.001)
+	fixed := laserMW(m, -2)
 	if want := phys.MilliWatt(m.Duty * float64((m.RxTargetDBm + 2).MilliWatt())); fixed != want {
-		t.Errorf("zero target: %v mW, want the fixed receive-power %v mW", fixed, want)
-	}
-	m.BERTarget = 1e-9
-	adaptive := laserMW(m, -2, 0.005, 0.001)
-	want := phys.MilliWatt(m.Duty * phys.SNRForBER(m.BERTarget) * (0.005 + 0.001) / float64(phys.DBm(-2).MilliWatt()))
-	if adaptive != want {
-		t.Errorf("positive target: %v mW, want the BER-target %v mW", adaptive, want)
-	}
-}
-
-func TestValidateBERTarget(t *testing.T) {
-	m := Default()
-	m.BERTarget = 0.6
-	if err := m.Validate(); err == nil {
-		t.Error("BER target >= 0.5 must fail")
-	}
-	m.BERTarget = -1
-	if err := m.Validate(); err == nil {
-		t.Error("negative BER target must fail")
-	}
-	m.BERTarget = 1e-9
-	if err := m.Validate(); err != nil {
-		t.Errorf("valid target rejected: %v", err)
+		t.Errorf("%v mW, want the fixed receive-power %v mW", fixed, want)
 	}
 }
 

@@ -49,7 +49,8 @@ func PaperWorkload() Workload { return Workload{Name: "paper"} }
 // "forkjoin<W>", "fft<N>", "gauss<N>" or "diamond<N>". Generated
 // graphs draw volumes and execution times from the default generator
 // configuration with a PRNG seeded by the spec string, so the same
-// name always denotes the same workload.
+// name always denotes the same workload. Sizes run from 1 to
+// maxWorkloadSize.
 //
 // Workloads with at most 16 tasks keep the paper's injective random
 // mapping; larger ones (chain64, fft64, gauss8, ...) get a
@@ -66,6 +67,9 @@ func NamedWorkload(spec string) (Workload, error) {
 	n, err := strconv.Atoi(spec[len(kind):])
 	if err != nil || n < 1 {
 		return Workload{}, fmt.Errorf("expt: workload %q: size must be >= 1 (shared-core mappings support more than %d tasks)", spec, PlatformCores)
+	}
+	if n > maxWorkloadSize {
+		return Workload{}, fmt.Errorf("expt: workload %q: size must be <= %d", spec, maxWorkloadSize)
 	}
 	h := fnv.New64a()
 	io.WriteString(h, spec)
@@ -102,6 +106,11 @@ func NamedWorkload(spec string) (Workload, error) {
 	}
 	return Workload{Name: spec, App: g, Mapping: m}, nil
 }
+
+// maxWorkloadSize bounds the size of a generated workload spec, so
+// a spec cannot make NamedWorkload allocate without limit: diamond256,
+// the largest graph it admits, has 65536 tasks.
+const maxWorkloadSize = 256
 
 // PlatformCores is the ONI count of the paper's 4x4 platform, the
 // target of generated workload mappings.

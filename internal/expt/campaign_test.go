@@ -3,6 +3,7 @@ package expt
 import (
 	"bytes"
 	"encoding/csv"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -203,6 +204,20 @@ func TestNamedWorkloads(t *testing.T) {
 		!strings.Contains(err.Error(), "size must be >= 1") ||
 		!strings.Contains(err.Error(), "shared-core") {
 		t.Errorf("chain0 error = %v, want the size/shared-core message", err)
+	}
+}
+
+// TestNamedWorkloadSizeCeiling pins the bound on generated specs: the
+// largest admitted size builds, one more fails before any graph is
+// generated, and so does a size whose graph could not be allocated.
+func TestNamedWorkloadSizeCeiling(t *testing.T) {
+	if _, err := NamedWorkload("chain" + strconv.Itoa(maxWorkloadSize)); err != nil {
+		t.Errorf("chain%d: %v", maxWorkloadSize, err)
+	}
+	for _, spec := range []string{"diamond" + strconv.Itoa(maxWorkloadSize+1), "chain999999999999"} {
+		if _, err := NamedWorkload(spec); err == nil || !strings.Contains(err.Error(), "size must be <=") {
+			t.Errorf("%s: error %v, want the size ceiling", spec, err)
+		}
 	}
 }
 

@@ -33,6 +33,14 @@ import (
 //	go run ./cmd/wadate -campaign -backends ring,crossbar -nw 4,8 -pop 24 -gens 10 -seed 1 -stats |
 //	    grep '^{"cell"' > internal/expt/testdata/golden/campaign_stats.ndjson
 //
+// campaign_workloads.json and campaign_workloads.csv pin the same grid
+// on two generated workloads with shared-core mappings, so self edges,
+// long pipelines and gauss7's fan-in crosstalk reach the kernel,
+// regenerated with
+//
+//	go run ./cmd/wadate -campaign -backends ring,crossbar -nw 4,8 -workloads chain64,gauss7 -pop 24 -gens 10 -seed 1 \
+//	    -json internal/expt/testdata/golden/campaign_workloads.json -csv internal/expt/testdata/golden/campaign_workloads.csv
+//
 // The suite_*, robustness_*, convergence_*, sensitivity and table2
 // files are the paper-suite experiments, regenerated with
 //
@@ -143,6 +151,42 @@ func TestCampaignGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "campaign_stats.ndjson", st.Bytes())
+}
+
+// TestCampaignWorkloadsGolden pins the golden grid on generated
+// workloads whose shared-core mappings carry self edges.
+func TestCampaignWorkloadsGolden(t *testing.T) {
+	cfg := goldenGridConfig(t)
+	cfg.Workloads = nil
+	for _, spec := range []string{"chain64", "gauss7"} {
+		w, err := NamedWorkload(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		self := 0
+		for _, e := range w.App.Edges {
+			if w.Mapping[e.Src] == w.Mapping[e.Dst] {
+				self++
+			}
+		}
+		if w.Mapping.Injective() || self == 0 {
+			t.Fatalf("%s must share cores and have a self edge", spec)
+		}
+		cfg.Workloads = append(cfg.Workloads, w)
+	}
+	c, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var js, cs bytes.Buffer
+	if err := WriteCampaignJSON(&js, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCampaignCSV(&cs, c); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "campaign_workloads.json", js.Bytes())
+	checkGolden(t, "campaign_workloads.csv", cs.Bytes())
 }
 
 func fptr(v float64) *float64 { return &v }

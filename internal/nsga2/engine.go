@@ -453,16 +453,9 @@ func (e *Engine) twoPointCrossover(a, b []byte) {
 	}
 }
 
-// mutate applies the configured mutation operator in place.
+// mutate applies the paper's mutation operator in place: with
+// probability MutationProb, invert one random gene.
 func (e *Engine) mutate(g []byte) {
-	if e.cfg.PerBitMutation > 0 {
-		for i := range g {
-			if e.rng.Float64() < e.cfg.PerBitMutation {
-				g[i] ^= 1
-			}
-		}
-		return
-	}
 	if e.rng.Float64() < e.cfg.MutationProb {
 		g[e.rng.Intn(len(g))] ^= 1
 	}

@@ -122,10 +122,6 @@ type Config struct {
 	// each offspring (the paper's mutation operator). 0 means the
 	// paper's default (1.0); use Off to disable mutation entirely.
 	MutationProb float64
-	// PerBitMutation, when positive, replaces the single-gene
-	// operator by an independent per-gene flip rate (classic binary
-	// GA mutation). Used by the ablation benches.
-	PerBitMutation float64
 	// InitDensity is the 1-probability of the random initial genes.
 	InitDensity float64
 	// Seeds injects known genomes into the initial population (warm

@@ -338,17 +338,6 @@ func TestArchiveRecordsDistinctGenomes(t *testing.T) {
 	}
 }
 
-func TestPerBitMutationMode(t *testing.T) {
-	res, err := Run(twoMin(16), Config{PopSize: 30, Generations: 30, Seed: 2, PerBitMutation: 1.0 / 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := FeasibleFront(res.Final)
-	if len(front) == 0 {
-		t.Fatal("per-bit mutation run produced no front")
-	}
-}
-
 func TestStepPopulation(t *testing.T) {
 	e, err := NewEngine(twoMin(8), Config{PopSize: 10, Generations: 7, Seed: 1})
 	if err != nil {

@@ -51,33 +51,3 @@ func Log10BER(ber float64) float64 {
 	}
 	return math.Log10(ber)
 }
-
-// SNRForBER inverts Eq. 9 numerically: it returns the linear SNR at
-// which OOK direct detection reaches the target BER. It is used by
-// link-budget style analyses (e.g. deriving the laser power needed for
-// a BER spec). The function requires 0 < ber < 0.5 and uses bisection
-// on the monotone region.
-func SNRForBER(ber float64) float64 {
-	if ber >= 0.5 {
-		return 0
-	}
-	if ber <= 0 {
-		return math.Inf(1)
-	}
-	lo, hi := 2.0, 2.0
-	for BEROOK(hi) > ber {
-		hi *= 2
-		if hi > 1e9 {
-			break
-		}
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if BEROOK(mid) > ber {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}

@@ -83,34 +83,6 @@ func TestLog10BERFloor(t *testing.T) {
 	}
 }
 
-func TestSNRForBERInvertsBEROOK(t *testing.T) {
-	for _, ber := range []float64{1e-3, 3.16e-4, 1e-6, 1e-9, 1e-12} {
-		snr := SNRForBER(ber)
-		back := BEROOK(snr)
-		if math.Abs(math.Log10(back)-math.Log10(ber)) > 1e-6 {
-			t.Errorf("BEROOK(SNRForBER(%g)) = %g, want %g", ber, back, ber)
-		}
-	}
-}
-
-func TestSNRForBERPaperRegime(t *testing.T) {
-	// The paper's Pareto plots live around log10(BER) of -3.3..-3.7,
-	// which Eq. 9 maps to linear SNRs in the high-teens.
-	snr := SNRForBER(math.Pow(10, -3.5))
-	if snr < 14 || snr < 0 || snr > 25 {
-		t.Errorf("SNR for BER 10^-3.5 = %v, want high-teens", snr)
-	}
-}
-
-func TestSNRForBERBoundaries(t *testing.T) {
-	if got := SNRForBER(0.5); got != 0 {
-		t.Errorf("SNRForBER(0.5) = %v, want 0", got)
-	}
-	if got := SNRForBER(0); !math.IsInf(got, 1) {
-		t.Errorf("SNRForBER(0) = %v, want +Inf", got)
-	}
-}
-
 func TestParamsValidateDefaults(t *testing.T) {
 	if err := DefaultParams().Validate(); err != nil {
 		t.Fatalf("Table I parameters must validate: %v", err)

@@ -37,9 +37,3 @@ func ExampleLorentzian() {
 	fmt.Printf("%.2f\n", phys.Lorentzian(0.08, 0.08))
 	// Output: 0.50
 }
-
-func ExampleSNRForBER() {
-	snr := phys.SNRForBER(1e-9)
-	fmt.Printf("BER 1e-9 needs linear SNR ~%.0f\n", snr)
-	// Output: BER 1e-9 needs linear SNR ~45
-}

@@ -483,52 +483,68 @@ func resolveOptimize(req OptimizeRequest) (sessionMeta, error) {
 	return meta, checkCeilings(meta.Pop, meta.Generations, 0)
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	var req OptimizeRequest
-	if !decodeRequest(w, r, &req) {
-		return
+// optimizeJob is an optimize request resolved up to the GA run:
+// the request, its session parameters (from the token or the defaults),
+// the token's checkpoint (nil for a fresh run), the served instance
+// and the objective set.
+type optimizeJob struct {
+	req        OptimizeRequest
+	meta       sessionMeta
+	checkpoint []byte
+	inst       *instance
+	objs       core.ObjectiveSet
+}
+
+// resolveOptimizeJob decodes an optimize body and resolves it,
+// answering the client's error itself when any step fails. It starts
+// no GA run.
+func (s *Server) resolveOptimizeJob(w http.ResponseWriter, r *http.Request) (optimizeJob, bool) {
+	var job optimizeJob
+	if !decodeRequest(w, r, &job.req) {
+		return job, false
 	}
-	var meta sessionMeta
-	var checkpoint []byte
-	if req.Session != "" {
-		var err error
-		meta, checkpoint, err = decodeSession(req.Session)
+	var err error
+	if job.req.Session != "" {
+		job.meta, job.checkpoint, err = decodeSession(job.req.Session)
 		if err == nil {
 			// The token's integrity check is a CRC, not a signature:
 			// hold its run size to the same ceilings as a fresh request.
-			err = checkCeilings(meta.Pop, meta.Generations, 0)
-		}
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-			return
+			err = checkCeilings(job.meta.Pop, job.meta.Generations, 0)
 		}
 	} else {
-		var err error
-		meta, err = resolveOptimize(req)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-			return
-		}
+		job.meta, err = resolveOptimize(job.req)
 	}
-	inst, nf := s.lookup(meta.Workload, meta.Backend, meta.NW)
-	if nf != nil {
-		writeJSON(w, http.StatusNotFound, *nf)
-		return
-	}
-	objs, err := core.ParseObjectiveSet(meta.Objectives)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		return job, false
+	}
+	inst, nf := s.lookup(job.meta.Workload, job.meta.Backend, job.meta.NW)
+	if nf != nil {
+		writeJSON(w, http.StatusNotFound, *nf)
+		return job, false
+	}
+	job.inst = inst
+	if job.objs, err = core.ParseObjectiveSet(job.meta.Objectives); err != nil {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		return job, false
+	}
+	return job, true
+}
+
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+	job, ok := s.resolveOptimizeJob(w, r)
+	if !ok {
 		return
 	}
 	p, err := core.New(core.Config{
-		NW:         meta.NW,
-		Instance:   inst.in,
-		Objectives: objs,
-		WarmStart:  meta.WarmStart,
+		NW:         job.meta.NW,
+		Instance:   job.inst.in,
+		Objectives: job.objs,
+		WarmStart:  job.meta.WarmStart,
 		GA: nsga2.Config{
-			PopSize:     meta.Pop,
-			Generations: meta.Generations,
-			Seed:        meta.Seed,
+			PopSize:     job.meta.Pop,
+			Generations: job.meta.Generations,
+			Seed:        job.meta.Seed,
 			Workers:     s.cfg.Workers,
 		},
 	})
@@ -537,11 +553,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ex *core.Explorer
-	if checkpoint != nil {
+	if job.checkpoint != nil {
 		// The checkpoint header pins geometry, population and seed, so
 		// a token replayed against a mismatched session fails loudly
 		// here instead of silently computing something else.
-		ex, err = p.ResumeExplorer(bytes.NewReader(checkpoint))
+		ex, err = p.ResumeExplorer(bytes.NewReader(job.checkpoint))
 	} else {
 		ex, err = p.NewExplorer()
 	}
@@ -560,7 +576,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			drained = true
 			break
 		}
-		if req.StepGenerations > 0 && stepped >= req.StepGenerations {
+		if job.req.StepGenerations > 0 && stepped >= job.req.StepGenerations {
 			break
 		}
 		ex.Step()
@@ -568,13 +584,13 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := OptimizeResponse{
-		Workload:    meta.Workload,
-		Backend:     meta.Backend,
-		NW:          meta.NW,
-		Objectives:  meta.Objectives,
-		Pop:         meta.Pop,
-		Generations: meta.Generations,
-		Seed:        meta.Seed,
+		Workload:    job.meta.Workload,
+		Backend:     job.meta.Backend,
+		NW:          job.meta.NW,
+		Objectives:  job.meta.Objectives,
+		Pop:         job.meta.Pop,
+		Generations: job.meta.Generations,
+		Seed:        job.meta.Seed,
 		Generation:  ex.Generation(),
 		Done:        ex.Done(),
 		Draining:    drained,
@@ -594,7 +610,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
-	token, err := encodeSession(meta, buf.Bytes())
+	token, err := encodeSession(job.meta, buf.Bytes())
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return

@@ -268,7 +268,7 @@ func TestSimZeroVolumeEdge(t *testing.T) {
 	in := mustInstance(t, 8)
 	app := graph.PaperApp()
 	app.Edges[0].VolumeBits = 0
-	in2, err := alloc.NewInstance(in.Fabric(), app, in.Map, 1, in.Energy)
+	in2, err := alloc.NewInstance(in.Fabric(), app, in.Map, 1, energy.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
