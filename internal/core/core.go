@@ -139,16 +139,14 @@ type Config struct {
 }
 
 // Problem is a configured wavelength-allocation exploration. It
-// implements nsga2.PerWorkerProblem: every engine, serial or
-// parallel, gets one view per evaluation goroutine, each with its own
-// zero-allocation alloc.Evaluator, so parallel runs scale without a
-// shared lock while staying bit-for-bit identical to serial ones.
-// Each view's evaluator keeps its own per-communication optics memo
-// warm across the run. It also implements nsga2.AuxProblem: the
-// engine keeps every genome's metric triple on its cache entry, next
-// to the objectives. A Problem is immutable after New; its own
-// EvaluateInto draws pooled evaluators and is safe for concurrent
-// calls.
+// implements nsga2.Problem: every engine, serial or parallel, gets one
+// view per evaluation goroutine, each with its own zero-allocation
+// alloc.Evaluator, so parallel runs scale without a shared lock while
+// staying bit-for-bit identical to serial ones. Each view's evaluator
+// keeps its own per-communication optics memo warm across the run.
+// The engine keeps every genome's metric triple, the aux values, on
+// its cache entry next to the objectives. A Problem is immutable
+// after New.
 type Problem struct {
 	cfg  Config
 	in   *alloc.Instance
@@ -260,19 +258,8 @@ func (p *Problem) GenomeLen() int { return p.in.Edges() * p.in.Channels() }
 // NumObjectives implements nsga2.Problem.
 func (p *Problem) NumObjectives() int { return len(p.objs) }
 
-// AuxLen implements nsga2.AuxProblem.
+// AuxLen implements nsga2.Problem.
 func (p *Problem) AuxLen() int { return metricsAuxLen }
-
-// EvaluateInto implements nsga2.AuxProblem: full evaluation through
-// the instance's evaluator pool, written out by writeEval.
-func (p *Problem) EvaluateInto(dst []float64, genome []byte) float64 {
-	g, err := alloc.FromBits(genome, p.in.Edges(), p.in.Channels())
-	if err != nil {
-		return p.writeEval(dst, &alloc.Eval{Violation: math.Inf(1)})
-	}
-	out := p.in.Evaluate(g)
-	return p.writeEval(dst, &out)
-}
 
 // writeEval writes ev's projection onto the configured objectives,
 // then its metric triple (NaN x3 when invalid), into dst and returns
@@ -302,10 +289,10 @@ type workerProblem struct {
 	eval   *alloc.Evaluator
 }
 
-// NewWorker implements nsga2.PerWorkerProblem. The worker shares the
-// parent's immutable instance and objective set; only the evaluator,
-// with its optics memo, is private.
-func (p *Problem) NewWorker() nsga2.Problem {
+// NewWorker implements nsga2.Problem. The worker shares the parent's
+// immutable instance and objective set; only the evaluator, with its
+// optics memo, is private.
+func (p *Problem) NewWorker() nsga2.Worker {
 	ev, err := alloc.NewEvaluator(p.in)
 	if err != nil {
 		// NewEvaluator checks only what NewInstance already validated.
@@ -314,13 +301,7 @@ func (p *Problem) NewWorker() nsga2.Problem {
 	return &workerProblem{parent: p, eval: ev}
 }
 
-// GenomeLen implements nsga2.Problem.
-func (w *workerProblem) GenomeLen() int { return w.parent.GenomeLen() }
-
-// NumObjectives implements nsga2.Problem.
-func (w *workerProblem) NumObjectives() int { return w.parent.NumObjectives() }
-
-// EvaluateInto implements nsga2.Problem on the worker's private
+// EvaluateInto implements nsga2.Worker on the worker's private
 // evaluator, with the parent's write-out. No locks and no
 // steady-state allocations.
 func (w *workerProblem) EvaluateInto(dst []float64, genome []byte) float64 {

@@ -54,12 +54,18 @@ func TestProblemShape(t *testing.T) {
 	}
 }
 
-// evaluate runs one evaluation through the nsga2.Problem interface,
-// returning the objectives and the metric triple written after them.
+// evaluate runs one evaluation through a fresh view of the
+// nsga2.Problem interface, returning the objectives and the metric
+// triple written after them.
 func evaluate(p nsga2.Problem, genome []byte) (objs, aux []float64, violation float64) {
-	n := p.NumObjectives()
+	return evaluateOn(p.NewWorker(), p.NumObjectives(), genome)
+}
+
+// evaluateOn runs one evaluation through view w of a problem with n
+// objectives.
+func evaluateOn(w nsga2.Worker, n int, genome []byte) (objs, aux []float64, violation float64) {
 	row := make([]float64, n+metricsAuxLen)
-	violation = p.EvaluateInto(row, genome)
+	violation = w.EvaluateInto(row, genome)
 	return row[:n], row[n:], violation
 }
 
@@ -385,33 +391,41 @@ func TestParallelWorkersBitIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// TestNewWorkerSharesInstance pins the worker-view contract.
+// TestNewWorkerSharesInstance pins the worker-view contract: views
+// share the problem's instance but keep private evaluators, and every
+// view — warm or fresh — agrees bit for bit with the instance's own
+// evaluation.
 func TestNewWorkerSharesInstance(t *testing.T) {
 	p, err := New(Config{NW: 4, GA: smallGA(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := p.NewWorker()
-	if w.GenomeLen() != p.GenomeLen() || w.NumObjectives() != p.NumObjectives() {
-		t.Fatal("worker view has a different shape")
+	w1, w2 := p.NewWorker().(*workerProblem), p.NewWorker().(*workerProblem)
+	if w1.parent != p || w2.parent != p || w1.eval == w2.eval {
+		t.Fatal("views must share the problem and keep private evaluators")
 	}
 	genome := make([]byte, p.GenomeLen())
 	for i := range genome {
 		genome[i] = byte(i % 2)
 	}
-	ow, aw, vw := evaluate(w, genome)
-	op, ap, vp := evaluate(p, genome)
-	if vw != vp || len(ow) != len(op) {
-		t.Fatalf("worker and parent disagree: %v/%v vs %v/%v", ow, vw, op, vp)
+	g, err := alloc.FromBits(genome, p.in.Edges(), p.in.Channels())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range ow {
-		if ow[i] != op[i] && !(math.IsInf(ow[i], 1) && math.IsInf(op[i], 1)) {
-			t.Fatalf("objective %d differs: %v vs %v", i, ow[i], op[i])
+	ev := p.in.Evaluate(g)
+	want := make([]float64, p.NumObjectives()+metricsAuxLen)
+	wantViolation := p.writeEval(want, &ev)
+	n := p.NumObjectives()
+	for i, w := range []*workerProblem{w1, w1, w2} {
+		objs, aux, violation := evaluateOn(w, n, genome)
+		got := append(objs, aux...)
+		if violation != wantViolation {
+			t.Fatalf("evaluation %d: violation %v, want %v", i, violation, wantViolation)
 		}
-	}
-	for i := range aw {
-		if math.Float64bits(aw[i]) != math.Float64bits(ap[i]) {
-			t.Fatalf("aux %d differs: %v vs %v", i, aw[i], ap[i])
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("evaluation %d: value %d is %v, want %v", i, k, got[k], want[k])
+			}
 		}
 	}
 }

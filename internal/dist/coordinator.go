@@ -63,7 +63,7 @@ type coordinator struct {
 	cfg      expt.CampaignConfig
 	dir      *expt.CampaignDir
 	manifest []byte
-	wire     WireConfig
+	session  sessionMeta
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -100,7 +100,8 @@ func Serve(opts CoordinatorOptions) error {
 	if err != nil {
 		return err
 	}
-	c := &coordinator{opts: opts, cfg: cfg, dir: dir, manifest: manifest, wire: WireFrom(cfg)}
+	c := &coordinator{opts: opts, cfg: cfg, dir: dir, manifest: manifest,
+		session: sessionMeta{CheckpointEvery: cfg.CheckpointEvery, EvalWorkers: cfg.EvalWorkers}}
 	c.cond = sync.NewCond(&c.mu)
 
 	ln, err := net.Listen("tcp", opts.Addr)
@@ -349,7 +350,7 @@ func (c *coordinator) handleConn(conn net.Conn) {
 		tc.SetKeepAlive(true)
 		tc.SetKeepAlivePeriod(30 * time.Second)
 	}
-	if err := writeFrame(conn, msgConfig, c.wire, c.manifest); err != nil {
+	if err := writeFrame(conn, msgConfig, c.session, c.manifest); err != nil {
 		return
 	}
 	typ, meta, blob, err := readFrame(conn)

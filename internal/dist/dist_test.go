@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -339,7 +338,7 @@ func TestManifestMismatchFailLoud(t *testing.T) {
 				return
 			}
 			manifest[len(manifest)/2] ^= 0x01 // coordinator lies about identity
-			if err := writeFrame(conn, msgConfig, WireFrom(cfg), manifest); err != nil {
+			if err := writeFrame(conn, msgConfig, sessionMeta{}, manifest); err != nil {
 				rejectCh <- err
 				return
 			}
@@ -354,7 +353,7 @@ func TestManifestMismatchFailLoud(t *testing.T) {
 			}
 			rejectCh <- nil
 		}()
-		err = Run(WorkerOptions{Addr: ln.Addr().String(), DialAttempts: 3})
+		err = Run(WorkerOptions{Addr: ln.Addr().String()})
 		if !errors.Is(err, ErrManifestMismatch) {
 			t.Fatalf("worker returned %v, want ErrManifestMismatch", err)
 		}
@@ -362,42 +361,6 @@ func TestManifestMismatchFailLoud(t *testing.T) {
 			t.Fatalf("fake coordinator: %v", err)
 		}
 	})
-}
-
-// TestWireConfigRoundTrip: the wire projection reconstructs an
-// equivalent campaign configuration (workloads by name).
-func TestWireConfigRoundTrip(t *testing.T) {
-	cfg := expt.CampaignConfig{
-		Backends:        []string{"ring", "crossbar"},
-		NWs:             []int{4, 8},
-		Replicates:      2,
-		Pop:             24,
-		Generations:     10,
-		Seed:            5,
-		Stats:           true,
-		CheckpointEvery: 3,
-		Islands:         2,
-		MigrationEvery:  4,
-		MigrationK:      1,
-	}
-	back, err := WireFrom(cfg).CampaignConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := expt.ManifestBytes(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := expt.ManifestBytes(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("wire round-trip changed the campaign manifest")
-	}
-	if !reflect.DeepEqual(cfg.Cells(), back.Cells()) {
-		t.Fatal("wire round-trip changed the cell enumeration")
-	}
 }
 
 // TestWorkerSnapshotsAtDefaultCadence: with CheckpointEvery unset, a

@@ -3,10 +3,13 @@
 // worker processes over a length-prefixed TCP protocol, and the
 // worker loop that executes them with the ordinary evaluator stack.
 //
-// The campaign checkpoint formats double as the wire formats: a
-// worker streams back the exact cell-<N>.ckpt / cell-<N>.json bytes
-// an in-process run stores, the coordinator stores them verbatim in
-// its checkpoint directory, and the artifact
+// The campaign checkpoint formats double as the wire formats. The
+// session opens with the coordinator's manifest.json bytes, the one
+// encoding of the campaign identity: the worker decodes its campaign
+// from them (expt.DecodeManifest) and proves it by rendering the same
+// bytes back. A worker streams back the exact cell-<N>.ckpt /
+// cell-<N>.json bytes an in-process run stores, the coordinator stores
+// them verbatim in its checkpoint directory, and the artifact
 // directory comes out byte-identical to a single-process run's. A
 // worker that dies mid-cell loses nothing but the tail since its
 // last streamed snapshot: the coordinator holds the cell's lease,
@@ -24,9 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"repro/internal/core"
-	"repro/internal/expt"
 )
 
 // Frame layout, little-endian:
@@ -41,8 +41,10 @@ import (
 // sends one assignment and reads frames until the job resolves, so
 // there is no interleaving to disambiguate.
 const (
-	// msgConfig (coordinator → worker) opens a session: meta is the
-	// WireConfig, blob the coordinator's manifest rendering.
+	// msgConfig (coordinator → worker) opens a session: blob is the
+	// coordinator's manifest rendering, the campaign identity the
+	// worker decodes its configuration from; meta is sessionMeta, the
+	// settings outside that identity.
 	msgConfig = iota + 1
 	// msgReady (worker → coordinator) accepts the session: blob is
 	// the worker's own manifest rendering, which the coordinator
@@ -50,7 +52,8 @@ const (
 	// directions before any work is assigned.
 	msgReady
 	// msgReject (worker → coordinator) refuses the session: meta
-	// carries the reason. Sent when the manifests disagree.
+	// carries the reason. Sent when the coordinator's manifest does
+	// not decode or does not re-render to the same bytes.
 	msgReject
 	// msgCell (coordinator → worker) assigns one whole cell: meta is
 	// cellMeta, blob the cell's resume snapshot (empty = fresh).
@@ -87,87 +90,12 @@ type cellMeta struct {
 	Error string `json:"error,omitempty"`
 }
 
-// WireConfig is the campaign configuration as shipped to workers:
-// the result-determining fields only, with workloads by name (the
-// name is the generator spec, so the worker rebuilds the identical
-// task graph and mapping). The worker reconstructs a CampaignConfig
-// from it and must arrive at the same manifest bytes as the
-// coordinator; anything this struct failed to carry would surface
-// there, fail-loud.
-type WireConfig struct {
-	Backends        []string `json:"backends,omitempty"`
-	NWs             []int    `json:"nws,omitempty"`
-	ObjectiveSets   []int    `json:"objective_sets,omitempty"`
-	Workloads       []string `json:"workloads,omitempty"`
-	Replicates      int      `json:"replicates,omitempty"`
-	Pop             int      `json:"pop,omitempty"`
-	Generations     int      `json:"generations,omitempty"`
-	Seed            int64    `json:"seed,omitempty"`
-	WarmStart       bool     `json:"warm_start,omitempty"`
-	Stats           bool     `json:"stats,omitempty"`
-	EvalWorkers     int      `json:"eval_workers,omitempty"`
-	CheckpointEvery int      `json:"checkpoint_every,omitempty"`
-	Islands         int      `json:"islands,omitempty"`
-	MigrationEvery  int      `json:"migration_every,omitempty"`
-	MigrationK      int      `json:"migration_k,omitempty"`
-}
-
-// WireFrom projects a campaign configuration onto the wire shape.
-func WireFrom(cfg expt.CampaignConfig) WireConfig {
-	w := WireConfig{
-		Backends:        cfg.Backends,
-		NWs:             cfg.NWs,
-		Replicates:      cfg.Replicates,
-		Pop:             cfg.Pop,
-		Generations:     cfg.Generations,
-		Seed:            cfg.Seed,
-		WarmStart:       cfg.WarmStart,
-		Stats:           cfg.Stats,
-		EvalWorkers:     cfg.EvalWorkers,
-		CheckpointEvery: cfg.CheckpointEvery,
-		Islands:         cfg.Islands,
-		MigrationEvery:  cfg.MigrationEvery,
-		MigrationK:      cfg.MigrationK,
-	}
-	for _, os := range cfg.ObjectiveSets {
-		w.ObjectiveSets = append(w.ObjectiveSets, int(os))
-	}
-	for _, wl := range cfg.Workloads {
-		w.Workloads = append(w.Workloads, wl.Name)
-	}
-	return w
-}
-
-// CampaignConfig reconstructs the worker-side campaign configuration:
-// workload names resolve through the deterministic generator, so
-// both ends hold the same task graphs without shipping them.
-func (w WireConfig) CampaignConfig() (expt.CampaignConfig, error) {
-	cfg := expt.CampaignConfig{
-		Backends:        w.Backends,
-		NWs:             w.NWs,
-		Replicates:      w.Replicates,
-		Pop:             w.Pop,
-		Generations:     w.Generations,
-		Seed:            w.Seed,
-		WarmStart:       w.WarmStart,
-		Stats:           w.Stats,
-		EvalWorkers:     w.EvalWorkers,
-		CheckpointEvery: w.CheckpointEvery,
-		Islands:         w.Islands,
-		MigrationEvery:  w.MigrationEvery,
-		MigrationK:      w.MigrationK,
-	}
-	for _, os := range w.ObjectiveSets {
-		cfg.ObjectiveSets = append(cfg.ObjectiveSets, core.ObjectiveSet(os))
-	}
-	for _, name := range w.Workloads {
-		wl, err := expt.NamedWorkload(name)
-		if err != nil {
-			return expt.CampaignConfig{}, fmt.Errorf("dist: wire workload %q: %w", name, err)
-		}
-		cfg.Workloads = append(cfg.Workloads, wl)
-	}
-	return cfg, nil
+// sessionMeta carries the campaign settings a worker needs that are
+// not part of the campaign identity, so the manifest does not record
+// them: the snapshot cadence and the per-cell evaluation pool.
+type sessionMeta struct {
+	CheckpointEvery int `json:"checkpoint_every,omitempty"`
+	EvalWorkers     int `json:"eval_workers,omitempty"`
 }
 
 // writeFrame writes one protocol frame. meta nil means empty

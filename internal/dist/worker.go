@@ -23,10 +23,6 @@ var ErrWorkerHalted = errors.New("dist: worker halted after checkpoint budget (s
 type WorkerOptions struct {
 	// Addr is the coordinator's TCP address.
 	Addr string
-	// DialAttempts bounds connection retries (default 30, exponential
-	// backoff from 100ms capped at 2s — workers routinely start
-	// before their coordinator).
-	DialAttempts int
 	// HaltAfterCheckpoints > 0 makes the worker die abruptly after
 	// streaming that many snapshot frames (Run returns
 	// ErrWorkerHalted).
@@ -55,7 +51,7 @@ type worker struct {
 // shutdown, ErrManifestMismatch when the identities disagree, and
 // ErrWorkerHalted when a simulated crash was requested.
 func Run(opts WorkerOptions) error {
-	conn, err := dialRetry(opts.Addr, opts.DialAttempts)
+	conn, err := dialRetry(opts.Addr)
 	if err != nil {
 		return err
 	}
@@ -69,23 +65,23 @@ func Run(opts WorkerOptions) error {
 	if typ != msgConfig {
 		return fmt.Errorf("dist: coordinator opened with frame type %d, want config", typ)
 	}
-	var wire WireConfig
-	if err := parseMeta(meta, &wire); err != nil {
-		return fmt.Errorf("dist: corrupt wire config: %w", err)
+	var session sessionMeta
+	if err := parseMeta(meta, &session); err != nil {
+		return fmt.Errorf("dist: corrupt session settings: %w", err)
 	}
-	if w.cfg, err = wire.CampaignConfig(); err != nil {
-		writeFrame(conn, msgReject, cellMeta{Error: err.Error()}, nil)
-		return err
+	w.cfg, err = expt.DecodeManifest(manifest)
+	var local []byte
+	if err == nil {
+		local, err = expt.ManifestBytes(w.cfg)
 	}
-	local, err := expt.ManifestBytes(w.cfg)
+	if err == nil && !bytes.Equal(local, manifest) {
+		err = errors.New("this build renders a different manifest for the decoded configuration")
+	}
 	if err != nil {
 		writeFrame(conn, msgReject, cellMeta{Error: err.Error()}, nil)
-		return err
+		return fmt.Errorf("%w: %v", ErrManifestMismatch, err)
 	}
-	if !bytes.Equal(local, manifest) {
-		writeFrame(conn, msgReject, cellMeta{Error: "worker-side manifest differs from coordinator's"}, nil)
-		return fmt.Errorf("%w (this build renders a different manifest for the received configuration)", ErrManifestMismatch)
-	}
+	w.cfg.CheckpointEvery, w.cfg.EvalWorkers = session.CheckpointEvery, session.EvalWorkers
 	w.cells = w.cfg.Cells()
 	if err := writeFrame(conn, msgReady, nil, local); err != nil {
 		return err
@@ -229,15 +225,15 @@ func (w *worker) reportFail(conn net.Conn, cell expt.Cell, cause error) error {
 	return writeFrame(conn, msgFail, cellMeta{Index: cell.Index, Error: cause.Error()}, nil)
 }
 
-// dialRetry connects with exponential backoff: workers routinely
-// start before their coordinator's listener is up.
-func dialRetry(addr string, attempts int) (net.Conn, error) {
-	if attempts <= 0 {
-		attempts = 30
-	}
+// dialAttempts bounds dialRetry's connection attempts.
+const dialAttempts = 30
+
+// dialRetry connects with exponential backoff from 100ms capped at 2s:
+// workers routinely start before their coordinator's listener is up.
+func dialRetry(addr string) (net.Conn, error) {
 	backoff := 100 * time.Millisecond
 	var lastErr error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < dialAttempts; i++ {
 		conn, err := net.Dial("tcp", addr)
 		if err == nil {
 			return conn, nil

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -163,6 +164,56 @@ func buildManifest(cfg CampaignConfig, cells []Cell) manifestJSON {
 	}
 	return m
 }
+
+// DecodeManifest rebuilds the campaign configuration a manifest
+// records, the inverse of buildManifest for its result-determining
+// fields: objective sets by their String names, workloads by name
+// through NamedWorkload (the name is the generator spec, so the task
+// graph and mapping come out identical). Settings outside the
+// identity, such as CheckpointEvery and EvalWorkers, stay zero. A
+// distributed worker builds its campaign from the coordinator's
+// manifest this way, then re-renders it with ManifestBytes to prove
+// that nothing was lost.
+func DecodeManifest(raw []byte) (CampaignConfig, error) {
+	var m manifestJSON
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return CampaignConfig{}, fmt.Errorf("expt: corrupt campaign manifest: %w", err)
+	}
+	if m.Schema != manifestSchema {
+		return CampaignConfig{}, fmt.Errorf("expt: manifest schema %q, this build reads %q", m.Schema, manifestSchema)
+	}
+	cfg := CampaignConfig{
+		Backends:       m.Backends,
+		NWs:            m.NWs,
+		Replicates:     m.Replicates,
+		Pop:            m.Pop,
+		Generations:    m.Generations,
+		Seed:           m.Seed,
+		WarmStart:      m.WarmStart,
+		Stats:          m.Stats,
+		Islands:        m.Islands,
+		MigrationEvery: m.MigrationEvery,
+		MigrationK:     m.MigrationK,
+	}
+	for _, name := range m.ObjectiveSets {
+		i := slices.IndexFunc(objectiveSets, func(os core.ObjectiveSet) bool { return os.String() == name })
+		if i < 0 {
+			return CampaignConfig{}, fmt.Errorf("expt: manifest names unknown objective set %q", name)
+		}
+		cfg.ObjectiveSets = append(cfg.ObjectiveSets, objectiveSets[i])
+	}
+	for _, name := range m.Workloads {
+		wl, err := NamedWorkload(name)
+		if err != nil {
+			return CampaignConfig{}, fmt.Errorf("expt: manifest workload %q: %w", name, err)
+		}
+		cfg.Workloads = append(cfg.Workloads, wl)
+	}
+	return cfg, nil
+}
+
+// objectiveSets lists the objective sets a manifest can name.
+var objectiveSets = []core.ObjectiveSet{core.TimeEnergyBER, core.TimeEnergy, core.TimeBER}
 
 func manifestCellOf(c Cell) manifestCell {
 	return manifestCell{

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func ckptCampaignConfig() CampaignConfig {
@@ -425,5 +428,72 @@ func TestResumeDirectoryWithRetainedSnapshots(t *testing.T) {
 	}
 	if !bytes.Equal(refCSV, gotCSV) {
 		t.Fatal("resume over retained snapshots changed the CSV artifact")
+	}
+}
+
+// TestDecodeManifestRoundTrip: decoding a manifest rebuilds a
+// configuration that renders the same manifest bytes and enumerates
+// the same cells — objective sets by their report names, generated
+// workloads by their specs, Stats and the island parameters included
+// — and a manifest naming what this build does not know fails to
+// decode.
+func TestDecodeManifestRoundTrip(t *testing.T) {
+	var workloads []Workload
+	for _, name := range []string{"paper", "chain64", "gauss7", "fft4"} {
+		wl, err := NamedWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workloads = append(workloads, wl)
+	}
+	full := CampaignConfig{
+		Backends:       []string{"ring", "crossbar"},
+		NWs:            []int{4, 8},
+		ObjectiveSets:  []core.ObjectiveSet{core.TimeEnergyBER, core.TimeEnergy, core.TimeBER},
+		Workloads:      workloads,
+		Replicates:     2,
+		Pop:            24,
+		Generations:    10,
+		Seed:           5,
+		WarmStart:      true,
+		Stats:          true,
+		Islands:        2,
+		MigrationEvery: 4,
+		MigrationK:     1,
+	}
+	var raw []byte
+	for _, cfg := range []CampaignConfig{{}, full} {
+		var err error
+		if raw, err = ManifestBytes(cfg); err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeManifest(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := ManifestBytes(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, again) {
+			t.Fatalf("decoded manifest re-renders differently:\n%s\nvs\n%s", again, raw)
+		}
+		if !reflect.DeepEqual(cfg.Cells(), back.Cells()) {
+			t.Fatal("decoding changed the cell enumeration")
+		}
+	}
+	for _, tc := range []struct{ old, new string }{
+		{`"time+BER"`, `"time+XYZ"`},
+		{`"gauss7"`, `"gauss999"`},
+		{`"wadate-checkpoint/v2"`, `"wadate-checkpoint/v1"`},
+		{`"pop": 24`, `"pop": "24"`},
+	} {
+		bad := bytes.Replace(raw, []byte(tc.old), []byte(tc.new), 1)
+		if bytes.Equal(bad, raw) {
+			t.Fatalf("%s not found in the manifest", tc.old)
+		}
+		if _, err := DecodeManifest(bad); err == nil {
+			t.Errorf("manifest with %s decoded", tc.new)
+		}
 	}
 }

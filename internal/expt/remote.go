@@ -21,9 +21,9 @@ import (
 
 // ManifestBytes renders the campaign's identity record: the exact
 // bytes OpenCampaignDir writes to manifest.json. A distributed worker
-// renders its own view from the configuration it received over the
-// wire and byte-compares against the coordinator's, so any divergence
-// — axes, seeds, schema version, even encoding — is caught before a
+// decodes the coordinator's manifest (DecodeManifest), renders its own
+// view of the result and byte-compares the two, so any divergence —
+// axes, seeds, schema version, even encoding — is caught before a
 // single cell runs.
 func ManifestBytes(cfg CampaignConfig) ([]byte, error) {
 	cfg = cfg.withDefaults()

@@ -33,8 +33,8 @@ type cacheEntry struct {
 	key       []byte
 	objs      []float64
 	violation float64
-	// aux holds the AuxProblem's aux values for the genotype, written
-	// by its EvaluateInto or restored from a checkpoint; nil for a
+	// aux holds the problem's aux values for the genotype, written by
+	// a view's EvaluateInto or restored from a checkpoint; nil for a
 	// problem without them. The engine never interprets them.
 	aux []float64
 }

@@ -20,7 +20,7 @@ import (
 //	version    uint16   (checkpointVersion)
 //	genomeLen  uint32   genes per chromosome (edges x channels)
 //	numObjs    uint32   objective vector dimension
-//	auxDim     uint32   auxiliary payload dimension (AuxProblem.AuxLen)
+//	auxDim     uint32   auxiliary payload dimension (Problem.AuxLen)
 //	popSize    uint32   configured population size
 //	seed       int64    engine PRNG seed
 //	gen        uint64   completed generations

@@ -32,7 +32,8 @@ type auxProblem struct {
 	fill func(genome []byte, aux []float64)
 }
 
-func (p auxProblem) AuxLen() int { return p.n }
+func (p auxProblem) AuxLen() int       { return p.n }
+func (p auxProblem) NewWorker() Worker { return p }
 func (p auxProblem) EvaluateInto(dst []float64, g []byte) float64 {
 	violation := p.funcProblem.EvaluateInto(dst, g)
 	p.fill(g, dst[p.m:p.m+p.n])

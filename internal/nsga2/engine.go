@@ -27,18 +27,16 @@ import (
 //
 // An Engine is not safe for concurrent use.
 type Engine struct {
-	p   Problem
 	cfg Config
 	rng *rand.Rand
 	src *countingSource
-	// views are the evaluation views, one per evaluation goroutine
-	// (max(1, Workers) of them): the problem's NewWorker views when it
-	// implements PerWorkerProblem, the problem itself otherwise.
-	views []Problem
+	// views are the problem's NewWorker views, one per evaluation
+	// goroutine (max(1, Workers) of them).
+	views []Worker
 
 	gl     int // genome length
 	size   int // population size (even)
-	auxLen int // aux values per cache entry (AuxProblem.AuxLen, else 0)
+	auxLen int // aux values per cache entry (Problem.AuxLen)
 	gen    int
 
 	evals      int
@@ -163,10 +161,7 @@ func newEngineArena(p Problem, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("nsga2: seed %d has %d genes, want %d", i, len(s), p.GenomeLen())
 		}
 	}
-	auxLen := 0
-	if ap, ok := p.(AuxProblem); ok {
-		auxLen = ap.AuxLen()
-	}
+	auxLen := p.AuxLen()
 	if auxLen < 0 {
 		return nil, fmt.Errorf("nsga2: negative aux length %d", auxLen)
 	}
@@ -175,7 +170,6 @@ func newEngineArena(p Problem, cfg Config) (*Engine, error) {
 	// builds: the initial one and one offspring set per generation.
 	bound := P * (cfg.Generations + 1)
 	e := &Engine{
-		p:      p,
 		cfg:    cfg,
 		gl:     gl,
 		size:   P,
@@ -198,13 +192,9 @@ func newEngineArena(p Problem, cfg Config) (*Engine, error) {
 		entryIdx: make([]int, 0, P),
 	}
 	e.rng, e.src = newCountedRNG(cfg.Seed)
-	e.views = make([]Problem, max(1, cfg.Workers))
+	e.views = make([]Worker, max(1, cfg.Workers))
 	for w := range e.views {
-		if pw, ok := p.(PerWorkerProblem); ok {
-			e.views[w] = pw.NewWorker()
-		} else {
-			e.views[w] = p
-		}
+		e.views[w] = p.NewWorker()
 	}
 	return e, nil
 }
@@ -217,11 +207,10 @@ func (e *Engine) offRow(i int) []byte {
 	return e.offSlab[i*e.gl : (i+1)*e.gl : (i+1)*e.gl]
 }
 
-// Worker returns the engine's first evaluation view: the problem's
-// first NewWorker view when it implements PerWorkerProblem, the
-// problem itself otherwise. The engine uses it only inside NewEngine
-// and Step, so between Steps a caller may use it freely.
-func (e *Engine) Worker() Problem { return e.views[0] }
+// Worker returns the engine's first evaluation view, the problem's
+// first NewWorker view. The engine uses it only inside NewEngine and
+// Step, so between Steps a caller may use it freely.
+func (e *Engine) Worker() Worker { return e.views[0] }
 
 // Generation returns the number of completed Steps.
 func (e *Engine) Generation() int { return e.gen }
@@ -326,7 +315,7 @@ func (e *Engine) evaluateBatch(genomes [][]byte, out []Individual) {
 		var wg sync.WaitGroup
 		for w := 0; w < len(e.views) && w < len(e.jobs); w++ {
 			wg.Add(1)
-			go func(view Problem) {
+			go func(view Worker) {
 				defer wg.Done()
 				e.fillJobs(view)
 			}(e.views[w])
@@ -367,7 +356,7 @@ func hasNaN(objs []float64, violation float64) bool {
 
 // mustOrder panics when EvaluateInto returned a NaN objective or
 // violation for genome. Infinity is a valid "worst" value; NaN breaks the
-// problem contract (see Problem.EvaluateInto), and the engine refuses
+// problem contract (see Worker.EvaluateInto), and the engine refuses
 // it where it enters rather than ranking it. The engine is unusable
 // after the panic.
 func mustOrder(genome []byte, objs []float64, violation float64) {
@@ -381,7 +370,7 @@ func mustOrder(genome []byte, objs []float64, violation float64) {
 // Each view pulls job indices from the shared atomic counter and keeps
 // its own evaluation state for the whole batch; results land at their
 // entry, so scheduling order cannot influence the outcome.
-func (e *Engine) fillJobs(view Problem) {
+func (e *Engine) fillJobs(view Worker) {
 	for {
 		i := int(e.nextJob.Add(1)) - 1
 		if i >= len(e.jobs) {

@@ -13,6 +13,10 @@
 // dominates, so they fall into ascending-violation fronts (equal
 // violations tie).
 //
+// A problem (Problem) states its genome length, objective count and
+// aux length, and builds evaluation views (Worker), one per engine
+// goroutine; the engine evaluates through those views only.
+//
 // The hot path lives in the Engine (engine.go): an incremental,
 // scratch-arena form of the generation loop that performs zero
 // steady-state heap allocations per generation. This file keeps the
@@ -28,15 +32,35 @@
 // entries.
 package nsga2
 
-// Problem is the optimization problem the engine minimizes.
+// Problem is the optimization problem the engine minimizes. The
+// engine evaluates only through the views NewWorker returns.
 type Problem interface {
 	// GenomeLen is the number of binary genes.
 	GenomeLen() int
 	// NumObjectives is the dimension of the objective vector.
 	NumObjectives() int
+	// AuxLen is the number of aux values (>= 0) kept per distinct
+	// genome next to its objectives: side values such as derived
+	// metrics that a resumed run needs without re-evaluating the
+	// genome. The engine keeps them on the genome's cache entry,
+	// reports them as ArchiveEntry.Aux and writes them to checkpoints,
+	// so a resumed engine carries them without calling the problem. It
+	// never ranks them; NaN is legal there and means "unknown".
+	AuxLen() int
+	// NewWorker returns an evaluation view for exclusive use by one
+	// engine goroutine. The engine calls it once per evaluation
+	// goroutine (max(1, Config.Workers) times) when it is built, and
+	// uses each view from one goroutine at a time; the views of one
+	// engine run concurrently with each other, so a view keeps its
+	// mutable state (scratch buffers, memos) to itself.
+	NewWorker() Worker
+}
+
+// Worker is one engine goroutine's evaluation view of a Problem.
+type Worker interface {
 	// EvaluateInto writes genome's objective vector (minimized) into
-	// dst (an engine-arena row of len NumObjectives, followed by the
-	// aux values of an AuxProblem) and returns its
+	// dst (an engine-arena row of NumObjectives()+AuxLen() values: the
+	// objectives first, then the aux values) and returns its
 	// constraint-violation magnitude: 0 means feasible, larger values
 	// mean "more broken". Deb's constraint domination uses the
 	// magnitude to give the search a gradient toward feasibility even
@@ -47,8 +71,9 @@ type Problem interface {
 	// result and panics, naming the genome, on a NaN.
 	//
 	// Results MUST be a pure, deterministic function of genome,
-	// bit-for-bit. Implementations must not retain or mutate dst or
-	// genome past the call.
+	// bit-for-bit, and the same from every view of the problem.
+	// Implementations must not retain or mutate dst or genome past the
+	// call.
 	EvaluateInto(dst []float64, genome []byte) (violation float64)
 }
 
@@ -63,38 +88,6 @@ type EvalStats struct {
 	GeneDelta  int64
 	NearDelta  int64
 	CrossDelta int64
-}
-
-// PerWorkerProblem is the hook for problems whose evaluation benefits
-// from per-goroutine state (scratch buffers, memos). When the problem
-// implements it, the engine calls NewWorker once per evaluation
-// goroutine — once for a serial run — when it is built, and routes
-// every evaluation through those views, so EvaluateInto
-// implementations need no internal locking and no shared mutable
-// state. Each view is used by exactly one goroutine at a time; the
-// views of one engine are used concurrently with each other. Results
-// must be bit-for-bit identical to the parent's EvaluateInto, aux
-// values included.
-type PerWorkerProblem interface {
-	Problem
-	// NewWorker returns an evaluation view for exclusive use by one
-	// engine worker goroutine.
-	NewWorker() Problem
-}
-
-// AuxProblem is the hook for problems that keep side values per
-// distinct genome next to its objectives, such as derived metrics a
-// resumed run needs without re-evaluating the genome. For such a
-// problem, EvaluateInto's dst holds NumObjectives()+AuxLen() values:
-// the objectives first, then the aux values. The engine keeps the aux
-// values on the genome's cache entry, reports them as
-// ArchiveEntry.Aux and writes them to checkpoints, so a resumed engine
-// carries them without calling the problem. The engine never ranks
-// aux values; NaN is legal there and means "unknown".
-type AuxProblem interface {
-	Problem
-	// AuxLen is the number of aux values per genome (>= 0).
-	AuxLen() int
 }
 
 // Off is the sentinel disabling a genetic operator probability.
@@ -132,9 +125,8 @@ type Config struct {
 	// Workers > 1 evaluates each generation's distinct new genomes on
 	// that many goroutines. The run is bit-for-bit identical to the
 	// serial one (operators, caching order and counters are
-	// unaffected). Problems implementing PerWorkerProblem get one
-	// private evaluation view per goroutine and need no locking;
-	// plain Problems must make EvaluateInto safe for concurrent calls.
+	// unaffected); each goroutine evaluates through its own
+	// NewWorker view.
 	Workers int
 	// Seed drives the engine's private PRNG; runs are reproducible.
 	Seed int64
@@ -193,7 +185,7 @@ type ArchiveEntry struct {
 	Genome    []byte
 	Objs      []float64
 	Violation float64
-	// Aux holds the AuxProblem's aux values for the genotype; nil for
+	// Aux holds the problem's aux values for the genotype; nil for
 	// a problem without them.
 	Aux []float64
 }

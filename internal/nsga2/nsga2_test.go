@@ -8,7 +8,8 @@ import (
 	"testing/quick"
 )
 
-// funcProblem adapts a closure to the Problem interface.
+// funcProblem adapts a pure closure to the Problem interface; being
+// stateless, it serves as its own view on every goroutine.
 type funcProblem struct {
 	n, m int
 	eval func([]byte) ([]float64, float64)
@@ -16,6 +17,8 @@ type funcProblem struct {
 
 func (p funcProblem) GenomeLen() int     { return p.n }
 func (p funcProblem) NumObjectives() int { return p.m }
+func (p funcProblem) AuxLen() int        { return 0 }
+func (p funcProblem) NewWorker() Worker  { return p }
 func (p funcProblem) EvaluateInto(dst []float64, g []byte) float64 {
 	objs, violation := p.eval(g)
 	copy(dst, objs)
@@ -480,13 +483,12 @@ func TestParallelEvaluationIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// perWorkerProblem wraps twoMin with per-goroutine evaluation views,
-// counting how they are built and used.
-type perWorkerProblem struct {
+// viewProblem wraps twoMin, counting the views the engine builds and
+// the evaluations each serves.
+type viewProblem struct {
 	funcProblem
-	mu         sync.Mutex
-	workers    []*countingWorker
-	parentUsed int // evaluations through the shared problem itself
+	mu      sync.Mutex
+	workers []*countingWorker
 }
 
 type countingWorker struct {
@@ -494,19 +496,12 @@ type countingWorker struct {
 	evals int
 }
 
-func (p *perWorkerProblem) NewWorker() Problem {
+func (p *viewProblem) NewWorker() Worker {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w := &countingWorker{funcProblem: p.funcProblem}
 	p.workers = append(p.workers, w)
 	return w
-}
-
-func (p *perWorkerProblem) EvaluateInto(dst []float64, g []byte) float64 {
-	p.mu.Lock()
-	p.parentUsed++
-	p.mu.Unlock()
-	return p.funcProblem.EvaluateInto(dst, g)
 }
 
 func (w *countingWorker) EvaluateInto(dst []float64, g []byte) float64 {
@@ -516,48 +511,37 @@ func (w *countingWorker) EvaluateInto(dst []float64, g []byte) float64 {
 	return w.funcProblem.EvaluateInto(dst, g)
 }
 
-// TestPerWorkerProblemViewsAreUsed proves the engine builds one view
-// per worker — one for a serial run — routes every evaluation through
-// them, and still reproduces the plain serial run exactly.
-func TestPerWorkerProblemViewsAreUsed(t *testing.T) {
-	serial, err := Run(twoMin(14), Config{PopSize: 24, Generations: 12, Seed: 6, ArchiveAll: true})
+// TestWorkerViewsAreUsed proves the engine builds one view per worker
+// — one for a serial run — routes every evaluation through them, and
+// reproduces the serial run exactly at any worker count.
+func TestWorkerViewsAreUsed(t *testing.T) {
+	cfg := Config{PopSize: 24, Generations: 12, Seed: 6, ArchiveAll: true}
+	ps := &viewProblem{funcProblem: twoMin(14)}
+	serial, err := Run(ps, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := &perWorkerProblem{funcProblem: twoMin(14)}
-	viaView, err := Run(ps, Config{PopSize: 24, Generations: 12, Seed: 6, ArchiveAll: true})
-	if err != nil {
-		t.Fatal(err)
+	if len(ps.workers) != 1 || ps.workers[0].evals != serial.DistinctEvaluated {
+		t.Fatalf("serial run: %d views, the first saw %d of %d distinct; want 1 view serving all",
+			len(ps.workers), ps.workers[0].evals, serial.DistinctEvaluated)
 	}
-	if len(ps.workers) != 1 || ps.parentUsed != 0 || ps.workers[0].evals != viaView.DistinctEvaluated {
-		t.Fatalf("serial run: %d views, %d parent evaluations, view saw %d of %d distinct; want 1 view serving all",
-			len(ps.workers), ps.parentUsed, ps.workers[0].evals, viaView.DistinctEvaluated)
-	}
-	for i := range serial.Final {
-		if string(serial.Final[i].Genome) != string(viaView.Final[i].Genome) {
-			t.Fatal("serial run through a view diverges from the plain run")
-		}
-	}
-	p := &perWorkerProblem{funcProblem: twoMin(14)}
-	parallel, err := Run(p, Config{PopSize: 24, Generations: 12, Seed: 6, ArchiveAll: true, Workers: 4})
+	p := &viewProblem{funcProblem: twoMin(14)}
+	cfg.Workers = 4
+	parallel, err := Run(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.workers) != 4 {
 		t.Fatalf("built %d worker views, want 4", len(p.workers))
 	}
+	// Every distinct genome is evaluated exactly once, through a
+	// worker view.
 	workerEvals := 0
 	for _, w := range p.workers {
 		workerEvals += w.evals
 	}
-	// Every distinct genome is evaluated exactly once, through a
-	// worker view; the shared problem is never asked.
-	if p.parentUsed != 0 {
-		t.Fatalf("%d evaluations bypassed the worker views", p.parentUsed)
-	}
-	if workerEvals+p.parentUsed != parallel.DistinctEvaluated {
-		t.Fatalf("workers saw %d evaluations + parent %d, engine reports %d distinct",
-			workerEvals, p.parentUsed, parallel.DistinctEvaluated)
+	if workerEvals != parallel.DistinctEvaluated {
+		t.Fatalf("workers saw %d evaluations, engine reports %d distinct", workerEvals, parallel.DistinctEvaluated)
 	}
 	if serial.Evaluations != parallel.Evaluations || serial.DistinctEvaluated != parallel.DistinctEvaluated {
 		t.Fatal("per-worker run diverges from serial")
@@ -570,24 +554,6 @@ func TestPerWorkerProblemViewsAreUsed(t *testing.T) {
 	for i := range serial.Archive {
 		if string(serial.Archive[i].Genome) != string(parallel.Archive[i].Genome) {
 			t.Fatal("archive order diverges")
-		}
-	}
-}
-
-// TestWorkersWithoutFactoryStillWork pins the legacy path: a plain
-// concurrency-safe Problem parallelizes through the shared instance.
-func TestWorkersWithoutFactoryStillWork(t *testing.T) {
-	serial, err := Run(twoMin(10), Config{PopSize: 16, Generations: 8, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Run(twoMin(10), Config{PopSize: 16, Generations: 8, Seed: 2, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.Final {
-		if string(serial.Final[i].Genome) != string(parallel.Final[i].Genome) {
-			t.Fatal("plain problem parallel run diverges")
 		}
 	}
 }

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -117,6 +119,10 @@ func FuzzServeRunRequest(f *testing.F) {
 		`{"objectives":["nope"]}`,
 		`{"nws":[8,8]}`,
 		`{"pop":401,"generations":401,"replicates":33}`,
+		`{"nws":[100000000]}`,
+		`{"nws":[64,65]}`,
+		`{"backends":["ring","crossbar"],"nws":[4,8],"objectives":["teb","te","tb"],"replicates":32}`,
+		`{"workloads":[` + manyWorkloads + `]}`,
 		`{"cell_workers":-1,"warmstart":true}`,
 		`{"extra":1}`,
 		`[]`, `null`, ``,
@@ -136,8 +142,11 @@ func FuzzServeRunRequest(f *testing.F) {
 			if err != nil {
 				return // the handler answers 400
 			}
+			cells := max(1, cfg.Replicates) * len(cfg.NWs) * max(1, len(cfg.Backends)) *
+				len(cfg.ObjectiveSets) * len(cfg.Workloads)
 			if cfg.Pop < 1 || cfg.Pop > maxPop || cfg.Generations < 1 || cfg.Generations > maxGenerations ||
-				cfg.Replicates > maxReplicates || len(cfg.ObjectiveSets) == 0 || len(cfg.Workloads) == 0 {
+				cfg.Replicates > maxReplicates || len(cfg.ObjectiveSets) == 0 || len(cfg.Workloads) == 0 ||
+				slices.Max(cfg.NWs) > maxNW || cells > maxCells {
 				t.Fatalf("%q resolved outside the ceilings: %+v", body, cfg)
 			}
 			return
@@ -157,6 +166,16 @@ func FuzzServeRunRequest(f *testing.F) {
 		}
 	})
 }
+
+// manyWorkloads lists more distinct generated workloads than a
+// campaign may have cells.
+var manyWorkloads = func() string {
+	names := []string{`"fft4"`}
+	for n := 1; n <= maxCells; n++ {
+		names = append(names, fmt.Sprintf(`"chain%d"`, n))
+	}
+	return strings.Join(names, ",")
+}()
 
 // requireClientError fails unless the recorded answer is a 4xx.
 func requireClientError(t *testing.T, rec *httptest.ResponseRecorder, body []byte) {

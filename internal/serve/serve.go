@@ -61,10 +61,22 @@ const (
 	maxPop         = 400
 	maxGenerations = 400
 	maxReplicates  = 32
+	// A campaign builds one fabric per (backend, workload, NW) before
+	// any cell runs, and a fabric's genome rows, bank rows and NW²
+	// crosstalk table grow with NW, so campaign requests are bounded
+	// in comb size and in cells (the product of the axis lengths and
+	// the replicates) too. The paper sweeps NW 4 to 16; paper scale at
+	// maxReplicates over the two default comb sizes is 64 cells.
+	maxNW    = 64
+	maxCells = 256
 )
 
-// checkCeilings rejects run sizes over the serving ceilings.
-func checkCeilings(pop, generations, replicates int) error {
+// checkCeilings rejects run sizes over the serving ceilings: every
+// run's pop and generations, and a campaign's replicates, comb sizes
+// nws and cell count, which is the replicates times the length of nws
+// and of each other axis (an empty axis counts as its one default
+// entry).
+func checkCeilings(pop, generations, replicates int, nws []int, axes ...int) error {
 	switch {
 	case pop > maxPop:
 		return fmt.Errorf("pop %d exceeds the serving ceiling %d", pop, maxPop)
@@ -72,6 +84,23 @@ func checkCeilings(pop, generations, replicates int) error {
 		return fmt.Errorf("generations %d exceeds the serving ceiling %d", generations, maxGenerations)
 	case replicates > maxReplicates:
 		return fmt.Errorf("replicates %d exceeds the serving ceiling %d", replicates, maxReplicates)
+	}
+	for _, nw := range nws {
+		if nw > maxNW {
+			return fmt.Errorf("comb size %d exceeds the serving ceiling %d", nw, maxNW)
+		}
+	}
+	// Each factor is at most the body size, and the product stops
+	// growing once it passes maxCells, so it cannot overflow.
+	cells := max(1, replicates) * max(1, len(nws))
+	for _, n := range axes {
+		cells *= max(1, n)
+		if cells > maxCells {
+			break
+		}
+	}
+	if cells > maxCells {
+		return fmt.Errorf("the campaign has more than %d cells, the serving ceiling", maxCells)
 	}
 	return nil
 }
@@ -480,7 +509,7 @@ func resolveOptimize(req OptimizeRequest) (sessionMeta, error) {
 	if meta.Seed == 0 {
 		meta.Seed = defaultSeed
 	}
-	return meta, checkCeilings(meta.Pop, meta.Generations, 0)
+	return meta, checkCeilings(meta.Pop, meta.Generations, 0, nil)
 }
 
 // optimizeJob is an optimize request resolved up to the GA run:
@@ -509,7 +538,7 @@ func (s *Server) resolveOptimizeJob(w http.ResponseWriter, r *http.Request) (opt
 		if err == nil {
 			// The token's integrity check is a CRC, not a signature:
 			// hold its run size to the same ceilings as a fresh request.
-			err = checkCeilings(job.meta.Pop, job.meta.Generations, 0)
+			err = checkCeilings(job.meta.Pop, job.meta.Generations, 0, nil)
 		}
 	} else {
 		job.meta, err = resolveOptimize(job.req)
@@ -720,7 +749,16 @@ func (s *Server) campaignConfig(req CampaignRequest) (expt.CampaignConfig, error
 	if cfg.Seed == 0 {
 		cfg.Seed = defaultSeed
 	}
-	if err := checkCeilings(cfg.Pop, cfg.Generations, cfg.Replicates); err != nil {
+	objNames := req.Objectives
+	if len(objNames) == 0 {
+		objNames = []string{defaultObjectives}
+	}
+	wlNames := req.Workloads
+	if len(wlNames) == 0 {
+		wlNames = []string{defaultWorkload}
+	}
+	if err := checkCeilings(cfg.Pop, cfg.Generations, cfg.Replicates, cfg.NWs,
+		len(cfg.Backends), len(objNames), len(wlNames)); err != nil {
 		return cfg, err
 	}
 	known := make(map[string]bool)
@@ -732,20 +770,12 @@ func (s *Server) campaignConfig(req CampaignRequest) (expt.CampaignConfig, error
 			return cfg, fmt.Errorf("unknown backend %q", b)
 		}
 	}
-	objNames := req.Objectives
-	if len(objNames) == 0 {
-		objNames = []string{defaultObjectives}
-	}
 	for _, name := range objNames {
 		os, err := core.ParseObjectiveSet(name)
 		if err != nil {
 			return cfg, err
 		}
 		cfg.ObjectiveSets = append(cfg.ObjectiveSets, os)
-	}
-	wlNames := req.Workloads
-	if len(wlNames) == 0 {
-		wlNames = []string{defaultWorkload}
 	}
 	for _, name := range wlNames {
 		wl, err := expt.NamedWorkload(name)

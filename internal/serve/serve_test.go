@@ -356,13 +356,12 @@ func flip(c byte) string {
 	return "A"
 }
 
-// TestOptimizeDraining: after BeginDrain an optimize request must
-// checkpoint immediately instead of exploring, and the token must
-// resume on a healthy server.
 // TestRunSizeCeilings pins the serving ceilings: a run size over a
 // cap is refused with the 400 every unresolvable request gets, on
-// optimize, on a forged session token and on campaign, while paper
-// scale still resolves.
+// optimize, on a forged session token and on campaign (comb size and
+// cell count included, both refused before any campaign instance is
+// built), while paper scale and a campaign at the ceilings still
+// resolve.
 func TestRunSizeCeilings(t *testing.T) {
 	_, ts := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}})
 	forged, err := encodeSession(sessionMeta{Workload: "paper", Backend: "ring", NW: 8, Objectives: "teb",
@@ -381,6 +380,9 @@ func TestRunSizeCeilings(t *testing.T) {
 		{"campaign pop", "/v1/campaign", CampaignRequest{NWs: []int{4}, Pop: maxPop + 2}},
 		{"campaign generations", "/v1/campaign", CampaignRequest{NWs: []int{4}, Generations: maxGenerations + 1}},
 		{"campaign replicates", "/v1/campaign", CampaignRequest{NWs: []int{4}, Replicates: maxReplicates + 1}},
+		{"campaign nw", "/v1/campaign", CampaignRequest{NWs: []int{4, maxNW + 1}}},
+		{"campaign cells", "/v1/campaign", CampaignRequest{Backends: []string{"ring", "crossbar"},
+			NWs: []int{4, 8}, Objectives: []string{"teb", "te", "tb"}, Replicates: maxReplicates}},
 	}
 	for _, tc := range cases {
 		code, body := post(t, ts.URL+tc.path, tc.req)
@@ -396,8 +398,15 @@ func TestRunSizeCeilings(t *testing.T) {
 	if _, err := s.campaignConfig(CampaignRequest{Pop: 400, Generations: 300, Replicates: maxReplicates}); err != nil {
 		t.Errorf("paper-scale campaign refused: %v", err)
 	}
+	if _, err := s.campaignConfig(CampaignRequest{Backends: []string{"ring", "crossbar"}, NWs: []int{8, maxNW},
+		Objectives: []string{"teb", "te"}, Replicates: maxReplicates}); err != nil {
+		t.Errorf("campaign at the comb-size and cell ceilings refused: %v", err)
+	}
 }
 
+// TestOptimizeDraining: after BeginDrain an optimize request must
+// checkpoint immediately instead of exploring, and the token must
+// resume on a healthy server.
 func TestOptimizeDraining(t *testing.T) {
 	s, ts := newTestServer(t, Config{Backends: []string{"ring"}, NWs: []int{8}})
 	s.BeginDrain()

@@ -20,6 +20,11 @@ var plainObjectives = []alloc.Objective{alloc.ObjTime, alloc.ObjEnergy, alloc.Ob
 
 func (pp plainProblem) GenomeLen() int     { return pp.in.Edges() * pp.in.Channels() }
 func (pp plainProblem) NumObjectives() int { return len(plainObjectives) }
+func (pp plainProblem) AuxLen() int        { return 0 }
+
+// NewWorker serves the problem as its own view: EvaluateInto keeps no
+// state between calls.
+func (pp plainProblem) NewWorker() nsga2.Worker { return pp }
 func (pp plainProblem) EvaluateInto(dst []float64, genome []byte) float64 {
 	g, err := alloc.FromBits(genome, pp.in.Edges(), pp.in.Channels())
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -22,10 +23,15 @@ import (
 // TestUnreachedAPI keeps exported API that no entry point reaches from
 // growing back. It type-checks every non-test package of the module
 // (and of the e2ebench module, which only uses it) with the standard
-// library's own type checker, lists every exported package-level name
-// and exported method of the module's library packages that no
-// non-test code uses, and compares that list with the keep-list in
-// testdata/unreached_api.txt.
+// library's own type checker, lists every exported package-level name,
+// exported method and exported struct field of the module's library
+// packages that no non-test code reaches, and compares that list with
+// the keep-list in testdata/unreached_api.txt.
+//
+// A struct field counts as reached when non-test code writes it (see
+// scanWrites), so a field that production code reads but only tests
+// set is listed. Fields with a json tag are exempt: encoding/json
+// writes them by reflection.
 //
 // A method counts as reached when code calls it directly, or when its
 // receiver type implements an interface whose method of that name is
@@ -41,7 +47,7 @@ func TestUnreachedAPI(t *testing.T) {
 	keep := readKeepList(t, filepath.Join("testdata", "unreached_api.txt"))
 	for _, name := range got {
 		if _, ok := keep[name]; !ok {
-			t.Errorf("%s: exported, but no non-test code reaches it; delete it or add %q to testdata/unreached_api.txt",
+			t.Errorf("%s: exported, but no non-test code reaches it (or, for a field, writes it); delete it or add %q to testdata/unreached_api.txt",
 				name, name+" — <reason>")
 		}
 	}
@@ -193,6 +199,14 @@ func unreachedAPI(t *testing.T) []string {
 				continue
 			}
 			named := tn.Type().(*types.Named)
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					f := st.Field(i)
+					if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); f.Exported() && !tagged && !u.written[f] {
+						out = append(out, p.types.Name()+"."+name+"."+f.Name())
+					}
+				}
+			}
 			if iface, ok := named.Underlying().(*types.Interface); ok {
 				for i := 0; i < iface.NumExplicitMethods(); i++ {
 					m := iface.ExplicitMethod(i)
@@ -282,10 +296,12 @@ func loadPackages(t *testing.T, fset *token.FileSet) []*modPkg {
 }
 
 // usage collects, over every scanned package, the objects non-test code
-// uses, the interface methods it calls through an interface, and the
-// named types whose values it converts to an interface.
+// uses, the struct fields it writes, the interface methods it calls
+// through an interface, and the named types whose values it converts
+// to an interface.
 type usage struct {
-	used map[types.Object]bool
+	used    map[types.Object]bool
+	written map[*types.Var]bool
 	// ifaceCalls maps a method name to the interfaces it is used
 	// through.
 	ifaceCalls map[string][]*types.Interface
@@ -295,6 +311,7 @@ type usage struct {
 func newUsage() *usage {
 	return &usage{
 		used:       map[types.Object]bool{},
+		written:    map[*types.Var]bool{},
 		ifaceCalls: map[string][]*types.Interface{},
 		boxed:      map[*types.TypeName]bool{},
 	}
@@ -373,7 +390,82 @@ func (u *usage) scan(p *modPkg) {
 	}
 	for _, f := range p.files {
 		u.scanConversions(p.info, f)
+		u.scanWrites(p.info, f)
 	}
+}
+
+// scanWrites marks the struct fields f writes: in a keyed or
+// positional composite literal, as the target of an assignment or of
+// ++/--, or by taking the field's address. A write inside the
+// withDefaults method of the field's own struct does not count:
+// filling in a default is not a setting.
+func (u *usage) scanWrites(info *types.Info, f *ast.File) {
+	var defaults *types.Struct // receiver struct of the enclosing withDefaults
+	var defaultsEnd token.Pos
+	mark := func(pos token.Pos, v *types.Var) {
+		v = v.Origin()
+		if defaults != nil && pos < defaultsEnd {
+			for i := 0; i < defaults.NumFields(); i++ {
+				if defaults.Field(i) == v {
+					return
+				}
+			}
+		}
+		u.written[v] = true
+	}
+	markIdent := func(id *ast.Ident) {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			mark(id.Pos(), v)
+		}
+	}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			markIdent(sel.Sel)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			defaults = nil
+			if n.Recv != nil && n.Name.Name == "withDefaults" {
+				recv := info.Defs[n.Name].Type().(*types.Signature).Recv().Type()
+				if ptr, ok := recv.(*types.Pointer); ok {
+					recv = ptr.Elem()
+				}
+				defaults, _ = recv.Underlying().(*types.Struct)
+				defaultsEnd = n.End()
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				target(lhs)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				target(n.X)
+			}
+		case *ast.CompositeLit:
+			t := info.TypeOf(n)
+			if ptr, ok := t.Underlying().(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok {
+						markIdent(key)
+					}
+				} else if i < st.NumFields() {
+					mark(elt.Pos(), st.Field(i))
+				}
+			}
+		}
+		return true
+	})
 }
 
 // scanConversions marks the named types whose values f converts to an
