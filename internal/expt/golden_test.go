@@ -41,6 +41,22 @@ import (
 //	go run ./cmd/wadate -campaign -backends ring,crossbar -nw 4,8 -workloads chain64,gauss7 -pop 24 -gens 10 -seed 1 \
 //	    -json internal/expt/testdata/golden/campaign_workloads.json -csv internal/expt/testdata/golden/campaign_workloads.csv
 //
+// campaign_islands.json, campaign_islands.csv and
+// campaign_islands_stats.ndjson pin the island model on two campaigns,
+// each file the first campaign's rendering followed by the second's:
+// the golden grid split into 2 islands, and gauss7 at NW 8 split into
+// 3 islands of a 25-member population (9, 8, 8) with warm-start seeds
+// on island 0, both migrating 2 genomes every 4 generations;
+// regenerated with
+//
+//	W='go run ./cmd/wadate -campaign -backends ring,crossbar -gens 10 -seed 1 -migrate-every 4 -migrate-k 2'
+//	A='-nw 4,8 -pop 24 -islands 2'
+//	B='-nw 8 -workloads gauss7 -pop 25 -islands 3 -warmstart'
+//	$W $A -json a.json -csv a.csv && $W $B -json b.json -csv b.csv
+//	cat a.json b.json > internal/expt/testdata/golden/campaign_islands.json
+//	cat a.csv b.csv > internal/expt/testdata/golden/campaign_islands.csv
+//	($W $A -stats && $W $B -stats) | grep '^{"cell"' > internal/expt/testdata/golden/campaign_islands_stats.ndjson
+//
 // The suite_*, robustness_*, convergence_*, sensitivity and table2
 // files are the paper-suite experiments, regenerated with
 //
@@ -187,6 +203,38 @@ func TestCampaignWorkloadsGolden(t *testing.T) {
 	}
 	checkGolden(t, "campaign_workloads.json", js.Bytes())
 	checkGolden(t, "campaign_workloads.csv", cs.Bytes())
+}
+
+// TestCampaignIslandsGolden pins island-model cells: migration rounds
+// that do not divide the run (10 generations every 4), an uneven
+// population split and island 0's warm-start seeds.
+func TestCampaignIslandsGolden(t *testing.T) {
+	grid := goldenGridConfig(t)
+	grid.Islands, grid.MigrationEvery, grid.MigrationK = 2, 4, 2
+	gauss := grid
+	w, err := NamedWorkload("gauss7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauss.Workloads, gauss.NWs, gauss.Pop = []Workload{w}, []int{8}, 25
+	gauss.Islands, gauss.WarmStart = 3, true
+
+	run := func(stats bool) []*Campaign {
+		var cs []*Campaign
+		for _, cfg := range []CampaignConfig{grid, gauss} {
+			cfg.Stats = stats
+			c, err := RunCampaign(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs = append(cs, c)
+		}
+		return cs
+	}
+	cs := run(false)
+	checkGolden(t, "campaign_islands.json", renderAll(t, WriteCampaignJSON, cs...))
+	checkGolden(t, "campaign_islands.csv", renderAll(t, WriteCampaignCSV, cs...))
+	checkGolden(t, "campaign_islands_stats.ndjson", renderAll(t, WriteCampaignStats, run(true)...))
 }
 
 func fptr(v float64) *float64 { return &v }
