@@ -81,7 +81,10 @@
 //	-islands int      split every cell's GA into N islands that
 //	                  exchange their top genomes on a ring at fixed
 //	                  generation boundaries; reproducible for a given
-//	                  (seed, islands, interval, top-k)
+//	                  (seed, islands, interval, top-k). An island cell
+//	                  runs whole in one process (one worker under
+//	                  -distribute) and writes no mid-cell snapshots,
+//	                  so an interrupted one re-runs from scratch
 //	-migrate-every int  island migration period in generations
 //	                  (default 25; needs -islands > 1)
 //	-migrate-k int    emigrant genomes per island per migration
@@ -352,7 +355,7 @@ type campaignOpts struct {
 }
 
 // runWorker joins the coordinator at addr and executes assigned
-// cells and island segments until released. A simulated crash
+// cells, island cells included, until released. A simulated crash
 // (-halt-after-checkpoints) returns dist.ErrWorkerHalted, which main
 // turns into exit status 3, like the single-process preemption
 // simulator.

@@ -42,14 +42,7 @@ func (p *Problem) gaConfig() nsga2.Config {
 
 // NewExplorer builds the engine and evaluates the initial population.
 func (p *Problem) NewExplorer() (*Explorer, error) {
-	return p.newExplorerWith(p.gaConfig())
-}
-
-// newExplorerWith is NewExplorer under an explicit engine
-// configuration — the island model derives per-island configurations
-// from the problem's instead of using it verbatim.
-func (p *Problem) newExplorerWith(ga nsga2.Config) (*Explorer, error) {
-	eng, err := nsga2.NewEngine(p, ga)
+	eng, err := nsga2.NewEngine(p, p.gaConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -74,15 +67,7 @@ func (p *Problem) ResumeExplorer(r io.Reader) (*Explorer, error) {
 	// Warm-start seeds are an initial-population concern; the
 	// population comes from the checkpoint here, so skip the heuristic
 	// recomputation gaConfig would do per resumed cell.
-	return p.resumeExplorerWith(p.baseGAConfig(), r)
-}
-
-// resumeExplorerWith is ResumeExplorer under an explicit engine
-// configuration (which must match the checkpoint header); the island
-// model resumes per-island checkpoints with per-island
-// configurations.
-func (p *Problem) resumeExplorerWith(ga nsga2.Config, r io.Reader) (*Explorer, error) {
-	eng, err := nsga2.ResumeEngine(p, ga, r)
+	eng, err := nsga2.ResumeEngine(p, p.baseGAConfig(), r)
 	if err != nil {
 		return nil, err
 	}

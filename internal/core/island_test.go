@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -27,7 +25,7 @@ func TestIslandsOneMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := islandProblem(t, ga).RunIslands(IslandSpec{Islands: 1, Interval: 3}, nil)
+	got, _, err := islandProblem(t, ga).RunIslands(IslandSpec{Islands: 1, Interval: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +40,11 @@ func TestIslandsOneMatchesPlainRun(t *testing.T) {
 func TestIslandsDeterministic(t *testing.T) {
 	ga := nsga2.Config{PopSize: 18, Generations: 7, Seed: 4}
 	spec := IslandSpec{Islands: 3, Interval: 2, TopK: 2}
-	r1, s1, err := islandProblem(t, ga).RunIslands(spec, nil)
+	r1, s1, err := islandProblem(t, ga).RunIslands(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, s2, err := islandProblem(t, ga).RunIslands(spec, nil)
+	r2, s2, err := islandProblem(t, ga).RunIslands(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +56,7 @@ func TestIslandsDeterministic(t *testing.T) {
 	}
 	// A different interval is a different (valid) trajectory — guard
 	// against the migration machinery being a no-op.
-	r3, _, err := islandProblem(t, ga).RunIslands(IslandSpec{Islands: 3, Interval: 4, TopK: 2}, nil)
+	r3, _, err := islandProblem(t, ga).RunIslands(IslandSpec{Islands: 3, Interval: 4, TopK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,118 +65,17 @@ func TestIslandsDeterministic(t *testing.T) {
 	}
 }
 
-// TestIslandsRoundTripRunnerEquivalent simulates distribution: a
-// RoundRunner that serializes every segment through JSON (the wire),
-// executes it on a separate problem instance built from scratch (the
-// worker), and returns the serialized results, must reproduce the
-// local run bit-for-bit — result and stats.
-func TestIslandsRoundTripRunnerEquivalent(t *testing.T) {
-	ga := nsga2.Config{PopSize: 14, Generations: 6, Seed: 9}
-	spec := IslandSpec{Islands: 2, Interval: 2, TopK: 2}
-
-	local, localStats, err := islandProblem(t, ga).RunIslands(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	remote := func(segs []IslandSegment) ([]IslandSegmentResult, error) {
-		out := make([]IslandSegmentResult, len(segs))
-		for i, seg := range segs {
-			wire, err := json.Marshal(seg)
-			if err != nil {
-				return nil, err
-			}
-			var decoded IslandSegment
-			if err := json.Unmarshal(wire, &decoded); err != nil {
-				return nil, err
-			}
-			// The "worker": a problem built independently from the
-			// same configuration.
-			wp, err := New(Config{NW: 4, GA: ga})
-			if err != nil {
-				return nil, err
-			}
-			r, err := wp.RunIslandSegment(decoded)
-			if err != nil {
-				return nil, err
-			}
-			back, err := json.Marshal(r)
-			if err != nil {
-				return nil, err
-			}
-			if err := json.Unmarshal(back, &out[i]); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	dist, distStats, err := islandProblem(t, ga).RunIslands(spec, remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(local, dist) {
-		t.Fatal("distributed-style island run diverged from the local run")
-	}
-	if localStats != distStats {
-		t.Fatalf("stats diverged: local %+v distributed %+v", localStats, distStats)
-	}
-}
-
-// TestIslandSegmentPureFunction: running the same segment twice
-// yields identical checkpoint bytes, emigrants and stats.
-func TestIslandSegmentPureFunction(t *testing.T) {
-	ga := nsga2.Config{PopSize: 12, Generations: 6, Seed: 2}
-	spec := IslandSpec{Islands: 2, Interval: 3, TopK: 2}
-	p := islandProblem(t, ga)
-	seg := IslandSegment{Spec: spec, Island: 1, StartGen: 0, Gens: 3}
-	a, err := p.RunIslandSegment(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := islandProblem(t, ga).RunIslandSegment(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Checkpoint, b.Checkpoint) {
-		t.Fatal("segment checkpoints differ across identical executions")
-	}
-	if !reflect.DeepEqual(a.Emigrants, b.Emigrants) || a.Stats != b.Stats {
-		t.Fatal("segment emigrants or stats differ across identical executions")
-	}
-	// Continuing the segment chain must pick up exactly where the
-	// checkpoint left off.
-	next, err := p.RunIslandSegment(IslandSegment{
-		Spec: spec, Island: 1, StartGen: 3, Gens: 3,
-		Checkpoint: a.Checkpoint, Immigrants: a.Emigrants,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(next.Checkpoint) == 0 {
-		t.Fatal("continuation produced no checkpoint")
-	}
-	// Wrong StartGen is rejected (stale lease / replay protection).
-	if _, err := p.RunIslandSegment(IslandSegment{
-		Spec: spec, Island: 1, StartGen: 5, Gens: 1, Checkpoint: a.Checkpoint,
-	}); err == nil {
-		t.Fatal("segment with mismatched StartGen accepted")
-	}
-}
-
 func TestIslandsValidation(t *testing.T) {
 	p := islandProblem(t, nsga2.Config{PopSize: 4, Generations: 3, Seed: 1})
-	if _, _, err := p.RunIslands(IslandSpec{Islands: 3}, nil); err == nil {
+	if _, _, err := p.RunIslands(IslandSpec{Islands: 3}); err == nil {
 		t.Fatal("population 4 split into 3 islands accepted")
 	}
-	if _, _, err := p.RunIslands(IslandSpec{Islands: 0}, nil); err == nil {
+	if _, _, err := p.RunIslands(IslandSpec{Islands: 0}); err == nil {
 		t.Fatal("zero islands accepted")
 	}
 	p2 := islandProblem(t, nsga2.Config{PopSize: 8, Seed: 1})
-	if _, _, err := p2.RunIslands(IslandSpec{Islands: 2}, nil); err == nil {
+	if _, _, err := p2.RunIslands(IslandSpec{Islands: 2}); err == nil {
 		t.Fatal("island run without explicit generations accepted")
-	}
-	if _, err := p.AssembleIslands(IslandSpec{Islands: 2}, [][]byte{nil}); err == nil {
-		t.Fatal("checkpoint count mismatch accepted")
 	}
 }
 

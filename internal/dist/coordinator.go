@@ -8,8 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/alloc"
-	"repro/internal/core"
 	"repro/internal/expt"
 )
 
@@ -40,21 +38,17 @@ type CoordinatorOptions struct {
 	Ready func(addr string)
 }
 
-// job is one unit of work a worker can hold a lease on: a whole cell
-// or one island segment.
+// job is one cell a worker can hold a lease on.
 type job struct {
 	cell   expt.Cell
-	seg    *core.IslandSegment // nil → whole-cell job
-	resume []byte              // latest snapshot bytes (whole-cell only)
+	resume []byte // latest snapshot bytes
 
-	attempts  int
-	result    chan jobResult // buffered 1; exactly one send
-	segResult *core.IslandSegmentResult
+	attempts int
+	result   chan jobResult // buffered 1; exactly one send
 }
 
 type jobResult struct {
-	done []byte                    // whole-cell completion record
-	seg  *core.IslandSegmentResult // segment result
+	done []byte // completion record
 	err  error
 }
 
@@ -180,29 +174,19 @@ func (c *coordinator) logf(format string, args ...any) {
 	}
 }
 
-// runCell drives one cell to durable completion: plain cells become
-// a single leased job; island cells run the migration loop here in
-// the coordinator, with each round's segments fanned out as jobs.
+// runCell drives one cell to durable completion as a single leased
+// job. An island cell streams no snapshots, so a reassigned lease
+// re-runs it from scratch.
 func (c *coordinator) runCell(cell expt.Cell, total int) error {
 	c.logf("cell %d/%d: dispatching", cell.Index+1, total)
-	var done []byte
-	var err error
-	if c.cfg.Islands > 1 {
-		var in *alloc.Instance
-		if in, err = c.instance(cell); err != nil {
-			return fmt.Errorf("dist: cell %d: %w", cell.Index, err)
-		}
-		done, err = expt.ExecuteCell(c.cfg, cell, in, nil, nil, c.roundRunner(cell))
-	} else {
-		var resume []byte
-		if resume, err = c.dir.LoadCkpt(cell); err != nil {
-			return err
-		}
-		if resume != nil {
-			c.logf("cell %d/%d: resuming from snapshot", cell.Index+1, total)
-		}
-		done, err = c.dispatch(&job{cell: cell, resume: resume})
+	resume, err := c.dir.LoadCkpt(cell)
+	if err != nil {
+		return err
 	}
+	if resume != nil {
+		c.logf("cell %d/%d: resuming from snapshot", cell.Index+1, total)
+	}
+	done, err := c.dispatch(&job{cell: cell, resume: resume})
 	if err != nil {
 		c.logf("cell %d/%d: FAILED: %v", cell.Index+1, total, err)
 		return err
@@ -214,51 +198,6 @@ func (c *coordinator) runCell(cell expt.Cell, total int) error {
 	return nil
 }
 
-// instance builds an island cell's shared evaluation instance: its
-// assembly and sim cross-check run coordinator-side. Instances are
-// cheap relative to cells, so no cross-cell cache.
-func (c *coordinator) instance(cell expt.Cell) (*alloc.Instance, error) {
-	wl, err := expt.NamedWorkload(cell.Workload)
-	if err != nil {
-		return nil, err
-	}
-	return expt.BuildCellInstance(cell, wl)
-}
-
-// roundRunner fans one migration round's segments out to workers in
-// parallel and gathers the results in order.
-func (c *coordinator) roundRunner(cell expt.Cell) core.RoundRunner {
-	return func(segs []core.IslandSegment) ([]core.IslandSegmentResult, error) {
-		out := make([]core.IslandSegmentResult, len(segs))
-		errs := make([]error, len(segs))
-		var wg sync.WaitGroup
-		for i := range segs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				seg := segs[i]
-				j := &job{cell: cell, seg: &seg}
-				if _, err := c.dispatch(j); err != nil {
-					errs[i] = err
-					return
-				}
-				if j.segResult == nil {
-					errs[i] = fmt.Errorf("dist: cell %d island %d: segment resolved without a result", cell.Index, seg.Island)
-					return
-				}
-				out[i] = *j.segResult
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-}
-
 // dispatch enqueues the job and blocks until a worker resolves it,
 // reassigning it (with its latest resume bytes) every time a holder
 // dies, up to maxLeaseAttempts.
@@ -268,11 +207,7 @@ func (c *coordinator) dispatch(j *job) ([]byte, error) {
 		return nil, err
 	}
 	r := <-j.result
-	if r.err != nil {
-		return nil, r.err
-	}
-	j.segResult = r.seg
-	return r.done, nil
+	return r.done, r.err
 }
 
 func (c *coordinator) enqueue(j *job) error {
@@ -393,19 +328,8 @@ func (c *coordinator) handleConn(conn net.Conn) {
 // holding the lease (the caller requeues); a resolved job — success
 // or deterministic failure — returns nil.
 func (c *coordinator) runLease(conn net.Conn, j *job) error {
-	var assignErr error
-	if j.seg != nil {
-		blob, err := jsonBlob(j.seg)
-		if err != nil {
-			j.result <- jobResult{err: err}
-			return nil
-		}
-		assignErr = writeFrame(conn, msgSegment, cellMeta{Index: j.cell.Index}, blob)
-	} else {
-		assignErr = writeFrame(conn, msgCell, cellMeta{Index: j.cell.Index}, j.resume)
-	}
-	if assignErr != nil {
-		return assignErr
+	if err := writeFrame(conn, msgCell, cellMeta{Index: j.cell.Index}, j.resume); err != nil {
+		return err
 	}
 	for {
 		typ, meta, blob, err := readFrame(conn)
@@ -423,14 +347,6 @@ func (c *coordinator) runLease(conn net.Conn, j *job) error {
 			j.resume = blob
 		case msgDone:
 			j.result <- jobResult{done: blob}
-			return nil
-		case msgSegDone:
-			var r core.IslandSegmentResult
-			if err := parseMeta(blob, &r); err != nil {
-				j.result <- jobResult{err: fmt.Errorf("dist: cell %d: corrupt segment result: %w", j.cell.Index, err)}
-				return nil
-			}
-			j.result <- jobResult{seg: &r}
 			return nil
 		case msgFail:
 			var m cellMeta

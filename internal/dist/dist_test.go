@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -248,8 +249,8 @@ func TestWorkerCrashLeaseReassigned(t *testing.T) {
 }
 
 // TestDistributedIslandsMatchSingleProcess: an island-model campaign
-// distributed segment-by-segment produces the same completion
-// records as the in-process island run.
+// whose cells are shipped whole to workers produces the same
+// completion records as the in-process island run.
 func TestDistributedIslandsMatchSingleProcess(t *testing.T) {
 	island := func() expt.CampaignConfig {
 		return expt.CampaignConfig{
@@ -282,6 +283,97 @@ func TestDistributedIslandsMatchSingleProcess(t *testing.T) {
 		}
 	}
 	sameTree(t, readTree(t, refDir), readTree(t, distDir), "island checkpoint dir")
+}
+
+// TestIslandCellLeaseReassigned: a worker that dies holding an island
+// cell's lease leaves no snapshot behind, so the next worker re-runs
+// the cell from scratch and the directory still matches a
+// single-process run.
+func TestIslandCellLeaseReassigned(t *testing.T) {
+	island := func(dir string) expt.CampaignConfig {
+		return expt.CampaignConfig{
+			NWs:            []int{4},
+			Pop:            12,
+			Generations:    6,
+			Seed:           5,
+			Islands:        2,
+			MigrationEvery: 2,
+			MigrationK:     2,
+			CheckpointDir:  dir,
+		}
+	}
+	refDir := t.TempDir()
+	if _, err := expt.RunCampaign(island(refDir)); err != nil {
+		t.Fatal(err)
+	}
+
+	distDir := t.TempDir()
+	addr, serveCh := startCoordinator(t, island(distDir))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ, _, manifest, err := readFrame(conn)
+	if err != nil || typ != msgConfig {
+		t.Fatalf("handshake: type %d err %v", typ, err)
+	}
+	if err := writeFrame(conn, msgReady, nil, manifest); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, blob, err := readFrame(conn); err != nil || typ != msgCell || blob != nil {
+		t.Fatalf("assignment: type %d, %d resume bytes, err %v; want a fresh cell", typ, len(blob), err)
+	}
+	conn.Close() // die holding the lease
+
+	if err := Run(WorkerOptions{Addr: addr, Log: t.Logf}); err != nil {
+		t.Fatalf("replacement worker: %v", err)
+	}
+	if err := <-serveCh; err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	sameTree(t, readTree(t, refDir), readTree(t, distDir), "reassigned island checkpoint dir")
+}
+
+// TestWorkerRefusesRetiredSegmentFrame: a coordinator that still
+// assigns island segments (frame type 8) gets a worker that fails
+// with an unexpected-frame error rather than one that exits cleanly.
+func TestWorkerRefusesRetiredSegmentFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	coordErr := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			coordErr <- err
+			return
+		}
+		defer conn.Close()
+		manifest, err := expt.ManifestBytes(distCampaignConfig())
+		if err != nil {
+			coordErr <- err
+			return
+		}
+		if err := writeFrame(conn, msgConfig, sessionMeta{}, manifest); err != nil {
+			coordErr <- err
+			return
+		}
+		if typ, _, _, err := readFrame(conn); err != nil || typ != msgReady {
+			coordErr <- fmt.Errorf("handshake: type %d err %v", typ, err)
+			return
+		}
+		coordErr <- writeFrame(conn, 8, cellMeta{Index: 0}, []byte("{}"))
+		readFrame(conn) // hold the connection until the worker leaves
+	}()
+	err = Run(WorkerOptions{Addr: ln.Addr().String()})
+	if err == nil || !strings.Contains(err.Error(), "unexpected frame type 8") {
+		t.Fatalf("worker returned %v, want an unexpected frame type 8 error", err)
+	}
+	if err := <-coordErr; err != nil {
+		t.Fatalf("fake coordinator: %v", err)
+	}
 }
 
 // TestManifestMismatchFailLoud pins both rejection directions: a
@@ -400,7 +492,7 @@ func TestWorkerSnapshotsAtDefaultCadence(t *testing.T) {
 // TestDistributedStatsMatchSingleProcess: with Stats on and serial
 // evaluation, the completion records a distributed run stores carry
 // the same instrumentation blocks as the single-process run's, for
-// whole cells and for island cells assembled by the coordinator.
+// plain cells and for island cells.
 func TestDistributedStatsMatchSingleProcess(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

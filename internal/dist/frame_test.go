@@ -63,3 +63,28 @@ func FuzzReadFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestFrameTypeValues pins every frame type's wire value. Peers of
+// different builds pass the handshake whenever their manifests agree,
+// so a renumbered type would be misread, not refused: the retired
+// segment types 8 and 9 stay unused and shutdown stays 10.
+func TestFrameTypeValues(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		got  byte
+		want byte
+	}{
+		{"config", msgConfig, 1},
+		{"ready", msgReady, 2},
+		{"reject", msgReject, 3},
+		{"cell", msgCell, 4},
+		{"ckpt", msgCkpt, 5},
+		{"done", msgDone, 6},
+		{"fail", msgFail, 7},
+		{"shutdown", msgShutdown, 10},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("msg %s = %d, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+}

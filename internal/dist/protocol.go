@@ -14,7 +14,9 @@
 // worker that dies mid-cell loses nothing but the tail since its
 // last streamed snapshot: the coordinator holds the cell's lease,
 // detects the broken connection, and reassigns the cell — resume
-// bytes included — to the next free worker.
+// bytes included — to the next free worker. An island cell runs whole
+// on one worker and streams no snapshots, so a reassigned island cell
+// re-runs from scratch, as it does on an in-process resume.
 //
 // The protocol carries no authentication and no encryption: it is
 // meant for trusted hosts (a lab cluster, one multi-core machine),
@@ -38,43 +40,47 @@ import (
 //	... blob     opaque payload (checkpoint bytes, records, manifest)
 //
 // Every exchange is synchronous per connection: the coordinator
-// sends one assignment and reads frames until the job resolves, so
+// sends one assignment and reads frames until the cell resolves, so
 // there is no interleaving to disambiguate.
+//
+// The type values are part of the wire: a worker and a coordinator of
+// different builds still pass the handshake when their manifests
+// agree, so a value is never renumbered or reused.
 const (
 	// msgConfig (coordinator → worker) opens a session: blob is the
 	// coordinator's manifest rendering, the campaign identity the
 	// worker decodes its configuration from; meta is sessionMeta, the
 	// settings outside that identity.
-	msgConfig = iota + 1
+	msgConfig = 1
 	// msgReady (worker → coordinator) accepts the session: blob is
 	// the worker's own manifest rendering, which the coordinator
 	// byte-compares against its own — identity is checked in both
 	// directions before any work is assigned.
-	msgReady
+	msgReady = 2
 	// msgReject (worker → coordinator) refuses the session: meta
 	// carries the reason. Sent when the coordinator's manifest does
 	// not decode or does not re-render to the same bytes.
-	msgReject
-	// msgCell (coordinator → worker) assigns one whole cell: meta is
-	// cellMeta, blob the cell's resume snapshot (empty = fresh).
-	msgCell
+	msgReject = 3
+	// msgCell (coordinator → worker) assigns one whole cell, island
+	// cells included: meta is cellMeta, blob the cell's resume
+	// snapshot (empty = fresh).
+	msgCell = 4
 	// msgCkpt (worker → coordinator) streams an in-flight snapshot
 	// of the running cell: blob is a complete cell-<N>.ckpt file.
-	msgCkpt
+	msgCkpt = 5
 	// msgDone (worker → coordinator) completes a cell: blob is the
 	// complete cell-<N>.json record.
-	msgDone
-	// msgFail (worker → coordinator) reports a deterministic cell or
-	// segment failure: meta carries the error.
-	msgFail
-	// msgSegment (coordinator → worker) assigns one island segment:
-	// meta is cellMeta, blob the JSON-encoded core.IslandSegment.
-	msgSegment
-	// msgSegDone (worker → coordinator) completes a segment: blob is
-	// the JSON-encoded core.IslandSegmentResult.
-	msgSegDone
+	msgDone = 6
+	// msgFail (worker → coordinator) reports a deterministic cell
+	// failure: meta carries the error.
+	msgFail = 7
+	// 8 and 9 are retired: they carried island segments and their
+	// results when the coordinator fanned one cell's islands out to
+	// several workers. Either side now answers them as an unexpected
+	// frame type.
+	//
 	// msgShutdown (coordinator → worker) ends the session cleanly.
-	msgShutdown
+	msgShutdown = 10
 )
 
 // maxFrame bounds a frame so a corrupt or hostile peer cannot make
@@ -161,11 +167,7 @@ func isConnLost(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// jsonBlob renders a frame blob from a JSON-encodable value.
-func jsonBlob(v any) ([]byte, error) { return json.Marshal(v) }
-
-// parseMeta decodes frame metadata (or a JSON blob); empty input is
-// the zero value.
+// parseMeta decodes frame metadata; empty input is the zero value.
 func parseMeta(raw []byte, v any) error {
 	if len(raw) == 0 {
 		return nil

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/alloc"
-	"repro/internal/core"
 	"repro/internal/expt"
 )
 
@@ -46,10 +45,11 @@ type worker struct {
 }
 
 // Run connects to the coordinator, validates the campaign identity,
-// and executes assigned cells and island segments until the
-// coordinator shuts the session down. It returns nil on a clean
-// shutdown, ErrManifestMismatch when the identities disagree, and
-// ErrWorkerHalted when a simulated crash was requested.
+// and executes assigned cells until the coordinator shuts the session
+// down. It returns nil on a clean shutdown, ErrManifestMismatch when
+// the identities disagree, ErrWorkerHalted when a simulated crash was
+// requested, and an error for any frame type a worker does not take
+// (the retired segment types included).
 func Run(opts WorkerOptions) error {
 	conn, err := dialRetry(opts.Addr)
 	if err != nil {
@@ -104,10 +104,6 @@ func Run(opts WorkerOptions) error {
 			return nil
 		case msgCell:
 			if err := w.runCell(conn, meta, blob); err != nil {
-				return err
-			}
-		case msgSegment:
-			if err := w.runSegment(conn, meta, blob); err != nil {
 				return err
 			}
 		default:
@@ -178,7 +174,7 @@ func (w *worker) runCell(conn net.Conn, meta, resume []byte) error {
 		}
 		return nil
 	}
-	done, err := expt.ExecuteCell(w.cfg, cell, in, resume, emit, nil)
+	done, err := expt.ExecuteCell(w.cfg, cell, in, resume, emit)
 	if err != nil {
 		if errors.Is(err, ErrWorkerHalted) {
 			// Simulated crash: sever the connection with the lease
@@ -190,32 +186,6 @@ func (w *worker) runCell(conn net.Conn, meta, resume []byte) error {
 	}
 	w.logf("cell %d: done", cell.Index)
 	return writeFrame(conn, msgDone, nil, done)
-}
-
-// runSegment executes one island segment.
-func (w *worker) runSegment(conn net.Conn, meta, blob []byte) error {
-	cell, err := w.cellAt(meta)
-	if err != nil {
-		return err
-	}
-	var seg core.IslandSegment
-	if err := parseMeta(blob, &seg); err != nil {
-		return fmt.Errorf("dist: cell %d: corrupt segment: %w", cell.Index, err)
-	}
-	in, err := w.instance(cell)
-	if err != nil {
-		return w.reportFail(conn, cell, err)
-	}
-	w.logf("cell %d: island %d gens %d..%d", cell.Index, seg.Island, seg.StartGen, seg.StartGen+seg.Gens)
-	res, err := expt.RunCellSegment(w.cfg, cell, in, seg)
-	if err != nil {
-		return w.reportFail(conn, cell, err)
-	}
-	blob, err = jsonBlob(res)
-	if err != nil {
-		return err
-	}
-	return writeFrame(conn, msgSegDone, nil, blob)
 }
 
 // reportFail forwards a deterministic failure and keeps the session

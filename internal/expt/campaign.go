@@ -189,9 +189,12 @@ type CampaignConfig struct {
 	// generations (see core.IslandSpec). Results differ from the
 	// single-engine run but are reproducible for a given (seed,
 	// islands, interval, top-k) — the fields join the campaign
-	// identity when checkpointing. Island cells carry no mid-cell
-	// snapshots: a resume re-runs an interrupted island cell from
-	// scratch (completed cells still restore from their records).
+	// identity when checkpointing. An island cell runs whole, in one
+	// process — a distributed campaign ships it to one worker like any
+	// cell — and carries no mid-cell snapshots: a resume, or a lease
+	// reassigned after a worker dies, re-runs an interrupted island
+	// cell from scratch (completed cells still restore from their
+	// records).
 	Islands int
 	// MigrationEvery is the island migration period in generations
 	// (default core.DefaultMigrationInterval). Requires Islands > 1.
@@ -767,7 +770,7 @@ func runCell(cfg CampaignConfig, si sharedInstance, cell Cell, dir *CampaignDir,
 		return CellResult{Cell: cell, Err: si.err}
 	}
 	if dir == nil {
-		return executeCell(cfg, cell, si.in, nil, nil, nil)
+		return executeCell(cfg, cell, si.in, nil, nil)
 	}
 	resume, err := dir.LoadCkpt(cell)
 	if err != nil {
@@ -781,7 +784,7 @@ func runCell(cfg CampaignConfig, si sharedInstance, cell Cell, dir *CampaignDir,
 			return ErrCampaignStopped
 		}
 		return nil
-	}, nil)
+	})
 	if cr.Err == nil {
 		// Failures are not recorded: they are deterministic, so a
 		// resume re-runs the cell and reports the same error, while a
@@ -797,20 +800,19 @@ func runCell(cfg CampaignConfig, si sharedInstance, cell Cell, dir *CampaignDir,
 
 // executeCell runs one cell with its derived seed on the shared
 // read-only instance in, then cross-checks the projected fronts on
-// the simulator. It is the one cell executor: RunCampaign, a
-// distributed worker and the distributed coordinator's island driver
-// all run cells through it.
+// the simulator. It is the one cell executor: RunCampaign and a
+// distributed worker run every cell, island cells included, through
+// it.
 //
 // A single-engine cell runs Step by Step (bit-identical to the
 // monolithic Optimize): from resume, a cell-<N>.ckpt file, when
 // non-nil, and handing emit a fresh snapshot file every
 // cfg.CheckpointEvery generations when emit is non-nil. An island
-// cell (cfg.Islands > 1) runs its migration rounds through runner
-// (nil runs them locally) and ignores resume and emit: its state is a
-// set of per-island checkpoints, not one engine stream, so an
-// interrupted island cell re-runs from scratch. cfg must have its
-// defaults applied.
-func executeCell(cfg CampaignConfig, cell Cell, in *alloc.Instance, resume []byte, emit func(ckpt []byte) error, runner core.RoundRunner) (cr CellResult) {
+// cell (cfg.Islands > 1) runs its live island engines in process
+// (core.Problem.RunIslands) and ignores resume and emit: it writes no
+// mid-cell snapshots, so an interrupted island cell re-runs from
+// scratch. cfg must have its defaults applied.
+func executeCell(cfg CampaignConfig, cell Cell, in *alloc.Instance, resume []byte, emit func(ckpt []byte) error) (cr CellResult) {
 	t0 := time.Now()
 	cr.Cell = cell
 	defer func() { cr.Elapsed = time.Since(t0) }()
@@ -822,12 +824,11 @@ func executeCell(cfg CampaignConfig, cell Cell, in *alloc.Instance, resume []byt
 	var stats nsga2.Stats
 	// ev is the simulator cross-check's evaluator: a single-engine
 	// cell lends its first worker's, whose optics memo already holds
-	// the front genomes' communications. An island cell's engines ran
-	// in its round runner, possibly in other processes, so it builds
-	// one.
+	// the front genomes' communications. An island cell's front spans
+	// several engines, so it builds one.
 	var ev *alloc.Evaluator
 	if cfg.Islands > 1 {
-		cr.Result, stats, cr.Err = p.RunIslands(cfg.islandSpec(), runner)
+		cr.Result, stats, cr.Err = p.RunIslands(cfg.islandSpec())
 		if cr.Err == nil {
 			ev, cr.Err = alloc.NewEvaluator(in)
 		}
@@ -884,9 +885,7 @@ func startExplorer(p *core.Problem, cell Cell, resume []byte) (*core.Explorer, e
 }
 
 // cellProblem builds one cell's exploration problem on the pair's
-// shared read-only instance — the construction executeCell and the
-// distributed island segment (RunCellSegment) share, so a cell means
-// exactly the same GA wherever it executes.
+// shared read-only instance.
 func cellProblem(cfg CampaignConfig, cell Cell, in *alloc.Instance) (*core.Problem, error) {
 	return core.New(core.Config{
 		NW:         cell.NW,

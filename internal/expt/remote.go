@@ -9,15 +9,13 @@ import (
 
 // This file is the campaign's remote-execution seam: the exported
 // operations a distributed coordinator/worker pair (internal/dist)
-// composes into a multi-process campaign. A worker runs a whole cell
-// through ExecuteCell, which is the in-process executor (executeCell)
-// plus the completion-record encoder, and streams back the same
-// cell-<N>.ckpt and cell-<N>.json bytes RunCampaign would store. The
-// coordinator stores them verbatim through the same CampaignDir, and
-// drives island cells through ExecuteCell with a round runner that
-// ships each round's segments (RunCellSegment) to workers. So a
-// distributed campaign's directory comes out byte-identical to a
-// single-process run's.
+// composes into a multi-process campaign. A worker runs a whole cell,
+// island cells included, through ExecuteCell, which is the in-process
+// executor (executeCell) plus the completion-record encoder, and
+// streams back the same cell-<N>.ckpt and cell-<N>.json bytes
+// RunCampaign would store. The coordinator stores them verbatim
+// through the same CampaignDir, so a distributed campaign's directory
+// comes out byte-identical to a single-process run's.
 
 // ManifestBytes renders the campaign's identity record: the exact
 // bytes OpenCampaignDir writes to manifest.json. A distributed worker
@@ -47,24 +45,12 @@ func BuildCellInstance(cell Cell, wl Workload) (*alloc.Instance, error) {
 // cell-<N>.json contents). resume, when non-nil, is a cell snapshot
 // file (the cell-<N>.ckpt contents) to continue from; emit, when
 // non-nil, is called with a fresh snapshot file every
-// cfg.CheckpointEvery generations. Island cells run their rounds
-// through runner (nil runs them locally) and ignore resume and emit.
-func ExecuteCell(cfg CampaignConfig, cell Cell, in *alloc.Instance, resume []byte, emit func(ckpt []byte) error, runner core.RoundRunner) ([]byte, error) {
-	cr := executeCell(cfg.withDefaults(), cell, in, resume, emit, runner)
+// cfg.CheckpointEvery generations. Island cells ignore resume and
+// emit and run from scratch.
+func ExecuteCell(cfg CampaignConfig, cell Cell, in *alloc.Instance, resume []byte, emit func(ckpt []byte) error) ([]byte, error) {
+	cr := executeCell(cfg.withDefaults(), cell, in, resume, emit)
 	if cr.Err != nil {
 		return nil, cr.Err
 	}
 	return encodeCellDone(cell, cr.artifact())
-}
-
-// RunCellSegment executes one island segment of a cell — the unit of
-// work a distributed island-model run ships to workers. The segment
-// is a pure function of (campaign configuration, cell, segment), so
-// any worker computes the same bytes.
-func RunCellSegment(cfg CampaignConfig, cell Cell, in *alloc.Instance, seg core.IslandSegment) (core.IslandSegmentResult, error) {
-	p, err := cellProblem(cfg.withDefaults(), cell, in)
-	if err != nil {
-		return core.IslandSegmentResult{}, err
-	}
-	return p.RunIslandSegment(seg)
 }

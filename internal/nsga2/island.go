@@ -4,8 +4,9 @@ import "fmt"
 
 // This file holds the engine surface the island model builds on:
 // deterministic emigrant selection (TopGenomes), deterministic
-// immigrant absorption (InjectGenomes), and the merge of several
-// island runs into one result (MergeResults). The island driver
+// immigrant absorption (InjectGenomes), the merge of several island
+// runs into one result (MergeResults) and the sum of their counters
+// (Stats.Add). The island driver
 // itself lives in internal/core — here are only the engine-level
 // primitives, each of them PRNG-free so that migration never
 // perturbs an island's replayable random trajectory.
@@ -115,20 +116,6 @@ func MergeResults(rs ...*Result) *Result {
 		r.rankAndCrowd(merged.Final)
 	}
 	return merged
-}
-
-// Sub returns the counter-wise difference s - o: the instrumentation
-// attributable to the work between two snapshots (e.g. one island
-// segment).
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		Evaluations:       s.Evaluations - o.Evaluations,
-		CacheHits:         s.CacheHits - o.CacheHits,
-		RelationsCompared: s.RelationsCompared - o.RelationsCompared,
-		Eval: EvalStats{
-			Full: s.Eval.Full - o.Eval.Full,
-		},
-	}
 }
 
 // Add returns the counter-wise sum s + o.
