@@ -698,6 +698,65 @@ func BenchmarkSimulatorReuse(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorFronts measures the campaign cross-check's
+// simulator work: warm Simulators cycling over the distinct front
+// genomes of a ring and a crossbar NW 8 cell at the CI grid's pop 24 x
+// 10 generations, one genome per op. Unlike BenchmarkSimulatorReuse,
+// each op books a different genome, so the per-run decode and
+// occupancy bookings are on the clock as a campaign cell sees them.
+// Every genome is run once before the timer starts, so a run must not
+// allocate.
+func BenchmarkSimulatorFronts(b *testing.B) {
+	type run struct {
+		s *sim.Simulator
+		g alloc.Genome
+	}
+	var runs []run
+	for _, backend := range []string{"ring", "crossbar"} {
+		in, err := core.NewSharedInstance(core.Config{NW: 8, Backend: backend})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := core.New(core.Config{NW: 8, Instance: in,
+			GA: nsga2.Config{PopSize: 24, Generations: 10, Seed: 3}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := p.Optimize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		ev, err := alloc.NewEvaluator(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := sim.NewSimulator(ev)
+		seen := map[string]bool{}
+		for _, sol := range append(res.FrontTimeEnergy, res.FrontTimeBER...) {
+			if !seen[sol.Genome.Key()] {
+				seen[sol.Genome.Key()] = true
+				runs = append(runs, run{s, sol.Genome})
+			}
+		}
+		if len(seen) < 2 {
+			b.Fatalf("%s cell has %d distinct front genomes, want at least 2", backend, len(seen))
+		}
+	}
+	for _, r := range runs {
+		if _, err := r.s.Run(r.g, sim.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := runs[i%len(runs)]
+		if _, err := r.s.Run(r.g, sim.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHeuristicAssign measures the baseline allocators.
 func BenchmarkHeuristicAssign(b *testing.B) {
 	in, err := alloc.DefaultInstance(8)

@@ -149,6 +149,7 @@ func (g Genome) CountsInto(dst []int) []int {
 // "1000/0001/0001/0001/1000/1000".
 func (g Genome) String() string {
 	var sb strings.Builder
+	sb.Grow(g.edges * (g.nw + 1))
 	for e := 0; e < g.edges; e++ {
 		if e > 0 {
 			sb.WriteByte('/')

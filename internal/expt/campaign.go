@@ -375,6 +375,10 @@ type CellResult struct {
 	// checkpoint directory; the artifact writers consume it in place
 	// of a live Result.
 	restored *cellArtifact
+	// art is a live cell's artifact view, rendered once when
+	// executeCell returns, so the completion record, the JSON
+	// artifact, the CSV table and the summary share one rendering.
+	art *cellArtifact
 	// stats holds the cell's instrumentation record when the campaign
 	// ran with CampaignConfig.Stats.
 	stats *CellStats
@@ -421,14 +425,24 @@ func (cr *CellResult) Stats() *CellStats {
 // completion record rather than explored in this run.
 func (cr *CellResult) Restored() bool { return cr.restored != nil }
 
-// artifact renders the cell's serializable outcome view — the single
+// artifact returns the cell's serializable outcome view — the single
 // source the JSON artifact, the CSV table, the summary table and the
 // checkpoint completion record all derive from, so a restored cell is
 // indistinguishable from a freshly explored one in every artifact.
+// A cell that neither was restored nor came from executeCell is
+// rendered on each call.
 func (cr *CellResult) artifact() cellArtifact {
-	if cr.restored != nil {
+	switch {
+	case cr.restored != nil:
 		return *cr.restored
+	case cr.art != nil:
+		return *cr.art
 	}
+	return cr.render()
+}
+
+// render builds the artifact view from the live cell's fields.
+func (cr *CellResult) render() cellArtifact {
 	a := cellArtifact{
 		SimChecked:       cr.SimChecked,
 		SimViolations:    cr.SimViolations,
@@ -793,7 +807,10 @@ func runCell(cfg CampaignConfig, si sharedInstance, cell Cell, dir *CampaignDir,
 		if err == nil {
 			err = dir.StoreDone(cell, raw)
 		}
-		cr.Err = err
+		if err != nil {
+			cr.Err = err
+			cr.art.Error = err.Error()
+		}
 	}
 	return cr
 }
@@ -864,6 +881,8 @@ func executeCell(cfg CampaignConfig, cell Cell, in *alloc.Instance, resume []byt
 	if cr.Result != nil {
 		cr.SimChecked, cr.SimViolations, cr.SimBracketMisses, cr.Err = simCheck(sim.NewSimulator(ev), cr.Result)
 	}
+	a := cr.render()
+	cr.art = &a
 	return cr
 }
 
@@ -1111,10 +1130,10 @@ func WriteCampaignCSV(w io.Writer, c *Campaign) error {
 				strconv.Itoa(cell.Replicate),
 				strconv.FormatInt(cell.Seed, 10),
 				kind,
-				fmt.Sprintf("%.6f", r.TimeKCC),
-				fmt.Sprintf("%.6f", r.BitEnergyFJ),
-				fmt.Sprintf("%.6e", r.MeanBER),
-				fmt.Sprintf("%.4f", core.Metrics{MeanBER: r.MeanBER}.Log10BER()),
+				strconv.FormatFloat(r.TimeKCC, 'f', 6, 64),
+				strconv.FormatFloat(r.BitEnergyFJ, 'f', 6, 64),
+				strconv.FormatFloat(r.MeanBER, 'e', 6, 64),
+				strconv.FormatFloat(core.Metrics{MeanBER: r.MeanBER}.Log10BER(), 'f', 4, 64),
 				strings.Join(counts, ";"),
 				r.Genome,
 			)); err != nil {

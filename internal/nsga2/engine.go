@@ -522,7 +522,7 @@ type ranker struct {
 	gMembers  []int32
 	fronts    [][]int
 	frontBuf  []int
-	crowdIdx  []int
+	crowdKeys []crowdKey
 
 	sGroups  []int32
 	gFrontOf []int32
@@ -563,7 +563,7 @@ func newRanker(n, m int) ranker {
 		gMembers:  make([]int32, n),
 		fronts:    make([][]int, 0, n),
 		frontBuf:  make([]int, 0, n),
-		crowdIdx:  make([]int, n),
+		crowdKeys: make([]crowdKey, n),
 
 		sGroups:  make([]int32, 0, n),
 		gFrontOf: make([]int32, n),
@@ -912,9 +912,15 @@ func (r *ranker) relation(i, j int) int {
 }
 
 // assignCrowdingScratch mirrors the reference assignCrowding on the
-// engine's objective columns with a preallocated index slice and an
-// allocation-free stable sort (a stable sort's output is fixed by its
-// comparator, so it reproduces the reference sort.SliceStable).
+// engine's objective columns with preallocated scratch and an
+// allocation-free sort. It sorts the front's (value, position) keys:
+// on the NaN-free values the engine admits, a strict total order, so
+// the unstable sort yields the reference sort.SliceStable's order.
+// Breaking ties on the individual index instead would not, because
+// front is not in index order. The comparator uses plain < and >,
+// like the reference's less, not cmp.Compare: no NaN reaches ranking,
+// and cmp.Compare's NaN checks cost more than the unstable sort saves
+// over a stable one.
 func (r *ranker) assignCrowdingScratch(m []Individual, front []int) {
 	if len(front) == 0 {
 		return
@@ -928,29 +934,44 @@ func (r *ranker) assignCrowdingScratch(m []Individual, front []int) {
 		}
 		return
 	}
-	mo := r.nObj
-	idx := r.crowdIdx[:len(front)]
-	for obj := 0; obj < mo; obj++ {
+	keys := r.crowdKeys[:len(front)]
+	last := len(keys) - 1
+	for obj := 0; obj < r.nObj; obj++ {
 		col := r.objCol[obj]
-		copy(idx, front)
-		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(col[a], col[b]) })
-		lo := col[idx[0]]
-		hi := col[idx[len(idx)-1]]
-		spread := hi - lo
-		m[idx[0]].Crowding = math.Inf(1)
-		m[idx[len(idx)-1]].Crowding = math.Inf(1)
+		for pos, i := range front {
+			keys[pos] = crowdKey{col[i], pos}
+		}
+		slices.SortFunc(keys, func(a, b crowdKey) int {
+			switch {
+			case a.v < b.v:
+				return -1
+			case a.v > b.v:
+				return 1
+			}
+			return a.pos - b.pos
+		})
+		spread := keys[last].v - keys[0].v
+		m[front[keys[0].pos]].Crowding = math.Inf(1)
+		m[front[keys[last].pos]].Crowding = math.Inf(1)
 		if spread <= 0 || math.IsInf(spread, 0) || math.IsNaN(spread) {
 			// Degenerate axis (all equal, or infeasible front at
 			// +Inf): contributes nothing.
 			continue
 		}
-		for k := 1; k < len(idx)-1; k++ {
-			d := (col[idx[k+1]] - col[idx[k-1]]) / spread
-			if !math.IsInf(m[idx[k]].Crowding, 1) {
-				m[idx[k]].Crowding += d
+		for k := 1; k < last; k++ {
+			d := (keys[k+1].v - keys[k-1].v) / spread
+			if c := &m[front[keys[k].pos]].Crowding; !math.IsInf(*c, 1) {
+				*c += d
 			}
 		}
 	}
+}
+
+// crowdKey is one front member's sort key in the crowding pass: its
+// objective value and its position in the front.
+type crowdKey struct {
+	v   float64
+	pos int
 }
 
 // lexCompare orders group ids so that any dominator sorts strictly

@@ -71,10 +71,12 @@ type Result struct {
 
 	// The (segment, channel) busy lists live in one arena in CSR
 	// form: the list of key k = (slot[seg]-1)*nw + ch is
-	// ivs[off[k]:off[k+1]]. slot numbers the booked resources densely
-	// from 1 (0 = never booked), so the key space follows the run,
-	// not the fabric's resource-ID range (the crossbar numbers N²
-	// hops).
+	// ivs[off[k]:off[k+1]]. slot numbers the resources the instance's
+	// paths traverse densely from 1 (0 = on no path), so the key space
+	// follows the instance's routes, not the fabric's resource-ID
+	// range (the crossbar numbers N² hops). slot and the length of off
+	// are fixed when the simulator is built; off and ivs are filled
+	// per run.
 	nw   int
 	slot []int32
 	off  []int32
@@ -181,6 +183,11 @@ type Simulator struct {
 
 	res Result
 
+	// The run's genome, decoded once: edge ei's reserved channels are
+	// chans[chOff[ei]:chOff[ei+1]] in ascending order, and counts[ei]
+	// is their number.
+	chOff    []int
+	chans    []int
 	counts   []int
 	durs     []int64
 	pending  []int   // unreceived inputs per task
@@ -213,6 +220,8 @@ func NewSimulator(ev *alloc.Evaluator) *Simulator {
 			CommEnd:   make([]int64, nEdges),
 			CoreBusy:  make([][]Interval, nCores),
 		},
+		chOff:    make([]int, nEdges+1),
+		chans:    make([]int, 0, nEdges*in.Channels()),
 		counts:   make([]int, nEdges),
 		durs:     make([]int64, nEdges),
 		pending:  make([]int, nTasks),
@@ -228,10 +237,27 @@ func NewSimulator(ev *alloc.Evaluator) *Simulator {
 		s.succOff[t+1] += s.succOff[t]
 	}
 	next := append([]int(nil), s.succOff[:nTasks]...)
+	maxRes := -1
 	for ei, e := range app.Edges {
 		s.succ[next[e.Src]] = ei
 		next[e.Src]++
+		for _, seg := range in.Path(ei).Resources() {
+			maxRes = max(maxRes, seg)
+		}
 	}
+	s.res.nw = in.Channels()
+	s.res.slot = make([]int32, maxRes+1)
+	numbered := int32(0)
+	for ei := range app.Edges {
+		for _, seg := range in.Path(ei).Resources() {
+			if s.res.slot[seg] == 0 {
+				numbered++
+				s.res.slot[seg] = numbered
+			}
+		}
+	}
+	s.res.off = make([]int32, int(numbered)*s.res.nw+1)
+	s.fill = make([]int32, len(s.res.off)-1)
 	// Every task runs once and queues once on its mapped core, so each
 	// core's busy list and ready queue are carved from one flat array
 	// at the core's task count. A core without tasks keeps nil lists.
@@ -286,7 +312,8 @@ func (s *Simulator) Run(g alloc.Genome, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("sim: genome shape %dx%d does not match instance %dx%d",
 			g.Edges(), g.Channels(), in.Edges(), in.Channels())
 	}
-	counts := g.CountsInto(s.counts)
+	s.decode(g)
+	counts := s.counts
 	for e := range app.Edges {
 		if app.Edges[e].VolumeBits > 0 && counts[e] == 0 && !in.SelfEdge(e) && !opt.Unchecked {
 			return nil, fmt.Errorf("sim: communication %s has no wavelengths", app.Edges[e].Name)
@@ -310,7 +337,7 @@ func (s *Simulator) Run(g alloc.Genome, opt Options) (*Result, error) {
 		// latency either.
 		s.durs[ei] = commDuration(in, counts, ei) + opt.LatencyPerHopCycles*int64(in.Path(ei).Hops())
 	}
-	s.bookArena(g)
+	s.bookArena()
 
 	copy(s.pending, s.inDeg)
 	clear(s.coreFree)
@@ -349,7 +376,7 @@ func (s *Simulator) Run(g alloc.Genome, opt Options) (*Result, error) {
 					res.CommStart[ei] = e.time
 					res.CommEnd[ei] = e.time + dur
 					if dur > 0 {
-						s.reserve(g, ei, e.time, e.time+dur)
+						s.reserve(ei, e.time, e.time+dur)
 					}
 					s.push(e.time+dur, 1, ei)
 				}
@@ -437,46 +464,42 @@ func commDuration(in *alloc.Instance, counts []int, ei int) int64 {
 	return ceil64(vol / bitsPerCycle)
 }
 
+// decode is the run's one pass over the genome: it fills the per-edge
+// channel lists and counts that the arena sizing, the durations, the
+// bookings and the laser integration read. The simulator decodes the
+// genome bytes itself rather than reusing the evaluator's masks, so
+// the occupancy check does not share its input with the kernel it
+// cross-checks.
+func (s *Simulator) decode(g alloc.Genome) {
+	nw := g.Channels()
+	s.chans = s.chans[:0]
+	for ei := range s.counts {
+		for ch := 0; ch < nw; ch++ {
+			if g.Get(ei, ch) {
+				s.chans = append(s.chans, ch)
+			}
+		}
+		s.chOff[ei+1] = len(s.chans)
+		s.counts[ei] = s.chOff[ei+1] - s.chOff[ei]
+	}
+}
+
+// edgeChans returns edge ei's reserved channels, ascending.
+func (s *Simulator) edgeChans(ei int) []int { return s.chans[s.chOff[ei]:s.chOff[ei+1]] }
+
 // bookArena sizes the run's occupancy arena in the Result: a
 // counting pass over every booked edge (durs[ei] > 0) and its path
-// resources × channel set. The arena's slices are the simulator's,
-// resized and zeroed for the run.
-func (s *Simulator) bookArena(g alloc.Genome) {
+// resources × channel list. The arena's slices are the simulator's,
+// resized for the run.
+func (s *Simulator) bookArena() {
 	in, res := s.in, &s.res
-	nw := in.Channels()
-	maxRes := -1
+	keys := len(res.off) - 1
+	clear(res.off)
 	for ei, dur := range s.durs {
 		if dur <= 0 {
 			continue
 		}
-		for _, seg := range in.Path(ei).Resources() {
-			maxRes = max(maxRes, seg)
-		}
-	}
-	res.nw = nw
-	res.slot = resize(res.slot, maxRes+1)
-	booked := int32(0)
-	for ei, dur := range s.durs {
-		if dur <= 0 {
-			continue
-		}
-		for _, seg := range in.Path(ei).Resources() {
-			if res.slot[seg] == 0 {
-				booked++
-				res.slot[seg] = booked
-			}
-		}
-	}
-	keys := int(booked) * nw
-	res.off = resize(res.off, keys+1)
-	for ei, dur := range s.durs {
-		if dur <= 0 {
-			continue
-		}
-		for ch := 0; ch < nw; ch++ {
-			if !g.Get(ei, ch) {
-				continue
-			}
+		for _, ch := range s.edgeChans(ei) {
 			for _, seg := range in.Path(ei).Resources() {
 				res.off[res.key(seg, ch)+1]++
 			}
@@ -485,32 +508,27 @@ func (s *Simulator) bookArena(g alloc.Genome) {
 	for k := 0; k < keys; k++ {
 		res.off[k+1] += res.off[k]
 	}
-	res.ivs = resize(res.ivs, int(res.off[keys]))
-	s.fill = append(s.fill[:0], res.off[:keys]...)
-}
-
-// resize returns buf resliced (or reallocated) to length n, zeroed.
-// Like make, it never returns nil.
-func resize[T any](buf []T, n int) []T {
-	if buf == nil || cap(buf) < n {
-		return make([]T, n)
+	// A run that returns its Result has reserved every booked edge,
+	// filling every arena slot, so the arena is resliced, not zeroed.
+	// Like make, this never leaves it nil.
+	if n := int(res.off[keys]); res.ivs == nil || cap(res.ivs) < n {
+		res.ivs = make([]Interval, n)
+	} else {
+		res.ivs = res.ivs[:n]
 	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
+	copy(s.fill, res.off)
 }
 
 // reserve books every (resource, channel) of communication ei for
-// [start, end), recording violations on overlap. The violation wording
-// names the backend's shared-medium unit (ring: "segment", crossbar:
-// "hop") so diagnostics read in the fabric's own vocabulary.
-func (s *Simulator) reserve(g alloc.Genome, ei int, start, end int64) {
+// [start, end), resource-major then by ascending channel, recording
+// violations on overlap. The violation wording names the backend's
+// shared-medium unit (ring: "segment", crossbar: "hop") so
+// diagnostics read in the fabric's own vocabulary.
+func (s *Simulator) reserve(ei int, start, end int64) {
 	res, edges := &s.res, s.in.App.Edges
+	chans := s.edgeChans(ei)
 	for _, seg := range s.in.Path(ei).Resources() {
-		for ch := 0; ch < res.nw; ch++ {
-			if !g.Get(ei, ch) {
-				continue
-			}
+		for _, ch := range chans {
 			k := res.key(seg, ch)
 			for _, iv := range res.ivs[res.off[k]:s.fill[k]] {
 				if start < iv.End && iv.Start < end {
